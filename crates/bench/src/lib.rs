@@ -53,7 +53,7 @@ pub use campaign::{
 };
 pub use emit::Emit;
 pub use grid::{ExperimentError, Grid, GridResult};
-pub use laser_core::{CellBudget, PipelineConfig, ShardRouting, StopReason, TopologySpec};
+pub use laser_core::{CellBudget, PipelineConfig, StopReason, TopologySpec};
 pub use runner::{geomean, ExperimentScale};
 pub use scenario::{AggregateFormat, Scenario, ScenarioCell, ScenarioError, Sweep};
 pub use service::{run_scenario, ServiceError, ServiceOptions, ServiceSummary};

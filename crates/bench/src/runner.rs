@@ -15,8 +15,8 @@ use crate::topofile::Deployment;
 pub struct ExperimentScale {
     /// Input-scale multiplier applied to every workload.
     pub workload_scale: f64,
-    /// Optional restriction to a subset of workload names (used by the
-    /// Criterion benches to stay fast); `None` means the full suite.
+    /// Optional restriction to a subset of workload names; `None` means the
+    /// full suite.
     pub only: Option<&'static [&'static str]>,
 }
 
@@ -30,22 +30,6 @@ impl Default for ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// The scale used by the Criterion benches: tiny inputs, a handful of
-    /// representative workloads.
-    pub fn bench() -> Self {
-        ExperimentScale {
-            workload_scale: 0.08,
-            only: Some(&[
-                "histogram'",
-                "linear_regression",
-                "kmeans",
-                "dedup",
-                "swaptions",
-                "streamcluster",
-            ]),
-        }
-    }
-
     /// Build options for a workload at this scale.
     pub fn options(&self) -> BuildOptions {
         BuildOptions {
@@ -89,34 +73,12 @@ pub fn build_under_tool(spec: &WorkloadSpec, opts: &BuildOptions) -> WorkloadIma
     }
 }
 
-/// Run a workload natively (no tool attached).
-///
-/// # Errors
-/// Propagates simulator errors (step-budget exhaustion).
-pub fn run_native(spec: &WorkloadSpec, opts: &BuildOptions) -> Result<RunResult, LaserError> {
-    Laser::run_native(&spec.build(opts))
-}
-
-/// Run a workload natively on a topology preset: the build options are
-/// adapted to it ([`BuildOptions::for_topology`]: threads scale with the
-/// socket count, multi-socket placement goes round-robin) and the machine is
-/// deployed on the preset's topology and core count. The flat preset is
-/// byte-identical to [`run_native`].
-///
-/// # Errors
-/// Propagates simulator errors (step-budget exhaustion).
-pub fn run_native_at(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    topo: TopologySpec,
-) -> Result<RunResult, LaserError> {
-    run_native_deployed(spec, opts, &Deployment::Preset(topo))
-}
-
-/// Run a workload natively on an arbitrary [`Deployment`]: a preset behaves
-/// exactly like [`run_native_at`]; a custom layout adapts the build options
-/// ([`crate::topofile::CustomTopology::adapt`]) and deploys the machine on
-/// the loaded topology and core count.
+/// Run a workload natively (no tool attached) on a [`Deployment`]: the build
+/// options are adapted to it (a preset via [`BuildOptions::for_topology`] —
+/// threads scale with the socket count, multi-socket placement goes
+/// round-robin; a custom layout via
+/// [`crate::topofile::CustomTopology::adapt`]) and the machine is deployed on
+/// its topology and core count.
 ///
 /// # Errors
 /// Propagates simulator errors (step-budget exhaustion).
@@ -129,87 +91,36 @@ pub fn run_native_deployed(
     Laser::run_native_on(&spec.build(&opts), deploy.machine_config())
 }
 
-/// Run a workload under LASER with the given configuration.
+/// Run a workload under LASER on a [`Deployment`] with the given pipeline
+/// deployment and, optionally, an `observer` attached to the session's event
+/// stream (see [`laser_core::observe`]) — how the campaign runner threads
+/// per-cell budgets into a run. With `None` the session is genuinely
+/// unobserved: no observer is boxed in, so no events are even constructed.
+/// Pipelining changes only the wall-clock: the outcome and event stream are
+/// byte-identical to an inline run.
 ///
-/// # Errors
-/// Propagates simulator errors (step-budget exhaustion).
-pub fn run_laser(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    config: LaserConfig,
-) -> Result<LaserOutcome, LaserError> {
-    Laser::new(config).run(&build_under_tool(spec, opts))
-}
-
-/// Run a workload under LASER with `observer` attached to the session's
-/// event stream (see [`laser_core::observe`]) and the given pipeline
-/// deployment. This is how the campaign runner threads per-cell budgets —
-/// and the `--pipeline` execution mode — into a run. Pipelining changes
-/// only the wall-clock: the outcome and event stream are byte-identical to
-/// an inline run.
+/// A preset deployment rides on `LaserConfig::topology` (the session builder
+/// deploys the machine from it); a custom layout hands the session an
+/// explicit machine configuration built from the loaded topology, which the
+/// builder honours over any config preset.
 ///
 /// # Errors
 /// Propagates simulator errors, and [`LaserError::Stopped`] when `observer`
 /// cancelled the run.
-pub fn run_laser_observed(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    config: LaserConfig,
-    pipeline: PipelineConfig,
-    observer: Box<dyn Observer>,
-) -> Result<LaserOutcome, LaserError> {
-    run_laser_observed_at(spec, opts, config, pipeline, TopologySpec::Flat, observer)
-}
-
-/// Like [`run_laser_observed`], deployed on a topology preset: the build
-/// options are adapted to it and the session's machine is configured with
-/// the preset's topology and core count (via `LaserConfig::topology`). The
-/// flat preset is byte-identical to [`run_laser_observed`].
-///
-/// # Errors
-/// Propagates simulator errors, and [`LaserError::Stopped`] when `observer`
-/// cancelled the run.
-pub fn run_laser_observed_at(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    config: LaserConfig,
-    pipeline: PipelineConfig,
-    topo: TopologySpec,
-    observer: Box<dyn Observer>,
-) -> Result<LaserOutcome, LaserError> {
-    run_laser_observed_deployed(
-        spec,
-        opts,
-        config,
-        pipeline,
-        &Deployment::Preset(topo),
-        observer,
-    )
-}
-
-/// Like [`run_laser_observed_at`], on an arbitrary [`Deployment`]. A preset
-/// takes the exact pre-deployment code path (the session builder deploys the
-/// machine from `LaserConfig::topology`, byte-identical); a custom layout
-/// hands the session an explicit machine configuration built from the loaded
-/// topology, which the builder honours over any config preset.
-///
-/// # Errors
-/// Propagates simulator errors, and [`LaserError::Stopped`] when `observer`
-/// cancelled the run.
-pub fn run_laser_observed_deployed(
+pub fn run_laser_deployed(
     spec: &WorkloadSpec,
     opts: &BuildOptions,
     config: LaserConfig,
     pipeline: PipelineConfig,
     deploy: &Deployment,
-    observer: Box<dyn Observer>,
+    observer: Option<Box<dyn Observer>>,
 ) -> Result<LaserOutcome, LaserError> {
     let opts = deploy.adapt(opts);
-    laser_builder_deployed(config, deploy)
-        .pipeline_config(pipeline)
-        .boxed_observer(observer)
-        .build(&build_under_tool(spec, &opts))
-        .run()
+    let mut builder = laser_builder_deployed(config, deploy).pipeline_config(pipeline);
+    if let Some(observer) = observer {
+        builder = builder.boxed_observer(observer);
+    }
+    builder.build(&build_under_tool(spec, &opts)).run()
 }
 
 /// Start a session builder for `deploy`: presets ride on
@@ -224,56 +135,6 @@ fn laser_builder_deployed(config: LaserConfig, deploy: &Deployment) -> laser_cor
             .config(config)
             .machine(deploy.machine_config()),
     }
-}
-
-/// Run a workload under LASER with the detector stage pipelined onto a
-/// worker thread (see [`laser_core::PipelineConfig`]), unobserved. Used by
-/// the `bench_throughput` harness to compare inline and pipelined
-/// steps-per-second on identical sessions.
-///
-/// # Errors
-/// Propagates simulator errors (step-budget exhaustion).
-pub fn run_laser_piped(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    config: LaserConfig,
-    pipeline: PipelineConfig,
-) -> Result<LaserOutcome, LaserError> {
-    run_laser_piped_at(spec, opts, config, pipeline, TopologySpec::Flat)
-}
-
-/// Like [`run_laser_piped`], deployed on a topology preset (see
-/// [`run_laser_observed_at`] for how the preset is applied).
-///
-/// # Errors
-/// Propagates simulator errors (step-budget exhaustion).
-pub fn run_laser_piped_at(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    config: LaserConfig,
-    pipeline: PipelineConfig,
-    topo: TopologySpec,
-) -> Result<LaserOutcome, LaserError> {
-    run_laser_piped_deployed(spec, opts, config, pipeline, &Deployment::Preset(topo))
-}
-
-/// Like [`run_laser_piped_at`], on an arbitrary [`Deployment`] (see
-/// [`run_laser_observed_deployed`] for how each arm deploys the machine).
-///
-/// # Errors
-/// Propagates simulator errors (step-budget exhaustion).
-pub fn run_laser_piped_deployed(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    config: LaserConfig,
-    pipeline: PipelineConfig,
-    deploy: &Deployment,
-) -> Result<LaserOutcome, LaserError> {
-    let opts = deploy.adapt(opts);
-    laser_builder_deployed(config, deploy)
-        .pipeline_config(pipeline)
-        .build(&build_under_tool(spec, &opts))
-        .run()
 }
 
 /// False negatives and false positives of a report, scored against the
@@ -358,19 +219,20 @@ mod tests {
     }
 
     #[test]
-    fn bench_scale_selects_a_subset() {
-        let s = ExperimentScale::bench();
-        let w = s.workloads();
-        assert!(w.len() < 10 && !w.is_empty());
-        assert!(w.iter().any(|s| s.name == "histogram'"));
-    }
-
-    #[test]
     fn laser_and_native_runners_work_end_to_end() {
         let spec = find("swaptions").unwrap();
         let opts = BuildOptions::scaled(0.05);
-        let native = run_native(&spec, &opts).unwrap();
-        let laser = run_laser(&spec, &opts, LaserConfig::detection_only()).unwrap();
+        let flat = Deployment::Preset(TopologySpec::Flat);
+        let native = run_native_deployed(&spec, &opts, &flat).unwrap();
+        let laser = run_laser_deployed(
+            &spec,
+            &opts,
+            LaserConfig::detection_only(),
+            PipelineConfig::default(),
+            &flat,
+            None,
+        )
+        .unwrap();
         assert!(native.cycles > 0);
         assert!(laser.run.cycles >= native.cycles);
     }

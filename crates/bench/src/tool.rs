@@ -24,9 +24,7 @@ use laser_core::{
 };
 use laser_workloads::{BuildOptions, WorkloadSpec};
 
-use crate::runner::{
-    build_under_tool, run_laser_observed_deployed, run_laser_piped_deployed, run_native_deployed,
-};
+use crate::runner::{build_under_tool, run_laser_deployed, run_native_deployed};
 use crate::topofile::Deployment;
 
 /// One contention site a tool reported, in a tool-neutral shape.
@@ -400,9 +398,9 @@ impl Tool for LaserTool {
         opts: &BuildOptions,
         deploy: &Deployment,
     ) -> Result<ToolRun, ToolFailure> {
-        let outcome =
-            run_laser_piped_deployed(spec, opts, self.config.clone(), self.pipeline, deploy)
-                .map_err(|e| ToolFailure::Error(e.to_string()))?;
+        let config = self.config.clone();
+        let outcome = run_laser_deployed(spec, opts, config, self.pipeline, deploy, None)
+            .map_err(|e| ToolFailure::Error(e.to_string()))?;
         Ok(laser_outcome_to_tool_run(outcome))
     }
 
@@ -413,13 +411,13 @@ impl Tool for LaserTool {
         deploy: &Deployment,
         observer: Box<dyn Observer>,
     ) -> Result<ToolRun, ToolFailure> {
-        let outcome = run_laser_observed_deployed(
+        let outcome = run_laser_deployed(
             spec,
             opts,
             self.config.clone(),
             self.pipeline,
             deploy,
-            observer,
+            Some(observer),
         )
         .map_err(|e| match e {
             LaserError::Stopped(reason) => ToolFailure::BudgetExceeded { reason },

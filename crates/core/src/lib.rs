@@ -95,7 +95,5 @@ pub use observe::{
 };
 pub use repair::{RepairPlan, SoftwareStoreBuffer, SsbHook, SsbStats};
 pub use report::{ContentionKind, ContentionReport, LineReport};
-pub use session::{
-    LaserSession, PipelineConfig, SessionBuilder, SessionStatus, ShardRouting, StageOccupancy,
-};
+pub use session::{LaserSession, PipelineConfig, SessionBuilder, SessionStatus, StageOccupancy};
 pub use system::{Laser, LaserError, LaserOutcome, RepairSummary};

@@ -43,7 +43,8 @@
 //! dedicated driver-stage thread services the PMU (sampling, imprecision,
 //! record copy) and routes the sampled records over the detector shard
 //! workers; each shard consumes its sub-batches through a bounded
-//! double-buffered channel (`laser_pebs::channel`).
+//! double-buffered channel (`laser_pebs::channel`). Delivery is lossless:
+//! a full channel blocks its producer, nothing is ever dropped.
 //!
 //! The driver's overhead charge-back is latency-tolerant: the driver stage
 //! computes each quantum's interrupt/copy charge as a pure function of its
@@ -63,9 +64,8 @@
 //!   `k + lag`, so the machine runs quantum `k + 1` while the driver stage
 //!   is still servicing quantum `k`. Deferring charges moves the cores'
 //!   clocks relative to an inline run, which perturbs the interleaving and
-//!   hence the HITM stream — like socket routing, lag ≥ 1 is
-//!   **deterministic** (byte-for-byte repeatable for a fixed configuration)
-//!   but *not* inline-identical.
+//!   hence the HITM stream — lag ≥ 1 is **deterministic** (byte-for-byte
+//!   repeatable for a fixed configuration) but *not* inline-identical.
 //!
 //! The repair decision is pre-armed off the ledger: while the session is
 //! observed or repair is armed, the driver stage mirrors the full record
@@ -87,22 +87,12 @@
 //! [`PipelineConfig::with_shards`] splits the pipelined detector stage into
 //! N workers, each fed through its own bounded `laser_pebs::channel` and
 //! each holding its own [`Detector`]. Every batch the driver stage samples
-//! is routed across the shards by [`ShardRouting`]:
-//!
-//! * [`ShardRouting::LineHash`] (the default) hashes each record's cache
-//!   line, so all records for one line — the unit of every per-line
-//!   aggregate and of the cache-line model's state — land in the same
-//!   shard. Shard states stay pairwise disjoint, and merging them
-//!   reconstructs exactly the state one inline detector would hold: a
-//!   line-hash sharded run is **byte-identical** to the inline and
-//!   single-worker runs for every shard count.
-//! * [`ShardRouting::Socket`] routes by the record's originating socket,
-//!   modelling the realistic deployment of one detector core per socket
-//!   consuming only its socket's PEBS stream. Routing is a pure function of
-//!   the record, so socket-sharded runs are deterministic (repeatable
-//!   byte-for-byte), but a line touched from two sockets splits its record
-//!   sequence across shards, so the classification may legitimately differ
-//!   from the inline path's.
+//! is routed across the shards by a hash of each record's cache line, so all
+//! records for one line — the unit of every per-line aggregate and of the
+//! cache-line model's state — land in the same shard. Shard states stay
+//! pairwise disjoint, and merging them reconstructs exactly the state one
+//! inline detector would hold: a sharded run is **byte-identical** to the
+//! inline and single-worker runs for every shard count.
 //!
 //! Reports never expose the sharding: live rates and trigger decisions come
 //! from the driver stage's mirror detector (which sees the full record
@@ -115,15 +105,13 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::ControlFlow;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use laser_isa::program::Pc;
 use laser_machine::machine::MachineError;
-use laser_machine::{
-    CoreId, HitmEvent, Machine, MachineConfig, RunStatus, Topology, WorkloadImage,
-};
+use laser_machine::{CoreId, HitmEvent, Machine, MachineConfig, RunStatus, WorkloadImage};
 use laser_pebs::channel::{self, OverflowPolicy, SendOutcome};
 use laser_pebs::driver::{ChargeLedger, Driver};
 use laser_pebs::imprecision::ImprecisionModel;
@@ -148,59 +136,24 @@ pub enum SessionStatus {
     Stopped(StopReason),
 }
 
-/// How records are distributed over a sharded detector stage (see the
-/// [module docs](self) on sharded detection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardRouting {
-    /// Route by a hash of the record's cache line (the default). All records
-    /// for one line land in one shard, so shard states are disjoint and the
-    /// merged output is byte-identical to the inline path for every shard
-    /// count.
-    #[default]
-    LineHash,
-    /// Route by the record's originating socket — the paper-realistic
-    /// one-detector-core-per-socket deployment. Deterministic, but a line
-    /// touched from several sockets splits across shards, so classification
-    /// may differ from the inline path.
-    Socket,
-}
-
-impl ShardRouting {
-    /// The stable CLI/scenario key: `line` or `socket`.
-    pub fn key(self) -> &'static str {
-        match self {
-            ShardRouting::LineHash => "line",
-            ShardRouting::Socket => "socket",
-        }
-    }
-
-    /// Parse a CLI/scenario key (the inverse of [`ShardRouting::key`]).
-    pub fn parse(s: &str) -> Option<ShardRouting> {
-        match s {
-            "line" => Some(ShardRouting::LineHash),
-            "socket" => Some(ShardRouting::Socket),
-            _ => None,
-        }
-    }
-}
+/// Depth of each detector shard's record channel, in batches: the classic
+/// double buffer — one batch in flight at the detector, one staged behind it.
+/// Also the floor of the driver stage's batch channel, which deepens with lag.
+const CHANNEL_DEPTH: usize = 2;
 
 /// How a session's detector stage is deployed (see the
 /// [module docs](self) on pipelined execution and sharded detection).
 ///
-/// A worked sharded session — four line-hash shards behind lossless
-/// channels, byte-identical to the same run inline:
+/// A worked sharded session — four detector shards, byte-identical to the
+/// same run inline:
 ///
 /// ```no_run
-/// use laser_core::{Laser, LaserConfig, PipelineConfig, ShardRouting};
+/// use laser_core::{Laser, LaserConfig, PipelineConfig};
 /// # fn image() -> laser_machine::WorkloadImage { unimplemented!() }
 ///
 /// let sharded = Laser::builder()
 ///     .config(LaserConfig::detection_only())
-///     .pipeline_config(
-///         PipelineConfig::pipelined()
-///             .with_shards(4)
-///             .with_routing(ShardRouting::LineHash),
-///     )
+///     .pipeline_config(PipelineConfig::pipelined().with_shards(4))
 ///     .build(&image())
 ///     .run()
 ///     .unwrap();
@@ -217,28 +170,9 @@ pub struct PipelineConfig {
     /// Run the detector stage on worker threads, overlapping record
     /// processing with the next quantum of application execution.
     pub enabled: bool,
-    /// Capacity of each shard's record channel, in batches (clamped to at
-    /// least 1). The default of 2 is the classic double buffer: one batch in
-    /// flight at the detector, one staged behind it.
-    pub capacity: usize,
-    /// When a shard lags `capacity` batches behind, drop the offered
-    /// sub-batch — modelling a PEBS buffer overflow, surfaced through
-    /// `DriverStats::records_dropped` — instead of blocking the driver
-    /// stage. Lossy delivery bounds stage latency but forfeits the
-    /// byte-identity guarantee; leave it off where determinism matters.
-    ///
-    /// Lossy mode only has teeth while the driver stage's mirror detector is
-    /// retired — i.e. on unobserved sessions once repair has attached or is
-    /// disabled. While the mirror is live its aggregates must see every
-    /// record the shards see, so delivery stays lossless and
-    /// `records_dropped` stays 0.
-    pub lossy: bool,
     /// Number of detector worker shards (clamped to at least 1). Each shard
-    /// is its own thread with its own channel and [`Detector`]; 1 is the
-    /// single-worker pipeline of PR 4.
+    /// is its own thread with its own channel and [`Detector`].
     pub shards: usize,
-    /// How records are distributed over the shards.
-    pub routing: ShardRouting,
     /// How many quantum boundaries the driver stage's charge ledger may lag
     /// behind the batch it accounts for (the bounded-lag credit scheme of
     /// the [module docs](self)). At the default of 0 the machine blocks on
@@ -249,23 +183,20 @@ pub struct PipelineConfig {
 }
 
 impl Default for PipelineConfig {
-    /// Pipelining off; capacity 2 (double buffer); lossless; one shard,
-    /// line-hash routed; charge-back lag 0 (byte-identical to inline).
+    /// Pipelining off; one shard; charge-back lag 0 (byte-identical to
+    /// inline).
     fn default() -> Self {
         PipelineConfig {
             enabled: false,
-            capacity: 2,
-            lossy: false,
             shards: 1,
-            routing: ShardRouting::LineHash,
             driver_lag_quanta: 0,
         }
     }
 }
 
 impl PipelineConfig {
-    /// The standard pipelined deployment: worker-thread detector stage behind
-    /// a lossless double-buffered channel.
+    /// The standard pipelined deployment: worker-thread driver and detector
+    /// stages behind lossless double-buffered channels.
     pub fn pipelined() -> Self {
         PipelineConfig {
             enabled: true,
@@ -273,30 +204,10 @@ impl PipelineConfig {
         }
     }
 
-    /// Override the per-shard record-channel capacity (builder-style).
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity.max(1);
-        self
-    }
-
-    /// Switch between lossless backpressure and lossy overflow
-    /// (builder-style).
-    pub fn with_lossy(mut self, lossy: bool) -> Self {
-        self.lossy = lossy;
-        self
-    }
-
     /// Set the detector shard count, clamped to at least 1 (builder-style).
-    /// Output is byte-identical across shard counts under the default
-    /// line-hash routing.
+    /// Output is byte-identical across shard counts.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Set the shard routing policy (builder-style).
-    pub fn with_routing(mut self, routing: ShardRouting) -> Self {
-        self.routing = routing;
         self
     }
 
@@ -369,17 +280,17 @@ impl SessionBuilder {
         self
     }
 
-    /// Run the detector stage on a worker thread, overlapped with
+    /// Run the driver and detector stages on worker threads, overlapped with
     /// application execution (default: off). Shorthand for
-    /// [`SessionBuilder::pipeline_config`] with the standard double-buffered
-    /// lossless deployment; the results are byte-identical either way, only
-    /// the wall-clock changes.
+    /// [`SessionBuilder::pipeline_config`] with
+    /// [`PipelineConfig::pipelined`]; the results are byte-identical either
+    /// way, only the wall-clock changes.
     pub fn pipeline(mut self, enabled: bool) -> Self {
         self.pipeline.enabled = enabled;
         self
     }
 
-    /// Set the full pipeline deployment (capacity, overflow policy).
+    /// Set the full pipeline deployment (shard count, charge-back lag).
     pub fn pipeline_config(mut self, pipeline: PipelineConfig) -> Self {
         self.pipeline = pipeline;
         self
@@ -401,7 +312,7 @@ impl SessionBuilder {
 
     /// Construct the session for `image`. Pure setup: nothing runs until
     /// [`LaserSession::advance`] or [`LaserSession::run`] (a pipelined
-    /// session's worker thread spawns here, but idles on an empty channel).
+    /// session's worker threads spawn here, but idle on empty channels).
     ///
     /// A non-flat [`LaserConfig::topology`] deploys the machine on that
     /// preset (its socket topology and 4-cores-per-socket count) unless the
@@ -450,43 +361,40 @@ impl SessionBuilder {
         );
         let driver = Driver::new(pmu, config.driver);
         let observed = observer.is_some();
-        let (driver, detector, pipe) = if pipeline.enabled {
+        let new_detector = || Detector::new(&config, program, image.memory_map());
+        let stage = if pipeline.enabled {
             let detectors = (0..pipeline.shards.max(1))
-                .map(|_| Detector::new(&config, program, image.memory_map()))
+                .map(|_| new_detector())
                 .collect();
             // The mirror detector feeds the machine-side repair trigger and
             // the observer's DetectionUpdate rates without a shard
             // round-trip; it is only carried while someone needs its
             // aggregates.
-            let mirror = (observed || config.enable_repair)
-                .then(|| Detector::new(&config, program, image.memory_map()));
-            let topology = machine.topology().clone();
-            let stage = PipeStage::spawn(driver, mirror, detectors, pipeline, topology, num_cores);
-            (None, None, Some(stage))
+            let mirror = (observed || config.enable_repair).then(new_detector);
+            let lag = pipeline.driver_lag_quanta;
+            Stage::Piped(PipeStage::spawn(driver, mirror, detectors, lag, num_cores))
         } else {
-            (
-                Some(driver),
-                Some(Detector::new(&config, program, image.memory_map())),
-                None,
-            )
+            Stage::Inline {
+                driver,
+                detector: new_detector(),
+            }
         };
 
         LaserSession {
-            config,
-            machine,
-            driver,
-            detector,
-            pipe,
-            observed,
-            observer: observer.unwrap_or_else(|| Box::new(NullObserver)),
-            workload: image.name().to_string(),
-            num_cores,
-            max_steps,
-            detector_cycles: 0,
-            reported_dropped: 0,
-            repair: None,
-            machine_busy: Duration::ZERO,
-            occupancy: None,
+            app: AppSide {
+                config,
+                machine,
+                observed,
+                observer: observer.unwrap_or_else(|| Box::new(NullObserver)),
+                workload: image.name().to_string(),
+                num_cores,
+                max_steps,
+                detector_cycles: 0,
+                reported_dropped: 0,
+                repair: None,
+                machine_busy: Duration::ZERO,
+            },
+            stage,
         }
     }
 }
@@ -507,22 +415,17 @@ pub struct StageOccupancy {
     pub detector_busy: Duration,
 }
 
-/// A unit of work for one detector shard: process one routed sub-batch.
-struct DetectorJob {
-    records: Vec<HitmRecord>,
-}
-
-/// A detector shard's worker loop: consume jobs in FIFO order until the
-/// channel closes, then hand the detector (and the shard's busy time) back
-/// to the session.
+/// A detector shard's worker loop: consume routed sub-batches in FIFO order
+/// until the channel closes, then hand the detector (and the shard's busy
+/// time) back to the session.
 fn detector_worker(
     mut detector: Detector,
-    jobs: channel::Receiver<DetectorJob>,
+    jobs: channel::Receiver<Vec<HitmRecord>>,
 ) -> (Detector, Duration) {
     let mut busy = Duration::ZERO;
-    while let Some(job) = jobs.recv() {
+    while let Some(records) = jobs.recv() {
         let start = Instant::now(); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
-        detector.process(&job.records);
+        detector.process(&records);
         busy += start.elapsed();
     }
     (detector, busy)
@@ -546,15 +449,15 @@ struct QuantumLedger {
     /// The batch's interrupt/copy overhead, computed as a pure function of
     /// the batch by `Driver::ingest_deferred`.
     charges: ChargeLedger,
-    /// Sampled records delivered to the detector shards (after any lossy
-    /// drops), priced on the machine at the inline per-record cost.
+    /// Sampled records delivered to the detector shards, priced on the
+    /// machine at the inline per-record cost.
     records: usize,
     /// Cumulative `DriverStats::events_dropped` as of this batch, for the
     /// observer's `RecordBatch` drop watermark.
     events_dropped: u64,
     /// The mirror detector's per-line aggregates after this batch, when the
     /// mirror is live (observed or repair armed).
-    aggs: Option<Vec<LineAgg>>,
+    aggs: Option<Arc<Vec<LineAgg>>>,
     /// The final flush's records (the reply to [`DriverJob::Finish`] only).
     flushed: Vec<HitmRecord>,
 }
@@ -567,20 +470,15 @@ struct QuantumLedger {
 struct DriverStageWorker {
     driver: Driver,
     mirror: Option<Detector>,
-    shard_jobs: Vec<channel::Sender<DetectorJob>>,
-    routing: ShardRouting,
-    topology: Topology,
+    shard_jobs: Vec<channel::Sender<Vec<HitmRecord>>>,
     num_cores: usize,
-    lossy: bool,
 }
 
 impl DriverStageWorker {
-    /// Split a batch into one (possibly empty) sub-batch per shard under the
-    /// session's routing policy, preserving the driver's delivery order
-    /// within each shard. Line-hash routing keys on the cache line so a
-    /// line's whole record sequence stays in one shard; socket routing keys
-    /// on the originating core's socket. Both are pure functions of the
-    /// record (and the fixed topology), so routing is deterministic.
+    /// Split a batch into one (possibly empty) sub-batch per shard,
+    /// preserving the driver's delivery order within each shard. Routing
+    /// keys on the cache line — a pure function of the record — so a line's
+    /// whole record sequence stays in one shard.
     fn route(&self, records: Vec<HitmRecord>) -> Vec<Vec<HitmRecord>> {
         let shards = self.shard_jobs.len();
         if shards == 1 {
@@ -588,17 +486,10 @@ impl DriverStageWorker {
         }
         let mut parts: Vec<Vec<HitmRecord>> = (0..shards).map(|_| Vec::new()).collect();
         for r in records {
-            let shard = match self.routing {
-                // Fibonacci hashing over the line address: cheap, stable
-                // across platforms, and spreads consecutive lines across
-                // shards.
-                ShardRouting::LineHash => {
-                    (((r.data_addr >> 6).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize)
-                        % shards
-                }
-                ShardRouting::Socket => self.topology.socket_of(r.core.0, self.num_cores) % shards,
-            };
-            parts[shard].push(r);
+            // Fibonacci hashing over the line address: cheap, stable across
+            // platforms, and spreads consecutive lines across shards.
+            let hash = (r.data_addr >> 6).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+            parts[hash as usize % shards].push(r);
         }
         parts
     }
@@ -617,43 +508,13 @@ impl DriverStageWorker {
                 DriverJob::Batch(events) => {
                     let charges = self.driver.ingest_deferred(events, self.num_cores);
                     let records = self.driver.read_records();
-                    if let Some(mirror) = self.mirror.as_mut() {
-                        // The mirror sees the full batch in driver order —
-                        // exactly what an inline detector would see — so its
-                        // aggregates are the inline aggregates.
+                    // The mirror sees the full batch in driver order —
+                    // exactly what an inline detector would see — so its
+                    // aggregates are the inline aggregates.
+                    let aggs = self.mirror.as_mut().map(|mirror| {
                         mirror.process(&records);
-                    }
-                    let aggs = self.mirror.as_ref().map(|m| m.line_aggregates());
-                    let parts = self.route(records);
-                    // Decide lossy drops before the ledger goes out, so the
-                    // kept count it reports (and the machine prices) is
-                    // final. Drops are only allowed while the mirror is
-                    // retired: the mirror must see every record the shards
-                    // see, or live rates and the final report would diverge.
-                    let mut kept_parts: Vec<Option<Vec<HitmRecord>>> =
-                        Vec::with_capacity(parts.len());
-                    let mut kept = 0usize;
-                    let mut dropped = 0u64;
-                    for (shard, part) in parts.into_iter().enumerate() {
-                        if part.is_empty() {
-                            kept_parts.push(None);
-                            continue;
-                        }
-                        if self.lossy && self.mirror.is_none() && self.shard_jobs[shard].is_full() {
-                            // The shard has lagged a full channel behind:
-                            // model a PEBS overflow. The detector never sees
-                            // the sub-batch, so its cost is not charged
-                            // either.
-                            dropped += part.len() as u64;
-                            kept_parts.push(None);
-                            continue;
-                        }
-                        kept += part.len();
-                        kept_parts.push(Some(part));
-                    }
-                    if dropped > 0 {
-                        self.driver.note_lagging_drops(dropped);
-                    }
+                        Arc::new(mirror.line_aggregates())
+                    });
                     // Ledger first: the machine can settle the boundary while
                     // this stage is still handing sub-batches to the shards.
                     // A dead ledger channel just means the session was
@@ -661,14 +522,14 @@ impl DriverStageWorker {
                     // closes cleanly.
                     let _ = ledgers.send(QuantumLedger {
                         charges,
-                        records: kept,
+                        records: records.len(),
                         events_dropped: self.driver.stats().events_dropped,
                         aggs,
                         flushed: Vec::new(),
                     });
-                    for (shard, part) in kept_parts.into_iter().enumerate() {
-                        if let Some(records) = part {
-                            let outcome = self.shard_jobs[shard].send(DetectorJob { records });
+                    for (shard, part) in self.route(records).into_iter().enumerate() {
+                        if !part.is_empty() {
+                            let outcome = self.shard_jobs[shard].send(part);
                             debug_assert_eq!(
                                 outcome,
                                 SendOutcome::Sent,
@@ -700,12 +561,14 @@ impl DriverStageWorker {
     }
 }
 
-/// A settled ledger's observer payload, staged until the boundary's events
-/// are emitted (in quantum order, after `QuantumCompleted`).
-struct DueEmission {
-    records: usize,
-    dropped: u64,
-    aggs: Option<Vec<LineAgg>>,
+/// What the stage threads hand back when a pipelined session winds down.
+struct Reclaimed {
+    driver: Driver,
+    /// The shard detectors, in shard order.
+    detectors: Vec<Detector>,
+    driver_busy: Duration,
+    /// The busiest shard's time.
+    detector_busy: Duration,
 }
 
 /// The running half of a pipelined session: the stage threads' endpoints and
@@ -713,18 +576,19 @@ struct DueEmission {
 struct PipeStage {
     jobs: channel::Sender<DriverJob>,
     ledgers: mpsc::Receiver<QuantumLedger>,
-    driver_worker: JoinHandle<(Driver, Duration)>,
+    /// `None` once [`PipeStage::join`] has taken the stage threads.
+    driver_worker: Option<JoinHandle<(Driver, Duration)>>,
     shard_workers: Vec<JoinHandle<(Detector, Duration)>>,
     /// The configured `driver_lag_quanta`.
     lag: u64,
-    /// The boundary index the next `advance` call will run.
+    /// The boundary index the next `submit` call will open.
     next_quantum: u64,
     /// Boundary indices of batches whose ledgers have not settled yet, in
     /// send order. The front settles once `front + lag <= current boundary`.
     outstanding: VecDeque<u64>,
     /// The mirror aggregates as of the last settled ledger that carried
     /// them: what the armed repair trigger evaluates between batches.
-    last_aggs: Vec<LineAgg>,
+    last_aggs: Arc<Vec<LineAgg>>,
 }
 
 impl PipeStage {
@@ -732,19 +596,13 @@ impl PipeStage {
         driver: Driver,
         mirror: Option<Detector>,
         detectors: Vec<Detector>,
-        config: PipelineConfig,
-        topology: Topology,
+        lag: usize,
         num_cores: usize,
     ) -> Self {
-        // Shard channels are always Backpressure: lossy drops are decided by
-        // the driver stage's `is_full` probe (it is the only producer, so
-        // the probe cannot race), which keeps delivery lossless whenever the
-        // mirror detector is live.
         let mut shard_jobs = Vec::with_capacity(detectors.len());
         let mut shard_workers = Vec::with_capacity(detectors.len());
         for (i, detector) in detectors.into_iter().enumerate() {
-            let (jobs_tx, jobs_rx) =
-                channel::bounded(config.capacity, OverflowPolicy::Backpressure);
+            let (jobs_tx, jobs_rx) = channel::bounded(CHANNEL_DEPTH, OverflowPolicy::Backpressure);
             let worker = std::thread::Builder::new()
                 .name(format!("laser-detector-{i}"))
                 .spawn(move || detector_worker(detector, jobs_rx))
@@ -754,17 +612,14 @@ impl PipeStage {
         }
         // The batch channel must hold at least lag + 1 quanta so a full
         // credit window never blocks the machine on its own backpressure.
-        let depth = config.capacity.max(config.driver_lag_quanta + 1);
+        let depth = CHANNEL_DEPTH.max(lag + 1);
         let (jobs, jobs_rx) = channel::bounded(depth, OverflowPolicy::Backpressure);
         let (ledgers_tx, ledgers) = mpsc::channel();
         let stage = DriverStageWorker {
             driver,
             mirror,
             shard_jobs,
-            routing: config.routing,
-            topology,
             num_cores,
-            lossy: config.lossy,
         };
         let driver_worker = std::thread::Builder::new()
             .name("laser-driver".into())
@@ -773,29 +628,148 @@ impl PipeStage {
         PipeStage {
             jobs,
             ledgers,
-            driver_worker,
+            driver_worker: Some(driver_worker),
             shard_workers,
-            lag: config.driver_lag_quanta as u64,
+            lag: lag as u64,
             next_quantum: 0,
             outstanding: VecDeque::new(),
-            last_aggs: Vec::new(),
+            last_aggs: Arc::default(),
+        }
+    }
+
+    /// Hand one job to the driver stage.
+    fn send(&self, job: DriverJob) {
+        let outcome = self.jobs.send(job);
+        debug_assert_eq!(
+            outcome,
+            SendOutcome::Sent,
+            "driver stage outlives the session"
+        );
+    }
+
+    /// Open the next quantum boundary: enqueue the quantum's raw batch for
+    /// the driver stage and return the boundary's index.
+    fn submit(&mut self, events: Vec<HitmEvent>) -> u64 {
+        let boundary = self.next_quantum;
+        self.next_quantum += 1;
+        if !events.is_empty() {
+            self.send(DriverJob::Batch(events));
+            self.outstanding.push_back(boundary);
+        }
+        boundary
+    }
+
+    /// Receive every outstanding ledger that has come due at `boundary`
+    /// (front quantum + lag ≤ boundary), oldest first, keeping the latest
+    /// mirror aggregates for the repair trigger.
+    fn settle_due(&mut self, boundary: u64) -> Vec<QuantumLedger> {
+        let mut due = Vec::new();
+        while matches!(self.outstanding.front(), Some(&q) if q + self.lag <= boundary) {
+            self.outstanding.pop_front();
+            let ledger = self.recv_ledger();
+            if let Some(aggs) = &ledger.aggs {
+                self.last_aggs = Arc::clone(aggs);
+            }
+            due.push(ledger);
+        }
+        due
+    }
+
+    /// End of run: ask the driver stage for its final flush and return the
+    /// flushed records, still unprocessed.
+    fn flush(&mut self) -> Vec<HitmRecord> {
+        self.send(DriverJob::Finish);
+        self.recv_ledger().flushed
+    }
+
+    /// Block for the driver stage's next ledger. The stage holds its ledger
+    /// sender for as long as the session holds its job sender, so a
+    /// disconnect here means a stage worker died mid-run — in that case its
+    /// own panic is the real diagnostic, so join the stages and re-raise the
+    /// first panic payload rather than masking it with a channel error (the
+    /// campaign runner's per-cell `catch_unwind` then records the true
+    /// message).
+    fn recv_ledger(&mut self) -> QuantumLedger {
+        // Yield-spin before parking: at lag 0 the machine waits for the
+        // driver stage once per quantum, and a bounded yield loop is much
+        // cheaper than a futex park/unpark round-trip — on a single hardware
+        // thread each yield hands the timeslice straight to the driver
+        // stage, and on a multi-core host the ledger usually lands within a
+        // few yields.
+        for _ in 0..64 {
+            match self.ledgers.try_recv() {
+                Ok(ledger) => return ledger,
+                Err(mpsc::TryRecvError::Empty) => std::thread::yield_now(),
+                Err(mpsc::TryRecvError::Disconnected) => break,
+            }
+        }
+        match self.ledgers.recv() {
+            Ok(ledger) => ledger,
+            Err(mpsc::RecvError) => {
+                self.join();
+                worker_exited_early()
+            }
+        }
+    }
+
+    /// Join every stage thread and collect what they owned: the driver, the
+    /// shard detectors and the stages' busy times. The driver stage exits on
+    /// [`DriverJob::Finish`] (or when it dies), dropping the shard senders,
+    /// so every shard drains its queue in FIFO order and exits too. If any
+    /// worker panicked, the first payload (driver, then shard order) is
+    /// re-raised once all threads are joined: it is the real diagnostic, and
+    /// per-cell panic isolation depends on it.
+    fn join(&mut self) -> Reclaimed {
+        let Some(driver_worker) = self.driver_worker.take() else {
+            // Only reachable by reusing a session whose worker already died.
+            worker_exited_early()
+        };
+        let driver_exit = driver_worker.join();
+        let shard_exits: Vec<_> = std::mem::take(&mut self.shard_workers)
+            .into_iter()
+            .map(JoinHandle::join)
+            .collect();
+        let (driver, driver_busy) =
+            driver_exit.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        let mut detectors = Vec::with_capacity(shard_exits.len());
+        let mut detector_busy = Duration::ZERO;
+        for exit in shard_exits {
+            let (detector, busy) =
+                exit.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            detectors.push(detector);
+            detector_busy = detector_busy.max(busy);
+        }
+        Reclaimed {
+            driver,
+            detectors,
+            driver_busy,
+            detector_busy,
         }
     }
 }
 
-/// An in-flight LASER run: application, driver, detector, observer and
-/// (optionally) repair, as one owned value.
-pub struct LaserSession {
+/// A stage worker exited while the session still held its channel, with no
+/// panic of its own to re-raise.
+fn worker_exited_early() -> ! {
+    panic!("pipeline stage worker exited before its channel closed") // lint:allow(panic) — a worker exiting with its channel open is a protocol bug worth crashing the cell
+}
+
+/// How the driver and detector are deployed: on the calling thread, or as the
+/// worker stages of a pipelined session. Fixed at construction.
+// One `Stage` per session, never stored in bulk: boxing the inline pair would
+// only add a pointer hop to every quantum boundary.
+#[allow(clippy::large_enum_variant)]
+enum Stage {
+    Inline { driver: Driver, detector: Detector },
+    Piped(PipeStage),
+}
+
+/// The machine-thread half of a session — application, observer, repair and
+/// overhead accounting — which behaves the same however the [`Stage`] is
+/// deployed.
+struct AppSide {
     config: LaserConfig,
     machine: Machine,
-    /// The driver, when it runs inline. `None` while a pipelined session's
-    /// driver stage owns it; [`LaserSession::finish`] reclaims it.
-    driver: Option<Driver>,
-    /// The detector, when it runs inline. `None` while a pipelined session's
-    /// worker owns it; [`LaserSession::finish`] reclaims it.
-    detector: Option<Detector>,
-    /// The worker-thread driver/detector stages of a pipelined session.
-    pipe: Option<PipeStage>,
     /// Whether an observer was attached at build time. Events are not even
     /// constructed when this is false, so unobserved runs (every legacy entry
     /// point) pay nothing for the event stream.
@@ -811,66 +785,31 @@ pub struct LaserSession {
     /// Wall time the machine thread spent inside `run_quantum` (pipelined
     /// sessions only; inline runs skip the measurement entirely).
     machine_busy: Duration,
-    /// Per-stage busy times, filled in when a pipelined session winds down.
-    occupancy: Option<StageOccupancy>,
+}
+
+/// An in-flight LASER run: application, driver, detector, observer and
+/// (optionally) repair, as one owned value.
+pub struct LaserSession {
+    app: AppSide,
+    stage: Stage,
 }
 
 impl fmt::Debug for LaserSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LaserSession")
-            .field("config", &self.config)
-            .field("machine", &self.machine)
-            .field("driver", &self.driver)
-            .field("detector", &self.detector)
-            .field("pipelined", &self.pipe.is_some())
-            .field("workload", &self.workload)
-            .field("num_cores", &self.num_cores)
-            .field("max_steps", &self.max_steps)
-            .field("detector_cycles", &self.detector_cycles)
-            .field("repair", &self.repair)
+            .field("config", &self.app.config)
+            .field("machine", &self.app.machine)
+            .field("pipelined", &self.is_pipelined())
+            .field("workload", &self.app.workload)
+            .field("num_cores", &self.app.num_cores)
+            .field("max_steps", &self.app.max_steps)
+            .field("detector_cycles", &self.app.detector_cycles)
+            .field("repair", &self.app.repair)
             .finish_non_exhaustive()
     }
 }
 
-impl LaserSession {
-    /// Set up a run of `image` under LASER on a machine with `machine_config`.
-    ///
-    /// Legacy entry point: delegates to [`SessionBuilder`], which also takes
-    /// an [`Observer`].
-    pub fn new(config: LaserConfig, image: &WorkloadImage, machine_config: MachineConfig) -> Self {
-        SessionBuilder::new()
-            .config(config)
-            .machine(machine_config)
-            .build(image)
-    }
-
-    /// The machine being monitored.
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
-    /// The detector's live state, when the detector runs inline. A pipelined
-    /// session's detector lives on its worker thread, so this is `None`
-    /// until [`LaserSession::finish`] reclaims it.
-    pub fn detector(&self) -> Option<&Detector> {
-        self.detector.as_ref()
-    }
-
-    /// Whether the detector stage runs pipelined on a worker thread.
-    pub fn is_pipelined(&self) -> bool {
-        self.pipe.is_some()
-    }
-
-    /// Cycles the detector process has consumed so far.
-    pub fn detector_cycles(&self) -> u64 {
-        self.detector_cycles
-    }
-
-    /// Whether LASERREPAIR has been attached.
-    pub fn repair_triggered(&self) -> bool {
-        self.repair.is_some()
-    }
-
+impl AppSide {
     /// Send one event to the observer.
     fn emit(&mut self, event: LaserEvent) -> ControlFlow<StopReason> {
         self.observer.on_event(&event)
@@ -899,9 +838,9 @@ impl LaserSession {
     }
 
     /// The repair trigger threshold with the topology cost weighting applied
-    /// (see [`LaserSession::hitm_cost_factor`]). Evaluated on the machine
-    /// thread at the batch's charge point, so inline and pipelined runs use
-    /// the same value.
+    /// (see [`AppSide::hitm_cost_factor`]). Evaluated on the machine thread
+    /// at the batch's charge point, so inline and pipelined runs use the
+    /// same value.
     fn effective_repair_threshold(&self) -> f64 {
         self.config.repair_rate_threshold / self.hitm_cost_factor()
     }
@@ -924,190 +863,11 @@ impl LaserSession {
         }
     }
 
-    /// Run one poll quantum: `poll_interval_steps` application instructions,
-    /// one driver service pass, one detector batch, and — when the
-    /// false-sharing rate crosses the threshold — the repair attachment
-    /// decision. The quantum is reported to the session's [`Observer`] as
-    /// [`LaserEvent`]s; if the observer breaks, the quantum's remaining
-    /// events are skipped and the session reports [`SessionStatus::Stopped`].
-    /// Every event is emitted *after* the work it describes, so a stopped
-    /// session is always in a consistent state (a later
-    /// [`LaserSession::finish`] never undercounts).
-    ///
-    /// In a pipelined session the driver stage services the batch on its own
-    /// thread and the detector shards consume the routed records on theirs;
-    /// at `driver_lag_quanta` 0 the event order, payloads and machine
-    /// charging are identical to an inline run (see the
-    /// [module docs](self)).
-    ///
-    /// # Errors
-    /// Returns an error if the machine exhausts its step budget.
-    pub fn advance(&mut self) -> Result<SessionStatus, LaserError> {
-        let steps_before = self.machine.steps();
-        let piped = self.pipe.is_some();
-        let quantum = if piped {
-            let start = Instant::now(); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
-            let quantum = self.machine.run_quantum(self.config.poll_interval_steps);
-            self.machine_busy += start.elapsed();
-            quantum
-        } else {
-            self.machine.run_quantum(self.config.poll_interval_steps)
-        };
-        let status = quantum.status;
-        // Capture the quantum event *before* the driver charges interrupt and
-        // copy overhead, matching the inline emission point.
-        let quantum_event = self.observed.then(|| LaserEvent::QuantumCompleted {
-            steps: self.machine.steps() - steps_before,
-            cycles: self.machine.cycles(),
-        });
-
-        let flow = if piped {
-            self.advance_piped(quantum.events, quantum_event)
-        } else {
-            self.advance_inline(quantum.events, quantum_event)
-        };
-        if let ControlFlow::Break(reason) = flow {
-            return Ok(SessionStatus::Stopped(reason));
-        }
-
-        if status == RunStatus::Running && self.machine.steps() >= self.max_steps {
-            return Err(LaserError::Machine(MachineError::MaxStepsExceeded {
-                steps: self.max_steps,
-            }));
-        }
-        Ok(match status {
-            RunStatus::Running => SessionStatus::Running,
-            RunStatus::Done => SessionStatus::Done,
-        })
-    }
-
-    /// The inline quantum boundary: service the PMU synchronously, then run
-    /// the detector stage on the calling thread.
-    fn advance_inline(
-        &mut self,
-        events: Vec<HitmEvent>,
-        quantum_event: Option<LaserEvent>,
-    ) -> ControlFlow<StopReason> {
-        let driver = self.driver.as_mut().expect("inline stage owns driver"); // lint:allow(panic) — stage mode is fixed at construction; inline mode always owns the driver
-        driver.ingest(events, &mut self.machine);
-        if let Some(event) = quantum_event {
-            self.emit(event)?;
-        }
-        let records = self
-            .driver
-            .as_mut()
-            .expect("inline stage owns driver") // lint:allow(panic) — stage mode is fixed at construction; inline mode always owns the driver
-            .read_records();
-        self.dispatch_inline(records)
-    }
-
-    /// The pipelined quantum boundary: enqueue the raw batch for the driver
-    /// stage, settle every charge ledger that has come due under the
-    /// bounded-lag credit scheme, emit the boundary's events in quantum
-    /// order, and run the pre-armed repair trigger off the latest mirror
-    /// aggregates.
-    fn advance_piped(
-        &mut self,
-        events: Vec<HitmEvent>,
-        quantum_event: Option<LaserEvent>,
-    ) -> ControlFlow<StopReason> {
-        let boundary = {
-            let pipe = self.pipe.as_mut().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-            let boundary = pipe.next_quantum;
-            pipe.next_quantum += 1;
-            boundary
-        };
-        if !events.is_empty() {
-            let pipe = self.pipe.as_mut().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-            let outcome = pipe.jobs.send(DriverJob::Batch(events));
-            debug_assert_eq!(
-                outcome,
-                SendOutcome::Sent,
-                "driver stage outlives the session"
-            );
-            pipe.outstanding.push_back(boundary);
-        }
-        let due = self.settle_due(boundary);
-
-        if let Some(event) = quantum_event {
-            self.emit(event)?;
-        }
-        for emission in due {
-            if emission.records > 0 && self.observed {
-                self.emit(LaserEvent::RecordBatch {
-                    n: emission.records,
-                    dropped: emission.dropped,
-                })?;
-                let lines = detect::line_rates_from(
-                    emission.aggs.as_deref().unwrap_or(&[]),
-                    self.machine.elapsed_benchmark_seconds(),
-                );
-                self.emit(LaserEvent::DetectionUpdate {
-                    lines,
-                    remote_hitm_share: self.machine.stats().remote_hitm_share(),
-                })?;
-            }
-        }
-
-        if self.config.enable_repair && self.repair.is_none() {
-            // Pre-armed trigger: evaluated every boundary against the last
-            // settled mirror aggregates (rates decay as elapsed time grows),
-            // exactly as the inline stage re-evaluates its detector. No
-            // round-trip to the workers is involved.
-            let elapsed = self.machine.elapsed_benchmark_seconds();
-            let threshold = self.effective_repair_threshold();
-            let pcs = {
-                let pipe = self.pipe.as_ref().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                detect::trigger_pcs_from(&pipe.last_aggs, elapsed, threshold)
-            };
-            if let Some(attached) = self.attach_repair_from_pcs(&pcs) {
-                if self.observed {
-                    self.emit(attached)?;
-                } else {
-                    // Unobserved and attached: nothing needs the mirror's
-                    // aggregates any more; let the driver stage retire it.
-                    let pipe = self.pipe.as_ref().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                    let outcome = pipe.jobs.send(DriverJob::RepairAttached);
-                    debug_assert_eq!(
-                        outcome,
-                        SendOutcome::Sent,
-                        "driver stage outlives the session"
-                    );
-                }
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// Settle every outstanding ledger that has come due at `boundary`
-    /// (front quantum + lag ≤ boundary): apply its charges and detector
-    /// pricing to the machine, update the drop watermark and the mirror
-    /// aggregates, and stage its observer payload for emission.
-    fn settle_due(&mut self, boundary: u64) -> Vec<DueEmission> {
-        let mut due = Vec::new();
-        loop {
-            let ready = {
-                let pipe = self.pipe.as_ref().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                matches!(pipe.outstanding.front(), Some(&q) if q + pipe.lag <= boundary)
-            };
-            if !ready {
-                return due;
-            }
-            let ledger = self.recv_ledger();
-            self.pipe
-                .as_mut()
-                .expect("piped stage") // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                .outstanding
-                .pop_front();
-            due.push(self.settle_ledger(ledger));
-        }
-    }
-
     /// Apply one settled ledger to the machine. The ledger's charges commute
     /// (the scheduler's pick depends only on the final per-core clocks), so
     /// applying them here in one shot lands the machine in exactly the state
     /// synchronous per-quantum charging would have produced.
-    fn settle_ledger(&mut self, ledger: QuantumLedger) -> DueEmission {
+    fn apply_ledger(&mut self, ledger: &QuantumLedger) {
         ledger.charges.apply(&mut self.machine);
         if ledger.records > 0 {
             // The detector's per-record cost is configuration, not state, so
@@ -1121,141 +881,63 @@ impl LaserSession {
             );
             self.charge_detector_cycles(cycles);
         }
-        let dropped = ledger.events_dropped - self.reported_dropped;
-        if ledger.records > 0 {
-            self.reported_dropped = ledger.events_dropped;
-        }
-        let emission_aggs = if self.observed {
-            ledger.aggs.clone()
-        } else {
-            None
-        };
-        if let Some(aggs) = ledger.aggs {
-            self.pipe.as_mut().expect("piped stage").last_aggs = aggs; // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-        }
-        DueEmission {
-            records: ledger.records,
-            dropped,
-            aggs: emission_aggs,
-        }
     }
 
-    /// Block for the driver stage's next ledger. The stage holds its ledger
-    /// sender for as long as the session holds its job sender, so a
-    /// disconnect here means a stage worker died mid-run — in that case its
-    /// own panic is the real diagnostic, so shut the stages down, join them,
-    /// and re-raise the first panic payload rather than masking it with a
-    /// channel error (the campaign runner's per-cell `catch_unwind` then
-    /// records the true message).
-    fn recv_ledger(&mut self) -> QuantumLedger {
-        let received = {
-            let pipe = self.pipe.as_ref().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                                                                 // Yield-spin before parking: at lag 0 the machine waits for the
-                                                                 // driver stage once per quantum, and a bounded yield loop is
-                                                                 // much cheaper than a futex park/unpark round-trip — on a
-                                                                 // single hardware thread each yield hands the timeslice
-                                                                 // straight to the driver stage, and on a multi-core host the
-                                                                 // ledger usually lands within a few yields.
-            let mut received = None;
-            for _ in 0..64 {
-                match pipe.ledgers.try_recv() {
-                    Ok(ledger) => {
-                        received = Some(Ok(ledger));
-                        break;
-                    }
-                    Err(mpsc::TryRecvError::Empty) => std::thread::yield_now(),
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        received = Some(Err(()));
-                        break;
-                    }
-                }
-            }
-            match received {
-                Some(Ok(ledger)) => Ok(ledger),
-                Some(Err(())) => Err(()),
-                None => pipe.ledgers.recv().map_err(|_| ()),
-            }
-        };
-        match received {
-            Ok(ledger) => ledger,
-            Err(_) => {
-                let pipe = self.pipe.take().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                drop(pipe.jobs);
-                let mut first_panic = None;
-                if let Err(payload) = pipe.driver_worker.join() {
-                    first_panic.get_or_insert(payload);
-                }
-                for worker in pipe.shard_workers {
-                    if let Err(payload) = worker.join() {
-                        first_panic.get_or_insert(payload);
-                    }
-                }
-                match first_panic {
-                    Some(payload) => std::panic::resume_unwind(payload),
-                    None => panic!("pipeline stage worker exited before its channel closed"), // lint:allow(panic) — a worker exiting with its channel open is a protocol bug worth crashing the cell
-                }
-            }
+    /// Report a processed batch of `n` records to the observer:
+    /// `RecordBatch` (advancing the reported-drop watermark to
+    /// `dropped_total`), then — while the run is live and `aggs` carries the
+    /// detector's per-line aggregates as of this batch — `DetectionUpdate`.
+    /// The final flush passes `None`: the report supersedes the live view.
+    fn emit_batch(
+        &mut self,
+        n: usize,
+        dropped_total: u64,
+        aggs: Option<&[LineAgg]>,
+    ) -> ControlFlow<StopReason> {
+        if n == 0 || !self.observed {
+            return ControlFlow::Continue(());
         }
-    }
-
-    /// The inline detector stage: process the batch, charge its cost, report
-    /// it, and run the repair trigger — all on the calling thread.
-    fn dispatch_inline(&mut self, records: Vec<HitmRecord>) -> ControlFlow<StopReason> {
-        if !records.is_empty() {
-            let detector = self.detector.as_mut().expect("inline stage owns detector"); // lint:allow(panic) — stage mode is fixed at construction; inline mode always owns the detector
-            detector.process(&records);
-            let cycles = detector.processing_cycles(records.len());
-            self.charge_detector_cycles(cycles);
-
-            if self.observed {
-                let batch = self.record_batch_event(records.len());
-                self.emit(batch)?;
-
-                let update = LaserEvent::DetectionUpdate {
-                    lines: self
-                        .detector
-                        .as_ref()
-                        .expect("inline stage owns detector") // lint:allow(panic) — stage mode is fixed at construction; inline mode always owns the detector
-                        .line_rates(self.machine.elapsed_benchmark_seconds()),
-                    remote_hitm_share: self.machine.stats().remote_hitm_share(),
-                };
-                self.emit(update)?;
-            }
-        }
-
-        if self.config.enable_repair && self.repair.is_none() {
-            let elapsed = self.machine.elapsed_benchmark_seconds();
-            let threshold = self.effective_repair_threshold();
-            let pcs = self
-                .detector
-                .as_ref()
-                .expect("inline stage owns detector") // lint:allow(panic) — stage mode is fixed at construction; inline mode always owns the detector
-                .repair_trigger_pcs(elapsed, threshold);
-            if let Some(attached) = self.attach_repair_from_pcs(&pcs) {
-                if self.observed {
-                    self.emit(attached)?;
-                }
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// Build the `RecordBatch` event for a batch of `n` records, advancing
-    /// the reported-drop watermark. Inline-stage only (the pipelined stage's
-    /// drop counts ride in the ledgers).
-    fn record_batch_event(&mut self, n: usize) -> LaserEvent {
-        let dropped_total = self
-            .driver
-            .as_ref()
-            .expect("inline stage owns driver") // lint:allow(panic) — only inline dispatch and post-reclaim finish build this event, and both own the driver
-            .stats()
-            .events_dropped;
-        let event = LaserEvent::RecordBatch {
-            n,
-            dropped: dropped_total - self.reported_dropped,
-        };
+        let dropped = dropped_total - self.reported_dropped;
         self.reported_dropped = dropped_total;
-        event
+        self.emit(LaserEvent::RecordBatch { n, dropped })?;
+        let Some(aggs) = aggs else {
+            return ControlFlow::Continue(());
+        };
+        let lines = detect::line_rates_from(aggs, self.machine.elapsed_benchmark_seconds());
+        self.emit(LaserEvent::DetectionUpdate {
+            lines,
+            remote_hitm_share: self.machine.stats().remote_hitm_share(),
+        })
+    }
+
+    /// [`AppSide::emit_batch`] for a settled ledger.
+    fn emit_ledger(&mut self, ledger: &QuantumLedger) -> ControlFlow<StopReason> {
+        let aggs = ledger.aggs.as_deref().map_or(&[][..], Vec::as_slice);
+        self.emit_batch(ledger.records, ledger.events_dropped, Some(aggs))
+    }
+
+    /// Whether LASERREPAIR is enabled and has not attached yet.
+    fn repair_armed(&self) -> bool {
+        self.config.enable_repair && self.repair.is_none()
+    }
+
+    /// Evaluate the armed repair trigger against the detector's per-line
+    /// `aggs` — an inline session's own detector's, a pipelined session's
+    /// last settled mirror aggregates. It runs at every boundary, not only
+    /// when a batch lands, because rates decay as elapsed time grows.
+    /// Attaches the SSB instrumentation when the lines over the threshold
+    /// yield a profitable plan, reports it, and returns whether it attached.
+    fn evaluate_trigger(&mut self, aggs: &[LineAgg]) -> ControlFlow<StopReason, bool> {
+        let elapsed = self.machine.elapsed_benchmark_seconds();
+        let threshold = self.effective_repair_threshold();
+        let pcs = detect::trigger_pcs_from(aggs, elapsed, threshold);
+        let Some(attached) = self.attach_repair_from_pcs(&pcs) else {
+            return ControlFlow::Continue(false);
+        };
+        if self.observed {
+            self.emit(attached)?;
+        }
+        ControlFlow::Continue(true)
     }
 
     /// Attach the SSB instrumentation if `pcs` (the lines over the repair
@@ -1290,6 +972,159 @@ impl LaserSession {
         self.machine.attach_hook(Box::new(hook));
         Some(event)
     }
+}
+
+impl LaserSession {
+    /// Set up a run of `image` under LASER on a machine with `machine_config`.
+    ///
+    /// Legacy entry point: delegates to [`SessionBuilder`], which also takes
+    /// an [`Observer`].
+    pub fn new(config: LaserConfig, image: &WorkloadImage, machine_config: MachineConfig) -> Self {
+        SessionBuilder::new()
+            .config(config)
+            .machine(machine_config)
+            .build(image)
+    }
+
+    /// The machine being monitored.
+    pub fn machine(&self) -> &Machine {
+        &self.app.machine
+    }
+
+    /// The detector's live state, when the detector runs inline. A pipelined
+    /// session's detectors live on their worker threads, so this is `None`.
+    pub fn detector(&self) -> Option<&Detector> {
+        match &self.stage {
+            Stage::Inline { detector, .. } => Some(detector),
+            Stage::Piped(_) => None,
+        }
+    }
+
+    /// Whether the driver and detector stages run pipelined on worker
+    /// threads.
+    pub fn is_pipelined(&self) -> bool {
+        matches!(self.stage, Stage::Piped(_))
+    }
+
+    /// Cycles the detector process has consumed so far.
+    pub fn detector_cycles(&self) -> u64 {
+        self.app.detector_cycles
+    }
+
+    /// Whether LASERREPAIR has been attached.
+    pub fn repair_triggered(&self) -> bool {
+        self.app.repair.is_some()
+    }
+
+    /// Run one poll quantum: `poll_interval_steps` application instructions,
+    /// one driver service pass, one detector batch, and — when the
+    /// false-sharing rate crosses the threshold — the repair attachment
+    /// decision. The quantum is reported to the session's [`Observer`] as
+    /// [`LaserEvent`]s; if the observer breaks, the quantum's remaining
+    /// events are skipped and the session reports [`SessionStatus::Stopped`].
+    /// Every event is emitted *after* the work it describes, so a stopped
+    /// session is always in a consistent state (a later
+    /// [`LaserSession::finish`] never undercounts).
+    ///
+    /// In a pipelined session the driver stage services the batch on its own
+    /// thread and the detector shards consume the routed records on theirs;
+    /// at `driver_lag_quanta` 0 the event order, payloads and machine
+    /// charging are identical to an inline run (see the
+    /// [module docs](self)).
+    ///
+    /// # Errors
+    /// Returns an error if the machine exhausts its step budget.
+    pub fn advance(&mut self) -> Result<SessionStatus, LaserError> {
+        let app = &mut self.app;
+        let steps_before = app.machine.steps();
+        let quantum = if matches!(self.stage, Stage::Piped(_)) {
+            let start = Instant::now(); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
+            let quantum = app.machine.run_quantum(app.config.poll_interval_steps);
+            app.machine_busy += start.elapsed();
+            quantum
+        } else {
+            app.machine.run_quantum(app.config.poll_interval_steps)
+        };
+        let status = quantum.status;
+        // Capture the quantum event *before* the driver charges interrupt and
+        // copy overhead, matching the inline emission point.
+        let quantum_event = app.observed.then(|| LaserEvent::QuantumCompleted {
+            steps: app.machine.steps() - steps_before,
+            cycles: app.machine.cycles(),
+        });
+
+        if let ControlFlow::Break(reason) = self.settle_boundary(quantum.events, quantum_event) {
+            return Ok(SessionStatus::Stopped(reason));
+        }
+
+        let app = &self.app;
+        if status == RunStatus::Running && app.machine.steps() >= app.max_steps {
+            return Err(LaserError::Machine(MachineError::MaxStepsExceeded {
+                steps: app.max_steps,
+            }));
+        }
+        Ok(match status {
+            RunStatus::Running => SessionStatus::Running,
+            RunStatus::Done => SessionStatus::Done,
+        })
+    }
+
+    /// The quantum boundary: service the quantum's raw HITM batch, report
+    /// the boundary to the observer, and evaluate the armed repair trigger.
+    fn settle_boundary(
+        &mut self,
+        events: Vec<HitmEvent>,
+        quantum_event: Option<LaserEvent>,
+    ) -> ControlFlow<StopReason> {
+        let app = &mut self.app;
+        match &mut self.stage {
+            // Inline: service the PMU synchronously, then run the detector
+            // stage on the calling thread.
+            Stage::Inline { driver, detector } => {
+                driver.ingest(events, &mut app.machine);
+                if let Some(event) = quantum_event {
+                    app.emit(event)?;
+                }
+                let records = driver.read_records();
+                let mut aggs = None;
+                if !records.is_empty() {
+                    detector.process(&records);
+                    app.charge_detector_cycles(detector.processing_cycles(records.len()));
+                    aggs = app.observed.then(|| detector.line_aggregates());
+                    let dropped_total = driver.stats().events_dropped;
+                    app.emit_batch(records.len(), dropped_total, aggs.as_deref())?;
+                }
+                if app.repair_armed() {
+                    let aggs = aggs.unwrap_or_else(|| detector.line_aggregates());
+                    app.evaluate_trigger(&aggs)?;
+                }
+            }
+            // Pipelined: enqueue the raw batch for the driver stage, settle
+            // every charge ledger that has come due under the bounded-lag
+            // credit scheme, then report the settled batches in quantum
+            // order. The trigger is pre-armed: it runs off the last settled
+            // mirror aggregates, with no round-trip to the workers.
+            Stage::Piped(pipe) => {
+                let boundary = pipe.submit(events);
+                let due = pipe.settle_due(boundary);
+                for ledger in &due {
+                    app.apply_ledger(ledger);
+                }
+                if let Some(event) = quantum_event {
+                    app.emit(event)?;
+                }
+                for ledger in &due {
+                    app.emit_ledger(ledger)?;
+                }
+                if app.repair_armed() && app.evaluate_trigger(&pipe.last_aggs)? && !app.observed {
+                    // Unobserved and attached: nothing needs the mirror's
+                    // aggregates any more; let the driver stage retire it.
+                    pipe.send(DriverJob::RepairAttached);
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
 
     /// Drive the session to completion.
     ///
@@ -1307,109 +1142,6 @@ impl LaserSession {
         }
     }
 
-    /// Wind down the pipelined stages: settle every outstanding ledger
-    /// (emitting its deferred events), ask the driver stage to flush, close
-    /// the channels so every worker drains its queue in FIFO order and
-    /// exits, then reclaim the driver and fold the shard detectors back into
-    /// one ([`Detector::absorb`], shard order) for the final inline flush.
-    /// Under line-hash routing the shards' state is disjoint, so the merged
-    /// detector is exactly the one an inline run would hold here. Returns
-    /// the final flush's records, still unprocessed.
-    fn wind_down_pipeline(&mut self) -> Vec<HitmRecord> {
-        // Settle everything still outstanding, lag or no lag. The run is
-        // over; a Break during settlement has nothing to cancel.
-        let mut due = Vec::new();
-        while self
-            .pipe
-            .as_ref()
-            .expect("piped stage") // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-            .outstanding
-            .front()
-            .is_some()
-        {
-            let ledger = self.recv_ledger();
-            self.pipe
-                .as_mut()
-                .expect("piped stage") // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                .outstanding
-                .pop_front();
-            due.push(self.settle_ledger(ledger));
-        }
-        for emission in due {
-            if emission.records > 0 && self.observed {
-                let _ = self.emit(LaserEvent::RecordBatch {
-                    n: emission.records,
-                    dropped: emission.dropped,
-                });
-                let lines = detect::line_rates_from(
-                    emission.aggs.as_deref().unwrap_or(&[]),
-                    self.machine.elapsed_benchmark_seconds(),
-                );
-                let _ = self.emit(LaserEvent::DetectionUpdate {
-                    lines,
-                    remote_hitm_share: self.machine.stats().remote_hitm_share(),
-                });
-            }
-        }
-
-        // Ask the driver stage for its final flush, then close the channels.
-        let outcome = self
-            .pipe
-            .as_ref()
-            .expect("piped stage") // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-            .jobs
-            .send(DriverJob::Finish);
-        debug_assert_eq!(
-            outcome,
-            SendOutcome::Sent,
-            "driver stage outlives the session"
-        );
-        let flushed = self.recv_ledger().flushed;
-
-        let pipe = self.pipe.take().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-        drop(pipe.jobs);
-        let mut first_panic = None;
-        let mut driver_busy = Duration::ZERO;
-        match pipe.driver_worker.join() {
-            Ok((driver, busy)) => {
-                self.driver = Some(driver);
-                driver_busy = busy;
-            }
-            // Re-raise the worker's own panic payload: it is the real
-            // diagnostic, and per-cell panic isolation depends on it.
-            Err(payload) => {
-                first_panic.get_or_insert(payload);
-            }
-        }
-        let mut detectors: Vec<Detector> = Vec::with_capacity(pipe.shard_workers.len());
-        let mut detector_busy = Duration::ZERO;
-        for worker in pipe.shard_workers {
-            match worker.join() {
-                Ok((detector, busy)) => {
-                    detectors.push(detector);
-                    detector_busy = detector_busy.max(busy);
-                }
-                Err(payload) => {
-                    first_panic.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-        let mut merged = detectors.remove(0);
-        for shard in detectors {
-            merged.absorb(shard);
-        }
-        self.detector = Some(merged);
-        self.occupancy = Some(StageOccupancy {
-            machine_busy: self.machine_busy,
-            driver_busy,
-            detector_busy,
-        });
-        flushed
-    }
-
     /// Flush what is still buffered in the PEBS hardware, fold the repair
     /// hook's final counters into the summary, and produce the outcome.
     ///
@@ -1417,36 +1149,53 @@ impl LaserSession {
     /// [`advance`](LaserSession::advance) batch — the detector is still
     /// sharing the chip while it drains the device — so the outcome's cycle
     /// count accounts for every record the detector processed. A pipelined
-    /// session settles its outstanding ledgers and reclaims the driver and
-    /// detector from the worker stages first, so the final flush (and the
-    /// report) sees every streamed batch.
-    pub fn finish(mut self) -> LaserOutcome {
-        let mut records = if self.pipe.is_some() {
-            self.wind_down_pipeline()
-        } else {
-            Vec::new()
+    /// session first settles its outstanding ledgers (emitting their
+    /// deferred events), then reclaims the driver from the driver stage and
+    /// folds the shard detectors back into one ([`Detector::absorb`], shard
+    /// order) — the shards' state is disjoint, so the merged detector is
+    /// exactly the one an inline run would hold here — so the final flush
+    /// (and the report) sees every streamed batch.
+    pub fn finish(self) -> LaserOutcome {
+        let LaserSession { mut app, stage } = self;
+        let (mut driver, mut detector, mut records, stage_occupancy) = match stage {
+            Stage::Inline { driver, detector } => (driver, detector, Vec::new(), None),
+            Stage::Piped(mut pipe) => {
+                // The run is over: every outstanding ledger is due, lag or
+                // no lag, and a Break has nothing left to cancel.
+                let due = pipe.settle_due(u64::MAX);
+                for ledger in &due {
+                    app.apply_ledger(ledger);
+                }
+                for ledger in &due {
+                    let _ = app.emit_ledger(ledger);
+                }
+                let flushed = pipe.flush();
+                let mut reclaimed = pipe.join();
+                let mut merged = reclaimed.detectors.remove(0);
+                for shard in reclaimed.detectors {
+                    merged.absorb(shard);
+                }
+                let occupancy = StageOccupancy {
+                    machine_busy: app.machine_busy,
+                    driver_busy: reclaimed.driver_busy,
+                    detector_busy: reclaimed.detector_busy,
+                };
+                (reclaimed.driver, merged, flushed, Some(occupancy))
+            }
         };
 
-        let driver = self.driver.as_mut().expect("driver reclaimed"); // lint:allow(panic) — wind_down_pipeline() reclaims the driver before any caller can reach this point
-        driver.poll(&mut self.machine);
+        driver.poll(&mut app.machine);
         driver.flush();
         records.extend(driver.read_records());
         if !records.is_empty() {
-            let detector = self.detector.as_mut().expect("detector reclaimed"); // lint:allow(panic) — shutdown() reclaims the detector before any caller can reach this point
             detector.process(&records);
-            let cycles = detector.processing_cycles(records.len());
-            self.charge_detector_cycles(cycles);
-
-            if self.observed {
-                let batch = self.record_batch_event(records.len());
-                // The run is complete: a Break here has nothing left to cancel.
-                let _ = self.emit(batch);
-            }
+            app.charge_detector_cycles(detector.processing_cycles(records.len()));
+            let _ = app.emit_batch(records.len(), driver.stats().events_dropped, None);
         }
 
-        if let Some(summary) = self.repair.as_mut() {
+        if let Some(summary) = app.repair.as_mut() {
             // The hook owns its statistics; read them back out of the machine.
-            if let Some(ssb) = self
+            if let Some(ssb) = app
                 .machine
                 .hook()
                 .and_then(|h| h.as_any())
@@ -1456,34 +1205,32 @@ impl LaserSession {
             }
         }
 
-        if self.observed {
+        if app.observed {
             let finished = LaserEvent::Finished {
-                steps: self.machine.steps(),
-                cycles: self.machine.cycles(),
+                steps: app.machine.steps(),
+                cycles: app.machine.cycles(),
             };
-            let _ = self.emit(finished);
+            let _ = app.emit(finished);
         }
 
-        let elapsed = self.machine.elapsed_benchmark_seconds();
-        // lint:allow(panic) — shutdown() reclaims the detector before any caller can reach this point
-        let mut report = self.detector.as_ref().expect("detector reclaimed").report(
-            &self.workload,
+        let elapsed = app.machine.elapsed_benchmark_seconds();
+        let mut report = detector.report(
+            &app.workload,
             elapsed,
-            self.config.rate_threshold_hitm_per_sec,
-            self.repair.is_some(),
+            app.config.rate_threshold_hitm_per_sec,
+            app.repair.is_some(),
         );
         // The detector only sees sampled records; the ground-truth socket
         // split comes from the machine.
-        report.remote_hitm_share = self.machine.stats().remote_hitm_share();
+        report.remote_hitm_share = app.machine.stats().remote_hitm_share();
         LaserOutcome {
             report,
-            run: self.machine.result(),
-            // lint:allow(panic) — wind_down_pipeline() reclaims the driver before any caller can reach this point
-            driver_stats: self.driver.as_ref().expect("driver reclaimed").stats(),
-            detector_cycles: self.detector_cycles,
-            repair: self.repair,
+            run: app.machine.result(),
+            driver_stats: driver.stats(),
+            detector_cycles: app.detector_cycles,
+            repair: app.repair,
             elapsed_benchmark_seconds: elapsed,
-            stage_occupancy: self.occupancy,
+            stage_occupancy,
         }
     }
 }
@@ -1522,6 +1269,22 @@ mod tests {
         image.push_thread(ThreadSpec::new("t0", "entry").with_reg(Reg(0), base));
         image.push_thread(ThreadSpec::new("t1", "entry").with_reg(Reg(0), base + 8));
         image
+    }
+
+    /// The stream accounting invariant: every sampled record is reported in
+    /// exactly one `RecordBatch` — whether its events were emitted at a
+    /// boundary, deferred to the wind-down or part of the final flush — and
+    /// `Finished` closes the stream.
+    fn assert_stream_accounts_for_every_record(events: &[LaserEvent], outcome: &LaserOutcome) {
+        let batched: u64 = events
+            .iter()
+            .filter_map(|e| match e {
+                LaserEvent::RecordBatch { n, .. } => Some(*n as u64),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(batched, outcome.driver_stats.records_sampled);
+        assert!(matches!(events.last(), Some(LaserEvent::Finished { .. })));
     }
 
     /// The whole point of the session refactor: a full LASER run is one owned
@@ -1649,7 +1412,7 @@ mod tests {
         assert_eq!(baseline.report, observed.report);
 
         let events = log.events();
-        assert!(matches!(events.last(), Some(LaserEvent::Finished { .. })));
+        assert_stream_accounts_for_every_record(&events, &observed);
         let total_steps: u64 = events
             .iter()
             .filter_map(|e| match e {
@@ -1658,14 +1421,6 @@ mod tests {
             })
             .sum();
         assert_eq!(total_steps, observed.run.steps);
-        let batched: u64 = events
-            .iter()
-            .filter_map(|e| match e {
-                LaserEvent::RecordBatch { n, .. } => Some(*n as u64),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(batched, observed.driver_stats.records_sampled);
         // This workload contends: the detector's live view reported it before
         // the run ended, and repair attached exactly once.
         assert!(events.iter().any(|e| matches!(
@@ -1816,35 +1571,17 @@ mod tests {
     fn pipeline_config_defaults_are_a_lossless_double_buffer() {
         let config = PipelineConfig::default();
         assert!(!config.enabled);
-        assert_eq!(config.capacity, 2);
-        assert!(!config.lossy);
         assert_eq!(config.shards, 1, "single worker unless asked");
-        assert_eq!(config.routing, ShardRouting::LineHash);
         assert_eq!(
             config.driver_lag_quanta, 0,
             "lag defaults to 0 so pipelined runs stay byte-identical to inline"
         );
         let on = PipelineConfig::pipelined()
-            .with_capacity(0)
-            .with_lossy(true)
             .with_shards(0)
-            .with_routing(ShardRouting::Socket)
             .with_driver_lag(3);
         assert!(on.enabled);
-        assert_eq!(on.capacity, 1, "capacity clamps to at least one batch");
-        assert!(on.lossy);
         assert_eq!(on.shards, 1, "shard count clamps to at least one");
-        assert_eq!(on.routing, ShardRouting::Socket);
         assert_eq!(on.driver_lag_quanta, 3);
-    }
-
-    #[test]
-    fn shard_routing_keys_round_trip() {
-        for routing in [ShardRouting::LineHash, ShardRouting::Socket] {
-            assert_eq!(ShardRouting::parse(routing.key()), Some(routing));
-        }
-        assert_eq!(ShardRouting::key(ShardRouting::default()), "line");
-        assert_eq!(ShardRouting::parse("hash"), None);
     }
 
     #[test]
@@ -1928,6 +1665,7 @@ mod tests {
             assert!(!ie.is_empty());
             assert_eq!(ie, pe, "repair={}", config.enable_repair);
             assert_eq!(format!("{ie:?}"), format!("{pe:?}"));
+            assert_stream_accounts_for_every_record(&pe, &piped);
         }
     }
 
@@ -1976,42 +1714,53 @@ mod tests {
 
     #[test]
     fn stopped_pipelined_session_still_finishes_without_undercounting() {
-        let image = contended_image("pipstop", 6000);
-        let config = LaserConfig {
-            detector_cycles_per_record: 37,
-            ..LaserConfig::detection_only()
-        };
-        let mut session = Laser::builder()
-            .config(config)
-            .pipeline(true)
-            .observer(|event: &LaserEvent| {
-                if let LaserEvent::RecordBatch { .. } = event {
-                    return ControlFlow::Break(StopReason::Cancelled("first batch".into()));
-                }
-                ControlFlow::Continue(())
-            })
-            .build(&image);
-        loop {
-            match session.advance().unwrap() {
-                SessionStatus::Running => {}
-                SessionStatus::Done => panic!("observer should stop before completion"),
-                SessionStatus::Stopped(reason) => {
-                    assert_eq!(reason, StopReason::Cancelled("first batch".into()));
-                    break;
+        // With shards and lag, ledgers are still outstanding when the stop
+        // surfaces; finish() must settle them and charge every sampled
+        // record exactly once.
+        for pipeline in [
+            PipelineConfig::pipelined(),
+            PipelineConfig::pipelined()
+                .with_shards(4)
+                .with_driver_lag(2),
+        ] {
+            let image = contended_image("pipstop", 6000);
+            let config = LaserConfig {
+                detector_cycles_per_record: 37,
+                ..LaserConfig::detection_only()
+            };
+            let mut session = Laser::builder()
+                .config(config)
+                .pipeline_config(pipeline)
+                .observer(|event: &LaserEvent| {
+                    if let LaserEvent::RecordBatch { .. } = event {
+                        return ControlFlow::Break(StopReason::Cancelled("first batch".into()));
+                    }
+                    ControlFlow::Continue(())
+                })
+                .build(&image);
+            loop {
+                match session.advance().unwrap() {
+                    SessionStatus::Running => {}
+                    SessionStatus::Done => panic!("observer should stop before completion"),
+                    SessionStatus::Stopped(reason) => {
+                        assert_eq!(reason, StopReason::Cancelled("first batch".into()));
+                        break;
+                    }
                 }
             }
+            let outcome = session.finish();
+            assert!(outcome.driver_stats.records_sampled > 0);
+            assert_eq!(
+                outcome.detector_cycles,
+                outcome.driver_stats.records_sampled * 37,
+                "every sampled record must be processed and charged exactly once: {pipeline:?}"
+            );
+            assert_eq!(
+                outcome.run.stats.injected_overhead_cycles,
+                outcome.driver_stats.overhead_cycles + outcome.detector_cycles,
+                "{pipeline:?}"
+            );
         }
-        let outcome = session.finish();
-        assert!(outcome.driver_stats.records_sampled > 0);
-        assert_eq!(
-            outcome.detector_cycles,
-            outcome.driver_stats.records_sampled * 37,
-            "every sampled record must be processed and charged exactly once"
-        );
-        assert_eq!(
-            outcome.run.stats.injected_overhead_cycles,
-            outcome.driver_stats.overhead_cycles + outcome.detector_cycles
-        );
     }
 
     // ------------------------------------------------------------------
@@ -2104,36 +1853,9 @@ mod tests {
                 assert!(!ie.is_empty());
                 assert_eq!(ie, se, "repair={} shards={shards}", config.enable_repair);
                 assert_eq!(format!("{ie:?}"), format!("{se:?}"));
+                assert_stream_accounts_for_every_record(&se, &sharded);
             }
         }
-    }
-
-    #[test]
-    fn socket_routing_is_deterministic_across_identical_runs() {
-        use laser_machine::{ThreadPlacement, TopologySpec};
-        // Socket routing models one detector core per socket: it does not
-        // promise inline-identity (a line touched from two sockets splits
-        // its record sequence across shards), but it must be a pure function
-        // of the run — two identical deployments produce identical bytes.
-        let mut image = contended_image("shardsock", 6000);
-        image.set_thread_placement(ThreadPlacement::RoundRobin);
-        let run = || {
-            Laser::builder()
-                .config(LaserConfig::detection_only().with_topology(TopologySpec::DualSocket))
-                .pipeline_config(
-                    PipelineConfig::pipelined()
-                        .with_shards(2)
-                        .with_routing(ShardRouting::Socket),
-                )
-                .build(&image)
-                .run()
-                .unwrap()
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.cycles(), b.cycles());
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.detector_cycles, b.detector_cycles);
-        assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
     }
 
     #[test]
@@ -2141,7 +1863,7 @@ mod tests {
         // driver_lag_quanta ≥ 1 overlaps the machine with the driver stage:
         // charges for quantum k land at boundary k + lag, which moves the
         // cores' clocks relative to an inline run and perturbs the
-        // interleaving. Like socket routing, the contract is determinism —
+        // interleaving. The contract is determinism —
         // two identical deployments produce identical bytes — NOT
         // inline-identity.
         for lag in [1usize, 3] {
@@ -2168,6 +1890,9 @@ mod tests {
                 assert_eq!(a.report, b.report, "lag {lag}");
                 assert_eq!(a.detector_cycles, b.detector_cycles, "lag {lag}");
                 assert_eq!(a_events, b_events, "lag {lag}");
+                // Ledgers still outstanding at the end settle in the
+                // wind-down; their deferred events must not be lost.
+                assert_stream_accounts_for_every_record(&a_events, &a);
                 // Every deferred cycle still lands: the ledgers conserve the
                 // driver's overhead exactly, however late they settle.
                 assert_eq!(
@@ -2223,39 +1948,5 @@ mod tests {
         // exits rather than leaking a parked thread. (A deadlock here would
         // hang the test suite, which is the assertion.)
         drop(session);
-    }
-
-    #[test]
-    fn lossy_pipeline_accounts_channel_overflow_as_driver_drops() {
-        // A capacity-1 lossy channel with a worker that cannot keep up (the
-        // channel stays saturated because the producer never blocks): some
-        // batches must be dropped and accounted, and the outcome stays
-        // internally consistent (dropped batches are neither processed nor
-        // charged).
-        let image = contended_image("piplossy", 20_000);
-        let config = LaserConfig {
-            detector_cycles_per_record: 37,
-            ..LaserConfig::detection_only()
-        };
-        let outcome = Laser::builder()
-            .config(config)
-            .pipeline_config(
-                PipelineConfig::pipelined()
-                    .with_capacity(1)
-                    .with_lossy(true),
-            )
-            .build(&image)
-            .run()
-            .unwrap();
-        let stats = outcome.driver_stats;
-        assert_eq!(
-            outcome.detector_cycles,
-            (stats.records_sampled - stats.records_dropped) * 37,
-            "dropped records are not charged: {stats:?}"
-        );
-        assert_eq!(
-            outcome.run.stats.injected_overhead_cycles,
-            stats.overhead_cycles + outcome.detector_cycles
-        );
     }
 }

@@ -25,8 +25,8 @@ pub enum FileRole {
     /// `tests.rs`. Only the `unsafe-code` rule applies.
     TestLike,
     /// Offline stand-ins for third-party crates under `shims/`. They mirror
-    /// external APIs (criterion measures wall time, asserts like the real
-    /// one), so rules 3–5 do not apply; hashing and iteration rules do.
+    /// external APIs (which may measure wall time or assert like the real
+    /// crate), so rules 3–5 do not apply; hashing and iteration rules do.
     Shim,
 }
 

@@ -19,10 +19,8 @@
 //! * [`OverflowPolicy::DropNewest`] rejects the batch instead, the way real
 //!   PEBS hardware overflows a full buffer. The rejection is the producer's
 //!   signal ([`SendOutcome::Dropped`]); accounting the loss belongs to the
-//!   producer — the session folds it into the driver's statistics
-//!   (`DriverStats::records_dropped`), which stays the single owner of drop
-//!   counts. Lossy delivery trades determinism for a hard bound on producer
-//!   latency.
+//!   producer. Lossy delivery trades determinism for a hard bound on
+//!   producer latency.
 //!
 //! Both endpoints detect disconnection: a send into a closed channel returns
 //! [`SendOutcome::Closed`], and a receive from a closed, drained channel
@@ -143,14 +141,6 @@ impl<T> Sender<T> {
             }
         }
     }
-
-    /// Whether the channel is currently full — i.e. whether the consumer has
-    /// lagged a full `capacity` behind. A lossy producer can use this to
-    /// account a drop *before* constructing the batch it would discard.
-    pub fn is_full(&self) -> bool {
-        let state = self.shared.state.lock().unwrap(); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
-        state.queue.len() >= self.shared.capacity
-    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -263,7 +253,6 @@ mod tests {
         let (tx, rx) = bounded(2, OverflowPolicy::Backpressure);
         assert_eq!(tx.send(1), SendOutcome::Sent);
         assert_eq!(tx.send(2), SendOutcome::Sent);
-        assert!(tx.is_full());
         let producer = std::thread::spawn(move || tx.send(3));
         // The producer is parked on the full channel; draining one slot
         // releases it.
@@ -281,8 +270,7 @@ mod tests {
         assert_eq!(tx.send(2), SendOutcome::Sent);
         // The consumer has lagged a full capacity behind: the hardware model
         // overflows instead of stalling the application. The rejection is
-        // the producer's signal to account the loss (the session routes it
-        // into `DriverStats::records_dropped`).
+        // the producer's signal to account the loss.
         assert_eq!(tx.send(3), SendOutcome::Dropped);
         assert_eq!(tx.send(4), SendOutcome::Dropped);
         assert_eq!(rx.recv(), Some(1));

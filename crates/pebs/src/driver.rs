@@ -52,11 +52,6 @@ pub struct DriverStats {
     /// outside its configured range) — never sampled, never counted against a
     /// SAV countdown.
     pub events_dropped: u64,
-    /// Sampled records discarded *after* the PMU because the downstream
-    /// consumer lagged — a full record channel overflowing the way a real
-    /// PEBS buffer does (see [`Driver::note_lagging_drops`]). Zero under
-    /// lossless (backpressure) delivery.
-    pub records_dropped: u64,
     /// Interrupts taken.
     pub interrupts: u64,
     /// Cycles of overhead charged to the application's cores.
@@ -238,15 +233,6 @@ impl Driver {
     /// run so no sampled record is lost).
     pub fn flush(&mut self) {
         self.staged.append(&mut self.pmu.drain_all_buffers());
-    }
-
-    /// Account `records` sampled records that were discarded because the
-    /// record channel to the detector was full — the consumer lagged and the
-    /// buffer overflowed, as real PEBS hardware does. Pipelined sessions
-    /// running with a lossy channel report their channel drops here so the
-    /// loss is visible in [`DriverStats::records_dropped`].
-    pub fn note_lagging_drops(&mut self, records: u64) {
-        self.stats.records_dropped += records;
     }
 
     /// Read the records staged for the detector (the file-like device read).
@@ -562,17 +548,6 @@ mod tests {
         let mut uniform = ChargeLedger::default();
         uniform.charge_all(1);
         assert!(!uniform.is_empty());
-    }
-
-    #[test]
-    fn lagging_consumer_drops_are_recorded() {
-        let image = contended_image(10);
-        let machine = Machine::new(MachineConfig::default(), &image);
-        let mut driver = driver_for(&machine, 19);
-        assert_eq!(driver.stats().records_dropped, 0);
-        driver.note_lagging_drops(17);
-        driver.note_lagging_drops(3);
-        assert_eq!(driver.stats().records_dropped, 20);
     }
 
     #[test]
