@@ -11,7 +11,7 @@ use laser_core::ContentionKind;
 use laser_workloads::{BugKind, WorkloadSpec};
 
 use crate::grid::{ExperimentError, Grid, GridResult};
-use crate::runner::{score_locations, score_reported, ExperimentScale};
+use crate::runner::{score_locations, score_reported};
 use crate::tool::ToolSpec;
 
 /// One row of Table 1.
@@ -141,16 +141,6 @@ pub fn table1_from_grid(grid: &GridResult) -> Result<Table1Report, ExperimentErr
     Ok(Table1Report { rows })
 }
 
-/// Run the Table 1 experiment on a single-table grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn table1_accuracy(scale: &ExperimentScale) -> Result<Table1Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_table1(&mut grid);
-    table1_from_grid(&grid.run())
-}
-
 /// One row of Table 2: the contention type of a known bug versus what the
 /// tools reported.
 #[derive(Debug, Clone)]
@@ -277,16 +267,6 @@ pub fn table2_from_grid(grid: &GridResult) -> Result<Table2Report, ExperimentErr
     Ok(Table2Report { rows })
 }
 
-/// Run the Table 2 experiment on a single-table grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn table2_types(scale: &ExperimentScale) -> Result<Table2Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_table2(&mut grid);
-    table2_from_grid(&grid.run())
-}
-
 /// One point of Figure 9: total false negatives and false positives across
 /// the suite at one rate threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -369,19 +349,6 @@ pub fn fig9_from_grid(
     Ok(Fig9Report { points })
 }
 
-/// Run the Figure 9 threshold sweep on a single-figure grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn fig9_threshold_sweep(
-    scale: &ExperimentScale,
-    thresholds: &[f64],
-) -> Result<Fig9Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_fig9(&mut grid);
-    fig9_from_grid(&grid.run(), thresholds)
-}
-
 /// The thresholds of the paper's Figure 9 (32 HITM/s to 64K HITM/s, log scale).
 pub fn fig9_thresholds() -> Vec<f64> {
     (5..=16).map(|p| (1u64 << p) as f64).collect()
@@ -390,6 +357,8 @@ pub fn fig9_thresholds() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::single_figure;
+    use crate::runner::ExperimentScale;
 
     fn tiny() -> ExperimentScale {
         // 0.10 is the smallest scale at which enough HITM records survive
@@ -402,7 +371,7 @@ mod tests {
 
     #[test]
     fn table1_finds_bugs_with_no_false_negatives_on_subset() {
-        let report = table1_accuracy(&tiny()).unwrap();
+        let report = single_figure(tiny(), plan_table1, table1_from_grid).unwrap();
         assert_eq!(report.rows.len(), 4);
         let totals = report.totals();
         assert_eq!(
@@ -417,7 +386,7 @@ mod tests {
 
     #[test]
     fn table2_reports_types_for_buggy_workloads() {
-        let report = table2_types(&tiny()).unwrap();
+        let report = single_figure(tiny(), plan_table2, table2_from_grid).unwrap();
         assert_eq!(report.rows.len(), 3); // histogram', kmeans, linear_regression
         let hist = report.rows.iter().find(|r| r.name == "histogram'").unwrap();
         assert_eq!(
@@ -431,7 +400,10 @@ mod tests {
 
     #[test]
     fn fig9_higher_thresholds_trade_fp_for_fn() {
-        let report = fig9_threshold_sweep(&tiny(), &[1.0, 1_000.0, 10_000_000.0]).unwrap();
+        let report = single_figure(tiny(), plan_fig9, |grid| {
+            fig9_from_grid(grid, &[1.0, 1_000.0, 10_000_000.0])
+        })
+        .unwrap();
         assert_eq!(report.points.len(), 3);
         let loosest = report.points[0];
         let strictest = report.points[2];

@@ -1,10 +1,17 @@
 //! The experiment driver: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! experiments [all|campaign|fig2|fig3|table1|table2|fig9|fig10|fig11|fig12|fig13|fig14]
+//! experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|fig11|fig12|fig13|fig14]
 //!             [--scale S] [--threads N] [--only w1,w2,...] [--format text|json|csv]
-//!             [--cell-budget-steps N] [--pipeline]
+//!             [--cell-budget-steps N] [--pipeline] [--shards N] [--driver-lag L]
+//!             [--topology flat|2s|4s|8s|32s] [--topology-file FILE]
+//!             [--cache DIR] [--cache-stats FILE]
 //! ```
+//!
+//! Every knob lands in one [`CampaignConfig`] through the validated setters
+//! scenario files use too (see `laser_bench::config`), so out-of-range
+//! values — a non-positive `--scale`, `--threads 0`, `--shards 0` — exit 2
+//! here exactly as they do there.
 //!
 //! `--scale` multiplies every workload's input size (default 0.4); the paper's
 //! qualitative results hold across scales, larger values just take longer.
@@ -49,10 +56,16 @@
 //! byte-identical to the pre-topology behaviour. fig2 and fig3 are derived
 //! outside the workload grid, so a non-flat preset skips them (with a note)
 //! rather than passing flat results off as multi-socket data. The `xsocket`
-//! subcommand
-//! sweeps the headline false-sharing workloads across *all* presets and
-//! reports how the cross-socket HITM traffic — and repair's benefit — grows
-//! with the socket count.
+//! subcommand sweeps the headline false-sharing workloads across *all*
+//! presets and reports how the cross-socket HITM traffic — and repair's
+//! benefit — grows with the socket count. `campaign --topology-file FILE`
+//! deploys every cell on a bespoke asymmetric layout instead
+//! (`laser_bench::CustomTopology`), validated before anything simulates.
+//!
+//! `--driver-lag L` defers each quantum's PMU charge by `L` quantum
+//! boundaries (and implies `--pipeline`): 0 is byte-identical to inline,
+//! `L >= 1` overlaps the machine with the driver stage — deterministic, but
+//! not inline-identical.
 //!
 //! Workload names in `--only` are validated up front: an unknown name in the
 //! comma list (including an empty entry from a stray comma) is an error
@@ -78,19 +91,20 @@ use std::sync::Arc;
 
 use laser_bench::accuracy::{
     fig9_from_grid, fig9_thresholds, plan_fig9, plan_table1, plan_table2, table1_from_grid,
-    table2_from_grid,
+    table2_from_grid, Fig9Report, Table1Report, Table2Report,
 };
-use laser_bench::characterization::{fig2_layout, fig3_characterization_on};
-use laser_bench::emit::Emit;
+use laser_bench::args::{knob, value, CliError};
+use laser_bench::characterization::{fig2_layout, fig3_characterization_on, Fig3Report};
 use laser_bench::performance::{
     fig10_from_grid, fig11_from_grid, fig12_from_grid, fig13_from_grid, fig13_savs,
-    fig14_from_grid, plan_fig10, plan_fig11, plan_fig12, plan_fig13, plan_fig14,
+    fig14_from_grid, plan_fig10, plan_fig11, plan_fig12, plan_fig13, plan_fig14, Fig10Report,
+    Fig11Report, Fig12Report, Fig13Report, Fig14Report,
 };
-use laser_bench::scenario::MAX_DRIVER_LAG;
 use laser_bench::xsocket::{plan_xsocket, xsocket_from_grid};
 use laser_bench::{
-    validate_workload_names, Campaign, CampaignProgress, CellBudget, CellCache, CustomTopology,
-    ExperimentScale, Grid, GridResult, PipelineConfig, TopologySpec,
+    validate_workload_names, AggregateFormat, Campaign, CampaignConfig, CampaignProgress,
+    CampaignResult, CellCache, CustomTopology, Emit, ExperimentError, Grid, GridResult,
+    TopologySpec, XsocketReport,
 };
 use laser_workloads::registry;
 use serde::json::Value;
@@ -104,29 +118,11 @@ const FIGURES: &[&str] = &[
 /// name.
 const EXTRAS: &[&str] = &["xsocket"];
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Csv,
-}
-
-impl Format {
-    fn parse(s: &str) -> Option<Format> {
-        match s {
-            "text" => Some(Format::Text),
-            "json" => Some(Format::Json),
-            "csv" => Some(Format::Csv),
-            _ => None,
-        }
-    }
-}
-
 const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|\
                      fig11|fig12|fig13|fig14] [--scale S] [--threads N] [--only w1,w2,...] \
                      [--format text|json|csv] [--cell-budget-steps N] [--pipeline] \
                      [--shards N] [--driver-lag L] [--topology flat|2s|4s|8s|32s] \
-                     [--topology-file FILE]\n\
+                     [--topology-file FILE] [--cache DIR] [--cache-stats FILE]\n\
                      \n\
                      --scale S             workload input-size multiplier (default 0.4;\n\
                      \x20                     xsocket defaults to 1.0)\n\
@@ -159,11 +155,6 @@ const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|t
                      \x20                     simulate nothing)\n\
                      --cache-stats FILE    write cache hit/miss statistics as JSON to FILE\n\
                      \x20                     (requires --cache; stderr always gets them)";
-
-fn usage() -> ExitCode {
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
 
 /// Stderr progress sink: announce each cell as a worker claims it, and again
 /// — with the result — when it finishes.
@@ -206,27 +197,9 @@ fn write_stdout(payload: &str) -> Result<(), String> {
         .map_err(|e| format!("failed to write to stdout: {e}"))
 }
 
-#[allow(clippy::too_many_arguments)] // straight CLI-flag plumbing
-fn run_campaign(
-    scale: &ExperimentScale,
-    threads: Option<usize>,
-    only: &Option<Vec<String>>,
-    budget: CellBudget,
-    pipeline: PipelineConfig,
-    topology: TopologySpec,
-    custom: Option<Arc<CustomTopology>>,
-    format: Format,
-    cache: &Option<Arc<CellCache>>,
-) -> Result<(), String> {
-    let mut campaign = Campaign::default()
-        .with_options(scale.options())
-        .with_cell_budget(budget)
-        .with_pipeline(pipeline)
-        .with_topology(topology);
-    if let Some(custom) = custom {
-        campaign = campaign.with_custom_topology(custom);
-    }
-    if let Some(names) = only {
+fn run_campaign(cli: &Cli) -> Result<(), String> {
+    let mut campaign = Campaign::default().with_config(cli.config.clone());
+    if let Some(names) = &cli.only {
         // The names were validated at argument-parse time; revalidation here
         // keeps `Campaign::with_workload_names` the single source of truth.
         let names: Vec<&str> = names.iter().map(String::as_str).collect();
@@ -234,29 +207,25 @@ fn run_campaign(
             .with_workload_names(&names)
             .map_err(|e| e.to_string())?;
     }
-    if let Some(n) = threads {
-        campaign = campaign.with_threads(n);
-    }
-    if let Some(cache) = cache {
-        campaign = campaign.with_cache(Arc::clone(cache));
-    }
     eprintln!(
         "running {} cells on {} worker threads...",
         campaign.cells(),
-        campaign.threads()
+        cli.config.worker_threads()
     );
     let result = campaign.run_with_progress(announce);
-    match format {
-        Format::Text => write_stdout(&result.render()),
-        Format::Json => write_stdout(&format!("{}\n", result.to_json().render())),
-        Format::Csv => write_stdout(&result.to_csv()),
-    }
+    write_stdout(&payload(&result, CampaignResult::render, cli.format))
 }
 
-/// Experiments that do not run workloads through the grid, so a topology
-/// preset cannot change them.
-fn topology_independent(which: &str) -> bool {
-    matches!(which, "fig2" | "fig3")
+/// `report` as the stdout payload `format` selects: its text table (the
+/// report's inherent `render`), its JSON document on a line of its own, or
+/// its CSV table.
+fn payload<R: Emit>(report: &R, render: fn(&R) -> String, format: AggregateFormat) -> String {
+    let body = format.payload(report, render);
+    if format == AggregateFormat::Json {
+        body + "\n"
+    } else {
+        body
+    }
 }
 
 fn plan_one(which: &str, grid: &mut Grid) {
@@ -276,182 +245,104 @@ fn plan_one(which: &str, grid: &mut Grid) {
     }
 }
 
-/// Derive one experiment from the shared grid and format it. Returns the
-/// stdout payload: `(text, json, csv)` selected by `format`.
-fn derive_one(
-    which: &str,
-    grid: &Option<GridResult>,
-    scale: &ExperimentScale,
-    threads: usize,
-    format: Format,
-) -> Result<String, String> {
-    let grid = |name: &str| -> Result<&GridResult, String> {
-        grid.as_ref()
-            .ok_or_else(|| format!("experiment {name} needs a grid (internal error)"))
-    };
-    let emit = |report: &dyn Emit| match format {
-        Format::Text => unreachable!("text is rendered per report"),
-        Format::Json => format!("{}\n", report.to_json().render()),
-        Format::Csv => report.to_csv(),
-    };
-    let err = |e: laser_bench::ExperimentError| format!("experiment {which} failed: {e}");
+/// Derive one experiment from the shared grid and format it as the stdout
+/// payload `cli.format` selects.
+fn derive_one(which: &str, grid: Option<&GridResult>, cli: &Cli) -> Result<String, String> {
+    let format = cli.format;
     match which {
-        "fig2" => match format {
-            Format::Text => Ok(fig2_layout()),
-            Format::Json => Ok(format!(
-                "{}\n",
-                Value::object()
-                    .set("kind", "fig2")
-                    .set("text", fig2_layout())
-                    .render()
-            )),
-            Format::Csv => Err("fig2 is a layout demonstration with no csv form".to_string()),
-        },
+        "fig2" if format == AggregateFormat::Text => return Ok(fig2_layout()),
+        // Csv never gets here: `inapplicable` rejected it up front.
+        "fig2" => {
+            let doc = Value::object()
+                .set("kind", "fig2")
+                .set("text", fig2_layout());
+            return Ok(format!("{}\n", doc.render()));
+        }
         "fig3" => {
-            let per_category = if scale.workload_scale < 0.2 { 5 } else { 40 };
-            let report = fig3_characterization_on(per_category, threads);
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
+            let per_category = if cli.config.opts.scale < 0.2 { 5 } else { 40 };
+            let report = fig3_characterization_on(per_category, cli.config.worker_threads());
+            return Ok(payload(&report, Fig3Report::render, format));
         }
-        "table1" => {
-            let report = table1_from_grid(grid(which)?).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
-        }
-        "table2" => {
-            let report = table2_from_grid(grid(which)?).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
-        }
-        "fig9" => {
-            let report = fig9_from_grid(grid(which)?, &fig9_thresholds()).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
-        }
-        "fig10" => {
-            let report = fig10_from_grid(grid(which)?).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
-        }
-        "fig11" => {
-            let report = fig11_from_grid(grid(which)?).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
-        }
-        "fig12" => {
-            let report = fig12_from_grid(grid(which)?, 0.10).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
-        }
-        "fig13" => {
-            let report = fig13_from_grid(grid(which)?, &fig13_savs()).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
-        }
-        "fig14" => {
-            let report = fig14_from_grid(grid(which)?).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
-        }
-        "xsocket" => {
-            let report = xsocket_from_grid(grid(which)?).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
-        }
-        other => Err(format!("unknown experiment '{other}'")),
+        _ => {}
+    }
+    let grid = grid.ok_or_else(|| format!("experiment {which} needs a grid (internal error)"))?;
+    fn view<R: Emit>(
+        report: Result<R, ExperimentError>,
+        render: fn(&R) -> String,
+        format: AggregateFormat,
+    ) -> Result<String, ExperimentError> {
+        Ok(payload(&report?, render, format))
+    }
+    match which {
+        "table1" => view(table1_from_grid(grid), Table1Report::render, format),
+        "table2" => view(table2_from_grid(grid), Table2Report::render, format),
+        "fig9" => view(
+            fig9_from_grid(grid, &fig9_thresholds()),
+            Fig9Report::render,
+            format,
+        ),
+        "fig10" => view(fig10_from_grid(grid), Fig10Report::render, format),
+        "fig11" => view(fig11_from_grid(grid), Fig11Report::render, format),
+        "fig12" => view(fig12_from_grid(grid, 0.10), Fig12Report::render, format),
+        "fig13" => view(
+            fig13_from_grid(grid, &fig13_savs()),
+            Fig13Report::render,
+            format,
+        ),
+        "fig14" => view(fig14_from_grid(grid), Fig14Report::render, format),
+        "xsocket" => view(xsocket_from_grid(grid), XsocketReport::render, format),
+        other => return Err(format!("unknown experiment '{other}'")),
+    }
+    .map_err(|e| format!("experiment {which} failed: {e}"))
+}
+
+/// Why `which` cannot be derived under this command line, if it cannot: fig2
+/// has no csv form, and fig2 (an allocator-layout demo) and fig3 (PEBS record
+/// characterization on fixed two-thread cases) are derived outside the
+/// workload grid, so reporting them under a topology preset would pass flat
+/// results off as 2s/4s data.
+fn inapplicable(which: &str, cli: &Cli) -> Option<&'static str> {
+    if which == "fig2" && cli.format == AggregateFormat::Csv {
+        Some("a layout demonstration with no csv form")
+    } else if matches!(which, "fig2" | "fig3") && cli.config.topology != TopologySpec::Flat {
+        Some("derived outside the workload grid, --topology does not apply")
+    } else {
+        None
     }
 }
 
-fn run_figures(
-    selected: &[&str],
-    scale: &ExperimentScale,
-    threads: Option<usize>,
-    budget: CellBudget,
-    pipeline: PipelineConfig,
-    topology: TopologySpec,
-    format: Format,
-    cache: &Option<Arc<CellCache>>,
-) -> Result<(), String> {
-    // Resolve format incompatibilities before any cell is simulated: fig2
-    // has no csv form, so an `all --format csv` run skips it (with a note)
-    // instead of discarding the whole grid's work at derive time, and an
-    // explicit `fig2 --format csv` fails up front.
-    let selected: Vec<&str> = if format == Format::Csv && selected.contains(&"fig2") {
-        if selected.len() == 1 {
-            return Err("fig2 is a layout demonstration with no csv form".to_string());
-        }
-        eprintln!("skipping fig2: a layout demonstration with no csv form");
-        selected.iter().copied().filter(|&s| s != "fig2").collect()
+fn run_figures(cli: &Cli) -> Result<(), String> {
+    let format = cli.format;
+    let requested = if cli.which == "all" {
+        FIGURES
     } else {
-        selected.to_vec()
+        &[cli.which.as_str()]
     };
-
-    // Same policy for the topology axis: fig2 (an allocator-layout demo) and
-    // fig3 (PEBS record characterization on fixed two-thread cases) are
-    // derived outside the workload grid, so a topology preset cannot apply
-    // to them — skip them with a note rather than silently reporting flat
-    // results as if they were 2s/4s data, and fail an explicit request.
-    let selected: Vec<&str> = if topology != TopologySpec::Flat
-        && selected.iter().any(|s| topology_independent(s))
-    {
-        if selected.iter().all(|s| topology_independent(s)) {
-            return Err(format!(
-                "{} is derived outside the workload grid; --topology does not apply",
-                selected.join(", ")
-            ));
+    // Resolve incompatibilities before any cell is simulated: an `all` run
+    // skips the experiment with a note instead of discarding the whole
+    // grid's work at derive time; an explicit request fails up front.
+    let mut selected = Vec::new();
+    for &which in requested {
+        match inapplicable(which, cli) {
+            None => selected.push(which),
+            Some(why) if cli.which == "all" => eprintln!("skipping {which}: {why}"),
+            Some(why) => return Err(format!("{which} is {why}")),
         }
-        for s in selected.iter().filter(|s| topology_independent(s)) {
-            eprintln!("skipping {s}: derived outside the workload grid, --topology does not apply");
-        }
-        selected
-            .iter()
-            .copied()
-            .filter(|s| !topology_independent(s))
-            .collect()
-    } else {
-        selected
-    };
+    }
 
     // One grid for everything selected: shared cells (every figure wants the
     // native baseline, both tables want laser-detect, ...) are planned once
     // and simulated once.
-    let mut grid = Grid::new(*scale)
-        .with_cell_budget(budget)
-        .with_pipeline(pipeline)
-        .with_topology(topology);
-    if let Some(n) = threads {
-        grid = grid.with_threads(n);
-    }
-    if let Some(cache) = cache {
-        grid = grid.with_cache(Arc::clone(cache));
-    }
-    let grid_threads = grid.threads();
+    let mut grid = Grid::with_config(cli.config.clone());
     for which in &selected {
         plan_one(which, &mut grid);
     }
     let total = grid.cells();
     let grid_result = if total > 0 {
-        eprintln!("running {total} unique cells on {grid_threads} worker threads...");
+        eprintln!(
+            "running {total} unique cells on {} worker threads...",
+            cli.config.worker_threads()
+        );
         Some(grid.run_with_progress(announce))
     } else {
         None
@@ -459,18 +350,18 @@ fn run_figures(
 
     let many = selected.len() > 1;
     for which in &selected {
-        let payload = derive_one(which, &grid_result, scale, grid_threads, format)?;
+        let payload = derive_one(which, grid_result.as_ref(), cli)?;
         let mut block = String::new();
         match format {
-            Format::Text => {
+            AggregateFormat::Text => {
                 block.push_str(&format!(
                     "==================== {which} ====================\n"
                 ));
                 block.push_str(&payload);
                 block.push('\n');
             }
-            Format::Json => block.push_str(&payload),
-            Format::Csv => {
+            AggregateFormat::Json => block.push_str(&payload),
+            AggregateFormat::Csv => {
                 if many {
                     block.push_str(&format!("# {which}\n"));
                 }
@@ -489,16 +380,13 @@ fn run_figures(
 #[derive(Debug, PartialEq)]
 struct Cli {
     which: String,
-    /// `--scale`, when given; each subcommand otherwise picks its default
-    /// (0.4 for the figures, 1.0 for `xsocket`, whose repair trigger needs
-    /// full-length contended phases to fire early enough to matter).
-    scale: Option<f64>,
-    threads: Option<usize>,
     only: Option<Vec<String>>,
-    format: Format,
-    budget: CellBudget,
-    pipeline: PipelineConfig,
-    topology: TopologySpec,
+    format: AggregateFormat,
+    /// Every campaign knob. The scale defaults per subcommand: 0.4 for the
+    /// figures, 1.0 for `xsocket`, whose repair trigger needs full-length
+    /// contended phases to fire early enough to matter. `custom_topology`
+    /// and `cache` are filled by [`Cli::open`] from the two paths below.
+    config: CampaignConfig,
     /// `--topology-file FILE`: a bespoke `Topology::asymmetric` layout,
     /// loaded and validated before anything is simulated. Campaign-only,
     /// and mutually exclusive with a non-flat `--topology` preset.
@@ -509,16 +397,6 @@ struct Cli {
     cache_stats: Option<String>,
 }
 
-/// Why the command line was rejected.
-#[derive(Debug, PartialEq)]
-enum CliError {
-    /// Malformed flags (or an explicit `--help`): print usage, exit 2.
-    Usage,
-    /// A well-formed but invalid request (e.g. an unknown `--only` name):
-    /// print the message, then usage, exit 2.
-    Invalid(String),
-}
-
 impl Cli {
     /// Parse and validate `args` (the command line without the program name).
     ///
@@ -527,122 +405,49 @@ impl Cli {
     /// typo is an immediate error rather than a silently smaller grid. (The
     /// registry's odd duck is the alternative-input `histogram'`, whose
     /// apostrophe is part of the name.) `--topology` names are validated the
-    /// same way against the preset set.
+    /// same way against the preset set, and every numeric knob by its
+    /// [`CampaignConfig`] setter.
     fn parse(args: &[String]) -> Result<Cli, CliError> {
         let mut cli = Cli {
             which: "all".to_string(),
-            scale: None,
-            threads: None,
             only: None,
-            format: Format::Text,
-            budget: CellBudget::default(),
-            pipeline: PipelineConfig::default(),
-            topology: TopologySpec::Flat,
+            format: AggregateFormat::Text,
+            config: CampaignConfig::evaluation(),
             topology_file: None,
             cache: None,
             cache_stats: None,
         };
         let mut subcommand_seen = false;
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut scale_given = false;
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let config = &mut cli.config;
+            match arg.as_str() {
                 "--scale" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.scale = Some(v);
-                    i += 2;
+                    knob(arg, config.set_scale(value(&mut args)?))?;
+                    scale_given = true;
                 }
-                "--threads" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.threads = Some(v);
-                    i += 2;
-                }
+                "--threads" => knob(arg, config.set_threads(value(&mut args)?))?,
                 "--only" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.only = Some(v.split(',').map(str::to_string).collect());
-                    i += 2;
+                    let names: String = value(&mut args)?;
+                    cli.only = Some(names.split(',').map(str::to_string).collect());
                 }
-                "--format" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| Format::parse(s)) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.format = v;
-                    i += 2;
-                }
-                "--cell-budget-steps" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.budget = CellBudget::steps(v);
-                    i += 2;
-                }
-                "--pipeline" => {
-                    // Set the flag in place so `--pipeline` composes with
-                    // `--shards`/`--driver-lag` in either order.
-                    cli.pipeline.enabled = true;
-                    i += 1;
-                }
-                "--shards" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
-                        return Err(CliError::Usage);
-                    };
-                    if v == 0 {
-                        return Err(CliError::Invalid("--shards must be at least 1".to_string()));
-                    }
-                    cli.pipeline = cli.pipeline.with_shards(v);
-                    cli.pipeline.enabled = true;
-                    i += 2;
-                }
-                "--driver-lag" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
-                        return Err(CliError::Usage);
-                    };
-                    if v > MAX_DRIVER_LAG {
-                        return Err(CliError::Invalid(format!(
-                            "--driver-lag must be at most {MAX_DRIVER_LAG}"
-                        )));
-                    }
-                    cli.pipeline = cli.pipeline.with_driver_lag(v as usize);
-                    cli.pipeline.enabled = true;
-                    i += 2;
-                }
+                "--format" => cli.format = value(&mut args)?,
+                "--cell-budget-steps" => knob(arg, config.set_budget_steps(value(&mut args)?))?,
+                "--pipeline" => config.request_pipeline(true),
+                "--shards" => knob(arg, config.set_shards(value(&mut args)?))?,
+                "--driver-lag" => knob(arg, config.set_driver_lag(value(&mut args)?))?,
                 "--topology" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.topology = TopologySpec::parse(v).ok_or_else(|| {
+                    let name: String = value(&mut args)?;
+                    config.topology = TopologySpec::parse(&name).ok_or_else(|| {
                         CliError::Invalid(format!(
-                            "unknown topology '{v}' (expected flat, 2s, 4s, 8s or 32s)"
+                            "unknown topology '{name}' (expected flat, 2s, 4s, 8s or 32s)"
                         ))
                     })?;
-                    i += 2;
                 }
-                "--topology-file" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.topology_file = Some(v.clone());
-                    i += 2;
-                }
-                "--cache" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.cache = Some(v.clone());
-                    i += 2;
-                }
-                "--cache-stats" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.cache_stats = Some(v.clone());
-                    i += 2;
-                }
+                "--topology-file" => cli.topology_file = Some(value(&mut args)?),
+                "--cache" => cli.cache = Some(value(&mut args)?),
+                "--cache-stats" => cli.cache_stats = Some(value(&mut args)?),
                 "--help" | "-h" => return Err(CliError::Usage),
                 flag if flag.starts_with('-') => {
                     return Err(CliError::Invalid(format!("unknown flag '{flag}'")));
@@ -653,9 +458,11 @@ impl Cli {
                 name => {
                     cli.which = name.to_string();
                     subcommand_seen = true;
-                    i += 1;
                 }
             }
+        }
+        if cli.which == "xsocket" && !scale_given {
+            cli.config.opts.scale = 1.0;
         }
 
         if cli.cache_stats.is_some() && cli.cache.is_none() {
@@ -669,7 +476,7 @@ impl Cli {
                     "--topology-file only applies to the campaign subcommand".to_string(),
                 ));
             }
-            if cli.topology != TopologySpec::Flat {
+            if cli.config.topology != TopologySpec::Flat {
                 return Err(CliError::Invalid(
                     "--topology-file replaces the topology axis; drop --topology".to_string(),
                 ));
@@ -694,19 +501,33 @@ impl Cli {
         }
         Ok(cli)
     }
+
+    /// Open the `--cache` directory and load the `--topology-file` layout
+    /// into the config. Both are usage-class failures (exit 2), caught before
+    /// anything is simulated.
+    fn open(&mut self) -> Result<(), String> {
+        if let Some(dir) = &self.cache {
+            let cache = CellCache::open(dir).map_err(|e| e.to_string())?;
+            self.config.cache = Some(Arc::new(cache));
+        }
+        if let Some(path) = &self.topology_file {
+            self.config.custom_topology = Some(Arc::new(CustomTopology::load(path)?));
+        }
+        Ok(())
+    }
 }
 
 /// After a cached run: report statistics to stderr (never stdout — the
 /// aggregated output must stay byte-identical, cold or warm), optionally
 /// write them as JSON to the `--cache-stats` file, and surface any cache
 /// write failure as a clean error.
-fn finish_cache(cache: &Option<Arc<CellCache>>, stats_file: &Option<String>) -> Result<(), String> {
-    let Some(cache) = cache else {
+fn finish_cache(cli: &Cli) -> Result<(), String> {
+    let Some(cache) = &cli.config.cache else {
         return Ok(());
     };
     let stats = cache.stats();
     eprintln!("{}", stats.render());
-    if let Some(path) = stats_file {
+    if let Some(path) = &cli.cache_stats {
         std::fs::write(path, format!("{}\n", stats.to_json().render()))
             .map_err(|e| format!("failed to write cache stats to {path}: {e}"))?;
     }
@@ -718,89 +539,26 @@ fn finish_cache(cache: &Option<Arc<CellCache>>, stats_file: &Option<String>) -> 
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    let cli = match Cli::parse(&args) {
+    let mut cli = match Cli::parse(&args) {
         Ok(cli) => cli,
-        Err(CliError::Usage) => return usage(),
-        Err(CliError::Invalid(msg)) => {
-            eprintln!("{msg}");
-            return usage();
-        }
+        Err(e) => return e.report(USAGE),
     };
-    let cache = match &cli.cache {
-        Some(dir) => match CellCache::open(dir) {
-            Ok(cache) => Some(Arc::new(cache)),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-    let scale = ExperimentScale {
-        workload_scale: cli.scale.unwrap_or(if cli.which == "xsocket" {
-            1.0
-        } else {
-            ExperimentScale::default().workload_scale
-        }),
-        ..ExperimentScale::default()
-    };
-
-    // Load and validate a bespoke layout up front: a malformed file is a
-    // usage-class error (exit 2), caught before anything is simulated.
-    let custom = match &cli.topology_file {
-        Some(path) => match CustomTopology::load(path) {
-            Ok(custom) => Some(Arc::new(custom)),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-
-    if cli.which == "campaign" {
-        return match run_campaign(
-            &scale,
-            cli.threads,
-            &cli.only,
-            cli.budget,
-            cli.pipeline,
-            cli.topology,
-            custom,
-            cli.format,
-            &cache,
-        )
-        .and_then(|()| finish_cache(&cache, &cli.cache_stats))
-        {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::from(2)
-            }
-        };
+    if let Err(msg) = cli.open() {
+        eprintln!("{msg}");
+        return ExitCode::from(2);
     }
-
-    let selected: Vec<&str> = if cli.which == "all" {
-        FIGURES.to_vec()
+    // A failed campaign is a usage-class exit; a failed figure is a runtime
+    // one.
+    let (run, failure) = if cli.which == "campaign" {
+        (run_campaign(&cli), 2)
     } else {
-        vec![cli.which.as_str()]
+        (run_figures(&cli), 1)
     };
-    match run_figures(
-        &selected,
-        &scale,
-        cli.threads,
-        cli.budget,
-        cli.pipeline,
-        cli.topology,
-        cli.format,
-        &cache,
-    )
-    .and_then(|()| finish_cache(&cache, &cli.cache_stats))
-    {
+    match run.and_then(|()| finish_cache(&cli)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
-            ExitCode::FAILURE
+            ExitCode::from(failure)
         }
     }
 }
@@ -808,6 +566,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use laser_bench::{fingerprint, CellBudget, PipelineConfig, Scenario, MAX_DRIVER_LAG};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -817,11 +576,12 @@ mod tests {
     fn defaults_parse_to_all_figures_inline() {
         let cli = Cli::parse(&[]).unwrap();
         assert_eq!(cli.which, "all");
-        assert_eq!(cli.format, Format::Text);
-        assert!(!cli.pipeline.enabled);
-        assert!(cli.budget.is_unlimited());
+        assert_eq!(cli.format, AggregateFormat::Text);
+        assert_eq!(cli.config, CampaignConfig::evaluation());
+        assert!(!cli.config.pipeline.enabled);
+        assert!(cli.config.budget.is_unlimited());
         assert_eq!(cli.only, None);
-        assert_eq!(cli.topology, TopologySpec::Flat);
+        assert_eq!(cli.config.topology, TopologySpec::Flat);
         // At most one subcommand: a second positional is named and rejected,
         // never silently run in place of the first...
         assert_eq!(
@@ -846,7 +606,7 @@ mod tests {
             ("32s", TopologySpec::ThirtyTwoSocket),
         ] {
             let cli = Cli::parse(&args(&["campaign", "--topology", name])).unwrap();
-            assert_eq!(cli.topology, spec);
+            assert_eq!(cli.config.topology, spec);
         }
         // ...an unknown name is rejected before anything simulates, with the
         // valid set in the message...
@@ -869,35 +629,42 @@ mod tests {
     fn xsocket_is_a_valid_subcommand_but_not_part_of_all() {
         let cli = Cli::parse(&args(&["xsocket", "--topology", "2s"])).unwrap();
         assert_eq!(cli.which, "xsocket");
-        assert_eq!(cli.scale, None, "scale default resolves per subcommand");
+        assert_eq!(cli.config.opts.scale, 1.0, "xsocket defaults to full scale");
+        assert_eq!(Cli::parse(&[]).unwrap().config.opts.scale, 0.4);
         assert!(!FIGURES.contains(&"xsocket"), "xsocket must not join `all`");
         assert!(EXTRAS.contains(&"xsocket"));
         let cli = Cli::parse(&args(&["xsocket", "--scale", "0.5"])).unwrap();
-        assert_eq!(cli.scale, Some(0.5));
+        assert_eq!(cli.config.opts.scale, 0.5);
     }
 
     #[test]
     fn pipeline_flag_enables_the_double_buffered_deployment() {
         let cli = Cli::parse(&args(&["campaign", "--pipeline", "--threads", "2"])).unwrap();
-        assert!(cli.pipeline.enabled);
-        assert_eq!(cli.pipeline, PipelineConfig::pipelined());
-        assert_eq!(cli.threads, Some(2));
+        assert!(cli.config.pipeline.enabled);
+        assert_eq!(cli.config.pipeline, PipelineConfig::pipelined());
+        assert_eq!(cli.config.threads, Some(2));
     }
 
     #[test]
     fn shards_flag_implies_the_pipelined_deployment() {
         // `--shards` alone pipelines with the requested worker count...
         let cli = Cli::parse(&args(&["campaign", "--shards", "4"])).unwrap();
-        assert_eq!(cli.pipeline, PipelineConfig::pipelined().with_shards(4));
+        assert_eq!(
+            cli.config.pipeline,
+            PipelineConfig::pipelined().with_shards(4)
+        );
         // ...even for 1, so CI can diff two pipelined runs that differ only
         // in shard count.
         let cli = Cli::parse(&args(&["campaign", "--shards", "1"])).unwrap();
-        assert_eq!(cli.pipeline, PipelineConfig::pipelined());
+        assert_eq!(cli.config.pipeline, PipelineConfig::pipelined());
         // Flag order must not matter.
         let ab = Cli::parse(&args(&["campaign", "--pipeline", "--shards", "8"])).unwrap();
         let ba = Cli::parse(&args(&["campaign", "--shards", "8", "--pipeline"])).unwrap();
-        assert_eq!(ab.pipeline, ba.pipeline);
-        assert_eq!(ab.pipeline, PipelineConfig::pipelined().with_shards(8));
+        assert_eq!(ab.config.pipeline, ba.config.pipeline);
+        assert_eq!(
+            ab.config.pipeline,
+            PipelineConfig::pipelined().with_shards(8)
+        );
         // Zero shards and malformed counts are rejected up front.
         assert_eq!(
             Cli::parse(&args(&["campaign", "--shards", "0"])).unwrap_err(),
@@ -917,17 +684,23 @@ mod tests {
     fn driver_lag_flag_implies_the_pipelined_deployment() {
         // A lag of 0 is the inline-identical pipeline default...
         let cli = Cli::parse(&args(&["campaign", "--driver-lag", "0"])).unwrap();
-        assert_eq!(cli.pipeline, PipelineConfig::pipelined());
+        assert_eq!(cli.config.pipeline, PipelineConfig::pipelined());
         // ...and lag >= 1 defers the charge-back by that many boundaries.
         let cli = Cli::parse(&args(&["campaign", "--driver-lag", "2"])).unwrap();
-        assert_eq!(cli.pipeline, PipelineConfig::pipelined().with_driver_lag(2));
-        assert!(cli.pipeline.enabled, "--driver-lag implies --pipeline");
+        assert_eq!(
+            cli.config.pipeline,
+            PipelineConfig::pipelined().with_driver_lag(2)
+        );
+        assert!(
+            cli.config.pipeline.enabled,
+            "--driver-lag implies --pipeline"
+        );
         // Flag order must not matter, and it composes with --shards.
         let ab = Cli::parse(&args(&["campaign", "--driver-lag", "1", "--shards", "4"])).unwrap();
         let ba = Cli::parse(&args(&["campaign", "--shards", "4", "--driver-lag", "1"])).unwrap();
-        assert_eq!(ab.pipeline, ba.pipeline);
+        assert_eq!(ab.config.pipeline, ba.config.pipeline);
         assert_eq!(
-            ab.pipeline,
+            ab.config.pipeline,
             PipelineConfig::pipelined()
                 .with_shards(4)
                 .with_driver_lag(1)
@@ -936,7 +709,9 @@ mod tests {
         let over = (MAX_DRIVER_LAG + 1).to_string();
         assert_eq!(
             Cli::parse(&args(&["campaign", "--driver-lag", &over])).unwrap_err(),
-            CliError::Invalid(format!("--driver-lag must be at most {MAX_DRIVER_LAG}"))
+            CliError::Invalid(format!(
+                "--driver-lag must be at most {MAX_DRIVER_LAG}, got {over}"
+            ))
         );
         assert_eq!(
             Cli::parse(&args(&["--driver-lag"])).unwrap_err(),
@@ -953,7 +728,7 @@ mod tests {
         // The flag is stored for main() to load after parsing...
         let cli = Cli::parse(&args(&["campaign", "--topology-file", "layout.json"])).unwrap();
         assert_eq!(cli.topology_file, Some("layout.json".to_string()));
-        assert_eq!(cli.topology, TopologySpec::Flat);
+        assert_eq!(cli.config.topology, TopologySpec::Flat);
         // ...an explicit flat preset is redundant but harmless...
         Cli::parse(&args(&[
             "campaign",
@@ -1061,5 +836,131 @@ mod tests {
             CliError::Usage
         );
         assert_eq!(Cli::parse(&args(&["--help"])).unwrap_err(), CliError::Usage);
+    }
+
+    #[test]
+    fn out_of_range_knobs_are_rejected_with_the_setter_message() {
+        for (flag, bad, why) in [
+            ("--scale", "0", "must be a positive number, got 0"),
+            ("--scale", "-1", "must be a positive number, got -1"),
+            ("--scale", "nan", "must be a positive number, got NaN"),
+            ("--scale", "inf", "must be a positive number, got inf"),
+            ("--threads", "0", "must be at least 1"),
+            ("--cell-budget-steps", "0", "must be at least 1"),
+        ] {
+            assert_eq!(
+                Cli::parse(&args(&["campaign", flag, bad])).unwrap_err(),
+                CliError::Invalid(format!("{flag} {why}")),
+                "{flag} {bad}"
+            );
+        }
+        // In range, the same flags land in the config.
+        let cli = Cli::parse(&args(&["--cell-budget-steps", "9", "--threads", "1"])).unwrap();
+        assert_eq!(cli.config.budget, CellBudget::steps(9));
+        assert_eq!(cli.config.threads, Some(1));
+    }
+
+    /// A scenario document carrying `keys` next to one placeholder cell.
+    fn scenario(keys: &str) -> Result<Scenario, laser_bench::ScenarioError> {
+        Scenario::parse(&format!(
+            r#"{{"name": "parity", {keys}
+                "cells": [{{"workload": "histogram'", "tool": "laser"}}]}}"#
+        ))
+    }
+
+    #[test]
+    fn flags_and_scenario_keys_fill_the_same_config() {
+        // Every knob, as (flag spelling, key spelling) of the same value.
+        let knobs: &[(&[&str], &str)] = &[
+            (&[], ""),
+            (&["--scale", "0.25"], r#""scale": 0.25,"#),
+            (&["--scale", "2"], r#""scale": 2,"#),
+            (&["--threads", "3"], r#""threads": 3,"#),
+            (&["--cell-budget-steps", "5000"], r#""budget_steps": 5000,"#),
+            (&["--pipeline"], r#""pipeline": true,"#),
+            (&["--shards", "4"], r#""shards": 4,"#),
+            (&["--shards", "1"], r#""shards": 1,"#),
+            (&["--driver-lag", "0"], r#""driver_lag_quanta": 0,"#),
+            (&["--driver-lag", "1024"], r#""driver_lag_quanta": 1024,"#),
+            (
+                &[
+                    "--driver-lag",
+                    "2",
+                    "--shards",
+                    "8",
+                    "--pipeline",
+                    "--scale",
+                    "0.1",
+                ],
+                r#""pipeline": true, "scale": 0.1, "shards": 8, "driver_lag_quanta": 2,"#,
+            ),
+        ];
+        for (flags, keys) in knobs {
+            let cli = Cli::parse(&args(flags)).unwrap();
+            let scenario = scenario(keys).unwrap();
+            assert_eq!(cli.config, scenario.config, "{flags:?} vs {keys}");
+            let cell = |config: &CampaignConfig| {
+                fingerprint(&config.cell("histogram'", "laser", TopologySpec::DualSocket))
+            };
+            assert_eq!(cell(&cli.config), cell(&scenario.config), "{flags:?}");
+        }
+
+        // The bespoke layout is a file behind the flag and an inline object
+        // under the key: the same JSON loads to the same config either way.
+        let layout = r#"{"name": "fat-thin", "core_blocks": [6, 2],
+            "remote": {"remote_hitm": 220, "remote_llc": 100, "remote_dram": 310}}"#;
+        let path = env::temp_dir().join(format!("laser-parity-{}.json", std::process::id()));
+        std::fs::write(&path, layout).unwrap();
+        let mut cli = Cli::parse(&args(&[
+            "campaign",
+            "--topology-file",
+            path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        cli.open().unwrap();
+        let _ = std::fs::remove_file(&path);
+        let keyed = scenario(&format!(r#""custom_topology": {layout},"#)).unwrap();
+        assert!(cli.config.custom_topology.is_some());
+        assert_eq!(cli.config, keyed.config);
+        let cell = |config: &CampaignConfig| {
+            fingerprint(&config.cell("histogram'", "laser", TopologySpec::Flat))
+        };
+        assert_eq!(cell(&cli.config), cell(&keyed.config));
+
+        // Every out-of-range value is rejected by both, for the same reason.
+        let over = (MAX_DRIVER_LAG + 1).to_string();
+        let rejected: &[(&str, &str, &str, &str)] = &[
+            ("--scale", "0", "scale", "must be a positive number, got 0"),
+            (
+                "--scale",
+                "-0.5",
+                "scale",
+                "must be a positive number, got -0.5",
+            ),
+            ("--threads", "0", "threads", "must be at least 1"),
+            (
+                "--cell-budget-steps",
+                "0",
+                "budget_steps",
+                "must be at least 1",
+            ),
+            ("--shards", "0", "shards", "must be at least 1"),
+            (
+                "--driver-lag",
+                &over,
+                "driver_lag_quanta",
+                "must be at most 1024, got 1025",
+            ),
+        ];
+        for (flag, bad, key, why) in rejected {
+            assert_eq!(
+                Cli::parse(&args(&[flag, bad])).unwrap_err(),
+                CliError::Invalid(format!("{flag} {why}"))
+            );
+            assert_eq!(
+                scenario(&format!(r#""{key}": {bad},"#)).unwrap_err().0,
+                format!("\"{key}\" {why}")
+            );
+        }
     }
 }

@@ -39,6 +39,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+use laser_bench::args::{value, CliError};
 use laser_bench::{run_scenario, CellCache, Scenario, ServiceOptions};
 
 const USAGE: &str = "usage: laser-serve [scenario.json ...] [--stdin] [--watch DIR] [--once] \
@@ -58,11 +59,6 @@ const USAGE: &str = "usage: laser-serve [scenario.json ...] [--stdin] [--watch D
                      --cache-stats FILE write cache statistics as JSON to FILE after\n\
                      \x20                 every scenario (requires --cache)";
 
-fn usage() -> ExitCode {
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
-
 /// The parsed command line.
 #[derive(Debug, PartialEq)]
 struct Cli {
@@ -74,16 +70,6 @@ struct Cli {
     threads: Option<usize>,
     cache: Option<String>,
     cache_stats: Option<String>,
-}
-
-/// Why the command line was rejected.
-#[derive(Debug, PartialEq)]
-enum CliError {
-    /// Malformed flags (or an explicit `--help`): print usage, exit 2.
-    Usage,
-    /// A well-formed but invalid request: print the message, then usage,
-    /// exit 2.
-    Invalid(String),
 }
 
 impl Cli {
@@ -101,60 +87,21 @@ impl Cli {
             cache: None,
             cache_stats: None,
         };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--stdin" => {
-                    cli.stdin = true;
-                    i += 1;
-                }
-                "--watch" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.watch = Some(v.clone());
-                    i += 2;
-                }
-                "--once" => {
-                    cli.once = true;
-                    i += 1;
-                }
-                "--poll-ms" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.poll_ms = v;
-                    i += 2;
-                }
-                "--threads" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.threads = Some(v);
-                    i += 2;
-                }
-                "--cache" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.cache = Some(v.clone());
-                    i += 2;
-                }
-                "--cache-stats" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.cache_stats = Some(v.clone());
-                    i += 2;
-                }
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--stdin" => cli.stdin = true,
+                "--watch" => cli.watch = Some(value(&mut args)?),
+                "--once" => cli.once = true,
+                "--poll-ms" => cli.poll_ms = value(&mut args)?,
+                "--threads" => cli.threads = Some(value(&mut args)?),
+                "--cache" => cli.cache = Some(value(&mut args)?),
+                "--cache-stats" => cli.cache_stats = Some(value(&mut args)?),
                 "--help" | "-h" => return Err(CliError::Usage),
                 flag if flag.starts_with('-') => {
                     return Err(CliError::Invalid(format!("unknown flag '{flag}'")));
                 }
-                file => {
-                    cli.files.push(file.to_string());
-                    i += 1;
-                }
+                file => cli.files.push(file.to_string()),
             }
         }
         if cli.files.is_empty() && !cli.stdin && cli.watch.is_none() {
@@ -238,22 +185,15 @@ fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let cli = match Cli::parse(&args) {
         Ok(cli) => cli,
-        Err(CliError::Usage) => return usage(),
-        Err(CliError::Invalid(msg)) => {
-            eprintln!("{msg}");
-            return usage();
-        }
+        Err(e) => return e.report(USAGE),
     };
 
-    let cache = match &cli.cache {
-        Some(dir) => match CellCache::open(dir) {
-            Ok(cache) => Some(Arc::new(cache)),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
+    let cache = match cli.cache.as_ref().map(CellCache::open).transpose() {
+        Ok(cache) => cache.map(Arc::new),
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     };
     let options = ServiceOptions {
         threads: cli.threads,

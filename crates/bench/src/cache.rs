@@ -41,13 +41,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use laser_baselines::SheriffFailure;
-use laser_core::{CellBudget, ContentionKind, PipelineConfig, StopReason, TopologySpec};
-use laser_workloads::BuildOptions;
+use laser_core::{ContentionKind, StopReason};
 use serde::json::Value;
 
-use crate::topofile::CustomTopology;
-
 use crate::campaign::CellResult;
+pub use crate::config::CellConfig;
 use crate::tool::{ReportedLine, ToolFailure, ToolRun};
 
 /// Version salt baked into every cache file.
@@ -58,100 +56,6 @@ use crate::tool::{ReportedLine, ToolFailure, ToolRun};
 /// cell carries the salt it was written under; a mismatch on load counts as
 /// `invalidated` and the cell is re-simulated and re-stored.
 pub const CACHE_SALT: u32 = 1;
-
-/// The full configuration of one campaign cell, as fingerprinted by the
-/// cache. Everything that can change a cell's result must appear here.
-#[derive(Debug, Clone, Copy)]
-pub struct CellConfig<'a> {
-    /// Workload name (unique in the registry).
-    pub workload: &'a str,
-    /// Bare tool key (`ToolSpec::key()` / `Tool::name()`), without any
-    /// topology suffix.
-    pub tool: &'a str,
-    /// Topology preset the cell deploys on (ignored when `custom_topology`
-    /// overrides it).
-    pub topology: TopologySpec,
-    /// Bespoke topology the cell deploys on instead of a preset, if any
-    /// (`--topology-file` / a scenario's `"custom_topology"`). Its full
-    /// canonical rendering replaces the preset key in the fingerprint, so
-    /// cells from different layouts never alias — two custom layouts
-    /// collide only if every field (name, core blocks, latency table)
-    /// agrees.
-    pub custom_topology: Option<&'a CustomTopology>,
-    /// Build options before topology adaptation (the tool applies
-    /// `BuildOptions::for_topology` itself, deterministically).
-    pub opts: &'a BuildOptions,
-    /// Per-cell budget.
-    pub budget: CellBudget,
-    /// Pipeline deployment of the cell's session.
-    pub pipeline: PipelineConfig,
-}
-
-impl CellConfig<'_> {
-    /// The canonical rendering the fingerprint hashes: one `key=value` line
-    /// per config field, in a fixed order. Floats render with `{:?}` so the
-    /// exact bit pattern round-trips; every other field has one stable
-    /// spelling. This string is also stored in the cache file and compared
-    /// on load, so a fingerprint collision can never alias two configs.
-    pub fn canonical(&self) -> String {
-        let steps = match self.budget.max_steps {
-            Some(n) => n.to_string(),
-            None => "none".to_string(),
-        };
-        let wall_ms = match self.budget.max_wall {
-            Some(d) => d.as_millis().to_string(),
-            None => "none".to_string(),
-        };
-        // A custom layout's full canonical rendering takes the preset key's
-        // slot; names cannot shadow preset keys (topofile validation), so
-        // the two families never alias and preset-only fingerprints are
-        // byte-identical to the pre-topology-file scheme.
-        let topology = match self.custom_topology {
-            Some(custom) => custom.canonical(),
-            None => self.topology.key().to_string(),
-        };
-        // `pipeline_capacity`, `pipeline_lossy` and `pipeline_routing` are
-        // literals: the deployment has one channel depth, lossless delivery
-        // and line-hash routing, and the lines keep every fingerprint — and
-        // every cache entry already on disk — valid.
-        format!(
-            "workload={}\ntool={}\ntopology={}\nthreads={}\nscale={:?}\nfixed={}\n\
-             layout_perturbation={}\nplacement={}\nbudget_steps={}\nbudget_wall_ms={}\n\
-             pipeline={}\npipeline_capacity=2\npipeline_lossy=false\npipeline_shards={}\n\
-             pipeline_routing=line\npipeline_driver_lag={}\n",
-            self.workload,
-            self.tool,
-            topology,
-            self.opts.threads,
-            self.opts.scale,
-            self.opts.fixed,
-            self.opts.layout_perturbation,
-            self.opts.placement,
-            steps,
-            wall_ms,
-            self.pipeline.enabled,
-            self.pipeline.shards,
-            self.pipeline.driver_lag_quanta,
-        )
-    }
-
-    /// Whether results under this config are deterministic enough to cache
-    /// at all: wall-clock budgets depend on real time and machine load, so
-    /// they are never cached.
-    pub fn cacheable(&self) -> bool {
-        self.budget.max_wall.is_none()
-    }
-
-    /// The cell key a fresh simulation of this config would be labelled
-    /// with: the preset decoration ([`crate::tool::cell_key`]) or the custom
-    /// layout's `tool@name`.
-    pub fn cell_key(&self) -> String {
-        match self.custom_topology {
-            Some(custom) => format!("{}@{}", self.tool, custom.name()),
-            None => crate::tool::cell_key(self.tool, self.topology),
-        }
-    }
-}
 
 /// Compute the cache fingerprint of a cell config: 32 lowercase hex digits
 /// from two independent FNV-1a passes over [`CellConfig::canonical`].
@@ -266,6 +170,14 @@ pub struct CellCache {
     invalidated: AtomicU64,
     stored: AtomicU64,
     write_error: Mutex<Option<String>>,
+}
+
+/// Two handles are equal when they address the same store under the same
+/// salt; the per-process statistics are not part of a cache's identity.
+impl PartialEq for CellCache {
+    fn eq(&self, other: &Self) -> bool {
+        self.dir == other.dir && self.salt == other.salt
+    }
 }
 
 impl CellCache {
@@ -617,7 +529,10 @@ fn as_bool(value: &Value) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topofile::CustomTopology;
+    use laser_core::{CellBudget, PipelineConfig, TopologySpec};
     use laser_machine::ThreadPlacement;
+    use laser_workloads::BuildOptions;
     use std::sync::atomic::AtomicU32;
     use std::time::Duration;
 

@@ -14,27 +14,34 @@
 //! caught per cell and recorded as [`ToolFailure::Panicked`], so one bad
 //! `(workload, tool)` combination costs one grid entry, not the whole run.
 //! A campaign can also bound every cell with a [`CellBudget`]
-//! ([`Campaign::with_cell_budget`]): a [`BudgetObserver`] is threaded through
-//! [`Tool::run_observed`] into each run, and a cell that trips its budget is
-//! recorded as [`ToolFailure::BudgetExceeded`] — again one grid entry, not
-//! the whole run. Step budgets are deterministic, so budgeted campaigns keep
-//! the byte-identical-across-thread-counts guarantee.
+//! ([`Campaign::with_cell_budget`]): the budget rides each cell's
+//! [`CellConfig`] into [`Tool::run`], and a cell that trips it is recorded
+//! as [`ToolFailure::BudgetExceeded`] — again one grid entry, not the whole
+//! run. Step budgets are deterministic, so budgeted campaigns keep the
+//! byte-identical-across-thread-counts guarantee.
+//!
+//! Everything a campaign applies to every cell lives in one
+//! [`CampaignConfig`]; [`Campaign::run_with_progress`] lowers it to one
+//! [`CellConfig`] per cell and hands that same value to the cache lookup,
+//! the tool and the cache store.
 //!
 //! Callers that want incremental feedback pass a progress sink to
 //! [`Campaign::run_with_progress`]; cells are announced as they start and
 //! complete ([`CampaignProgress`]), while the aggregated result stays
 //! deterministic.
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use laser_core::{BudgetObserver, CellBudget, PipelineConfig, TopologySpec};
+use laser_core::{CellBudget, PipelineConfig, TopologySpec};
 use laser_workloads::{registry, BuildOptions, WorkloadSpec};
 
-use crate::cache::{CellCache, CellConfig};
-use crate::tool::{default_tools, Tool, ToolFailure, ToolRun};
-use crate::topofile::{CustomTopology, Deployment};
+use crate::cache::CellCache;
+use crate::config::{CampaignConfig, CellConfig};
+use crate::tool::{default_tools, Tool, ToolFailure, ToolRun, ToolSpec};
+use crate::topofile::CustomTopology;
 
 /// One `workload × tool` cell of a finished campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,18 +145,10 @@ pub struct Campaign {
     tools: Vec<Box<dyn Tool>>,
     /// The cells to run, as `(workload index, tool index, topology)` triples
     /// in grid (aggregation) order. A cross-product campaign is
-    /// workload-major on the flat topology; a sparse campaign (built by the
-    /// grid cache) lists exactly the cells the planned experiments need,
-    /// which may mix topologies.
+    /// workload-major; a campaign lowered from requests lists exactly the
+    /// cells the planned experiments need, which may mix topologies.
     cells: Vec<(usize, usize, TopologySpec)>,
-    opts: BuildOptions,
-    threads: usize,
-    budget: CellBudget,
-    pipeline: PipelineConfig,
-    /// Bespoke topology overriding every cell's preset, if any (see
-    /// [`Campaign::with_custom_topology`]).
-    custom: Option<Arc<CustomTopology>>,
-    cache: Option<Arc<CellCache>>,
+    config: CampaignConfig,
 }
 
 impl Default for Campaign {
@@ -162,55 +161,57 @@ impl Default for Campaign {
 
 impl Campaign {
     /// A campaign over the full `workloads × tools` cross product, on the
-    /// flat (single-socket) topology.
+    /// flat (single-socket) topology, under [`CampaignConfig::default`].
     pub fn new(workloads: Vec<WorkloadSpec>, tools: Vec<Box<dyn Tool>>) -> Self {
-        let pairs = (0..workloads.len())
-            .flat_map(|w| (0..tools.len()).map(move |t| (w, t)))
+        let cells = (0..workloads.len())
+            .flat_map(|w| (0..tools.len()).map(move |t| (w, t, TopologySpec::Flat)))
             .collect();
-        Campaign::from_cells(workloads, tools, pairs)
-    }
-
-    /// A campaign over an explicit cell list on the flat topology. `pairs`
-    /// index into `workloads` and `tools` and define the aggregation order.
-    pub fn from_cells(
-        workloads: Vec<WorkloadSpec>,
-        tools: Vec<Box<dyn Tool>>,
-        pairs: Vec<(usize, usize)>,
-    ) -> Self {
-        let cells = pairs
-            .into_iter()
-            .map(|(w, t)| (w, t, TopologySpec::Flat))
-            .collect();
-        Campaign::from_cells_at(workloads, tools, cells)
-    }
-
-    /// A campaign over an explicit cell list that may mix socket topologies:
-    /// each `(workload, tool, topology)` triple runs the tool with the
-    /// machine deployed on that topology preset (and the build options
-    /// adapted to it). This is how the grid cache runs cross-socket sweeps
-    /// next to flat cells in one parallel campaign.
-    pub fn from_cells_at(
-        workloads: Vec<WorkloadSpec>,
-        tools: Vec<Box<dyn Tool>>,
-        cells: Vec<(usize, usize, TopologySpec)>,
-    ) -> Self {
-        debug_assert!(cells
-            .iter()
-            .all(|&(w, t, _)| w < workloads.len() && t < tools.len()));
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         Campaign {
             workloads,
             tools,
             cells,
-            opts: BuildOptions::default(),
-            threads,
-            budget: CellBudget::default(),
-            pipeline: PipelineConfig::default(),
-            custom: None,
-            cache: None,
+            config: CampaignConfig::default(),
         }
+    }
+
+    /// Lower a request list to a campaign under `config`: each
+    /// `(workload, tool, topology)` request becomes one cell, in request
+    /// order, with every distinct workload and tool instantiated once. This
+    /// is how both the [`Grid`](crate::grid::Grid) and the scenario service
+    /// run sparse cell sets — cross-socket sweeps next to flat cells — as one
+    /// parallel campaign.
+    pub fn from_requests<'a>(
+        requests: impl IntoIterator<Item = (&'a WorkloadSpec, ToolSpec, TopologySpec)>,
+        config: CampaignConfig,
+    ) -> Self {
+        let mut campaign = Campaign {
+            workloads: Vec::new(),
+            tools: Vec::new(),
+            cells: Vec::new(),
+            config,
+        };
+        let mut workload_index: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut tool_index: BTreeMap<ToolSpec, usize> = BTreeMap::new();
+        for (workload, tool, topology) in requests {
+            let w = *workload_index.entry(workload.name).or_insert_with(|| {
+                campaign.workloads.push(workload.clone());
+                campaign.workloads.len() - 1
+            });
+            let t = *tool_index.entry(tool).or_insert_with(|| {
+                campaign.tools.push(tool.build());
+                campaign.tools.len() - 1
+            });
+            campaign.cells.push((w, t, topology));
+        }
+        campaign
+    }
+
+    /// Replace the whole configuration, deploying every cell on
+    /// `config.topology` (see [`Campaign::with_topology`]).
+    pub fn with_config(mut self, config: CampaignConfig) -> Self {
+        let topology = config.topology;
+        self.config = config;
+        self.with_topology(topology)
     }
 
     /// Restrict the campaign to the named workloads, keeping grid order.
@@ -230,6 +231,7 @@ impl Campaign {
     /// on the multi-socket ones, so sweeps over several topologies never
     /// collide.
     pub fn with_topology(mut self, topology: TopologySpec) -> Self {
+        self.config.topology = topology;
         for cell in &mut self.cells {
             cell.2 = topology;
         }
@@ -242,42 +244,38 @@ impl Campaign {
     /// layout, so custom cells never alias preset ones. The override is
     /// campaign-wide: the per-cell preset axis is ignored while it is set.
     pub fn with_custom_topology(mut self, custom: Arc<CustomTopology>) -> Self {
-        self.custom = Some(custom);
+        self.config.custom_topology = Some(custom);
         self
     }
 
     /// Set the build options applied to every cell.
     pub fn with_options(mut self, opts: BuildOptions) -> Self {
-        self.opts = opts;
+        self.config.opts = opts;
         self
     }
 
     /// Set the worker-thread count (clamped to at least 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.config.threads = Some(threads);
         self
     }
 
-    /// Bound every cell with `budget`: a [`BudgetObserver`] is threaded into
-    /// each run and a cell that trips it is recorded as
+    /// Bound every cell with `budget`: a cell that trips it is recorded as
     /// [`ToolFailure::BudgetExceeded`] without disturbing the other cells.
     /// Step budgets keep campaigns deterministic across thread counts;
     /// wall-clock budgets trade that determinism for a hard time bound.
     pub fn with_cell_budget(mut self, budget: CellBudget) -> Self {
-        self.budget = budget;
+        self.config.budget = budget;
         self
     }
 
-    /// Deploy every cell's session with `pipeline` (see
-    /// [`Tool::set_pipeline`]): LASER cells move their detector stage to a
-    /// worker thread so record processing overlaps the simulated quantum.
-    /// Cell results — and therefore the whole aggregated campaign — are
-    /// byte-identical to an un-pipelined run; only the wall-clock changes.
+    /// Deploy every LASER cell's session with `pipeline`: the driver and
+    /// detector stages move to worker threads so record processing overlaps
+    /// the simulated quantum. At lag 0 cell results — and therefore the whole
+    /// aggregated campaign — are byte-identical to an un-pipelined run; only
+    /// the wall-clock changes.
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        for tool in &mut self.tools {
-            tool.set_pipeline(pipeline);
-        }
-        self.pipeline = pipeline;
+        self.config.pipeline = pipeline;
         self
     }
 
@@ -288,28 +286,13 @@ impl Campaign {
     /// identical to an uncached one — only faster. Share one `Arc` across
     /// campaigns to reuse results between runs and processes.
     pub fn with_cache(mut self, cache: Arc<CellCache>) -> Self {
-        self.cache = Some(cache);
+        self.config.cache = Some(cache);
         self
     }
 
     /// Number of cells the campaign will run.
     pub fn cells(&self) -> usize {
         self.cells.len()
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The per-cell budget (unlimited by default).
-    pub fn cell_budget(&self) -> CellBudget {
-        self.budget
-    }
-
-    /// The session pipeline deployment (inline by default).
-    pub fn pipeline(&self) -> PipelineConfig {
-        self.pipeline
     }
 
     /// Run every cell and aggregate in grid order. The aggregation is
@@ -328,7 +311,8 @@ impl Campaign {
     {
         let total = self.cells.len();
         let done = AtomicUsize::new(0);
-        let cells = ordered_parallel(total, self.threads, |i| {
+        let cache = self.config.cache.as_deref();
+        let cells = ordered_parallel(total, self.config.worker_threads(), |i| {
             let (w, t, topo) = self.cells[i];
             let workload = &self.workloads[w];
             let tool = &self.tools[t];
@@ -338,44 +322,25 @@ impl Campaign {
                 workload: workload.name,
                 tool: tool.name(),
             });
-            let deploy = match &self.custom {
-                Some(custom) => Deployment::Custom(Arc::clone(custom)),
-                None => Deployment::Preset(topo),
-            };
-            let config = CellConfig {
-                workload: workload.name,
-                tool: tool.name(),
-                topology: topo,
-                custom_topology: self.custom.as_deref(),
-                opts: &self.opts,
-                budget: self.budget,
-                pipeline: self.pipeline,
-            };
-            let (cell, cached) = match self.cache.as_ref().and_then(|c| c.load(&config)) {
+            let config: CellConfig = self.config.cell(workload.name, tool.name(), topo);
+            let (cell, cached) = match cache.and_then(|c| c.load(&config)) {
                 Some(cell) => (cell, true),
                 None => {
                     // A panicking tool must cost one cell, not the campaign:
                     // the scoped worker would otherwise unwind and poison the
                     // whole grid.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if self.budget.is_unlimited() {
-                            tool.run_deployed(workload, &self.opts, &deploy)
-                        } else {
-                            let observer = Box::new(BudgetObserver::new(self.budget));
-                            tool.run_observed_deployed(workload, &self.opts, &deploy, observer)
-                        }
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(ToolFailure::Panicked {
-                            message: panic_message(payload.as_ref()),
-                        })
-                    });
+                    let outcome = catch_unwind(AssertUnwindSafe(|| tool.run(workload, &config)))
+                        .unwrap_or_else(|payload| {
+                            Err(ToolFailure::Panicked {
+                                message: panic_message(payload.as_ref()),
+                            })
+                        });
                     let cell = CellResult {
                         workload: workload.name.to_string(),
-                        tool: deploy.cell_key(tool.name()),
+                        tool: config.cell_key(),
                         outcome,
                     };
-                    if let Some(cache) = &self.cache {
+                    if let Some(cache) = cache {
                         cache.store(&config, &cell);
                     }
                     (cell, false)
@@ -712,17 +677,11 @@ mod tests {
             "panicky"
         }
 
-        fn run_observed_deployed(
-            &self,
-            spec: &WorkloadSpec,
-            opts: &BuildOptions,
-            deploy: &Deployment,
-            observer: Box<dyn laser_core::Observer>,
-        ) -> Result<ToolRun, ToolFailure> {
+        fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
             if spec.name == "swaptions" {
                 panic!("deliberate test panic on {}", spec.name);
             }
-            NativeTool.run_observed_deployed(spec, opts, deploy, observer)
+            NativeTool.run(spec, cell)
         }
     }
 

@@ -82,21 +82,13 @@ impl Fig3Report {
 }
 
 /// Run the Figure 3 characterization over `cases_per_category` cases per
-/// category (the paper uses 40; pass a smaller number for quick runs), one
-/// worker per available core.
-/// Sampling is disabled, as in the paper: every ground-truth HITM event is
-/// scored after passing through the imprecision model.
-pub fn fig3_characterization(cases_per_category: usize) -> Fig3Report {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    fig3_characterization_on(cases_per_category, threads)
-}
-
-/// Like [`fig3_characterization`] with an explicit worker-thread count. Each
-/// test case is an independent deterministic simulation, so the cases fan out
-/// over the campaign runner's [`ordered_parallel`](crate::campaign::ordered_parallel)
-/// executor and the report is identical for any thread count.
+/// category (the paper uses 40; pass a smaller number for quick runs) on
+/// `threads` workers. Sampling is disabled, as in the paper: every
+/// ground-truth HITM event is scored after passing through the imprecision
+/// model. Each test case is an independent deterministic simulation, so the
+/// cases fan out over the campaign runner's
+/// [`ordered_parallel`](crate::campaign::ordered_parallel) executor and the
+/// report is identical for any thread count.
 pub fn fig3_characterization_on(cases_per_category: usize, threads: usize) -> Fig3Report {
     let mut selected: Vec<CharacterizationCase> = Vec::new();
     for label in ["TSRW", "FSRW", "TSWW", "FSWW"] {
@@ -202,7 +194,7 @@ mod tests {
 
     #[test]
     fn fig3_reproduces_the_rw_vs_ww_accuracy_gap() {
-        let report = fig3_characterization(3);
+        let report = fig3_characterization_on(3, 2);
         assert_eq!(report.cases.len(), 12);
         // RW (load-triggered) records are far more accurate than WW
         // (store-triggered) ones, as in the paper's Figure 3.

@@ -24,8 +24,9 @@ use laser_workloads::WorkloadSpec;
 
 use crate::cache::CellCache;
 use crate::campaign::{Campaign, CampaignProgress, CampaignResult, CellResult};
+use crate::config::CampaignConfig;
 use crate::runner::ExperimentScale;
-use crate::tool::{Tool, ToolFailure, ToolRun, ToolSpec};
+use crate::tool::{ToolFailure, ToolRun, ToolSpec};
 
 /// Why an experiment could not be derived from a grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,12 +70,9 @@ impl std::error::Error for ExperimentError {}
 /// campaign.
 #[derive(Debug, Clone)]
 pub struct Grid {
-    scale: ExperimentScale,
-    threads: usize,
-    budget: CellBudget,
-    pipeline: PipelineConfig,
-    topology: TopologySpec,
-    cache: Option<Arc<CellCache>>,
+    /// The workload subset planners select from (`ExperimentScale::only`).
+    only: Option<&'static [&'static str]>,
+    config: CampaignConfig,
     requests: BTreeSet<(String, ToolSpec, TopologySpec)>,
     specs: BTreeMap<String, WorkloadSpec>,
 }
@@ -83,15 +81,21 @@ impl Grid {
     /// An empty grid at `scale`, defaulting to one worker per available core
     /// and the flat (single-socket) topology.
     pub fn new(scale: ExperimentScale) -> Self {
+        let mut grid = Grid::with_config(CampaignConfig {
+            opts: scale.options(),
+            ..CampaignConfig::default()
+        });
+        grid.only = scale.only;
+        grid
+    }
+
+    /// An empty grid over the full suite under `config`: planners select
+    /// workloads at `config.opts.scale` and [`Grid::request`] plans cells on
+    /// `config.topology`.
+    pub fn with_config(config: CampaignConfig) -> Self {
         Grid {
-            scale,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            budget: CellBudget::default(),
-            pipeline: PipelineConfig::default(),
-            topology: TopologySpec::Flat,
-            cache: None,
+            only: None,
+            config,
             requests: BTreeSet::new(),
             specs: BTreeMap::new(),
         }
@@ -99,7 +103,7 @@ impl Grid {
 
     /// Set the worker-thread count (clamped to at least 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.config.threads = Some(threads);
         self
     }
 
@@ -107,7 +111,7 @@ impl Grid {
     /// A figure whose cells trip the budget derives to an
     /// [`ExperimentError::Cell`] instead of silently using partial data.
     pub fn with_cell_budget(mut self, budget: CellBudget) -> Self {
-        self.budget = budget;
+        self.config.budget = budget;
         self
     }
 
@@ -115,7 +119,7 @@ impl Grid {
     /// [`Campaign::with_pipeline`]). The cached cells — and every figure
     /// derived from them — are byte-identical to an un-pipelined grid.
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.pipeline = pipeline;
+        self.config.pipeline = pipeline;
         self
     }
 
@@ -126,7 +130,7 @@ impl Grid {
     /// `request`, so `experiments --topology 2s` shifts the whole grid with
     /// this one knob.
     pub fn with_topology(mut self, topology: TopologySpec) -> Self {
-        self.topology = topology;
+        self.config.topology = topology;
         self
     }
 
@@ -134,23 +138,16 @@ impl Grid {
     /// back (see [`Campaign::with_cache`]). Figures derived from a cached
     /// grid are byte-identical to a cold one.
     pub fn with_cache(mut self, cache: Arc<CellCache>) -> Self {
-        self.cache = Some(cache);
+        self.config.cache = Some(cache);
         self
     }
 
     /// The scale experiments will be planned and derived at.
     pub fn scale(&self) -> ExperimentScale {
-        self.scale
-    }
-
-    /// The topology [`Grid::request`] plans cells on.
-    pub fn topology(&self) -> TopologySpec {
-        self.topology
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
+        ExperimentScale {
+            workload_scale: self.config.opts.scale,
+            only: self.only,
+        }
     }
 
     /// Request one cell. Requests deduplicate: planning ten figures that all
@@ -159,7 +156,7 @@ impl Grid {
     /// `find`) means an unknown workload name cannot be planned at all — the
     /// typo surfaces where the spec is looked up, not as a late failure here.
     pub fn request(&mut self, workload: &WorkloadSpec, tool: ToolSpec) {
-        self.request_at(workload, tool, self.topology);
+        self.request_at(workload, tool, self.config.topology);
     }
 
     /// Request one cell on an explicit topology, regardless of the grid's
@@ -189,32 +186,13 @@ impl Grid {
     where
         F: Fn(CampaignProgress) + Sync,
     {
-        let mut workloads: Vec<WorkloadSpec> = Vec::new();
-        let mut workload_index: BTreeMap<String, usize> = BTreeMap::new();
-        let mut tools: Vec<Box<dyn Tool>> = Vec::new();
-        let mut tool_index: BTreeMap<ToolSpec, usize> = BTreeMap::new();
-        let mut cells = Vec::with_capacity(self.requests.len());
-        for (name, spec, topo) in &self.requests {
-            let w = *workload_index.entry(name.clone()).or_insert_with(|| {
-                workloads.push(self.specs[name].clone());
-                workloads.len() - 1
-            });
-            let t = *tool_index.entry(*spec).or_insert_with(|| {
-                tools.push(spec.build());
-                tools.len() - 1
-            });
-            cells.push((w, t, *topo));
-        }
-
-        let mut campaign = Campaign::from_cells_at(workloads, tools, cells)
-            .with_options(self.scale.options())
-            .with_threads(self.threads)
-            .with_cell_budget(self.budget)
-            .with_pipeline(self.pipeline);
-        if let Some(cache) = self.cache {
-            campaign = campaign.with_cache(cache);
-        }
-        let result = campaign.run_with_progress(progress);
+        let scale = self.scale();
+        let topology = self.config.topology;
+        let requests = self
+            .requests
+            .iter()
+            .map(|(name, tool, topo)| (&self.specs[name], *tool, *topo));
+        let result = Campaign::from_requests(requests, self.config).run_with_progress(progress);
         let index = result
             .cells
             .iter()
@@ -222,8 +200,8 @@ impl Grid {
             .map(|(i, c)| ((c.workload.clone(), c.tool.clone()), i))
             .collect();
         GridResult {
-            scale: self.scale,
-            topology: self.topology,
+            scale,
+            topology,
             result,
             index,
         }
@@ -366,6 +344,19 @@ impl GridResult {
             .cycles;
         Ok(cycles as f64 / native.max(1) as f64)
     }
+}
+
+/// Plan one figure on a grid of its own at `scale`, run it, and derive the
+/// figure's view: how the unit tests reach a single planner/view pair.
+#[cfg(test)]
+pub(crate) fn single_figure<R>(
+    scale: ExperimentScale,
+    plan: impl FnOnce(&mut Grid),
+    view: impl FnOnce(&GridResult) -> Result<R, ExperimentError>,
+) -> Result<R, ExperimentError> {
+    let mut grid = Grid::new(scale);
+    plan(&mut grid);
+    view(&grid.run())
 }
 
 #[cfg(test)]

@@ -3,17 +3,14 @@
 //! Each figure is split into a *planner* (`plan_fig10`, …) that registers the
 //! `(workload, tool)` cells it needs on a [`Grid`], and a *view*
 //! (`fig10_from_grid`, …) that derives the figure's rows from the cached
-//! [`GridResult`] without simulating anything. The `fig10_overhead`-style
-//! entry points plan and run a single-figure grid for callers (tests,
-//! Criterion benches) that want one figure in isolation; the `experiments`
-//! binary plans every selected figure into **one** grid so shared cells run
-//! once.
+//! [`GridResult`] without simulating anything. The `experiments` binary plans
+//! every selected figure into **one** grid so shared cells run once.
 
 use laser_baselines::SheriffFailure;
 use laser_workloads::SheriffCompat;
 
 use crate::grid::{ExperimentError, Grid, GridResult};
-use crate::runner::{geomean, ExperimentScale};
+use crate::runner::geomean;
 use crate::tool::ToolSpec;
 
 /// One bar pair of Figure 10.
@@ -88,16 +85,6 @@ pub fn fig10_from_grid(grid: &GridResult) -> Result<Fig10Report, ExperimentError
         });
     }
     Ok(Fig10Report { rows })
-}
-
-/// Run the Figure 10 overhead comparison on a single-figure grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn fig10_overhead(scale: &ExperimentScale) -> Result<Fig10Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_fig10(&mut grid);
-    fig10_from_grid(&grid.run())
 }
 
 /// One bar of Figure 11.
@@ -198,16 +185,6 @@ pub fn fig11_from_grid(grid: &GridResult) -> Result<Fig11Report, ExperimentError
     Ok(Fig11Report { rows })
 }
 
-/// Run the Figure 11 speedup experiment on a single-figure grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn fig11_speedups(scale: &ExperimentScale) -> Result<Fig11Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_fig11(&mut grid);
-    fig11_from_grid(&grid.run())
-}
-
 /// One bar of Figure 12.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig12Row {
@@ -288,19 +265,6 @@ pub fn fig12_from_grid(
     Ok(Fig12Report { rows })
 }
 
-/// Run the Figure 12 overhead-breakdown experiment on a single-figure grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn fig12_breakdown(
-    scale: &ExperimentScale,
-    min_overhead: f64,
-) -> Result<Fig12Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_fig12(&mut grid);
-    fig12_from_grid(&grid.run(), min_overhead)
-}
-
 /// One point of Figure 13.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig13Point {
@@ -364,19 +328,6 @@ pub fn fig13_from_grid(grid: &GridResult, savs: &[u32]) -> Result<Fig13Report, E
         });
     }
     Ok(Fig13Report { points })
-}
-
-/// Run the Figure 13 SAV sweep on dedup on a single-figure grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn fig13_sav_sweep(
-    scale: &ExperimentScale,
-    savs: &[u32],
-) -> Result<Fig13Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_fig13(&mut grid, savs);
-    fig13_from_grid(&grid.run(), savs)
 }
 
 /// One group of bars of Figure 14.
@@ -485,19 +436,11 @@ pub fn fig14_from_grid(grid: &GridResult) -> Result<Fig14Report, ExperimentError
     Ok(Fig14Report { rows })
 }
 
-/// Run the Figure 14 comparison on a single-figure grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn fig14_sheriff(scale: &ExperimentScale) -> Result<Fig14Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_fig14(&mut grid);
-    fig14_from_grid(&grid.run())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::single_figure;
+    use crate::runner::ExperimentScale;
 
     fn tiny(names: &'static [&'static str]) -> ExperimentScale {
         ExperimentScale {
@@ -508,7 +451,8 @@ mod tests {
 
     #[test]
     fn fig10_laser_is_cheaper_than_vtune() {
-        let report = fig10_overhead(&tiny(&["swaptions", "histogram'", "kmeans"])).unwrap();
+        let scale = tiny(&["swaptions", "histogram'", "kmeans"]);
+        let report = single_figure(scale, plan_fig10, fig10_from_grid).unwrap();
         assert_eq!(report.rows.len(), 3);
         let (laser, vtune) = report.geomeans();
         assert!(laser < vtune, "{}", report.render());
@@ -517,8 +461,8 @@ mod tests {
 
     #[test]
     fn fig11_reports_automatic_and_manual_speedups() {
-        let report =
-            fig11_speedups(&tiny(&["linear_regression", "histogram'", "reverse_index"])).unwrap();
+        let scale = tiny(&["linear_regression", "histogram'", "reverse_index"]);
+        let report = single_figure(scale, plan_fig11, fig11_from_grid).unwrap();
         assert_eq!(report.rows.len(), 3);
         let lreg = report
             .rows
@@ -531,7 +475,12 @@ mod tests {
 
     #[test]
     fn fig13_sav_one_is_slower_than_nineteen() {
-        let report = fig13_sav_sweep(&tiny(&["dedup"]), &[1, 19]).unwrap();
+        let report = single_figure(
+            tiny(&["dedup"]),
+            |grid| plan_fig13(grid, &[1, 19]),
+            |grid| fig13_from_grid(grid, &[1, 19]),
+        )
+        .unwrap();
         assert_eq!(report.points.len(), 2);
         assert!(
             report.points[0].normalized_runtime > report.points[1].normalized_runtime,
@@ -542,7 +491,8 @@ mod tests {
 
     #[test]
     fn fig14_covers_only_sheriff_compatible_workloads() {
-        let report = fig14_sheriff(&tiny(&["swaptions", "dedup", "water_nsquared"])).unwrap();
+        let scale = tiny(&["swaptions", "dedup", "water_nsquared"]);
+        let report = single_figure(scale, plan_fig14, fig14_from_grid).unwrap();
         // dedup is incompatible with Sheriff and therefore not a Fig 14 row.
         assert!(report.rows.iter().all(|r| r.name != "dedup"));
         assert!(!report.rows.is_empty());
@@ -551,7 +501,10 @@ mod tests {
 
     #[test]
     fn fig12_selects_high_overhead_workloads_only() {
-        let report = fig12_breakdown(&tiny(&["swaptions", "kmeans"]), 0.0).unwrap();
+        let report = single_figure(tiny(&["swaptions", "kmeans"]), plan_fig12, |grid| {
+            fig12_from_grid(grid, 0.0)
+        })
+        .unwrap();
         // With a zero cutoff every selected workload appears.
         assert!(report.rows.len() <= 2);
         for r in &report.rows {
@@ -576,7 +529,8 @@ mod tests {
         let fig12 = fig12_from_grid(&result, 0.0).unwrap();
         assert_eq!(fig10.rows.len(), 2);
         assert!(fig12.rows.len() <= 2);
-        // The standalone path derives the same figure.
-        assert_eq!(fig10.rows, fig10_overhead(&scale).unwrap().rows);
+        // A single-figure grid derives the same figure.
+        let alone = single_figure(scale, plan_fig10, fig10_from_grid).unwrap();
+        assert_eq!(fig10.rows, alone.rows);
     }
 }

@@ -1,14 +1,11 @@
 //! Shared plumbing for the experiments: workload selection, tool invocation
 //! and scoring against the known-bug database.
 
-use laser_core::{
-    ContentionReport, Laser, LaserConfig, LaserError, LaserOutcome, Observer, PipelineConfig,
-    TopologySpec,
-};
+use laser_core::{ContentionReport, Laser, LaserConfig, LaserError, LaserOutcome};
 use laser_machine::{RunResult, WorkloadImage};
 use laser_workloads::{registry, BuildOptions, WorkloadSpec};
 
-use crate::topofile::Deployment;
+use crate::config::CellConfig;
 
 /// How large an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,68 +70,43 @@ pub fn build_under_tool(spec: &WorkloadSpec, opts: &BuildOptions) -> WorkloadIma
     }
 }
 
-/// Run a workload natively (no tool attached) on a [`Deployment`]: the build
-/// options are adapted to it (a preset via [`BuildOptions::for_topology`] —
-/// threads scale with the socket count, multi-socket placement goes
-/// round-robin; a custom layout via
-/// [`crate::topofile::CustomTopology::adapt`]) and the machine is deployed on
-/// its topology and core count.
+/// Run a workload natively (no tool attached) as `cell` deploys it: build
+/// options adapted to the cell's topology, machine on its topology and core
+/// count.
 ///
 /// # Errors
 /// Propagates simulator errors (step-budget exhaustion).
-pub fn run_native_deployed(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    deploy: &Deployment,
-) -> Result<RunResult, LaserError> {
-    let opts = deploy.adapt(opts);
-    Laser::run_native_on(&spec.build(&opts), deploy.machine_config())
+pub fn run_native(spec: &WorkloadSpec, cell: &CellConfig) -> Result<RunResult, LaserError> {
+    Laser::run_native_on(&spec.build(&cell.adapted_opts()), cell.machine_config())
 }
 
-/// Run a workload under LASER on a [`Deployment`] with the given pipeline
-/// deployment and, optionally, an `observer` attached to the session's event
-/// stream (see [`laser_core::observe`]) — how the campaign runner threads
-/// per-cell budgets into a run. With `None` the session is genuinely
-/// unobserved: no observer is boxed in, so no events are even constructed.
-/// Pipelining changes only the wall-clock: the outcome and event stream are
-/// byte-identical to an inline run.
+/// Run a workload under LASER as `cell` deploys it: its machine, its
+/// pipeline deployment (which changes only the wall-clock: outcome and event
+/// stream are byte-identical to an inline run at lag 0) and, when the cell is
+/// budgeted, its [`CellConfig::observer`] on the session's event stream.
 ///
-/// A preset deployment rides on `LaserConfig::topology` (the session builder
-/// deploys the machine from it); a custom layout hands the session an
-/// explicit machine configuration built from the loaded topology, which the
-/// builder honours over any config preset.
+/// The machine configuration is passed explicitly, so it wins over
+/// `config.topology` — except on the flat preset, whose default machine never
+/// clobbers a topology the caller put in their own config.
 ///
 /// # Errors
-/// Propagates simulator errors, and [`LaserError::Stopped`] when `observer`
-/// cancelled the run.
-pub fn run_laser_deployed(
+/// Propagates simulator errors, and [`LaserError::Stopped`] when the budget
+/// observer cancelled the run.
+pub fn run_laser(
     spec: &WorkloadSpec,
-    opts: &BuildOptions,
+    cell: &CellConfig,
     config: LaserConfig,
-    pipeline: PipelineConfig,
-    deploy: &Deployment,
-    observer: Option<Box<dyn Observer>>,
 ) -> Result<LaserOutcome, LaserError> {
-    let opts = deploy.adapt(opts);
-    let mut builder = laser_builder_deployed(config, deploy).pipeline_config(pipeline);
-    if let Some(observer) = observer {
-        builder = builder.boxed_observer(observer);
+    let mut builder = Laser::builder()
+        .config(config)
+        .machine(cell.machine_config())
+        .pipeline_config(cell.pipeline);
+    if let Some(observer) = cell.observer() {
+        builder = builder.observer(observer);
     }
-    builder.build(&build_under_tool(spec, &opts)).run()
-}
-
-/// Start a session builder for `deploy`: presets ride on
-/// `LaserConfig::topology` (the flat default never clobbers a topology the
-/// caller put in their own config); custom layouts pass an explicit machine
-/// configuration, which wins over any config preset.
-fn laser_builder_deployed(config: LaserConfig, deploy: &Deployment) -> laser_core::SessionBuilder {
-    match deploy {
-        Deployment::Preset(TopologySpec::Flat) => Laser::builder().config(config),
-        Deployment::Preset(topo) => Laser::builder().config(config.with_topology(*topo)),
-        Deployment::Custom(_) => Laser::builder()
-            .config(config)
-            .machine(deploy.machine_config()),
-    }
+    builder
+        .build(&build_under_tool(spec, &cell.adapted_opts()))
+        .run()
 }
 
 /// False negatives and false positives of a report, scored against the
@@ -222,17 +194,9 @@ mod tests {
     fn laser_and_native_runners_work_end_to_end() {
         let spec = find("swaptions").unwrap();
         let opts = BuildOptions::scaled(0.05);
-        let flat = Deployment::Preset(TopologySpec::Flat);
-        let native = run_native_deployed(&spec, &opts, &flat).unwrap();
-        let laser = run_laser_deployed(
-            &spec,
-            &opts,
-            LaserConfig::detection_only(),
-            PipelineConfig::default(),
-            &flat,
-            None,
-        )
-        .unwrap();
+        let flat = CellConfig::flat(spec.name, "laser-detect", &opts);
+        let native = run_native(&spec, &flat).unwrap();
+        let laser = run_laser(&spec, &flat, LaserConfig::detection_only()).unwrap();
         assert!(native.cycles > 0);
         assert!(laser.run.cycles >= native.cycles);
     }

@@ -39,11 +39,14 @@
 //! result of a scenario is byte-identical however its cells were spelled.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use laser_core::{PipelineConfig, TopologySpec};
+use laser_core::TopologySpec;
 use laser_workloads::find;
 use serde::json::Value;
 
+use crate::config::CampaignConfig;
+use crate::emit::Emit;
 use crate::tool::ToolSpec;
 use crate::topofile::CustomTopology;
 use crate::xsocket::XSOCKET_WORKLOADS;
@@ -61,17 +64,13 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// Upper bound on `"driver_lag_quanta"`: the session keeps one in-flight
-/// charge ledger per quantum of lag, so anything past this is almost
-/// certainly a typo rather than a deployment.
-pub const MAX_DRIVER_LAG: u64 = 1024;
-
 fn err<T>(message: impl Into<String>) -> Result<T, ScenarioError> {
     Err(ScenarioError(message.into()))
 }
 
-/// Aggregate output format a scenario can request alongside the streamed
-/// per-cell lines.
+/// An aggregate output format: what `experiments --format` selects for
+/// stdout, and what a scenario can request alongside its streamed per-cell
+/// lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregateFormat {
     /// The campaign's text table.
@@ -82,13 +81,27 @@ pub enum AggregateFormat {
     Csv,
 }
 
-impl AggregateFormat {
-    fn parse(s: &str) -> Option<AggregateFormat> {
+impl std::str::FromStr for AggregateFormat {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<AggregateFormat, ()> {
         match s {
-            "text" => Some(AggregateFormat::Text),
-            "json" => Some(AggregateFormat::Json),
-            "csv" => Some(AggregateFormat::Csv),
-            _ => None,
+            "text" => Ok(AggregateFormat::Text),
+            "json" => Ok(AggregateFormat::Json),
+            "csv" => Ok(AggregateFormat::Csv),
+            _ => Err(()),
+        }
+    }
+}
+
+impl AggregateFormat {
+    /// `report` in this format: its text table (`render`, each report's
+    /// inherent method), its JSON document or its CSV table.
+    pub fn payload<R: Emit>(&self, report: &R, render: fn(&R) -> String) -> String {
+        match self {
+            AggregateFormat::Text => render(report),
+            AggregateFormat::Json => report.to_json().render(),
+            AggregateFormat::Csv => report.to_csv(),
         }
     }
 
@@ -140,35 +153,18 @@ pub struct ScenarioCell {
 pub struct Scenario {
     /// Scenario name, echoed in every streamed result line.
     pub name: String,
-    /// Workload input-scale multiplier (default 0.4).
-    pub scale: f64,
-    /// Campaign worker threads; `None` means one per available core.
-    pub threads: Option<usize>,
-    /// Per-cell step budget; `None` means unlimited.
-    pub budget_steps: Option<u64>,
-    /// Whether cells deploy the pipelined (detector-on-a-worker) session.
-    pub pipeline: bool,
-    /// Detector worker shards for pipelined cells; `Some(n)` implies
-    /// `pipeline` (mirroring the CLI, where `--shards` implies `--pipeline`).
-    /// Line-hash routing keeps sharded output byte-identical to inline.
-    pub shards: Option<usize>,
-    /// Charge-back lag of the driver stage in quanta; `Some(n)` implies
-    /// `pipeline` (like `shards`). Lag 0 keeps pipelined cells
-    /// byte-identical to inline; lag >= 1 overlaps the machine with the
-    /// driver stage and is run-to-run deterministic but not
-    /// inline-identical — the cell cache keys on the lag, so lagged and
-    /// inline results never alias.
-    pub driver_lag: Option<usize>,
+    /// The campaign knobs, filled through the same validated setters the
+    /// `experiments` flags use and from the same defaults
+    /// ([`CampaignConfig::evaluation`]). `"shards"` and
+    /// `"driver_lag_quanta"` imply `"pipeline"`, mirroring `--shards` /
+    /// `--driver-lag`. `"custom_topology"` — the same JSON object a topology
+    /// file holds — is mutually exclusive with preset `"topology"` /
+    /// `"topologies"` keys and xsocket sweeps: the override is campaign-wide,
+    /// so a preset axis underneath it would only produce colliding cell keys.
+    /// The cache is the host's to choose ([`crate::service::ServiceOptions`]).
+    pub config: CampaignConfig,
     /// Aggregate document to append after the per-cell stream, if any.
     pub format: Option<AggregateFormat>,
-    /// Bespoke topology every cell deploys on instead of a preset (the
-    /// scenario-file spelling of `experiments --topology-file`): the same
-    /// JSON object a topology file holds, validated at parse time like
-    /// everything else. Mutually exclusive with preset `"topology"` /
-    /// `"topologies"` keys and xsocket sweeps — the override is
-    /// campaign-wide, so a preset axis underneath it would only produce
-    /// colliding cell keys.
-    pub custom_topology: Option<CustomTopology>,
     /// Explicit cells.
     pub cells: Vec<ScenarioCell>,
     /// Named sweeps.
@@ -200,19 +196,14 @@ impl Scenario {
         };
         let mut scenario = Scenario {
             name: String::new(),
-            scale: 0.4,
-            threads: None,
-            budget_steps: None,
-            pipeline: false,
-            shards: None,
-            driver_lag: None,
+            config: CampaignConfig::evaluation(),
             format: None,
-            custom_topology: None,
             cells: Vec::new(),
             sweeps: Vec::new(),
         };
         let mut named = false;
         for (key, field) in pairs {
+            let config = &mut scenario.config;
             match key.as_str() {
                 "name" => {
                     scenario.name = req_str(field, "name")?.to_string();
@@ -227,61 +218,29 @@ impl Scenario {
                         Value::Int(i) => *i as f64,
                         _ => return err("\"scale\" must be a number"),
                     };
-                    if !scale.is_finite() || scale <= 0.0 {
-                        return err(format!("\"scale\" must be a positive number, got {scale}"));
-                    }
-                    scenario.scale = scale;
+                    knob(key, config.set_scale(scale))?;
                 }
-                "threads" => {
-                    let threads = req_u64(field, "threads")?;
-                    if threads == 0 {
-                        return err("\"threads\" must be at least 1");
-                    }
-                    scenario.threads = Some(threads as usize);
-                }
-                "budget_steps" => {
-                    let steps = req_u64(field, "budget_steps")?;
-                    if steps == 0 {
-                        return err("\"budget_steps\" must be at least 1");
-                    }
-                    scenario.budget_steps = Some(steps);
-                }
-                "pipeline" => {
-                    scenario.pipeline = match field {
-                        Value::Bool(b) => *b,
-                        _ => return err("\"pipeline\" must be true or false"),
-                    };
-                }
-                "shards" => {
-                    let shards = req_u64(field, "shards")?;
-                    if shards == 0 {
-                        return err("\"shards\" must be at least 1");
-                    }
-                    scenario.shards = Some(shards as usize);
-                }
-                "driver_lag_quanta" => {
-                    let lag = req_u64(field, "driver_lag_quanta")?;
-                    if lag > MAX_DRIVER_LAG {
-                        // req_u64 already rejected negatives and non-integers.
-                        return err(format!(
-                            "\"driver_lag_quanta\" must be at most {MAX_DRIVER_LAG}, got {lag}"
-                        ));
-                    }
-                    scenario.driver_lag = Some(lag as usize);
-                }
+                "threads" => knob(key, config.set_threads(req_u64(field, key)?))?,
+                "budget_steps" => knob(key, config.set_budget_steps(req_u64(field, key)?))?,
+                "pipeline" => match field {
+                    Value::Bool(b) => config.request_pipeline(*b),
+                    _ => return err("\"pipeline\" must be true or false"),
+                },
+                "shards" => knob(key, config.set_shards(req_u64(field, key)?))?,
+                "driver_lag_quanta" => knob(key, config.set_driver_lag(req_u64(field, key)?))?,
                 "format" => {
                     let name = req_str(field, "format")?;
-                    scenario.format = Some(AggregateFormat::parse(name).ok_or_else(|| {
+                    scenario.format = Some(name.parse().map_err(|()| {
                         ScenarioError(format!(
                             "unknown format '{name}' (expected text, json or csv)"
                         ))
                     })?);
                 }
                 "custom_topology" => {
-                    scenario.custom_topology = Some(
+                    config.custom_topology = Some(Arc::new(
                         CustomTopology::from_value(field)
                             .map_err(|e| ScenarioError(format!("\"custom_topology\": {e}")))?,
-                    );
+                    ));
                 }
                 "cells" => {
                     let items = req_array(field, "cells")?;
@@ -304,7 +263,7 @@ impl Scenario {
         if scenario.plan().is_empty() {
             return err("scenario plans no cells (give \"cells\" and/or \"sweeps\")");
         }
-        if scenario.custom_topology.is_some()
+        if scenario.config.custom_topology.is_some()
             && scenario
                 .plan()
                 .iter()
@@ -316,21 +275,6 @@ impl Scenario {
             );
         }
         Ok(scenario)
-    }
-
-    /// The pipeline deployment the scenario requests: `"pipeline": true`
-    /// enables the three-stage pipeline, a `"shards"` key shards the
-    /// detector stage and a `"driver_lag_quanta"` key sets the charge-back
-    /// lag (each implies pipelining, mirroring the CLI's `--shards` and
-    /// `--driver-lag`). Line-hash routing keeps every shard count
-    /// byte-identical to an inline run; only a non-zero lag diverges.
-    pub fn pipeline_config(&self) -> PipelineConfig {
-        PipelineConfig {
-            enabled: self.pipeline || self.shards.is_some() || self.driver_lag.is_some(),
-            ..PipelineConfig::default()
-        }
-        .with_shards(self.shards.unwrap_or(1))
-        .with_driver_lag(self.driver_lag.unwrap_or(0))
     }
 
     /// The resolved `(workload, tool, topology)` cells, deduplicated in
@@ -372,6 +316,11 @@ impl Scenario {
         }
         set.into_iter().collect()
     }
+}
+
+/// Attach the scenario spelling of a knob to a rejected setter value.
+fn knob(key: &str, set: Result<(), String>) -> Result<(), ScenarioError> {
+    set.map_err(|why| ScenarioError(format!("\"{key}\" {why}")))
 }
 
 fn req_str<'a>(value: &'a Value, key: &str) -> Result<&'a str, ScenarioError> {
@@ -524,6 +473,7 @@ fn parse_sweep(value: &Value) -> Result<Sweep, ScenarioError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use laser_core::{CellBudget, PipelineConfig};
 
     #[test]
     fn parses_a_full_scenario() {
@@ -548,14 +498,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.name, "nightly");
-        assert_eq!(s.scale, 0.25);
-        assert_eq!(s.threads, Some(3));
-        assert_eq!(s.budget_steps, Some(500000));
-        assert!(s.pipeline);
-        assert_eq!(s.shards, Some(2));
-        assert_eq!(s.driver_lag, Some(1));
+        assert_eq!(s.config.opts.scale, 0.25);
+        assert_eq!(s.config.threads, Some(3));
+        assert_eq!(s.config.budget, CellBudget::steps(500000));
         assert_eq!(
-            s.pipeline_config(),
+            s.config.pipeline,
             PipelineConfig::pipelined()
                 .with_shards(2)
                 .with_driver_lag(1)
@@ -595,13 +542,11 @@ mod tests {
             r#"{"name": "one", "cells": [{"workload": "swaptions", "tool": "native"}]}"#,
         )
         .unwrap();
-        assert_eq!(s.scale, 0.4);
-        assert_eq!(s.threads, None);
-        assert_eq!(s.budget_steps, None);
-        assert!(!s.pipeline);
-        assert_eq!(s.shards, None);
-        assert_eq!(s.driver_lag, None);
-        assert_eq!(s.pipeline_config(), PipelineConfig::default());
+        assert_eq!(s.config, CampaignConfig::evaluation());
+        assert_eq!(s.config.opts.scale, 0.4);
+        assert_eq!(s.config.threads, None);
+        assert!(s.config.budget.is_unlimited());
+        assert_eq!(s.config.pipeline, PipelineConfig::default());
         assert_eq!(s.format, None);
     }
 
@@ -614,11 +559,23 @@ mod tests {
                 "cells": [{"workload": "swaptions", "tool": "laser-detect"}]}"#,
         )
         .unwrap();
-        assert!(!s.pipeline, "the boolean key itself stays untouched");
         assert_eq!(
-            s.pipeline_config(),
+            s.config.pipeline,
             PipelineConfig::pipelined().with_shards(8)
         );
+        // An explicit `"pipeline": false` cannot undo the implication,
+        // whichever side of `"shards"` it is spelled on.
+        for keys in [
+            r#""pipeline": false, "shards": 8"#,
+            r#""shards": 8, "pipeline": false"#,
+        ] {
+            let s = Scenario::parse(&format!(
+                r#"{{"name": "s", {keys},
+                    "cells": [{{"workload": "swaptions", "tool": "laser-detect"}}]}}"#
+            ))
+            .unwrap();
+            assert!(s.config.pipeline.enabled, "{keys}");
+        }
     }
 
     #[test]
@@ -630,9 +587,8 @@ mod tests {
                 "cells": [{"workload": "swaptions", "tool": "laser-detect"}]}"#,
         )
         .unwrap();
-        assert!(!s.pipeline, "the boolean key itself stays untouched");
         assert_eq!(
-            s.pipeline_config(),
+            s.config.pipeline,
             PipelineConfig::pipelined().with_driver_lag(3)
         );
         let s = Scenario::parse(
@@ -640,8 +596,7 @@ mod tests {
                 "cells": [{"workload": "swaptions", "tool": "laser-detect"}]}"#,
         )
         .unwrap();
-        assert_eq!(s.driver_lag, Some(0));
-        assert_eq!(s.pipeline_config(), PipelineConfig::pipelined());
+        assert_eq!(s.config.pipeline, PipelineConfig::pipelined());
     }
 
     #[test]
@@ -661,7 +616,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let custom = s.custom_topology.as_ref().unwrap();
+        let custom = s.config.custom_topology.as_ref().unwrap();
         assert_eq!(custom.name(), "fat-thin");
         assert_eq!(custom.num_cores(), 8);
     }

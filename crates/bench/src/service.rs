@@ -20,21 +20,16 @@
 //! while the campaign drains and surfaced as a [`ServiceError`], which the
 //! binaries turn into a clean nonzero exit.
 
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use laser_core::{CellBudget, TopologySpec};
-use laser_workloads::{find, WorkloadSpec};
+use laser_workloads::registry;
 use serde::json::Value;
 
 use crate::cache::{CacheStats, CellCache};
-use crate::campaign::{Campaign, CampaignProgress};
-use crate::emit::Emit;
-use crate::runner::ExperimentScale;
-use crate::scenario::{AggregateFormat, Scenario};
-use crate::tool::{Tool, ToolSpec};
+use crate::campaign::{Campaign, CampaignProgress, CampaignResult};
+use crate::scenario::Scenario;
 
 /// The service could not run a scenario to completion: the result stream or
 /// the cell cache stopped accepting writes. The binaries print the message
@@ -114,7 +109,25 @@ pub fn run_scenario<W: Write + Send>(
     options: &ServiceOptions,
     out: W,
 ) -> Result<ServiceSummary, ServiceError> {
-    let campaign = plan_campaign(scenario, options)?;
+    let workloads = registry();
+    let requests = scenario
+        .plan()
+        .into_iter()
+        .map(|(name, tool, topology)| {
+            // Scenario validation already vetted every name; a miss here
+            // means the registry changed under us mid-run.
+            let workload = workloads.iter().find(|w| w.name == name);
+            workload
+                .map(|w| (w, tool, topology))
+                .ok_or_else(|| ServiceError(format!("unknown workload '{name}'")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    // The scenario decides every knob but the host's: a thread count it did
+    // not pin, and the cache.
+    let mut config = scenario.config.clone();
+    config.threads = config.threads.or(options.threads);
+    config.cache = options.cache.clone();
+    let campaign = Campaign::from_requests(requests, config);
 
     let writer = Mutex::new(out);
     let write_error: Mutex<Option<String>> = Mutex::new(None);
@@ -180,14 +193,9 @@ pub fn run_scenario<W: Write + Send>(
 
     let mut line = summary.to_json();
     if let Some(format) = scenario.format {
-        let aggregate = Value::object().set("format", format.key()).set(
-            "content",
-            match format {
-                AggregateFormat::Text => result.render(),
-                AggregateFormat::Json => result.to_json().render(),
-                AggregateFormat::Csv => result.to_csv(),
-            },
-        );
+        let aggregate = Value::object()
+            .set("format", format.key())
+            .set("content", format.payload(&result, CampaignResult::render));
         line = line.set("aggregate", aggregate);
     }
     let rendered = line.render();
@@ -201,61 +209,6 @@ pub fn run_scenario<W: Write + Send>(
         }
     }
     Ok(summary)
-}
-
-/// Resolve a scenario's plan into a configured [`Campaign`], mirroring how
-/// [`Grid`](crate::grid::Grid) lowers its request set.
-fn plan_campaign(scenario: &Scenario, options: &ServiceOptions) -> Result<Campaign, ServiceError> {
-    let plan = scenario.plan();
-    let mut workloads: Vec<WorkloadSpec> = Vec::new();
-    let mut workload_index: BTreeMap<String, usize> = BTreeMap::new();
-    let mut tools: Vec<Box<dyn Tool>> = Vec::new();
-    let mut tool_index: BTreeMap<ToolSpec, usize> = BTreeMap::new();
-    let mut cells: Vec<(usize, usize, TopologySpec)> = Vec::with_capacity(plan.len());
-    for (name, spec, topo) in &plan {
-        let w = match workload_index.get(name) {
-            Some(&w) => w,
-            None => {
-                // Scenario validation already vetted every name; a miss here
-                // means the registry changed under us mid-run.
-                let workload =
-                    find(name).ok_or_else(|| ServiceError(format!("unknown workload '{name}'")))?;
-                workloads.push(workload);
-                workload_index.insert(name.clone(), workloads.len() - 1);
-                workloads.len() - 1
-            }
-        };
-        let t = *tool_index.entry(*spec).or_insert_with(|| {
-            tools.push(spec.build());
-            tools.len() - 1
-        });
-        cells.push((w, t, *topo));
-    }
-
-    let mut campaign = Campaign::from_cells_at(workloads, tools, cells).with_options(
-        ExperimentScale {
-            workload_scale: scenario.scale,
-            only: None,
-        }
-        .options(),
-    );
-    if let Some(threads) = scenario.threads.or(options.threads) {
-        campaign = campaign.with_threads(threads);
-    }
-    if let Some(steps) = scenario.budget_steps {
-        campaign = campaign.with_cell_budget(CellBudget::steps(steps));
-    }
-    let pipeline = scenario.pipeline_config();
-    if pipeline.enabled {
-        campaign = campaign.with_pipeline(pipeline);
-    }
-    if let Some(custom) = &scenario.custom_topology {
-        campaign = campaign.with_custom_topology(Arc::new(custom.clone()));
-    }
-    if let Some(cache) = &options.cache {
-        campaign = campaign.with_cache(Arc::clone(cache));
-    }
-    Ok(campaign)
 }
 
 #[cfg(test)]

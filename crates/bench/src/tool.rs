@@ -19,13 +19,13 @@ use std::ops::ControlFlow;
 
 use laser_baselines::{Sheriff, SheriffConfig, SheriffFailure, SheriffMode, Vtune, VtuneConfig};
 use laser_core::{
-    ContentionKind, LaserConfig, LaserError, LaserEvent, NullObserver, Observer, PipelineConfig,
-    StopReason, TopologySpec,
+    BudgetObserver, ContentionKind, LaserConfig, LaserError, LaserEvent, Observer, StopReason,
+    TopologySpec,
 };
 use laser_workloads::{BuildOptions, WorkloadSpec};
 
-use crate::runner::{build_under_tool, run_laser_deployed, run_native_deployed};
-use crate::topofile::Deployment;
+use crate::config::CellConfig;
+use crate::runner::{build_under_tool, run_laser, run_native};
 
 /// One contention site a tool reported, in a tool-neutral shape.
 ///
@@ -100,10 +100,9 @@ pub enum ToolFailure {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// The cell exceeded its per-cell budget: the observer threaded through
-    /// [`Tool::run_observed`] stopped the run. LASER runs are cancelled
-    /// mid-flight; tools that report only a final event are marked after
-    /// completion.
+    /// The cell exceeded its per-cell budget ([`CellConfig::budget`]): the
+    /// budget observer stopped the run. LASER runs are cancelled mid-flight;
+    /// tools that report only a final event are marked after completion.
     BudgetExceeded {
         /// Which budget tripped, and by how much.
         reason: StopReason,
@@ -140,133 +139,61 @@ pub fn cell_key(tool_name: &str, topo: TopologySpec) -> String {
 
 /// A contention tool (or the absence of one) that can run a workload.
 ///
-/// The primary entry point is [`Tool::run_observed_deployed`], which takes
-/// the [`Deployment`] the cell runs on — a socket-topology preset, or a
-/// custom layout loaded from a topology file; the `_at` methods are preset
-/// conveniences and the topology-less methods run on the flat
-/// (single-socket) preset. A tool is responsible for adapting the build
-/// options to the deployment ([`Deployment::adapt`]: threads scale with the
-/// socket count, multi-socket placement goes round-robin) and for deploying
-/// its machine on it — so a caller never has to keep options and machine
+/// [`Tool::run`] takes the cell's whole [`CellConfig`] — the same value the
+/// cache fingerprints — and the tool deploys itself from it: build options
+/// adapted to the topology ([`CellConfig::adapted_opts`]), the machine
+/// ([`CellConfig::machine_config`]), the session pipeline and the budget
+/// ([`CellConfig::observer`]). A caller never keeps options and machine
 /// configuration in sync by hand.
 pub trait Tool: Send + Sync {
-    /// Stable display name, used (suffixed with the deployment via
-    /// [`cell_key`] / [`Deployment::cell_key`]) as the cell key in campaign
-    /// results.
+    /// Stable display name, used (decorated with the deployment by
+    /// [`CellConfig::cell_key`]) as the cell key in campaign results.
     fn name(&self) -> &str;
 
-    /// Build and run `spec` at `opts` on `deploy` under this tool,
-    /// streaming the run to `observer`. An observer that breaks cancels the
-    /// run (where the tool supports it) and the cell fails with
-    /// [`ToolFailure::BudgetExceeded`].
+    /// Build and run `spec` under this tool as `cell` configures it.
     ///
-    /// LASER runs stream their full [`LaserEvent`] sequence and stop
-    /// mid-quantum;
-    /// the native and baseline tools report a single
-    /// [`LaserEvent::Finished`] after the simulation, so a budget can mark
-    /// them over-budget but not shorten them. (The Sheriff model exposes no
-    /// step counter; its `Finished` events carry `steps: 0`, so only
-    /// wall-clock budgets can catch Sheriff cells.)
+    /// A budgeted LASER run streams its [`LaserEvent`]s to the budget
+    /// observer and stops mid-quantum; the native and baseline tools report
+    /// a single [`LaserEvent::Finished`] after the simulation, so a budget
+    /// can mark them over-budget but not shorten them. (The Sheriff model
+    /// exposes no step counter; its `Finished` events carry `steps: 0`, so
+    /// only wall-clock budgets can catch Sheriff cells.) The pipeline
+    /// deployment is an *execution strategy*, not a measurement change, so
+    /// tools without a detector stage to move ignore it.
     ///
     /// # Errors
     /// Returns [`ToolFailure::Unsupported`] when the tool cannot run the
     /// workload, [`ToolFailure::Error`] when the simulation fails and
-    /// [`ToolFailure::BudgetExceeded`] when `observer` stopped the run.
-    fn run_observed_deployed(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-        observer: Box<dyn Observer>,
-    ) -> Result<ToolRun, ToolFailure>;
-
-    /// Build and run `spec` at `opts` on the preset `topo`, streaming the
-    /// run to `observer`.
-    ///
-    /// # Errors
-    /// As for [`Tool::run_observed_deployed`].
-    fn run_observed_at(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        topo: TopologySpec,
-        observer: Box<dyn Observer>,
-    ) -> Result<ToolRun, ToolFailure> {
-        self.run_observed_deployed(spec, opts, &Deployment::Preset(topo), observer)
-    }
-
-    /// Build and run `spec` at `opts` on `deploy`, unobserved.
-    ///
-    /// # Errors
-    /// Returns [`ToolFailure::Unsupported`] when the tool cannot run the
-    /// workload and [`ToolFailure::Error`] when the simulation fails.
-    fn run_deployed(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-    ) -> Result<ToolRun, ToolFailure> {
-        self.run_observed_deployed(spec, opts, deploy, Box::new(NullObserver))
-    }
-
-    /// Build and run `spec` at `opts` on the preset `topo`, unobserved.
-    ///
-    /// # Errors
-    /// As for [`Tool::run_deployed`].
-    fn run_at(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        topo: TopologySpec,
-    ) -> Result<ToolRun, ToolFailure> {
-        self.run_deployed(spec, opts, &Deployment::Preset(topo))
-    }
-
-    /// Build and run `spec` at `opts` under this tool on the flat topology,
-    /// streaming the run to `observer`.
-    ///
-    /// # Errors
-    /// As for [`Tool::run_observed_at`].
-    fn run_observed(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        observer: Box<dyn Observer>,
-    ) -> Result<ToolRun, ToolFailure> {
-        self.run_observed_at(spec, opts, TopologySpec::Flat, observer)
-    }
-
-    /// Build and run `spec` at `opts` on the flat topology, unobserved.
-    ///
-    /// # Errors
-    /// As for [`Tool::run_at`].
-    fn run(&self, spec: &WorkloadSpec, opts: &BuildOptions) -> Result<ToolRun, ToolFailure> {
-        self.run_at(spec, opts, TopologySpec::Flat)
-    }
-
-    /// Deploy this tool's runs with the given session pipeline (see
-    /// [`laser_core::PipelineConfig`]): the detector stage moves to a worker
-    /// thread so record processing overlaps application execution.
-    ///
-    /// Pipelining is an *execution strategy*, not a measurement change — a
-    /// pipelined cell is byte-identical to its inline equivalent — so tools
-    /// it does not apply to (native, the baselines) ignore it; only
-    /// [`LaserTool`] runs a session with a detector stage to move.
-    fn set_pipeline(&mut self, _pipeline: PipelineConfig) {}
+    /// [`ToolFailure::BudgetExceeded`] when the budget stopped the run.
+    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure>;
 }
 
 /// Deliver the post-run [`LaserEvent::Finished`] event for a tool that cannot
 /// stream intermediate events, translating an observer break into the
-/// budget-exceeded cell failure.
+/// budget-exceeded cell failure. `observer` is the cell's, started before
+/// the run so a wall-clock budget covers it.
 fn finish_observed(
-    mut observer: Box<dyn Observer>,
+    observer: Option<BudgetObserver>,
     steps: u64,
     cycles: u64,
 ) -> Result<(), ToolFailure> {
-    match observer.on_event(&LaserEvent::Finished { steps, cycles }) {
-        ControlFlow::Continue(()) => Ok(()),
-        ControlFlow::Break(reason) => Err(ToolFailure::BudgetExceeded { reason }),
+    match observer.map(|mut o| o.on_event(&LaserEvent::Finished { steps, cycles })) {
+        Some(ControlFlow::Break(reason)) => Err(ToolFailure::BudgetExceeded { reason }),
+        _ => Ok(()),
     }
+}
+
+/// A native run of `spec` as `cell` deploys it, held to the cell's budget.
+fn native_run(spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
+    let observer = cell.observer();
+    let result = run_native(spec, cell).map_err(|e| ToolFailure::Error(e.to_string()))?;
+    finish_observed(observer, result.steps, result.cycles)?;
+    Ok(ToolRun {
+        cycles: result.cycles,
+        hitm_events: result.stats.hitm_events,
+        hitm_remote: result.stats.hitm_remote,
+        ..ToolRun::default()
+    })
 }
 
 /// Native execution: no tool attached; the baseline every overhead figure is
@@ -279,22 +206,8 @@ impl Tool for NativeTool {
         "native"
     }
 
-    fn run_observed_deployed(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-        observer: Box<dyn Observer>,
-    ) -> Result<ToolRun, ToolFailure> {
-        let result = run_native_deployed(spec, opts, deploy)
-            .map_err(|e| ToolFailure::Error(e.to_string()))?;
-        finish_observed(observer, result.steps, result.cycles)?;
-        Ok(ToolRun {
-            cycles: result.cycles,
-            hitm_events: result.stats.hitm_events,
-            hitm_remote: result.stats.hitm_remote,
-            ..ToolRun::default()
-        })
+    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
+        native_run(spec, cell)
     }
 }
 
@@ -309,26 +222,18 @@ impl Tool for FixedNativeTool {
         "native-fixed"
     }
 
-    fn run_observed_deployed(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-        observer: Box<dyn Observer>,
-    ) -> Result<ToolRun, ToolFailure> {
+    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
         let opts = BuildOptions {
             fixed: true,
-            ..opts.clone()
+            ..cell.opts.clone()
         };
-        let result = run_native_deployed(spec, &opts, deploy)
-            .map_err(|e| ToolFailure::Error(e.to_string()))?;
-        finish_observed(observer, result.steps, result.cycles)?;
-        Ok(ToolRun {
-            cycles: result.cycles,
-            hitm_events: result.stats.hitm_events,
-            hitm_remote: result.stats.hitm_remote,
-            ..ToolRun::default()
-        })
+        native_run(
+            spec,
+            &CellConfig {
+                opts: &opts,
+                ..*cell
+            },
+        )
     }
 }
 
@@ -337,7 +242,6 @@ impl Tool for FixedNativeTool {
 pub struct LaserTool {
     config: LaserConfig,
     name: String,
-    pipeline: PipelineConfig,
 }
 
 impl Default for LaserTool {
@@ -366,15 +270,7 @@ impl LaserTool {
         LaserTool {
             config,
             name: name.into(),
-            pipeline: PipelineConfig::default(),
         }
-    }
-
-    /// Deploy this tool's sessions with `pipeline` (builder-style); see
-    /// [`Tool::set_pipeline`].
-    pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.pipeline = pipeline;
-        self
     }
 }
 
@@ -383,43 +279,8 @@ impl Tool for LaserTool {
         &self.name
     }
 
-    fn set_pipeline(&mut self, pipeline: PipelineConfig) {
-        self.pipeline = pipeline;
-    }
-
-    /// Unobserved runs skip the boxed [`NullObserver`] of the default
-    /// implementation so the session stays genuinely *unobserved*: no events
-    /// are constructed, and a pipelined session's worker never owes a reply
-    /// (the machine stage streams without per-batch round-trips). This is
-    /// the path ordinary (unbudgeted) campaign and figure cells take.
-    fn run_deployed(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-    ) -> Result<ToolRun, ToolFailure> {
-        let config = self.config.clone();
-        let outcome = run_laser_deployed(spec, opts, config, self.pipeline, deploy, None)
-            .map_err(|e| ToolFailure::Error(e.to_string()))?;
-        Ok(laser_outcome_to_tool_run(outcome))
-    }
-
-    fn run_observed_deployed(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-        observer: Box<dyn Observer>,
-    ) -> Result<ToolRun, ToolFailure> {
-        let outcome = run_laser_deployed(
-            spec,
-            opts,
-            self.config.clone(),
-            self.pipeline,
-            deploy,
-            Some(observer),
-        )
-        .map_err(|e| match e {
+    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
+        let outcome = run_laser(spec, cell, self.config.clone()).map_err(|e| match e {
             LaserError::Stopped(reason) => ToolFailure::BudgetExceeded { reason },
             other => ToolFailure::Error(other.to_string()),
         })?;
@@ -470,17 +331,11 @@ impl Tool for VtuneTool {
         "vtune"
     }
 
-    fn run_observed_deployed(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-        observer: Box<dyn Observer>,
-    ) -> Result<ToolRun, ToolFailure> {
-        let opts = deploy.adapt(opts);
-        let image = build_under_tool(spec, &opts);
+    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
+        let observer = cell.observer();
+        let image = build_under_tool(spec, &cell.adapted_opts());
         let outcome = Vtune::new(self.config.clone())
-            .run_on(&image, deploy.machine_config())
+            .run_on(&image, cell.machine_config())
             .map_err(|e| ToolFailure::Error(e.to_string()))?;
         finish_observed(observer, outcome.run.steps, outcome.run.cycles)?;
         Ok(ToolRun {
@@ -534,16 +389,10 @@ impl Tool for SheriffTool {
         }
     }
 
-    fn run_observed_deployed(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-        observer: Box<dyn Observer>,
-    ) -> Result<ToolRun, ToolFailure> {
-        let opts = deploy.adapt(opts);
+    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
+        let observer = cell.observer();
         let outcome = Sheriff::new(self.config)
-            .run_on(spec, &opts, self.mode, deploy.machine_config())
+            .run_on(spec, &cell.adapted_opts(), self.mode, cell.machine_config())
             .map_err(|e| ToolFailure::Error(e.to_string()))?;
         match outcome.result {
             Ok(run) => {
@@ -682,10 +531,30 @@ pub fn default_tools() -> Vec<Box<dyn Tool>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use laser_core::{CellBudget, PipelineConfig};
     use laser_workloads::find;
 
-    fn opts() -> BuildOptions {
-        BuildOptions::scaled(0.08)
+    /// Run `tool` on `spec` as the flat inline cell at scale 0.08, with
+    /// `budget` and `pipeline` overriding its defaults.
+    fn run_cell(
+        tool: &dyn Tool,
+        spec: &WorkloadSpec,
+        budget: CellBudget,
+        pipeline: PipelineConfig,
+    ) -> Result<ToolRun, ToolFailure> {
+        let opts = BuildOptions::scaled(0.08);
+        tool.run(
+            spec,
+            &CellConfig {
+                budget,
+                pipeline,
+                ..CellConfig::flat(spec.name, tool.name(), &opts)
+            },
+        )
+    }
+
+    fn run(tool: &dyn Tool, spec: &WorkloadSpec) -> Result<ToolRun, ToolFailure> {
+        run_cell(tool, spec, CellBudget::default(), PipelineConfig::default())
     }
 
     #[test]
@@ -734,7 +603,7 @@ mod tests {
     #[test]
     fn native_runs_and_reports_nothing() {
         let spec = find("swaptions").unwrap();
-        let run = NativeTool.run(&spec, &opts()).unwrap();
+        let run = run(&NativeTool, &spec).unwrap();
         assert!(run.cycles > 0);
         assert!(run.reported.is_empty());
         assert!(!run.repair_invoked);
@@ -745,8 +614,8 @@ mod tests {
     fn fixed_native_beats_buggy_native_where_a_fix_exists() {
         let spec = find("linear_regression").unwrap();
         assert!(spec.has_fix);
-        let buggy = NativeTool.run(&spec, &opts()).unwrap();
-        let fixed = FixedNativeTool.run(&spec, &opts()).unwrap();
+        let buggy = run(&NativeTool, &spec).unwrap();
+        let fixed = run(&FixedNativeTool, &spec).unwrap();
         assert!(
             fixed.cycles < buggy.cycles,
             "{} vs {}",
@@ -758,10 +627,8 @@ mod tests {
     #[test]
     fn laser_tool_reports_contention_with_overhead() {
         let spec = find("histogram'").unwrap();
-        let native = NativeTool.run(&spec, &opts()).unwrap();
-        let laser = LaserTool::new(LaserConfig::detection_only())
-            .run(&spec, &opts())
-            .unwrap();
+        let native = run(&NativeTool, &spec).unwrap();
+        let laser = run(&LaserTool::new(LaserConfig::detection_only()), &spec).unwrap();
         assert!(laser.cycles >= native.cycles);
         assert!(!laser.reported.is_empty(), "histogram' contends");
         let first = &laser.reported[0];
@@ -775,7 +642,7 @@ mod tests {
     #[test]
     fn sheriff_tool_surfaces_incompatibility() {
         let spec = find("dedup").unwrap();
-        let out = SheriffTool::new(SheriffMode::Detect).run(&spec, &opts());
+        let out = run(&SheriffTool::new(SheriffMode::Detect), &spec);
         assert_eq!(
             out,
             Err(ToolFailure::Unsupported(SheriffFailure::Incompatible))
@@ -833,12 +700,12 @@ mod tests {
 
     #[test]
     fn laser_tool_is_cancelled_mid_flight_by_a_step_budget() {
-        use laser_core::{BudgetObserver, CellBudget};
         let spec = find("histogram'").unwrap();
-        let out = LaserTool::new(LaserConfig::detection_only()).run_observed(
+        let out = run_cell(
+            &LaserTool::new(LaserConfig::detection_only()),
             &spec,
-            &opts(),
-            Box::new(BudgetObserver::new(CellBudget::steps(5_000))),
+            CellBudget::steps(5_000),
+            PipelineConfig::default(),
         );
         match out {
             Err(ToolFailure::BudgetExceeded {
@@ -851,53 +718,49 @@ mod tests {
     #[test]
     fn pipelined_laser_cell_is_byte_identical_to_inline() {
         let spec = find("histogram'").unwrap();
-        let inline = LaserTool::new(LaserConfig::detection_only())
-            .run(&spec, &opts())
-            .unwrap();
-        let piped = LaserTool::new(LaserConfig::detection_only())
-            .with_pipeline(PipelineConfig::pipelined())
-            .run(&spec, &opts())
-            .unwrap();
-        assert_eq!(inline, piped);
+        let piped = |tool: &dyn Tool| {
+            run_cell(
+                tool,
+                &spec,
+                CellBudget::default(),
+                PipelineConfig::pipelined(),
+            )
+            .unwrap()
+        };
+        let laser = LaserTool::new(LaserConfig::detection_only());
+        let inline = run(&laser, &spec).unwrap();
+        assert_eq!(inline, piped(&laser));
 
         // The trait-object path the campaign runner uses agrees too.
-        let mut boxed: Box<dyn Tool> = Box::new(LaserTool::new(LaserConfig::detection_only()));
-        boxed.set_pipeline(PipelineConfig::pipelined());
-        assert_eq!(boxed.run(&spec, &opts()).unwrap(), inline);
+        assert_eq!(piped(ToolSpec::LaserDetect.build().as_ref()), inline);
 
         // Tools without a detector stage accept (and ignore) the deployment.
-        let mut native: Box<dyn Tool> = Box::new(NativeTool);
-        native.set_pipeline(PipelineConfig::pipelined());
-        let native_run = native.run(&spec, &opts()).unwrap();
-        assert_eq!(native_run, NativeTool.run(&spec, &opts()).unwrap());
+        assert_eq!(piped(&NativeTool), run(&NativeTool, &spec).unwrap());
     }
 
     #[test]
     fn native_tool_is_marked_over_budget_after_completion() {
-        use laser_core::{BudgetObserver, CellBudget};
         let spec = find("swaptions").unwrap();
+        let budgeted = |steps| {
+            run_cell(
+                &NativeTool,
+                &spec,
+                CellBudget::steps(steps),
+                PipelineConfig::default(),
+            )
+        };
         // Native runs cannot be shortened: the run completes and is then held
         // to the budget via its Finished event.
-        let out = NativeTool.run_observed(
-            &spec,
-            &opts(),
-            Box::new(BudgetObserver::new(CellBudget::steps(1))),
-        );
         assert!(matches!(
-            out,
+            budgeted(1),
             Err(ToolFailure::BudgetExceeded {
                 reason: StopReason::StepBudget { limit: 1, .. }
             })
         ));
         // A generous budget changes nothing about the run.
-        let unbudgeted = NativeTool.run(&spec, &opts()).unwrap();
-        let budgeted = NativeTool
-            .run_observed(
-                &spec,
-                &opts(),
-                Box::new(BudgetObserver::new(CellBudget::steps(u64::MAX))),
-            )
-            .unwrap();
-        assert_eq!(unbudgeted, budgeted);
+        assert_eq!(
+            run(&NativeTool, &spec).unwrap(),
+            budgeted(u64::MAX).unwrap()
+        );
     }
 }

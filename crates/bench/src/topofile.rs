@@ -1,5 +1,5 @@
-//! Bespoke socket topologies loaded from JSON, and the [`Deployment`] axis
-//! that runs campaign cells on either a named preset or a custom layout.
+//! Bespoke socket topologies loaded from JSON: the custom arm of a cell's
+//! deployment (see [`crate::config::CellConfig`]).
 //!
 //! The preset [`TopologySpec`] sweep covers symmetric 4-cores-per-socket
 //! parts. Real deployments are lumpier: a fat socket of accelerator-adjacent
@@ -28,8 +28,6 @@
 //! rendered into [`CustomTopology::canonical`] and fingerprinted into the
 //! cell cache (see [`crate::cache::CellConfig`]), so cells from different
 //! layouts never alias.
-
-use std::sync::Arc;
 
 use laser_core::TopologySpec;
 use laser_machine::{LatencyModel, MachineConfig, SocketLatency, ThreadPlacement, Topology};
@@ -264,68 +262,10 @@ fn parse_remote(value: &Value) -> Result<SocketLatency, String> {
     }
 }
 
-/// Where a cell's machine is deployed: a preset from the [`TopologySpec`]
-/// sweep, or a bespoke [`CustomTopology`]. Tools take this instead of a bare
-/// preset so `--topology-file` reaches every machine the campaign builds;
-/// the preset arm is byte-identical to the pre-deployment code path.
-#[derive(Debug, Clone)]
-pub enum Deployment {
-    /// A named preset; `TopologySpec::Flat` is the single-socket default.
-    Preset(TopologySpec),
-    /// A bespoke layout, shared across the campaign's cells.
-    Custom(Arc<CustomTopology>),
-}
-
-impl Deployment {
-    /// The preset this deployment names, if it is one.
-    pub fn preset(&self) -> Option<TopologySpec> {
-        match self {
-            Deployment::Preset(topo) => Some(*topo),
-            Deployment::Custom(_) => None,
-        }
-    }
-
-    /// Adapt build options to the deployment (see
-    /// [`BuildOptions::for_topology`] and [`CustomTopology::adapt`]).
-    pub fn adapt(&self, opts: &BuildOptions) -> BuildOptions {
-        match self {
-            Deployment::Preset(topo) => opts.clone().for_topology(*topo),
-            Deployment::Custom(custom) => custom.adapt(opts),
-        }
-    }
-
-    /// The machine deployment for this axis value.
-    pub fn machine_config(&self) -> MachineConfig {
-        match self {
-            Deployment::Preset(topo) => MachineConfig::for_topology(*topo),
-            Deployment::Custom(custom) => custom.machine_config(),
-        }
-    }
-
-    /// The cell key of `tool_name` on this deployment: bare on the flat
-    /// preset (preserving pre-topology naming byte-for-byte), `name@2s` on
-    /// the multi-socket presets, `name@layout` on a custom layout.
-    pub fn cell_key(&self, tool_name: &str) -> String {
-        match self {
-            Deployment::Preset(topo) => crate::tool::cell_key(tool_name, *topo),
-            Deployment::Custom(custom) => format!("{tool_name}@{}", custom.name()),
-        }
-    }
-
-    /// Deterministic rendering for cache fingerprints: the preset key
-    /// (`flat`, `2s`, ...) or the custom layout's full
-    /// [`CustomTopology::canonical`].
-    pub fn canonical(&self) -> String {
-        match self {
-            Deployment::Preset(topo) => topo.key().to_string(),
-            Deployment::Custom(custom) => custom.canonical(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CellConfig;
 
     const FAT_THIN: &str = r#"{
         "name": "fat-thin",
@@ -465,34 +405,46 @@ mod tests {
         assert!(message.contains("/nonexistent/topo.json"), "{message}");
     }
 
+    fn cell<'a>(opts: &'a BuildOptions, custom: Option<&'a CustomTopology>) -> CellConfig<'a> {
+        CellConfig {
+            topology: TopologySpec::DualSocket,
+            custom_topology: custom,
+            ..CellConfig::flat("histogram'", "laser", opts)
+        }
+    }
+
     #[test]
     fn deployment_preset_arm_matches_the_preset_helpers() {
-        let deploy = Deployment::Preset(TopologySpec::DualSocket);
-        assert_eq!(deploy.preset(), Some(TopologySpec::DualSocket));
-        assert_eq!(deploy.cell_key("laser"), "laser@2s");
-        assert_eq!(deploy.canonical(), "2s");
+        let opts = BuildOptions::default();
+        let deploy = cell(&opts, None);
+        assert_eq!(deploy.cell_key(), "laser@2s");
+        assert!(deploy.canonical().contains("\ntopology=2s\n"));
         assert_eq!(
             deploy.machine_config().num_cores,
             MachineConfig::for_topology(TopologySpec::DualSocket).num_cores
         );
         assert_eq!(
-            deploy.adapt(&BuildOptions::default()),
+            deploy.adapted_opts(),
             BuildOptions::default().for_topology(TopologySpec::DualSocket)
         );
         // The flat preset stays bare, preserving pre-topology cell naming.
         assert_eq!(
-            Deployment::Preset(TopologySpec::Flat).cell_key("laser"),
+            CellConfig::flat("histogram'", "laser", &opts).cell_key(),
             "laser"
         );
     }
 
     #[test]
     fn deployment_custom_arm_uses_the_layout() {
-        let custom = Arc::new(CustomTopology::from_json(FAT_THIN).unwrap());
-        let deploy = Deployment::Custom(Arc::clone(&custom));
-        assert_eq!(deploy.preset(), None);
-        assert_eq!(deploy.cell_key("laser"), "laser@fat-thin");
-        assert_eq!(deploy.canonical(), custom.canonical());
+        let custom = CustomTopology::from_json(FAT_THIN).unwrap();
+        let opts = BuildOptions::default();
+        // The layout overrides whatever preset the cell names.
+        let deploy = cell(&opts, Some(&custom));
+        assert_eq!(deploy.cell_key(), "laser@fat-thin");
+        assert!(deploy
+            .canonical()
+            .contains(&format!("\ntopology={}\n", custom.canonical())));
         assert_eq!(deploy.machine_config().num_cores, 8);
+        assert_eq!(deploy.adapted_opts(), custom.adapt(&opts));
     }
 }

@@ -23,7 +23,6 @@
 use laser_core::TopologySpec;
 
 use crate::grid::{ExperimentError, Grid, GridResult};
-use crate::runner::ExperimentScale;
 use crate::tool::ToolSpec;
 
 /// The false-sharing workloads the sweep runs: the paper's headline
@@ -159,19 +158,11 @@ pub fn xsocket_from_grid(grid: &GridResult) -> Result<XsocketReport, ExperimentE
     Ok(XsocketReport { rows })
 }
 
-/// Run the sweep on a single-purpose grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn xsocket_sweep(scale: &ExperimentScale) -> Result<XsocketReport, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_xsocket(&mut grid);
-    xsocket_from_grid(&grid.run())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::single_figure;
+    use crate::runner::ExperimentScale;
 
     fn scale() -> ExperimentScale {
         // Full scale (the xsocket default): the repair trigger needs a
@@ -184,7 +175,7 @@ mod tests {
 
     #[test]
     fn sweep_shows_remote_hitms_and_repair_reducing_them() {
-        let report = xsocket_sweep(&scale()).unwrap();
+        let report = single_figure(scale(), plan_xsocket, xsocket_from_grid).unwrap();
         // One workload on every preset topology.
         assert_eq!(report.rows.len(), TopologySpec::ALL.len());
         let flat = &report.topology_rows(TopologySpec::Flat)[0];
@@ -232,11 +223,11 @@ mod tests {
 
     #[test]
     fn sweep_respects_the_scale_selection() {
-        let report = xsocket_sweep(&ExperimentScale {
+        let scale = ExperimentScale {
             workload_scale: 0.1,
             only: Some(&["swaptions"]), // not a sweep workload
-        })
-        .unwrap();
+        };
+        let report = single_figure(scale, plan_xsocket, xsocket_from_grid).unwrap();
         assert!(report.rows.is_empty());
     }
 }

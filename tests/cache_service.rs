@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use laser_bench::{
-    run_scenario, Campaign, CellBudget, CellCache, Emit, LaserTool, NativeTool, Scenario,
-    ServiceOptions, Tool, TopologySpec, CACHE_SALT,
+    run_scenario, Campaign, CampaignConfig, CellBudget, CellCache, Emit, LaserTool, NativeTool,
+    Scenario, ServiceOptions, Tool, TopologySpec, CACHE_SALT,
 };
 use laser_core::LaserConfig;
 use laser_workloads::{registry, BuildOptions};
@@ -169,6 +169,62 @@ fn scenario_service_reruns_from_the_cache_with_identical_aggregate() {
             .expect("aggregate content")
     };
     assert_eq!(aggregate(&cold_out), aggregate(&warm_out));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_store_populated_through_the_flag_setters_serves_the_equivalent_scenario() {
+    let dir = scratch_dir("cross");
+
+    // What `experiments campaign --scale 0.08 --threads 2 --shards 2
+    // --cell-budget-steps 200000 --cache DIR` configures: the same setters,
+    // in flag order.
+    let mut config = CampaignConfig::evaluation();
+    config.set_scale(0.08).expect("scale in range");
+    config.set_threads(2).expect("threads in range");
+    config.set_shards(2).expect("shards in range");
+    config.set_budget_steps(200_000).expect("budget in range");
+    config.cache = Some(Arc::new(CellCache::open(&dir).expect("cache dir")));
+    let cold = Campaign::new(registry(), tools())
+        .with_workload_names(&["histogram'", "swaptions"])
+        .expect("known workload names")
+        .with_config(config)
+        .run();
+
+    // The same knobs spelled as scenario keys reach the same fingerprints:
+    // the service simulates nothing and aggregates the same bytes.
+    let scenario = Scenario::parse(
+        r#"{
+          "name": "cross",
+          "budget_steps": 200000,
+          "shards": 2,
+          "threads": 2,
+          "scale": 0.08,
+          "format": "text",
+          "sweeps": [
+            {"kind": "grid", "workloads": ["swaptions", "histogram'"],
+             "tools": ["laser-detect", "native"]}
+          ]
+        }"#,
+    )
+    .expect("valid scenario");
+    let options = ServiceOptions {
+        threads: None,
+        cache: Some(Arc::new(CellCache::open(&dir).expect("cache dir"))),
+    };
+    let mut out = Vec::new();
+    let summary = run_scenario(&scenario, &options, &mut out).expect("scenario runs");
+    assert_eq!(summary.cells, cold.cells.len());
+    assert_eq!(summary.simulated, 0);
+    assert_eq!(summary.cached, cold.cells.len() as u64);
+    let text = std::str::from_utf8(&out).expect("utf8 stream");
+    let last = serde::json::Value::parse(text.lines().last().expect("summary line"))
+        .expect("valid JSON line");
+    assert_eq!(
+        last.get("aggregate").and_then(|a| a.get("content")),
+        Some(&serde::json::Value::Str(cold.render()))
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

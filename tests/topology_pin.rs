@@ -10,13 +10,17 @@
 //! misrouted class, an off-by-one in a latency table — fails loudly rather
 //! than silently skewing every figure.
 
-use laser_bench::{LaserTool, NativeTool, Tool, ToolSpec, TopologySpec};
+use laser_bench::{CellConfig, LaserTool, NativeTool, Tool, ToolRun, ToolSpec, TopologySpec};
 use laser_core::LaserConfig;
 use laser_machine::{LatencyModel, ResolvedClass, Topology};
-use laser_workloads::{find, BuildOptions};
+use laser_workloads::{find, BuildOptions, WorkloadSpec};
 
-fn opts() -> BuildOptions {
-    BuildOptions::scaled(0.08)
+/// Run `tool` on `spec` as the default cell — flat, inline, unbudgeted — at
+/// scale 0.08.
+fn run(tool: &dyn Tool, spec: &WorkloadSpec) -> ToolRun {
+    let opts = BuildOptions::scaled(0.08);
+    tool.run(spec, &CellConfig::flat(spec.name, tool.name(), &opts))
+        .unwrap()
 }
 
 /// Cycle counts recorded from the pre-topology tree at scale 0.08.
@@ -30,7 +34,7 @@ const PINNED_NATIVE: &[(&str, u64)] = &[
 fn default_topology_native_cycles_match_the_pre_refactor_flat_model() {
     for &(name, cycles) in PINNED_NATIVE {
         let spec = find(name).expect("known workload");
-        let run = NativeTool.run(&spec, &opts()).unwrap();
+        let run = run(&NativeTool, &spec);
         assert_eq!(
             run.cycles, cycles,
             "{name}: default-topology charges drifted from the flat model"
@@ -47,9 +51,7 @@ fn default_topology_laser_cycles_match_the_pre_refactor_flat_model() {
     // The LASER path exercises driver + detector charging on top of the
     // machine's access costs; its end-to-end count pins both.
     let spec = find("histogram'").expect("known workload");
-    let run = LaserTool::new(LaserConfig::detection_only())
-        .run(&spec, &opts())
-        .unwrap();
+    let run = run(&LaserTool::new(LaserConfig::detection_only()), &spec);
     assert_eq!(run.cycles, 21_826, "laser-detect charges drifted");
 }
 
@@ -68,11 +70,17 @@ fn explicit_flat_topology_equals_the_default_cell_for_cell() {
     // Running a cell "at" the flat preset must be the same computation as
     // running it with no topology at all — key, options and outcome.
     let spec = find("histogram'").expect("known workload");
-    let default_run = NativeTool.run(&spec, &opts()).unwrap();
-    let flat_run = NativeTool
-        .run_at(&spec, &opts(), TopologySpec::Flat)
-        .unwrap();
-    assert_eq!(default_run, flat_run);
+    let opts = BuildOptions::scaled(0.08);
+    let flat = CellConfig {
+        topology: TopologySpec::Flat,
+        ..CellConfig::flat(spec.name, "native", &opts)
+    };
+    assert_eq!(flat.adapted_opts(), opts);
+    assert_eq!(flat.cell_key(), "native");
+    assert_eq!(
+        run(&NativeTool, &spec),
+        NativeTool.run(&spec, &flat).unwrap()
+    );
     assert_eq!(ToolSpec::Native.key_at(TopologySpec::Flat), "native");
     assert_eq!(
         ToolSpec::Native.key_at(TopologySpec::DualSocket),
