@@ -15,7 +15,9 @@
 //!
 //! * `inner` — `MachineInner`, the memory/coherence state shared with hooks;
 //! * `sched` — per-thread state and the smallest-clock scheduling decision;
-//! * `exec` — the fetch/execute loop and operand evaluation;
+//! * `exec` — the fetch/execute loop (`run_steps`: equivalent to `n` single
+//!   steps, with register-only instructions run ahead of the scheduler) and
+//!   operand evaluation;
 //! * `dispatch` — hook attachment and dispatch (the Pin substitute).
 //!
 //! A `Machine` owns everything it needs (no shared interior mutability), so a
@@ -326,11 +328,15 @@ impl Machine {
     /// Drain the HITM events generated since the last call. This is how the
     /// PMU model pulls ground-truth coherence events out of the machine.
     pub fn take_hitm_events(&mut self) -> Vec<HitmEvent> {
-        std::mem::take(&mut self.inner.pending_hitms)
+        // Leave a buffer sized to the batch just yielded, so a contended run
+        // does not regrow the queue from empty every quantum.
+        let next = Vec::with_capacity(self.inner.pending_hitms.len());
+        std::mem::replace(&mut self.inner.pending_hitms, next)
     }
 
     /// Run one quantum of up to `steps` instructions and *yield* the HITM
-    /// events it generated (equivalent to [`Machine::run_steps`] followed by
+    /// events it generated (equivalent to [`Machine::run_steps`] — itself
+    /// equivalent to `steps` single steps — followed by
     /// [`Machine::take_hitm_events`], as one operation).
     ///
     /// This is the producer half of the pipelined execution model: the yielded

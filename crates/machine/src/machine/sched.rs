@@ -6,8 +6,14 @@
 //! lines: a core stalled on a 90-cycle HITM transfer falls behind and the
 //! other cores run ahead.
 //!
-//! [`CoreSched`] makes that decision in O(1) with O(log cores) maintenance
-//! per step, instead of the naive O(threads) min-scan per instruction:
+//! [`crate::machine::Machine::run_steps`] is equivalent to `n` single steps
+//! under that rule, but consults this scheduler only at *active*
+//! instructions (memory, fence, halt): between them the scheduled core
+//! retires its register-only instructions without touching the heap and is
+//! repositioned once (see the `exec` module docs for why that is exact).
+//!
+//! [`CoreSched`] makes the decision in O(1) with O(log cores) maintenance
+//! per reposition, instead of the naive O(threads) min-scan per instruction:
 //!
 //! * All threads on a core share that core's clock, so the per-thread minimum
 //!   of `(clock, thread index)` equals the per-*core* minimum of
@@ -97,11 +103,26 @@ impl CoreSched {
         self.live
     }
 
+    /// Number of cores that still have a runnable thread.
+    pub(crate) fn live_cores(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// The heap's root core — the one whose `(clock, front thread)` key is
+    /// smallest, so its clock is the minimum over all live cores. O(1).
+    pub(crate) fn root(&self) -> Option<usize> {
+        self.heap.first().map(|&c| c as usize)
+    }
+
+    /// The front runnable thread of a live `core`.
+    pub(crate) fn front(&self, core: usize) -> usize {
+        self.threads_on[core][self.cursor[core] as usize] as usize
+    }
+
     /// The scheduling decision: the front runnable thread of the heap's root
     /// core. O(1).
     pub(crate) fn pick(&self) -> Option<usize> {
-        let core = *self.heap.first()? as usize;
-        Some(self.threads_on[core][self.cursor[core] as usize] as usize)
+        self.root().map(|core| self.front(core))
     }
 
     fn key(&self, clocks: &[u64], core: u32) -> (u64, u32) {
@@ -188,7 +209,7 @@ impl Machine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// The naive reference scheduler: a linear min-scan over all runnable
@@ -212,10 +233,10 @@ mod tests {
 
     /// A tiny deterministic xorshift PRNG so the property test needs no
     /// external randomness source.
-    struct XorShift(u64);
+    pub(crate) struct XorShift(pub(crate) u64);
 
     impl XorShift {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             let mut x = self.0;
             x ^= x << 13;
             x ^= x >> 7;
@@ -224,7 +245,7 @@ mod tests {
             x
         }
 
-        fn below(&mut self, n: u64) -> u64 {
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
             self.next() % n
         }
     }

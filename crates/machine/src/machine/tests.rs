@@ -4,6 +4,8 @@ use crate::image::ThreadSpec;
 use laser_isa::inst::{Operand, Reg};
 use laser_isa::ProgramBuilder;
 
+mod run_ahead;
+
 /// A single thread storing 1..=n into consecutive u64 slots.
 fn store_loop_image(n: u64) -> (WorkloadImage, Addr) {
     let mut b = ProgramBuilder::new("store_loop");
@@ -187,8 +189,15 @@ fn max_steps_guard_trips_on_infinite_loop() {
     };
     let mut m = Machine::new(config, &image);
     let err = m.run_to_completion().unwrap_err();
-    assert!(matches!(err, MachineError::MaxStepsExceeded { .. }));
+    assert_eq!(err, MachineError::MaxStepsExceeded { steps: 10_000 });
     assert!(!err.to_string().is_empty());
+    // The livelocked loop is register-only, so it all runs ahead of the
+    // scheduler — and still stops on exactly the budget.
+    assert_eq!(m.steps(), 10_000);
+    assert_eq!(m.cycles(), 5_000 * 3, "5000 × (pause 2 + jump 1)");
+    // Asking again spends nothing more.
+    assert_eq!(m.run_to_completion().unwrap_err(), err);
+    assert_eq!(m.steps(), 10_000);
 }
 
 #[test]
@@ -363,6 +372,20 @@ fn dual_socket_dram_interleaves_homes() {
         r.stats.dram_remote_accesses,
         r.stats.dram_accesses
     );
+}
+
+#[test]
+#[should_panic(expected = "latency model: pause must cost at least 1 cycle")]
+fn free_instructions_are_rejected_at_construction() {
+    let (image, _) = store_loop_image(4);
+    let config = MachineConfig {
+        latency: crate::timing::LatencyModel {
+            pause: 0,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    Machine::new(config, &image);
 }
 
 #[test]

@@ -1,0 +1,598 @@
+//! The differential oracle for the horizon-bounded run-ahead in
+//! [`Machine::run_steps`]: two machines built from one image are driven in
+//! lock-step, one through `run_steps` and one through
+//! `run_steps_reference` (`n` single steps), with seeded quantum sizes and
+//! seeded external charges between quanta, and must agree on everything
+//! observable after every quantum.
+//!
+//! Every test here has `run_ahead` in its path, so
+//! `cargo test --release -p laser-machine run_ahead` runs the suite at its
+//! full program count; a debug build keeps a reduced count.
+
+use laser_isa::inst::{AluOp, CmpOp, Inst, MemAddr, Operand, Reg, RmwOp};
+use laser_isa::ProgramBuilder;
+
+use crate::hook::{ExecHook, HookAction, HookCtx, MemOp};
+use crate::image::ThreadSpec;
+use crate::machine::sched::tests::XorShift;
+use crate::machine::*;
+use crate::topology::{ThreadPlacement, TopologySpec};
+
+/// Largest quantum the seeded schedules draw.
+const MAX_QUANTUM: u64 = 20_000;
+
+/// Steps after which a lock-step run stops comparing. A few registry
+/// workloads run millions of steps at any input scale; a debug build follows
+/// each for this long, a release build to the end.
+const STEP_CAP: u64 = if cfg!(debug_assertions) {
+    100_000
+} else {
+    u64::MAX
+};
+
+fn assert_same_state(fast: &Machine, slow: &Machine, what: &str, quantum: usize) {
+    assert_eq!(fast.steps(), slow.steps(), "{what} q{quantum}: steps");
+    assert_eq!(
+        fast.per_core_cycles(),
+        slow.per_core_cycles(),
+        "{what} q{quantum}: core clocks"
+    );
+    assert_eq!(fast.stats(), slow.stats(), "{what} q{quantum}: stats");
+    for (ti, (f, s)) in fast.threads.iter().zip(&slow.threads).enumerate() {
+        assert_eq!(
+            (f.block, f.idx, f.halted),
+            (s.block, s.idx, s.halted),
+            "{what} q{quantum}: position of thread {ti}"
+        );
+        assert_eq!(
+            f.regs, s.regs,
+            "{what} q{quantum}: registers of thread {ti}"
+        );
+    }
+}
+
+/// Apply one seeded external charge (or none) to both machines, the way a
+/// session charges driver and detector overhead between quanta.
+fn charge_both(rng: &mut XorShift, fast: &mut Machine, slow: &mut Machine) {
+    let cores = fast.num_cores();
+    match rng.below(6) {
+        0 => {
+            let core = CoreId(rng.below(cores as u64) as usize);
+            let cycles = rng.below(3_000);
+            fast.charge_cycles(core, cycles);
+            slow.charge_cycles(core, cycles);
+        }
+        1 => {
+            let cycles = rng.below(500);
+            fast.charge_all_cores(cycles);
+            slow.charge_all_cores(cycles);
+        }
+        2 => {
+            let charges: Vec<u64> = (0..cores)
+                .map(|_| {
+                    if rng.below(3) == 0 {
+                        rng.below(2_000)
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            fast.charge_per_core(&charges);
+            slow.charge_per_core(&charges);
+        }
+        _ => {}
+    }
+}
+
+/// Run `fast` through `run_quantum` and `slow` through the reference loop
+/// until both finish (or pass [`STEP_CAP`]), with quanta drawn from
+/// `1..=max_quantum`, comparing after every quantum and the whole memory at
+/// the end.
+fn run_lockstep(mut fast: Machine, mut slow: Machine, seed: u64, max_quantum: u64, what: &str) {
+    let mut rng = XorShift(seed | 1);
+    assert_same_state(&fast, &slow, what, 0);
+    for quantum in 1.. {
+        let n = 1 + rng.below(max_quantum);
+        let yielded = fast.run_quantum(n);
+        let status = slow.run_steps_reference(n);
+        assert_eq!(yielded.status, status, "{what} q{quantum}: status");
+        assert_eq!(
+            yielded.events,
+            slow.take_hitm_events(),
+            "{what} q{quantum}: HITM batch"
+        );
+        assert_same_state(&fast, &slow, what, quantum);
+        if status == RunStatus::Done || fast.steps() >= STEP_CAP {
+            break;
+        }
+        charge_both(&mut rng, &mut fast, &mut slow);
+    }
+    assert!(
+        fast.inner.mem == slow.inner.mem,
+        "{what}: final memory differs"
+    );
+}
+
+/// Seeded quantum ceiling: small, medium and session-sized schedules.
+fn quantum_ceiling(rng: &mut XorShift) -> u64 {
+    match rng.below(4) {
+        0 => 8,
+        1 => 300,
+        2 => 3_000,
+        _ => MAX_QUANTUM,
+    }
+}
+
+fn lockstep_from_image(image: &WorkloadImage, config: &MachineConfig, seed: u64, what: &str) {
+    let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    let max_quantum = quantum_ceiling(&mut rng);
+    run_lockstep(
+        Machine::new(config.clone(), image),
+        Machine::new(config.clone(), image),
+        rng.next(),
+        max_quantum,
+        what,
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Generated programs
+// ---------------------------------------------------------------------------
+
+const SHARED: Reg = Reg(0);
+const PRIVATE: Reg = Reg(1);
+const COUNTER: Reg = Reg(2);
+const BOUND: Reg = Reg(3);
+const COND: Reg = Reg(10);
+/// Bytes of the region every thread shares (four lines).
+const SHARED_BYTES: u64 = 256;
+/// Distance between threads' private slots: not a multiple of the line size,
+/// so neighbouring threads falsely share lines.
+const PRIVATE_STRIDE: u64 = 40;
+
+fn scratch(rng: &mut XorShift) -> Reg {
+    Reg(4 + rng.below(6) as u8)
+}
+
+fn operand(rng: &mut XorShift) -> Operand {
+    if rng.below(2) == 0 {
+        Operand::Reg(scratch(rng))
+    } else {
+        Operand::Imm(rng.below(1 << 16))
+    }
+}
+
+fn access_size(rng: &mut XorShift) -> u8 {
+    [1, 2, 4, 8][rng.below(4) as usize]
+}
+
+/// A seeded address inside the shared region (possibly line-crossing,
+/// possibly data-dependent) or the thread's private slot. May emit the
+/// masking instruction a data-dependent index needs.
+fn address(rng: &mut XorShift, b: &mut ProgramBuilder) -> MemAddr {
+    match rng.below(4) {
+        0 => MemAddr::base_offset(PRIVATE, 8 * rng.below(4) as i64),
+        1 => {
+            b.alu(AluOp::And, COND, scratch(rng), Operand::Imm(0xf8));
+            MemAddr::indexed(SHARED, COND, 1, 0)
+        }
+        _ => {
+            let offsets = [0, 8, 16, 56, 60, 64, 120, 124, 128, 192, 248];
+            MemAddr::base_offset(SHARED, offsets[rng.below(offsets.len() as u64) as usize])
+        }
+    }
+}
+
+fn emit_memory_inst(rng: &mut XorShift, b: &mut ProgramBuilder) {
+    let addr = address(rng, b);
+    let size = access_size(rng);
+    match rng.below(8) {
+        0..=2 => {
+            b.load_addr(scratch(rng), addr, size);
+        }
+        3 | 4 => {
+            b.store_addr(operand(rng), addr, size);
+        }
+        5 => {
+            let ops = [AluOp::Add, AluOp::Xor, AluOp::Or, AluOp::Sub];
+            b.emit(Inst::MemRmw {
+                op: ops[rng.below(4) as usize],
+                addr,
+                operand: operand(rng),
+                size,
+            });
+        }
+        6 => {
+            let (op, expected) = match rng.below(3) {
+                0 => (RmwOp::FetchAdd, None),
+                1 => (RmwOp::Exchange, None),
+                _ => (RmwOp::CompareExchange, Some(operand(rng))),
+            };
+            b.emit(Inst::AtomicRmw {
+                op,
+                dst: scratch(rng),
+                addr,
+                operand: operand(rng),
+                expected,
+                size,
+            });
+        }
+        _ => {
+            b.fence();
+        }
+    }
+}
+
+fn emit_register_inst(rng: &mut XorShift, b: &mut ProgramBuilder) {
+    match rng.below(10) {
+        0..=4 => {
+            let ops = [
+                AluOp::Add,
+                AluOp::Sub,
+                AluOp::Mul,
+                AluOp::Div,
+                AluOp::Rem,
+                AluOp::And,
+                AluOp::Or,
+                AluOp::Xor,
+                AluOp::Shl,
+                AluOp::Shr,
+            ];
+            b.alu(
+                ops[rng.below(ops.len() as u64) as usize],
+                scratch(rng),
+                scratch(rng),
+                operand(rng),
+            );
+        }
+        5 | 6 => {
+            b.mov(scratch(rng), operand(rng));
+        }
+        7 => {
+            let ops = [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ];
+            b.cmp(
+                ops[rng.below(ops.len() as u64) as usize],
+                scratch(rng),
+                scratch(rng),
+                operand(rng),
+            );
+        }
+        8 => {
+            b.pause();
+        }
+        _ => {
+            b.nop();
+        }
+    }
+}
+
+/// One kernel: a loop over a chain of blocks with forward, data-dependent
+/// branches (so control flow depends on what the loads saw), an occasional
+/// data-dependent early exit, and `mem_pct` percent memory instructions.
+fn emit_kernel(rng: &mut XorShift, b: &mut ProgramBuilder, kernel: usize, mem_pct: u64) {
+    let num_blocks = 2 + rng.below(4) as usize;
+    let blocks: Vec<_> = (0..num_blocks)
+        .map(|i| {
+            let label = if i == 0 {
+                format!("k{kernel}")
+            } else {
+                format!("k{kernel}_b{i}")
+            };
+            b.block(&label)
+        })
+        .collect();
+    let latch = b.block(&format!("k{kernel}_latch"));
+    let done = b.block(&format!("k{kernel}_done"));
+    for (i, &block) in blocks.iter().enumerate() {
+        b.switch_to(block);
+        for _ in 0..rng.below(12) {
+            if rng.below(100) < mem_pct {
+                emit_memory_inst(rng, b);
+            } else {
+                emit_register_inst(rng, b);
+            }
+        }
+        let next = blocks.get(i + 1).copied().unwrap_or(latch);
+        match rng.below(10) {
+            0..=3 => b.jump(next),
+            4 => {
+                // Early exit on a data-dependent 1-in-32 condition.
+                b.alu(AluOp::And, COND, scratch(rng), Operand::Imm(0x1f));
+                b.cmp_eq(COND, COND, Operand::Imm(3));
+                b.branch(COND, done, next);
+            }
+            _ => {
+                let later = i + 1 + rng.below((num_blocks - i) as u64) as usize;
+                let target = blocks.get(later).copied().unwrap_or(latch);
+                b.alu(AluOp::And, COND, scratch(rng), Operand::Imm(1));
+                b.branch(COND, target, next);
+            }
+        }
+    }
+    b.switch_to(latch);
+    b.addi(COUNTER, COUNTER, 1);
+    b.cmp_lt(COND, COUNTER, Operand::Reg(BOUND));
+    b.branch(COND, blocks[0], done);
+    b.switch_to(done);
+    b.halt();
+}
+
+/// A seeded multi-threaded image: two kernels, `threads` threads spread over
+/// them with seeded trip counts (some halt almost at once), all sharing four
+/// lines and falsely sharing their private slots.
+fn generated_image(rng: &mut XorShift, threads: usize) -> WorkloadImage {
+    let mem_pct = [2, 10, 30, 60][rng.below(4) as usize];
+    let mut b = ProgramBuilder::new("generated");
+    b.source("generated.c", 1);
+    emit_kernel(rng, &mut b, 0, mem_pct);
+    emit_kernel(rng, &mut b, 1, mem_pct);
+    let mut image = WorkloadImage::new("generated", b.finish());
+    let shared = image.layout_mut().heap_alloc(SHARED_BYTES + 8, 64).unwrap();
+    let private = image
+        .layout_mut()
+        .heap_alloc(PRIVATE_STRIDE * threads as u64 + 64, 64)
+        .unwrap();
+    for i in 0..SHARED_BYTES / 8 {
+        image.layout_mut().poke_u64(shared + 8 * i, rng.next());
+    }
+    let long_run = rng.below(4) == 0;
+    for t in 0..threads {
+        let bound = match rng.below(3) {
+            0 => rng.below(3),
+            _ if long_run => 100 + rng.below(400),
+            _ => 5 + rng.below(60),
+        };
+        let mut spec = ThreadSpec::new(format!("t{t}"), format!("k{}", rng.below(2)))
+            .with_reg(SHARED, shared)
+            .with_reg(PRIVATE, private + PRIVATE_STRIDE * t as u64)
+            .with_reg(BOUND, bound);
+        for r in 4..10 {
+            spec = spec.with_reg(Reg(r), rng.next());
+        }
+        image.push_thread(spec);
+    }
+    image
+}
+
+/// A seeded machine for a generated image: 1–6 cores on one socket or the
+/// dual-socket preset, with the default latencies or dearer seeded ones (so
+/// the horizon's `floor` is not always 1).
+fn generated_config(rng: &mut XorShift) -> (MachineConfig, ThreadPlacement) {
+    let (mut config, placement) = if rng.below(4) == 0 {
+        (
+            MachineConfig::for_topology(TopologySpec::DualSocket),
+            ThreadPlacement::RoundRobin,
+        )
+    } else {
+        (
+            MachineConfig {
+                num_cores: 1 + rng.below(6) as usize,
+                ..Default::default()
+            },
+            ThreadPlacement::Packed,
+        )
+    };
+    if rng.below(3) == 0 {
+        config.latency.alu = 1 + rng.below(3);
+        config.latency.branch = 1 + rng.below(4);
+        config.latency.pause = 1 + rng.below(6);
+        config.latency.fence = 1 + rng.below(25);
+        config.latency.l1_hit = 1 + rng.below(6);
+    }
+    (config, placement)
+}
+
+#[test]
+fn generated_programs_agree_with_single_steps() {
+    let programs: u64 = if cfg!(debug_assertions) { 60 } else { 600 };
+    for seed in 1..=programs {
+        let mut rng = XorShift(seed.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        let (config, placement) = generated_config(&mut rng);
+        let threads = 1 + rng.below(3 * config.num_cores as u64).min(13) as usize;
+        let mut image = generated_image(&mut rng, threads);
+        image.set_thread_placement(placement);
+        lockstep_from_image(
+            &image,
+            &config,
+            rng.next(),
+            &format!("generated program {seed}"),
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Registry workloads
+// ---------------------------------------------------------------------------
+
+/// Input scale of the registry runs: every workload keeps its shape (the
+/// builders floor their trip counts) at a size a debug build finishes.
+const REGISTRY_SCALE: f64 = 0.02;
+
+/// Rebuild an image `laser-workloads` built against the plain library as an
+/// image of the crate under test. The program is `laser-isa`'s type on both
+/// sides; threads, initial contents and dilation are copied over, which is
+/// all `Machine::new` reads besides the memory map.
+fn registry_image(
+    spec: &laser_workloads::WorkloadSpec,
+    threads: usize,
+    placement: ThreadPlacement,
+) -> WorkloadImage {
+    let theirs =
+        spec.build(&laser_workloads::BuildOptions::scaled(REGISTRY_SCALE).with_threads(threads));
+    let mut image = WorkloadImage::new(theirs.name(), theirs.program().clone());
+    for (addr, bytes) in theirs.layout().initial_contents() {
+        image.layout_mut().poke_bytes(*addr, bytes);
+    }
+    for (tid, t) in theirs.threads().iter().enumerate() {
+        let mut thread = ThreadSpec::new(t.name.clone(), t.entry_label.clone());
+        thread.regs = t.regs.clone();
+        image.push_thread(thread);
+        assert_eq!(image.stack_top(tid), theirs.stack_top(tid));
+    }
+    image.set_time_dilation(theirs.time_dilation());
+    image.set_thread_placement(placement);
+    image
+}
+
+fn registry_agrees_on(topology: TopologySpec) {
+    let placement = if topology == TopologySpec::Flat {
+        ThreadPlacement::Packed
+    } else {
+        ThreadPlacement::RoundRobin
+    };
+    let config = MachineConfig::for_topology(topology);
+    for (i, spec) in laser_workloads::registry().iter().enumerate() {
+        let image = registry_image(spec, 4 * topology.sockets(), placement);
+        lockstep_from_image(
+            &image,
+            &config,
+            1 + i as u64,
+            &format!("{} on {topology:?}", spec.name),
+        );
+    }
+}
+
+#[test]
+fn registry_flat_agrees_with_single_steps() {
+    registry_agrees_on(TopologySpec::Flat);
+}
+
+#[test]
+fn registry_2s_agrees_with_single_steps() {
+    registry_agrees_on(TopologySpec::DualSocket);
+}
+
+#[test]
+fn registry_8s_agrees_with_single_steps() {
+    registry_agrees_on(TopologySpec::OctoSocket);
+}
+
+// ---------------------------------------------------------------------------
+// Budget exactness
+// ---------------------------------------------------------------------------
+
+/// A fixed generated image with several threads per core, and its total
+/// step count by the reference path.
+fn budget_fixture(seed: u64) -> (WorkloadImage, MachineConfig, u64) {
+    let mut rng = XorShift(seed);
+    let (config, placement) = generated_config(&mut rng);
+    let mut image = generated_image(&mut rng, 2 * config.num_cores + 1);
+    image.set_thread_placement(placement);
+    let mut reference = Machine::new(config.clone(), &image);
+    while reference.run_steps_reference(10_000) == RunStatus::Running {}
+    let total = reference.steps();
+    (image, config, total)
+}
+
+#[test]
+fn a_round_never_overshoots_its_budget() {
+    for seed in [0x51ed_270b, 0x0bad_5eed, 0x1234_5678_9abc] {
+        let (image, config, total) = budget_fixture(seed);
+        // From a fresh machine…
+        for n in 1..200u64 {
+            let mut m = Machine::new(config.clone(), &image);
+            let status = m.run_steps(n);
+            assert_eq!(m.steps(), n.min(total), "seed {seed:#x}: run_steps({n})");
+            assert_eq!(status == RunStatus::Done, n >= total);
+        }
+        // …and from wherever the previous quantum left one.
+        let mut m = Machine::new(config, &image);
+        let mut expected = 0u64;
+        for n in (1..200u64).cycle() {
+            expected = (expected + n).min(total);
+            let status = m.run_steps(n);
+            assert_eq!(m.steps(), expected, "seed {seed:#x}: cumulative at {n}");
+            if status == RunStatus::Done {
+                break;
+            }
+        }
+        assert_eq!(m.steps(), total);
+    }
+}
+
+#[test]
+fn an_unbounded_budget_does_not_overflow_the_horizon() {
+    let (image, config, total) = budget_fixture(0x0dd_ba11);
+    let mut unbounded = Machine::new(config.clone(), &image);
+    // Clocks far from zero: the horizon saturates instead of wrapping.
+    unbounded.charge_all_cores(u64::MAX / 16);
+    assert_eq!(unbounded.run_steps(u64::MAX), RunStatus::Done);
+    assert_eq!(unbounded.steps(), total);
+
+    let mut reference = Machine::new(config, &image);
+    reference.charge_all_cores(u64::MAX / 16);
+    while reference.run_steps_reference(10_000) == RunStatus::Running {}
+    assert_same_state(&unbounded, &reference, "unbounded budget", 1);
+    assert!(unbounded.inner.mem == reference.inner.mem);
+}
+
+// ---------------------------------------------------------------------------
+// Hooked machines
+// ---------------------------------------------------------------------------
+
+/// Services every access to the shared region's first line for free — the
+/// zero-cost action that voids the horizon bound — and charges block
+/// entries, which must reach it in order.
+struct FreeLine {
+    line: Addr,
+    entries: u64,
+}
+
+impl ExecHook for FreeLine {
+    fn on_mem_op(&mut self, _ctx: &mut HookCtx<'_>, op: &MemOp) -> HookAction {
+        if crate::addr::line_of(op.addr) == self.line {
+            HookAction::Handled {
+                load_value: Some(self.entries),
+                extra_cycles: 0,
+            }
+        } else {
+            HookAction::Passthrough
+        }
+    }
+
+    fn on_block_entry(
+        &mut self,
+        _ctx: &mut HookCtx<'_>,
+        _block: laser_isa::program::BlockId,
+    ) -> u64 {
+        self.entries += 1;
+        self.entries % 3
+    }
+}
+
+#[test]
+fn hooked_machines_skip_run_ahead_and_agree_with_single_steps() {
+    for seed in 1..=20u64 {
+        let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let (config, placement) = generated_config(&mut rng);
+        let mut image = generated_image(&mut rng, 1 + 2 * config.num_cores);
+        image.set_thread_placement(placement);
+        let line = crate::addr::line_of(image.threads()[0].regs[0].1);
+        let hooked = || {
+            let mut m = Machine::new(config.clone(), &image);
+            m.attach_hook(Box::new(FreeLine { line, entries: 0 }));
+            m
+        };
+        let (mut fast, mut slow) = (hooked(), hooked());
+        for quantum in 1..=3 {
+            let n = 1 + rng.below(400);
+            assert_eq!(fast.run_steps(n), slow.run_steps_reference(n));
+            assert_eq!(fast.take_hitm_events(), slow.take_hitm_events());
+            assert_same_state(&fast, &slow, &format!("hooked {seed}"), quantum);
+        }
+        // Half the seeds detach midway (a session never does, a caller may):
+        // the unhooked remainder runs ahead from the hooked state.
+        if seed % 2 == 0 {
+            fast.detach_hook();
+            slow.detach_hook();
+        }
+        run_lockstep(fast, slow, rng.next(), 2_000, &format!("hooked {seed}"));
+    }
+}

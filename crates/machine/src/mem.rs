@@ -14,7 +14,7 @@ const PAGE_SIZE: u64 = 4096;
 /// that stay within one page (the overwhelmingly common case) touch the map
 /// once, not once per byte — the simulator's load/store path funnels every
 /// access through [`SparseMemory::read`] and [`SparseMemory::write`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparseMemory {
     pages: HashMap<u64, Box<[u8]>, FastBuildHasher>,
 }

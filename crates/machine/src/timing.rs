@@ -80,6 +80,15 @@ pub enum LatencyError {
         /// That level's cost in cycles.
         faster_cycles: u64,
     },
+    /// A per-instruction cost is zero: a register-only spin would never
+    /// advance simulated time (and a zero `l1_hit` divides
+    /// [`LatencyModel::hitm_penalty_ratio`] by zero). The machine's run-ahead
+    /// relies on every instruction advancing its core clock by at least one
+    /// cycle.
+    ZeroCost {
+        /// The offending field.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for LatencyError {
@@ -96,6 +105,9 @@ impl fmt::Display for LatencyError {
                 "non-monotone latencies: {slower} ({slower_cycles} cycles) must cost at least \
                  {faster} ({faster_cycles} cycles)"
             ),
+            LatencyError::ZeroCost { field } => {
+                write!(f, "{field} must cost at least 1 cycle")
+            }
         }
     }
 }
@@ -113,6 +125,11 @@ pub(crate) struct HotLatency {
     pub(crate) fence: u64,
     pub(crate) pause: u64,
     pub(crate) atomic_extra: u64,
+    /// The least any instruction can cost: `min(alu, branch, pause, fence,
+    /// l1_hit)`, at least 1 for every validated model. The run-ahead horizon
+    /// in `Machine::run_steps` converts a step budget into a clock bound
+    /// with it.
+    pub(crate) floor: u64,
 }
 
 impl From<&LatencyModel> for HotLatency {
@@ -123,6 +140,10 @@ impl From<&LatencyModel> for HotLatency {
             fence: m.fence,
             pause: m.pause,
             atomic_extra: m.atomic_extra,
+            floor: m
+                .instruction_costs()
+                .iter()
+                .fold(u64::MAX, |floor, &(_, cost)| floor.min(cost)),
         }
     }
 }
@@ -133,9 +154,23 @@ impl LatencyModel {
         cycles as f64 / self.freq_hz as f64
     }
 
+    /// The costs an instruction can be charged on its own; every instruction
+    /// costs at least the least of them (a memory access costs at least an
+    /// L1 hit, an atomic adds to its access, a halt costs a branch).
+    fn instruction_costs(&self) -> [(&'static str, u64); 5] {
+        [
+            ("alu", self.alu),
+            ("branch", self.branch),
+            ("pause", self.pause),
+            ("fence", self.fence),
+            ("l1_hit", self.l1_hit),
+        ]
+    }
+
     /// Reject configurations that would produce nonsense downstream: a zero
-    /// clock frequency (the detector's HITM-per-second rates divide by it)
-    /// or a memory hierarchy priced out of order
+    /// clock frequency (the detector's HITM-per-second rates divide by it),
+    /// a zero per-instruction cost (a register-only spin would never advance
+    /// simulated time) or a memory hierarchy priced out of order
     /// (`l1_hit ≤ llc_hit ≤ hitm ≤ dram` must hold). Called by
     /// `Machine::new` — and therefore by `SessionBuilder::build` — so bad
     /// models are rejected at construction time, not discovered as corrupt
@@ -146,6 +181,9 @@ impl LatencyModel {
     pub fn validate(&self) -> Result<(), LatencyError> {
         if self.freq_hz == 0 {
             return Err(LatencyError::ZeroFrequency);
+        }
+        if let Some(&(field, _)) = self.instruction_costs().iter().find(|&&(_, c)| c == 0) {
+            return Err(LatencyError::ZeroCost { field });
         }
         let ladder = [
             ("l1_hit", self.l1_hit),
@@ -208,6 +246,17 @@ mod tests {
                 faster_cycles: 90,
             })
         );
+        for field in ["alu", "branch", "pause", "fence", "l1_hit"] {
+            let mut free = LatencyModel::default();
+            match field {
+                "alu" => free.alu = 0,
+                "branch" => free.branch = 0,
+                "pause" => free.pause = 0,
+                "fence" => free.fence = 0,
+                _ => free.l1_hit = 0,
+            }
+            assert_eq!(free.validate(), Err(LatencyError::ZeroCost { field }));
+        }
         // Equal levels are allowed (degenerate but not nonsense).
         let flat = LatencyModel {
             l1_hit: 40,
@@ -234,6 +283,22 @@ mod tests {
             .to_string(),
             "non-monotone latencies: dram (10 cycles) must cost at least hitm (90 cycles)"
         );
+        assert_eq!(
+            LatencyError::ZeroCost { field: "pause" }.to_string(),
+            "pause must cost at least 1 cycle"
+        );
+    }
+
+    #[test]
+    fn floor_is_the_cheapest_instruction() {
+        assert_eq!(HotLatency::from(&LatencyModel::default()).floor, 1);
+        let dear = LatencyModel {
+            alu: 3,
+            branch: 5,
+            pause: 7,
+            ..LatencyModel::default()
+        };
+        assert_eq!(HotLatency::from(&dear).floor, 3);
     }
 
     #[test]
