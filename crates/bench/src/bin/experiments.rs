@@ -3,15 +3,15 @@
 //! ```text
 //! experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|fig11|fig12|fig13|fig14]
 //!             [--scale S] [--threads N] [--only w1,w2,...] [--format text|json|csv]
-//!             [--cell-budget-steps N] [--pipeline] [--shards N] [--driver-lag L]
+//!             [--cell-budget-steps N] [--pipeline]
 //!             [--topology flat|2s|4s|8s|32s] [--topology-file FILE]
 //!             [--cache DIR] [--cache-stats FILE]
 //! ```
 //!
 //! Every knob lands in one [`CampaignConfig`] through the validated setters
 //! scenario files use too (see `laser_bench::config`), so out-of-range
-//! values — a non-positive `--scale`, `--threads 0`, `--shards 0` — exit 2
-//! here exactly as they do there.
+//! values — a non-positive `--scale`, `--threads 0`,
+//! `--cell-budget-steps 0` — exit 2 here exactly as they do there.
 //!
 //! `--scale` multiplies every workload's input size (default 0.4); the paper's
 //! qualitative results hold across scales, larger values just take longer.
@@ -38,17 +38,11 @@
 //! disturbing the rest of the grid. Step budgets are deterministic, so the
 //! output stays byte-identical whatever `--threads` is.
 //!
-//! `--pipeline` deploys every LASER cell with its detector stage on a worker
+//! `--pipeline` deploys every LASER cell with its detector on a worker
 //! thread, overlapped with the simulated quantum behind a double-buffered
 //! record channel (see `laser_core::PipelineConfig`). Pipelining raises
 //! throughput when cells are fewer than worker threads; the output is
 //! **byte-identical** to a non-pipelined run — CI diffs the two to prove it.
-//!
-//! `--shards N` shards the pipelined detector stage over `N` worker threads
-//! (and implies `--pipeline`). Records route to shards by cache-line hash, so
-//! every line's observation sequence is preserved and the merged output stays
-//! **byte-identical** to inline and single-worker runs for every shard count —
-//! CI diffs `--shards 4` against `--shards 1` to prove it.
 //!
 //! `--topology flat|2s|4s|8s|32s` deploys every cell's machine on a
 //! socket-topology preset (4 cores per socket, threads scaled to match, multi-socket
@@ -61,11 +55,6 @@
 //! benefit — grows with the socket count. `campaign --topology-file FILE`
 //! deploys every cell on a bespoke asymmetric layout instead
 //! (`laser_bench::CustomTopology`), validated before anything simulates.
-//!
-//! `--driver-lag L` defers each quantum's PMU charge by `L` quantum
-//! boundaries (and implies `--pipeline`): 0 is byte-identical to inline,
-//! `L >= 1` overlaps the machine with the driver stage — deterministic, but
-//! not inline-identical.
 //!
 //! Workload names in `--only` are validated up front: an unknown name in the
 //! comma list (including an empty entry from a stray comma) is an error
@@ -121,8 +110,8 @@ const EXTRAS: &[&str] = &["xsocket"];
 const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|\
                      fig11|fig12|fig13|fig14] [--scale S] [--threads N] [--only w1,w2,...] \
                      [--format text|json|csv] [--cell-budget-steps N] [--pipeline] \
-                     [--shards N] [--driver-lag L] [--topology flat|2s|4s|8s|32s] \
-                     [--topology-file FILE] [--cache DIR] [--cache-stats FILE]\n\
+                     [--topology flat|2s|4s|8s|32s] [--topology-file FILE] [--cache DIR] \
+                     [--cache-stats FILE]\n\
                      \n\
                      --scale S             workload input-size multiplier (default 0.4;\n\
                      \x20                     xsocket defaults to 1.0)\n\
@@ -131,16 +120,9 @@ const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|t
                      \x20                     (validated up front; unknown names are an error)\n\
                      --format F            stdout format: text (default), json or csv\n\
                      --cell-budget-steps N bound every cell at N retired instructions\n\
-                     --pipeline            run each LASER cell's detector stage on a worker\n\
+                     --pipeline            run each LASER cell's detector on a worker\n\
                      \x20                     thread, overlapped with the simulated quantum\n\
                      \x20                     (byte-identical output, higher throughput)\n\
-                     --shards N            shard the pipelined detector over N workers\n\
-                     \x20                     (implies --pipeline; line-hash routing keeps\n\
-                     \x20                     the output byte-identical for every N)\n\
-                     --driver-lag L        defer each quantum's PMU charge by L quantum\n\
-                     \x20                     boundaries (implies --pipeline; 0, the\n\
-                     \x20                     default, is byte-identical to inline; L >= 1\n\
-                     \x20                     is deterministic and usually faster)\n\
                      --topology T          deploy every cell on a socket-topology preset:\n\
                      \x20                     flat (default, single socket), 2s, 4s, 8s or\n\
                      \x20                     32s (4 cores/socket, threads scaled to match);\n\
@@ -434,9 +416,7 @@ impl Cli {
                 }
                 "--format" => cli.format = value(&mut args)?,
                 "--cell-budget-steps" => knob(arg, config.set_budget_steps(value(&mut args)?))?,
-                "--pipeline" => config.request_pipeline(true),
-                "--shards" => knob(arg, config.set_shards(value(&mut args)?))?,
-                "--driver-lag" => knob(arg, config.set_driver_lag(value(&mut args)?))?,
+                "--pipeline" => config.pipeline.enabled = true,
                 "--topology" => {
                     let name: String = value(&mut args)?;
                     config.topology = TopologySpec::parse(&name).ok_or_else(|| {
@@ -566,7 +546,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laser_bench::{fingerprint, CellBudget, PipelineConfig, Scenario, MAX_DRIVER_LAG};
+    use laser_bench::{fingerprint, CellBudget, PipelineConfig, Scenario};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -588,11 +568,18 @@ mod tests {
             Cli::parse(&args(&["fig10", "campaign"])).unwrap_err(),
             CliError::Invalid("unexpected argument 'campaign'".to_string())
         );
-        // ...and an unknown flag is named too, not taken for a subcommand.
-        assert_eq!(
-            Cli::parse(&args(&["campaign", "--shard-routing", "line"])).unwrap_err(),
-            CliError::Invalid("unknown flag '--shard-routing'".to_string())
-        );
+        // ...and an unknown flag is named too, not taken for a subcommand
+        // (the cut deployment knobs are unknown flags like any other).
+        for (flag, value) in [
+            ("--shard-routing", "line"),
+            ("--shards", "4"),
+            ("--driver-lag", "1"),
+        ] {
+            assert_eq!(
+                Cli::parse(&args(&["campaign", flag, value])).unwrap_err(),
+                CliError::Invalid(format!("unknown flag '{flag}'"))
+            );
+        }
     }
 
     #[test]
@@ -643,84 +630,6 @@ mod tests {
         assert!(cli.config.pipeline.enabled);
         assert_eq!(cli.config.pipeline, PipelineConfig::pipelined());
         assert_eq!(cli.config.threads, Some(2));
-    }
-
-    #[test]
-    fn shards_flag_implies_the_pipelined_deployment() {
-        // `--shards` alone pipelines with the requested worker count...
-        let cli = Cli::parse(&args(&["campaign", "--shards", "4"])).unwrap();
-        assert_eq!(
-            cli.config.pipeline,
-            PipelineConfig::pipelined().with_shards(4)
-        );
-        // ...even for 1, so CI can diff two pipelined runs that differ only
-        // in shard count.
-        let cli = Cli::parse(&args(&["campaign", "--shards", "1"])).unwrap();
-        assert_eq!(cli.config.pipeline, PipelineConfig::pipelined());
-        // Flag order must not matter.
-        let ab = Cli::parse(&args(&["campaign", "--pipeline", "--shards", "8"])).unwrap();
-        let ba = Cli::parse(&args(&["campaign", "--shards", "8", "--pipeline"])).unwrap();
-        assert_eq!(ab.config.pipeline, ba.config.pipeline);
-        assert_eq!(
-            ab.config.pipeline,
-            PipelineConfig::pipelined().with_shards(8)
-        );
-        // Zero shards and malformed counts are rejected up front.
-        assert_eq!(
-            Cli::parse(&args(&["campaign", "--shards", "0"])).unwrap_err(),
-            CliError::Invalid("--shards must be at least 1".to_string())
-        );
-        assert_eq!(
-            Cli::parse(&args(&["--shards"])).unwrap_err(),
-            CliError::Usage
-        );
-        assert_eq!(
-            Cli::parse(&args(&["--shards", "many"])).unwrap_err(),
-            CliError::Usage
-        );
-    }
-
-    #[test]
-    fn driver_lag_flag_implies_the_pipelined_deployment() {
-        // A lag of 0 is the inline-identical pipeline default...
-        let cli = Cli::parse(&args(&["campaign", "--driver-lag", "0"])).unwrap();
-        assert_eq!(cli.config.pipeline, PipelineConfig::pipelined());
-        // ...and lag >= 1 defers the charge-back by that many boundaries.
-        let cli = Cli::parse(&args(&["campaign", "--driver-lag", "2"])).unwrap();
-        assert_eq!(
-            cli.config.pipeline,
-            PipelineConfig::pipelined().with_driver_lag(2)
-        );
-        assert!(
-            cli.config.pipeline.enabled,
-            "--driver-lag implies --pipeline"
-        );
-        // Flag order must not matter, and it composes with --shards.
-        let ab = Cli::parse(&args(&["campaign", "--driver-lag", "1", "--shards", "4"])).unwrap();
-        let ba = Cli::parse(&args(&["campaign", "--shards", "4", "--driver-lag", "1"])).unwrap();
-        assert_eq!(ab.config.pipeline, ba.config.pipeline);
-        assert_eq!(
-            ab.config.pipeline,
-            PipelineConfig::pipelined()
-                .with_shards(4)
-                .with_driver_lag(1)
-        );
-        // Out-of-range and malformed lags are rejected up front.
-        let over = (MAX_DRIVER_LAG + 1).to_string();
-        assert_eq!(
-            Cli::parse(&args(&["campaign", "--driver-lag", &over])).unwrap_err(),
-            CliError::Invalid(format!(
-                "--driver-lag must be at most {MAX_DRIVER_LAG}, got {over}"
-            ))
-        );
-        assert_eq!(
-            Cli::parse(&args(&["--driver-lag"])).unwrap_err(),
-            CliError::Usage
-        );
-        assert_eq!(
-            Cli::parse(&args(&["--driver-lag", "soon"])).unwrap_err(),
-            CliError::Usage
-        );
     }
 
     #[test]
@@ -878,21 +787,9 @@ mod tests {
             (&["--threads", "3"], r#""threads": 3,"#),
             (&["--cell-budget-steps", "5000"], r#""budget_steps": 5000,"#),
             (&["--pipeline"], r#""pipeline": true,"#),
-            (&["--shards", "4"], r#""shards": 4,"#),
-            (&["--shards", "1"], r#""shards": 1,"#),
-            (&["--driver-lag", "0"], r#""driver_lag_quanta": 0,"#),
-            (&["--driver-lag", "1024"], r#""driver_lag_quanta": 1024,"#),
             (
-                &[
-                    "--driver-lag",
-                    "2",
-                    "--shards",
-                    "8",
-                    "--pipeline",
-                    "--scale",
-                    "0.1",
-                ],
-                r#""pipeline": true, "scale": 0.1, "shards": 8, "driver_lag_quanta": 2,"#,
+                &["--threads", "2", "--pipeline", "--scale", "0.1"],
+                r#""pipeline": true, "scale": 0.1, "threads": 2,"#,
             ),
         ];
         for (flags, keys) in knobs {
@@ -928,7 +825,6 @@ mod tests {
         assert_eq!(cell(&cli.config), cell(&keyed.config));
 
         // Every out-of-range value is rejected by both, for the same reason.
-        let over = (MAX_DRIVER_LAG + 1).to_string();
         let rejected: &[(&str, &str, &str, &str)] = &[
             ("--scale", "0", "scale", "must be a positive number, got 0"),
             (
@@ -943,13 +839,6 @@ mod tests {
                 "0",
                 "budget_steps",
                 "must be at least 1",
-            ),
-            ("--shards", "0", "shards", "must be at least 1"),
-            (
-                "--driver-lag",
-                &over,
-                "driver_lag_quanta",
-                "must be at most 1024, got 1025",
             ),
         ];
         for (flag, bad, key, why) in rejected {

@@ -708,20 +708,6 @@ mod tests {
                     ..config(&opts)
                 }),
             ),
-            (
-                "pipeline_shards",
-                fingerprint(&CellConfig {
-                    pipeline: PipelineConfig::pipelined().with_shards(4),
-                    ..config(&opts)
-                }),
-            ),
-            (
-                "pipeline_driver_lag",
-                fingerprint(&CellConfig {
-                    pipeline: PipelineConfig::pipelined().with_driver_lag(2),
-                    ..config(&opts)
-                }),
-            ),
         ]);
         let custom = CustomTopology::from_json(
             r#"{"name": "fat-thin", "core_blocks": [6, 2],

@@ -269,11 +269,11 @@ impl Campaign {
         self
     }
 
-    /// Deploy every LASER cell's session with `pipeline`: the driver and
-    /// detector stages move to worker threads so record processing overlaps
-    /// the simulated quantum. At lag 0 cell results — and therefore the whole
-    /// aggregated campaign — are byte-identical to an un-pipelined run; only
-    /// the wall-clock changes.
+    /// Deploy every LASER cell's session with `pipeline`: the detector moves
+    /// to a worker thread so record processing overlaps the simulated
+    /// quantum. Cell results — and therefore the whole aggregated campaign —
+    /// are byte-identical to an un-pipelined run; only the wall-clock
+    /// changes.
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
         self.config.pipeline = pipeline;
         self

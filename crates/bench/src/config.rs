@@ -17,16 +17,11 @@ use laser_workloads::BuildOptions;
 use crate::cache::CellCache;
 use crate::topofile::CustomTopology;
 
-/// Upper bound on the driver charge-back lag: the session keeps one
-/// in-flight charge ledger per quantum of lag, so anything past this is
-/// almost certainly a typo rather than a deployment.
-pub const MAX_DRIVER_LAG: u64 = 1024;
-
 /// Everything a campaign applies to every one of its cells.
 ///
 /// The setters return the *predicate* a rejected value failed (`must be at
 /// least 1`); each front end prefixes its own spelling of the knob
-/// (`--shards` / `"shards"`).
+/// (`--threads` / `"threads"`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CampaignConfig {
     /// Build options before topology adaptation (`opts.scale` is the
@@ -37,7 +32,7 @@ pub struct CampaignConfig {
     /// Per-cell budget (unlimited by default).
     pub budget: CellBudget,
     /// Session pipeline deployment of LASER cells (inline by default). A
-    /// pipelined cell is byte-identical to its inline equivalent at lag 0.
+    /// pipelined cell is byte-identical to its inline equivalent.
     pub pipeline: PipelineConfig,
     /// Topology preset default-planned cells deploy on.
     pub topology: TopologySpec,
@@ -92,35 +87,6 @@ impl CampaignConfig {
     /// On zero.
     pub fn set_budget_steps(&mut self, steps: u64) -> Result<(), String> {
         self.budget = CellBudget::steps(at_least_one(steps)?);
-        Ok(())
-    }
-
-    /// Ask for the pipelined session. `false` never undoes what a shard
-    /// count or lag implied, so knob order does not matter.
-    pub fn request_pipeline(&mut self, on: bool) {
-        self.pipeline.enabled |= on;
-    }
-
-    /// Shard the pipelined detector stage (implies pipelining).
-    ///
-    /// # Errors
-    /// On zero.
-    pub fn set_shards(&mut self, shards: u64) -> Result<(), String> {
-        self.pipeline = self.pipeline.with_shards(at_least_one(shards)? as usize);
-        self.pipeline.enabled = true;
-        Ok(())
-    }
-
-    /// Set the driver charge-back lag in quanta (implies pipelining).
-    ///
-    /// # Errors
-    /// Past [`MAX_DRIVER_LAG`].
-    pub fn set_driver_lag(&mut self, lag: u64) -> Result<(), String> {
-        if lag > MAX_DRIVER_LAG {
-            return Err(format!("must be at most {MAX_DRIVER_LAG}, got {lag}"));
-        }
-        self.pipeline = self.pipeline.with_driver_lag(lag as usize);
-        self.pipeline.enabled = true;
         Ok(())
     }
 
@@ -216,15 +182,15 @@ impl<'a> CellConfig<'a> {
             Some(custom) => custom.canonical(),
             None => self.topology.key().to_string(),
         };
-        // `pipeline_capacity`, `pipeline_lossy` and `pipeline_routing` are
-        // literals: the deployment has one channel depth, lossless delivery
-        // and line-hash routing, and the lines keep every fingerprint — and
+        // Every `pipeline_*` line after `pipeline=` is a literal: the
+        // deployment has one channel depth, lossless delivery, one detector
+        // and no charge-back lag, and the lines keep every fingerprint — and
         // every cache entry already on disk — valid.
         format!(
             "workload={}\ntool={}\ntopology={}\nthreads={}\nscale={:?}\nfixed={}\n\
              layout_perturbation={}\nplacement={}\nbudget_steps={}\nbudget_wall_ms={}\n\
-             pipeline={}\npipeline_capacity=2\npipeline_lossy=false\npipeline_shards={}\n\
-             pipeline_routing=line\npipeline_driver_lag={}\n",
+             pipeline={}\npipeline_capacity=2\npipeline_lossy=false\npipeline_shards=1\n\
+             pipeline_routing=line\npipeline_driver_lag=0\n",
             self.workload,
             self.tool,
             topology,
@@ -236,8 +202,6 @@ impl<'a> CellConfig<'a> {
             steps,
             wall_ms,
             self.pipeline.enabled,
-            self.pipeline.shards,
-            self.pipeline.driver_lag_quanta,
         )
     }
 

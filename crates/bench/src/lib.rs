@@ -56,7 +56,7 @@ pub use campaign::{
     ordered_parallel, validate_workload_names, Campaign, CampaignProgress, CampaignResult,
     CellResult, UnknownWorkload,
 };
-pub use config::{CampaignConfig, CellConfig, MAX_DRIVER_LAG};
+pub use config::{CampaignConfig, CellConfig};
 pub use emit::Emit;
 pub use grid::{ExperimentError, Grid, GridResult};
 pub use laser_core::{CellBudget, PipelineConfig, StopReason, TopologySpec};

@@ -82,7 +82,7 @@ pub fn run_native(spec: &WorkloadSpec, cell: &CellConfig) -> Result<RunResult, L
 
 /// Run a workload under LASER as `cell` deploys it: its machine, its
 /// pipeline deployment (which changes only the wall-clock: outcome and event
-/// stream are byte-identical to an inline run at lag 0) and, when the cell is
+/// stream are byte-identical to an inline run) and, when the cell is
 /// budgeted, its [`CellConfig::observer`] on the session's event stream.
 ///
 /// The machine configuration is passed explicitly, so it wins over

@@ -15,8 +15,6 @@
 //!   "threads": 4,
 //!   "budget_steps": 40000000,
 //!   "pipeline": true,
-//!   "shards": 4,
-//!   "driver_lag_quanta": 1,
 //!   "format": "json",
 //!   "cells": [
 //!     {"workload": "histogram'", "tool": "laser", "topology": "8s"}
@@ -155,12 +153,11 @@ pub struct Scenario {
     pub name: String,
     /// The campaign knobs, filled through the same validated setters the
     /// `experiments` flags use and from the same defaults
-    /// ([`CampaignConfig::evaluation`]). `"shards"` and
-    /// `"driver_lag_quanta"` imply `"pipeline"`, mirroring `--shards` /
-    /// `--driver-lag`. `"custom_topology"` — the same JSON object a topology
-    /// file holds — is mutually exclusive with preset `"topology"` /
-    /// `"topologies"` keys and xsocket sweeps: the override is campaign-wide,
-    /// so a preset axis underneath it would only produce colliding cell keys.
+    /// ([`CampaignConfig::evaluation`]). `"custom_topology"` — the same JSON
+    /// object a topology file holds — is mutually exclusive with preset
+    /// `"topology"` / `"topologies"` keys and xsocket sweeps: the override is
+    /// campaign-wide, so a preset axis underneath it would only produce
+    /// colliding cell keys.
     /// The cache is the host's to choose ([`crate::service::ServiceOptions`]).
     pub config: CampaignConfig,
     /// Aggregate document to append after the per-cell stream, if any.
@@ -223,11 +220,9 @@ impl Scenario {
                 "threads" => knob(key, config.set_threads(req_u64(field, key)?))?,
                 "budget_steps" => knob(key, config.set_budget_steps(req_u64(field, key)?))?,
                 "pipeline" => match field {
-                    Value::Bool(b) => config.request_pipeline(*b),
+                    Value::Bool(b) => config.pipeline.enabled = *b,
                     _ => return err("\"pipeline\" must be true or false"),
                 },
-                "shards" => knob(key, config.set_shards(req_u64(field, key)?))?,
-                "driver_lag_quanta" => knob(key, config.set_driver_lag(req_u64(field, key)?))?,
                 "format" => {
                     let name = req_str(field, "format")?;
                     scenario.format = Some(name.parse().map_err(|()| {
@@ -484,8 +479,6 @@ mod tests {
               "threads": 3,
               "budget_steps": 500000,
               "pipeline": true,
-              "shards": 2,
-              "driver_lag_quanta": 1,
               "format": "csv",
               "cells": [
                 {"workload": "histogram'", "tool": "laser", "topology": "8s"},
@@ -501,12 +494,7 @@ mod tests {
         assert_eq!(s.config.opts.scale, 0.25);
         assert_eq!(s.config.threads, Some(3));
         assert_eq!(s.config.budget, CellBudget::steps(500000));
-        assert_eq!(
-            s.config.pipeline,
-            PipelineConfig::pipelined()
-                .with_shards(2)
-                .with_driver_lag(1)
-        );
+        assert_eq!(s.config.pipeline, PipelineConfig::pipelined());
         assert_eq!(s.format, Some(AggregateFormat::Csv));
         assert_eq!(s.cells.len(), 2);
         assert_eq!(s.cells[1].topology, TopologySpec::Flat, "topology defaults");
@@ -548,55 +536,6 @@ mod tests {
         assert!(s.config.budget.is_unlimited());
         assert_eq!(s.config.pipeline, PipelineConfig::default());
         assert_eq!(s.format, None);
-    }
-
-    #[test]
-    fn shards_key_implies_the_pipelined_deployment() {
-        // Mirrors the CLI: `"shards"` without `"pipeline"` still pipelines,
-        // so a scenario can ask for a sharded detector in one key.
-        let s = Scenario::parse(
-            r#"{"name": "s", "shards": 8,
-                "cells": [{"workload": "swaptions", "tool": "laser-detect"}]}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            s.config.pipeline,
-            PipelineConfig::pipelined().with_shards(8)
-        );
-        // An explicit `"pipeline": false` cannot undo the implication,
-        // whichever side of `"shards"` it is spelled on.
-        for keys in [
-            r#""pipeline": false, "shards": 8"#,
-            r#""shards": 8, "pipeline": false"#,
-        ] {
-            let s = Scenario::parse(&format!(
-                r#"{{"name": "s", {keys},
-                    "cells": [{{"workload": "swaptions", "tool": "laser-detect"}}]}}"#
-            ))
-            .unwrap();
-            assert!(s.config.pipeline.enabled, "{keys}");
-        }
-    }
-
-    #[test]
-    fn driver_lag_key_implies_the_pipelined_deployment() {
-        // Same convention as `"shards"`: asking for a charge-back lag is
-        // asking for the three-stage pipeline, even at lag 0.
-        let s = Scenario::parse(
-            r#"{"name": "l", "driver_lag_quanta": 3,
-                "cells": [{"workload": "swaptions", "tool": "laser-detect"}]}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            s.config.pipeline,
-            PipelineConfig::pipelined().with_driver_lag(3)
-        );
-        let s = Scenario::parse(
-            r#"{"name": "l0", "driver_lag_quanta": 0,
-                "cells": [{"workload": "swaptions", "tool": "laser-detect"}]}"#,
-        )
-        .unwrap();
-        assert_eq!(s.config.pipeline, PipelineConfig::pipelined());
     }
 
     #[test]
@@ -678,27 +617,11 @@ mod tests {
             (r#"{"name": "x", "threads": 0}"#, "at least 1"),
             (r#"{"name": "x", "threads": -2}"#, "non-negative integer"),
             (r#"{"name": "x", "budget_steps": 0}"#, "at least 1"),
+            // The cut deployment knobs are unknown keys like any other.
+            (r#"{"name": "x", "shards": 4}"#, "unknown key \"shards\""),
             (
-                r#"{"name": "x", "shards": 0}"#,
-                "\"shards\" must be at least 1",
-            ),
-            (r#"{"name": "x", "shards": -4}"#, "non-negative integer"),
-            (r#"{"name": "x", "shards": "many"}"#, "non-negative integer"),
-            (
-                r#"{"name": "x", "driver_lag_quanta": -1}"#,
-                "non-negative integer",
-            ),
-            (
-                r#"{"name": "x", "driver_lag_quanta": "slow"}"#,
-                "non-negative integer",
-            ),
-            (
-                r#"{"name": "x", "driver_lag_quanta": 1.5}"#,
-                "non-negative integer",
-            ),
-            (
-                r#"{"name": "x", "driver_lag_quanta": 1025}"#,
-                "at most 1024",
+                r#"{"name": "x", "driver_lag_quanta": 1}"#,
+                "unknown key \"driver_lag_quanta\"",
             ),
             (r#"{"name": "x", "pipeline": 1}"#, "true or false"),
             (

@@ -57,7 +57,7 @@ pub struct ServiceOptions {
     pub cache: Option<Arc<CellCache>>,
 }
 
-/// What a finished scenario run looked like, mirrored by the
+/// What a finished scenario run looked like: the contents of the
 /// `scenario-summary` line at the end of the stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceSummary {
@@ -341,7 +341,6 @@ mod tests {
               "threads": 2,
               "budget_steps": 10,
               "pipeline": true,
-              "driver_lag_quanta": 1,
               "cells": [
                 {"workload": "histogram'", "tool": "native"},
                 {"workload": "histogram'", "tool": "laser-detect", "topology": "2s"}

@@ -32,9 +32,9 @@ use linemodel::{CacheLineModel, SharingClass};
 
 /// Cycles a detector with per-record cost `cycles_per_record` spends on a
 /// batch of `n` records: the *single home* of the charge formula. Both
-/// [`Detector::processing_cycles`] and the pipelined session's main-thread
-/// charge go through here — they must agree exactly, or pipelined runs stop
-/// being byte-identical to inline runs at the cycle level.
+/// [`Detector::processing_cycles`] and the session's machine-thread charge
+/// (which cannot ask a detector that lives on a worker thread) go through
+/// here.
 pub(crate) fn batch_processing_cycles(cycles_per_record: u64, n: usize) -> u64 {
     cycles_per_record * n as u64
 }
@@ -46,20 +46,20 @@ struct PcCounters {
     false_sharing: u64,
 }
 
-/// One source line's aggregated detector state: the unit a sharded detector
-/// stage ships from its workers to the session, and the *single* shape every
-/// report derivation ([`line_rates_from`], [`trigger_pcs_from`],
-/// [`report_lines_from`]) consumes — inline, single-worker and N-shard
-/// sessions all reduce to a `Vec<LineAgg>` before anything user-visible is
-/// computed, which is what makes their outputs byte-identical.
+/// One source line's aggregated detector state: the unit a pipelined
+/// session's detector thread ships back to the machine thread, and the
+/// *single* shape every report derivation ([`line_rates_from`],
+/// [`trigger_pcs_from`], [`report_lines_from`]) consumes — inline and
+/// pipelined sessions both reduce to a `Vec<LineAgg>` before anything
+/// user-visible is computed, which is what makes their outputs
+/// byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LineAgg {
     /// The source line (the `<unknown>:0` sentinel for PCs with no debug
     /// info).
     pub(crate) loc: SourceLoc,
     /// Whether `loc` is a real source location. The repair trigger only
-    /// considers known lines, mirroring the inline path which skips PCs
-    /// without `source_of` entries.
+    /// considers known lines: PCs without `source_of` entries are skipped.
     pub(crate) known: bool,
     pub(crate) records: u64,
     pub(crate) true_sharing: u64,
@@ -274,11 +274,11 @@ impl Detector {
     }
 
     /// This detector's per-line aggregates, sorted by source location. The
-    /// shardable core of every report derivation: a pipelined session ships
-    /// these from the driver stage's mirror detector inside each charge
-    /// ledger; an inline session consumes its own directly. Both paths feed
-    /// the same pure derivations, which is what keeps the deployment shape
-    /// invisible in the output.
+    /// core of every report derivation: a pipelined session's detector
+    /// thread ships these back in reply to an awaited batch; an inline
+    /// session reads its own directly. Both paths feed the same pure
+    /// derivations, which is what keeps the deployment shape invisible in
+    /// the output.
     pub(crate) fn line_aggregates(&self) -> Vec<LineAgg> {
         let mut per_line: BTreeMap<SourceLoc, LineAgg> = BTreeMap::new();
         for (&pc, c) in &self.per_pc {
@@ -304,14 +304,16 @@ impl Detector {
         per_line.into_values().collect()
     }
 
-    /// Fold another detector's observations into this one (the report-time
-    /// merge of a sharded pipeline, see the session's shard docs).
+    /// Fold another detector's observations into this one. No session calls
+    /// this any more — sharded detection was cut — but the repository
+    /// benchmark's `core.detector.absorb_us` metric still measures it, so it
+    /// stays until a benchmark issue retires the metric.
     ///
     /// Per-PC counters and totals sum; the cache-line model merges through a
-    /// sorted insert ([`CacheLineModel::absorb`]). Under line-hash routing
-    /// the shards' state is disjoint — every line and every PC lives in
-    /// exactly one shard — so absorbing all shards into one reconstructs
-    /// precisely the detector an inline run would hold.
+    /// sorted insert ([`CacheLineModel::absorb`]). When the two detectors
+    /// were fed disjoint sets of cache lines — the shards' state under
+    /// line-hash routing — absorbing one into the other reconstructs
+    /// precisely the detector a single run over all records would hold.
     pub fn absorb(&mut self, other: Detector) {
         for (pc, c) in other.per_pc {
             let e = self.per_pc.entry(pc).or_default();

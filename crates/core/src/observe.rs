@@ -17,12 +17,11 @@
 //! wall-clock limits.
 //!
 //! The event stream is part of the determinism contract: an observer cannot
-//! tell how the session it watches is deployed. Inline, pipelined, or
-//! line-hash sharded across any number of detector workers
-//! (`PipelineConfig::with_shards`), the same workload and configuration
-//! produce the same events in the same order with the same payloads — a
-//! sharded session emits its `RecordBatch`/`DetectionUpdate` events only
-//! after every shard's reply for the batch has been merged, never per shard.
+//! tell how the session it watches is deployed. Inline or pipelined, the
+//! same workload and configuration produce the same events in the same order
+//! with the same payloads — an observed pipelined session waits for its
+//! detector thread's reply on each batch before it emits the batch's
+//! `RecordBatch`/`DetectionUpdate` events.
 
 use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};

@@ -34,78 +34,38 @@
 //!
 //! # Pipelined execution
 //!
-//! The paper's central performance claim is that detection runs
-//! *concurrently* with the application: the PMU/driver/detector work rides
-//! alongside execution instead of interrupting it.
-//! [`SessionBuilder::pipeline`] deploys the session as a **three-stage
-//! pipeline** — machine | driver | detector shards. The machine thread does
-//! nothing but `run_quantum` and enqueue each quantum's raw HITM batch; a
-//! dedicated driver-stage thread services the PMU (sampling, imprecision,
-//! record copy) and routes the sampled records over the detector shard
-//! workers; each shard consumes its sub-batches through a bounded
-//! double-buffered channel (`laser_pebs::channel`). Delivery is lossless:
-//! a full channel blocks its producer, nothing is ever dropped.
+//! The paper's deployment has two parties: the PEBS interrupt handler (the
+//! driver) runs *on the application's cores*, and the detector is a separate
+//! user-space process. [`SessionBuilder::pipeline`] deploys the session the
+//! same way, on **two threads**. The calling thread runs the application and
+//! the driver — `run_quantum`, then [`Driver::ingest`] — exactly as an inline
+//! session does; the one [`Detector`] lives on a `laser-detector` worker
+//! thread and receives each quantum's sampled records through a bounded
+//! double-buffered channel (`laser_pebs::channel`). Delivery is lossless: a
+//! full channel blocks the producer, nothing is ever dropped.
 //!
-//! The driver's overhead charge-back is latency-tolerant: the driver stage
-//! computes each quantum's interrupt/copy charge as a pure function of its
-//! batch (a [`laser_pebs::ChargeLedger`]) and sends it back on a second
-//! channel, and the machine applies pending ledgers at fixed quantum
-//! boundaries — a bounded-lag credit scheme controlled by
-//! [`PipelineConfig::driver_lag_quanta`]:
+//! A batch is handed over in one of two ways:
 //!
-//! * **lag = 0** (the default): the ledger for quantum `k` is applied at
-//!   boundary `k`, before quantum `k + 1` runs — the same machine point an
-//!   inline run charges at. Charges within a ledger commute (the scheduler's
-//!   pick is a pure function of the final per-core clocks), so a lag=0
-//!   pipelined run is **byte-identical** to its inline equivalent — outcome
-//!   and event stream alike — while routing, record copy and detection still
-//!   overlap off the machine thread.
-//! * **lag ≥ 1**: the ledger for quantum `k` is applied at boundary
-//!   `k + lag`, so the machine runs quantum `k + 1` while the driver stage
-//!   is still servicing quantum `k`. Deferring charges moves the cores'
-//!   clocks relative to an inline run, which perturbs the interleaving and
-//!   hence the HITM stream — lag ≥ 1 is **deterministic** (byte-for-byte
-//!   repeatable for a fixed configuration) but *not* inline-identical.
+//! * **Un-awaited.** An unobserved session whose repair is off (or already
+//!   attached) sends the batch and moves on. Detection of quantum `k`
+//!   overlaps the execution of quantum `k + 1`, with no per-quantum
+//!   round-trip.
+//! * **Awaited.** While the session is observed or repair is armed, the
+//!   machine thread needs the detector's per-line aggregates as of this
+//!   batch — for the observer's `DetectionUpdate` and for the repair
+//!   trigger — so the job asks for a reply and the machine thread waits for
+//!   it. Once repair attaches on an unobserved session the batches go back
+//!   to un-awaited.
 //!
-//! The repair decision is pre-armed off the ledger: while the session is
-//! observed or repair is armed, the driver stage mirrors the full record
-//! stream through its own [`Detector`] and ships the per-line aggregates
-//! inside each ledger, so the machine evaluates the trigger (and the
-//! observer's `DetectionUpdate` rates) straight from the ledger — armed
-//! quanta no longer round-trip to the shard workers.
-//!
-//! The one semantic difference at lag = 0 is cancellation latency: deferred
-//! `RecordBatch`/`DetectionUpdate` events are delivered at the boundary
-//! where their ledger settles, so a `Break` returned against them stops the
-//! session at that boundary — the same boundary as inline, with the same
-//! stream bytes.
-//!
-//! # Sharded detection
-//!
-//! On large multi-socket parts a single detector worker becomes the
-//! bottleneck exactly where the paper's always-on claim matters most.
-//! [`PipelineConfig::with_shards`] splits the pipelined detector stage into
-//! N workers, each fed through its own bounded `laser_pebs::channel` and
-//! each holding its own [`Detector`]. Every batch the driver stage samples
-//! is routed across the shards by a hash of each record's cache line, so all
-//! records for one line — the unit of every per-line aggregate and of the
-//! cache-line model's state — land in the same shard. Shard states stay
-//! pairwise disjoint, and merging them reconstructs exactly the state one
-//! inline detector would hold: a sharded run is **byte-identical** to the
-//! inline and single-worker runs for every shard count.
-//!
-//! Reports never expose the sharding: live rates and trigger decisions come
-//! from the driver stage's mirror detector (which sees the full record
-//! stream in driver order, exactly as an inline detector would), and at
-//! `finish` the shard detectors are folded back into one
-//! ([`Detector::absorb`]) before the final flush and report. Ledgers settle
-//! in quantum order, so the event stream, too, is independent of the shard
-//! count.
+//! Either way the detector's per-record cost is configuration, not state, so
+//! the machine is charged for a batch at the same point an inline run
+//! charges it, and a pipelined run is **byte-identical** to its inline
+//! equivalent — outcome and event stream alike. If the worker thread cannot
+//! be spawned the session simply runs its detector inline.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::ops::ControlFlow;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -113,7 +73,7 @@ use laser_isa::program::Pc;
 use laser_machine::machine::MachineError;
 use laser_machine::{CoreId, HitmEvent, Machine, MachineConfig, RunStatus, WorkloadImage};
 use laser_pebs::channel::{self, OverflowPolicy, SendOutcome};
-use laser_pebs::driver::{ChargeLedger, Driver};
+use laser_pebs::driver::Driver;
 use laser_pebs::imprecision::ImprecisionModel;
 use laser_pebs::pmu::{Pmu, PmuConfig};
 use laser_pebs::record::HitmRecord;
@@ -136,24 +96,22 @@ pub enum SessionStatus {
     Stopped(StopReason),
 }
 
-/// Depth of each detector shard's record channel, in batches: the classic
+/// Depth of the detector worker's record channel, in batches: the classic
 /// double buffer — one batch in flight at the detector, one staged behind it.
-/// Also the floor of the driver stage's batch channel, which deepens with lag.
 const CHANNEL_DEPTH: usize = 2;
 
-/// How a session's detector stage is deployed (see the
-/// [module docs](self) on pipelined execution and sharded detection).
+/// How a session's detector is deployed (see the [module docs](self) on
+/// pipelined execution). The default is inline.
 ///
-/// A worked sharded session — four detector shards, byte-identical to the
-/// same run inline:
+/// A pipelined session is byte-identical to the same run inline:
 ///
 /// ```no_run
 /// use laser_core::{Laser, LaserConfig, PipelineConfig};
 /// # fn image() -> laser_machine::WorkloadImage { unimplemented!() }
 ///
-/// let sharded = Laser::builder()
+/// let piped = Laser::builder()
 ///     .config(LaserConfig::detection_only())
-///     .pipeline_config(PipelineConfig::pipelined().with_shards(4))
+///     .pipeline_config(PipelineConfig::pipelined())
 ///     .build(&image())
 ///     .run()
 ///     .unwrap();
@@ -163,61 +121,20 @@ const CHANNEL_DEPTH: usize = 2;
 ///     .build(&image())
 ///     .run()
 ///     .unwrap();
-/// assert_eq!(sharded.report, inline.report);
+/// assert_eq!(piped.report, inline.report);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineConfig {
-    /// Run the detector stage on worker threads, overlapping record
-    /// processing with the next quantum of application execution.
+    /// Run the detector on a worker thread, overlapping record processing
+    /// with the next quantum of application execution.
     pub enabled: bool,
-    /// Number of detector worker shards (clamped to at least 1). Each shard
-    /// is its own thread with its own channel and [`Detector`].
-    pub shards: usize,
-    /// How many quantum boundaries the driver stage's charge ledger may lag
-    /// behind the batch it accounts for (the bounded-lag credit scheme of
-    /// the [module docs](self)). At the default of 0 the machine blocks on
-    /// each quantum's ledger before running the next quantum, and the run is
-    /// byte-identical to inline; at lag ≥ 1 the machine overlaps execution
-    /// with the driver stage — deterministic, but not inline-identical.
-    pub driver_lag_quanta: usize,
-}
-
-impl Default for PipelineConfig {
-    /// Pipelining off; one shard; charge-back lag 0 (byte-identical to
-    /// inline).
-    fn default() -> Self {
-        PipelineConfig {
-            enabled: false,
-            shards: 1,
-            driver_lag_quanta: 0,
-        }
-    }
 }
 
 impl PipelineConfig {
-    /// The standard pipelined deployment: worker-thread driver and detector
-    /// stages behind lossless double-buffered channels.
+    /// The pipelined deployment: the detector on a worker thread behind a
+    /// lossless double-buffered channel.
     pub fn pipelined() -> Self {
-        PipelineConfig {
-            enabled: true,
-            ..Default::default()
-        }
-    }
-
-    /// Set the detector shard count, clamped to at least 1 (builder-style).
-    /// Output is byte-identical across shard counts.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Set the charge-back lag in quanta (builder-style). 0 (the default)
-    /// keeps the run byte-identical to inline; lag ≥ 1 overlaps the machine
-    /// and driver stages, deterministic but not inline-identical (see the
-    /// [module docs](self)).
-    pub fn with_driver_lag(mut self, lag: usize) -> Self {
-        self.driver_lag_quanta = lag;
-        self
+        PipelineConfig { enabled: true }
     }
 }
 
@@ -280,8 +197,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Run the driver and detector stages on worker threads, overlapped with
-    /// application execution (default: off). Shorthand for
+    /// Run the detector on a worker thread, overlapped with application
+    /// execution (default: off). Shorthand for
     /// [`SessionBuilder::pipeline_config`] with
     /// [`PipelineConfig::pipelined`]; the results are byte-identical either
     /// way, only the wall-clock changes.
@@ -290,7 +207,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Set the full pipeline deployment (shard count, charge-back lag).
+    /// Set the pipeline deployment.
     pub fn pipeline_config(mut self, pipeline: PipelineConfig) -> Self {
         self.pipeline = pipeline;
         self
@@ -312,7 +229,7 @@ impl SessionBuilder {
 
     /// Construct the session for `image`. Pure setup: nothing runs until
     /// [`LaserSession::advance`] or [`LaserSession::run`] (a pipelined
-    /// session's worker threads spawn here, but idle on empty channels).
+    /// session's detector thread spawns here, but idles on an empty channel).
     ///
     /// A non-flat [`LaserConfig::topology`] deploys the machine on that
     /// preset (its socket topology and 4-cores-per-socket count) unless the
@@ -359,32 +276,27 @@ impl SessionBuilder {
             },
             model,
         );
-        let driver = Driver::new(pmu, config.driver);
-        let observed = observer.is_some();
         let new_detector = || Detector::new(&config, program, image.memory_map());
-        let stage = if pipeline.enabled {
-            let detectors = (0..pipeline.shards.max(1))
-                .map(|_| new_detector())
-                .collect();
-            // The mirror detector feeds the machine-side repair trigger and
-            // the observer's DetectionUpdate rates without a shard
-            // round-trip; it is only carried while someone needs its
-            // aggregates.
-            let mirror = (observed || config.enable_repair).then(new_detector);
-            let lag = pipeline.driver_lag_quanta;
-            Stage::Piped(PipeStage::spawn(driver, mirror, detectors, lag, num_cores))
+        // A failed spawn has consumed its detector; both deployments produce
+        // the same bytes, so the session falls back to a fresh inline one.
+        let worker = if pipeline.enabled {
+            DetectorWorker::spawn(new_detector()).ok()
         } else {
-            Stage::Inline {
-                driver,
-                detector: new_detector(),
-            }
+            None
+        };
+        let detector = match worker {
+            Some(worker) => DetectorStage::Worker(worker),
+            None => DetectorStage::Inline(new_detector()),
         };
 
         LaserSession {
+            driver: Driver::new(pmu, config.driver),
+            detector,
+            aggs: Vec::new(),
             app: AppSide {
                 config,
                 machine,
-                observed,
+                observed: observer.is_some(),
                 observer: observer.unwrap_or_else(|| Box::new(NullObserver)),
                 workload: image.name().to_string(),
                 num_cores,
@@ -393,380 +305,175 @@ impl SessionBuilder {
                 reported_dropped: 0,
                 repair: None,
                 machine_busy: Duration::ZERO,
+                driver_busy: Duration::ZERO,
             },
-            stage,
         }
     }
 }
 
 /// Cumulative busy time of each stage of a pipelined session, measured on
-/// the stage threads themselves. Only meaningful relative to the run's wall
-/// clock: `busy / wall` is the stage's occupancy, and the largest fraction
-/// names the pipeline's bottleneck. `detector_busy` is the busiest shard's
-/// time (the bottleneck shard), not the sum over shards.
+/// the thread that runs the stage. Only meaningful relative to the run's
+/// wall clock: `busy / wall` is the stage's occupancy, and the largest
+/// fraction names the pipeline's bottleneck.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageOccupancy {
     /// Time the machine thread spent inside `run_quantum`.
     pub machine_busy: Duration,
-    /// Time the driver-stage thread spent servicing batches (PMU sampling,
-    /// record copy, mirror detection, routing).
+    /// Time the machine thread spent inside [`Driver::ingest`] (PMU
+    /// sampling, imprecision, record copy).
     pub driver_busy: Duration,
-    /// Time the busiest detector shard spent processing records.
+    /// Time the detector thread spent processing records.
     pub detector_busy: Duration,
 }
 
-/// A detector shard's worker loop: consume routed sub-batches in FIFO order
-/// until the channel closes, then hand the detector (and the shard's busy
-/// time) back to the session.
+/// One quantum's sampled records on their way to the detector worker.
+struct DetectJob {
+    records: Vec<HitmRecord>,
+    /// Whether the machine thread is waiting for the detector's per-line
+    /// aggregates as of this batch.
+    reply: bool,
+}
+
+/// The detector worker's loop: consume batches in FIFO order until the
+/// session closes the channel, then hand the detector (and the time spent on
+/// it) back. `process` is [`Detector::process`] outside tests.
 fn detector_worker(
     mut detector: Detector,
-    jobs: channel::Receiver<Vec<HitmRecord>>,
+    jobs: channel::Receiver<DetectJob>,
+    replies: mpsc::Sender<Vec<LineAgg>>,
+    mut process: impl FnMut(&mut Detector, &[HitmRecord]),
 ) -> (Detector, Duration) {
     let mut busy = Duration::ZERO;
-    while let Some(records) = jobs.recv() {
+    while let Some(job) = jobs.recv() {
         let start = Instant::now(); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
-        detector.process(&records);
+        process(&mut detector, &job.records);
+        if job.reply {
+            // A dead reply channel just means the session was dropped
+            // mid-run; keep draining so the job channel closes cleanly.
+            let _ = replies.send(detector.line_aggregates());
+        }
         busy += start.elapsed();
     }
     (detector, busy)
 }
 
-/// A unit of work for the driver stage.
-enum DriverJob {
-    /// One quantum's raw HITM batch, exactly as `run_quantum` yielded it.
-    Batch(Vec<HitmEvent>),
-    /// Repair attached on the machine thread; an unobserved session no
-    /// longer needs the mirror detector's aggregates, so retire it.
-    RepairAttached,
-    /// End of run: flush the PEBS buffers and reply with the final records.
-    Finish,
+/// The session's end of a detector that lives on the `laser-detector` thread.
+struct DetectorWorker {
+    jobs: channel::Sender<DetectJob>,
+    replies: mpsc::Receiver<Vec<LineAgg>>,
+    /// `None` once the thread has been joined.
+    thread: Option<JoinHandle<(Detector, Duration)>>,
 }
 
-/// What the driver stage sends back for each job, on the second channel.
-/// Everything the machine needs at the quantum boundary rides in here, so a
-/// boundary is a single `recv` — no per-shard round-trips.
-struct QuantumLedger {
-    /// The batch's interrupt/copy overhead, computed as a pure function of
-    /// the batch by `Driver::ingest_deferred`.
-    charges: ChargeLedger,
-    /// Sampled records delivered to the detector shards, priced on the
-    /// machine at the inline per-record cost.
-    records: usize,
-    /// Cumulative `DriverStats::events_dropped` as of this batch, for the
-    /// observer's `RecordBatch` drop watermark.
-    events_dropped: u64,
-    /// The mirror detector's per-line aggregates after this batch, when the
-    /// mirror is live (observed or repair armed).
-    aggs: Option<Arc<Vec<LineAgg>>>,
-    /// The final flush's records (the reply to [`DriverJob::Finish`] only).
-    flushed: Vec<HitmRecord>,
-}
-
-/// The driver stage: owns the [`Driver`] (PMU + imprecision + overhead
-/// accounting), the optional mirror [`Detector`], and the shard job senders.
-/// Runs on its own thread; for each batch it computes the charge ledger,
-/// sends it back to the machine first, then dispatches the routed sub-batches
-/// to the shards (so the machine is never blocked on shard backpressure).
-struct DriverStageWorker {
-    driver: Driver,
-    mirror: Option<Detector>,
-    shard_jobs: Vec<channel::Sender<Vec<HitmRecord>>>,
-    num_cores: usize,
-}
-
-impl DriverStageWorker {
-    /// Split a batch into one (possibly empty) sub-batch per shard,
-    /// preserving the driver's delivery order within each shard. Routing
-    /// keys on the cache line — a pure function of the record — so a line's
-    /// whole record sequence stays in one shard.
-    fn route(&self, records: Vec<HitmRecord>) -> Vec<Vec<HitmRecord>> {
-        let shards = self.shard_jobs.len();
-        if shards == 1 {
-            return vec![records];
-        }
-        let mut parts: Vec<Vec<HitmRecord>> = (0..shards).map(|_| Vec::new()).collect();
-        for r in records {
-            // Fibonacci hashing over the line address: cheap, stable across
-            // platforms, and spreads consecutive lines across shards.
-            let hash = (r.data_addr >> 6).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-            parts[hash as usize % shards].push(r);
-        }
-        parts
+impl DetectorWorker {
+    fn spawn(detector: Detector) -> std::io::Result<Self> {
+        Self::spawn_with(detector, |detector, records| {
+            detector.process(records);
+        })
     }
 
-    /// The stage's worker loop: consume jobs in FIFO order until the channel
-    /// closes, then hand the driver (and the stage's busy time) back.
-    fn run(
-        mut self,
-        jobs: channel::Receiver<DriverJob>,
-        ledgers: mpsc::Sender<QuantumLedger>,
-    ) -> (Driver, Duration) {
-        let mut busy = Duration::ZERO;
-        while let Some(job) = jobs.recv() {
-            let start = Instant::now(); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
-            match job {
-                DriverJob::Batch(events) => {
-                    let charges = self.driver.ingest_deferred(events, self.num_cores);
-                    let records = self.driver.read_records();
-                    // The mirror sees the full batch in driver order —
-                    // exactly what an inline detector would see — so its
-                    // aggregates are the inline aggregates.
-                    let aggs = self.mirror.as_mut().map(|mirror| {
-                        mirror.process(&records);
-                        Arc::new(mirror.line_aggregates())
-                    });
-                    // Ledger first: the machine can settle the boundary while
-                    // this stage is still handing sub-batches to the shards.
-                    // A dead ledger channel just means the session was
-                    // dropped mid-run; keep draining so the jobs channel
-                    // closes cleanly.
-                    let _ = ledgers.send(QuantumLedger {
-                        charges,
-                        records: records.len(),
-                        events_dropped: self.driver.stats().events_dropped,
-                        aggs,
-                        flushed: Vec::new(),
-                    });
-                    for (shard, part) in self.route(records).into_iter().enumerate() {
-                        if !part.is_empty() {
-                            let outcome = self.shard_jobs[shard].send(part);
-                            debug_assert_eq!(
-                                outcome,
-                                SendOutcome::Sent,
-                                "shard worker outlives the driver stage"
-                            );
-                        }
-                    }
-                }
-                DriverJob::RepairAttached => {
-                    self.mirror = None;
-                }
-                DriverJob::Finish => {
-                    self.driver.flush();
-                    let flushed = self.driver.read_records();
-                    let _ = ledgers.send(QuantumLedger {
-                        charges: ChargeLedger::default(),
-                        records: 0,
-                        events_dropped: self.driver.stats().events_dropped,
-                        aggs: None,
-                        flushed,
-                    });
-                    busy += start.elapsed();
-                    break;
-                }
-            }
-            busy += start.elapsed();
-        }
-        (self.driver, busy)
-    }
-}
-
-/// What the stage threads hand back when a pipelined session winds down.
-struct Reclaimed {
-    driver: Driver,
-    /// The shard detectors, in shard order.
-    detectors: Vec<Detector>,
-    driver_busy: Duration,
-    /// The busiest shard's time.
-    detector_busy: Duration,
-}
-
-/// The running half of a pipelined session: the stage threads' endpoints and
-/// the bounded-lag settlement bookkeeping.
-struct PipeStage {
-    jobs: channel::Sender<DriverJob>,
-    ledgers: mpsc::Receiver<QuantumLedger>,
-    /// `None` once [`PipeStage::join`] has taken the stage threads.
-    driver_worker: Option<JoinHandle<(Driver, Duration)>>,
-    shard_workers: Vec<JoinHandle<(Detector, Duration)>>,
-    /// The configured `driver_lag_quanta`.
-    lag: u64,
-    /// The boundary index the next `submit` call will open.
-    next_quantum: u64,
-    /// Boundary indices of batches whose ledgers have not settled yet, in
-    /// send order. The front settles once `front + lag <= current boundary`.
-    outstanding: VecDeque<u64>,
-    /// The mirror aggregates as of the last settled ledger that carried
-    /// them: what the armed repair trigger evaluates between batches.
-    last_aggs: Arc<Vec<LineAgg>>,
-}
-
-impl PipeStage {
-    fn spawn(
-        driver: Driver,
-        mirror: Option<Detector>,
-        detectors: Vec<Detector>,
-        lag: usize,
-        num_cores: usize,
-    ) -> Self {
-        let mut shard_jobs = Vec::with_capacity(detectors.len());
-        let mut shard_workers = Vec::with_capacity(detectors.len());
-        for (i, detector) in detectors.into_iter().enumerate() {
-            let (jobs_tx, jobs_rx) = channel::bounded(CHANNEL_DEPTH, OverflowPolicy::Backpressure);
-            let worker = std::thread::Builder::new()
-                .name(format!("laser-detector-{i}"))
-                .spawn(move || detector_worker(detector, jobs_rx))
-                .expect("spawn detector stage worker"); // lint:allow(panic) — thread spawn fails only on resource exhaustion; there is no graceful fallback
-            shard_jobs.push(jobs_tx);
-            shard_workers.push(worker);
-        }
-        // The batch channel must hold at least lag + 1 quanta so a full
-        // credit window never blocks the machine on its own backpressure.
-        let depth = CHANNEL_DEPTH.max(lag + 1);
-        let (jobs, jobs_rx) = channel::bounded(depth, OverflowPolicy::Backpressure);
-        let (ledgers_tx, ledgers) = mpsc::channel();
-        let stage = DriverStageWorker {
-            driver,
-            mirror,
-            shard_jobs,
-            num_cores,
-        };
-        let driver_worker = std::thread::Builder::new()
-            .name("laser-driver".into())
-            .spawn(move || stage.run(jobs_rx, ledgers_tx))
-            .expect("spawn driver stage worker"); // lint:allow(panic) — thread spawn fails only on resource exhaustion; there is no graceful fallback
-        PipeStage {
+    /// [`DetectorWorker::spawn`] with the per-batch step injected, so a test
+    /// can make the worker die mid-run.
+    fn spawn_with(
+        detector: Detector,
+        process: impl FnMut(&mut Detector, &[HitmRecord]) + Send + 'static,
+    ) -> std::io::Result<Self> {
+        let (jobs, jobs_rx) = channel::bounded(CHANNEL_DEPTH, OverflowPolicy::Backpressure);
+        let (replies_tx, replies) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("laser-detector".into())
+            .spawn(move || detector_worker(detector, jobs_rx, replies_tx, process))?;
+        Ok(DetectorWorker {
             jobs,
-            ledgers,
-            driver_worker: Some(driver_worker),
-            shard_workers,
-            lag: lag as u64,
-            next_quantum: 0,
-            outstanding: VecDeque::new(),
-            last_aggs: Arc::default(),
+            replies,
+            thread: Some(thread),
+        })
+    }
+
+    /// Hand one batch to the worker; when `reply` is set, wait for the
+    /// detector's aggregates as of that batch. The worker holds its ends of
+    /// both channels for as long as it runs, so a closed channel means it
+    /// died mid-run: fail the session now, with the worker's own panic,
+    /// instead of simulating the rest of the cell for nothing.
+    fn process(&mut self, records: Vec<HitmRecord>, reply: bool) -> Option<Vec<LineAgg>> {
+        if self.jobs.send(DetectJob { records, reply }) != SendOutcome::Sent {
+            self.died();
+        }
+        if !reply {
+            return None;
+        }
+        match self.replies.recv() {
+            Ok(aggs) => Some(aggs),
+            Err(mpsc::RecvError) => self.died(),
         }
     }
 
-    /// Hand one job to the driver stage.
-    fn send(&self, job: DriverJob) {
-        let outcome = self.jobs.send(job);
-        debug_assert_eq!(
-            outcome,
-            SendOutcome::Sent,
-            "driver stage outlives the session"
-        );
-    }
-
-    /// Open the next quantum boundary: enqueue the quantum's raw batch for
-    /// the driver stage and return the boundary's index.
-    fn submit(&mut self, events: Vec<HitmEvent>) -> u64 {
-        let boundary = self.next_quantum;
-        self.next_quantum += 1;
-        if !events.is_empty() {
-            self.send(DriverJob::Batch(events));
-            self.outstanding.push_back(boundary);
-        }
-        boundary
-    }
-
-    /// Receive every outstanding ledger that has come due at `boundary`
-    /// (front quantum + lag ≤ boundary), oldest first, keeping the latest
-    /// mirror aggregates for the repair trigger.
-    fn settle_due(&mut self, boundary: u64) -> Vec<QuantumLedger> {
-        let mut due = Vec::new();
-        while matches!(self.outstanding.front(), Some(&q) if q + self.lag <= boundary) {
-            self.outstanding.pop_front();
-            let ledger = self.recv_ledger();
-            if let Some(aggs) = &ledger.aggs {
-                self.last_aggs = Arc::clone(aggs);
-            }
-            due.push(ledger);
-        }
-        due
-    }
-
-    /// End of run: ask the driver stage for its final flush and return the
-    /// flushed records, still unprocessed.
-    fn flush(&mut self) -> Vec<HitmRecord> {
-        self.send(DriverJob::Finish);
-        self.recv_ledger().flushed
-    }
-
-    /// Block for the driver stage's next ledger. The stage holds its ledger
-    /// sender for as long as the session holds its job sender, so a
-    /// disconnect here means a stage worker died mid-run — in that case its
-    /// own panic is the real diagnostic, so join the stages and re-raise the
-    /// first panic payload rather than masking it with a channel error (the
-    /// campaign runner's per-cell `catch_unwind` then records the true
-    /// message).
-    fn recv_ledger(&mut self) -> QuantumLedger {
-        // Yield-spin before parking: at lag 0 the machine waits for the
-        // driver stage once per quantum, and a bounded yield loop is much
-        // cheaper than a futex park/unpark round-trip — on a single hardware
-        // thread each yield hands the timeslice straight to the driver
-        // stage, and on a multi-core host the ledger usually lands within a
-        // few yields.
-        for _ in 0..64 {
-            match self.ledgers.try_recv() {
-                Ok(ledger) => return ledger,
-                Err(mpsc::TryRecvError::Empty) => std::thread::yield_now(),
-                Err(mpsc::TryRecvError::Disconnected) => break,
-            }
-        }
-        match self.ledgers.recv() {
-            Ok(ledger) => ledger,
-            Err(mpsc::RecvError) => {
-                self.join();
-                worker_exited_early()
-            }
+    /// The worker closed a channel the session still holds. Join it and
+    /// re-raise its panic payload — the real diagnostic, which the campaign
+    /// runner's per-cell `catch_unwind` records as the cell's failure.
+    fn died(&mut self) -> ! {
+        match self.thread.take().map(JoinHandle::join) {
+            Some(Err(payload)) => std::panic::resume_unwind(payload),
+            _ => worker_exited_early(),
         }
     }
 
-    /// Join every stage thread and collect what they owned: the driver, the
-    /// shard detectors and the stages' busy times. The driver stage exits on
-    /// [`DriverJob::Finish`] (or when it dies), dropping the shard senders,
-    /// so every shard drains its queue in FIFO order and exits too. If any
-    /// worker panicked, the first payload (driver, then shard order) is
-    /// re-raised once all threads are joined: it is the real diagnostic, and
-    /// per-cell panic isolation depends on it.
-    fn join(&mut self) -> Reclaimed {
-        let Some(driver_worker) = self.driver_worker.take() else {
+    /// Close the job channel so the worker drains its queue and exits, then
+    /// join it and take back the detector and its busy time. A panic on the
+    /// worker is re-raised here.
+    fn join(self) -> (Detector, Duration) {
+        let DetectorWorker { jobs, thread, .. } = self;
+        drop(jobs);
+        match thread.map(JoinHandle::join) {
+            Some(Ok(reclaimed)) => reclaimed,
+            Some(Err(payload)) => std::panic::resume_unwind(payload),
             // Only reachable by reusing a session whose worker already died.
-            worker_exited_early()
-        };
-        let driver_exit = driver_worker.join();
-        let shard_exits: Vec<_> = std::mem::take(&mut self.shard_workers)
-            .into_iter()
-            .map(JoinHandle::join)
-            .collect();
-        let (driver, driver_busy) =
-            driver_exit.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        let mut detectors = Vec::with_capacity(shard_exits.len());
-        let mut detector_busy = Duration::ZERO;
-        for exit in shard_exits {
-            let (detector, busy) =
-                exit.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            detectors.push(detector);
-            detector_busy = detector_busy.max(busy);
-        }
-        Reclaimed {
-            driver,
-            detectors,
-            driver_busy,
-            detector_busy,
+            None => worker_exited_early(),
         }
     }
 }
 
-/// A stage worker exited while the session still held its channel, with no
-/// panic of its own to re-raise.
+/// The detector worker exited while the session still held its channel, with
+/// no panic of its own to re-raise.
 fn worker_exited_early() -> ! {
     panic!("pipeline stage worker exited before its channel closed") // lint:allow(panic) — a worker exiting with its channel open is a protocol bug worth crashing the cell
 }
 
-/// How the driver and detector are deployed: on the calling thread, or as the
-/// worker stages of a pipelined session. Fixed at construction.
-// One `Stage` per session, never stored in bulk: boxing the inline pair would
-// only add a pointer hop to every quantum boundary.
-#[allow(clippy::large_enum_variant)]
-enum Stage {
-    Inline { driver: Driver, detector: Detector },
-    Piped(PipeStage),
+/// Where the session's one [`Detector`] lives. The two deployments differ
+/// only in how a batch reaches it. Fixed at construction.
+enum DetectorStage {
+    Inline(Detector),
+    Worker(DetectorWorker),
 }
 
-/// The machine-thread half of a session — application, observer, repair and
-/// overhead accounting — which behaves the same however the [`Stage`] is
-/// deployed.
+impl DetectorStage {
+    /// Run one batch through the detector; with `reply`, return its
+    /// per-line aggregates as of that batch.
+    fn process(&mut self, records: Vec<HitmRecord>, reply: bool) -> Option<Vec<LineAgg>> {
+        match self {
+            DetectorStage::Inline(detector) => {
+                detector.process(&records);
+                reply.then(|| detector.line_aggregates())
+            }
+            DetectorStage::Worker(worker) => worker.process(records, reply),
+        }
+    }
+
+    /// Take the detector back for the final flush and the report, with the
+    /// worker thread's busy time if there was one.
+    fn join(self) -> (Detector, Option<Duration>) {
+        match self {
+            DetectorStage::Inline(detector) => (detector, None),
+            DetectorStage::Worker(worker) => {
+                let (detector, busy) = worker.join();
+                (detector, Some(busy))
+            }
+        }
+    }
+}
+
+/// The application half of a session — machine, observer, repair and
+/// overhead accounting — which behaves the same wherever the detector lives.
 struct AppSide {
     config: LaserConfig,
     machine: Machine,
@@ -782,16 +489,22 @@ struct AppSide {
     /// PMU drop count already reported through `RecordBatch` events.
     reported_dropped: u64,
     repair: Option<RepairSummary>,
-    /// Wall time the machine thread spent inside `run_quantum` (pipelined
-    /// sessions only; inline runs skip the measurement entirely).
+    /// Wall time spent inside `run_quantum` (pipelined sessions only; inline
+    /// runs skip the measurement entirely).
     machine_busy: Duration,
+    /// Wall time spent inside `Driver::ingest`, likewise.
+    driver_busy: Duration,
 }
 
 /// An in-flight LASER run: application, driver, detector, observer and
 /// (optionally) repair, as one owned value.
 pub struct LaserSession {
     app: AppSide,
-    stage: Stage,
+    driver: Driver,
+    detector: DetectorStage,
+    /// The detector's per-line aggregates as of the last batch that asked
+    /// for them: what the armed repair trigger evaluates between batches.
+    aggs: Vec<LineAgg>,
 }
 
 impl fmt::Debug for LaserSession {
@@ -838,20 +551,23 @@ impl AppSide {
     }
 
     /// The repair trigger threshold with the topology cost weighting applied
-    /// (see [`AppSide::hitm_cost_factor`]). Evaluated on the machine thread
-    /// at the batch's charge point, so inline and pipelined runs use the
-    /// same value.
+    /// (see [`AppSide::hitm_cost_factor`]).
     fn effective_repair_threshold(&self) -> f64 {
         self.config.repair_rate_threshold / self.hitm_cost_factor()
     }
 
-    /// Charge `cycles` of detector work to the machine, spread over the
-    /// cores. Integer division would silently drop `cycles % num_cores` — on
-    /// small batches that rounds the whole charge down to zero — so the
-    /// remainder is distributed one cycle each to the first cores, keeping
-    /// the total charged exactly `cycles` (the same policy as the driver's
-    /// record-copy charging).
-    fn charge_detector_cycles(&mut self, cycles: u64) {
+    /// Charge the detector's work on a batch of `records` records to the
+    /// machine, spread over the cores. The per-record cost is configuration,
+    /// not detector state, so the batch is priced here — at the same machine
+    /// point whether the detector processes it on this thread or overlaps it
+    /// on the worker. Integer division would silently drop
+    /// `cycles % num_cores` — on small batches that rounds the whole charge
+    /// down to zero — so the remainder is distributed one cycle each to the
+    /// first cores, keeping the total charged exactly `cycles` (the same
+    /// policy as the driver's record-copy charging).
+    fn charge_detector_batch(&mut self, records: usize) {
+        let cycles =
+            detect::batch_processing_cycles(self.config.detector_cycles_per_record, records);
         self.detector_cycles += cycles;
         let per_core = cycles / self.num_cores as u64;
         if per_core > 0 {
@@ -860,26 +576,6 @@ impl AppSide {
         let remainder = (cycles % self.num_cores as u64) as usize;
         for core in 0..remainder {
             self.machine.charge_cycles(CoreId(core), 1);
-        }
-    }
-
-    /// Apply one settled ledger to the machine. The ledger's charges commute
-    /// (the scheduler's pick depends only on the final per-core clocks), so
-    /// applying them here in one shot lands the machine in exactly the state
-    /// synchronous per-quantum charging would have produced.
-    fn apply_ledger(&mut self, ledger: &QuantumLedger) {
-        ledger.charges.apply(&mut self.machine);
-        if ledger.records > 0 {
-            // The detector's per-record cost is configuration, not state, so
-            // the machine prices the batch at the inline charge point while
-            // the semantic processing overlaps on the workers. The formula
-            // is shared with `Detector::processing_cycles`; the two sites
-            // must agree exactly for lag=0 runs to stay byte-identical.
-            let cycles = detect::batch_processing_cycles(
-                self.config.detector_cycles_per_record,
-                ledger.records,
-            );
-            self.charge_detector_cycles(cycles);
         }
     }
 
@@ -894,7 +590,7 @@ impl AppSide {
         dropped_total: u64,
         aggs: Option<&[LineAgg]>,
     ) -> ControlFlow<StopReason> {
-        if n == 0 || !self.observed {
+        if !self.observed {
             return ControlFlow::Continue(());
         }
         let dropped = dropped_total - self.reported_dropped;
@@ -910,34 +606,24 @@ impl AppSide {
         })
     }
 
-    /// [`AppSide::emit_batch`] for a settled ledger.
-    fn emit_ledger(&mut self, ledger: &QuantumLedger) -> ControlFlow<StopReason> {
-        let aggs = ledger.aggs.as_deref().map_or(&[][..], Vec::as_slice);
-        self.emit_batch(ledger.records, ledger.events_dropped, Some(aggs))
-    }
-
     /// Whether LASERREPAIR is enabled and has not attached yet.
     fn repair_armed(&self) -> bool {
         self.config.enable_repair && self.repair.is_none()
     }
 
     /// Evaluate the armed repair trigger against the detector's per-line
-    /// `aggs` — an inline session's own detector's, a pipelined session's
-    /// last settled mirror aggregates. It runs at every boundary, not only
-    /// when a batch lands, because rates decay as elapsed time grows.
-    /// Attaches the SSB instrumentation when the lines over the threshold
-    /// yield a profitable plan, reports it, and returns whether it attached.
-    fn evaluate_trigger(&mut self, aggs: &[LineAgg]) -> ControlFlow<StopReason, bool> {
+    /// `aggs`. It runs at every boundary, not only when a batch lands,
+    /// because rates decay as elapsed time grows. Attaches the SSB
+    /// instrumentation when the lines over the threshold yield a profitable
+    /// plan, and reports it.
+    fn evaluate_trigger(&mut self, aggs: &[LineAgg]) -> ControlFlow<StopReason> {
         let elapsed = self.machine.elapsed_benchmark_seconds();
         let threshold = self.effective_repair_threshold();
         let pcs = detect::trigger_pcs_from(aggs, elapsed, threshold);
-        let Some(attached) = self.attach_repair_from_pcs(&pcs) else {
-            return ControlFlow::Continue(false);
-        };
-        if self.observed {
-            self.emit(attached)?;
+        match self.attach_repair_from_pcs(&pcs) {
+            Some(attached) if self.observed => self.emit(attached),
+            _ => ControlFlow::Continue(()),
         }
-        ControlFlow::Continue(true)
     }
 
     /// Attach the SSB instrumentation if `pcs` (the lines over the repair
@@ -992,18 +678,17 @@ impl LaserSession {
     }
 
     /// The detector's live state, when the detector runs inline. A pipelined
-    /// session's detectors live on their worker threads, so this is `None`.
+    /// session's detector lives on its worker thread, so this is `None`.
     pub fn detector(&self) -> Option<&Detector> {
-        match &self.stage {
-            Stage::Inline { detector, .. } => Some(detector),
-            Stage::Piped(_) => None,
+        match &self.detector {
+            DetectorStage::Inline(detector) => Some(detector),
+            DetectorStage::Worker(_) => None,
         }
     }
 
-    /// Whether the driver and detector stages run pipelined on worker
-    /// threads.
+    /// Whether the detector runs pipelined on a worker thread.
     pub fn is_pipelined(&self) -> bool {
-        matches!(self.stage, Stage::Piped(_))
+        matches!(self.detector, DetectorStage::Worker(_))
     }
 
     /// Cycles the detector process has consumed so far.
@@ -1026,28 +711,24 @@ impl LaserSession {
     /// session is always in a consistent state (a later
     /// [`LaserSession::finish`] never undercounts).
     ///
-    /// In a pipelined session the driver stage services the batch on its own
-    /// thread and the detector shards consume the routed records on theirs;
-    /// at `driver_lag_quanta` 0 the event order, payloads and machine
-    /// charging are identical to an inline run (see the
-    /// [module docs](self)).
+    /// In a pipelined session the detector consumes the batch on its own
+    /// thread; the event order, payloads and machine charging are identical
+    /// to an inline run (see the [module docs](self)).
     ///
     /// # Errors
     /// Returns an error if the machine exhausts its step budget.
     pub fn advance(&mut self) -> Result<SessionStatus, LaserError> {
+        let timed = self.is_pipelined();
         let app = &mut self.app;
         let steps_before = app.machine.steps();
-        let quantum = if matches!(self.stage, Stage::Piped(_)) {
-            let start = Instant::now(); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
-            let quantum = app.machine.run_quantum(app.config.poll_interval_steps);
+        let start = timed.then(Instant::now); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
+        let quantum = app.machine.run_quantum(app.config.poll_interval_steps);
+        if let Some(start) = start {
             app.machine_busy += start.elapsed();
-            quantum
-        } else {
-            app.machine.run_quantum(app.config.poll_interval_steps)
-        };
+        }
         let status = quantum.status;
         // Capture the quantum event *before* the driver charges interrupt and
-        // copy overhead, matching the inline emission point.
+        // copy overhead.
         let quantum_event = app.observed.then(|| LaserEvent::QuantumCompleted {
             steps: app.machine.steps() - steps_before,
             cycles: app.machine.cycles(),
@@ -1069,59 +750,39 @@ impl LaserSession {
         })
     }
 
-    /// The quantum boundary: service the quantum's raw HITM batch, report
-    /// the boundary to the observer, and evaluate the armed repair trigger.
+    /// The quantum boundary: service the quantum's raw HITM batch on this
+    /// thread, hand the sampled records to the detector, report the boundary
+    /// to the observer, and evaluate the armed repair trigger.
     fn settle_boundary(
         &mut self,
         events: Vec<HitmEvent>,
         quantum_event: Option<LaserEvent>,
     ) -> ControlFlow<StopReason> {
+        let timed = self.is_pipelined();
         let app = &mut self.app;
-        match &mut self.stage {
-            // Inline: service the PMU synchronously, then run the detector
-            // stage on the calling thread.
-            Stage::Inline { driver, detector } => {
-                driver.ingest(events, &mut app.machine);
-                if let Some(event) = quantum_event {
-                    app.emit(event)?;
-                }
-                let records = driver.read_records();
-                let mut aggs = None;
-                if !records.is_empty() {
-                    detector.process(&records);
-                    app.charge_detector_cycles(detector.processing_cycles(records.len()));
-                    aggs = app.observed.then(|| detector.line_aggregates());
-                    let dropped_total = driver.stats().events_dropped;
-                    app.emit_batch(records.len(), dropped_total, aggs.as_deref())?;
-                }
-                if app.repair_armed() {
-                    let aggs = aggs.unwrap_or_else(|| detector.line_aggregates());
-                    app.evaluate_trigger(&aggs)?;
-                }
+        let start = timed.then(Instant::now); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
+        self.driver.ingest(events, &mut app.machine);
+        if let Some(start) = start {
+            app.driver_busy += start.elapsed();
+        }
+        if let Some(event) = quantum_event {
+            app.emit(event)?;
+        }
+        let records = self.driver.read_records();
+        if !records.is_empty() {
+            let n = records.len();
+            // Only an observer or an armed trigger reads the aggregates; a
+            // worker is otherwise left to overlap with the next quantum.
+            let reply = app.observed || app.repair_armed();
+            if let Some(aggs) = self.detector.process(records, reply) {
+                self.aggs = aggs;
             }
-            // Pipelined: enqueue the raw batch for the driver stage, settle
-            // every charge ledger that has come due under the bounded-lag
-            // credit scheme, then report the settled batches in quantum
-            // order. The trigger is pre-armed: it runs off the last settled
-            // mirror aggregates, with no round-trip to the workers.
-            Stage::Piped(pipe) => {
-                let boundary = pipe.submit(events);
-                let due = pipe.settle_due(boundary);
-                for ledger in &due {
-                    app.apply_ledger(ledger);
-                }
-                if let Some(event) = quantum_event {
-                    app.emit(event)?;
-                }
-                for ledger in &due {
-                    app.emit_ledger(ledger)?;
-                }
-                if app.repair_armed() && app.evaluate_trigger(&pipe.last_aggs)? && !app.observed {
-                    // Unobserved and attached: nothing needs the mirror's
-                    // aggregates any more; let the driver stage retire it.
-                    pipe.send(DriverJob::RepairAttached);
-                }
-            }
+            app.charge_detector_batch(n);
+            let dropped_total = self.driver.stats().events_dropped;
+            app.emit_batch(n, dropped_total, Some(&self.aggs))?;
+        }
+        if app.repair_armed() {
+            app.evaluate_trigger(&self.aggs)?;
         }
         ControlFlow::Continue(())
     }
@@ -1149,47 +810,24 @@ impl LaserSession {
     /// [`advance`](LaserSession::advance) batch — the detector is still
     /// sharing the chip while it drains the device — so the outcome's cycle
     /// count accounts for every record the detector processed. A pipelined
-    /// session first settles its outstanding ledgers (emitting their
-    /// deferred events), then reclaims the driver from the driver stage and
-    /// folds the shard detectors back into one ([`Detector::absorb`], shard
-    /// order) — the shards' state is disjoint, so the merged detector is
-    /// exactly the one an inline run would hold here — so the final flush
-    /// (and the report) sees every streamed batch.
+    /// session first joins its worker, which drains every streamed batch
+    /// before handing the detector back, so the final flush (and the report)
+    /// sees them all.
     pub fn finish(self) -> LaserOutcome {
-        let LaserSession { mut app, stage } = self;
-        let (mut driver, mut detector, mut records, stage_occupancy) = match stage {
-            Stage::Inline { driver, detector } => (driver, detector, Vec::new(), None),
-            Stage::Piped(mut pipe) => {
-                // The run is over: every outstanding ledger is due, lag or
-                // no lag, and a Break has nothing left to cancel.
-                let due = pipe.settle_due(u64::MAX);
-                for ledger in &due {
-                    app.apply_ledger(ledger);
-                }
-                for ledger in &due {
-                    let _ = app.emit_ledger(ledger);
-                }
-                let flushed = pipe.flush();
-                let mut reclaimed = pipe.join();
-                let mut merged = reclaimed.detectors.remove(0);
-                for shard in reclaimed.detectors {
-                    merged.absorb(shard);
-                }
-                let occupancy = StageOccupancy {
-                    machine_busy: app.machine_busy,
-                    driver_busy: reclaimed.driver_busy,
-                    detector_busy: reclaimed.detector_busy,
-                };
-                (reclaimed.driver, merged, flushed, Some(occupancy))
-            }
-        };
+        let LaserSession {
+            mut app,
+            mut driver,
+            detector,
+            ..
+        } = self;
+        let (mut detector, detector_busy) = detector.join();
 
         driver.poll(&mut app.machine);
         driver.flush();
-        records.extend(driver.read_records());
+        let records = driver.read_records();
         if !records.is_empty() {
             detector.process(&records);
-            app.charge_detector_cycles(detector.processing_cycles(records.len()));
+            app.charge_detector_batch(records.len());
             let _ = app.emit_batch(records.len(), driver.stats().events_dropped, None);
         }
 
@@ -1230,7 +868,11 @@ impl LaserSession {
             detector_cycles: app.detector_cycles,
             repair: app.repair,
             elapsed_benchmark_seconds: elapsed,
-            stage_occupancy,
+            stage_occupancy: detector_busy.map(|detector_busy| StageOccupancy {
+                machine_busy: app.machine_busy,
+                driver_busy: app.driver_busy,
+                detector_busy,
+            }),
         }
     }
 }
@@ -1243,28 +885,35 @@ mod tests {
     use laser_isa::inst::{Operand, Reg};
     use laser_isa::ProgramBuilder;
     use laser_machine::ThreadSpec;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Arc;
 
-    /// Two threads false-sharing adjacent counters in one cache line, using
-    /// the memory-destination increment compilers emit for `counter[i]++`.
-    fn contended_image(name: &str, iters: u64) -> WorkloadImage {
-        let mut b = ProgramBuilder::new(name);
-        b.source("xthread.c", 12);
-        let entry = b.block("entry");
-        let body = b.block("body");
-        let exit = b.block("exit");
+    /// One counting loop — `counter[i]++` as the memory-destination increment
+    /// compilers emit, `iters` times — in blocks `{prefix}entry`/`body`/`exit`,
+    /// attributed to `file:line` and `line + 1`.
+    fn counting_loop(b: &mut ProgramBuilder, prefix: &str, file: &str, line: u32, iters: u64) {
+        b.source(file, line);
+        let entry = b.block(&format!("{prefix}entry"));
+        let body = b.block(&format!("{prefix}body"));
+        let exit = b.block(&format!("{prefix}exit"));
         b.switch_to(entry);
         b.movi(Reg(2), 0);
         b.jump(body);
         b.switch_to(body);
         b.mem_add(Reg(0), 0, Operand::Imm(1), 8);
-        b.source("xthread.c", 13);
+        b.source(file, line + 1);
         b.addi(Reg(2), Reg(2), 1);
         b.cmp_lt(Reg(3), Reg(2), Operand::Imm(iters));
         b.branch(Reg(3), body, exit);
         b.switch_to(exit);
         b.halt();
-        let program = b.finish();
-        let mut image = laser_machine::WorkloadImage::new(name, program);
+    }
+
+    /// Two threads false-sharing adjacent counters in one cache line.
+    fn contended_image(name: &str, iters: u64) -> WorkloadImage {
+        let mut b = ProgramBuilder::new(name);
+        counting_loop(&mut b, "", "xthread.c", 12, iters);
+        let mut image = laser_machine::WorkloadImage::new(name, b.finish());
         let base = image.layout_mut().heap_alloc(64, 64).unwrap();
         image.push_thread(ThreadSpec::new("t0", "entry").with_reg(Reg(0), base));
         image.push_thread(ThreadSpec::new("t1", "entry").with_reg(Reg(0), base + 8));
@@ -1569,19 +1218,9 @@ mod tests {
 
     #[test]
     fn pipeline_config_defaults_are_a_lossless_double_buffer() {
-        let config = PipelineConfig::default();
-        assert!(!config.enabled);
-        assert_eq!(config.shards, 1, "single worker unless asked");
-        assert_eq!(
-            config.driver_lag_quanta, 0,
-            "lag defaults to 0 so pipelined runs stay byte-identical to inline"
-        );
-        let on = PipelineConfig::pipelined()
-            .with_shards(0)
-            .with_driver_lag(3);
-        assert!(on.enabled);
-        assert_eq!(on.shards, 1, "shard count clamps to at least one");
-        assert_eq!(on.driver_lag_quanta, 3);
+        assert!(!PipelineConfig::default().enabled, "inline unless asked");
+        assert!(PipelineConfig::pipelined().enabled);
+        assert_eq!(CHANNEL_DEPTH, 2, "one batch in flight, one staged");
     }
 
     #[test]
@@ -1714,194 +1353,44 @@ mod tests {
 
     #[test]
     fn stopped_pipelined_session_still_finishes_without_undercounting() {
-        // With shards and lag, ledgers are still outstanding when the stop
-        // surfaces; finish() must settle them and charge every sampled
-        // record exactly once.
-        for pipeline in [
-            PipelineConfig::pipelined(),
-            PipelineConfig::pipelined()
-                .with_shards(4)
-                .with_driver_lag(2),
-        ] {
-            let image = contended_image("pipstop", 6000);
-            let config = LaserConfig {
-                detector_cycles_per_record: 37,
-                ..LaserConfig::detection_only()
-            };
-            let mut session = Laser::builder()
-                .config(config)
-                .pipeline_config(pipeline)
-                .observer(|event: &LaserEvent| {
-                    if let LaserEvent::RecordBatch { .. } = event {
-                        return ControlFlow::Break(StopReason::Cancelled("first batch".into()));
-                    }
-                    ControlFlow::Continue(())
-                })
-                .build(&image);
-            loop {
-                match session.advance().unwrap() {
-                    SessionStatus::Running => {}
-                    SessionStatus::Done => panic!("observer should stop before completion"),
-                    SessionStatus::Stopped(reason) => {
-                        assert_eq!(reason, StopReason::Cancelled("first batch".into()));
-                        break;
-                    }
+        // The stop surfaces after the batch went to the worker; finish()
+        // must join it and charge every sampled record exactly once.
+        let image = contended_image("pipstop", 6000);
+        let config = LaserConfig {
+            detector_cycles_per_record: 37,
+            ..LaserConfig::detection_only()
+        };
+        let mut session = Laser::builder()
+            .config(config)
+            .pipeline(true)
+            .observer(|event: &LaserEvent| {
+                if let LaserEvent::RecordBatch { .. } = event {
+                    return ControlFlow::Break(StopReason::Cancelled("first batch".into()));
+                }
+                ControlFlow::Continue(())
+            })
+            .build(&image);
+        loop {
+            match session.advance().unwrap() {
+                SessionStatus::Running => {}
+                SessionStatus::Done => panic!("observer should stop before completion"),
+                SessionStatus::Stopped(reason) => {
+                    assert_eq!(reason, StopReason::Cancelled("first batch".into()));
+                    break;
                 }
             }
-            let outcome = session.finish();
-            assert!(outcome.driver_stats.records_sampled > 0);
-            assert_eq!(
-                outcome.detector_cycles,
-                outcome.driver_stats.records_sampled * 37,
-                "every sampled record must be processed and charged exactly once: {pipeline:?}"
-            );
-            assert_eq!(
-                outcome.run.stats.injected_overhead_cycles,
-                outcome.driver_stats.overhead_cycles + outcome.detector_cycles,
-                "{pipeline:?}"
-            );
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Sharded detection
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn sharded_detection_run_is_byte_identical_to_inline() {
-        let image = contended_image("sharded", 6000);
-        let config = LaserConfig::detection_only();
-        let inline = Laser::builder()
-            .config(config.clone())
-            .build(&image)
-            .run()
-            .unwrap();
-        for shards in [1, 2, 8] {
-            let sharded = Laser::builder()
-                .config(config.clone())
-                .pipeline_config(PipelineConfig::pipelined().with_shards(shards))
-                .build(&image)
-                .run()
-                .unwrap();
-            assert_eq!(inline.cycles(), sharded.cycles(), "shards={shards}");
-            assert_eq!(inline.run.per_core_cycles, sharded.run.per_core_cycles);
-            assert_eq!(inline.report, sharded.report, "shards={shards}");
-            assert_eq!(inline.detector_cycles, sharded.detector_cycles);
-            assert_eq!(inline.driver_stats, sharded.driver_stats);
-            assert_eq!(
-                format!("{:?}", inline.report),
-                format!("{:?}", sharded.report),
-                "shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_repair_run_attaches_at_the_same_cycle_as_inline() {
-        // Lock-step quanta collect one reply per shard and merge before the
-        // trigger decision, so the attach point must not move with the shard
-        // count.
-        let image = contended_image("shardrep", 6000);
-        let inline = Laser::builder().build(&image).run().unwrap();
-        assert!(inline.repair.is_some(), "workload should trigger repair");
-        for shards in [2, 8] {
-            let sharded = Laser::builder()
-                .pipeline_config(PipelineConfig::pipelined().with_shards(shards))
-                .build(&image)
-                .run()
-                .unwrap();
-            let (a, b) = (
-                inline.repair.as_ref().unwrap(),
-                sharded.repair.as_ref().unwrap(),
-            );
-            assert_eq!(
-                a.triggered_at_cycle, b.triggered_at_cycle,
-                "shards={shards}"
-            );
-            assert_eq!(a.plan.instrumented_blocks, b.plan.instrumented_blocks);
-            assert_eq!(a.plan.flush_blocks, b.plan.flush_blocks);
-            assert_eq!(a.plan.ssb_stores, b.plan.ssb_stores);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(inline.cycles(), sharded.cycles(), "shards={shards}");
-            assert_eq!(inline.report, sharded.report);
-            assert_eq!(inline.detector_cycles, sharded.detector_cycles);
-        }
-    }
-
-    #[test]
-    fn sharded_event_stream_is_byte_identical_to_inline() {
-        for config in [LaserConfig::detection_only(), LaserConfig::default()] {
-            let image = contended_image("shardevents", 6000);
-            let inline_log = EventLog::new();
-            let inline = Laser::builder()
-                .config(config.clone())
-                .observer(inline_log.clone())
-                .build(&image)
-                .run()
-                .unwrap();
-            for shards in [2, 8] {
-                let sharded_log = EventLog::new();
-                let sharded = Laser::builder()
-                    .config(config.clone())
-                    .pipeline_config(PipelineConfig::pipelined().with_shards(shards))
-                    .observer(sharded_log.clone())
-                    .build(&image)
-                    .run()
-                    .unwrap();
-                assert_eq!(inline.cycles(), sharded.cycles());
-                let (ie, se) = (inline_log.events(), sharded_log.events());
-                assert!(!ie.is_empty());
-                assert_eq!(ie, se, "repair={} shards={shards}", config.enable_repair);
-                assert_eq!(format!("{ie:?}"), format!("{se:?}"));
-                assert_stream_accounts_for_every_record(&se, &sharded);
-            }
-        }
-    }
-
-    #[test]
-    fn lagged_charge_back_is_deterministic_across_identical_runs() {
-        // driver_lag_quanta ≥ 1 overlaps the machine with the driver stage:
-        // charges for quantum k land at boundary k + lag, which moves the
-        // cores' clocks relative to an inline run and perturbs the
-        // interleaving. The contract is determinism —
-        // two identical deployments produce identical bytes — NOT
-        // inline-identity.
-        for lag in [1usize, 3] {
-            let image = contended_image("lagdet", 6000);
-            let run = |config: LaserConfig| {
-                let log = EventLog::new();
-                let outcome = Laser::builder()
-                    .config(config)
-                    .pipeline_config(
-                        PipelineConfig::pipelined()
-                            .with_shards(2)
-                            .with_driver_lag(lag),
-                    )
-                    .observer(log.clone())
-                    .build(&image)
-                    .run()
-                    .unwrap();
-                (outcome, log.events())
-            };
-            for config in [LaserConfig::detection_only(), LaserConfig::default()] {
-                let (a, a_events) = run(config.clone());
-                let (b, b_events) = run(config);
-                assert_eq!(a.cycles(), b.cycles(), "lag {lag}");
-                assert_eq!(a.report, b.report, "lag {lag}");
-                assert_eq!(a.detector_cycles, b.detector_cycles, "lag {lag}");
-                assert_eq!(a_events, b_events, "lag {lag}");
-                // Ledgers still outstanding at the end settle in the
-                // wind-down; their deferred events must not be lost.
-                assert_stream_accounts_for_every_record(&a_events, &a);
-                // Every deferred cycle still lands: the ledgers conserve the
-                // driver's overhead exactly, however late they settle.
-                assert_eq!(
-                    a.run.stats.injected_overhead_cycles,
-                    a.driver_stats.overhead_cycles + a.detector_cycles,
-                    "lag {lag}"
-                );
-            }
-        }
+        let outcome = session.finish();
+        assert!(outcome.driver_stats.records_sampled > 0);
+        assert_eq!(
+            outcome.detector_cycles,
+            outcome.driver_stats.records_sampled * 37,
+            "every sampled record must be processed and charged exactly once"
+        );
+        assert_eq!(
+            outcome.run.stats.injected_overhead_cycles,
+            outcome.driver_stats.overhead_cycles + outcome.detector_cycles
+        );
     }
 
     #[test]
@@ -1948,5 +1437,202 @@ mod tests {
         // exits rather than leaking a parked thread. (A deadlock here would
         // hang the test suite, which is the assertion.)
         drop(session);
+    }
+
+    #[test]
+    fn awaited_pipelined_repair_session_streams_and_attaches_like_inline() {
+        // Observed *and* repair-armed: every batch is awaited, so the
+        // observer's rates and the trigger both read the worker's reply.
+        let image = contended_image("awaited", 6000);
+        let run = |pipelined: bool| {
+            let log = EventLog::new();
+            let outcome = Laser::builder()
+                .pipeline(pipelined)
+                .observer(log.clone())
+                .build(&image)
+                .run()
+                .unwrap();
+            (outcome, log.events())
+        };
+        let (inline, inline_events) = run(false);
+        let (piped, piped_events) = run(true);
+        assert_eq!(inline_events, piped_events);
+        let attached_at = |events: &[LaserEvent]| {
+            let at: Vec<u64> = events
+                .iter()
+                .filter_map(|e| match e {
+                    LaserEvent::RepairAttached { at_cycle, .. } => Some(*at_cycle),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(at.len(), 1, "repair attaches exactly once");
+            at[0]
+        };
+        let at = attached_at(&piped_events);
+        assert_eq!(at, attached_at(&inline_events));
+        assert_eq!(at, piped.repair.as_ref().unwrap().triggered_at_cycle);
+        assert_eq!(at, inline.repair.as_ref().unwrap().triggered_at_cycle);
+        assert_eq!(inline.cycles(), piped.cycles());
+        assert_eq!(inline.report, piped.report);
+        assert_stream_accounts_for_every_record(&piped_events, &piped);
+    }
+
+    /// [`contended_image`] plus two threads truly sharing one counter on a
+    /// second line, which repair leaves alone: HITM records keep flowing
+    /// after repair attaches.
+    fn mixed_image(name: &str, iters: u64) -> WorkloadImage {
+        let mut b = ProgramBuilder::new(name);
+        counting_loop(&mut b, "f", "mixed.c", 12, iters);
+        counting_loop(&mut b, "t", "mixed.c", 40, iters);
+        let mut image = laser_machine::WorkloadImage::new(name, b.finish());
+        let falsely = image.layout_mut().heap_alloc(64, 64).unwrap();
+        let truly = image.layout_mut().heap_alloc(64, 64).unwrap();
+        image.push_thread(ThreadSpec::new("f0", "fentry").with_reg(Reg(0), falsely));
+        image.push_thread(ThreadSpec::new("f1", "fentry").with_reg(Reg(0), falsely + 8));
+        image.push_thread(ThreadSpec::new("t0", "tentry").with_reg(Reg(0), truly));
+        image.push_thread(ThreadSpec::new("t1", "tentry").with_reg(Reg(0), truly));
+        image
+    }
+
+    #[test]
+    fn unobserved_pipelined_repair_session_stops_awaiting_once_attached() {
+        let image = mixed_image("unawait", 6000);
+        let inline = Laser::builder().build(&image).run().unwrap();
+
+        let mut session = Laser::builder().pipeline(true).build(&image);
+        while !session.repair_triggered() {
+            assert_eq!(session.advance().unwrap(), SessionStatus::Running);
+        }
+        // Armed batches were awaited: the trigger fired off the worker's
+        // aggregates. From here on nobody reads them, so no batch asks, and
+        // the session's copy goes stale while records keep flowing.
+        let at_attach = session.aggs.clone();
+        assert!(!at_attach.is_empty());
+        let sampled_at_attach = session.driver.stats().records_sampled;
+        while session.advance().unwrap() == SessionStatus::Running {}
+        assert!(session.driver.stats().records_sampled > sampled_at_attach);
+        assert_eq!(session.aggs, at_attach, "no reply was asked for");
+
+        let piped = session.finish();
+        let (a, b) = (
+            inline.repair.as_ref().unwrap(),
+            piped.repair.as_ref().unwrap(),
+        );
+        assert_eq!(a.triggered_at_cycle, b.triggered_at_cycle);
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(inline.cycles(), piped.cycles());
+        assert_eq!(inline.run.per_core_cycles, piped.run.per_core_cycles);
+        assert_eq!(inline.report, piped.report);
+        assert_eq!(inline.detector_cycles, piped.detector_cycles);
+        assert_eq!(inline.driver_stats, piped.driver_stats);
+    }
+
+    // ------------------------------------------------------------------
+    // A dying detector worker
+    // ------------------------------------------------------------------
+
+    const WORKER_PANIC: &str = "deliberate detector worker panic";
+
+    /// A pipelined session for `image` whose worker panics on its first
+    /// batch. `alive` is held by the worker thread for as long as it exists,
+    /// so `Arc::strong_count(alive) == 1` means it is gone.
+    fn session_with_dying_worker(
+        config: LaserConfig,
+        image: &WorkloadImage,
+        alive: &Arc<()>,
+    ) -> LaserSession {
+        let detector = Detector::new(&config, image.program(), image.memory_map());
+        let mut session = Laser::builder().config(config).pipeline(true).build(image);
+        let held = Arc::clone(alive);
+        let worker = DetectorWorker::spawn_with(detector, move |_, _| {
+            let _held = &held;
+            std::panic::panic_any(WORKER_PANIC.to_string());
+        })
+        .unwrap();
+        session.detector = DetectorStage::Worker(worker);
+        session
+    }
+
+    #[test]
+    fn a_dying_worker_fails_the_run_with_its_own_panic_and_is_joined() {
+        // Detection-only and unobserved: batches are un-awaited, and the
+        // closed job channel (or the join at finish) gives the worker away.
+        // Repair-armed: the awaited reply never comes.
+        for config in [LaserConfig::detection_only(), LaserConfig::default()] {
+            let image = contended_image("dying", 6000);
+            let alive = Arc::new(());
+            let session = session_with_dying_worker(config, &image, &alive);
+            let payload = catch_unwind(AssertUnwindSafe(|| session.run()))
+                .expect_err("the worker's panic must unwind run()");
+            assert_eq!(payload.downcast_ref::<String>().unwrap(), WORKER_PANIC);
+            assert_eq!(
+                Arc::strong_count(&alive),
+                1,
+                "the worker was joined before its panic was re-raised"
+            );
+        }
+    }
+
+    /// LASERDETECT through `laser-bench`, except that the session of one
+    /// workload's cell gets a dying worker.
+    struct DyingWorkerTool {
+        inner: Box<dyn laser_bench::Tool>,
+        victim: &'static str,
+    }
+
+    impl laser_bench::Tool for DyingWorkerTool {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn run(
+            &self,
+            spec: &laser_workloads::WorkloadSpec,
+            cell: &laser_bench::CellConfig,
+        ) -> Result<laser_bench::ToolRun, laser_bench::ToolFailure> {
+            if spec.name != self.victim {
+                return self.inner.run(spec, cell);
+            }
+            let image = spec.build(&cell.adapted_opts());
+            let session =
+                session_with_dying_worker(LaserConfig::detection_only(), &image, &Arc::new(()));
+            let outcome = session.run();
+            unreachable!("the worker's panic unwinds run(): {outcome:?}")
+        }
+    }
+
+    #[test]
+    fn a_dying_worker_costs_a_campaign_one_cell() {
+        // `laser_bench` links the non-test build of this crate, so its
+        // `PipelineConfig` is named through it.
+        let campaign = |tool: Box<dyn laser_bench::Tool>| {
+            laser_bench::Campaign::new(laser_workloads::registry(), vec![tool])
+                .with_workload_names(&["histogram'", "swaptions", "kmeans"])
+                .unwrap()
+                .with_options(laser_workloads::BuildOptions::scaled(1.0))
+                .with_pipeline(laser_bench::PipelineConfig::pipelined())
+                .with_threads(2)
+                .run()
+        };
+        let detect = || laser_bench::ToolSpec::LaserDetect.build();
+        let clean = campaign(detect());
+        let faulty = campaign(Box::new(DyingWorkerTool {
+            inner: detect(),
+            victim: "histogram'",
+        }));
+        assert_eq!(clean.cells.len(), 3);
+        assert!(clean.cells.iter().all(|c| c.outcome.is_ok()));
+        for (clean, faulty) in clean.cells.iter().zip(&faulty.cells) {
+            if clean.workload == "histogram'" {
+                assert_eq!(
+                    faulty.outcome,
+                    Err(laser_bench::ToolFailure::Panicked {
+                        message: WORKER_PANIC.to_string()
+                    })
+                );
+            } else {
+                assert_eq!(clean, faulty);
+            }
+        }
     }
 }

@@ -339,9 +339,9 @@ impl Machine {
     /// equivalent to `steps` single steps — followed by
     /// [`Machine::take_hitm_events`], as one operation).
     ///
-    /// This is the producer half of the pipelined execution model: the yielded
-    /// batch is a plain owned value that can be sent down a record channel to
-    /// a driver/detector stage running concurrently with the next quantum.
+    /// The yielded batch is a plain owned value: a session hands it to the
+    /// driver, whose sampled records can then go down a channel to a detector
+    /// running concurrently with the next quantum.
     pub fn run_quantum(&mut self, steps: u64) -> QuantumYield {
         let status = self.run_steps(steps);
         QuantumYield {
@@ -369,9 +369,8 @@ impl Machine {
     }
 
     /// Inject a whole vector of externally-caused per-core charges in one
-    /// pass — `charges[i]` cycles onto core `i`. This is the application side
-    /// of a deferred charge ledger (a pipelined driver stage accumulates its
-    /// overhead as a value and the machine applies it at a quantum boundary):
+    /// pass — `charges[i]` cycles onto core `i` (the driver accumulates a
+    /// batch's interrupt and copy overhead per core and applies it here):
     /// equivalent to one [`Machine::charge_cycles`] call per non-zero entry,
     /// but with a single scheduler fix-up per charged core. Charges are
     /// additive, so the machine state after this call is identical to the

@@ -25,20 +25,6 @@
 //! Both endpoints detect disconnection: a send into a closed channel returns
 //! [`SendOutcome::Closed`], and a receive from a closed, drained channel
 //! returns `None`, so neither stage can deadlock on a departed peer.
-//!
-//! # One channel per shard
-//!
-//! A sharded detector stage (`laser-core`'s `PipelineConfig::with_shards`)
-//! is built from N independent instances of this channel, one per detector
-//! worker: the machine stage routes each record batch across the shards and
-//! offers every shard its sub-batch through its own `Sender`. The channel
-//! itself is deliberately shard-oblivious — it stays a plain SPSC pipe, and
-//! everything ordering-sensitive (routing, per-shard sequencing, the sorted
-//! merge of shard results) lives with the session. What the channel does
-//! guarantee is all the session needs: FIFO delivery per shard, so each
-//! shard's record subsequence arrives in machine order, and per-shard
-//! backpressure, so a lossless sharded run remains byte-identical to its
-//! inline equivalent no matter how far individual shards lag.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};

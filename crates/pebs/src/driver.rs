@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use laser_machine::{CoreId, HitmEvent, Machine};
+use laser_machine::{HitmEvent, Machine};
 
 use crate::pmu::Pmu;
 use crate::record::HitmRecord;
@@ -56,75 +56,6 @@ pub struct DriverStats {
     pub interrupts: u64,
     /// Cycles of overhead charged to the application's cores.
     pub overhead_cycles: u64,
-}
-
-/// A quantum's driver overhead as a deferred value: every cycle
-/// [`Driver::ingest`] would have charged into the machine synchronously,
-/// recorded instead as a pure function of the ingested batch.
-///
-/// This is the charge-back half of the three-stage pipeline. A driver stage
-/// running off the machine thread cannot touch the [`Machine`]; it computes
-/// the ledger with [`Driver::ingest_deferred`] and ships it back on a second
-/// channel, and the machine applies it at a fixed quantum boundary with
-/// [`ChargeLedger::apply`]. Charges are additive (they only advance core
-/// clocks and the injected-overhead counter), so applying a ledger — or a
-/// [`ChargeLedger::merge`] of several — reproduces the machine state of the
-/// equivalent synchronous `ingest` calls exactly, regardless of order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChargeLedger {
-    /// Cycles charged uniformly to every core.
-    all_cores: u64,
-    /// Targeted charges, indexed by core id.
-    per_core: Vec<u64>,
-}
-
-impl ChargeLedger {
-    /// An empty ledger for a machine with `num_cores` cores.
-    pub fn for_cores(num_cores: usize) -> Self {
-        ChargeLedger {
-            all_cores: 0,
-            per_core: vec![0; num_cores],
-        }
-    }
-
-    /// Record `cycles` against one core.
-    pub fn charge(&mut self, core: CoreId, cycles: u64) {
-        if core.0 >= self.per_core.len() {
-            self.per_core.resize(core.0 + 1, 0);
-        }
-        self.per_core[core.0] += cycles;
-    }
-
-    /// Record `cycles` against every core.
-    pub fn charge_all(&mut self, cycles: u64) {
-        self.all_cores += cycles;
-    }
-
-    /// Whether the ledger carries no charges at all.
-    pub fn is_empty(&self) -> bool {
-        self.all_cores == 0 && self.per_core.iter().all(|&c| c == 0)
-    }
-
-    /// Fold another ledger into this one. Applying the merged ledger is
-    /// identical to applying both in sequence.
-    pub fn merge(&mut self, other: &ChargeLedger) {
-        self.all_cores += other.all_cores;
-        if self.per_core.len() < other.per_core.len() {
-            self.per_core.resize(other.per_core.len(), 0);
-        }
-        for (mine, theirs) in self.per_core.iter_mut().zip(&other.per_core) {
-            *mine += theirs;
-        }
-    }
-
-    /// Apply the recorded charges to the machine (the quantum-boundary
-    /// settlement of the credit scheme).
-    pub fn apply(&self, machine: &mut Machine) {
-        if self.all_cores > 0 {
-            machine.charge_all_cores(self.all_cores);
-        }
-        machine.charge_per_core(&self.per_core);
-    }
 }
 
 /// The kernel driver standing between the PMU and the user-space detector.
@@ -169,42 +100,28 @@ impl Driver {
     /// [`laser_machine::Machine::run_quantum`]): sample the batch, take any
     /// buffer-full interrupts (charging their cost to the cores), and stage
     /// completed records for the detector. [`Driver::poll`] is this operation
-    /// applied to the machine's own pending events; pipelined callers pass
-    /// the batch the quantum yielded instead.
+    /// applied to the machine's own pending events.
     pub fn ingest(&mut self, events: Vec<HitmEvent>, machine: &mut Machine) {
-        let ledger = self.ingest_deferred(events, machine.num_cores());
-        ledger.apply(machine);
-    }
-
-    /// [`Driver::ingest`] with the charge-back deferred: sample the batch and
-    /// stage the records exactly as `ingest` does, but *return* the overhead
-    /// charges as a [`ChargeLedger`] instead of applying them to a machine.
-    ///
-    /// This is the pure function at the heart of the three-stage pipeline's
-    /// latency-tolerant charge-back: the ledger depends only on the batch and
-    /// the driver's sampling state, never on machine timing, so a driver
-    /// stage can compute it on its own thread and the machine can settle it
-    /// any bounded number of quanta later. `ingest` itself is this operation
-    /// followed by an immediate [`ChargeLedger::apply`], so the inline and
-    /// pipelined paths share one charge policy.
-    pub fn ingest_deferred(&mut self, events: Vec<HitmEvent>, num_cores: usize) -> ChargeLedger {
-        let mut ledger = ChargeLedger::for_cores(num_cores);
         if events.is_empty() {
-            return ledger;
+            return;
         }
+        let num_cores = machine.num_cores();
         self.stats.events_observed += events.len() as u64;
         let activity = self.pmu.observe(&events);
         self.stats.records_sampled += activity.records_sampled as u64;
         self.stats.events_dropped += activity.events_dropped as u64;
         self.stats.interrupts += activity.interrupts as u64;
         if activity.interrupts > 0 || activity.records_sampled > 0 {
+            // Targeted charges accumulate per core and land in one
+            // `charge_per_core` call: one scheduler fix-up per charged core
+            // rather than one per interrupt.
+            let mut per_core = vec![0u64; num_cores];
             // Interrupt handling lands on the core whose buffer filled; we
             // charge it round-robin over the cores that produced events, which
             // is equivalent in aggregate.
             let per_interrupt = self.config.interrupt_cycles;
             for i in 0..activity.interrupts {
-                let core = CoreId(events[i % events.len()].core.0 % num_cores);
-                ledger.charge(core, per_interrupt);
+                per_core[events[i % events.len()].core.0 % num_cores] += per_interrupt;
                 self.stats.overhead_cycles += per_interrupt;
             }
             let copy_cycles = self.config.per_record_cycles * activity.records_sampled as u64;
@@ -214,19 +131,19 @@ impl Driver {
                 // batches that rounds the whole charge down to zero — so the
                 // remainder is distributed one cycle each to the first cores,
                 // keeping the total charged exactly `copy_cycles`.
-                let per_core = copy_cycles / num_cores as u64;
-                if per_core > 0 {
-                    ledger.charge_all(per_core);
+                let uniform = copy_cycles / num_cores as u64;
+                if uniform > 0 {
+                    machine.charge_all_cores(uniform);
                 }
                 let remainder = (copy_cycles % num_cores as u64) as usize;
-                for core in 0..remainder {
-                    ledger.charge(CoreId(core), 1);
+                for cycles in &mut per_core[..remainder] {
+                    *cycles += 1;
                 }
                 self.stats.overhead_cycles += copy_cycles;
             }
+            machine.charge_per_core(&per_core);
         }
         self.staged.append(&mut self.pmu.drain_ready());
-        ledger
     }
 
     /// Flush everything still sitting in PEBS buffers (used at the end of a
@@ -382,7 +299,7 @@ mod tests {
 
     #[test]
     fn ingesting_yielded_quanta_matches_polling_in_place() {
-        // `run_quantum` + `ingest` is the pipelined decomposition of
+        // `run_quantum` + `ingest` is the session's decomposition of
         // `run_steps` + `poll`; the two must produce identical records,
         // statistics and machine charges.
         let image = contended_image(3000);
@@ -418,136 +335,6 @@ mod tests {
             polled_machine.stats().injected_overhead_cycles,
             yielded_machine.stats().injected_overhead_cycles
         );
-    }
-
-    #[test]
-    fn deferred_ingest_settled_immediately_matches_synchronous_ingest() {
-        // `ingest_deferred` + an immediate `apply` is the lag = 0 credit
-        // scheme; it must be byte-identical to the synchronous `ingest` —
-        // same records, same statistics, same machine charges.
-        let image = contended_image(3000);
-
-        let mut sync_machine = Machine::new(MachineConfig::default(), &image);
-        let mut sync_driver = driver_for(&sync_machine, 19);
-        let mut synced = Vec::new();
-        loop {
-            let quantum = sync_machine.run_quantum(5_000);
-            sync_driver.ingest(quantum.events, &mut sync_machine);
-            synced.extend(sync_driver.read_records());
-            if quantum.status == laser_machine::RunStatus::Done {
-                break;
-            }
-        }
-
-        let mut def_machine = Machine::new(MachineConfig::default(), &image);
-        let mut def_driver = driver_for(&def_machine, 19);
-        let mut deferred = Vec::new();
-        loop {
-            let quantum = def_machine.run_quantum(5_000);
-            let ledger = def_driver.ingest_deferred(quantum.events, def_machine.num_cores());
-            ledger.apply(&mut def_machine);
-            deferred.extend(def_driver.read_records());
-            if quantum.status == laser_machine::RunStatus::Done {
-                break;
-            }
-        }
-
-        assert_eq!(synced, deferred);
-        assert_eq!(sync_driver.stats(), def_driver.stats());
-        assert_eq!(sync_machine.cycles(), def_machine.cycles());
-        assert_eq!(
-            sync_machine.stats().injected_overhead_cycles,
-            def_machine.stats().injected_overhead_cycles
-        );
-    }
-
-    #[test]
-    fn deferred_ingest_settled_late_is_deterministic() {
-        // Settling each quantum's ledger one boundary late (lag = 1) changes
-        // the interleaving — the next quantum runs before the overhead lands,
-        // so the run is *not* inline-identical. What the credit scheme does
-        // guarantee is determinism: two identical lagged runs produce the
-        // same records, statistics and machine state, and every charged cycle
-        // still lands (the machine absorbs exactly the overhead the driver
-        // accounted).
-        let run = || {
-            let image = contended_image(3000);
-            let mut machine = Machine::new(MachineConfig::default(), &image);
-            let mut driver = driver_for(&machine, 19);
-            let mut records = Vec::new();
-            let mut pending: Vec<ChargeLedger> = Vec::new();
-            loop {
-                let quantum = machine.run_quantum(5_000);
-                pending.push(driver.ingest_deferred(quantum.events, machine.num_cores()));
-                records.extend(driver.read_records());
-                if pending.len() > 1 {
-                    pending.remove(0).apply(&mut machine);
-                }
-                if quantum.status == laser_machine::RunStatus::Done {
-                    break;
-                }
-            }
-            for ledger in pending {
-                ledger.apply(&mut machine);
-            }
-            (records, driver.stats(), machine.result())
-        };
-        let (rec_a, stats_a, result_a) = run();
-        let (rec_b, stats_b, result_b) = run();
-        assert_eq!(rec_a, rec_b);
-        assert_eq!(stats_a, stats_b);
-        assert_eq!(result_a.cycles, result_b.cycles);
-        assert_eq!(result_a.per_core_cycles, result_b.per_core_cycles);
-        assert_eq!(
-            result_a.stats.injected_overhead_cycles,
-            stats_a.overhead_cycles
-        );
-    }
-
-    #[test]
-    fn merged_ledgers_apply_like_their_parts() {
-        let image = contended_image(10);
-        let mut a = Machine::new(MachineConfig::default(), &image);
-        let mut b = Machine::new(MachineConfig::default(), &image);
-
-        let mut first = ChargeLedger::for_cores(a.num_cores());
-        first.charge(CoreId(0), 100);
-        first.charge_all(7);
-        let mut second = ChargeLedger::for_cores(a.num_cores());
-        second.charge(CoreId(1), 41);
-        second.charge(CoreId(0), 2);
-
-        first.apply(&mut a);
-        second.apply(&mut a);
-
-        let mut merged = ChargeLedger::for_cores(b.num_cores());
-        merged.merge(&first);
-        merged.merge(&second);
-        merged.apply(&mut b);
-
-        assert_eq!(a.cycles(), b.cycles());
-        assert_eq!(
-            a.stats().injected_overhead_cycles,
-            b.stats().injected_overhead_cycles
-        );
-        assert_eq!(a.result().per_core_cycles, b.result().per_core_cycles);
-    }
-
-    #[test]
-    fn empty_ledger_is_empty_and_free() {
-        let image = contended_image(10);
-        let mut machine = Machine::new(MachineConfig::default(), &image);
-        let mut driver = driver_for(&machine, 19);
-        let ledger = driver.ingest_deferred(Vec::new(), machine.num_cores());
-        assert!(ledger.is_empty());
-        ledger.apply(&mut machine);
-        assert_eq!(machine.stats().injected_overhead_cycles, 0);
-        let mut charged = ChargeLedger::for_cores(machine.num_cores());
-        charged.charge(CoreId(0), 1);
-        assert!(!charged.is_empty());
-        let mut uniform = ChargeLedger::default();
-        uniform.charge_all(1);
-        assert!(!uniform.is_empty());
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod pmu;
 pub mod record;
 
 pub use channel::{OverflowPolicy, SendOutcome};
-pub use driver::{ChargeLedger, Driver, DriverConfig, DriverStats};
+pub use driver::{Driver, DriverConfig, DriverStats};
 pub use imprecision::{ImprecisionModel, ImprecisionParams};
 pub use pmu::{Pmu, PmuConfig};
 pub use record::HitmRecord;

@@ -177,13 +177,13 @@ fn scenario_service_reruns_from_the_cache_with_identical_aggregate() {
 fn a_store_populated_through_the_flag_setters_serves_the_equivalent_scenario() {
     let dir = scratch_dir("cross");
 
-    // What `experiments campaign --scale 0.08 --threads 2 --shards 2
+    // What `experiments campaign --scale 0.08 --threads 2 --pipeline
     // --cell-budget-steps 200000 --cache DIR` configures: the same setters,
     // in flag order.
     let mut config = CampaignConfig::evaluation();
     config.set_scale(0.08).expect("scale in range");
     config.set_threads(2).expect("threads in range");
-    config.set_shards(2).expect("shards in range");
+    config.pipeline.enabled = true;
     config.set_budget_steps(200_000).expect("budget in range");
     config.cache = Some(Arc::new(CellCache::open(&dir).expect("cache dir")));
     let cold = Campaign::new(registry(), tools())
@@ -198,7 +198,7 @@ fn a_store_populated_through_the_flag_setters_serves_the_equivalent_scenario() {
         r#"{
           "name": "cross",
           "budget_steps": 200000,
-          "shards": 2,
+          "pipeline": true,
           "threads": 2,
           "scale": 0.08,
           "format": "text",

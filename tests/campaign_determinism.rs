@@ -110,36 +110,11 @@ fn pipelined_campaigns_are_byte_identical_to_inline_for_any_thread_count() {
 }
 
 #[test]
-fn sharded_campaigns_are_byte_identical_to_inline_for_any_shard_count() {
-    // The sharded detector's tentpole guarantee: line-hash routing keeps each
-    // cache line's observation sequence on one shard, so the sorted merge
-    // reassembles exactly the inline aggregates. One shard, eight shards,
-    // serial or fanned across campaign workers — all three formats must come
-    // out byte-identical to the inline reference.
-    let reference = campaign(1).run();
-    for shards in [1, 8] {
-        let config = PipelineConfig::pipelined().with_shards(shards);
-        let serial = campaign(1).with_pipeline(config).run();
-        let parallel = campaign(8).with_pipeline(config).run();
-
-        assert_eq!(reference.cells, serial.cells, "shards={shards}");
-        assert_eq!(reference.cells, parallel.cells, "shards={shards}");
-        assert_eq!(reference.render(), parallel.render(), "shards={shards}");
-        assert_eq!(
-            reference.to_json().render(),
-            parallel.to_json().render(),
-            "shards={shards}"
-        );
-        assert_eq!(reference.to_csv(), parallel.to_csv(), "shards={shards}");
-    }
-}
-
-#[test]
 fn pipelined_observer_event_stream_is_identical_to_inline() {
     // The event sequence — order and payloads — is part of the determinism
     // contract: an observer cannot tell a pipelined session from an inline
-    // one. Covers both the streaming mode (detection-only) and the
-    // lock-step-then-streaming mode (repair armed).
+    // one. Every batch of an observed session is awaited, repair armed or
+    // not.
     for config in [LaserConfig::detection_only(), LaserConfig::default()] {
         let spec = find("histogram'").expect("known workload");
         let image = spec.build(&BuildOptions::scaled(0.08));
@@ -235,62 +210,30 @@ fn pipelined_budgeted_campaigns_match_inline_budgeted_campaigns() {
 
 #[test]
 fn three_stage_campaigns_at_lag_zero_are_byte_identical_to_inline() {
-    // The three-stage pipeline's tentpole guarantee: with the driver stage on
-    // its own thread and the charge-back lag at 0, the machine blocks on each
-    // quantum's ledger before the next quantum runs, so the whole campaign —
-    // any shard count, budgeted or not, in every format — must come out
-    // byte-identical to the inline two-loop reference.
+    // The name is historical (and pinned): the pipeline is app + driver on
+    // the machine thread and one detector thread, and every charge lands at
+    // the boundary inline charges it. The whole campaign — budgeted or not,
+    // in every format — must come out byte-identical to the inline
+    // reference.
     let budget = CellBudget::steps(10_000);
-    let reference = campaign(1).run();
-    let budgeted_reference = campaign(1).with_cell_budget(budget).run();
-    for shards in [1, 4] {
-        let config = PipelineConfig::pipelined()
-            .with_shards(shards)
-            .with_driver_lag(0);
-        let three_stage = campaign(8).with_pipeline(config).run();
-        assert_eq!(reference.cells, three_stage.cells, "shards={shards}");
-        assert_eq!(reference.render(), three_stage.render(), "shards={shards}");
-        assert_eq!(
-            reference.to_json().render(),
-            three_stage.to_json().render(),
-            "shards={shards}"
-        );
-        assert_eq!(reference.to_csv(), three_stage.to_csv(), "shards={shards}");
-
-        // Budget observers ride the same event stream, so the same cells trip
-        // the same budgets at the same points under the three-stage pipeline.
-        let budgeted = campaign(8)
-            .with_pipeline(config)
-            .with_cell_budget(budget)
-            .run();
-        assert_eq!(budgeted_reference.cells, budgeted.cells, "shards={shards}");
-        assert_eq!(
-            budgeted_reference.render(),
-            budgeted.render(),
-            "shards={shards}"
-        );
+    let piped = PipelineConfig::pipelined();
+    for (reference, pipelined) in [
+        (campaign(1).run(), campaign(8).with_pipeline(piped).run()),
+        // Budget observers ride the same event stream, so the same cells
+        // trip the same budgets at the same points.
+        (
+            campaign(1).with_cell_budget(budget).run(),
+            campaign(8)
+                .with_pipeline(piped)
+                .with_cell_budget(budget)
+                .run(),
+        ),
+    ] {
+        assert_eq!(reference.cells, pipelined.cells);
+        assert_eq!(reference.render(), pipelined.render());
+        assert_eq!(reference.to_json().render(), pipelined.to_json().render());
+        assert_eq!(reference.to_csv(), pipelined.to_csv());
     }
-}
-
-#[test]
-fn lagged_campaigns_are_deterministic_for_any_thread_and_shard_count() {
-    // At lag >= 1 the machine overlaps execution with the driver stage: the
-    // run is documented as *not* inline-identical, but it must stay a pure
-    // function of (workload, config) — byte-identical across repeats, thread
-    // counts and shard counts, in all three formats.
-    let config = PipelineConfig::pipelined().with_driver_lag(1);
-    let serial = campaign(1).with_pipeline(config).run();
-    let parallel = campaign(8).with_pipeline(config).run();
-    let sharded = campaign(8).with_pipeline(config.with_shards(4)).run();
-
-    assert_eq!(serial.cells, parallel.cells);
-    assert_eq!(serial.cells, sharded.cells);
-    assert_eq!(serial.render(), parallel.render());
-    assert_eq!(serial.to_json().render(), sharded.to_json().render());
-    assert_eq!(serial.to_csv(), sharded.to_csv());
-
-    // Every cell still completes and reports under the deferred charge-back.
-    assert!(serial.cells.iter().all(|c| c.outcome.is_ok()));
 }
 
 #[test]
