@@ -1,15 +1,16 @@
 //! The cache-line model that classifies true vs false sharing (Figure 5).
 //!
-//! Each cache line that appears in a HITM record is tracked with the type
-//! (read/write) and byte bitmap of its *previous* access. When a new access
-//! arrives, overlap between the two bitmaps with at least one write means the
-//! threads touched the same data — true sharing; disjoint bitmaps with at
-//! least one write mean they touched different data in the same line — false
-//! sharing.
+//! Each cache line that appears in a HITM record is tracked with the byte
+//! bitmap of its *previous* access. When a new access arrives, overlap between
+//! the two bitmaps means the threads touched the same data — true sharing;
+//! disjoint bitmaps mean they touched different data in the same line — false
+//! sharing. (Figure 5 also keeps the previous access's type; a HITM record
+//! already implies a remote write, so the classification never reads it and
+//! the model does not store it.)
 
 use laser_isa::program::Pc;
 use laser_machine::fasthash::FastHashMap;
-use laser_machine::{line_of, line_offset, Addr, CACHE_LINE_SIZE};
+use laser_machine::{line_offset, Addr, CACHE_LINE_SIZE};
 
 /// Classification of one observed sharing event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,22 +21,17 @@ pub enum SharingClass {
     FalseSharing,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct LastAccess {
-    /// Whether the previous access was a write. Not needed by the footprint
-    /// classification itself, but kept for report debugging and future
-    /// heuristics (e.g. distinguishing write-write from read-write sharing).
-    #[allow(dead_code)]
-    was_write: bool,
-    bitmap: u64,
-}
-
-/// Per-line state: the type and byte bitmap of the previous access, stored in
-/// a hash table so only the handful of contended lines consume space.
+/// Per-line state: the byte bitmap of the previous access, one word per line
+/// in a hash table. Most tracked lines are one-shot: an imprecise record's
+/// data address is a random unmapped line that is never seen again, so a
+/// contended run tracks ~10^5 of them beside its handful of contended lines.
 #[derive(Debug, Default)]
 pub struct CacheLineModel {
-    // Hot per-record path: deterministic fast hashing, never iterated.
-    lines: FastHashMap<Addr, LastAccess>,
+    // Hot per-record path: deterministic fast hashing, never iterated. Keyed
+    // by line *number* (`addr / 64`): the fast hash leaves a key's trailing
+    // zero bits in place, and the table picks a bucket by the hash's low
+    // bits, so line addresses would start every probe in 1/64 of the buckets.
+    lines: FastHashMap<u64, u64>,
 }
 
 impl CacheLineModel {
@@ -49,17 +45,16 @@ impl CacheLineModel {
         self.lines.len()
     }
 
+    /// The bytes of its line that an access of `size` bytes at `addr`
+    /// touches, clamped at the line end; empty for a zero-sized access.
     fn bitmap_for(addr: Addr, size: u8) -> u64 {
-        let start = line_offset(addr);
-        let mut bm = 0u64;
-        for i in 0..size as u64 {
-            let off = start + i;
-            if off >= CACHE_LINE_SIZE {
-                break;
-            }
-            bm |= 1u64 << off;
+        let offset = line_offset(addr);
+        let n = u64::from(size).min(CACHE_LINE_SIZE - offset);
+        if n == 0 {
+            0
+        } else {
+            (u64::MAX >> (64 - n)) << offset
         }
-        bm
     }
 
     /// Record an access and, if the line has a previous access, classify the
@@ -80,18 +75,10 @@ impl CacheLineModel {
         is_write: bool,
         pc: Pc,
     ) -> Option<SharingClass> {
-        let _ = pc;
-        let line = line_of(addr);
+        let _ = (is_write, pc);
         let bitmap = Self::bitmap_for(addr, size);
-        let prev = self.lines.insert(
-            line,
-            LastAccess {
-                was_write: is_write,
-                bitmap,
-            },
-        );
-        let prev = prev?;
-        if prev.bitmap & bitmap != 0 {
+        let prev = self.lines.insert(addr / CACHE_LINE_SIZE, bitmap)?;
+        if prev & bitmap != 0 {
             Some(SharingClass::TrueSharing)
         } else {
             Some(SharingClass::FalseSharing)
@@ -104,7 +91,7 @@ impl CacheLineModel {
     }
 
     /// Fold another model's per-line state into this one, deterministically:
-    /// the other map is drained into a vector and *sorted by line address*
+    /// the other map is drained into a vector and *sorted by line number*
     /// before insertion, so the merged table is independent of either map's
     /// iteration order — the sorted-merge discipline `laser-lint`'s
     /// `shard-merge` rule enforces for every cross-shard reduction.
@@ -114,17 +101,51 @@ impl CacheLineModel {
     /// records all hash to one shard, so the maps are disjoint and absorbing
     /// every shard reconstructs exactly the inline model.
     pub fn absorb(&mut self, other: CacheLineModel) {
-        let mut entries: Vec<(Addr, LastAccess)> = other.lines.into_iter().collect(); // lint:allow(hash-iter) — drained into a Vec and sorted by key before any use
-        entries.sort_unstable_by_key(|(addr, _)| *addr);
-        for (addr, last) in entries {
-            self.lines.insert(addr, last);
+        let mut entries: Vec<(u64, u64)> = other.lines.into_iter().collect(); // lint:allow(hash-iter) — drained into a Vec and sorted by key before any use
+        entries.sort_unstable_by_key(|(line, _)| *line);
+        for (line, bitmap) in entries {
+            self.lines.insert(line, bitmap);
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
+
+    /// The definition [`CacheLineModel::bitmap_for`] is a closed form of:
+    /// one bit per byte touched, stopping at the line end.
+    pub fn bitmap_by_bytes(addr: Addr, size: u8) -> u64 {
+        let start = line_offset(addr);
+        let mut bm = 0u64;
+        for i in 0..size as u64 {
+            let off = start + i;
+            if off >= CACHE_LINE_SIZE {
+                break;
+            }
+            bm |= 1u64 << off;
+        }
+        bm
+    }
+
+    #[test]
+    fn closed_form_bitmap_equals_the_per_byte_loop_everywhere() {
+        for line in [0, 0x1000, 0x7fff_ffff_ffc0] {
+            for offset in 0..CACHE_LINE_SIZE {
+                for size in 0..=u8::MAX {
+                    let addr = line + offset;
+                    assert_eq!(
+                        CacheLineModel::bitmap_for(addr, size),
+                        bitmap_by_bytes(addr, size),
+                        "offset {offset}, size {size}"
+                    );
+                }
+            }
+        }
+        assert_eq!(CacheLineModel::bitmap_for(0x1008, 0), 0, "empty access");
+        assert_eq!(CacheLineModel::bitmap_for(0x1000, 64), u64::MAX);
+        assert_eq!(CacheLineModel::bitmap_for(0x103f, 8), 1 << 63, "clamped");
+    }
 
     #[test]
     fn first_access_is_unclassified() {

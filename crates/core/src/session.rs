@@ -79,7 +79,7 @@ use laser_pebs::pmu::{Pmu, PmuConfig};
 use laser_pebs::record::HitmRecord;
 
 use crate::config::LaserConfig;
-use crate::detect::{self, Detector, LineAgg};
+use crate::detect::{self, Detector, LineAggregates};
 use crate::observe::{LaserEvent, NullObserver, Observer, StopReason};
 use crate::repair::{RepairPlan, SsbHook};
 use crate::system::{LaserError, LaserOutcome, RepairSummary};
@@ -286,13 +286,13 @@ impl SessionBuilder {
         };
         let detector = match worker {
             Some(worker) => DetectorStage::Worker(worker),
-            None => DetectorStage::Inline(new_detector()),
+            None => DetectorStage::Inline(Box::new(new_detector())),
         };
 
         LaserSession {
             driver: Driver::new(pmu, config.driver),
             detector,
-            aggs: Vec::new(),
+            aggs: LineAggregates::default(),
             app: AppSide {
                 config,
                 machine,
@@ -340,7 +340,7 @@ struct DetectJob {
 fn detector_worker(
     mut detector: Detector,
     jobs: channel::Receiver<DetectJob>,
-    replies: mpsc::Sender<Vec<LineAgg>>,
+    replies: mpsc::Sender<LineAggregates>,
     mut process: impl FnMut(&mut Detector, &[HitmRecord]),
 ) -> (Detector, Duration) {
     let mut busy = Duration::ZERO;
@@ -360,7 +360,7 @@ fn detector_worker(
 /// The session's end of a detector that lives on the `laser-detector` thread.
 struct DetectorWorker {
     jobs: channel::Sender<DetectJob>,
-    replies: mpsc::Receiver<Vec<LineAgg>>,
+    replies: mpsc::Receiver<LineAggregates>,
     /// `None` once the thread has been joined.
     thread: Option<JoinHandle<(Detector, Duration)>>,
 }
@@ -395,7 +395,7 @@ impl DetectorWorker {
     /// both channels for as long as it runs, so a closed channel means it
     /// died mid-run: fail the session now, with the worker's own panic,
     /// instead of simulating the rest of the cell for nothing.
-    fn process(&mut self, records: Vec<HitmRecord>, reply: bool) -> Option<Vec<LineAgg>> {
+    fn process(&mut self, records: Vec<HitmRecord>, reply: bool) -> Option<LineAggregates> {
         if self.jobs.send(DetectJob { records, reply }) != SendOutcome::Sent {
             self.died();
         }
@@ -442,14 +442,14 @@ fn worker_exited_early() -> ! {
 /// Where the session's one [`Detector`] lives. The two deployments differ
 /// only in how a batch reaches it. Fixed at construction.
 enum DetectorStage {
-    Inline(Detector),
+    Inline(Box<Detector>),
     Worker(DetectorWorker),
 }
 
 impl DetectorStage {
     /// Run one batch through the detector; with `reply`, return its
     /// per-line aggregates as of that batch.
-    fn process(&mut self, records: Vec<HitmRecord>, reply: bool) -> Option<Vec<LineAgg>> {
+    fn process(&mut self, records: Vec<HitmRecord>, reply: bool) -> Option<LineAggregates> {
         match self {
             DetectorStage::Inline(detector) => {
                 detector.process(&records);
@@ -463,7 +463,7 @@ impl DetectorStage {
     /// worker thread's busy time if there was one.
     fn join(self) -> (Detector, Option<Duration>) {
         match self {
-            DetectorStage::Inline(detector) => (detector, None),
+            DetectorStage::Inline(detector) => (*detector, None),
             DetectorStage::Worker(worker) => {
                 let (detector, busy) = worker.join();
                 (detector, Some(busy))
@@ -504,7 +504,7 @@ pub struct LaserSession {
     detector: DetectorStage,
     /// The detector's per-line aggregates as of the last batch that asked
     /// for them: what the armed repair trigger evaluates between batches.
-    aggs: Vec<LineAgg>,
+    aggs: LineAggregates,
 }
 
 impl fmt::Debug for LaserSession {
@@ -588,7 +588,7 @@ impl AppSide {
         &mut self,
         n: usize,
         dropped_total: u64,
-        aggs: Option<&[LineAgg]>,
+        aggs: Option<&LineAggregates>,
     ) -> ControlFlow<StopReason> {
         if !self.observed {
             return ControlFlow::Continue(());
@@ -616,7 +616,7 @@ impl AppSide {
     /// because rates decay as elapsed time grows. Attaches the SSB
     /// instrumentation when the lines over the threshold yield a profitable
     /// plan, and reports it.
-    fn evaluate_trigger(&mut self, aggs: &[LineAgg]) -> ControlFlow<StopReason> {
+    fn evaluate_trigger(&mut self, aggs: &LineAggregates) -> ControlFlow<StopReason> {
         let elapsed = self.machine.elapsed_benchmark_seconds();
         let threshold = self.effective_repair_threshold();
         let pcs = detect::trigger_pcs_from(aggs, elapsed, threshold);
@@ -1507,7 +1507,7 @@ mod tests {
         // aggregates. From here on nobody reads them, so no batch asks, and
         // the session's copy goes stale while records keep flowing.
         let at_attach = session.aggs.clone();
-        assert!(!at_attach.is_empty());
+        assert!(!at_attach.aggs.is_empty());
         let sampled_at_attach = session.driver.stats().records_sampled;
         while session.advance().unwrap() == SessionStatus::Running {}
         assert!(session.driver.stats().records_sampled > sampled_at_attach);

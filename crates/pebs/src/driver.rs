@@ -143,13 +143,26 @@ impl Driver {
             }
             machine.charge_per_core(&per_core);
         }
-        self.staged.append(&mut self.pmu.drain_ready());
+        let ready = self.pmu.drain_ready();
+        self.stage(ready);
+    }
+
+    /// Queue `records` behind whatever the detector has not read yet. The
+    /// usual case — every batch is read before the next arrives — moves the
+    /// buffer instead of copying it.
+    fn stage(&mut self, mut records: Vec<HitmRecord>) {
+        if self.staged.is_empty() {
+            self.staged = records;
+        } else {
+            self.staged.append(&mut records);
+        }
     }
 
     /// Flush everything still sitting in PEBS buffers (used at the end of a
     /// run so no sampled record is lost).
     pub fn flush(&mut self) {
-        self.staged.append(&mut self.pmu.drain_all_buffers());
+        let rest = self.pmu.drain_all_buffers();
+        self.stage(rest);
     }
 
     /// Read the records staged for the detector (the file-like device read).
@@ -335,6 +348,30 @@ mod tests {
             polled_machine.stats().injected_overhead_cycles,
             yielded_machine.stats().injected_overhead_cycles
         );
+
+        // A reader that turns up at every eighth poll: batches queue behind
+        // unread ones, and nothing is lost or reordered.
+        let mut lazy_machine = Machine::new(MachineConfig::default(), &image);
+        let mut lazy_driver = driver_for(&lazy_machine, 19);
+        let mut lazily_read = Vec::new();
+        let mut queued_behind = 0;
+        for quantum in 0.. {
+            let status = lazy_machine.run_steps(5_000);
+            let unread = lazy_driver.staged.len();
+            lazy_driver.poll(&mut lazy_machine);
+            if unread > 0 && lazy_driver.staged.len() > unread {
+                queued_behind += 1;
+            }
+            if quantum % 8 == 7 || status == laser_machine::RunStatus::Done {
+                lazily_read.extend(lazy_driver.read_records());
+            }
+            if status == laser_machine::RunStatus::Done {
+                break;
+            }
+        }
+        assert!(queued_behind > 0, "no batch ever found one unread");
+        assert_eq!(polled, lazily_read);
+        assert_eq!(polled_driver.stats(), lazy_driver.stats());
     }
 
     #[test]

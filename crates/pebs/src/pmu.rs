@@ -151,7 +151,10 @@ impl Pmu {
 
     /// Records whose buffers have already been flushed by an interrupt.
     pub fn drain_ready(&mut self) -> Vec<HitmRecord> {
-        std::mem::take(&mut self.ready)
+        // Leave a buffer sized to the batch just yielded, so a contended run
+        // does not regrow `ready` from empty every quantum.
+        let next = Vec::with_capacity(self.ready.len());
+        std::mem::replace(&mut self.ready, next)
     }
 
     /// Flush every per-core buffer (end of run) and return everything,
