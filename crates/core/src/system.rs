@@ -15,7 +15,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use laser_machine::machine::MachineError;
-use laser_machine::{Machine, MachineConfig, RunResult, WorkloadImage};
+use laser_machine::{Machine, MachineConfig, RunResult, RunStatus, WorkloadImage};
 use laser_pebs::driver::DriverStats;
 
 use crate::config::LaserConfig;
@@ -97,6 +97,33 @@ impl From<MachineError> for LaserError {
     }
 }
 
+/// Steps a native run executes between two discards of the machine's HITM
+/// queue: large enough that restarting the machine's run-ahead rounds at each
+/// boundary is invisible even at 32 cores, small enough that the queue of a
+/// contended run stays a few megabytes.
+const NATIVE_SLICE_STEPS: u64 = 1 << 18;
+
+/// [`Machine::run_to_completion`] for a caller that reads no HITM events:
+/// run `machine` up to `max_steps` executed instructions in slices of
+/// `slice` steps, dropping each slice's events.
+fn run_discarding_events(
+    machine: &mut Machine,
+    max_steps: u64,
+    slice: u64,
+) -> Result<RunResult, MachineError> {
+    loop {
+        let budget = max_steps.saturating_sub(machine.steps());
+        let status = machine.run_steps(slice.min(budget));
+        machine.discard_hitm_events();
+        if status == RunStatus::Done {
+            return Ok(machine.result());
+        }
+        if budget <= slice {
+            return Err(MachineError::MaxStepsExceeded { steps: max_steps });
+        }
+    }
+}
+
 /// The LASER system: detection plus (optionally) online repair.
 #[derive(Debug, Clone)]
 pub struct Laser {
@@ -140,14 +167,23 @@ impl Laser {
 
     /// Like [`Laser::run_native`] but with an explicit machine configuration.
     ///
+    /// Nobody reads a native run's HITM events, so they are discarded as the
+    /// run goes instead of queueing up inside the machine; the result equals
+    /// [`Machine::run_to_completion`]'s field for field.
+    ///
     /// # Errors
     /// Returns an error if the workload exceeds the machine's step budget.
     pub fn run_native_on(
         image: &WorkloadImage,
         machine_config: MachineConfig,
     ) -> Result<RunResult, LaserError> {
+        let max_steps = machine_config.max_steps;
         let mut machine = Machine::new(machine_config, image);
-        Ok(machine.run_to_completion()?)
+        Ok(run_discarding_events(
+            &mut machine,
+            max_steps,
+            NATIVE_SLICE_STEPS,
+        )?)
     }
 
     /// Run `image` under LASER with the default machine configuration.
@@ -309,6 +345,89 @@ mod tests {
         let b = Laser::run_native(&image).unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.stats, b.stats);
+    }
+
+    fn assert_same_result(native: &RunResult, reference: &RunResult, what: &str) {
+        assert_eq!(native.steps, reference.steps, "{what}: steps");
+        assert_eq!(native.cycles, reference.cycles, "{what}: cycles");
+        assert_eq!(
+            native.per_core_cycles, reference.per_core_cycles,
+            "{what}: core clocks"
+        );
+        assert_eq!(native.stats, reference.stats, "{what}: statistics");
+    }
+
+    /// What discarding promises: a native run is `run_to_completion` field
+    /// for field, on every registry workload, on 4 cores and on 32.
+    #[test]
+    fn native_runs_equal_run_to_completion_on_every_registry_workload() {
+        use laser_machine::TopologySpec;
+        use laser_workloads::BuildOptions;
+        for topology in [TopologySpec::Flat, TopologySpec::OctoSocket] {
+            let config = MachineConfig::for_topology(topology);
+            for spec in laser_workloads::registry() {
+                let image = spec.build(&BuildOptions::scaled(0.02).for_topology(topology));
+                let what = format!("{} on {topology}", spec.name);
+                let reference = Machine::new(config.clone(), &image)
+                    .run_to_completion()
+                    .unwrap();
+                let native = Laser::run_native_on(&image, config.clone()).unwrap();
+                assert_same_result(&native, &reference, &what);
+                // Slices far shorter than a run, so that every workload
+                // crosses many slice boundaries.
+                let mut sliced = Machine::new(config.clone(), &image);
+                let native = run_discarding_events(&mut sliced, config.max_steps, 777).unwrap();
+                assert_same_result(&native, &reference, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn native_runs_stop_on_exactly_the_step_budget() {
+        let image = false_sharing_image(4000);
+        let total = Laser::run_native(&image).unwrap().steps;
+        for (max_steps, slice) in [(10_000, 1 << 20), (10_000, 999), (10_000, 10_000), (0, 64)] {
+            let config = MachineConfig {
+                max_steps,
+                ..Default::default()
+            };
+            assert_eq!(
+                Laser::run_native_on(&image, config.clone()).unwrap_err(),
+                LaserError::Machine(MachineError::MaxStepsExceeded { steps: max_steps })
+            );
+            let mut machine = Machine::new(config, &image);
+            assert_eq!(
+                run_discarding_events(&mut machine, max_steps, slice).unwrap_err(),
+                MachineError::MaxStepsExceeded { steps: max_steps }
+            );
+            assert_eq!(machine.steps(), max_steps, "slices of {slice}");
+        }
+        // A budget of exactly the run's length is enough.
+        let config = MachineConfig {
+            max_steps: total,
+            ..Default::default()
+        };
+        assert_eq!(Laser::run_native_on(&image, config).unwrap().steps, total);
+    }
+
+    #[test]
+    fn native_runs_hold_one_slice_of_events_at_most() {
+        const SLICE: u64 = 64;
+        let image = false_sharing_image(4000);
+        let mut machine = Machine::new(MachineConfig::default(), &image);
+        let run = run_discarding_events(&mut machine, u64::MAX, SLICE).unwrap();
+        assert!(run.stats.hitm_events > 2000, "a contended run");
+        // The drained queue is the buffer every slice reused: nothing left in
+        // it, and it never grew past what one slice can generate (at most one
+        // event per line an instruction touches, two lines an access; a
+        // growing `Vec` at most doubles).
+        let queue = machine.take_hitm_events();
+        assert!(queue.is_empty());
+        assert!(
+            queue.capacity() as u64 <= 4 * SLICE,
+            "queue grew to {} events for slices of {SLICE} steps",
+            queue.capacity()
+        );
     }
 
     #[test]

@@ -18,21 +18,24 @@ pub fn line_offset(addr: Addr) -> u64 {
 }
 
 /// True if an access of `size` bytes at `addr` crosses a cache-line boundary.
+/// Addresses wrap: an access that runs past the top of the address space
+/// crosses from the last line into line 0.
 pub fn crosses_line(addr: Addr, size: u8) -> bool {
-    size > 0 && line_of(addr) != line_of(addr + size as u64 - 1)
+    size > 0 && line_of(addr) != line_of(addr.wrapping_add(size as u64 - 1))
 }
 
 /// Iterate over the cache lines touched by an access of `size` bytes at
-/// `addr`, in address order, without allocating. This is what the machine's
-/// access path uses; [`lines_touched`] is the collecting convenience wrapper.
+/// `addr`, in the order the access reaches them, without allocating: address
+/// order, except that an access running past the top of the address space
+/// wraps from the last line to line 0. Every access touches at least one
+/// line. This is what the machine's access path uses; [`lines_touched`] is
+/// the collecting convenience wrapper.
 pub fn iter_lines_touched(addr: Addr, size: u8) -> impl Iterator<Item = Addr> {
     let first = line_of(addr);
-    let last = if size == 0 {
-        first
-    } else {
-        line_of(addr + size as u64 - 1)
-    };
-    (first..=last).step_by(CACHE_LINE_SIZE as usize)
+    // The bytes from the first line's start to the access's last byte, in
+    // lines (rounded up): at least one, at most five.
+    let lines = (line_offset(addr) + (size as u64).max(1)).div_ceil(CACHE_LINE_SIZE);
+    (0..lines).map(move |i| first.wrapping_add(i * CACHE_LINE_SIZE))
 }
 
 /// The set of cache lines touched by an access of `size` bytes at `addr`.
@@ -65,5 +68,25 @@ mod tests {
         assert_eq!(lines_touched(60, 8), vec![0, 64]);
         assert_eq!(lines_touched(8, 8), vec![0]);
         assert_eq!(lines_touched(100, 0), vec![64]);
+        assert_eq!(lines_touched(0, 255), vec![0, 64, 128, 192]);
+        assert_eq!(lines_touched(63, 2), vec![0, 64]);
+    }
+
+    /// An access that runs past the top of the address space wraps into line
+    /// 0: two lines, in a debug build (no overflow panic) and a release build
+    /// (no empty range) alike.
+    #[test]
+    fn accesses_wrap_at_the_top_of_the_address_space() {
+        let top_line = line_of(u64::MAX);
+        assert_eq!(lines_touched(u64::MAX - 3, 8), vec![top_line, 0]);
+        assert!(crosses_line(u64::MAX - 3, 8));
+        assert_eq!(lines_touched(u64::MAX, 1), vec![top_line]);
+        assert!(!crosses_line(u64::MAX, 1));
+        assert_eq!(lines_touched(u64::MAX - 7, 8), vec![top_line]);
+        assert!(!crosses_line(u64::MAX - 7, 8));
+        assert_eq!(lines_touched(u64::MAX, 2), vec![top_line, 0]);
+        assert!(crosses_line(u64::MAX, 2));
+        assert_eq!(lines_touched(u64::MAX, 0), vec![top_line]);
+        assert!(!crosses_line(u64::MAX, 0));
     }
 }

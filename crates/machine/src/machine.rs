@@ -16,8 +16,8 @@
 //! * `inner` — `MachineInner`, the memory/coherence state shared with hooks;
 //! * `sched` — per-thread state and the smallest-clock scheduling decision;
 //! * `exec` — the fetch/execute loop (`run_steps`: equivalent to `n` single
-//!   steps, with register-only instructions run ahead of the scheduler) and
-//!   operand evaluation;
+//!   steps, with register-only instructions run ahead of the scheduler and
+//!   one scheduling decision per memory operation) and operand evaluation;
 //! * `dispatch` — hook attachment and dispatch (the Pin substitute).
 //!
 //! A `Machine` owns everything it needs (no shared interior mutability), so a
@@ -187,6 +187,9 @@ pub struct Machine {
     /// The latencies `step()` charges directly, hoisted out of the hot loop
     /// at construction time (`Copy` — no per-instruction clone).
     hot: HotLatency,
+    /// How often the round loop ran and consulted the scheduler.
+    #[cfg(test)]
+    round_trace: exec::RoundTrace,
 }
 
 impl fmt::Debug for Machine {
@@ -250,6 +253,7 @@ impl Machine {
             stats: MachineStats::default(),
             pending_hitms: Vec::new(),
             latency: config.latency.clone(),
+            sockets: config.topology.socket_table(config.num_cores),
             topology: config.topology.clone(),
         };
         let thread_cores: Vec<usize> = threads.iter().map(|t| t.core).collect();
@@ -266,6 +270,8 @@ impl Machine {
             hook: HookSlot::default(),
             steps: 0,
             config,
+            #[cfg(test)]
+            round_trace: exec::RoundTrace::default(),
         }
     }
 
@@ -327,11 +333,25 @@ impl Machine {
 
     /// Drain the HITM events generated since the last call. This is how the
     /// PMU model pulls ground-truth coherence events out of the machine.
+    ///
+    /// The machine queues one event per HITM and never drops any itself: the
+    /// queue is the caller's to drain. A session drains it every quantum
+    /// ([`Machine::run_quantum`]); a caller that wants the whole run's events
+    /// calls this once after [`Machine::run_to_completion`] and holds them
+    /// all until then; a caller that reads none of them — a native run — runs
+    /// in slices and calls [`Machine::discard_hitm_events`] after each.
     pub fn take_hitm_events(&mut self) -> Vec<HitmEvent> {
         // Leave a buffer sized to the batch just yielded, so a contended run
         // does not regrow the queue from empty every quantum.
         let next = Vec::with_capacity(self.inner.pending_hitms.len());
         std::mem::replace(&mut self.inner.pending_hitms, next)
+    }
+
+    /// Drop the HITM events generated since the last drain, keeping the
+    /// queue's buffer. The statistics ([`MachineStats::hitm_events`] and its
+    /// splits) have counted them already and are not touched.
+    pub fn discard_hitm_events(&mut self) {
+        self.inner.pending_hitms.clear();
     }
 
     /// Run one quantum of up to `steps` instructions and *yield* the HITM

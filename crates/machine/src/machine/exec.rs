@@ -17,20 +17,44 @@
 //!   directory, the statistics, the HITM queue or the scheduler's keys.
 //!   Register-only semantics live in [`Machine::exec_register_only`] and
 //!   [`Machine::next_block`], once, for both paths below.
-//! * **Horizon-bounded run-ahead** (no hook attached): a *round* picks a
-//!   clock horizon `H` and runs every core until its next instruction's
-//!   pre-clock is `≥ H`. Below `H` the scheduled core retires register-only
-//!   instructions in a tight local loop with no scheduler maintenance; an
-//!   active instruction goes through `step()`'s dispatch, and only while its
-//!   core is the [`CoreSched`](super::sched::CoreSched) heap root, so active
-//!   instructions still execute strictly in key order. A round ends having
-//!   executed exactly the instructions with pre-clock `< H`, which is a
-//!   prefix of the per-instruction order (that order is sorted by key). `H`
-//!   is `min_clock + (left / live_cores) × floor`, where `floor ≥ 1` is the
-//!   least any instruction costs, so each live core retires at most
-//!   `left / live_cores` instructions and a round cannot overshoot the `left`
-//!   steps still owed. Rounds repeat until fewer than 8 steps per live core
-//!   are owed; that short tail is plain `step()`.
+//! * **Horizon-bounded run-ahead over parked cores** (no hook attached): a
+//!   *round* picks a clock horizon `H` and executes exactly the instructions
+//!   whose pre-clock is `< H` — a prefix of the per-instruction order, which
+//!   is sorted by key.
+//!   - *The invariant.* Inside a round every core in the
+//!     [`CoreSched`](super::sched::CoreSched) heap is **parked**: its clock
+//!     is the pre-clock of its front thread's next active instruction, or is
+//!     `≥ H`. A core's key is then not a lower bound on the key of its next
+//!     active instruction but exactly that key.
+//!   - *What a round does first.* It parks every live core: the front thread
+//!     retires its register-only instructions in a tight local loop, no
+//!     scheduler involved, up to its next active instruction or the horizon,
+//!     and the core is repositioned — one core at a time, because a
+//!     sift-down repairs one raised key. Nothing is assumed from the last
+//!     round: quanta end mid-thread and external charges land in between
+//!     (a charge shifts a parked core's pre-clock with its clock, so it
+//!     breaks nothing either). A core that is already parked returns at once.
+//!   - *One decision per active instruction.* The loop then takes the heap's
+//!     root, stops if its clock is `≥ H` (the root is the minimum), executes
+//!     its active instruction, runs the same thread on to its next active
+//!     one (or `H`) and repositions the core **once**. That is enough: the
+//!     active instruction ran at the root, whose key was the smallest key of
+//!     any pending active instruction, so active instructions execute in the
+//!     per-instruction order; the register-only run in between is invisible
+//!     to the other cores whenever it happens; and after it the core is
+//!     parked again, so the single sift-down leaves every key in the heap
+//!     exact. No second visit to find out that a core is no longer first.
+//!   - *What a halt does.* `Halt` moves the core's cursor to the thread
+//!     queued behind, which has not been run up to its first active
+//!     instruction: the core is in the heap (the halt re-sank it) but not
+//!     parked. The loop parks it — the new front thread's register-only
+//!     prefix, then a reposition — before it takes the next root. A core
+//!     whose last thread halted has left the heap.
+//!   - *The budget.* `H` is `min_clock + (left / live_cores) × floor`, where
+//!     `floor ≥ 1` is the least any instruction costs, so each live core
+//!     retires at most `left / live_cores` instructions and a round cannot
+//!     overshoot the `left` steps still owed. Rounds repeat until fewer than
+//!     8 steps per live core are owed; that short tail is plain `step()`.
 //! * With a hook attached every instruction is dispatched in order through
 //!   `step()`: a hook may service an operation at zero cost, so the bound
 //!   above does not hold, and block entries must reach the hook in order.
@@ -50,7 +74,19 @@ use crate::timing::HotLatency;
 /// Rounds of run-ahead stop once fewer than this many steps per live core are
 /// owed: a round's fixed cost no longer pays for itself, and the remaining
 /// steps are dispatched one by one.
-const MIN_ROUND_STEPS_PER_CORE: u64 = 8;
+pub(super) const MIN_ROUND_STEPS_PER_CORE: u64 = 8;
+
+/// Counts of the round loop's work, kept in test builds for the test that
+/// holds it to one scheduler visit per active instruction.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct RoundTrace {
+    /// Rounds started.
+    pub(crate) rounds: u64,
+    /// Times the round loop took the heap's root, the visit that ends each
+    /// round included.
+    pub(crate) visits: u64,
+}
 
 impl Machine {
     /// Run at most `n` instructions: equivalent to `n` single steps, each
@@ -94,7 +130,10 @@ impl Machine {
         }
     }
 
-    /// Run until every thread halts.
+    /// Run until every thread halts. Every HITM event of the run stays
+    /// queued for [`Machine::take_hitm_events`]; a caller that will not read
+    /// them runs [`Machine::run_steps`] in slices and discards in between, as
+    /// `laser-core`'s native runs do.
     ///
     /// # Errors
     /// Returns [`MachineError::MaxStepsExceeded`] if the configured step
@@ -135,62 +174,103 @@ impl Machine {
 
     /// One round: execute every instruction whose pre-clock is below
     /// `horizon`, active ones in `(core clock, thread index)` order, and
-    /// return how many that was.
+    /// return how many that was. Every core in the heap is kept *parked* (see
+    /// the module docs), so each active instruction takes one visit: execute
+    /// it at the root, run the same thread on to its next one, reposition the
+    /// core once.
     fn run_to_horizon(&mut self, horizon: u64) -> u64 {
         let before = self.steps;
+        #[cfg(test)]
+        {
+            self.round_trace.rounds += 1;
+        }
+        // Quanta end mid-thread and external charges land between them, so
+        // nothing is assumed parked at round start. One core at a time: a
+        // sift-down repairs one raised key.
+        for core in 0..self.core_cycles.len() {
+            if let Some(ti) = self.sched.live_front(core) {
+                self.park(ti, core, horizon);
+            }
+        }
         // The root has the lowest clock: once it reaches the horizon, every
         // core has.
         while let Some(core) = self.sched.root() {
-            let start = self.core_cycles[core];
-            if start >= horizon {
+            #[cfg(test)]
+            {
+                self.round_trace.visits += 1;
+            }
+            let now = self.core_cycles[core];
+            if now >= horizon {
                 break;
             }
             let ti = self.sched.front(core);
-            let at_active = self.run_register_only(ti, core, horizon);
-            if self.core_cycles[core] != start {
-                self.sched.reposition(&self.core_cycles, core);
-                if self.sched.root() != Some(core) {
-                    // Another core's next instruction now comes first; this
-                    // core's active instruction waits for its turn.
-                    continue;
+            self.steps += 1;
+            self.inner.stats.instructions += 1;
+            let thread = &self.threads[ti];
+            let blk = self.decoded.block(thread.block);
+            match blk.insts().get(thread.idx) {
+                Some(&fetched) => {
+                    let cost = self.exec_active(ti, core, now, fetched.inst, fetched.pc);
+                    self.threads[ti].idx += 1;
+                    self.core_cycles[core] += cost;
+                    self.run_register_only(ti, core, horizon);
+                    self.sched.reposition(&self.core_cycles, core);
                 }
-            }
-            if at_active {
-                self.exec_one(ti);
+                None => {
+                    debug_assert!(
+                        matches!(blk.term(), Terminator::Halt),
+                        "a parked core below the horizon sits at an active instruction"
+                    );
+                    // The halt moved the core's cursor: its new front thread
+                    // has not run up to its first active instruction yet.
+                    if let Some(next) = self.halt(ti, core, now) {
+                        self.park(next, core, horizon);
+                    }
+                }
             }
         }
         self.steps - before
     }
 
+    /// Park `core`: run its front thread `ti` up to its next active
+    /// instruction (or the horizon) and restore the core's heap position.
+    /// The register-only instructions this retires are unobservable by other
+    /// cores, so the core need not be the root. A parked core returns at
+    /// once.
+    fn park(&mut self, ti: usize, core: usize, horizon: u64) {
+        let start = self.core_cycles[core];
+        self.run_register_only(ti, core, horizon);
+        if self.core_cycles[core] != start {
+            self.sched.reposition(&self.core_cycles, core);
+        }
+    }
+
     /// The run-ahead inner loop: retire register-only instructions of thread
     /// `ti` (the front thread of `core`) while the core's clock is below
     /// `horizon`, with no scheduler maintenance — the caller repositions the
-    /// core once. Returns true if it stopped in front of an active
-    /// instruction (whose pre-clock is then below the horizon), false if it
-    /// stopped at the horizon.
-    fn run_register_only(&mut self, ti: usize, core: usize, horizon: u64) -> bool {
+    /// core once. It stops in front of an active instruction or at the
+    /// horizon, which is to say it leaves the core parked.
+    #[inline(always)]
+    fn run_register_only(&mut self, ti: usize, core: usize, horizon: u64) {
         let lat = self.hot;
         let thread = &mut self.threads[ti];
         let mut blk = self.decoded.block(thread.block);
         let mut idx = thread.idx;
         let mut clock = self.core_cycles[core];
         let mut retired = 0u64;
-        let at_active = loop {
-            if clock >= horizon {
-                break false;
-            }
+        while clock < horizon {
             let cost = match blk.insts().get(idx) {
                 Some(fetched) => {
                     let Some(cost) = Self::exec_register_only(&mut thread.regs, &fetched.inst, lat)
                     else {
-                        break true;
+                        break;
                     };
                     idx += 1;
                     cost
                 }
                 None => {
                     let Some(target) = Self::next_block(&thread.regs, blk.term()) else {
-                        break true;
+                        break;
                     };
                     thread.block = target;
                     blk = self.decoded.block(target);
@@ -200,12 +280,11 @@ impl Machine {
             };
             clock += cost;
             retired += 1;
-        };
+        }
         thread.idx = idx;
         self.core_cycles[core] = clock;
         self.steps += retired;
         self.inner.stats.instructions += retired;
-        at_active
     }
 
     pub(crate) fn eval_operand(regs: &[u64; NUM_REGS], op: Operand) -> u64 {
@@ -327,15 +406,22 @@ impl Machine {
                     lat.branch + self.hook_block_entry(core, now, target)
                 }
                 None => {
-                    self.core_cycles[core] += lat.branch + self.hook_thread_exit(core, now);
-                    self.threads[ti].halted = true;
-                    self.sched.on_halt(&self.core_cycles, core);
+                    self.halt(ti, core, now);
                     return;
                 }
             },
         };
         self.core_cycles[core] += cost;
         self.sched.reposition(&self.core_cycles, core);
+    }
+
+    /// Execute the `Halt` terminator of thread `ti`, the scheduled thread of
+    /// `core`, at core clock `now`. Returns the core's new front thread, if
+    /// it has one left.
+    fn halt(&mut self, ti: usize, core: usize, now: u64) -> Option<usize> {
+        self.core_cycles[core] += self.hot.branch + self.hook_thread_exit(core, now);
+        self.threads[ti].halted = true;
+        self.sched.on_halt(&self.core_cycles, core)
     }
 
     /// Execute an active non-terminator instruction of thread `ti` at core

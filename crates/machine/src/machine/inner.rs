@@ -26,6 +26,8 @@ pub(crate) struct MachineInner {
     pub(crate) pending_hitms: Vec<HitmEvent>,
     pub(crate) latency: LatencyModel,
     pub(crate) topology: Topology,
+    /// `topology`'s core → socket table for this machine's core count.
+    pub(crate) sockets: Vec<u32>,
 }
 
 impl MachineInner {
@@ -45,14 +47,15 @@ impl MachineInner {
         now: u64,
     ) -> (u64, u64) {
         let mut worst = 0u64;
-        let num_cores = self.coh.num_cores();
         for line in iter_lines_touched(addr, size) {
             let outcome = self.coh.access(core, line, is_write);
             // The directory decides *what* happened; the topology decides
             // *where* it was serviced and what that costs. On the default
             // single-socket topology every class resolves local and is priced
             // straight from the base latency model.
-            let class = self.topology.resolve(&outcome, core, num_cores, line);
+            let class = self
+                .topology
+                .resolve_in(&outcome, core, &self.sockets, line);
             match class {
                 ResolvedClass::L1Hit => self.stats.l1_hits += 1,
                 ResolvedClass::LlcLocal => self.stats.llc_hits += 1,

@@ -11,6 +11,9 @@
 //! instructions (memory, fence, halt): between them the scheduled core
 //! retires its register-only instructions without touching the heap and is
 //! repositioned once (see the `exec` module docs for why that is exact).
+//! Inside a round every core in the heap is *parked* — its key is exactly the
+//! `(pre-clock, thread index)` of its next active instruction — so the round
+//! loop takes one decision from this scheduler per active instruction.
 //!
 //! [`CoreSched`] makes the decision in O(1) with O(log cores) maintenance
 //! per reposition, instead of the naive O(threads) min-scan per instruction:
@@ -25,11 +28,18 @@
 //!   heap fix-up is therefore a sift-*down*.
 //! * Uniform charges to all cores ([`crate::machine::Machine::charge_all_cores`])
 //!   shift every key equally and need no heap maintenance at all.
+//! * A key is built from two flat per-core arrays: the machine's clock slice
+//!   and `front`, the front runnable thread of each core. Every heap
+//!   comparison and [`CoreSched::front`] read those and nothing else; the
+//!   per-core thread lists (`threads_on`) are read by construction and by
+//!   [`CoreSched::on_halt`] alone, and `on_halt` — the only place a core's
+//!   cursor moves — is the only writer of `front`.
 //!
 //! The heap's keys are always distinct (front thread indices partition across
 //! cores), so the schedule it produces is exactly the naive scan's — the
 //! `identical_to_naive_min_scan` property test below drives both through
-//! randomized charge/halt sequences to pin that equivalence.
+//! randomized charge/halt sequences to pin that equivalence, `front(core)`
+//! included, after every halt.
 
 use laser_isa::inst::{Reg, NUM_REGS};
 use laser_isa::program::BlockId;
@@ -60,6 +70,10 @@ pub(crate) struct CoreSched {
     heap: Vec<u32>,
     /// `pos[core]` is the core's index in `heap`, or [`ABSENT`].
     pos: Vec<u32>,
+    /// `front[core]` is the front runnable thread of a live core — the
+    /// thread index half of its key ([`ABSENT`] for a core with none).
+    /// Written by [`CoreSched::on_halt`] only.
+    front: Vec<u32>,
     /// Thread ids placed on each core, ascending.
     threads_on: Vec<Vec<u32>>,
     /// `cursor[core]` indexes the first runnable thread in
@@ -81,6 +95,10 @@ impl CoreSched {
             .collect();
         let mut sched = CoreSched {
             pos: vec![ABSENT; num_cores],
+            front: threads_on
+                .iter()
+                .map(|on| on.first().copied().unwrap_or(ABSENT))
+                .collect(),
             cursor: vec![0; num_cores],
             live: thread_cores.len(),
             threads_on,
@@ -116,7 +134,14 @@ impl CoreSched {
 
     /// The front runnable thread of a live `core`.
     pub(crate) fn front(&self, core: usize) -> usize {
-        self.threads_on[core][self.cursor[core] as usize] as usize
+        self.front[core] as usize
+    }
+
+    /// The front runnable thread of `core`, or `None` if the core has none
+    /// (and so is not in the heap).
+    pub(crate) fn live_front(&self, core: usize) -> Option<usize> {
+        let front = self.front[core];
+        (front != ABSENT).then_some(front as usize)
     }
 
     /// The scheduling decision: the front runnable thread of the heap's root
@@ -127,30 +152,41 @@ impl CoreSched {
 
     fn key(&self, clocks: &[u64], core: u32) -> (u64, u32) {
         let c = core as usize;
-        (clocks[c], self.threads_on[c][self.cursor[c] as usize])
+        (clocks[c], self.front[c])
     }
 
+    /// Sink the entry at heap index `i` to where its key belongs. The sinking
+    /// core is held out of the array — its key read once — while smaller
+    /// children move up into the hole.
     fn sift_down(&mut self, clocks: &[u64], mut i: usize) {
+        let len = self.heap.len();
+        let core = self.heap[i];
+        let key = self.key(clocks, core);
         loop {
             let left = 2 * i + 1;
-            if left >= self.heap.len() {
-                return;
+            if left >= len {
+                break;
             }
-            let right = left + 1;
             let mut min = left;
-            if right < self.heap.len()
-                && self.key(clocks, self.heap[right]) < self.key(clocks, self.heap[left])
-            {
-                min = right;
+            let mut min_key = self.key(clocks, self.heap[left]);
+            let right = left + 1;
+            if right < len {
+                let right_key = self.key(clocks, self.heap[right]);
+                if right_key < min_key {
+                    min = right;
+                    min_key = right_key;
+                }
             }
-            if self.key(clocks, self.heap[min]) >= self.key(clocks, self.heap[i]) {
-                return;
+            if min_key >= key {
+                break;
             }
-            self.heap.swap(i, min);
-            self.pos[self.heap[i] as usize] = i as u32;
-            self.pos[self.heap[min] as usize] = min as u32;
+            let child = self.heap[min];
+            self.heap[i] = child;
+            self.pos[child as usize] = i as u32;
             i = min;
         }
+        self.heap[i] = core;
+        self.pos[core as usize] = i as u32;
     }
 
     /// Restore heap order after `core`'s clock increased (instruction cost or
@@ -166,27 +202,31 @@ impl CoreSched {
 
     /// Record that the scheduled thread halted. The scheduled thread is
     /// always the front runnable thread of the root core, so this advances
-    /// `core`'s cursor and re-sinks (or removes) the root.
-    pub(crate) fn on_halt(&mut self, clocks: &[u64], core: usize) {
+    /// `core`'s cursor and re-sinks (or removes) the root. Returns the
+    /// core's new front thread, or `None` if that was its last.
+    pub(crate) fn on_halt(&mut self, clocks: &[u64], core: usize) -> Option<usize> {
         debug_assert_eq!(
             self.pos[core], 0,
             "only the scheduled core's thread can halt"
         );
         self.live -= 1;
         self.cursor[core] += 1;
-        if (self.cursor[core] as usize) == self.threads_on[core].len() {
+        let next = self.threads_on[core]
+            .get(self.cursor[core] as usize)
+            .copied();
+        self.front[core] = next.unwrap_or(ABSENT);
+        if next.is_none() {
             // Core exhausted: remove it from the heap (pop the root).
             let last = self.heap.len() - 1;
             self.heap.swap(0, last);
             self.pos[self.heap[0] as usize] = 0;
             self.heap.pop();
             self.pos[core] = ABSENT;
-            if !self.heap.is_empty() {
-                self.sift_down(clocks, 0);
-            }
-        } else {
+        }
+        if !self.heap.is_empty() {
             self.sift_down(clocks, 0);
         }
+        next.map(|t| t as usize)
     }
 }
 
@@ -229,6 +269,36 @@ pub(crate) mod tests {
                 .min_by_key(|(i, &core)| (clocks[core], *i))
                 .map(|(i, _)| i)
         }
+
+        /// The lowest runnable thread index on `core`.
+        fn front(&self, core: usize) -> Option<usize> {
+            (0..self.thread_cores.len()).find(|&i| self.thread_cores[i] == core && !self.halted[i])
+        }
+    }
+
+    /// After a halt: the flat `front` array and the decision agree with the
+    /// naive scan on every core, the halted thread's included (which may
+    /// have lost its last thread).
+    fn assert_fronts_agree(sched: &CoreSched, naive: &NaiveSched, clocks: &[u64], what: &str) {
+        for core in 0..clocks.len() {
+            assert_eq!(
+                sched.live_front(core),
+                naive.front(core),
+                "{what}: front of core {core}"
+            );
+        }
+        assert_eq!(sched.pick(), naive.pick(clocks), "{what}: pick after halt");
+        if let Some(root) = sched.root() {
+            assert_eq!(
+                Some(sched.front(root)),
+                sched.pick(),
+                "{what}: root's front"
+            );
+        }
+        let live_cores = (0..clocks.len())
+            .filter(|&c| naive.front(c).is_some())
+            .count();
+        assert_eq!(sched.live_cores(), live_cores, "{what}: live cores");
     }
 
     /// A tiny deterministic xorshift PRNG so the property test needs no
@@ -253,13 +323,17 @@ pub(crate) mod tests {
     /// Drive the heap and the naive scan through randomized charge/halt
     /// sequences and assert they schedule the identical thread at every step.
     /// Zero-cost charges keep clocks tied across cores, exercising the
-    /// `(clock, index)` tie-break.
+    /// `(clock, index)` tie-break. Odd seeds pile many threads onto few cores
+    /// and halt them in bursts, so cores change their front thread — and
+    /// lose their last one — back to back; after every halt the flat `front`
+    /// array is compared with the naive scan on every core.
     #[test]
     fn identical_to_naive_min_scan() {
-        for seed in 1..=50u64 {
+        for seed in 1..=200u64 {
             let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let num_cores = 1 + rng.below(8) as usize;
-            let num_threads = 1 + rng.below(24) as usize;
+            let crowded = seed % 2 == 1;
+            let num_cores = 1 + rng.below(if crowded { 3 } else { 8 }) as usize;
+            let num_threads = if crowded { 6 } else { 1 } + rng.below(24) as usize;
             let thread_cores: Vec<usize> = (0..num_threads)
                 .map(|_| rng.below(num_cores as u64) as usize)
                 .collect();
@@ -284,9 +358,24 @@ pub(crate) mod tests {
                     // halt in the real machine).
                     0 | 1 => {
                         clocks[core] += rng.below(4);
-                        naive.halted[ti] = true;
-                        sched.on_halt(&clocks, core);
-                        halts += 1;
+                        // On crowded seeds a burst: keep halting whatever
+                        // is scheduled next, free of charge, so that a core's
+                        // successors (and its last thread) halt with nothing
+                        // in between.
+                        let mut scheduled = Some(ti);
+                        while let Some(ti) = scheduled {
+                            let core = thread_cores[ti];
+                            naive.halted[ti] = true;
+                            let next = sched.on_halt(&clocks, core);
+                            halts += 1;
+                            assert_eq!(next, naive.front(core), "seed {seed}: new front");
+                            assert_fronts_agree(&sched, &naive, &clocks, &format!("seed {seed}"));
+                            scheduled = if crowded && rng.below(3) != 0 {
+                                sched.pick()
+                            } else {
+                                None
+                            };
+                        }
                     }
                     // Externally charge some other core, like
                     // Machine::charge_cycles does.

@@ -5,6 +5,15 @@
 //! seeded external charges between quanta, and must agree on everything
 //! observable after every quantum.
 //!
+//! Besides seeded programs and every registry workload, the suite aims at
+//! the seams of the parked round loop (see the `exec` module docs): a front
+//! thread halting mid-round with a successor behind it, a core losing all its
+//! threads in one round, quanta at the edge of the round threshold, a horizon
+//! landing exactly on an active instruction, charges that reorder parked
+//! cores between quanta, cores levelled to one clock, and accesses that wrap
+//! the address space. CHANGES.md lists the mutants of the round loop each of
+//! which fails it.
+//!
 //! Every test here has `run_ahead` in its path, so
 //! `cargo test --release -p laser-machine run_ahead` runs the suite at its
 //! full program count; a debug build keeps a reduced count.
@@ -12,6 +21,7 @@
 use laser_isa::inst::{AluOp, CmpOp, Inst, MemAddr, Operand, Reg, RmwOp};
 use laser_isa::ProgramBuilder;
 
+use crate::addr::crosses_line;
 use crate::hook::{ExecHook, HookAction, HookCtx, MemOp};
 use crate::image::ThreadSpec;
 use crate::machine::sched::tests::XorShift;
@@ -85,14 +95,20 @@ fn charge_both(rng: &mut XorShift, fast: &mut Machine, slow: &mut Machine) {
 }
 
 /// Run `fast` through `run_quantum` and `slow` through the reference loop
-/// until both finish (or pass [`STEP_CAP`]), with quanta drawn from
-/// `1..=max_quantum`, comparing after every quantum and the whole memory at
-/// the end.
-fn run_lockstep(mut fast: Machine, mut slow: Machine, seed: u64, max_quantum: u64, what: &str) {
-    let mut rng = XorShift(seed | 1);
+/// until both finish (or pass [`STEP_CAP`]), comparing after every quantum
+/// and the whole memory at the end. Before each quantum `plan` may charge
+/// both machines and names the quantum's size; `seen` is shown every HITM
+/// batch.
+fn run_lockstep_by(
+    mut fast: Machine,
+    mut slow: Machine,
+    what: &str,
+    mut plan: impl FnMut(&mut Machine, &mut Machine) -> u64,
+    mut seen: impl FnMut(&[HitmEvent]),
+) {
     assert_same_state(&fast, &slow, what, 0);
     for quantum in 1.. {
-        let n = 1 + rng.below(max_quantum);
+        let n = plan(&mut fast, &mut slow);
         let yielded = fast.run_quantum(n);
         let status = slow.run_steps_reference(n);
         assert_eq!(yielded.status, status, "{what} q{quantum}: status");
@@ -102,15 +118,32 @@ fn run_lockstep(mut fast: Machine, mut slow: Machine, seed: u64, max_quantum: u6
             "{what} q{quantum}: HITM batch"
         );
         assert_same_state(&fast, &slow, what, quantum);
+        seen(&yielded.events);
         if status == RunStatus::Done || fast.steps() >= STEP_CAP {
             break;
         }
-        charge_both(&mut rng, &mut fast, &mut slow);
     }
     assert!(
         fast.inner.mem == slow.inner.mem,
         "{what}: final memory differs"
     );
+}
+
+/// A plan for [`run_lockstep_by`]: quanta drawn from `1..=max_quantum` and a
+/// seeded external charge (or none) between quanta.
+fn seeded_plan(seed: u64, max_quantum: u64) -> impl FnMut(&mut Machine, &mut Machine) -> u64 {
+    let mut rng = XorShift(seed | 1);
+    let mut first = true;
+    move |fast, slow| {
+        if !std::mem::take(&mut first) {
+            charge_both(&mut rng, fast, slow);
+        }
+        1 + rng.below(max_quantum)
+    }
+}
+
+fn run_lockstep(fast: Machine, slow: Machine, seed: u64, max_quantum: u64, what: &str) {
+    run_lockstep_by(fast, slow, what, seeded_plan(seed, max_quantum), |_| {});
 }
 
 /// Seeded quantum ceiling: small, medium and session-sized schedules.
@@ -329,6 +362,19 @@ fn emit_kernel(rng: &mut XorShift, b: &mut ProgramBuilder, kernel: usize, mem_pc
 /// lines and falsely sharing their private slots.
 fn generated_image(rng: &mut XorShift, threads: usize) -> WorkloadImage {
     let mem_pct = [2, 10, 30, 60][rng.below(4) as usize];
+    generated_image_with(rng, threads, mem_pct, None)
+}
+
+/// [`generated_image`] with a chosen share of memory instructions and,
+/// optionally, the private slots moved from the heap to `private_top`
+/// downwards: even threads all at `private_top`, odd thread `t` a stride
+/// below per `t`.
+fn generated_image_with(
+    rng: &mut XorShift,
+    threads: usize,
+    mem_pct: u64,
+    private_top: Option<Addr>,
+) -> WorkloadImage {
     let mut b = ProgramBuilder::new("generated");
     b.source("generated.c", 1);
     emit_kernel(rng, &mut b, 0, mem_pct);
@@ -349,9 +395,14 @@ fn generated_image(rng: &mut XorShift, threads: usize) -> WorkloadImage {
             _ if long_run => 100 + rng.below(400),
             _ => 5 + rng.below(60),
         };
+        let slot = match private_top {
+            None => private + PRIVATE_STRIDE * t as u64,
+            Some(top) if t % 2 == 0 => top,
+            Some(top) => top - PRIVATE_STRIDE * t as u64,
+        };
         let mut spec = ThreadSpec::new(format!("t{t}"), format!("k{}", rng.below(2)))
             .with_reg(SHARED, shared)
-            .with_reg(PRIVATE, private + PRIVATE_STRIDE * t as u64)
+            .with_reg(PRIVATE, slot)
             .with_reg(BOUND, bound);
         for r in 4..10 {
             spec = spec.with_reg(Reg(r), rng.next());
@@ -404,6 +455,454 @@ fn generated_programs_agree_with_single_steps() {
             rng.next(),
             &format!("generated program {seed}"),
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Accesses that wrap the address space
+// ---------------------------------------------------------------------------
+
+/// Eight bytes below the top of the address space: an 8-byte access at
+/// offset 0 ends on the last byte, one at offset 8 starts on it and wraps
+/// into line 0.
+const WRAPPING_PRIVATE_TOP: Addr = u64::MAX - 8;
+
+#[test]
+fn wrapping_programs_agree_with_single_steps() {
+    let programs: u64 = if cfg!(debug_assertions) { 8 } else { 60 };
+    let mut wrapped_hitms = 0usize;
+    for seed in 1..=programs {
+        let mut rng = XorShift(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0xffff);
+        let (config, placement) = generated_config(&mut rng);
+        let threads = 2 + rng.below(2 * config.num_cores as u64) as usize;
+        let mem_pct = [30, 60][rng.below(2) as usize];
+        let mut image =
+            generated_image_with(&mut rng, threads, mem_pct, Some(WRAPPING_PRIVATE_TOP));
+        image.set_thread_placement(placement);
+        let max_quantum = quantum_ceiling(&mut rng);
+        run_lockstep_by(
+            Machine::new(config.clone(), &image),
+            Machine::new(config.clone(), &image),
+            &format!("wrapping program {seed}"),
+            seeded_plan(rng.next(), max_quantum),
+            |events| {
+                wrapped_hitms += events
+                    .iter()
+                    .filter(|e| e.addr > WRAPPING_PRIVATE_TOP && crosses_line(e.addr, e.size))
+                    .count();
+            },
+        );
+    }
+    assert!(
+        wrapped_hitms > 0,
+        "no program contended on an access that wraps the address space"
+    );
+}
+
+#[test]
+fn run_ahead_charges_a_wrapping_access_for_both_its_lines() {
+    let mut b = ProgramBuilder::new("wrap");
+    let entry = b.block("entry");
+    b.switch_to(entry);
+    b.store(Operand::Imm(0x1122_3344_5566_7788), PRIVATE, 0, 8);
+    b.load(Reg(4), PRIVATE, 0, 8);
+    b.halt();
+    let mut image = WorkloadImage::new("wrap", b.finish());
+    image.push_thread(ThreadSpec::new("t0", "entry").with_reg(PRIVATE, u64::MAX - 3));
+    let config = MachineConfig::default();
+    let lat = config.latency.clone();
+    let mut m = Machine::new(config, &image);
+    assert_eq!(m.run_steps(1_000), RunStatus::Done);
+    assert_eq!(m.thread_reg(0, Reg(4)), 0x1122_3344_5566_7788);
+    assert_eq!(m.inner.mem.read(0, 4), 0x1122_3344, "the high half wrapped");
+    let stats = m.stats();
+    assert_eq!(stats.dram_accesses, 2, "the store misses on both lines");
+    assert_eq!(stats.l1_hits, 2, "the load hits on both lines");
+    assert_eq!(m.cycles(), lat.dram + lat.l1_hit + lat.branch);
+}
+
+// ---------------------------------------------------------------------------
+// The seams of the parked round loop
+// ---------------------------------------------------------------------------
+
+/// How a thread of a seam image begins — and, but for the worker, how soon it
+/// ends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Start {
+    /// A loop of `BOUND` trips over an atomic, a store and a load.
+    Worker,
+    /// Four instructions of a racy increment, then `Halt`.
+    Short,
+    /// Register-only instructions and a jump, then the racy increment.
+    RegisterPrefix,
+    /// An empty block — the thread's first instruction is the jump out of
+    /// it — then the register prefix.
+    JumpFirst,
+    /// An atomic exchange as its very first instruction, then `Halt`.
+    ActiveFirst,
+    /// `Halt` at once.
+    HaltNow,
+}
+
+impl Start {
+    const ALL: [Start; 6] = [
+        Start::Worker,
+        Start::Short,
+        Start::RegisterPrefix,
+        Start::JumpFirst,
+        Start::ActiveFirst,
+        Start::HaltNow,
+    ];
+
+    fn label(self) -> &'static str {
+        match self {
+            Start::Worker => "worker",
+            Start::Short => "short",
+            Start::RegisterPrefix => "register_prefix",
+            Start::JumpFirst => "jump_first",
+            Start::ActiveFirst => "active_first",
+            Start::HaltNow => "halt_now",
+        }
+    }
+}
+
+/// An image of threads that begin as `starts` says, thread `t` on core
+/// `t % cores` (the packed placement), so `starts[c]`, `starts[c + cores]`, …
+/// queue up on core `c` in that order. Every thread's work lands on two
+/// shared words — a counter bumped atomically and one incremented racily — so
+/// the order active instructions ran in is in memory and in the registers.
+fn seam_image(starts: &[Start], worker_trips: u64) -> WorkloadImage {
+    let mut b = ProgramBuilder::new("seams");
+    b.source("seams.c", 1);
+    let worker = b.block(Start::Worker.label());
+    let worker_done = b.block("worker_done");
+    let short = b.block(Start::Short.label());
+    let register_prefix = b.block(Start::RegisterPrefix.label());
+    let jump_first = b.block(Start::JumpFirst.label());
+    let active_first = b.block(Start::ActiveFirst.label());
+    let halt_now = b.block(Start::HaltNow.label());
+
+    b.switch_to(worker);
+    b.atomic_fetch_add(Reg(4), SHARED, 0, Operand::Imm(1), 8);
+    b.store(Operand::Reg(Reg(4)), PRIVATE, 0, 8);
+    b.add(Reg(5), Reg(5), Operand::Reg(Reg(4)));
+    b.nop();
+    b.load(Reg(6), SHARED, 8, 8);
+    b.add(Reg(5), Reg(5), Operand::Reg(Reg(6)));
+    b.addi(COUNTER, COUNTER, 1);
+    b.cmp_lt(COND, COUNTER, Operand::Reg(BOUND));
+    b.branch(COND, worker, worker_done);
+    b.switch_to(worker_done);
+    b.store(Operand::Reg(Reg(5)), PRIVATE, 8, 8);
+    b.halt();
+
+    b.switch_to(short);
+    b.load(Reg(4), SHARED, 8, 8);
+    b.addi(Reg(4), Reg(4), 1);
+    b.store(Operand::Reg(Reg(4)), SHARED, 8, 8);
+    b.store(Operand::Reg(Reg(4)), PRIVATE, 0, 8);
+    b.halt();
+
+    b.switch_to(register_prefix);
+    b.movi(Reg(7), 3);
+    b.nop();
+    b.pause();
+    b.addi(Reg(7), Reg(7), 5);
+    b.mul(Reg(7), Reg(7), Operand::Reg(Reg(7)));
+    b.jump(short);
+
+    b.switch_to(jump_first);
+    b.jump(register_prefix);
+
+    b.switch_to(active_first);
+    b.atomic_exchange(Reg(4), SHARED, 8, Operand::Reg(PRIVATE), 8);
+    b.halt();
+
+    b.switch_to(halt_now);
+    b.halt();
+
+    let mut image = WorkloadImage::new("seams", b.finish());
+    let shared = image.layout_mut().heap_alloc(64, 64).unwrap();
+    let private = image
+        .layout_mut()
+        .heap_alloc(PRIVATE_STRIDE * starts.len() as u64 + 64, 64)
+        .unwrap();
+    for (t, start) in starts.iter().enumerate() {
+        image.push_thread(
+            ThreadSpec::new(format!("t{t}"), start.label())
+                .with_reg(SHARED, shared)
+                .with_reg(PRIVATE, private + PRIVATE_STRIDE * t as u64)
+                .with_reg(BOUND, worker_trips + t as u64 % 3),
+        );
+    }
+    image
+}
+
+/// The size of each quantum of a seam run.
+#[derive(Debug, Clone, Copy)]
+enum Quanta {
+    Fixed(u64),
+    /// The round threshold — 8 steps per live core, which shrinks as cores
+    /// run out of threads — plus this.
+    Threshold(i64),
+}
+
+impl Quanta {
+    const ALL: [Quanta; 8] = [
+        Quanta::Fixed(1),
+        Quanta::Fixed(2),
+        Quanta::Threshold(-1),
+        Quanta::Threshold(0),
+        Quanta::Threshold(1),
+        Quanta::Fixed(61),
+        Quanta::Fixed(997),
+        Quanta::Fixed(1 << 30),
+    ];
+
+    fn next(self, m: &Machine) -> u64 {
+        match self {
+            Quanta::Fixed(n) => n,
+            Quanta::Threshold(delta) => {
+                let threshold = exec::MIN_ROUND_STEPS_PER_CORE * m.sched.live_cores() as u64;
+                threshold.saturating_add_signed(delta).max(1)
+            }
+        }
+    }
+}
+
+/// What a seam run charges between quanta.
+#[derive(Debug, Clone, Copy)]
+enum Charges {
+    Nothing,
+    /// One core, a different one each time, is pushed past every other: a
+    /// parked core's key jumps from the heap's top to its bottom.
+    PushOnePastAll,
+    /// Every core is raised to the latest clock: the next round starts with
+    /// all keys tied on the clock and only thread indices to order them.
+    LevelAll,
+}
+
+impl Charges {
+    const ALL: [Charges; 3] = [Charges::Nothing, Charges::PushOnePastAll, Charges::LevelAll];
+
+    fn apply(self, quantum: usize, fast: &mut Machine, slow: &mut Machine) {
+        let latest = fast.cycles();
+        match self {
+            Charges::Nothing => {}
+            Charges::PushOnePastAll => {
+                let core = quantum % fast.num_cores();
+                let cycles = latest - fast.per_core_cycles()[core] + 1 + quantum as u64 % 7;
+                fast.charge_cycles(CoreId(core), cycles);
+                slow.charge_cycles(CoreId(core), cycles);
+            }
+            Charges::LevelAll => {
+                let charges: Vec<u64> = fast
+                    .per_core_cycles()
+                    .iter()
+                    .map(|&clock| latest - clock)
+                    .collect();
+                fast.charge_per_core(&charges);
+                slow.charge_per_core(&charges);
+            }
+        }
+    }
+}
+
+/// Drive one seam image through every quantum size and every charge plan.
+fn seam_lockstep(image: &WorkloadImage, cores: usize, what: &str) {
+    let config = MachineConfig {
+        num_cores: cores,
+        ..Default::default()
+    };
+    for quanta in Quanta::ALL {
+        for charges in Charges::ALL {
+            let mut quantum = 0usize;
+            run_lockstep_by(
+                Machine::new(config.clone(), image),
+                Machine::new(config.clone(), image),
+                &format!("{what}, {quanta:?}, {charges:?}"),
+                |fast, slow| {
+                    quantum += 1;
+                    charges.apply(quantum, fast, slow);
+                    quanta.next(fast)
+                },
+                |_| {},
+            );
+        }
+    }
+}
+
+/// A front thread halts mid-round and the thread behind it on the core takes
+/// over: starting with register-only instructions, with an active one, or
+/// with its own `Halt` — and that one's successor likewise.
+#[test]
+fn seam_a_halting_front_thread_hands_over_to_its_successor() {
+    let enders = [
+        Start::Short,
+        Start::RegisterPrefix,
+        Start::JumpFirst,
+        Start::ActiveFirst,
+        Start::HaltNow,
+    ];
+    for first in enders {
+        for successor in Start::ALL {
+            // Core 0: `first`, `successor`, a short worker. Core 1: a worker
+            // that outlives them, then a thread that halts at once, then the
+            // successor kind again behind that.
+            let starts = [
+                first,
+                Start::Worker,
+                successor,
+                Start::HaltNow,
+                Start::Worker,
+                successor,
+            ];
+            seam_lockstep(
+                &seam_image(&starts, 12),
+                2,
+                &format!("{first:?} then {successor:?}"),
+            );
+        }
+    }
+}
+
+/// Every thread of a core halts within one round, and the core leaves the
+/// heap while its neighbours are mid-run; on one, two and three cores.
+#[test]
+fn seam_a_core_loses_all_its_threads_in_one_round() {
+    for cores in 1..=3usize {
+        for enders in [
+            [Start::HaltNow, Start::HaltNow, Start::HaltNow],
+            [Start::Short, Start::HaltNow, Start::ActiveFirst],
+            [Start::RegisterPrefix, Start::RegisterPrefix, Start::HaltNow],
+        ] {
+            // Core 0 gets the enders; every other core a worker and two
+            // enders behind it.
+            let mut starts = Vec::new();
+            for (row, ender) in enders.into_iter().enumerate() {
+                for core in 0..cores {
+                    starts.push(if core == 0 || row > 0 {
+                        ender
+                    } else {
+                        Start::Worker
+                    });
+                }
+            }
+            seam_lockstep(
+                &seam_image(&starts, 20),
+                cores,
+                &format!("{enders:?} on {cores} cores"),
+            );
+        }
+    }
+}
+
+/// Seeded seam images: up to five threads a core on one to four cores, any
+/// mix of starts.
+#[test]
+fn seam_generated_thread_queues_agree_with_single_steps() {
+    let images: u64 = if cfg!(debug_assertions) { 10 } else { 120 };
+    for seed in 1..=images {
+        let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let cores = 1 + rng.below(4) as usize;
+        let threads = cores + 1 + rng.below(4 * cores as u64) as usize;
+        let starts: Vec<Start> = (0..threads)
+            .map(|_| Start::ALL[rng.below(Start::ALL.len() as u64) as usize])
+            .collect();
+        seam_lockstep(
+            &seam_image(&starts, 1 + rng.below(30)),
+            cores,
+            &format!("seam image {seed}"),
+        );
+    }
+}
+
+/// Two threads whose active instructions sit at known pre-clocks (every
+/// register-only instruction costs one cycle here), run for every budget
+/// from a fresh machine: a round over `n` steps on two live cores has its
+/// horizon at clock `n / 2`, so `n = 30` puts it exactly on thread 0's load
+/// (pre-clock 15), `n = 20` on thread 1's store (pre-clock 10), and later
+/// rounds land on the rest. An instruction at the horizon belongs to the next
+/// round.
+#[test]
+fn seam_a_horizon_on_an_active_pre_clock_leaves_it_for_the_next_round() {
+    let mut b = ProgramBuilder::new("horizon");
+    let first = b.block("first");
+    let second = b.block("second");
+    b.switch_to(first);
+    b.nops(15);
+    b.load(Reg(4), SHARED, 0, 8);
+    b.nops(10);
+    b.store(Operand::Reg(Reg(4)), SHARED, 8, 8);
+    b.halt();
+    b.switch_to(second);
+    b.nops(10);
+    b.store(Operand::Imm(7), SHARED, 0, 8);
+    b.nops(20);
+    b.load(Reg(4), SHARED, 8, 8);
+    b.halt();
+    let mut image = WorkloadImage::new("horizon", b.finish());
+    let shared = image.layout_mut().heap_alloc(64, 64).unwrap();
+    image.push_thread(ThreadSpec::new("t0", "first").with_reg(SHARED, shared));
+    image.push_thread(ThreadSpec::new("t1", "second").with_reg(SHARED, shared));
+    let config = MachineConfig {
+        num_cores: 2,
+        ..Default::default()
+    };
+    for n in 1..=80u64 {
+        let mut fast = Machine::new(config.clone(), &image);
+        let mut slow = Machine::new(config.clone(), &image);
+        for quantum in 1..=3 {
+            assert_eq!(fast.run_steps(n), slow.run_steps_reference(n));
+            assert_eq!(fast.take_hitm_events(), slow.take_hitm_events());
+            assert_same_state(&fast, &slow, &format!("budget {n}"), quantum);
+        }
+    }
+}
+
+/// The point of parking: the round loop consults the scheduler once per
+/// active instruction, not twice. On four symmetric threads — the pattern
+/// that used to cost two visits — the visits of a whole run are at most its
+/// active instructions plus one per core and round.
+#[test]
+fn run_ahead_visits_the_scheduler_once_per_active_instruction() {
+    const TRIPS: u64 = 500;
+    let mut b = ProgramBuilder::new("symmetric");
+    let body = b.block("body");
+    let done = b.block("done");
+    b.switch_to(body);
+    b.load(Reg(4), PRIVATE, 0, 8);
+    b.addi(Reg(4), Reg(4), 3);
+    b.store(Operand::Reg(Reg(4)), PRIVATE, 0, 8);
+    b.addi(COUNTER, COUNTER, 1);
+    b.cmp_lt(COND, COUNTER, Operand::Imm(TRIPS));
+    b.branch(COND, body, done);
+    b.switch_to(done);
+    b.halt();
+    let mut image = WorkloadImage::new("symmetric", b.finish());
+    for t in 0..4 {
+        let slot = image.layout_mut().heap_alloc(64, 64).unwrap();
+        image.push_thread(ThreadSpec::new(format!("t{t}"), "body").with_reg(PRIVATE, slot));
+    }
+    // A load, a store and at the end a halt per thread.
+    let active = 4 * (2 * TRIPS + 1);
+    for quantum in [u64::MAX, 5_000, 300] {
+        let mut m = Machine::new(MachineConfig::default(), &image);
+        while m.run_steps(quantum) == RunStatus::Running {}
+        let trace = m.round_trace;
+        assert!(trace.rounds > 0, "quanta of {quantum}: run-ahead ran");
+        assert!(
+            trace.visits <= active + 4 * trace.rounds,
+            "quanta of {quantum}: {} visits for {active} active instructions in {} rounds",
+            trace.visits,
+            trace.rounds
+        );
+        if quantum == u64::MAX {
+            assert!(
+                trace.visits >= active,
+                "every active instruction is a visit"
+            );
+        }
     }
 }
 

@@ -8,7 +8,7 @@ use crate::fasthash::FastBuildHasher;
 const PAGE_SIZE: u64 = 4096;
 
 /// Sparse simulated memory. Untouched bytes read as zero, like freshly mapped
-/// anonymous pages.
+/// anonymous pages. Addresses wrap: the byte after `u64::MAX` is byte 0.
 ///
 /// Pages are keyed by a fast deterministic hasher and multi-byte accesses
 /// that stay within one page (the overwhelmingly common case) touch the map
@@ -70,7 +70,7 @@ impl SparseMemory {
         }
         let mut v: u64 = 0;
         for i in 0..size as u64 {
-            v |= (self.read_u8(addr + i) as u64) << (8 * i);
+            v |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
         }
         v
     }
@@ -94,20 +94,22 @@ impl SparseMemory {
             return;
         }
         for i in 0..size as u64 {
-            self.write_u8(addr + i, (value >> (8 * i)) as u8);
+            self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
         }
     }
 
     /// Copy `bytes` into memory starting at `addr`.
     pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) {
         for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
+            self.write_u8(addr.wrapping_add(i as u64), *b);
         }
     }
 
     /// Read `len` bytes starting at `addr`.
     pub fn read_bytes(&self, addr: Addr, len: usize) -> Vec<u8> {
-        (0..len as u64).map(|i| self.read_u8(addr + i)).collect()
+        (0..len as u64)
+            .map(|i| self.read_u8(addr.wrapping_add(i)))
+            .collect()
     }
 
     /// Number of touched pages (for tests and capacity sanity checks).
@@ -146,6 +148,22 @@ mod tests {
         m.write(4094, 8, u64::MAX);
         assert_eq!(m.read(4094, 8), u64::MAX);
         assert_eq!(m.touched_pages(), 2);
+    }
+
+    /// An access straddling the top of the address space wraps to address 0
+    /// (in a debug build too: no overflow panic).
+    #[test]
+    fn accesses_wrap_at_the_top_of_the_address_space() {
+        let mut m = SparseMemory::new();
+        m.write(u64::MAX - 3, 8, 0x1122_3344_5566_7788);
+        assert_eq!(m.read(u64::MAX - 3, 8), 0x1122_3344_5566_7788);
+        assert_eq!(m.read(u64::MAX - 3, 4), 0x5566_7788);
+        assert_eq!(m.read(0, 4), 0x1122_3344);
+        assert_eq!(m.read_u8(u64::MAX), 0x55);
+        assert_eq!(m.touched_pages(), 2);
+        m.write_bytes(u64::MAX, &[0xaa, 0xbb]);
+        assert_eq!(m.read_bytes(u64::MAX, 2), vec![0xaa, 0xbb]);
+        assert_eq!(m.read_u8(0), 0xbb);
     }
 
     #[test]

@@ -409,6 +409,16 @@ impl Topology {
         }
     }
 
+    /// The core → socket table of a machine with `num_cores` cores: entry `c`
+    /// is [`Topology::socket_of`]`(c, num_cores)`. The machine builds it once
+    /// and resolves every access against it, so the access path divides
+    /// nothing.
+    pub(crate) fn socket_table(&self, num_cores: usize) -> Vec<u32> {
+        (0..num_cores)
+            .map(|core| self.socket_of(core, num_cores) as u32)
+            .collect()
+    }
+
     /// Resolve a directory outcome to its socket-aware class for an access by
     /// `core` to `line_addr` on a machine with `num_cores` cores.
     ///
@@ -425,6 +435,29 @@ impl Topology {
         num_cores: usize,
         line_addr: Addr,
     ) -> ResolvedClass {
+        self.resolve_by(outcome, core, line_addr, |c| self.socket_of(c, num_cores))
+    }
+
+    /// [`Topology::resolve`] against a prebuilt [`Topology::socket_table`]:
+    /// the same classes, with every core → socket query a table load.
+    pub(crate) fn resolve_in(
+        &self,
+        outcome: &AccessOutcome,
+        core: usize,
+        sockets: &[u32],
+        line_addr: Addr,
+    ) -> ResolvedClass {
+        self.resolve_by(outcome, core, line_addr, |c| sockets[c] as usize)
+    }
+
+    #[inline(always)]
+    fn resolve_by(
+        &self,
+        outcome: &AccessOutcome,
+        core: usize,
+        line_addr: Addr,
+        socket_of: impl Fn(usize) -> usize,
+    ) -> ResolvedClass {
         if self.num_sockets <= 1 {
             return match outcome.class {
                 AccessClass::L1Hit => ResolvedClass::L1Hit,
@@ -433,26 +466,26 @@ impl Topology {
                 AccessClass::Dram => ResolvedClass::DramLocal,
             };
         }
-        let socket = self.socket_of(core, num_cores);
         match outcome.class {
             AccessClass::L1Hit => ResolvedClass::L1Hit,
             AccessClass::Hitm => {
                 let owner = outcome
                     .previous_owner
                     .expect("HITM outcomes carry their previous owner"); // lint:allow(panic) — the coherence directory only reports HITM when a previous owner exists
-                if self.socket_of(owner, num_cores) == socket {
+                if socket_of(owner) == socket_of(core) {
                     ResolvedClass::HitmLocal
                 } else {
                     ResolvedClass::HitmRemote
                 }
             }
             AccessClass::LlcHit => {
+                let socket = socket_of(core);
                 let mut holders = outcome.sharers & !(1u128 << core);
                 let mut local = false;
                 while holders != 0 {
                     let holder = holders.trailing_zeros() as usize;
                     holders &= holders - 1;
-                    if self.socket_of(holder, num_cores) == socket {
+                    if socket_of(holder) == socket {
                         local = true;
                         break;
                     }
@@ -464,7 +497,7 @@ impl Topology {
                 }
             }
             AccessClass::Dram => {
-                if self.home_socket(line_addr) == socket {
+                if self.home_socket(line_addr) == socket_of(core) {
                     ResolvedClass::DramLocal
                 } else {
                     ResolvedClass::DramRemote
@@ -795,6 +828,65 @@ mod tests {
         assert_eq!(t.resolve(&o, 6, 8, 0x40), ResolvedClass::HitmRemote);
         let o = d.access(7, 0x40, true);
         assert_eq!(t.resolve(&o, 7, 8, 0x40), ResolvedClass::HitmLocal);
+    }
+
+    /// The machine resolves against a prebuilt core → socket table; the table
+    /// is `socket_of` for every core, and resolving against it gives the
+    /// class `resolve` gives, on every preset and on uneven layouts (spilled
+    /// and short machines included).
+    #[test]
+    fn socket_table_and_resolve_in_agree_with_socket_of_and_resolve() {
+        let remote = Topology::dual_socket_remote();
+        let mut cases: Vec<(Topology, usize)> = TopologySpec::ALL
+            .into_iter()
+            .chain([TopologySpec::ThirtyTwoSocket])
+            .map(|spec| (spec.topology(), spec.num_cores()))
+            .collect();
+        // Core counts that do not divide over the sockets.
+        cases.push((Topology::dual_socket(), 5));
+        cases.push((Topology::octo_socket(), 30));
+        let fat = Topology::asymmetric("fat0", vec![6, 2], remote);
+        let thin = Topology::asymmetric("thin-mid", vec![3, 1, 7, 2], remote);
+        for cores in [8, 12, 5] {
+            cases.push((fat.clone(), cores));
+        }
+        for cores in [13, 16, 9] {
+            cases.push((thin.clone(), cores));
+        }
+        let mut seen = std::collections::HashSet::new();
+        for (t, num_cores) in cases {
+            let what = format!("{} with {num_cores} cores", t.name());
+            let table = t.socket_table(num_cores);
+            assert_eq!(table.len(), num_cores, "{what}");
+            for (core, &socket) in table.iter().enumerate() {
+                assert_eq!(
+                    socket as usize,
+                    t.socket_of(core, num_cores),
+                    "{what}: core {core}"
+                );
+            }
+            // Every class through both resolvers: each core reads or writes
+            // a few lines after every other core did, twice (the second
+            // access hits its L1).
+            let mut d = CoherenceDirectory::new(num_cores);
+            for round in 0..3u64 {
+                for core in 0..num_cores {
+                    for line in [0, 0, 1, 1, 2, 2, 3, 3u64] {
+                        let addr = 0x1000 + 64 * line;
+                        let write = (core as u64 + line + round) % 3 == 1;
+                        let o = d.access(core, addr, write);
+                        let class = t.resolve_in(&o, core, &table, addr);
+                        assert_eq!(
+                            class,
+                            t.resolve(&o, core, num_cores, addr),
+                            "{what}: core {core}, line {line}, round {round}"
+                        );
+                        seen.insert(class);
+                    }
+                }
+            }
+        }
+        assert_eq!(seen.len(), 7, "every resolved class was compared: {seen:?}");
     }
 
     #[test]
