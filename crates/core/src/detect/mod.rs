@@ -786,10 +786,10 @@ impl Detector {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    mod oracle;
+    pub(crate) mod oracle;
     use laser_isa::inst::{Operand, Reg};
     use laser_isa::ProgramBuilder;
     use laser_machine::memmap::{Region, RegionKind};

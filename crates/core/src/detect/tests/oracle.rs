@@ -30,17 +30,18 @@ const REAL_STREAM_STEPS: u64 = if cfg!(debug_assertions) {
     3_000_000
 };
 
-struct XorShift(u64);
+/// The seeded generator of this crate's differential tests.
+pub(crate) struct XorShift(pub(crate) u64);
 
 impl XorShift {
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 ^= self.0 << 13;
         self.0 ^= self.0 >> 7;
         self.0 ^= self.0 << 17;
         self.0
     }
 
-    fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
 

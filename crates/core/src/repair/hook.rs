@@ -9,9 +9,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use laser_isa::program::{BlockId, Pc};
+use laser_isa::program::{BlockId, Pc, INST_BYTES};
 use laser_machine::htm::HtmOutcome;
-use laser_machine::{ExecHook, HookAction, HookCtx, MemAccessKind, MemOp};
+use laser_machine::{ExecHook, HookAction, HookCtx, Machine, MemAccessKind, MemOp};
 
 use super::plan::RepairPlan;
 use super::ssb::{SoftwareStoreBuffer, SsbLookup};
@@ -70,6 +70,66 @@ pub struct SsbStats {
 /// associativity of the paper's machine).
 pub const PREEMPTIVE_FLUSH_ENTRIES: usize = 8;
 
+/// [`PcClasses`] bit: the PC is in [`RepairPlan::ssb_stores`].
+const SSB_STORE: u8 = 1;
+/// [`PcClasses`] bit: the PC is in [`RepairPlan::ssb_loads`].
+const SSB_LOAD: u8 = 2;
+/// [`PcClasses`] bit: the PC is in [`RepairPlan::speculative_loads`].
+const SPECULATIVE_LOAD: u8 = 4;
+
+/// What the plan says about every PC, as one byte of membership bits per
+/// instruction slot over the hull of the plan's three PC sets: the hook
+/// classifies a memory operation by indexing instead of walking the sets.
+/// (A read-modify-write PC is both a store and a load.)
+#[derive(Debug)]
+struct PcClasses {
+    /// PC of `classes[0]`; `classes[i]` is the instruction at
+    /// `base + i * INST_BYTES`.
+    base: Pc,
+    classes: Vec<u8>,
+}
+
+impl PcClasses {
+    fn of(plan: &RepairPlan) -> Self {
+        let sets = [
+            (&plan.ssb_stores, SSB_STORE),
+            (&plan.ssb_loads, SSB_LOAD),
+            (&plan.speculative_loads, SPECULATIVE_LOAD),
+        ];
+        let base = sets.iter().filter_map(|(set, _)| set.first()).min();
+        let last = sets.iter().filter_map(|(set, _)| set.last()).max();
+        let (Some(&base), Some(&last)) = (base, last) else {
+            return PcClasses {
+                base: 0,
+                classes: Vec::new(),
+            };
+        };
+        let mut classes = vec![0u8; ((last - base) / INST_BYTES) as usize + 1];
+        for (set, bit) in sets {
+            for pc in set {
+                debug_assert!((pc - base).is_multiple_of(INST_BYTES));
+                classes[((pc - base) / INST_BYTES) as usize] |= bit;
+            }
+        }
+        PcClasses { base, classes }
+    }
+
+    /// The membership bits of `pc`; 0 for a PC outside the table or between
+    /// two instruction slots.
+    #[inline]
+    fn of_pc(&self, pc: Pc) -> u8 {
+        let offset = pc.wrapping_sub(self.base);
+        if !offset.is_multiple_of(INST_BYTES) {
+            return 0;
+        }
+        usize::try_from(offset / INST_BYTES)
+            .ok()
+            .and_then(|slot| self.classes.get(slot))
+            .copied()
+            .unwrap_or(0)
+    }
+}
+
 /// The online-repair instrumentation tool.
 ///
 /// The hook owns its statistics outright (no `Rc<RefCell<..>>` sharing), so a
@@ -77,6 +137,7 @@ pub const PREEMPTIVE_FLUSH_ENTRIES: usize = 8;
 /// back through [`ExecHook::as_any`] downcasting once the run finishes.
 pub struct SsbHook {
     plan: RepairPlan,
+    classes: PcClasses,
     costs: SsbCosts,
     buffers: Vec<SoftwareStoreBuffer>,
     stats: SsbStats,
@@ -100,11 +161,18 @@ impl SsbHook {
     /// Create the hook with explicit instrumentation costs.
     pub fn with_costs(plan: RepairPlan, num_cores: usize, costs: SsbCosts) -> Self {
         SsbHook {
+            classes: PcClasses::of(&plan),
             plan,
             costs,
             buffers: (0..num_cores).map(|_| SoftwareStoreBuffer::new()).collect(),
             stats: SsbStats::default(),
         }
+    }
+
+    /// The `SsbHook` attached to `machine`, if that is what its hook is: how
+    /// the counters are read while the machine owns the hook.
+    pub fn attached_to(machine: &Machine) -> Option<&SsbHook> {
+        machine.hook()?.as_any()?.downcast_ref()
     }
 
     /// The instrumentation counters so far.
@@ -148,10 +216,26 @@ impl ExecHook for SsbHook {
         Some(self)
     }
 
+    /// The cheapest serviced operation: a buffered store, an SSB load or an
+    /// alias check that finds nothing. With every cost at least 1 the
+    /// machine runs ahead between this hook's operations; a zero cost makes
+    /// it dispatch per instruction.
+    fn cost_floor(&self) -> u64 {
+        let costs = self.costs;
+        costs.store.min(costs.load).min(costs.alias_check)
+    }
+
+    /// Only the plan's flush blocks do anything on entry, and the plan does
+    /// not change after construction.
+    fn block_entry_is_inert(&self, block: BlockId) -> bool {
+        !self.plan.flush_blocks.contains(&block)
+    }
+
     fn on_mem_op(&mut self, ctx: &mut HookCtx<'_>, op: &MemOp) -> HookAction {
         let core = ctx.core().0;
+        let class = self.classes.of_pc(op.pc);
         match op.kind {
-            MemAccessKind::Store if self.plan.ssb_stores.contains(&op.pc) => {
+            MemAccessKind::Store if class & SSB_STORE != 0 => {
                 self.buffers[core].put(op.addr, op.size, op.store_value.unwrap_or(0));
                 self.stats.buffered_stores += 1;
                 let mut extra = self.costs.store;
@@ -164,7 +248,7 @@ impl ExecHook for SsbHook {
                     extra_cycles: extra,
                 }
             }
-            MemAccessKind::Load if self.plan.ssb_loads.contains(&op.pc) => {
+            MemAccessKind::Load if class & SSB_LOAD != 0 => {
                 let mut extra = self.costs.load;
                 let value = match self.buffers[core].lookup(op.addr, op.size) {
                     SsbLookup::Hit(v) => {
@@ -189,7 +273,7 @@ impl ExecHook for SsbHook {
                     extra_cycles: extra,
                 }
             }
-            MemAccessKind::Load if self.plan.speculative_loads.contains(&op.pc) => {
+            MemAccessKind::Load if class & SPECULATIVE_LOAD != 0 => {
                 // Runtime aliasing check: if the speculation fails (the load
                 // address overlaps a buffered store) the SSB is flushed and the
                 // load proceeds against memory.
@@ -233,16 +317,10 @@ mod tests {
     use super::*;
     use laser_isa::inst::{Operand, Reg};
     use laser_isa::ProgramBuilder;
-    use laser_machine::{Machine, MachineConfig, ThreadSpec, WorkloadImage};
+    use laser_machine::{MachineConfig, ThreadSpec, WorkloadImage};
 
-    /// Read the SSB statistics back out of the machine's attached hook — the
-    /// owned-stats replacement for the old shared `Rc<RefCell<..>>` handle.
     fn ssb_stats(m: &Machine) -> SsbStats {
-        m.hook()
-            .and_then(|h| h.as_any())
-            .and_then(|a| a.downcast_ref::<SsbHook>())
-            .map(|h| h.stats())
-            .expect("SsbHook attached")
+        SsbHook::attached_to(m).expect("SsbHook attached").stats()
     }
 
     /// Two threads false-sharing one line through a counted loop. Returns the
@@ -373,5 +451,62 @@ mod tests {
         assert!(s.preemptive_flushes > 0);
         // Every flush stayed within transaction capacity or fell back safely.
         assert_eq!(s.flushes, s.htm_flushes + s.fallback_flushes);
+    }
+
+    /// A load PC in both load sets is an SSB load: the alias check is for
+    /// loads that may skip the buffer, and this one must not.
+    #[test]
+    fn a_load_in_both_load_sets_consults_the_ssb() {
+        let (image, store_pc, _) = fs_image(200);
+        let mut plan = RepairPlan::analyze(image.program(), &[store_pc], 4.0, 12).unwrap();
+        assert_eq!(plan.ssb_loads.len(), 1);
+        plan.speculative_loads = plan.ssb_loads.clone();
+        let mut m = Machine::new(MachineConfig::default(), &image);
+        m.attach_hook(Box::new(SsbHook::new(plan, 4)));
+        m.run_to_completion().unwrap();
+        let s = ssb_stats(&m);
+        assert_eq!(s.speculative_checks, 0);
+        assert_eq!(s.ssb_load_hits + s.ssb_load_misses, 2 * 200);
+    }
+
+    /// The PC table against the three sets it was built from: on the plans
+    /// real sessions attach, and on doctored ones (PCs in several sets, sets
+    /// at the program's two ends, no PCs at all), every PC from 8 bytes under
+    /// the program to 8 bytes past it — unaligned ones included — and a few
+    /// far outside classifies as the sets' `contains` say.
+    #[test]
+    fn the_pc_table_classifies_like_the_plans_sets() {
+        for case in super::super::tests::repaired_cases() {
+            let program = case.image.program();
+            let (base, end) = (program.base_pc(), program.end_pc());
+            let mut overlapping = case.plan.clone();
+            overlapping.ssb_loads.extend(&case.plan.ssb_stores);
+            overlapping.speculative_loads.extend(&case.plan.ssb_loads);
+            let mut ends = case.plan.clone();
+            ends.ssb_stores = [base].into();
+            ends.ssb_loads.clear();
+            ends.speculative_loads = [base, end - INST_BYTES].into();
+            let mut empty = case.plan.clone();
+            empty.ssb_stores.clear();
+            empty.ssb_loads.clear();
+            empty.speculative_loads.clear();
+            for plan in [&case.plan, &overlapping, &ends, &empty] {
+                let classes = PcClasses::of(plan);
+                let far = [0, 1, INST_BYTES, u64::MAX, u64::MAX - INST_BYTES + 1];
+                for pc in (base - 8..=end + 8).chain(far) {
+                    let mut expected = 0;
+                    for (set, bit) in [
+                        (&plan.ssb_stores, SSB_STORE),
+                        (&plan.ssb_loads, SSB_LOAD),
+                        (&plan.speculative_loads, SPECULATIVE_LOAD),
+                    ] {
+                        if set.contains(&pc) {
+                            expected |= bit;
+                        }
+                    }
+                    assert_eq!(classes.of_pc(pc), expected, "{}: pc {pc:#x}", case.what);
+                }
+            }
+        }
     }
 }

@@ -19,3 +19,6 @@ pub mod ssb;
 pub use hook::{SsbCosts, SsbHook, SsbStats, PREEMPTIVE_FLUSH_ENTRIES};
 pub use plan::RepairPlan;
 pub use ssb::{SoftwareStoreBuffer, SsbLookup};
+
+#[cfg(test)]
+mod tests;

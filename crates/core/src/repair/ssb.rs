@@ -7,9 +7,15 @@
 //! words. A flush drains the buffer to shared memory; because coalescing can
 //! reorder stores, the flush must be made visible atomically (the hook does it
 //! inside a hardware transaction) to preserve TSO.
+//!
+//! The buffer works on words, not bytes: an access of up to 8 bytes reaches
+//! at most two words, so `put` / `lookup` / `merge` place it in the 128-bit
+//! window of those two and combine each half with masks and shifts. The slots
+//! live in one vector in first-touch order and are found by a linear scan:
+//! the hook flushes pre-emptively at nine words, and the scan stays correct
+//! at any size.
 
-use laser_machine::fasthash::FastHashMap;
-use laser_machine::{line_of, Addr};
+use laser_machine::Addr;
 
 /// Result of a buffer lookup for a load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,20 +29,48 @@ pub enum SsbLookup {
     Partial,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// One buffered word: its 8-aligned address, its data as a little-endian
+/// `u64` (byte `i` of the word is bits `8i..8i + 8`) and, in the same
+/// positions, `0xff` for every byte that holds buffered data.
+#[derive(Debug, Clone, Copy)]
 struct WordEntry {
-    bytes: [u8; 8],
-    valid: u8,
+    key: Addr,
+    data: u64,
+    valid: u64,
+}
+
+/// A bit mask over the low `bytes` bytes of a word.
+fn low_bytes(bytes: u32) -> u64 {
+    if bytes >= 8 {
+        u64::MAX
+    } else {
+        (1 << (8 * bytes)) - 1
+    }
+}
+
+/// The two words `[addr, addr + size)` can reach — the one holding `addr` and
+/// the one after it, which for an access that wraps the address space is
+/// word 0 — each with the access's bytes as a bit mask over it (0 for a word
+/// the access does not reach), and the bit offset of `addr` in the first: the
+/// access is its value shifted left by that much in the 128-bit window the
+/// two words make.
+fn window(addr: Addr, size: u8) -> ([(Addr, u64); 2], u32) {
+    let shift = 8 * (addr & 7) as u32;
+    let bits = (low_bytes(size as u32) as u128) << shift;
+    let key = addr & !7;
+    let words = [
+        (key, bits as u64),
+        (key.wrapping_add(8), (bits >> 64) as u64),
+    ];
+    (words, shift)
 }
 
 /// A thread-private coalescing software store buffer.
 #[derive(Debug, Default)]
 pub struct SoftwareStoreBuffer {
-    // Hot per-store path: deterministic fast hashing, never iterated (drains
-    // walk the separate first-touch `order` list).
-    words: FastHashMap<Addr, WordEntry>,
-    order: Vec<Addr>,
-    total_buffered_stores: u64,
+    /// The buffered words in first-touch order, which is the order a flush
+    /// drains them in.
+    words: Vec<WordEntry>,
 }
 
 impl SoftwareStoreBuffer {
@@ -57,65 +91,58 @@ impl SoftwareStoreBuffer {
         self.words.is_empty()
     }
 
-    /// Number of distinct cache lines the buffered words span.
-    pub fn distinct_lines(&self) -> usize {
-        let mut lines: Vec<Addr> = self.order.iter().map(|&w| line_of(w)).collect();
-        lines.sort_unstable();
-        lines.dedup();
-        lines.len()
-    }
-
-    /// Total stores ever buffered (for statistics).
-    pub fn total_buffered_stores(&self) -> u64 {
-        self.total_buffered_stores
-    }
-
-    fn word_key(addr: Addr) -> Addr {
-        addr & !7
-    }
-
-    /// Buffer a store of `size` bytes (1..=8) of `value` at `addr`.
+    /// Buffer a store of `size` bytes (1..=8) of `value` at `addr`. A store
+    /// that wraps the address space buffers its top-word and word-0 pieces.
     ///
     /// # Panics
     /// Panics if `size` is 0 or greater than 8.
     pub fn put(&mut self, addr: Addr, size: u8, value: u64) {
         assert!((1..=8).contains(&size), "store size must be 1..=8");
-        self.total_buffered_stores += 1;
-        for i in 0..size as u64 {
-            let byte_addr = addr + i;
-            let key = Self::word_key(byte_addr);
-            let off = (byte_addr - key) as usize;
-            let entry = self.words.entry(key).or_insert_with(|| {
-                // Track first-touch order so flushes are reproducible.
-                WordEntry::default()
-            });
-            if entry.valid == 0 && !self.order.contains(&key) {
-                self.order.push(key);
+        let (words, shift) = window(addr, size);
+        let value = (value as u128) << shift;
+        for ((key, bits), data) in words.into_iter().zip([value as u64, (value >> 64) as u64]) {
+            if bits == 0 {
+                continue;
             }
-            entry.bytes[off] = (value >> (8 * i)) as u8;
-            entry.valid |= 1 << off;
+            let data = data & bits;
+            match self.words.iter_mut().find(|w| w.key == key) {
+                Some(word) => {
+                    word.data = (word.data & !bits) | data;
+                    word.valid |= bits;
+                }
+                None => self.words.push(WordEntry {
+                    key,
+                    data,
+                    valid: bits,
+                }),
+            }
         }
+    }
+
+    /// The buffered bytes of `[addr, addr + size)`, positioned as in the
+    /// access's value: which bits are buffered, and those bits.
+    fn buffered(&self, addr: Addr, size: u8) -> (u64, u64) {
+        let (words, shift) = window(addr, size);
+        let (mut have, mut value) = (0u128, 0u128);
+        for (half, (key, bits)) in words.into_iter().enumerate() {
+            if bits == 0 {
+                continue;
+            }
+            if let Some(word) = self.words.iter().find(|w| w.key == key) {
+                have |= ((word.valid & bits) as u128) << (64 * half);
+                value |= ((word.data & word.valid & bits) as u128) << (64 * half);
+            }
+        }
+        ((have >> shift) as u64, (value >> shift) as u64)
     }
 
     /// Look up a load of `size` bytes at `addr`.
     pub fn lookup(&self, addr: Addr, size: u8) -> SsbLookup {
         assert!((1..=8).contains(&size), "load size must be 1..=8");
-        let mut have = 0u32;
-        let mut value = 0u64;
-        for i in 0..size as u64 {
-            let byte_addr = addr + i;
-            let key = Self::word_key(byte_addr);
-            let off = (byte_addr - key) as usize;
-            if let Some(e) = self.words.get(&key) {
-                if e.valid & (1 << off) != 0 {
-                    have += 1;
-                    value |= (e.bytes[off] as u64) << (8 * i);
-                }
-            }
-        }
+        let (have, value) = self.buffered(addr, size);
         if have == 0 {
             SsbLookup::Miss
-        } else if have == size as u32 {
+        } else if have == low_bytes(size as u32) {
             SsbLookup::Hit(value)
         } else {
             SsbLookup::Partial
@@ -125,54 +152,32 @@ impl SoftwareStoreBuffer {
     /// Overlay any buffered bytes of `[addr, addr+size)` onto `memory_value`
     /// (the value just read from shared memory) and return the merged value.
     pub fn merge(&self, addr: Addr, size: u8, memory_value: u64) -> u64 {
-        let mut value = memory_value;
-        for i in 0..size as u64 {
-            let byte_addr = addr + i;
-            let key = Self::word_key(byte_addr);
-            let off = (byte_addr - key) as usize;
-            if let Some(e) = self.words.get(&key) {
-                if e.valid & (1 << off) != 0 {
-                    value &= !(0xffu64 << (8 * i));
-                    value |= (e.bytes[off] as u64) << (8 * i);
-                }
-            }
-        }
-        value
+        let (have, value) = self.buffered(addr, size);
+        (memory_value & !have) | value
     }
 
     /// True if any byte of `[addr, addr+size)` is buffered (used by the
     /// speculative-alias runtime check).
     pub fn overlaps(&self, addr: Addr, size: u8) -> bool {
-        !matches!(self.lookup(addr, size.clamp(1, 8)), SsbLookup::Miss)
+        self.buffered(addr, size.clamp(1, 8)).0 != 0
     }
 
     /// Drain the buffer into a list of `(addr, size, value)` writes, one per
     /// contiguous valid byte run, in first-buffered order. The buffer is empty
     /// afterwards.
     pub fn drain_writes(&mut self) -> Vec<(Addr, u8, u64)> {
-        let mut out = Vec::new();
-        for key in std::mem::take(&mut self.order) {
-            let Some(entry) = self.words.remove(&key) else {
-                continue;
-            };
-            let mut i = 0usize;
-            while i < 8 {
-                if entry.valid & (1 << i) == 0 {
-                    i += 1;
-                    continue;
-                }
-                let start = i;
-                let mut value = 0u64;
-                let mut len = 0u8;
-                while i < 8 && entry.valid & (1 << i) != 0 {
-                    value |= (entry.bytes[i] as u64) << (8 * len);
-                    len += 1;
-                    i += 1;
-                }
-                out.push((key + start as u64, len, value));
+        let mut out = Vec::with_capacity(self.words.len());
+        for word in self.words.drain(..) {
+            let mut valid = word.valid;
+            while valid != 0 {
+                let start = valid.trailing_zeros();
+                let len = (valid >> start).trailing_ones() / 8;
+                let run = low_bytes(len) << start;
+                let addr = word.key + (start / 8) as u64;
+                out.push((addr, len as u8, (word.data & run) >> start));
+                valid &= !run;
             }
         }
-        self.words.clear();
         out
     }
 }
@@ -190,7 +195,6 @@ mod tests {
         assert_eq!(ssb.lookup(0x1000, 4), SsbLookup::Hit(0xcafe_f00d));
         assert_eq!(ssb.lookup(0x1004, 4), SsbLookup::Hit(0xdead_beef));
         assert_eq!(ssb.len(), 1);
-        assert_eq!(ssb.total_buffered_stores(), 1);
     }
 
     #[test]
@@ -231,15 +235,38 @@ mod tests {
     }
 
     #[test]
-    fn distinct_lines_counts_cache_lines() {
+    fn len_counts_distinct_words() {
         let mut ssb = SoftwareStoreBuffer::new();
         ssb.put(0x1000, 8, 1);
         ssb.put(0x1008, 8, 2); // same line
         ssb.put(0x1040, 8, 3); // next line
+        ssb.put(0x1044, 2, 4); // same word
         assert_eq!(ssb.len(), 3);
-        assert_eq!(ssb.distinct_lines(), 2);
         assert!(ssb.overlaps(0x1008, 8));
         assert!(!ssb.overlaps(0x2000, 8));
+    }
+
+    /// A store that wraps the address space buffers the top word's piece and
+    /// word 0's, and drains them as two runs. (It used to overflow `addr + i`:
+    /// a panic in a debug build, a silent wrap in a release one.)
+    #[test]
+    fn a_store_that_wraps_the_address_space_buffers_both_its_words() {
+        let mut ssb = SoftwareStoreBuffer::new();
+        let addr = u64::MAX - 3;
+        ssb.put(addr, 8, 0x1122_3344_5566_7788);
+        assert_eq!(ssb.len(), 2);
+        assert_eq!(ssb.lookup(addr, 8), SsbLookup::Hit(0x1122_3344_5566_7788));
+        assert_eq!(ssb.lookup(u64::MAX, 2), SsbLookup::Hit(0x4455));
+        assert_eq!(ssb.lookup(0, 4), SsbLookup::Hit(0x1122_3344));
+        assert_eq!(ssb.lookup(2, 4), SsbLookup::Partial);
+        assert_eq!(ssb.merge(2, 4, 0xaaaa_bbbb), 0xaaaa_1122);
+        assert!(ssb.overlaps(u64::MAX, 1));
+        assert!(!ssb.overlaps(4, 8));
+        assert_eq!(
+            ssb.drain_writes(),
+            vec![(addr, 4, 0x5566_7788), (0, 4, 0x1122_3344)]
+        );
+        assert!(ssb.is_empty());
     }
 
     #[test]

@@ -833,12 +833,7 @@ impl LaserSession {
 
         if let Some(summary) = app.repair.as_mut() {
             // The hook owns its statistics; read them back out of the machine.
-            if let Some(ssb) = app
-                .machine
-                .hook()
-                .and_then(|h| h.as_any())
-                .and_then(|a| a.downcast_ref::<SsbHook>())
-            {
+            if let Some(ssb) = SsbHook::attached_to(&app.machine) {
                 summary.stats = ssb.stats();
             }
         }

@@ -8,6 +8,11 @@
 //! (buffering a store, returning a buffered value for a load), charging
 //! whatever extra cycles the instrumentation costs. Hooks are also notified at
 //! fences, block entries (where flushes are placed) and thread exit.
+//!
+//! A hook may also tell the machine what it will *not* do — the run-ahead
+//! contract of [`ExecHook::cost_floor`] and
+//! [`ExecHook::block_entry_is_inert`] — so that a hooked machine can retire
+//! register-only instructions ahead of the scheduler like an un-hooked one.
 
 use laser_isa::program::{BlockId, Pc};
 
@@ -122,6 +127,32 @@ impl HookCtx<'_> {
 /// All methods have default no-op implementations so tools only override the
 /// interception points they need.
 ///
+/// # The run-ahead contract
+///
+/// [`Machine::run_steps`](crate::Machine::run_steps) retires instructions
+/// that no other core can observe ahead of the scheduler, inside a clock
+/// horizon computed from the least any instruction can cost. Two things a
+/// hook is free to do would break that — service an operation for fewer
+/// cycles than the machine's own cheapest instruction, and act on a block
+/// entry (which must then reach it in global order) — so the machine assumes
+/// both unless the hook promises otherwise:
+///
+/// * [`cost_floor`](ExecHook::cost_floor): the least `extra_cycles` of any
+///   [`HookAction::Handled`] it returns. The default `0` promises nothing,
+///   and the machine then dispatches every instruction in order, one at a
+///   time.
+/// * [`block_entry_is_inert`](ExecHook::block_entry_is_inert): the blocks
+///   whose entry the hook ignores. The default is none; every other entry is
+///   dispatched to the hook in order like a memory operation, and inert ones
+///   are not dispatched at all while the machine runs ahead.
+///
+/// The machine reads both **once, in
+/// [`attach_hook`](crate::Machine::attach_hook)**, so the answers must not
+/// change while the hook is attached. They change *when* the machine calls
+/// the hook's no-ops, never what a run produces: a hook that keeps its
+/// promises sees the same operations, in the same order and at the same
+/// [`HookCtx::now`], as under per-instruction dispatch.
+///
 /// Hooks are required to be `Send` (they own their state outright — no
 /// `Rc`/`RefCell` sharing with the outside), so a machine with a hook
 /// attached remains a self-contained value that can move across threads;
@@ -133,6 +164,22 @@ pub trait ExecHook: Send {
     /// carry no queryable state can keep the `None` default.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
+    }
+
+    /// The least cycles any operation this hook services
+    /// ([`HookAction::Handled`]) is charged. `0` — the default — is no
+    /// promise: the machine dispatches per instruction. A hook that never
+    /// services anything may return `u64::MAX`. See the trait docs.
+    fn cost_floor(&self) -> u64 {
+        0
+    }
+
+    /// Whether [`on_block_entry`](ExecHook::on_block_entry) for `block`
+    /// always returns 0 and does nothing, so the machine may skip the call.
+    /// The default is `false` for every block. See the trait docs.
+    fn block_entry_is_inert(&self, block: BlockId) -> bool {
+        let _ = block;
+        false
     }
 
     /// Called before every memory operation. Returning
@@ -163,11 +210,21 @@ pub trait ExecHook: Send {
     }
 }
 
-/// A hook that does nothing; useful as a baseline in tests.
+/// A hook that does nothing, and says so: it services no operation and every
+/// block entry is inert, so a machine carrying it runs ahead exactly like an
+/// un-hooked one. Useful as a baseline in tests.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullHook;
 
-impl ExecHook for NullHook {}
+impl ExecHook for NullHook {
+    fn cost_floor(&self) -> u64 {
+        u64::MAX
+    }
+
+    fn block_entry_is_inert(&self, _block: BlockId) -> bool {
+        true
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -175,8 +232,8 @@ mod tests {
 
     #[test]
     fn default_hook_methods_are_noops() {
-        // NullHook relies entirely on default methods; construct a dummy ctx
-        // indirectly by checking the action variants only.
+        // The interception points need a machine to call them; here only the
+        // plain values they exchange.
         let action = HookAction::Handled {
             load_value: Some(7),
             extra_cycles: 3,
@@ -190,5 +247,15 @@ mod tests {
             store_value: None,
         };
         assert_eq!(op.kind, MemAccessKind::Load);
+    }
+
+    #[test]
+    fn an_undeclared_hook_promises_nothing_and_the_null_hook_everything() {
+        struct Undeclared;
+        impl ExecHook for Undeclared {}
+        assert_eq!(Undeclared.cost_floor(), 0);
+        assert!(!Undeclared.block_entry_is_inert(BlockId(0)));
+        assert_eq!(NullHook.cost_floor(), u64::MAX);
+        assert!(NullHook.block_entry_is_inert(BlockId(0)));
     }
 }

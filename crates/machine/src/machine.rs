@@ -411,6 +411,12 @@ impl Machine {
         self.inner.mem.read(addr, 8)
     }
 
+    /// The simulated memory as it stands (two machines that performed the
+    /// same writes compare equal).
+    pub fn memory(&self) -> &SparseMemory {
+        &self.inner.mem
+    }
+
     /// Snapshot the result so far.
     pub fn result(&self) -> RunResult {
         RunResult {

@@ -14,13 +14,16 @@
 //!   their own thread's registers and position and their own core's clock;
 //!   no other core can observe when they ran. *Active* ones (`Load`, `Store`,
 //!   `MemRmw`, `AtomicRmw`, `Fence`, `Halt`) touch memory, the coherence
-//!   directory, the statistics, the HITM queue or the scheduler's keys.
-//!   Register-only semantics live in [`Machine::exec_register_only`] and
-//!   [`Machine::next_block`], once, for both paths below.
-//! * **Horizon-bounded run-ahead over parked cores** (no hook attached): a
-//!   *round* picks a clock horizon `H` and executes exactly the instructions
-//!   whose pre-clock is `< H` — a prefix of the per-instruction order, which
-//!   is sorted by key.
+//!   directory, the statistics, the HITM queue or the scheduler's keys — and
+//!   are where an attached hook is called. With a hook attached, a `Jump` or
+//!   `Branch` into a block whose entry the hook acts on (an *active block
+//!   entry*, see below) is active too. Register-only semantics live in
+//!   [`Machine::exec_register_only`] and [`Machine::next_block`], once, for
+//!   both paths below.
+//! * **Horizon-bounded run-ahead over parked cores**: a *round* picks a
+//!   clock horizon `H` and executes exactly the instructions whose pre-clock
+//!   is `< H` — a prefix of the per-instruction order, which is sorted by
+//!   key.
 //!   - *The invariant.* Inside a round every core in the
 //!     [`CoreSched`](super::sched::CoreSched) heap is **parked**: its clock
 //!     is the pre-clock of its front thread's next active instruction, or is
@@ -51,16 +54,39 @@
 //!     prefix, then a reposition — before it takes the next root. A core
 //!     whose last thread halted has left the heap.
 //!   - *The budget.* `H` is `min_clock + (left / live_cores) × floor`, where
-//!     `floor ≥ 1` is the least any instruction costs, so each live core
-//!     retires at most `left / live_cores` instructions and a round cannot
-//!     overshoot the `left` steps still owed. Rounds repeat until fewer than
-//!     8 steps per live core are owed; that short tail is plain `step()`.
-//! * With a hook attached every instruction is dispatched in order through
-//!   `step()`: a hook may service an operation at zero cost, so the bound
-//!   above does not hold, and block entries must reach the hook in order.
-//!   The no-hook path in `step()` is a single branch per dispatch site
-//!   (`self.hook.is_attached()`); hook argument marshalling only happens on
-//!   the hooked path.
+//!     the *round floor* `floor ≥ 1` is the least any instruction costs, so
+//!     each live core retires at most `left / live_cores` instructions and a
+//!     round cannot overshoot the `left` steps still owed. Rounds repeat
+//!     until fewer than 8 steps per live core are owed; that short tail is
+//!     plain `step()`.
+//! * **A hooked machine runs ahead inside what its hook declares** (the
+//!   run-ahead contract of [`ExecHook`](crate::hook::ExecHook), read once
+//!   when the hook is attached).
+//!   - *The round floor* is the lower of the machine's own floor and the
+//!     hook's [`cost_floor`](crate::hook::ExecHook::cost_floor): the least it
+//!     charges for an operation it services. Everything else the hook is
+//!     called for already costs a fence, an L1 hit or a branch on top of
+//!     what it adds. A hook that declares nothing has floor 0, which bounds
+//!     no round: every instruction is then dispatched in order through
+//!     `step()`, as for any hook before the contract existed.
+//!   - *Active block entries.* The entries the hook did not declare inert
+//!     must reach it in the global order, at the right
+//!     [`HookCtx::now`](crate::hook::HookCtx::now). The register-only loop
+//!     computes a terminator's target and stops *in front of the terminator*
+//!     when that entry is active: the core is parked at the entry's
+//!     pre-clock. The round loop takes the transition at the root — the
+//!     branch cost plus whatever the hook charges — like any other active
+//!     instruction. Inert entries are not dispatched at all; the flags sit
+//!     in a per-block table, so the inner loop pays an index on block
+//!     transitions and never a `dyn` call.
+//!   - *Why it is exact.* The hook is called for exactly the operations
+//!     `step()` calls it for, less the entries it declared to be no-ops, in
+//!     the same `(pre-clock, thread index)` order and with the same `now`;
+//!     what runs ahead is what never reached it.
+//!   - *Without a hook* every dispatch site is a single branch
+//!     (`self.hook.is_attached()`) and the table is empty, so the lookup on
+//!     a block transition is one compare against its length; hook argument
+//!     marshalling only happens on the hooked path.
 
 use laser_isa::inst::{Inst, MemAddr, Operand, RmwOp, Terminator, NUM_REGS};
 use laser_isa::program::{BlockId, Pc};
@@ -97,11 +123,7 @@ impl Machine {
     /// per-instruction one, whatever `n` is. Returns [`RunStatus::Done`]
     /// once all threads have halted.
     pub fn run_steps(&mut self, n: u64) -> RunStatus {
-        let tail = if self.hook.is_attached() {
-            n
-        } else {
-            self.run_ahead(n)
-        };
+        let tail = self.run_ahead(n);
         for _ in 0..tail {
             if !self.step() {
                 break;
@@ -151,9 +173,17 @@ impl Machine {
 
     /// Execute whole run-ahead rounds out of a budget of `left` steps and
     /// return the steps still owed (fewer than
-    /// [`MIN_ROUND_STEPS_PER_CORE`] per live core, or anything once every
-    /// thread has halted).
+    /// [`MIN_ROUND_STEPS_PER_CORE`] per live core, anything once every
+    /// thread has halted, or all of them under a hook with no cost floor).
     fn run_ahead(&mut self, mut left: u64) -> u64 {
+        // The round floor: the least any instruction costs, whether the
+        // machine or the attached hook services it. A hook that promises
+        // nothing (floor 0) gives no horizon to run up to: every instruction
+        // is then dispatched in order.
+        let floor = self.hot.floor.min(self.hook.cost_floor);
+        if floor == 0 {
+            return left;
+        }
         while let Some(root) = self.sched.root() {
             let live = self.sched.live_cores() as u64;
             if left < MIN_ROUND_STEPS_PER_CORE * live {
@@ -164,7 +194,7 @@ impl Machine {
             // instructions before its clock reaches the horizon. Saturation
             // only lowers the horizon.
             let horizon =
-                self.core_cycles[root].saturating_add((left / live).saturating_mul(self.hot.floor));
+                self.core_cycles[root].saturating_add((left / live).saturating_mul(floor));
             let done = self.run_to_horizon(horizon);
             debug_assert!(done <= left, "a round overshot its budget");
             left -= done;
@@ -208,26 +238,39 @@ impl Machine {
             self.inner.stats.instructions += 1;
             let thread = &self.threads[ti];
             let blk = self.decoded.block(thread.block);
-            match blk.insts().get(thread.idx) {
+            let cost = match blk.insts().get(thread.idx) {
                 Some(&fetched) => {
                     let cost = self.exec_active(ti, core, now, fetched.inst, fetched.pc);
                     self.threads[ti].idx += 1;
-                    self.core_cycles[core] += cost;
-                    self.run_register_only(ti, core, horizon);
-                    self.sched.reposition(&self.core_cycles, core);
+                    cost
                 }
-                None => {
-                    debug_assert!(
-                        matches!(blk.term(), Terminator::Halt),
-                        "a parked core below the horizon sits at an active instruction"
-                    );
-                    // The halt moved the core's cursor: its new front thread
-                    // has not run up to its first active instruction yet.
-                    if let Some(next) = self.halt(ti, core, now) {
-                        self.park(next, core, horizon);
+                None => match Self::next_block(&thread.regs, blk.term()) {
+                    // The register-only loop stops in front of a jump or
+                    // branch only when it enters a block the hook acts on.
+                    Some(target) => {
+                        debug_assert!(
+                            self.hook.active_entry.get(target.0 as usize) == Some(&true),
+                            "a parked core below the horizon sits at an active instruction"
+                        );
+                        let thread = &mut self.threads[ti];
+                        thread.block = target;
+                        thread.idx = 0;
+                        self.hot.branch + self.hook_block_entry(core, now, target)
                     }
-                }
-            }
+                    None => {
+                        // The halt moved the core's cursor: its new front
+                        // thread has not run up to its first active
+                        // instruction yet.
+                        if let Some(next) = self.halt(ti, core, now) {
+                            self.park(next, core, horizon);
+                        }
+                        continue;
+                    }
+                },
+            };
+            self.core_cycles[core] += cost;
+            self.run_register_only(ti, core, horizon);
+            self.sched.reposition(&self.core_cycles, core);
         }
         self.steps - before
     }
@@ -248,11 +291,13 @@ impl Machine {
     /// The run-ahead inner loop: retire register-only instructions of thread
     /// `ti` (the front thread of `core`) while the core's clock is below
     /// `horizon`, with no scheduler maintenance — the caller repositions the
-    /// core once. It stops in front of an active instruction or at the
-    /// horizon, which is to say it leaves the core parked.
+    /// core once. It stops in front of an active instruction (a terminator
+    /// into an active block entry included) or at the horizon, which is to
+    /// say it leaves the core parked.
     #[inline(always)]
     fn run_register_only(&mut self, ti: usize, core: usize, horizon: u64) {
         let lat = self.hot;
+        let active_entry = self.hook.active_entry.as_slice();
         let thread = &mut self.threads[ti];
         let mut blk = self.decoded.block(thread.block);
         let mut idx = thread.idx;
@@ -272,6 +317,11 @@ impl Machine {
                     let Some(target) = Self::next_block(&thread.regs, blk.term()) else {
                         break;
                     };
+                    // An entry the hook acts on is dispatched in order, at
+                    // the root: stop in front of the terminator.
+                    if active_entry.get(target.0 as usize) == Some(&true) {
+                        break;
+                    }
                     thread.block = target;
                     blk = self.decoded.block(target);
                     idx = 0;

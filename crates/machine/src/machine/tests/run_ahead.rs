@@ -11,18 +11,31 @@
 //! threads in one round, quanta at the edge of the round threshold, a horizon
 //! landing exactly on an active instruction, charges that reorder parked
 //! cores between quanta, cores levelled to one clock, and accesses that wrap
-//! the address space. CHANGES.md lists the mutants of the round loop each of
-//! which fails it.
+//! the address space.
+//!
+//! Hooked machines run ahead too, inside what their hook declares (the
+//! run-ahead contract of [`ExecHook`]). [`MiniSsb`] — a software store buffer
+//! in miniature that declares a cost floor and its inert block entries, and
+//! folds every callback it receives into a log — is driven through the same
+//! lock-step over the generated programs, the seam images and the registry,
+//! and aimed at the seams a hook adds: a branch whose successors differ in
+//! inert-ness, an active block entry exactly at the horizon or first on a
+//! new front thread, a declared floor below the machine's own, hooks swapped
+//! between quanta. `FreeLine` declares nothing and must still be dispatched
+//! per instruction; `NullHook` declares everything and must run like no hook
+//! at all. CHANGES.md lists the mutants of the round loop each of which
+//! fails this suite.
 //!
 //! Every test here has `run_ahead` in its path, so
 //! `cargo test --release -p laser-machine run_ahead` runs the suite at its
 //! full program count; a debug build keeps a reduced count.
 
 use laser_isa::inst::{AluOp, CmpOp, Inst, MemAddr, Operand, Reg, RmwOp};
+use laser_isa::program::{BlockId, Pc};
 use laser_isa::ProgramBuilder;
 
-use crate::addr::crosses_line;
-use crate::hook::{ExecHook, HookAction, HookCtx, MemOp};
+use crate::addr::{crosses_line, line_of};
+use crate::hook::{ExecHook, HookAction, HookCtx, MemOp, NullHook};
 use crate::image::ThreadSpec;
 use crate::machine::sched::tests::XorShift;
 use crate::machine::*;
@@ -48,6 +61,11 @@ fn assert_same_state(fast: &Machine, slow: &Machine, what: &str, quantum: usize)
         "{what} q{quantum}: core clocks"
     );
     assert_eq!(fast.stats(), slow.stats(), "{what} q{quantum}: stats");
+    assert_eq!(
+        MiniSsb::log_of(fast),
+        MiniSsb::log_of(slow),
+        "{what} q{quantum}: what the hook was called with"
+    );
     for (ti, (f, s)) in fast.threads.iter().zip(&slow.threads).enumerate() {
         assert_eq!(
             (f.block, f.idx, f.halted),
@@ -95,17 +113,18 @@ fn charge_both(rng: &mut XorShift, fast: &mut Machine, slow: &mut Machine) {
 }
 
 /// Run `fast` through `run_quantum` and `slow` through the reference loop
-/// until both finish (or pass [`STEP_CAP`]), comparing after every quantum
+/// until both finish (or pass `cap` steps), comparing after every quantum
 /// and the whole memory at the end. Before each quantum `plan` may charge
 /// both machines and names the quantum's size; `seen` is shown every HITM
-/// batch.
-fn run_lockstep_by(
+/// batch. Returns the two machines as they ended.
+fn run_lockstep_capped(
     mut fast: Machine,
     mut slow: Machine,
     what: &str,
+    cap: u64,
     mut plan: impl FnMut(&mut Machine, &mut Machine) -> u64,
     mut seen: impl FnMut(&[HitmEvent]),
-) {
+) -> (Machine, Machine) {
     assert_same_state(&fast, &slow, what, 0);
     for quantum in 1.. {
         let n = plan(&mut fast, &mut slow);
@@ -119,7 +138,7 @@ fn run_lockstep_by(
         );
         assert_same_state(&fast, &slow, what, quantum);
         seen(&yielded.events);
-        if status == RunStatus::Done || fast.steps() >= STEP_CAP {
+        if status == RunStatus::Done || fast.steps() >= cap {
             break;
         }
     }
@@ -127,6 +146,18 @@ fn run_lockstep_by(
         fast.inner.mem == slow.inner.mem,
         "{what}: final memory differs"
     );
+    (fast, slow)
+}
+
+/// [`run_lockstep_capped`] at [`STEP_CAP`].
+fn run_lockstep_by(
+    fast: Machine,
+    slow: Machine,
+    what: &str,
+    plan: impl FnMut(&mut Machine, &mut Machine) -> u64,
+    seen: impl FnMut(&[HitmEvent]),
+) -> (Machine, Machine) {
+    run_lockstep_capped(fast, slow, what, STEP_CAP, plan, seen)
 }
 
 /// A plan for [`run_lockstep_by`]: quanta drawn from `1..=max_quantum` and a
@@ -142,8 +173,14 @@ fn seeded_plan(seed: u64, max_quantum: u64) -> impl FnMut(&mut Machine, &mut Mac
     }
 }
 
-fn run_lockstep(fast: Machine, slow: Machine, seed: u64, max_quantum: u64, what: &str) {
-    run_lockstep_by(fast, slow, what, seeded_plan(seed, max_quantum), |_| {});
+fn run_lockstep(
+    fast: Machine,
+    slow: Machine,
+    seed: u64,
+    max_quantum: u64,
+    what: &str,
+) -> (Machine, Machine) {
+    run_lockstep_by(fast, slow, what, seeded_plan(seed, max_quantum), |_| {})
 }
 
 /// Seeded quantum ceiling: small, medium and session-sized schedules.
@@ -714,12 +751,18 @@ fn seam_lockstep(image: &WorkloadImage, cores: usize, what: &str) {
         num_cores: cores,
         ..Default::default()
     };
+    seam_lockstep_of(|| Machine::new(config.clone(), image), what);
+}
+
+/// Drive two machines from `machine` through every quantum size and every
+/// charge plan.
+fn seam_lockstep_of(machine: impl Fn() -> Machine, what: &str) {
     for quanta in Quanta::ALL {
         for charges in Charges::ALL {
             let mut quantum = 0usize;
             run_lockstep_by(
-                Machine::new(config.clone(), image),
-                Machine::new(config.clone(), image),
+                machine(),
+                machine(),
                 &format!("{what}, {quanta:?}, {charges:?}"),
                 |fast, slow| {
                     quantum += 1;
@@ -940,7 +983,10 @@ fn registry_image(
     image
 }
 
-fn registry_agrees_on(topology: TopologySpec) {
+/// Every registry workload on `topology`, un-hooked or — with `hooked` —
+/// under a [`MiniSsb`] that buffers an eighth of all lines and flushes at
+/// every third block.
+fn registry_agrees_on(topology: TopologySpec, hooked: bool) {
     let placement = if topology == TopologySpec::Flat {
         ThreadPlacement::Packed
     } else {
@@ -949,28 +995,52 @@ fn registry_agrees_on(topology: TopologySpec) {
     let config = MachineConfig::for_topology(topology);
     for (i, spec) in laser_workloads::registry().iter().enumerate() {
         let image = registry_image(spec, 4 * topology.sockets(), placement);
-        lockstep_from_image(
-            &image,
-            &config,
-            1 + i as u64,
-            &format!("{} on {topology:?}", spec.name),
+        let what = format!("{} on {topology:?}", spec.name);
+        if !hooked {
+            lockstep_from_image(&image, &config, 1 + i as u64, &what);
+            continue;
+        }
+        let machine = || {
+            let hook = MiniSsb::new(&image, config.num_cores, 2, |block| block.0 % 3 == 0)
+                .buffering(0x40, 0x1c0);
+            hook.attached_to(Machine::new(config.clone(), &image))
+        };
+        // A buffered store may be what a spinning thread waits for: the run
+        // need not end, so it is followed for a bounded number of steps.
+        run_lockstep_capped(
+            machine(),
+            machine(),
+            &format!("hooked {what}"),
+            STEP_CAP.min(2_000_000),
+            seeded_plan(1 + i as u64, 3_000),
+            |_| {},
         );
     }
 }
 
 #[test]
 fn registry_flat_agrees_with_single_steps() {
-    registry_agrees_on(TopologySpec::Flat);
+    registry_agrees_on(TopologySpec::Flat, false);
 }
 
 #[test]
 fn registry_2s_agrees_with_single_steps() {
-    registry_agrees_on(TopologySpec::DualSocket);
+    registry_agrees_on(TopologySpec::DualSocket, false);
 }
 
 #[test]
 fn registry_8s_agrees_with_single_steps() {
-    registry_agrees_on(TopologySpec::OctoSocket);
+    registry_agrees_on(TopologySpec::OctoSocket, false);
+}
+
+#[test]
+fn registry_flat_under_a_declared_hook_agrees_with_single_steps() {
+    registry_agrees_on(TopologySpec::Flat, true);
+}
+
+#[test]
+fn registry_8s_under_a_declared_hook_agrees_with_single_steps() {
+    registry_agrees_on(TopologySpec::OctoSocket, true);
 }
 
 // ---------------------------------------------------------------------------
@@ -1038,7 +1108,7 @@ fn an_unbounded_budget_does_not_overflow_the_horizon() {
 
 /// Services every access to the shared region's first line for free — the
 /// zero-cost action that voids the horizon bound — and charges block
-/// entries, which must reach it in order.
+/// entries, which must reach it in order. It declares nothing.
 struct FreeLine {
     line: Addr,
     entries: u64,
@@ -1046,7 +1116,7 @@ struct FreeLine {
 
 impl ExecHook for FreeLine {
     fn on_mem_op(&mut self, _ctx: &mut HookCtx<'_>, op: &MemOp) -> HookAction {
-        if crate::addr::line_of(op.addr) == self.line {
+        if line_of(op.addr) == self.line {
             HookAction::Handled {
                 load_value: Some(self.entries),
                 extra_cycles: 0,
@@ -1056,16 +1126,14 @@ impl ExecHook for FreeLine {
         }
     }
 
-    fn on_block_entry(
-        &mut self,
-        _ctx: &mut HookCtx<'_>,
-        _block: laser_isa::program::BlockId,
-    ) -> u64 {
+    fn on_block_entry(&mut self, _ctx: &mut HookCtx<'_>, _block: BlockId) -> u64 {
         self.entries += 1;
         self.entries % 3
     }
 }
 
+/// A hook that overrides none of the run-ahead contract is dispatched per
+/// instruction, as it always was: no round runs while it is attached.
 #[test]
 fn hooked_machines_skip_run_ahead_and_agree_with_single_steps() {
     for seed in 1..=20u64 {
@@ -1073,7 +1141,7 @@ fn hooked_machines_skip_run_ahead_and_agree_with_single_steps() {
         let (config, placement) = generated_config(&mut rng);
         let mut image = generated_image(&mut rng, 1 + 2 * config.num_cores);
         image.set_thread_placement(placement);
-        let line = crate::addr::line_of(image.threads()[0].regs[0].1);
+        let line = line_of(image.threads()[0].regs[0].1);
         let hooked = || {
             let mut m = Machine::new(config.clone(), &image);
             m.attach_hook(Box::new(FreeLine { line, entries: 0 }));
@@ -1086,6 +1154,10 @@ fn hooked_machines_skip_run_ahead_and_agree_with_single_steps() {
             assert_eq!(fast.take_hitm_events(), slow.take_hitm_events());
             assert_same_state(&fast, &slow, &format!("hooked {seed}"), quantum);
         }
+        assert_eq!(
+            fast.round_trace.rounds, 0,
+            "hooked {seed}: a hook with no declared floor was run ahead"
+        );
         // Half the seeds detach midway (a session never does, a caller may):
         // the unhooked remainder runs ahead from the hooked state.
         if seed % 2 == 0 {
@@ -1093,5 +1165,530 @@ fn hooked_machines_skip_run_ahead_and_agree_with_single_steps() {
             slow.detach_hook();
         }
         run_lockstep(fast, slow, rng.next(), 2_000, &format!("hooked {seed}"));
+    }
+}
+
+/// What a [`MiniSsb`] was called with, folded: the machine that runs ahead
+/// and the one that single-steps must hand their hooks the same operations,
+/// in the same order, at the same [`HookCtx::now`]. Entries of inert blocks
+/// are what the contract lets a machine skip, so they are not in here.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct CallLog {
+    mem_ops: u64,
+    serviced: u64,
+    fences: u64,
+    active_entries: u64,
+    exits: u64,
+    flushes: u64,
+    digest: u64,
+}
+
+impl CallLog {
+    fn fold(&mut self, ctx: &HookCtx<'_>, call: u64, args: [u64; 4]) {
+        for word in [call, ctx.core().0 as u64, ctx.now()]
+            .into_iter()
+            .chain(args)
+        {
+            self.digest = (self.digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// A software store buffer in miniature, with its run-ahead contract
+/// declared. Stores to the lines it buffers are held per core for `cost`
+/// cycles each, one slot per `(address, size)`, and written back through
+/// [`HookCtx::mem_write`] at fences, thread exits, the fifth slot and the
+/// entries of its flush blocks — the only block entries that are not inert.
+/// A load of a buffered line is serviced from the slot it matches exactly,
+/// or flushes and reads memory.
+struct MiniSsb {
+    /// A store or load at `addr` is serviced when
+    /// `line_of(addr) & line_mask == line`.
+    line: Addr,
+    line_mask: Addr,
+    /// What a buffered store or a buffer hit costs: the declared floor.
+    cost: u64,
+    /// Per `BlockId`: the buffer is flushed on entry.
+    flush_blocks: Vec<bool>,
+    buffers: Vec<Vec<(Addr, u8, u64)>>,
+    log: CallLog,
+    /// Calls for inert entries: a single-stepped machine makes them all, one
+    /// that runs ahead only from its short tail.
+    inert_entries: u64,
+}
+
+impl MiniSsb {
+    /// A hook for `image` on `cores` cores that buffers the line thread 0's
+    /// first register points into.
+    fn new(
+        image: &WorkloadImage,
+        cores: usize,
+        cost: u64,
+        flushes_at: impl Fn(BlockId) -> bool,
+    ) -> Self {
+        let blocks = image.program().blocks().len() as u32;
+        MiniSsb {
+            line: line_of(image.threads()[0].regs[0].1),
+            line_mask: !0,
+            cost,
+            flush_blocks: (0..blocks).map(|id| flushes_at(BlockId(id))).collect(),
+            buffers: vec![Vec::new(); cores],
+            log: CallLog::default(),
+            inert_entries: 0,
+        }
+    }
+
+    /// Buffer every line with `line_of(addr) & mask == line` instead.
+    fn buffering(mut self, line: Addr, mask: Addr) -> Self {
+        (self.line, self.line_mask) = (line, mask);
+        self
+    }
+
+    fn attached_to(self, mut machine: Machine) -> Machine {
+        machine.attach_hook(Box::new(self));
+        machine
+    }
+
+    fn of(machine: &Machine) -> Option<&MiniSsb> {
+        machine.hook()?.as_any()?.downcast_ref()
+    }
+
+    fn log_of(machine: &Machine) -> Option<CallLog> {
+        MiniSsb::of(machine).map(|hook| hook.log)
+    }
+
+    fn flush(&mut self, ctx: &mut HookCtx<'_>, pc: Pc) -> u64 {
+        let writes = std::mem::take(&mut self.buffers[ctx.core().0]);
+        if writes.is_empty() {
+            return 0;
+        }
+        self.log.flushes += 1;
+        writes.iter().fold(3, |cycles, &(addr, size, value)| {
+            cycles + ctx.mem_write(pc, addr, size, value)
+        })
+    }
+}
+
+impl ExecHook for MiniSsb {
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
+    }
+
+    fn cost_floor(&self) -> u64 {
+        self.cost
+    }
+
+    fn block_entry_is_inert(&self, block: BlockId) -> bool {
+        !self.flush_blocks[block.0 as usize]
+    }
+
+    fn on_mem_op(&mut self, ctx: &mut HookCtx<'_>, op: &MemOp) -> HookAction {
+        self.log.mem_ops += 1;
+        let value = op.store_value.unwrap_or(u64::MAX);
+        self.log
+            .fold(ctx, 1, [op.pc, op.addr, op.size as u64, value]);
+        if line_of(op.addr) & self.line_mask != self.line {
+            return HookAction::Passthrough;
+        }
+        self.log.serviced += 1;
+        let core = ctx.core().0;
+        let mut extra_cycles = self.cost;
+        let load_value = match op.store_value {
+            Some(value) => {
+                let buffer = &mut self.buffers[core];
+                let slot = buffer
+                    .iter_mut()
+                    .find(|(addr, size, _)| (*addr, *size) == (op.addr, op.size));
+                match slot {
+                    Some(slot) => slot.2 = value,
+                    None => buffer.push((op.addr, op.size, value)),
+                }
+                if buffer.len() > 4 {
+                    extra_cycles += self.flush(ctx, op.pc);
+                }
+                None
+            }
+            None => {
+                let hit = self.buffers[core]
+                    .iter()
+                    .find(|&&(addr, size, _)| (addr, size) == (op.addr, op.size));
+                Some(match hit {
+                    Some(&(_, _, value)) => value,
+                    None => {
+                        extra_cycles += self.flush(ctx, op.pc);
+                        let (value, cycles) = ctx.mem_read(op.pc, op.addr, op.size);
+                        extra_cycles += cycles;
+                        value
+                    }
+                })
+            }
+        };
+        HookAction::Handled {
+            load_value,
+            extra_cycles,
+        }
+    }
+
+    fn on_fence(&mut self, ctx: &mut HookCtx<'_>, pc: Pc) -> u64 {
+        self.log.fences += 1;
+        self.log.fold(ctx, 2, [pc, 0, 0, 0]);
+        self.flush(ctx, pc)
+    }
+
+    fn on_block_entry(&mut self, ctx: &mut HookCtx<'_>, block: BlockId) -> u64 {
+        if !self.flush_blocks[block.0 as usize] {
+            self.inert_entries += 1;
+            return 0;
+        }
+        self.log.active_entries += 1;
+        self.log.fold(ctx, 3, [block.0 as u64, 0, 0, 0]);
+        self.flush(ctx, 0)
+    }
+
+    fn on_thread_exit(&mut self, ctx: &mut HookCtx<'_>) -> u64 {
+        self.log.exits += 1;
+        self.log.fold(ctx, 4, [0; 4]);
+        self.flush(ctx, 0)
+    }
+}
+
+/// The generated programs under a [`MiniSsb`] with a seeded cost (at times
+/// below the machine's own floor, which [`generated_config`] raises for a
+/// third of the seeds) and a seeded third of the blocks flushing: branches
+/// whose two successors differ in inert-ness are everywhere.
+#[test]
+fn declared_hooks_run_ahead_on_generated_programs() {
+    let programs: u64 = if cfg!(debug_assertions) { 40 } else { 400 };
+    let (mut rounds, mut skipped, mut floors_below) = (0, 0, 0);
+    for seed in 1..=programs {
+        let mut rng = XorShift(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0x55b);
+        let (config, placement) = generated_config(&mut rng);
+        let threads = 1 + rng.below(3 * config.num_cores as u64).min(13) as usize;
+        let mut image = generated_image(&mut rng, threads);
+        image.set_thread_placement(placement);
+        let cost = 1 + rng.below(3);
+        let flush_seed = rng.next();
+        let machine = || {
+            MiniSsb::new(&image, config.num_cores, cost, |block| {
+                (flush_seed >> (block.0 % 64)) & 1 == 1 && block.0 % 3 != 1
+            })
+            .attached_to(Machine::new(config.clone(), &image))
+        };
+        let max_quantum = quantum_ceiling(&mut rng);
+        let (fast, slow) = run_lockstep(
+            machine(),
+            machine(),
+            rng.next(),
+            max_quantum,
+            &format!("declared hook, generated program {seed}"),
+        );
+        floors_below += u64::from(cost < fast.hot.floor);
+        rounds += fast.round_trace.rounds;
+        let (fast, slow) = (MiniSsb::of(&fast).unwrap(), MiniSsb::of(&slow).unwrap());
+        skipped += slow.inert_entries.saturating_sub(fast.inert_entries);
+    }
+    assert!(rounds > 0, "no hooked machine ran a round");
+    assert!(skipped > 0, "no inert block entry was skipped");
+    assert!(
+        floors_below > 0,
+        "no hook declared a floor below the machine's"
+    );
+}
+
+/// The seam images under a [`MiniSsb`] on their shared line, for two choices
+/// of flush blocks. With the first, a worker's loop branch goes back to an
+/// inert entry or on to an active one, and a `JumpFirst` thread taking over
+/// a core after a `Halt` starts with a jump into an active entry; with the
+/// second the loop entry is the active one.
+#[test]
+fn seam_images_under_a_declared_hook_agree_with_single_steps() {
+    let images: u64 = if cfg!(debug_assertions) { 6 } else { 60 };
+    let flush_sets: [&[&str]; 2] = [
+        &["worker_done", "register_prefix", "short"],
+        &["worker", "short"],
+    ];
+    for seed in 1..=images {
+        let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x55b);
+        let cores = 1 + rng.below(4) as usize;
+        let threads = cores + 1 + rng.below(4 * cores as u64) as usize;
+        let starts: Vec<Start> = (0..threads)
+            .map(|_| Start::ALL[rng.below(Start::ALL.len() as u64) as usize])
+            .collect();
+        let image = seam_image(&starts, 1 + rng.below(30));
+        let config = MachineConfig {
+            num_cores: cores,
+            ..Default::default()
+        };
+        for flush_set in flush_sets {
+            let flushes: Vec<BlockId> = flush_set
+                .iter()
+                .map(|label| image.program().block_by_label(label).unwrap())
+                .collect();
+            seam_lockstep_of(
+                || {
+                    MiniSsb::new(&image, cores, 1 + seed % 2, |block| {
+                        flushes.contains(&block)
+                    })
+                    .attached_to(Machine::new(config.clone(), &image))
+                },
+                &format!("hooked seam image {seed}, flushing at {flush_set:?}"),
+            );
+        }
+    }
+}
+
+/// Two threads whose block entries sit at known pre-clocks (every
+/// register-only instruction costs one cycle), for every budget from a fresh
+/// machine: a round over `n` steps on two live cores has its horizon at
+/// clock `n / 2`, so `n = 30` puts it exactly on thread 0's jump into the
+/// flush block (pre-clock 15) and `n = 42` on thread 1's branch into it
+/// (pre-clock 21, after a jump into an inert block at 10). An active entry at
+/// the horizon belongs to the next round.
+#[test]
+fn seam_a_horizon_on_an_active_entry_leaves_it_for_the_next_round() {
+    let mut b = ProgramBuilder::new("entry_horizon");
+    let first = b.block("first");
+    let second = b.block("second");
+    let flush = b.block("flush");
+    let inert = b.block("inert");
+    b.switch_to(first);
+    b.store(Operand::Imm(5), SHARED, 0, 8);
+    b.nops(11);
+    b.jump(flush);
+    b.switch_to(second);
+    b.store(Operand::Imm(7), SHARED, 8, 8);
+    b.nops(6);
+    b.jump(inert);
+    b.switch_to(inert);
+    b.nops(9);
+    b.movi(COND, 1);
+    b.branch(COND, flush, inert);
+    b.switch_to(flush);
+    b.nops(4);
+    b.load(Reg(4), SHARED, 8, 8);
+    b.halt();
+    let mut image = WorkloadImage::new("entry_horizon", b.finish());
+    let shared = image.layout_mut().heap_alloc(64, 64).unwrap();
+    image.push_thread(ThreadSpec::new("t0", "first").with_reg(SHARED, shared));
+    image.push_thread(ThreadSpec::new("t1", "second").with_reg(SHARED, shared));
+    let config = MachineConfig {
+        num_cores: 2,
+        ..Default::default()
+    };
+    // The buffered stores cost 4 cycles, like the L1 hits they replace.
+    let machine = || {
+        MiniSsb::new(&image, 2, 4, |block| block == flush)
+            .attached_to(Machine::new(config.clone(), &image))
+    };
+    for n in 1..=80u64 {
+        let (mut fast, mut slow) = (machine(), machine());
+        for quantum in 1..=3 {
+            assert_eq!(fast.run_steps(n), slow.run_steps_reference(n));
+            assert_eq!(fast.take_hitm_events(), slow.take_hitm_events());
+            assert_same_state(&fast, &slow, &format!("budget {n}"), quantum);
+        }
+    }
+    // The pre-clocks the budgets above are aimed at: each thread's clock
+    // when it stands in front of the terminator that enters the flush block.
+    let mut m = machine();
+    let mut entry_pre_clocks = [None; 2];
+    while m.run_steps_reference(1) == RunStatus::Running {
+        for (ti, from) in [first, inert].into_iter().enumerate() {
+            let thread = &m.threads[ti];
+            if thread.block == from && thread.idx == m.decoded.block(from).insts().len() {
+                entry_pre_clocks[ti].get_or_insert(m.per_core_cycles()[ti]);
+            }
+        }
+    }
+    assert_eq!(entry_pre_clocks, [Some(15), Some(21)]);
+}
+
+/// A hook may service operations for less than the machine's cheapest
+/// instruction: the round floor is the lower of the two, or a round on
+/// threads that do little but buffered stores overshoots its budget.
+#[test]
+fn a_hook_floor_below_the_machine_floor_bounds_the_round() {
+    let mut b = ProgramBuilder::new("cheap_stores");
+    let body = b.block("body");
+    let done = b.block("done");
+    b.switch_to(body);
+    // Eight stores over four slots: the buffer never fills, so each costs
+    // the hook's 1 cycle and nothing else.
+    for store in 0..8 {
+        b.store(Operand::Reg(COUNTER), SHARED, 8 * (store % 4), 8);
+    }
+    b.addi(COUNTER, COUNTER, 1);
+    b.cmp_lt(COND, COUNTER, Operand::Imm(200));
+    b.branch(COND, body, done);
+    b.switch_to(done);
+    b.halt();
+    let mut image = WorkloadImage::new("cheap_stores", b.finish());
+    let shared = image.layout_mut().heap_alloc(64, 64).unwrap();
+    for t in 0..3 {
+        image.push_thread(ThreadSpec::new(format!("t{t}"), "body").with_reg(SHARED, shared));
+    }
+    let mut config = MachineConfig {
+        num_cores: 3,
+        ..Default::default()
+    };
+    config.latency.alu = 4;
+    config.latency.branch = 4;
+    config.latency.pause = 4;
+    let machine = || {
+        let m = MiniSsb::new(&image, 3, 1, |block| block == done)
+            .attached_to(Machine::new(config.clone(), &image));
+        assert_eq!(m.hot.floor, 4);
+        m
+    };
+    for n in [24, 25, 100, 999, 1 << 20] {
+        let (mut fast, mut slow) = (machine(), machine());
+        for quantum in 1.. {
+            let status = fast.run_steps(n);
+            assert_eq!(status, slow.run_steps_reference(n));
+            assert_same_state(&fast, &slow, &format!("quanta of {n}"), quantum);
+            if status == RunStatus::Done {
+                break;
+            }
+        }
+        assert!(fast.round_trace.rounds > 0);
+    }
+}
+
+/// Hooks come and go between quanta: a declared hook, then a different one
+/// (other flush blocks, another line, another floor), then an undeclared one
+/// (no rounds while it is attached), then none. The entry table and the floor
+/// are those of whatever is attached now.
+#[test]
+fn swapping_hooks_between_quanta_agrees_with_single_steps() {
+    let programs: u64 = if cfg!(debug_assertions) { 15 } else { 150 };
+    for seed in 1..=programs {
+        let mut rng = XorShift(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0xa77ac4);
+        let (config, placement) = generated_config(&mut rng);
+        let mut image = generated_image(&mut rng, 2 * config.num_cores);
+        image.set_thread_placement(placement);
+        let what = format!("swapped hooks, program {seed}");
+        let shared = image.threads()[0].regs[0].1;
+        let mut fast = Machine::new(config.clone(), &image);
+        let mut slow = Machine::new(config.clone(), &image);
+        let mut quantum = 0;
+        let mut run = |fast: &mut Machine, slow: &mut Machine, rng: &mut XorShift| {
+            for _ in 0..1 + rng.below(3) {
+                quantum += 1;
+                let n = 1 + rng.below(600);
+                assert_eq!(fast.run_steps(n), slow.run_steps_reference(n));
+                assert_eq!(fast.take_hitm_events(), slow.take_hitm_events());
+                assert_same_state(fast, slow, &what, quantum);
+            }
+        };
+        for stage in 0..4u32 {
+            for m in [&mut fast, &mut slow] {
+                let cores = config.num_cores;
+                let hook: Box<dyn ExecHook> = match stage {
+                    0 => Box::new(MiniSsb::new(&image, cores, 2, |b| b.0 % 2 == 0)),
+                    1 => Box::new(
+                        MiniSsb::new(&image, cores, 1, |b| b.0 % 3 == 1)
+                            .buffering(line_of(shared + 64), !0),
+                    ),
+                    2 => Box::new(FreeLine {
+                        line: line_of(shared),
+                        entries: 0,
+                    }),
+                    _ => {
+                        m.detach_hook();
+                        continue;
+                    }
+                };
+                // Stage 1 replaces in place, stage 2 detaches first.
+                if stage == 2 {
+                    assert!(m.detach_hook().is_some());
+                }
+                m.attach_hook(hook);
+            }
+            let rounds = fast.round_trace.rounds;
+            run(&mut fast, &mut slow, &mut rng);
+            if stage == 2 {
+                assert_eq!(
+                    fast.round_trace.rounds, rounds,
+                    "{what}: FreeLine ran ahead"
+                );
+            }
+        }
+        run_lockstep(fast, slow, rng.next(), 2_000, &what);
+    }
+}
+
+/// A detached hook leaves nothing behind: the block entries it acted on are
+/// register-only again, so the visits of an un-hooked run stay within its
+/// active instructions plus one per core and round.
+#[test]
+fn run_ahead_forgets_a_detached_hooks_entries() {
+    const TRIPS: u64 = 500;
+    let mut b = ProgramBuilder::new("symmetric");
+    let body = b.block("body");
+    let done = b.block("done");
+    b.switch_to(body);
+    b.load(Reg(4), PRIVATE, 0, 8);
+    b.addi(COUNTER, COUNTER, 1);
+    b.cmp_lt(COND, COUNTER, Operand::Imm(TRIPS));
+    b.branch(COND, body, done);
+    b.switch_to(done);
+    b.halt();
+    let mut image = WorkloadImage::new("symmetric", b.finish());
+    for t in 0..4 {
+        let slot = image.layout_mut().heap_alloc(64, 64).unwrap();
+        image.push_thread(ThreadSpec::new(format!("t{t}"), "body").with_reg(PRIVATE, slot));
+    }
+    // A load per trip and at the end a halt per thread.
+    let active = 4 * (TRIPS + 1);
+    let mut m = MiniSsb::new(&image, 4, 1, |block| block == body)
+        .attached_to(Machine::new(MachineConfig::default(), &image));
+    m.run_steps(40);
+    m.detach_hook();
+    let before = m.round_trace;
+    while m.run_steps(5_000) == RunStatus::Running {}
+    let (rounds, visits) = (
+        m.round_trace.rounds - before.rounds,
+        m.round_trace.visits - before.visits,
+    );
+    assert!(rounds > 0);
+    assert!(
+        visits <= active + 4 * rounds,
+        "{visits} visits for at most {active} active instructions in {rounds} rounds"
+    );
+}
+
+/// `NullHook` declares that it does nothing, and a machine carrying it is an
+/// un-hooked machine: the same states as single steps without a hook, in the
+/// same rounds and scheduler visits as running ahead without one.
+#[test]
+fn a_null_hook_run_ahead_is_the_unhooked_run_ahead() {
+    for seed in 1..=20u64 {
+        let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x2011);
+        let (config, placement) = generated_config(&mut rng);
+        let mut image = generated_image(&mut rng, 1 + 2 * config.num_cores);
+        image.set_thread_placement(placement);
+        let mut hooked = Machine::new(config.clone(), &image);
+        hooked.attach_hook(Box::new(NullHook));
+        let mut unhooked = Machine::new(config.clone(), &image);
+        let mut slow = Machine::new(config.clone(), &image);
+        for quantum in 1.. {
+            let n = 1 + rng.below(3_000);
+            let status = hooked.run_steps(n);
+            assert_eq!(status, unhooked.run_steps(n));
+            assert_eq!(status, slow.run_steps_reference(n));
+            let events = hooked.take_hitm_events();
+            assert_eq!(events, unhooked.take_hitm_events());
+            assert_eq!(events, slow.take_hitm_events());
+            assert_same_state(&hooked, &slow, &format!("null hook {seed}"), quantum);
+            assert_eq!(
+                (hooked.round_trace.rounds, hooked.round_trace.visits),
+                (unhooked.round_trace.rounds, unhooked.round_trace.visits),
+                "null hook {seed} q{quantum}: rounds and visits"
+            );
+            if status == RunStatus::Done {
+                break;
+            }
+        }
+        assert!(hooked.inner.mem == slow.inner.mem);
     }
 }
