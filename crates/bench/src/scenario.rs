@@ -719,4 +719,28 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn hostile_documents_are_errors_not_crashes() {
+        // A 100,000-deep bracket flood used to overflow the stack (an abort
+        // that killed `laser-serve`); lax JSON spellings used to parse.
+        let flood = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let nested_name = format!(r#"{{"name": {}"x"{}}}"#, "[".repeat(200), "]".repeat(200));
+        let cases: &[(&str, &str)] = &[
+            (&flood, "nested deeper than 128 levels"),
+            (&nested_name, "nested deeper than 128 levels"),
+            (r#"{"name": "x", "scale": .5}"#, "expected a value"),
+            (r#"{"name": "x", "scale": 01}"#, "leading zero"),
+            (r#"{"name": "x", "threads": +2}"#, "expected a value"),
+            (r#"{"name": "\u+041"}"#, "bad \\u escape"),
+        ];
+        for (text, needle) in cases {
+            let e = Scenario::parse(text).unwrap_err().to_string();
+            assert!(
+                e.contains("not valid JSON") && e.contains(needle),
+                "{} -> {e} (wanted {needle:?})",
+                &text[..text.len().min(40)]
+            );
+        }
+    }
 }

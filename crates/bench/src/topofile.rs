@@ -447,4 +447,28 @@ mod tests {
         assert_eq!(deploy.machine_config().num_cores, 8);
         assert_eq!(deploy.adapted_opts(), custom.adapt(&opts));
     }
+
+    #[test]
+    fn hostile_documents_are_errors_not_crashes() {
+        let flood = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let deep_blocks = format!(
+            r#"{{"name": "x", "core_blocks": {}4{}, "remote": {{}}}}"#,
+            "[".repeat(128),
+            "]".repeat(128)
+        );
+        let cases: &[(&str, &str)] = &[
+            (&flood, "nested deeper than 128 levels"),
+            (&deep_blocks, "nested deeper than 128 levels"),
+            (r#"{"name": "x", "core_blocks": [04]}"#, "leading zero"),
+            (r#"{"name": "x", "core_blocks": [4.]}"#, "expected a digit"),
+        ];
+        for (text, needle) in cases {
+            let e = CustomTopology::from_json(text).unwrap_err();
+            assert!(
+                e.contains("not valid JSON") && e.contains(needle),
+                "{} -> {e} (wanted {needle:?})",
+                &text[..text.len().min(40)]
+            );
+        }
+    }
 }

@@ -2,14 +2,44 @@
 //! `serde_json`.
 //!
 //! The offline build cannot pull `serde_json`, but the experiment harness
-//! needs machine-readable output (`experiments --format json`). This module
-//! provides the smallest useful subset: a [`Value`] tree, a compact writer
-//! ([`Value::render`]) and a strict recursive-descent parser
-//! ([`Value::parse`]) used by tests and CI to check that emitted output is
-//! well-formed. When the real `serde_json` becomes available, callers can
-//! migrate to it mechanically — the shapes are deliberately the same.
+//! needs machine-readable output (`experiments --format json`) and reads JSON
+//! back on real paths. This module provides the smallest useful subset: a
+//! [`Value`] tree, a compact writer ([`Value::render`]) and a
+//! recursive-descent parser ([`Value::parse`]). When the real `serde_json`
+//! becomes available, callers can migrate to it mechanically — the shapes are
+//! deliberately the same.
+//!
+//! The parser is not a test utility. Every warm cell-cache hit (`experiments
+//! --cache`, `laser-serve --cache`) parses its entry here — on a warm
+//! `experiments all` the parse was most of the run — and so does every
+//! scenario file and every topology file. It is therefore:
+//!
+//! * **linear** in the input: a string is copied a run at a time, up to the
+//!   next `"`, `\` or control byte, with one UTF-8 check per run;
+//! * **strict** per RFC 8259: numbers follow
+//!   `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, `\u` takes exactly four
+//!   hex digits, raw control bytes in strings are rejected. Two deliberate
+//!   narrowings: surrogate `\u` escapes are rejected rather than paired, and
+//!   an integer that does not fit `i64` is an error rather than a float;
+//! * **depth-bounded**: arrays and objects nest at most [`MAX_DEPTH`] deep, so
+//!   a hostile document is a [`ParseError`], never a stack overflow.
+//!
+//! Every error carries the byte offset of the first offending byte.
 
 use std::fmt;
+
+/// How deep arrays and objects may nest before [`Value::parse`] gives up.
+///
+/// Real documents nest at most 6 deep (cache entries 5; figure documents and
+/// scenarios fewer). The bound exists for hostile input: without it, 100,000
+/// `[` abort the process with a stack overflow, which no caller can catch.
+/// Parsing runs on campaign pool and service worker threads, whose stacks are
+/// Rust's 2 MiB default. One nesting level is one `parse_value` frame —
+/// measured at 1.6 KiB unoptimised and 0.3 KiB optimised — so 128 levels take
+/// about 210 KiB of a debug build's 2 MiB (36 KiB optimised), a tenth of the
+/// stack, leaving the callers' frames ample room. 128 is also `serde_json`'s
+/// default recursion limit.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,14 +134,15 @@ impl Value {
         }
     }
 
-    /// Parse a JSON document (strict: the whole input must be one value).
+    /// Parse a JSON document (strict: the whole input must be one value; see
+    /// the module docs for the grammar and the depth bound).
     ///
     /// # Errors
     /// Returns a [`ParseError`] describing the first offending byte offset.
     pub fn parse(input: &str) -> Result<Value, ParseError> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(ParseError::new(pos, "trailing data after value"));
@@ -237,7 +268,7 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(ParseError::new(*pos, "unexpected end of input")),
@@ -245,6 +276,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         Some(b't') => expect(bytes, pos, "true").map(|()| Value::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Value::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Value::Str),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(ParseError {
+            offset: *pos,
+            message: format!("nested deeper than {MAX_DEPTH} levels"),
+        }),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -254,7 +289,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -282,7 +317,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                     return Err(ParseError::new(*pos, "expected ':'"));
                 }
                 *pos += 1;
-                pairs.push((key, parse_value(bytes, pos)?));
+                pairs.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -305,6 +340,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next byte that needs a decision. All three
+        // stops are ASCII, so on `&str` input the run ends on a character
+        // boundary and is valid UTF-8 on its own.
+        let start = *pos;
+        *pos += bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(bytes.len() - start);
+        let run = std::str::from_utf8(&bytes[start..*pos])
+            .map_err(|e| ParseError::new(start + e.valid_up_to(), "invalid utf-8"))?;
+        out.push_str(run);
         match bytes.get(*pos) {
             None => return Err(ParseError::new(*pos, "unterminated string")),
             Some(b'"') => {
@@ -323,14 +369,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
+                        // Exactly four hex digits: no sign, no short form.
+                        let code = bytes
                             .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .and_then(|hex| {
+                                hex.iter().try_fold(0, |code, &b| {
+                                    Some(code * 16 + char::from(b).to_digit(16)?)
+                                })
+                            })
                             .ok_or_else(|| ParseError::new(*pos, "bad \\u escape"))?;
                         // Surrogate pairs are not needed for this workspace's
                         // output; reject them rather than mis-decode.
-                        let c = char::from_u32(hex)
+                        let c = char::from_u32(code)
                             .ok_or_else(|| ParseError::new(*pos, "surrogate \\u escape"))?;
                         out.push(c);
                         *pos += 4;
@@ -339,46 +389,57 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 }
                 *pos += 1;
             }
-            Some(&b) if b < 0x20 => {
-                return Err(ParseError::new(*pos, "control byte in string"));
-            }
-            Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so this is
-                // always well-formed).
-                let s = &bytes[*pos..];
-                let c = std::str::from_utf8(s)
-                    .map_err(|_| ParseError::new(*pos, "invalid utf-8"))?
-                    .chars()
-                    .next()
-                    .unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(_) => return Err(ParseError::new(*pos, "control byte in string")),
         }
     }
 }
 
+/// One RFC 8259 number: `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+/// A fraction or exponent makes it a [`Value::Float`], otherwise it must fit
+/// an [`i64`].
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     let start = *pos;
+    // Consume a run of digits, failing at the first byte if there are none.
+    let digits = |pos: &mut usize| {
+        let first = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        if *pos == first {
+            Err(ParseError::new(first, "expected a digit"))
+        } else {
+            Ok(())
+        }
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
+    } else if !bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+        return Err(ParseError::new(start, "expected a value"));
+    }
+    if bytes.get(*pos) == Some(&b'0') {
+        *pos += 1;
+        if bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            return Err(ParseError::new(*pos, "leading zero in number"));
+        }
+    } else {
+        digits(pos)?;
     }
     let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        digits(pos)?;
+        is_float = true;
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
         }
+        digits(pos)?;
+        is_float = true;
     }
     let text = std::str::from_utf8(&bytes[start..*pos])
         .map_err(|_| ParseError::new(start, "invalid number"))?;
-    if text.is_empty() || text == "-" {
-        return Err(ParseError::new(start, "expected a value"));
-    }
     if is_float {
         text.parse::<f64>()
             .map(Value::Float)
@@ -391,76 +452,6 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn renders_compact_json() {
-        let v = Value::object()
-            .set("name", "histogram'")
-            .set("cycles", 12345u64)
-            .set("norm", 1.25)
-            .set("ok", true)
-            .set("failure", Value::Null)
-            .set(
-                "reported",
-                Value::Array(vec!["a.c:1 (false sharing)".into()]),
-            );
-        assert_eq!(
-            v.render(),
-            r#"{"name":"histogram'","cycles":12345,"norm":1.25,"ok":true,"failure":null,"reported":["a.c:1 (false sharing)"]}"#
-        );
-    }
-
-    #[test]
-    fn escapes_strings() {
-        let v = Value::Str("a\"b\\c\nd\u{1}".to_string());
-        assert_eq!(v.render(), "\"a\\\"b\\\\c\\nd\\u0001\"");
-        assert_eq!(Value::parse(&v.render()).unwrap(), v);
-    }
-
-    #[test]
-    fn round_trips_nested_values() {
-        let v = Value::object()
-            .set(
-                "cells",
-                Value::Array(vec![
-                    Value::object().set("w", "dedup").set("n", -3i64),
-                    Value::object().set("f", 0.5).set("none", Value::Null),
-                ]),
-            )
-            .set("empty_obj", Value::object())
-            .set("empty_arr", Value::Array(vec![]));
-        let text = v.render();
-        assert_eq!(Value::parse(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn parses_whitespace_and_rejects_trailing_garbage() {
-        assert_eq!(
-            Value::parse(" { \"a\" : [ 1 , 2.5 , null ] } ").unwrap(),
-            Value::object().set(
-                "a",
-                Value::Array(vec![Value::Int(1), Value::Float(2.5), Value::Null])
-            )
-        );
-        assert!(Value::parse("{} x").is_err());
-        assert!(Value::parse("{\"a\":}").is_err());
-        assert!(Value::parse("[1,]").is_err());
-        assert!(Value::parse("").is_err());
-    }
-
-    #[test]
-    fn non_finite_floats_render_as_null() {
-        assert_eq!(Value::Float(f64::NAN).render(), "null");
-        assert_eq!(Value::Float(f64::INFINITY).render(), "null");
-    }
-
-    #[test]
-    fn object_get_finds_keys() {
-        let v = Value::object().set("a", 1i64);
-        assert_eq!(v.get("a"), Some(&Value::Int(1)));
-        assert_eq!(v.get("b"), None);
-        assert_eq!(Value::Null.get("a"), None);
-    }
-}
+mod reference;
+#[cfg(test)]
+mod tests;

@@ -7,7 +7,9 @@
 //!
 //! The [`json`] module is the one place the shim does real work: a minimal
 //! JSON value model (build / render / parse) backing the experiment
-//! harness's `--format json` output until the real `serde_json` is available.
+//! harness's `--format json` output and the cell-cache entries, scenario
+//! files and topology files it reads back, until the real `serde_json` is
+//! available.
 
 pub mod json;
 
