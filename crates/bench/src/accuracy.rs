@@ -6,10 +6,14 @@
 //! the campaign's native cells with every overhead figure) instead of
 //! re-simulating them.
 
+use std::fmt::Write as _;
+
 use laser_baselines::SheriffFailure;
 use laser_core::ContentionKind;
 use laser_workloads::{BugKind, WorkloadSpec};
+use serde::json::Value;
 
+use crate::emit::{sheriff_cell, sheriff_mark, sheriff_status, Column, Emit, Prec, View};
 use crate::grid::{ExperimentError, Grid, GridResult};
 use crate::runner::{score_locations, score_reported};
 use crate::tool::ToolSpec;
@@ -57,35 +61,92 @@ impl Table1Report {
         }
         t
     }
+}
 
-    /// Render as the paper's table.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Table 1: {:<20} {:>4} | {:>8} {:>8} | {:>8} {:>8} | {:>16}",
+const TABLE1_COLUMNS: &[Column] = &[
+    Column::left("workload", "benchmark", 20),
+    Column::right("bugs", "bugs", 4),
+    Column::right("laser_fn", "laserFN", 8),
+    Column::right("laser_fp", "laserFP", 8),
+    Column::right("vtune_fn", "vtuneFN", 8),
+    Column::right("vtune_fp", "vtuneFP", 8),
+    Column::data("sheriff_fn"),
+    Column::data("sheriff_fp"),
+    Column::data("sheriff_status"),
+];
+
+impl Emit for Table1Report {
+    fn view(&self) -> View {
+        View::new("table1", "Table 1:", TABLE1_COLUMNS, &self.rows, |r| {
+            let sheriff = r.sheriff.ok();
+            vec![
+                r.name.into(),
+                r.bugs.into(),
+                r.laser.0.into(),
+                r.laser.1.into(),
+                r.vtune.0.into(),
+                r.vtune.1.into(),
+                sheriff.map(|s| s.0).into(),
+                sheriff.map(|s| s.1).into(),
+                sheriff_status(&r.sheriff).into(),
+            ]
+        })
+    }
+
+    /// The paper's table: tools grouped by `|`, Sheriff's FN/FP in one cell,
+    /// and a TOTAL row.
+    fn render(&self) -> String {
+        type Pair = (usize, usize);
+        let line =
+            |out: &mut String, name: &str, bugs: usize, (lfn, lfp): Pair, (vfn, vfp): Pair| {
+                let _ = write!(
+                    out,
+                    "         {name:<20} {bugs:>4} | {lfn:>8} {lfp:>8} | {vfn:>8} {vfp:>8} | "
+                );
+            };
+        let mut out = format!(
+            "Table 1: {:<20} {:>4} | {:>8} {:>8} | {:>8} {:>8} | {:>16}\n",
             "benchmark", "bugs", "laserFN", "laserFP", "vtuneFN", "vtuneFP", "sheriffDet FN/FP"
         );
         for r in &self.rows {
-            let sheriff = match r.sheriff {
-                Ok((f, p)) => format!("{f}/{p}"),
-                Err(SheriffFailure::Crash) => "x".to_string(),
-                Err(SheriffFailure::Incompatible) => "i".to_string(),
+            line(&mut out, r.name, r.bugs, r.laser, r.vtune);
+            let _ = match r.sheriff {
+                Ok((f, p)) => writeln!(out, "{:>16}", format!("{f}/{p}")),
+                Err(f) => writeln!(out, "{:>16}", sheriff_mark(f)),
             };
-            let _ = writeln!(
-                out,
-                "         {:<20} {:>4} | {:>8} {:>8} | {:>8} {:>8} | {:>16}",
-                r.name, r.bugs, r.laser.0, r.laser.1, r.vtune.0, r.vtune.1, sheriff
-            );
         }
         let t = self.totals();
-        let _ = writeln!(
-            out,
-            "         {:<20} {:>4} | {:>8} {:>8} | {:>8} {:>8} | {:>13}/{}",
-            "TOTAL", t.0, t.1, t.2, t.3, t.4, t.5, t.6
-        );
+        line(&mut out, "TOTAL", t.0, (t.1, t.2), (t.3, t.4));
+        let _ = writeln!(out, "{:>13}/{}", t.5, t.6);
         out
+    }
+
+    /// Each tool's FN/FP as a nested pair, then the totals under the CSV's
+    /// keys.
+    fn to_json(&self) -> Value {
+        let pair = |(fneg, fpos): (usize, usize)| {
+            Value::object()
+                .set("false_negatives", fneg)
+                .set("false_positives", fpos)
+        };
+        let rows = self.rows.iter().map(|r| {
+            Value::object()
+                .set("workload", r.name)
+                .set("bugs", r.bugs)
+                .set("laser", pair(r.laser))
+                .set("vtune", pair(r.vtune))
+                .set("sheriff_detect", r.sheriff.map_or(Value::Null, pair))
+                .set("sheriff_detect_status", sheriff_status(&r.sheriff))
+        });
+        let t = self.totals();
+        let totals = TABLE1_COLUMNS[1..8]
+            .iter()
+            .zip([t.0, t.1, t.2, t.3, t.4, t.5, t.6])
+            .fold(Value::object(), |v, (c, n)| v.set(c.key, n));
+        Value::object()
+            .set("kind", "table1")
+            .set("rows", Value::Array(rows.collect()))
+            .set("totals", totals)
     }
 }
 
@@ -177,46 +238,66 @@ impl Table2Report {
             })
             .count()
     }
+}
 
-    /// Render as the paper's table.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Table 2: {:<20} {:>10} {:>16} {:>16}",
-            "benchmark", "contention", "LaserDetect", "Sheriff-Detect"
-        );
-        for r in &self.rows {
-            let actual = match r.actual {
-                BugKind::FalseSharing => "FS",
-                BugKind::TrueSharing => "TS",
-            };
-            let laser = match r.laser {
-                Some(ContentionKind::FalseSharing) => "FS",
-                Some(ContentionKind::TrueSharing) => "TS",
-                Some(ContentionKind::Unknown) => "unknown",
-                None => "-",
-            };
-            let sheriff = match r.sheriff {
-                Ok(true) => "FS",
-                Ok(false) => "-",
-                Err(SheriffFailure::Crash) => "x",
-                Err(SheriffFailure::Incompatible) => "i",
-            };
-            let _ = writeln!(
-                out,
-                "         {:<20} {:>10} {:>16} {:>16}",
-                r.name, actual, laser, sheriff
-            );
-        }
-        let _ = writeln!(
-            out,
-            "         LASER correct for {} of {} bugs",
+/// Table 2's kinds: JSON spells them in full, the text and CSV tables as the
+/// paper does.
+const TABLE2_COLUMNS: &[Column] = &[
+    Column::left("workload", "benchmark", 20),
+    Column::json_only("actual"),
+    Column::right("actual", "contention", 10).json(Prec::Omit),
+    Column::json_only("laser"),
+    Column::right("laser", "LaserDetect", 16).json(Prec::Omit),
+    Column::json_only("sheriff_found"),
+    Column::json_only("sheriff_status"),
+    Column::right("sheriff", "Sheriff-Detect", 16).json(Prec::Omit),
+];
+
+/// A contention kind in full and as the paper's table spells it.
+fn kind_names(kind: ContentionKind) -> (&'static str, &'static str) {
+    match kind {
+        ContentionKind::FalseSharing => ("false-sharing", "FS"),
+        ContentionKind::TrueSharing => ("true-sharing", "TS"),
+        ContentionKind::Unknown => ("unknown", "unknown"),
+    }
+}
+
+impl Emit for Table2Report {
+    fn view(&self) -> View {
+        View::new("table2", "Table 2:", TABLE2_COLUMNS, &self.rows, |r| {
+            let actual = kind_names(match r.actual {
+                BugKind::FalseSharing => ContentionKind::FalseSharing,
+                BugKind::TrueSharing => ContentionKind::TrueSharing,
+            });
+            let laser = r.laser.map(kind_names);
+            vec![
+                r.name.into(),
+                actual.0.into(),
+                actual.1.into(),
+                laser.map(|l| l.0).into(),
+                laser.map(|l| l.1).into(),
+                r.sheriff.ok().into(),
+                sheriff_status(&r.sheriff).into(),
+                sheriff_cell(r.sheriff.map(|found| found.then_some("FS"))),
+            ]
+        })
+    }
+
+    /// The table, then how many bugs LASER classified correctly.
+    fn render(&self) -> String {
+        format!(
+            "{}         LASER correct for {} of {} bugs\n",
+            self.view().text(),
             self.laser_correct(),
             self.rows.len()
-        );
-        out
+        )
+    }
+
+    /// The rows, then how many bugs LASER classified correctly.
+    fn to_json(&self) -> Value {
+        self.view()
+            .json()
+            .set("laser_correct", self.laser_correct())
     }
 }
 
@@ -286,20 +367,27 @@ pub struct Fig9Report {
     pub points: Vec<Fig9Point>,
 }
 
-impl Fig9Report {
-    /// Render the sweep.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "Figure 9: {:>12} {:>8} {:>8}", "HITM/s", "FN", "FP");
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "          {:>12.0} {:>8} {:>8}",
-                p.threshold, p.false_negatives, p.false_positives
-            );
+const FIG9_COLUMNS: &[Column] = &[
+    Column::right("threshold_hitm_per_sec", "HITM/s", 12)
+        .text(Prec::Fixed(0))
+        .csv(Prec::Fixed(0)),
+    Column::right("false_negatives", "FN", 8),
+    Column::right("false_positives", "FP", 8),
+];
+
+impl Emit for Fig9Report {
+    fn view(&self) -> View {
+        let row = |p: &Fig9Point| {
+            vec![
+                p.threshold.into(),
+                p.false_negatives.into(),
+                p.false_positives.into(),
+            ]
+        };
+        View {
+            rows_key: "points",
+            ..View::new("fig9", "Figure 9:", FIG9_COLUMNS, &self.points, row)
         }
-        out
     }
 }
 

@@ -8,104 +8,32 @@
 //!             [--cache DIR] [--cache-stats FILE]
 //! ```
 //!
-//! Every knob lands in one [`CampaignConfig`] through the validated setters
-//! scenario files use too (see `laser_bench::config`), so out-of-range
-//! values — a non-positive `--scale`, `--threads 0`,
-//! `--cell-budget-steps 0` — exit 2 here exactly as they do there.
+//! `all` and each figure subcommand follow the figure table
+//! ([`laser_bench::FIGURES`]): the binary plans the cells of every selected
+//! figure into one shared [`Grid`], runs each unique cell once on the
+//! parallel campaign runner, and derives each figure from the cached cells.
+//! `campaign` runs the full `workload × tool` grid instead. Per-cell progress
+//! and notes go to stderr; stdout carries only the aggregated output, which
+//! is byte-identical whatever `--threads`, `--pipeline` or the cache's
+//! temperature. ARCHITECTURE.md ("Figures are views", "Scaling axes")
+//! describes the formats and every axis.
 //!
-//! `--scale` multiplies every workload's input size (default 0.4); the paper's
-//! qualitative results hold across scales, larger values just take longer.
-//!
-//! Every figure/table runs through the shared [`Grid`] cell cache: the driver
-//! plans the union of the cells the selected experiments need, runs each
-//! unique `(workload, tool)` cell exactly once on the parallel campaign
-//! runner (`--threads`, default: all cores), and derives each experiment from
-//! the cached cells. Per-cell progress streams to **stderr** as cells
-//! complete; stdout carries only the aggregated output, which is
-//! byte-identical whatever the thread count.
-//!
-//! `--format json` emits one JSON document per experiment (JSON Lines when
-//! several are selected); `--format csv` emits one CSV table per experiment,
-//! prefixed with a `# name` comment line when several are selected (fig2,
-//! a layout demonstration with no tabular form, is skipped under csv).
-//! `campaign` runs the full `workload × tool` grid and supports `--only` to
-//! restrict the workload set.
-//!
-//! `--cell-budget-steps N` bounds every cell at `N` retired instructions: a
-//! budget observer rides the run's event stream (LASER cells are cancelled
-//! mid-flight, single-event tools are marked after completion) and an
-//! over-budget cell is recorded as a `budget-exceeded` outcome without
-//! disturbing the rest of the grid. Step budgets are deterministic, so the
-//! output stays byte-identical whatever `--threads` is.
-//!
-//! `--pipeline` deploys every LASER cell with its detector on a worker
-//! thread, overlapped with the simulated quantum behind a double-buffered
-//! record channel (see `laser_core::PipelineConfig`). Pipelining raises
-//! throughput when cells are fewer than worker threads; the output is
-//! **byte-identical** to a non-pipelined run — CI diffs the two to prove it.
-//!
-//! `--topology flat|2s|4s|8s|32s` deploys every cell's machine on a
-//! socket-topology preset (4 cores per socket, threads scaled to match, multi-socket
-//! placement round-robin across sockets); `flat` is the default and is
-//! byte-identical to the pre-topology behaviour. fig2 and fig3 are derived
-//! outside the workload grid, so a non-flat preset skips them (with a note)
-//! rather than passing flat results off as multi-socket data. The `xsocket`
-//! subcommand sweeps the headline false-sharing workloads across *all*
-//! presets and reports how the cross-socket HITM traffic — and repair's
-//! benefit — grows with the socket count. `campaign --topology-file FILE`
-//! deploys every cell on a bespoke asymmetric layout instead
-//! (`laser_bench::CustomTopology`), validated before anything simulates.
-//!
-//! Workload names in `--only` are validated up front: an unknown name in the
-//! comma list (including an empty entry from a stray comma) is an error
-//! before anything is simulated, never a silently smaller grid. Names are
-//! exact — the alternative-input histogram really is called `histogram'`,
-//! apostrophe included. Unknown `--topology` names are rejected the same
-//! way.
-//!
-//! `--cache DIR` opens a persistent cell cache (`laser_bench::CellCache`):
-//! every cell's full configuration is fingerprinted, previously-computed
-//! cells are loaded instead of simulated, and new cells are written back for
-//! the next invocation. Simulation is deterministic and the fingerprint
-//! covers everything that feeds a cell, so a warm-cache rerun is
-//! **byte-identical** to a cold one in every output format while simulating
-//! zero cells — CI diffs the two to prove it. Cache statistics go to stderr
-//! (never stdout), and `--cache-stats FILE` additionally writes them as JSON
-//! to FILE.
+//! Every flag lands in one [`CampaignConfig`] through the validated setters
+//! scenario files use too (see `laser_bench::config`). An out-of-range
+//! value, an unknown `--only` workload or an unknown `--topology` exits 2
+//! before anything is simulated; a figure that fails exits 1.
 
 use std::env;
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use laser_bench::accuracy::{
-    fig9_from_grid, fig9_thresholds, plan_fig9, plan_table1, plan_table2, table1_from_grid,
-    table2_from_grid, Fig9Report, Table1Report, Table2Report,
-};
 use laser_bench::args::{knob, value, CliError};
-use laser_bench::characterization::{fig2_layout, fig3_characterization_on, Fig3Report};
-use laser_bench::performance::{
-    fig10_from_grid, fig11_from_grid, fig12_from_grid, fig13_from_grid, fig13_savs,
-    fig14_from_grid, plan_fig10, plan_fig11, plan_fig12, plan_fig13, plan_fig14, Fig10Report,
-    Fig11Report, Fig12Report, Fig13Report, Fig14Report,
-};
-use laser_bench::xsocket::{plan_xsocket, xsocket_from_grid};
 use laser_bench::{
-    validate_workload_names, AggregateFormat, Campaign, CampaignConfig, CampaignProgress,
-    CampaignResult, CellCache, CustomTopology, Emit, ExperimentError, Grid, GridResult,
-    TopologySpec, XsocketReport,
+    figure, validate_workload_names, AggregateFormat, Campaign, CampaignConfig, CampaignProgress,
+    CellCache, CustomTopology, FigureError, Grid, TopologySpec, FIGURES,
 };
 use laser_workloads::registry;
-use serde::json::Value;
-
-const FIGURES: &[&str] = &[
-    "fig2", "fig3", "table1", "table2", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-];
-
-/// Experiments beyond the paper's figures. `xsocket` is not part of `all`
-/// (which regenerates exactly the paper's artifacts); it is requested by
-/// name.
-const EXTRAS: &[&str] = &["xsocket"];
 
 const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|\
                      fig11|fig12|fig13|fig14] [--scale S] [--threads N] [--only w1,w2,...] \
@@ -195,164 +123,58 @@ fn run_campaign(cli: &Cli) -> Result<(), String> {
         cli.config.worker_threads()
     );
     let result = campaign.run_with_progress(announce);
-    write_stdout(&payload(&result, CampaignResult::render, cli.format))
+    let mut payload = cli.format.payload(&result);
+    if cli.format == AggregateFormat::Json {
+        payload.push('\n');
+    }
+    write_stdout(&payload)
 }
 
-/// `report` as the stdout payload `format` selects: its text table (the
-/// report's inherent `render`), its JSON document on a line of its own, or
-/// its CSV table.
-fn payload<R: Emit>(report: &R, render: fn(&R) -> String, format: AggregateFormat) -> String {
-    let body = format.payload(report, render);
-    if format == AggregateFormat::Json {
-        body + "\n"
-    } else {
-        body
-    }
-}
-
-fn plan_one(which: &str, grid: &mut Grid) {
-    match which {
-        "xsocket" => plan_xsocket(grid),
-        "table1" => plan_table1(grid),
-        "table2" => plan_table2(grid),
-        "fig9" => plan_fig9(grid),
-        "fig10" => plan_fig10(grid),
-        "fig11" => plan_fig11(grid),
-        "fig12" => plan_fig12(grid),
-        "fig13" => plan_fig13(grid, &fig13_savs()),
-        "fig14" => plan_fig14(grid),
-        // fig2 (a layout demonstration) and fig3 (characterization cases)
-        // have no workload × tool cells.
-        _ => {}
-    }
-}
-
-/// Derive one experiment from the shared grid and format it as the stdout
-/// payload `cli.format` selects.
-fn derive_one(which: &str, grid: Option<&GridResult>, cli: &Cli) -> Result<String, String> {
-    let format = cli.format;
-    match which {
-        "fig2" if format == AggregateFormat::Text => return Ok(fig2_layout()),
-        // Csv never gets here: `inapplicable` rejected it up front.
-        "fig2" => {
-            let doc = Value::object()
-                .set("kind", "fig2")
-                .set("text", fig2_layout());
-            return Ok(format!("{}\n", doc.render()));
-        }
-        "fig3" => {
-            let per_category = if cli.config.opts.scale < 0.2 { 5 } else { 40 };
-            let report = fig3_characterization_on(per_category, cli.config.worker_threads());
-            return Ok(payload(&report, Fig3Report::render, format));
-        }
-        _ => {}
-    }
-    let grid = grid.ok_or_else(|| format!("experiment {which} needs a grid (internal error)"))?;
-    fn view<R: Emit>(
-        report: Result<R, ExperimentError>,
-        render: fn(&R) -> String,
-        format: AggregateFormat,
-    ) -> Result<String, ExperimentError> {
-        Ok(payload(&report?, render, format))
-    }
-    match which {
-        "table1" => view(table1_from_grid(grid), Table1Report::render, format),
-        "table2" => view(table2_from_grid(grid), Table2Report::render, format),
-        "fig9" => view(
-            fig9_from_grid(grid, &fig9_thresholds()),
-            Fig9Report::render,
-            format,
-        ),
-        "fig10" => view(fig10_from_grid(grid), Fig10Report::render, format),
-        "fig11" => view(fig11_from_grid(grid), Fig11Report::render, format),
-        "fig12" => view(fig12_from_grid(grid, 0.10), Fig12Report::render, format),
-        "fig13" => view(
-            fig13_from_grid(grid, &fig13_savs()),
-            Fig13Report::render,
-            format,
-        ),
-        "fig14" => view(fig14_from_grid(grid), Fig14Report::render, format),
-        "xsocket" => view(xsocket_from_grid(grid), XsocketReport::render, format),
-        other => return Err(format!("unknown experiment '{other}'")),
-    }
-    .map_err(|e| format!("experiment {which} failed: {e}"))
-}
-
-/// Why `which` cannot be derived under this command line, if it cannot: fig2
-/// has no csv form, and fig2 (an allocator-layout demo) and fig3 (PEBS record
-/// characterization on fixed two-thread cases) are derived outside the
-/// workload grid, so reporting them under a topology preset would pass flat
-/// results off as 2s/4s data.
-fn inapplicable(which: &str, cli: &Cli) -> Option<&'static str> {
-    if which == "fig2" && cli.format == AggregateFormat::Csv {
-        Some("a layout demonstration with no csv form")
-    } else if matches!(which, "fig2" | "fig3") && cli.config.topology != TopologySpec::Flat {
-        Some("derived outside the workload grid, --topology does not apply")
-    } else {
-        None
-    }
-}
-
+/// Plan every selected figure into one grid, run it, then derive and print
+/// each figure in table order.
 fn run_figures(cli: &Cli) -> Result<(), String> {
-    let format = cli.format;
-    let requested = if cli.which == "all" {
-        FIGURES
-    } else {
-        &[cli.which.as_str()]
-    };
-    // Resolve incompatibilities before any cell is simulated: an `all` run
-    // skips the experiment with a note instead of discarding the whole
-    // grid's work at derive time; an explicit request fails up front.
-    let mut selected = Vec::new();
-    for &which in requested {
-        match inapplicable(which, cli) {
-            None => selected.push(which),
-            Some(why) if cli.which == "all" => eprintln!("skipping {which}: {why}"),
-            Some(why) => return Err(format!("{which} is {why}")),
-        }
-    }
-
+    let all = cli.which == "all";
+    let selected: Vec<_> = FIGURES
+        .iter()
+        .filter(|f| if all { f.in_all } else { f.name == cli.which })
+        .collect();
     // One grid for everything selected: shared cells (every figure wants the
     // native baseline, both tables want laser-detect, ...) are planned once
     // and simulated once.
     let mut grid = Grid::with_config(cli.config.clone());
-    for which in &selected {
-        plan_one(which, &mut grid);
+    for figure in &selected {
+        (figure.plan)(&mut grid);
     }
-    let total = grid.cells();
-    let grid_result = if total > 0 {
+    if grid.cells() > 0 {
         eprintln!(
-            "running {total} unique cells on {} worker threads...",
+            "running {} unique cells on {} worker threads...",
+            grid.cells(),
             cli.config.worker_threads()
         );
-        Some(grid.run_with_progress(announce))
-    } else {
-        None
-    };
+    }
+    let result = grid.run_with_progress(announce);
 
-    let many = selected.len() > 1;
-    for which in &selected {
-        let payload = derive_one(which, grid_result.as_ref(), cli)?;
-        let mut block = String::new();
-        match format {
+    for figure in &selected {
+        let name = figure.name;
+        // A figure with no form under this command line is skipped by `all`
+        // and fails a request for it alone.
+        let payload = match (figure.derive)(&result, cli.format) {
+            Ok(payload) => payload,
+            Err(FigureError::Inapplicable(why)) if all => {
+                eprintln!("skipping {name}: {why}");
+                continue;
+            }
+            Err(FigureError::Inapplicable(why)) => return Err(format!("{name} is {why}")),
+            Err(FigureError::Failed(e)) => return Err(format!("experiment {name} failed: {e}")),
+        };
+        let block = match cli.format {
             AggregateFormat::Text => {
-                block.push_str(&format!(
-                    "==================== {which} ====================\n"
-                ));
-                block.push_str(&payload);
-                block.push('\n');
+                format!("==================== {name} ====================\n{payload}\n")
             }
-            AggregateFormat::Json => block.push_str(&payload),
-            AggregateFormat::Csv => {
-                if many {
-                    block.push_str(&format!("# {which}\n"));
-                }
-                block.push_str(&payload);
-                if many {
-                    block.push('\n');
-                }
-            }
-        }
+            AggregateFormat::Json => payload + "\n",
+            AggregateFormat::Csv if all => format!("# {name}\n{payload}\n"),
+            AggregateFormat::Csv => payload,
+        };
         write_stdout(&block)?;
     }
     Ok(())
@@ -441,8 +263,10 @@ impl Cli {
                 }
             }
         }
-        if cli.which == "xsocket" && !scale_given {
-            cli.config.opts.scale = 1.0;
+        if !scale_given {
+            if let Some(scale) = figure(&cli.which).and_then(|f| f.scale) {
+                cli.config.opts.scale = scale;
+            }
         }
 
         if cli.cache_stats.is_some() && cli.cache.is_none() {
@@ -472,11 +296,7 @@ impl Cli {
             validate_workload_names(&names, &registry())
                 .map_err(|e| CliError::Invalid(e.to_string()))?;
         }
-        if cli.which != "campaign"
-            && cli.which != "all"
-            && !FIGURES.contains(&cli.which.as_str())
-            && !EXTRAS.contains(&cli.which.as_str())
-        {
+        if cli.which != "campaign" && cli.which != "all" && figure(&cli.which).is_none() {
             return Err(CliError::Usage);
         }
         Ok(cli)
@@ -618,8 +438,10 @@ mod tests {
         assert_eq!(cli.which, "xsocket");
         assert_eq!(cli.config.opts.scale, 1.0, "xsocket defaults to full scale");
         assert_eq!(Cli::parse(&[]).unwrap().config.opts.scale, 0.4);
-        assert!(!FIGURES.contains(&"xsocket"), "xsocket must not join `all`");
-        assert!(EXTRAS.contains(&"xsocket"));
+        assert!(
+            !figure("xsocket").unwrap().in_all,
+            "xsocket must not join `all`"
+        );
         let cli = Cli::parse(&args(&["xsocket", "--scale", "0.5"])).unwrap();
         assert_eq!(cli.config.opts.scale, 0.5);
     }
@@ -767,6 +589,35 @@ mod tests {
         let cli = Cli::parse(&args(&["--cell-budget-steps", "9", "--threads", "1"])).unwrap();
         assert_eq!(cli.config.budget, CellBudget::steps(9));
         assert_eq!(cli.config.threads, Some(1));
+    }
+
+    #[test]
+    fn usage_header_and_crate_docs_name_exactly_the_figure_table() {
+        let mut expected: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        expected.extend(["all", "campaign"]);
+        expected.sort_unstable();
+        // The `[a|b|...]` list after the first "experiments [".
+        let subcommands = |text: &'static str| {
+            let list = text.split("experiments [").nth(1).unwrap();
+            let mut names: Vec<&str> = list[..list.find(']').unwrap()].split('|').collect();
+            names.sort_unstable();
+            names
+        };
+        assert_eq!(subcommands(USAGE), expected, "USAGE");
+        assert_eq!(
+            subcommands(include_str!("experiments.rs")),
+            expected,
+            "header"
+        );
+        // The crate docs' artifact table has one row per subcommand but `all`.
+        let mut documented: Vec<&str> = include_str!("../lib.rs")
+            .split("| `experiments ")
+            .skip(1)
+            .map(|row| &row[..row.find('`').unwrap()])
+            .collect();
+        documented.sort_unstable();
+        expected.retain(|&name| name != "all");
+        assert_eq!(documented, expected, "lib.rs artifact table");
     }
 
     /// A scenario document carrying `keys` next to one placeholder cell.

@@ -37,9 +37,11 @@ use std::sync::{Arc, Mutex};
 
 use laser_core::{CellBudget, PipelineConfig, TopologySpec};
 use laser_workloads::{registry, BuildOptions, WorkloadSpec};
+use serde::json::Value;
 
 use crate::cache::CellCache;
 use crate::config::{CampaignConfig, CellConfig};
+use crate::emit::{Column, Emit, Prec, View};
 use crate::tool::{default_tools, Tool, ToolFailure, ToolRun, ToolSpec};
 use crate::topofile::CustomTopology;
 
@@ -436,49 +438,58 @@ impl CampaignResult {
             .cycles;
         Some(tool_cycles as f64 / native_cycles.max(1) as f64)
     }
+}
 
-    /// Render the whole grid as a stable text table. Byte-identical for
-    /// identical campaigns regardless of how many threads computed them.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Campaign: {:<20} {:<16} {:>14} {:>8} {:>7}  reported",
-            "workload", "tool", "cycles", "norm", "repair"
-        );
-        for c in &self.cells {
-            match &c.outcome {
+const CAMPAIGN_COLUMNS: &[Column] = &[
+    Column::left("workload", "workload", 20),
+    Column::left("tool", "tool", 16),
+    Column::data("status"),
+    Column::right("cycles", "cycles", 14),
+    Column::right("normalized", "norm", 8).text(Prec::Fixed(3)),
+    Column::right("repair_invoked", "repair", 7),
+    Column::data("reported"),
+    Column::data("failure"),
+    // The text table shows a failed cell's message where the lines go.
+    Column::free_text("reported", "reported"),
+];
+
+impl Emit for CampaignResult {
+    /// The whole grid, one row per cell in grid order.
+    fn view(&self) -> View {
+        let row = |c: &CellResult| {
+            let mut row = vec![
+                c.workload.as_str().into(),
+                c.tool.as_str().into(),
+                c.status().into(),
+            ];
+            row.extend(match &c.outcome {
                 Ok(run) => {
-                    let norm = self
-                        .normalized(&c.workload, &c.tool)
-                        .map(|n| format!("{n:.3}"))
-                        .unwrap_or_else(|| "-".to_string());
-                    let _ = writeln!(
-                        out,
-                        "          {:<20} {:<16} {:>14} {:>8} {:>7}  {}",
-                        c.workload,
-                        c.tool,
-                        run.cycles,
-                        norm,
-                        if run.repair_invoked { "yes" } else { "-" },
-                        if run.reported.is_empty() {
-                            "-".to_string()
-                        } else {
-                            run.reported_labels().join("; ")
-                        }
-                    );
+                    let reported: Vec<Value> =
+                        run.reported_labels().into_iter().map(Value::from).collect();
+                    [
+                        run.cycles.into(),
+                        self.normalized(&c.workload, &c.tool).into(),
+                        run.repair_invoked.into(),
+                        reported.clone().into(),
+                        Value::Null,
+                        reported.into(),
+                    ]
                 }
-                Err(failure) => {
-                    let _ = writeln!(
-                        out,
-                        "          {:<20} {:<16} {:>14} {:>8} {:>7}  {failure}",
-                        c.workload, c.tool, "-", "-", "-"
-                    );
-                }
-            }
+                Err(failure) => [
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                    Vec::new().into(),
+                    failure.to_string().into(),
+                    failure.to_string().into(),
+                ],
+            });
+            row
+        };
+        View {
+            rows_key: "cells",
+            ..View::new("campaign", "Campaign:", CAMPAIGN_COLUMNS, &self.cells, row)
         }
-        out
     }
 }
 

@@ -1,9 +1,17 @@
 //! Figure 2 (allocation layout) and Figure 3 (HITM record accuracy
 //! characterization).
 
+use std::fmt::Write as _;
+
 use laser_machine::{line_of, Machine, MachineConfig};
 use laser_pebs::imprecision::{ImprecisionModel, ImprecisionParams};
 use laser_workloads::{characterization_cases, CharacterizationCase};
+use serde::json::Value;
+
+use crate::emit::{Column, Emit, Prec, View};
+
+/// The four sharing categories of Figure 3, in the paper's order.
+const CATEGORIES: [&str; 4] = ["TSRW", "FSRW", "TSWW", "FSWW"];
 
 /// Accuracy of the HITM records of one characterization test case.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,40 +52,81 @@ impl Fig3Report {
             vals.iter().sum::<f64>() / vals.len() as f64 // lint:allow(float-accum) — vals is a Vec summed in index order, which is fixed across runs
         }
     }
+}
 
-    /// Render the figure as text: one scatter row per case plus the category
-    /// averages the paper quotes in prose.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "Figure 3: HITM record accuracy per test case");
-        let _ = writeln!(
-            out,
-            "{:<6} {:>6} {:>12} {:>10} {:>12}",
-            "case", "cat", "addr_ok%", "pc_ok%", "pc_adj_ok%"
-        );
-        for c in &self.cases {
-            let _ = writeln!(
-                out,
-                "{:<6} {:>6} {:>12.1} {:>10.1} {:>12.1}",
-                c.id,
-                c.label,
-                c.addr_correct * 100.0,
-                c.pc_exact * 100.0,
-                c.pc_adjacent * 100.0
-            );
+/// JSON names a case `id`, the text and CSV tables `case`.
+const FIG3_COLUMNS: &[Column] = &[
+    Column::json_only("id"),
+    Column::left("case", "case", 6).json(Prec::Omit),
+    Column::right("category", "cat", 6),
+    Column::right("addr_correct", "addr_ok%", 12).text(Prec::Hundred(1)),
+    Column::right("pc_exact", "pc_ok%", 10).text(Prec::Hundred(1)),
+    Column::right("pc_adjacent", "pc_adj_ok%", 12).text(Prec::Hundred(1)),
+    Column::data("events"),
+];
+
+/// One accuracy of a case.
+type Metric = fn(&Fig3Case) -> f64;
+
+/// The three accuracies Figure 3 scores, by JSON key.
+const METRICS: [(&str, Metric); 3] = [
+    ("addr_correct", |c| c.addr_correct),
+    ("pc_exact", |c| c.pc_exact),
+    ("pc_adjacent", |c| c.pc_adjacent),
+];
+
+impl Emit for Fig3Report {
+    /// One scatter row per case.
+    fn view(&self) -> View {
+        let title = "Figure 3: HITM record accuracy per test case\n";
+        let view = View::new("fig3", title, FIG3_COLUMNS, &self.cases, |c| {
+            let mut row = vec![c.id.into(), c.id.into(), c.label.into()];
+            row.extend(METRICS.map(|(_, metric)| metric(c).into()));
+            row.push(c.events.into());
+            row
+        });
+        View {
+            rows_key: "cases",
+            ..view
         }
-        let _ = writeln!(out, "\ncategory averages:");
-        for label in ["TSRW", "FSRW", "TSWW", "FSWW"] {
+    }
+
+    /// The cases, then the category averages the paper quotes in prose.
+    fn render(&self) -> String {
+        let mut out = self.view().text();
+        out.push_str("\ncategory averages:\n");
+        for label in CATEGORIES {
+            let [addr, pc, adjacent] = METRICS.map(|(_, m)| self.category_mean(label, m) * 100.0);
             let _ = writeln!(
                 out,
-                "  {label}: addr {:.0}%  pc {:.0}%  pc+adjacent {:.0}%",
-                self.category_mean(label, |c| c.addr_correct) * 100.0,
-                self.category_mean(label, |c| c.pc_exact) * 100.0,
-                self.category_mean(label, |c| c.pc_adjacent) * 100.0,
+                "  {label}: addr {addr:.0}%  pc {pc:.0}%  pc+adjacent {adjacent:.0}%"
             );
         }
         out
+    }
+
+    /// The cases, then the category averages.
+    fn to_json(&self) -> Value {
+        let averages = CATEGORIES.map(|label| {
+            METRICS
+                .iter()
+                .fold(Value::object().set("category", label), |v, (key, m)| {
+                    v.set(key, self.category_mean(label, m))
+                })
+        });
+        self.view()
+            .json()
+            .set("category_averages", Value::Array(averages.into()))
+    }
+}
+
+/// How many cases per category `experiments fig3` scores at input scale
+/// `scale`: the paper's 40, or 5 for the quick runs below 0.2.
+pub fn fig3_cases_per_category(scale: f64) -> usize {
+    if scale < 0.2 {
+        5
+    } else {
+        40
     }
 }
 
@@ -89,9 +138,16 @@ impl Fig3Report {
 /// cases fan out over the campaign runner's
 /// [`ordered_parallel`](crate::campaign::ordered_parallel) executor and the
 /// report is identical for any thread count.
-pub fn fig3_characterization_on(cases_per_category: usize, threads: usize) -> Fig3Report {
+///
+/// # Errors
+/// The first case, in case order, that does not finish within the
+/// machine's step budget.
+pub fn fig3_characterization_on(
+    cases_per_category: usize,
+    threads: usize,
+) -> Result<Fig3Report, String> {
     let mut selected: Vec<CharacterizationCase> = Vec::new();
-    for label in ["TSRW", "FSRW", "TSWW", "FSWW"] {
+    for label in CATEGORIES {
         selected.extend(
             characterization_cases()
                 .into_iter()
@@ -99,20 +155,27 @@ pub fn fig3_characterization_on(cases_per_category: usize, threads: usize) -> Fi
                 .take(cases_per_category),
         );
     }
-    let cases =
-        crate::campaign::ordered_parallel(selected.len(), threads, |i| fig3_case(&selected[i]));
-    Fig3Report { cases }
+    let cases = crate::campaign::ordered_parallel(selected.len(), threads, |i| {
+        fig3_case(&selected[i], MachineConfig::default())
+    });
+    Ok(Fig3Report {
+        cases: cases.into_iter().collect::<Result<_, _>>()?,
+    })
 }
 
-/// Score one characterization case: run it to completion, pass every
-/// ground-truth HITM event through the imprecision model, and count how many
-/// records keep the right address and PC.
-fn fig3_case(case: &CharacterizationCase) -> Fig3Case {
+/// Score one characterization case on `config`: run it to completion, pass
+/// every ground-truth HITM event through the imprecision model, and count
+/// how many records keep the right address and PC.
+fn fig3_case(case: &CharacterizationCase, config: MachineConfig) -> Result<Fig3Case, String> {
     let built = case.build();
-    let mut machine = Machine::new(MachineConfig::default(), &built.image);
-    let _ = machine
-        .run_to_completion()
-        .expect("characterization cases terminate"); // lint:allow(panic) — characterization cells run under an instruction budget; non-termination is a bench bug
+    let mut machine = Machine::new(config, &built.image);
+    machine.run_to_completion().map_err(|e| {
+        format!(
+            "characterization case {} ({}) did not terminate: {e}",
+            case.id,
+            case.label()
+        )
+    })?;
     let events = machine.take_hitm_events();
     let program = built.image.program();
     let mut model = ImprecisionModel::new(
@@ -137,31 +200,33 @@ fn fig3_case(case: &CharacterizationCase) -> Fig3Case {
         }
     }
     let n = events.len().max(1) as f64;
-    Fig3Case {
+    Ok(Fig3Case {
         id: case.id,
         label: case.label(),
         addr_correct: addr_ok as f64 / n,
         pc_exact: pc_ok as f64 / n,
         pc_adjacent: pc_adj as f64 / n,
         events: events.len() as u64,
-    }
+    })
 }
+
+/// The workload whose argument array Figure 2 lays out.
+pub const FIG2_WORKLOAD: &str = "linear_regression";
 
 /// The Figure 2 demonstration: how the allocator lays `lreg_args` structs out
 /// across cache lines, with and without the manual alignment fix.
 pub fn fig2_layout() -> String {
     use laser_workloads::{find, BuildOptions};
-    use std::fmt::Write as _;
+    let spec = find(FIG2_WORKLOAD).expect("workload exists"); // lint:allow(panic) — a missing built-in workload is a bench-table bug, not a runtime condition; reached by figures::tests
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Figure 2: allocator layout of the linear_regression args array\n"
+        "Figure 2: allocator layout of the {FIG2_WORKLOAD} args array\n"
     );
     for (title, opts) in [
         ("default malloc layout (buggy)", BuildOptions::default()),
         ("cache-line aligned (manual fix)", BuildOptions::fixed()),
     ] {
-        let spec = find("linear_regression").expect("workload exists"); // lint:allow(panic) — a missing built-in workload is a bench-table bug, not a runtime condition
         let image = spec.build(&opts);
         let _ = writeln!(out, "{title}:");
         for (t, thread) in image.threads().iter().enumerate() {
@@ -194,7 +259,7 @@ mod tests {
 
     #[test]
     fn fig3_reproduces_the_rw_vs_ww_accuracy_gap() {
-        let report = fig3_characterization_on(3, 2);
+        let report = fig3_characterization_on(3, 2).unwrap();
         assert_eq!(report.cases.len(), 12);
         // RW (load-triggered) records are far more accurate than WW
         // (store-triggered) ones, as in the paper's Figure 3.
@@ -213,10 +278,27 @@ mod tests {
 
     #[test]
     fn fig3_is_thread_count_independent() {
-        let serial = fig3_characterization_on(2, 1);
-        let parallel = fig3_characterization_on(2, 8);
+        let serial = fig3_characterization_on(2, 1).unwrap();
+        let parallel = fig3_characterization_on(2, 8).unwrap();
         assert_eq!(serial.cases, parallel.cases);
         assert_eq!(serial.render(), parallel.render());
+    }
+
+    #[test]
+    fn a_case_that_outruns_the_step_budget_is_an_error_naming_it() {
+        let case = &characterization_cases()[0];
+        let config = MachineConfig {
+            max_steps: 10,
+            ..MachineConfig::default()
+        };
+        let err = fig3_case(case, config).unwrap_err();
+        assert!(
+            err.starts_with(&format!("characterization case {} ", case.id)),
+            "{err}"
+        );
+        assert!(err.contains("within 10 steps"), "{err}");
+        // The same case terminates under the default budget.
+        assert!(fig3_case(case, MachineConfig::default()).is_ok());
     }
 
     #[test]

@@ -1,585 +1,373 @@
-//! Machine-readable emission: every campaign and figure report renders to
-//! JSON (via the [`serde::json`] shim) and CSV in addition to its text table.
+//! One renderer for every report. A report describes itself once, as a
+//! [`View`] — a titled table of JSON values under [`Column`]s — and the
+//! [`Emit`] trait's provided methods spell that one table in the three
+//! formats `experiments --format` and `laser-serve`'s aggregate select:
 //!
-//! The [`Emit`] trait is what `experiments --format json|csv` calls. JSON
-//! documents are single objects with a `"kind"` discriminator; CSV output is
-//! one header line plus one row per entry. Both derive from the same
-//! aggregated results as the text tables, so they inherit the campaign
-//! runner's determinism: identical for any thread count.
+//! - **text** ([`Emit::render`]) is the paper-style table. The header line
+//!   starts with the view's title and every row is indented to the title's
+//!   width; a title ending in a newline stands on a line of its own and the
+//!   rows are not indented. Each cell is padded to its column's width and
+//!   alignment, one space apart; free text is set off by two spaces.
+//! - **JSON** ([`Emit::to_json`]) is one object: `"kind"`, then one object
+//!   per row under the view's rows key. A footer row adds one more key, named
+//!   by its first cell, holding its other columns.
+//! - **CSV** ([`Emit::to_csv`]) is a header line of column keys, then one
+//!   line per row (footer included), each field quoted where it needs to be.
+//!
+//! A [`Column`] carries a key (the JSON key and CSV header), a text label,
+//! width and alignment, and one [`Prec`] per format: how that format spells
+//! the column's floats, or that it leaves the column out. Text and CSV spell
+//! `null` as `-` and nothing, a flag as `yes`/`-` and `true`/`false`, and an
+//! array `; `-joined (`-` when empty in text). A value spelled differently
+//! per format is two columns, each shown by its formats only: Table 2's
+//! kinds, Figure 3's case id, Figure 14's Sheriff failures and the
+//! campaign's failed cells. Every output is a pure function
+//! of the report, so it inherits the campaign runner's determinism:
+//! identical for any thread count, cold cache or warm.
+//!
+//! A report overrides a provided method only where no column can say what it
+//! prints:
+//!
+//! | Report | Overrides | Why |
+//! |---|---|---|
+//! | [`Table1Report`](crate::accuracy::Table1Report) | `render`, `to_json` | the text groups the tools with `\|`, joins Sheriff's FN/FP into one cell and closes with a TOTAL row; the JSON nests each tool's FN/FP pair and adds the totals |
+//! | [`Table2Report`](crate::accuracy::Table2Report) | `render`, `to_json` | both close with how many bugs LASER classified correctly: a sentence in text, `laser_correct` in JSON |
+//! | [`XsocketReport`](crate::xsocket::XsocketReport) | `render` | the text shows its columns in another order than the JSON and CSV |
+//! | [`Fig3Report`](crate::characterization::Fig3Report) | `render`, `to_json` | both add the per-category averages the paper quotes |
+
+use std::fmt::Write as _;
 
 use serde::json::Value;
 
 use laser_baselines::SheriffFailure;
 
-use crate::accuracy::{Fig9Report, Table1Report, Table2Report};
-use crate::campaign::CampaignResult;
-use crate::characterization::Fig3Report;
-use crate::performance::{Fig10Report, Fig11Report, Fig12Report, Fig13Report, Fig14Report};
-use crate::xsocket::XsocketReport;
-
-/// A result that can be emitted in machine-readable formats.
+/// A report that renders as text, JSON and CSV. Object-safe: callers hold
+/// reports as `&dyn Emit`.
 pub trait Emit {
-    /// The JSON document for this result.
-    fn to_json(&self) -> Value;
+    /// The report as one table.
+    fn view(&self) -> View;
 
-    /// The CSV table for this result (header line + rows, `\n`-terminated).
-    fn to_csv(&self) -> String;
-}
+    /// The text table.
+    fn render(&self) -> String {
+        self.view().text()
+    }
 
-/// Quote a CSV field when it contains a delimiter, quote or newline.
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+    /// The JSON document.
+    fn to_json(&self) -> Value {
+        self.view().json()
+    }
+
+    /// The CSV table: header line plus rows, `\n`-terminated.
+    fn to_csv(&self) -> String {
+        self.view().csv()
     }
 }
 
-/// Join fields into one CSV row.
-fn csv_row(fields: &[String]) -> String {
-    fields
-        .iter()
-        .map(|f| csv_field(f))
-        .collect::<Vec<_>>()
-        .join(",")
+/// How a text column aligns its cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Align {
+    /// Padded on the right (names).
+    Left,
+    /// Padded on the left (numbers).
+    Right,
+    /// Free text: set off by two spaces, never padded.
+    Free,
 }
 
-fn sheriff_status(f: SheriffFailure) -> &'static str {
+/// How one format spells a column's floats; every other value ignores it.
+/// [`Prec::Omit`] leaves the column out of that format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Prec {
+    /// The format leaves the column out.
+    Omit,
+    /// Floats in full.
+    Plain,
+    /// `{:.N}`.
+    Fixed(usize),
+    /// `{:.N}x`: a speed-up or slowdown factor.
+    Times(usize),
+    /// `100·v` as `{:.N}%`.
+    Percent(usize),
+    /// `100·v` as `{:.N}`, under a label that carries the `%`.
+    Hundred(usize),
+}
+
+/// One column of a [`View`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Column {
+    /// The JSON key and CSV header.
+    pub key: &'static str,
+    /// The text header.
+    pub label: &'static str,
+    /// Text width.
+    pub width: usize,
+    /// Text alignment.
+    pub align: Align,
+    /// How the text table spells the column.
+    pub text: Prec,
+    /// How the JSON document spells it.
+    pub json: Prec,
+    /// How the CSV table spells it.
+    pub csv: Prec,
+}
+
+impl Column {
+    /// A left-aligned column every format shows.
+    pub const fn left(key: &'static str, label: &'static str, width: usize) -> Column {
+        Column {
+            key,
+            label,
+            width,
+            align: Align::Left,
+            text: Prec::Plain,
+            json: Prec::Plain,
+            csv: Prec::Plain,
+        }
+    }
+
+    /// A right-aligned column every format shows; CSV floats get six
+    /// decimals.
+    pub const fn right(key: &'static str, label: &'static str, width: usize) -> Column {
+        Column {
+            align: Align::Right,
+            csv: Prec::Fixed(6),
+            ..Column::left(key, label, width)
+        }
+    }
+
+    /// A free-text column only the text table shows.
+    pub const fn free_text(key: &'static str, label: &'static str) -> Column {
+        Column {
+            align: Align::Free,
+            ..Column::left(key, label, 0).json(Prec::Omit).csv(Prec::Omit)
+        }
+    }
+
+    /// A column only the JSON document and the CSV table carry.
+    pub const fn data(key: &'static str) -> Column {
+        Column::right(key, "", 0).text(Prec::Omit)
+    }
+
+    /// A column only the JSON document carries.
+    pub const fn json_only(key: &'static str) -> Column {
+        Column::data(key).csv(Prec::Omit)
+    }
+
+    /// The same column, its text floats spelled `prec`.
+    pub const fn text(self, prec: Prec) -> Column {
+        Column { text: prec, ..self }
+    }
+
+    /// The same column, spelled `prec` in JSON.
+    pub const fn json(self, prec: Prec) -> Column {
+        Column { json: prec, ..self }
+    }
+
+    /// The same column, its CSV floats spelled `prec`.
+    pub const fn csv(self, prec: Prec) -> Column {
+        Column { csv: prec, ..self }
+    }
+
+    /// Append `s` as this column's text cell, after one space unless it
+    /// starts the line.
+    fn pad(&self, out: &mut String, s: &str, first: bool) {
+        if !first {
+            out.push(' ');
+        }
+        let fill = std::iter::repeat_n(' ', self.width.saturating_sub(s.chars().count()));
+        match self.align {
+            Align::Left => {
+                out.push_str(s);
+                out.extend(fill);
+            }
+            Align::Right => {
+                out.extend(fill);
+                out.push_str(s);
+            }
+            Align::Free => {
+                out.push(' ');
+                out.push_str(s);
+            }
+        }
+    }
+}
+
+/// Append `value` as the text table (`text`) or the CSV spells it, its
+/// floats under `prec`.
+fn spell(out: &mut String, value: &Value, prec: Prec, text: bool) -> std::fmt::Result {
+    match value {
+        Value::Null => out.write_str(if text { "-" } else { "" }),
+        Value::Bool(b) => out.write_str(match (text, b) {
+            (true, true) => "yes",
+            (true, false) => "-",
+            (false, true) => "true",
+            (false, false) => "false",
+        }),
+        Value::Int(n) => write!(out, "{n}"),
+        Value::Float(x) => match prec {
+            Prec::Omit | Prec::Plain => write!(out, "{x}"),
+            Prec::Fixed(p) => write!(out, "{x:.p$}"),
+            Prec::Times(p) => write!(out, "{x:.p$}x"),
+            Prec::Percent(p) => write!(out, "{:.p$}%", x * 100.0),
+            Prec::Hundred(p) => write!(out, "{:.p$}", x * 100.0),
+        },
+        Value::Str(s) => out.write_str(s),
+        Value::Array(items) if text && items.is_empty() => out.write_str("-"),
+        Value::Array(items) => items.iter().enumerate().try_for_each(|(i, item)| {
+            out.write_str(if i == 0 { "" } else { "; " })?;
+            spell(out, item, prec, text)
+        }),
+        Value::Object(_) => out.write_str(&value.render()),
+    }
+}
+
+/// Sheriff declining a workload, as the paper's tables mark it: `x` (crash)
+/// or `i` (incompatible).
+pub(crate) fn sheriff_mark(f: SheriffFailure) -> &'static str {
     match f {
-        SheriffFailure::Crash => "crash",
-        SheriffFailure::Incompatible => "incompatible",
+        SheriffFailure::Crash => "x",
+        SheriffFailure::Incompatible => "i",
     }
 }
 
-impl Emit for CampaignResult {
-    fn to_json(&self) -> Value {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                let mut v = Value::object()
-                    .set("workload", c.workload.as_str())
-                    .set("tool", c.tool.as_str())
-                    .set("status", c.status());
-                match &c.outcome {
-                    Ok(run) => {
-                        v = v
-                            .set("cycles", run.cycles)
-                            .set("normalized", self.normalized(&c.workload, &c.tool))
-                            .set("repair_invoked", run.repair_invoked)
-                            .set(
-                                "reported",
-                                Value::Array(
-                                    run.reported_labels().iter().map(|&l| l.into()).collect(),
-                                ),
-                            )
-                            .set("failure", Value::Null);
-                    }
-                    Err(failure) => {
-                        v = v
-                            .set("cycles", Value::Null)
-                            .set("normalized", Value::Null)
-                            .set("repair_invoked", Value::Null)
-                            .set("reported", Value::Array(Vec::new()))
-                            .set("failure", failure.to_string());
-                    }
-                }
-                v
-            })
-            .collect();
-        Value::object()
-            .set("kind", "campaign")
-            .set("cells", Value::Array(cells))
-    }
+/// A Sheriff result as the text and CSV tables show it: the value, or the
+/// mark of the failure.
+pub(crate) fn sheriff_cell<T: Into<Value>>(v: Result<T, SheriffFailure>) -> Value {
+    v.map_or_else(|f| sheriff_mark(f).into(), Into::into)
+}
 
-    fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "workload,tool,status,cycles,normalized,repair_invoked,reported,failure\n",
-        );
-        for c in &self.cells {
-            let row = match &c.outcome {
-                Ok(run) => csv_row(&[
-                    c.workload.clone(),
-                    c.tool.clone(),
-                    c.status().to_string(),
-                    run.cycles.to_string(),
-                    self.normalized(&c.workload, &c.tool)
-                        .map(|n| format!("{n:.6}"))
-                        .unwrap_or_default(),
-                    run.repair_invoked.to_string(),
-                    run.reported_labels().join("; "),
-                    String::new(),
-                ]),
-                Err(failure) => csv_row(&[
-                    c.workload.clone(),
-                    c.tool.clone(),
-                    c.status().to_string(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    failure.to_string(),
-                ]),
-            };
-            out.push_str(&row);
-            out.push('\n');
-        }
-        out
+/// Whether a Sheriff cell ran: `ok`, `crash` or `incompatible`.
+pub(crate) fn sheriff_status<T>(v: &Result<T, SheriffFailure>) -> &'static str {
+    match v {
+        Ok(_) => "ok",
+        Err(SheriffFailure::Crash) => "crash",
+        Err(SheriffFailure::Incompatible) => "incompatible",
     }
 }
 
-impl Emit for Fig3Report {
-    fn to_json(&self) -> Value {
-        let cases = self
-            .cases
-            .iter()
-            .map(|c| {
-                Value::object()
-                    .set("id", c.id)
-                    .set("category", c.label)
-                    .set("addr_correct", c.addr_correct)
-                    .set("pc_exact", c.pc_exact)
-                    .set("pc_adjacent", c.pc_adjacent)
-                    .set("events", c.events)
-            })
-            .collect();
-        let averages = ["TSRW", "FSRW", "TSWW", "FSWW"]
-            .iter()
-            .map(|&label| {
-                Value::object()
-                    .set("category", label)
-                    .set(
-                        "addr_correct",
-                        self.category_mean(label, |c| c.addr_correct),
-                    )
-                    .set("pc_exact", self.category_mean(label, |c| c.pc_exact))
-                    .set("pc_adjacent", self.category_mean(label, |c| c.pc_adjacent))
-            })
-            .collect();
-        Value::object()
-            .set("kind", "fig3")
-            .set("cases", Value::Array(cases))
-            .set("category_averages", Value::Array(averages))
-    }
-
-    fn to_csv(&self) -> String {
-        let mut out = String::from("case,category,addr_correct,pc_exact,pc_adjacent,events\n");
-        for c in &self.cases {
-            out.push_str(&csv_row(&[
-                c.id.to_string(),
-                c.label.to_string(),
-                format!("{:.6}", c.addr_correct),
-                format!("{:.6}", c.pc_exact),
-                format!("{:.6}", c.pc_adjacent),
-                c.events.to_string(),
-            ]));
-            out.push('\n');
-        }
-        out
-    }
+/// A report as one table: what [`Emit`]'s provided methods render.
+#[derive(Debug, Clone, PartialEq)]
+pub struct View {
+    /// The JSON document's `"kind"`.
+    pub kind: &'static str,
+    /// The text table's title (see the module docs for its layout).
+    pub title: &'static str,
+    /// The JSON key holding the rows: `rows`, `points`, `cases` or `cells`.
+    pub rows_key: &'static str,
+    /// The columns, in JSON and CSV order.
+    pub columns: &'static [Column],
+    /// One value per column in each row.
+    pub rows: Vec<Vec<Value>>,
+    /// A closing row, named by its first value (Figure 10's geomean).
+    pub footer: Option<Vec<Value>>,
 }
 
-impl Emit for Fig9Report {
-    fn to_json(&self) -> Value {
-        let points = self
-            .points
-            .iter()
-            .map(|p| {
-                Value::object()
-                    .set("threshold_hitm_per_sec", p.threshold)
-                    .set("false_negatives", p.false_negatives)
-                    .set("false_positives", p.false_positives)
-            })
-            .collect();
-        Value::object()
-            .set("kind", "fig9")
-            .set("points", Value::Array(points))
-    }
-
-    fn to_csv(&self) -> String {
-        let mut out = String::from("threshold_hitm_per_sec,false_negatives,false_positives\n");
-        for p in &self.points {
-            out.push_str(&csv_row(&[
-                format!("{:.0}", p.threshold),
-                p.false_negatives.to_string(),
-                p.false_positives.to_string(),
-            ]));
-            out.push('\n');
+impl View {
+    /// A view of one row per item, under `"rows"`, with no footer.
+    pub fn new<T>(
+        kind: &'static str,
+        title: &'static str,
+        columns: &'static [Column],
+        items: &[T],
+        row: impl Fn(&T) -> Vec<Value>,
+    ) -> View {
+        View {
+            kind,
+            title,
+            rows_key: "rows",
+            columns,
+            rows: items.iter().map(row).collect(),
+            footer: None,
         }
-        out
     }
-}
 
-impl Emit for Fig10Report {
-    fn to_json(&self) -> Value {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                Value::object()
-                    .set("workload", r.name)
-                    .set("laser", r.laser)
-                    .set("vtune", r.vtune)
-            })
+    /// The text table of every column the text format shows.
+    pub fn text(&self) -> String {
+        let shown: Vec<usize> = (0..self.columns.len())
+            .filter(|&i| self.columns[i].text != Prec::Omit)
             .collect();
-        let (laser, vtune) = self.geomeans();
-        Value::object()
-            .set("kind", "fig10")
-            .set("rows", Value::Array(rows))
-            .set(
-                "geomean",
-                Value::object().set("laser", laser).set("vtune", vtune),
-            )
+        self.table(&shown)
     }
 
-    fn to_csv(&self) -> String {
-        let mut out = String::from("workload,laser,vtune\n");
-        for r in &self.rows {
-            out.push_str(&csv_row(&[
-                r.name.to_string(),
-                format!("{:.6}", r.laser),
-                format!("{:.6}", r.vtune),
-            ]));
-            out.push('\n');
+    /// The text table of the columns named by `keys`, in that order.
+    pub fn text_in(&self, keys: &[&str]) -> String {
+        let shown: Vec<usize> = keys
+            .iter()
+            .filter_map(|k| self.columns.iter().position(|c| c.key == *k))
+            .collect();
+        self.table(&shown)
+    }
+
+    fn table(&self, shown: &[usize]) -> String {
+        let last_line = self.title.rsplit('\n').next().unwrap_or_default();
+        let indent = " ".repeat(last_line.len());
+        let mut out = String::from(self.title);
+        for (n, &i) in shown.iter().enumerate() {
+            let column = &self.columns[i];
+            column.pad(&mut out, column.label, n == 0 && indent.is_empty());
         }
-        let (laser, vtune) = self.geomeans();
-        out.push_str(&csv_row(&[
-            "geomean".to_string(),
-            format!("{laser:.6}"),
-            format!("{vtune:.6}"),
-        ]));
         out.push('\n');
-        out
-    }
-}
-
-impl Emit for Fig11Report {
-    fn to_json(&self) -> Value {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                Value::object()
-                    .set("workload", r.name)
-                    .set("automatic", r.automatic)
-                    .set("manual", r.manual)
-            })
-            .collect();
-        Value::object()
-            .set("kind", "fig11")
-            .set("rows", Value::Array(rows))
-    }
-
-    fn to_csv(&self) -> String {
-        let fmt = |v: Option<f64>| v.map(|s| format!("{s:.6}")).unwrap_or_default();
-        let mut out = String::from("workload,automatic,manual\n");
-        for r in &self.rows {
-            out.push_str(&csv_row(&[
-                r.name.to_string(),
-                fmt(r.automatic),
-                fmt(r.manual),
-            ]));
+        let mut cell = String::new();
+        for row in self.rows.iter().chain(&self.footer) {
+            out.push_str(&indent);
+            for (n, &i) in shown.iter().enumerate() {
+                cell.clear();
+                let _ = spell(&mut cell, &row[i], self.columns[i].text, true);
+                self.columns[i].pad(&mut out, &cell, n == 0 && indent.is_empty());
+            }
             out.push('\n');
         }
         out
     }
-}
 
-impl Emit for Fig12Report {
-    fn to_json(&self) -> Value {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                Value::object()
-                    .set("workload", r.name)
-                    .set("slowdown", r.slowdown)
-                    .set("driver_fraction", r.driver_fraction)
-                    .set("detector_fraction", r.detector_fraction)
-            })
-            .collect();
-        Value::object()
-            .set("kind", "fig12")
-            .set("rows", Value::Array(rows))
-    }
-
-    fn to_csv(&self) -> String {
-        let mut out = String::from("workload,slowdown,driver_fraction,detector_fraction\n");
-        for r in &self.rows {
-            out.push_str(&csv_row(&[
-                r.name.to_string(),
-                format!("{:.6}", r.slowdown),
-                format!("{:.6}", r.driver_fraction),
-                format!("{:.6}", r.detector_fraction),
-            ]));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Emit for Fig13Report {
-    fn to_json(&self) -> Value {
-        let points = self
-            .points
-            .iter()
-            .map(|p| {
-                Value::object()
-                    .set("sav", p.sav)
-                    .set("normalized_runtime", p.normalized_runtime)
-            })
-            .collect();
-        Value::object()
-            .set("kind", "fig13")
-            .set("points", Value::Array(points))
-    }
-
-    fn to_csv(&self) -> String {
-        let mut out = String::from("sav,normalized_runtime\n");
-        for p in &self.points {
-            out.push_str(&csv_row(&[
-                p.sav.to_string(),
-                format!("{:.6}", p.normalized_runtime),
-            ]));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Emit for Fig14Report {
-    fn to_json(&self) -> Value {
-        let sheriff = |v: &Result<f64, SheriffFailure>| match v {
-            Ok(x) => (Value::Float(*x), Value::Str("ok".to_string())),
-            Err(f) => (Value::Null, Value::Str(sheriff_status(*f).to_string())),
+    /// The JSON document.
+    pub fn json(self) -> Value {
+        let columns = self.columns;
+        let object = |cells: Vec<Value>, skip: usize| {
+            columns
+                .iter()
+                .zip(cells)
+                .skip(skip)
+                .filter(|(c, _)| c.json != Prec::Omit)
+                .fold(Value::object(), |v, (c, cell)| v.set(c.key, cell))
         };
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                let (det, det_status) = sheriff(&r.sheriff_detect);
-                let (prot, prot_status) = sheriff(&r.sheriff_protect);
-                Value::object()
-                    .set("workload", r.name)
-                    .set("laser", r.laser)
-                    .set("manual_fix", r.manual_fix)
-                    .set("sheriff_detect", det)
-                    .set("sheriff_detect_status", det_status)
-                    .set("sheriff_protect", prot)
-                    .set("sheriff_protect_status", prot_status)
-            })
-            .collect();
-        Value::object()
-            .set("kind", "fig14")
-            .set("rows", Value::Array(rows))
-    }
-
-    fn to_csv(&self) -> String {
-        let fmt = |v: &Result<f64, SheriffFailure>| match v {
-            Ok(x) => format!("{x:.6}"),
-            Err(SheriffFailure::Crash) => "x".to_string(),
-            Err(SheriffFailure::Incompatible) => "i".to_string(),
-        };
-        let mut out = String::from("workload,laser,manual_fix,sheriff_detect,sheriff_protect\n");
-        for r in &self.rows {
-            out.push_str(&csv_row(&[
-                r.name.to_string(),
-                format!("{:.6}", r.laser),
-                r.manual_fix.map(|v| format!("{v:.6}")).unwrap_or_default(),
-                fmt(&r.sheriff_detect),
-                fmt(&r.sheriff_protect),
-            ]));
-            out.push('\n');
+        let rows = self.rows.into_iter().map(|row| object(row, 0)).collect();
+        let doc = Value::object()
+            .set("kind", self.kind)
+            .set(self.rows_key, Value::Array(rows));
+        match self.footer {
+            Some(footer) => {
+                let mut name = String::new();
+                let _ = spell(&mut name, &footer[0], Prec::Plain, false);
+                doc.set(&name, object(footer, 1))
+            }
+            None => doc,
         }
-        out
-    }
-}
-
-impl Emit for Table1Report {
-    fn to_json(&self) -> Value {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                let (sheriff, status) = match r.sheriff {
-                    Ok((fneg, fpos)) => (
-                        Value::object()
-                            .set("false_negatives", fneg)
-                            .set("false_positives", fpos),
-                        "ok",
-                    ),
-                    Err(f) => (Value::Null, sheriff_status(f)),
-                };
-                Value::object()
-                    .set("workload", r.name)
-                    .set("bugs", r.bugs)
-                    .set(
-                        "laser",
-                        Value::object()
-                            .set("false_negatives", r.laser.0)
-                            .set("false_positives", r.laser.1),
-                    )
-                    .set(
-                        "vtune",
-                        Value::object()
-                            .set("false_negatives", r.vtune.0)
-                            .set("false_positives", r.vtune.1),
-                    )
-                    .set("sheriff_detect", sheriff)
-                    .set("sheriff_detect_status", status)
-            })
-            .collect();
-        let t = self.totals();
-        Value::object()
-            .set("kind", "table1")
-            .set("rows", Value::Array(rows))
-            .set(
-                "totals",
-                Value::object()
-                    .set("bugs", t.0)
-                    .set("laser_fn", t.1)
-                    .set("laser_fp", t.2)
-                    .set("vtune_fn", t.3)
-                    .set("vtune_fp", t.4)
-                    .set("sheriff_fn", t.5)
-                    .set("sheriff_fp", t.6),
-            )
     }
 
-    fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "workload,bugs,laser_fn,laser_fp,vtune_fn,vtune_fp,sheriff_fn,sheriff_fp,sheriff_status\n",
-        );
-        for r in &self.rows {
-            let (sfn, sfp, status) = match r.sheriff {
-                Ok((fneg, fpos)) => (fneg.to_string(), fpos.to_string(), "ok"),
-                Err(f) => (String::new(), String::new(), sheriff_status(f)),
-            };
-            out.push_str(&csv_row(&[
-                r.name.to_string(),
-                r.bugs.to_string(),
-                r.laser.0.to_string(),
-                r.laser.1.to_string(),
-                r.vtune.0.to_string(),
-                r.vtune.1.to_string(),
-                sfn,
-                sfp,
-                status.to_string(),
-            ]));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Emit for Table2Report {
-    fn to_json(&self) -> Value {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                let actual = match r.actual {
-                    laser_workloads::BugKind::FalseSharing => "false-sharing",
-                    laser_workloads::BugKind::TrueSharing => "true-sharing",
-                };
-                let laser = match r.laser {
-                    Some(laser_core::ContentionKind::FalseSharing) => "false-sharing".into(),
-                    Some(laser_core::ContentionKind::TrueSharing) => "true-sharing".into(),
-                    Some(laser_core::ContentionKind::Unknown) => "unknown".into(),
-                    None => Value::Null,
-                };
-                let (sheriff, status) = match r.sheriff {
-                    Ok(found) => (Value::Bool(found), "ok"),
-                    Err(f) => (Value::Null, sheriff_status(f)),
-                };
-                Value::object()
-                    .set("workload", r.name)
-                    .set("actual", actual)
-                    .set("laser", laser)
-                    .set("sheriff_found", sheriff)
-                    .set("sheriff_status", status)
-            })
-            .collect();
-        Value::object()
-            .set("kind", "table2")
-            .set("rows", Value::Array(rows))
-            .set("laser_correct", self.laser_correct())
-    }
-
-    fn to_csv(&self) -> String {
-        let mut out = String::from("workload,actual,laser,sheriff\n");
-        for r in &self.rows {
-            let actual = match r.actual {
-                laser_workloads::BugKind::FalseSharing => "FS",
-                laser_workloads::BugKind::TrueSharing => "TS",
-            };
-            let laser = match r.laser {
-                Some(laser_core::ContentionKind::FalseSharing) => "FS",
-                Some(laser_core::ContentionKind::TrueSharing) => "TS",
-                Some(laser_core::ContentionKind::Unknown) => "unknown",
-                None => "",
-            };
-            let sheriff = match r.sheriff {
-                Ok(true) => "FS",
-                Ok(false) => "",
-                Err(SheriffFailure::Crash) => "x",
-                Err(SheriffFailure::Incompatible) => "i",
-            };
-            out.push_str(&csv_row(&[
-                r.name.to_string(),
-                actual.to_string(),
-                laser.to_string(),
-                sheriff.to_string(),
-            ]));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Emit for XsocketReport {
-    fn to_json(&self) -> Value {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                Value::object()
-                    .set("topology", r.topology.key())
-                    .set("sockets", r.topology.sockets() as u64)
-                    .set("workload", r.workload)
-                    .set("native_cycles", r.native_cycles)
-                    .set("native_hitms", r.native_hitms)
-                    .set("native_remote_hitms", r.native_remote_hitms)
-                    .set("native_remote_share", r.native_remote_share())
-                    .set("detect_norm", r.detect_norm)
-                    .set("repair_norm", r.repair_norm)
-                    .set("repair_invoked", r.repair_invoked)
-                    .set("repair_remote_hitms", r.repair_remote_hitms)
-            })
-            .collect();
-        Value::object()
-            .set("kind", "xsocket")
-            .set("rows", Value::Array(rows))
-    }
-
-    fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "topology,sockets,workload,native_cycles,native_hitms,native_remote_hitms,\
-             detect_norm,repair_norm,repair_invoked,repair_remote_hitms\n",
-        );
-        for r in &self.rows {
-            out.push_str(&csv_row(&[
-                r.topology.key().to_string(),
-                r.topology.sockets().to_string(),
-                r.workload.to_string(),
-                r.native_cycles.to_string(),
-                r.native_hitms.to_string(),
-                r.native_remote_hitms.to_string(),
-                format!("{:.6}", r.detect_norm),
-                format!("{:.6}", r.repair_norm),
-                r.repair_invoked.to_string(),
-                r.repair_remote_hitms.to_string(),
-            ]));
+    /// The CSV table.
+    pub fn csv(&self) -> String {
+        let shown = self.columns.iter().filter(|c| c.csv != Prec::Omit);
+        let mut out = shown.map(|c| c.key).collect::<Vec<_>>().join(",") + "\n";
+        let mut field = String::new();
+        for row in self.rows.iter().chain(&self.footer) {
+            let cells = self
+                .columns
+                .iter()
+                .zip(row)
+                .filter(|(c, _)| c.csv != Prec::Omit);
+            for (n, (column, cell)) in cells.enumerate() {
+                if n > 0 {
+                    out.push(',');
+                }
+                field.clear();
+                let _ = spell(&mut field, cell, column.csv, false);
+                if field.contains([',', '"', '\n', '\r']) {
+                    let _ = write!(out, "\"{}\"", field.replace('"', "\"\""));
+                } else {
+                    out.push_str(&field);
+                }
+            }
             out.push('\n');
         }
         out
@@ -589,9 +377,9 @@ impl Emit for XsocketReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accuracy::{Fig9Point, Table1Row};
-    use crate::campaign::CellResult;
-    use crate::performance::{Fig10Row, Fig14Row};
+    use crate::accuracy::{Fig9Point, Fig9Report, Table1Report, Table1Row};
+    use crate::campaign::{CampaignResult, CellResult};
+    use crate::performance::{Fig10Report, Fig10Row, Fig14Report, Fig14Row};
     use crate::tool::{ReportedLine, ToolFailure, ToolRun};
 
     fn sample_campaign() -> CampaignResult {

@@ -188,6 +188,7 @@ impl Grid {
     {
         let scale = self.scale();
         let topology = self.config.topology;
+        let threads = self.config.worker_threads();
         let requests = self
             .requests
             .iter()
@@ -202,6 +203,7 @@ impl Grid {
         GridResult {
             scale,
             topology,
+            threads,
             result,
             index,
         }
@@ -213,6 +215,7 @@ impl Grid {
 pub struct GridResult {
     scale: ExperimentScale,
     topology: TopologySpec,
+    threads: usize,
     result: CampaignResult,
     index: BTreeMap<(String, String), usize>,
 }
@@ -228,6 +231,12 @@ impl GridResult {
     /// the 2-socket cells without the views knowing anything changed.
     pub fn topology(&self) -> TopologySpec {
         self.topology
+    }
+
+    /// The worker threads the grid ran on; work derived outside the grid
+    /// (Figure 3's characterization cases) fans out over as many.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// The underlying campaign result, in grid order.
@@ -362,6 +371,7 @@ pub(crate) fn single_figure<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::Emit;
     use laser_workloads::find;
 
     fn spec(name: &str) -> WorkloadSpec {

@@ -3,7 +3,7 @@
 //! The experiment harness that regenerates every table and figure of the
 //! LASER paper's evaluation (Section 7) from the simulated system:
 //!
-//! | Paper artifact | Planner / view | Binary sub-command |
+//! | Artifact | Planner / view | Binary sub-command |
 //! |---|---|---|
 //! | Figure 2 | [`characterization::fig2_layout`] | `experiments fig2` |
 //! | Figure 3 | [`characterization::fig3_characterization_on`] | `experiments fig3` |
@@ -15,18 +15,22 @@
 //! | Figure 12 | [`performance::plan_fig12`] / [`performance::fig12_from_grid`] | `experiments fig12` |
 //! | Figure 13 | [`performance::plan_fig13`] / [`performance::fig13_from_grid`] | `experiments fig13` |
 //! | Figure 14 | [`performance::plan_fig14`] / [`performance::fig14_from_grid`] | `experiments fig14` |
+//! | Cross-socket sweep (beyond the paper) | [`xsocket::plan_xsocket`] / [`xsocket::xsocket_from_grid`] | `experiments xsocket` |
+//! | The whole `workload × tool` grid | [`Campaign::run`] | `experiments campaign` |
 //!
 //! Every table and figure is a *view over one campaign result*: a planner
 //! (`plan_fig10`, `plan_table1`, …) registers the `(workload, tool)` cells
 //! the experiment needs on a shared [`Grid`], the grid runs each unique cell
 //! exactly once on the parallel [`Campaign`] runner, and the figure derives
-//! its rows from the cached cells (`fig10_from_grid`, …). The `experiments`
-//! binary plans every selected experiment into one grid, streams per-cell
-//! progress to stderr while the grid is hot, and emits the aggregated results
-//! as text, JSON or CSV (`--format`, see [`emit::Emit`]). Flags and scenario
-//! keys alike reach a cell through one path — [`CampaignConfig`] →
-//! [`CellConfig`] → [`Tool::run`] and [`fingerprint`] — described in
-//! [`config`].
+//! its report from the cached cells (`fig10_from_grid`, …). Each report is
+//! one table, a [`View`], which one renderer spells as text, JSON or CSV
+//! (`--format`, see [`emit`]). The figures themselves are one table too:
+//! [`FIGURES`] pairs each subcommand with its planner and its derivation, and
+//! the `experiments` binary plans every selected figure into one grid,
+//! streams per-cell progress to stderr while the grid is hot, and emits the
+//! results. Flags and scenario keys alike reach a cell through one path —
+//! [`CampaignConfig`] → [`CellConfig`] → [`Tool::run`] and [`fingerprint`] —
+//! described in [`config`].
 //!
 //! Absolute numbers are simulated cycles, not the paper's wall-clock seconds;
 //! what is expected to match is the *shape* of each result: who wins, by
@@ -42,6 +46,7 @@ pub mod campaign;
 pub mod characterization;
 pub mod config;
 pub mod emit;
+pub mod figures;
 pub mod grid;
 pub mod performance;
 pub mod runner;
@@ -57,7 +62,8 @@ pub use campaign::{
     CellResult, UnknownWorkload,
 };
 pub use config::{CampaignConfig, CellConfig};
-pub use emit::Emit;
+pub use emit::{Emit, View};
+pub use figures::{figure, FigureError, FigureSpec, FIGURES};
 pub use grid::{ExperimentError, Grid, GridResult};
 pub use laser_core::{CellBudget, PipelineConfig, StopReason, TopologySpec};
 pub use runner::{geomean, ExperimentScale};

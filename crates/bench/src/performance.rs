@@ -9,6 +9,7 @@
 use laser_baselines::SheriffFailure;
 use laser_workloads::SheriffCompat;
 
+use crate::emit::{sheriff_cell, sheriff_status, Column, Emit, Prec, View};
 use crate::grid::{ExperimentError, Grid, GridResult};
 use crate::runner::geomean;
 use crate::tool::ToolSpec;
@@ -39,26 +40,22 @@ impl Fig10Report {
             geomean(&self.rows.iter().map(|r| r.vtune).collect::<Vec<_>>()),
         )
     }
+}
 
-    /// Render the figure as a table.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Figure 10: {:<20} {:>10} {:>10}",
-            "benchmark", "LASER", "VTune"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "           {:<20} {:>10.3} {:>10.3}",
-                r.name, r.laser, r.vtune
-            );
+const FIG10_COLUMNS: &[Column] = &[
+    Column::left("workload", "benchmark", 20),
+    Column::right("laser", "LASER", 10).text(Prec::Fixed(3)),
+    Column::right("vtune", "VTune", 10).text(Prec::Fixed(3)),
+];
+
+impl Emit for Fig10Report {
+    fn view(&self) -> View {
+        let row = |r: &Fig10Row| vec![r.name.into(), r.laser.into(), r.vtune.into()];
+        let (laser, vtune) = self.geomeans();
+        View {
+            footer: Some(vec!["geomean".into(), laser.into(), vtune.into()]),
+            ..View::new("fig10", "Figure 10:", FIG10_COLUMNS, &self.rows, row)
         }
-        let (l, v) = self.geomeans();
-        let _ = writeln!(out, "           {:<20} {:>10.3} {:>10.3}", "geomean", l, v);
-        out
     }
 }
 
@@ -107,27 +104,17 @@ pub struct Fig11Report {
     pub rows: Vec<Fig11Row>,
 }
 
-impl Fig11Report {
-    /// Render the figure as a table.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Figure 11: {:<20} {:>12} {:>10}",
-            "benchmark", "automatic", "manual"
-        );
-        for r in &self.rows {
-            let fmt = |v: Option<f64>| v.map(|s| format!("{s:.2}x")).unwrap_or_else(|| "-".into());
-            let _ = writeln!(
-                out,
-                "           {:<20} {:>12} {:>10}",
-                r.name,
-                fmt(r.automatic),
-                fmt(r.manual)
-            );
-        }
-        out
+const FIG11_COLUMNS: &[Column] = &[
+    Column::left("workload", "benchmark", 20),
+    Column::right("automatic", "automatic", 12).text(Prec::Times(2)),
+    Column::right("manual", "manual", 10).text(Prec::Times(2)),
+];
+
+impl Emit for Fig11Report {
+    fn view(&self) -> View {
+        View::new("fig11", "Figure 11:", FIG11_COLUMNS, &self.rows, |r| {
+            vec![r.name.into(), r.automatic.into(), r.manual.into()]
+        })
     }
 }
 
@@ -206,29 +193,29 @@ pub struct Fig12Report {
     pub rows: Vec<Fig12Row>,
 }
 
-impl Fig12Report {
-    /// Render the figure.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Figure 12: {:<20} {:>10} {:>10} {:>12}",
-            "benchmark", "slowdown", "driver%", "detector%"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "           {:<20} {:>9.2}x {:>9.2}% {:>11.2}%",
-                r.name,
-                r.slowdown,
-                r.driver_fraction * 100.0,
-                r.detector_fraction * 100.0
-            );
-        }
-        out
+const FIG12_COLUMNS: &[Column] = &[
+    Column::left("workload", "benchmark", 20),
+    Column::right("slowdown", "slowdown", 10).text(Prec::Times(2)),
+    Column::right("driver_fraction", "driver%", 10).text(Prec::Percent(2)),
+    Column::right("detector_fraction", "detector%", 12).text(Prec::Percent(2)),
+];
+
+impl Emit for Fig12Report {
+    fn view(&self) -> View {
+        View::new("fig12", "Figure 12:", FIG12_COLUMNS, &self.rows, |r| {
+            vec![
+                r.name.into(),
+                r.slowdown.into(),
+                r.driver_fraction.into(),
+                r.detector_fraction.into(),
+            ]
+        })
     }
 }
+
+/// The LASERDETECT overhead below which a workload is left out of Figure 12
+/// (the paper's 10 %).
+pub const FIG12_MIN_OVERHEAD: f64 = 0.10;
 
 /// Plan the cells Figure 12 needs.
 pub fn plan_fig12(grid: &mut Grid) {
@@ -239,7 +226,7 @@ pub fn plan_fig12(grid: &mut Grid) {
 }
 
 /// Derive Figure 12 from cached cells. `min_overhead` selects which workloads
-/// appear (the paper uses 10 %).
+/// appear (the paper uses [`FIG12_MIN_OVERHEAD`]).
 ///
 /// # Errors
 /// Propagates missing or failed cells.
@@ -281,20 +268,18 @@ pub struct Fig13Report {
     pub points: Vec<Fig13Point>,
 }
 
-impl Fig13Report {
-    /// Render the sweep.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "Figure 13: {:>6} {:>20}", "SAV", "normalized runtime");
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "           {:>6} {:>20.3}",
-                p.sav, p.normalized_runtime
-            );
+const FIG13_COLUMNS: &[Column] = &[
+    Column::right("sav", "SAV", 6),
+    Column::right("normalized_runtime", "normalized runtime", 20).text(Prec::Fixed(3)),
+];
+
+impl Emit for Fig13Report {
+    fn view(&self) -> View {
+        let row = |p: &Fig13Point| vec![u64::from(p.sav).into(), p.normalized_runtime.into()];
+        View {
+            rows_key: "points",
+            ..View::new("fig13", "Figure 13:", FIG13_COLUMNS, &self.points, row)
         }
-        out
     }
 }
 
@@ -352,35 +337,35 @@ pub struct Fig14Report {
     pub rows: Vec<Fig14Row>,
 }
 
-impl Fig14Report {
-    /// Render the figure.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let fmt = |v: &Result<f64, SheriffFailure>| match v {
-            Ok(x) => format!("{x:.2}"),
-            Err(SheriffFailure::Crash) => "x".into(),
-            Err(SheriffFailure::Incompatible) => "i".into(),
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Figure 14: {:<20} {:>8} {:>10} {:>12} {:>12}",
-            "benchmark", "LASER", "manualfix", "SheriffDet", "SheriffProt"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "           {:<20} {:>8.2} {:>10} {:>12} {:>12}",
-                r.name,
-                r.laser,
-                r.manual_fix
-                    .map(|v| format!("{v:.2}"))
-                    .unwrap_or_else(|| "-".into()),
-                fmt(&r.sheriff_detect),
-                fmt(&r.sheriff_protect)
-            );
-        }
-        out
+/// A Sheriff run is `null` plus a status in JSON, its failure's mark in the
+/// text and CSV tables.
+const FIG14_COLUMNS: &[Column] = &[
+    Column::left("workload", "benchmark", 20),
+    Column::right("laser", "LASER", 8).text(Prec::Fixed(2)),
+    Column::right("manual_fix", "manualfix", 10).text(Prec::Fixed(2)),
+    Column::json_only("sheriff_detect"),
+    Column::json_only("sheriff_detect_status"),
+    Column::right("sheriff_detect", "SheriffDet", 12)
+        .text(Prec::Fixed(2))
+        .json(Prec::Omit),
+    Column::json_only("sheriff_protect"),
+    Column::json_only("sheriff_protect_status"),
+    Column::right("sheriff_protect", "SheriffProt", 12)
+        .text(Prec::Fixed(2))
+        .json(Prec::Omit),
+];
+
+impl Emit for Fig14Report {
+    fn view(&self) -> View {
+        View::new("fig14", "Figure 14:", FIG14_COLUMNS, &self.rows, |r| {
+            let mut row = vec![r.name.into(), r.laser.into(), r.manual_fix.into()];
+            for sheriff in [r.sheriff_detect, r.sheriff_protect] {
+                row.push(sheriff.ok().into());
+                row.push(sheriff_status(&sheriff).into());
+                row.push(sheriff_cell(sheriff));
+            }
+            row
+        })
     }
 }
 

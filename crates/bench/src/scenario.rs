@@ -93,11 +93,11 @@ impl std::str::FromStr for AggregateFormat {
 }
 
 impl AggregateFormat {
-    /// `report` in this format: its text table (`render`, each report's
-    /// inherent method), its JSON document or its CSV table.
-    pub fn payload<R: Emit>(&self, report: &R, render: fn(&R) -> String) -> String {
+    /// `report` in this format: its text table, its JSON document or its CSV
+    /// table.
+    pub fn payload(&self, report: &dyn Emit) -> String {
         match self {
-            AggregateFormat::Text => render(report),
+            AggregateFormat::Text => report.render(),
             AggregateFormat::Json => report.to_json().render(),
             AggregateFormat::Csv => report.to_csv(),
         }

@@ -28,7 +28,7 @@ use laser_workloads::registry;
 use serde::json::Value;
 
 use crate::cache::{CacheStats, CellCache};
-use crate::campaign::{Campaign, CampaignProgress, CampaignResult};
+use crate::campaign::{Campaign, CampaignProgress};
 use crate::scenario::Scenario;
 
 /// The service could not run a scenario to completion: the result stream or
@@ -195,7 +195,7 @@ pub fn run_scenario<W: Write + Send>(
     if let Some(format) = scenario.format {
         let aggregate = Value::object()
             .set("format", format.key())
-            .set("content", format.payload(&result, CampaignResult::render));
+            .set("content", format.payload(&result));
         line = line.set("aggregate", aggregate);
     }
     let rendered = line.render();

@@ -22,6 +22,7 @@
 
 use laser_core::TopologySpec;
 
+use crate::emit::{Column, Emit, Prec, View};
 use crate::grid::{ExperimentError, Grid, GridResult};
 use crate::tool::ToolSpec;
 
@@ -76,38 +77,61 @@ impl XsocketReport {
     pub fn topology_rows(&self, topo: TopologySpec) -> Vec<&XsocketRow> {
         self.rows.iter().filter(|r| r.topology == topo).collect()
     }
+}
 
-    /// Render the sweep as a table.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Cross-socket sweep: {:<20} {:>6} {:>12} {:>14} {:>14} {:>8} {:>8} {:>7}",
+const XSOCKET_COLUMNS: &[Column] = &[
+    Column::right("topology", "topo", 6),
+    Column::data("sockets"),
+    Column::left("workload", "workload", 20),
+    Column::right("native_cycles", "native_cyc", 12),
+    Column::data("native_hitms"),
+    Column::right("native_remote_hitms", "remote_hitms", 14),
+    Column::json_only("native_remote_share"),
+    Column::right("detect_norm", "detect", 8).text(Prec::Fixed(3)),
+    Column::right("repair_norm", "laser", 8).text(Prec::Fixed(3)),
+    Column::right("repair_invoked", "repair", 7),
+    Column::right("repair_remote_hitms", "post_repair", 14),
+];
+
+impl Emit for XsocketReport {
+    fn view(&self) -> View {
+        let row = |r: &XsocketRow| {
+            vec![
+                r.topology.key().into(),
+                r.topology.sockets().into(),
+                r.workload.into(),
+                r.native_cycles.into(),
+                r.native_hitms.into(),
+                r.native_remote_hitms.into(),
+                r.native_remote_share().into(),
+                r.detect_norm.into(),
+                r.repair_norm.into(),
+                r.repair_invoked.into(),
+                r.repair_remote_hitms.into(),
+            ]
+        };
+        View::new(
+            "xsocket",
+            "Cross-socket sweep:",
+            XSOCKET_COLUMNS,
+            &self.rows,
+            row,
+        )
+    }
+
+    /// The text leads with the workload and puts the post-repair HITMs next
+    /// to the native ones.
+    fn render(&self) -> String {
+        self.view().text_in(&[
             "workload",
-            "topo",
-            "native_cyc",
-            "remote_hitms",
-            "post_repair",
-            "detect",
-            "laser",
-            "repair"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "                    {:<20} {:>6} {:>12} {:>14} {:>14} {:>8.3} {:>8.3} {:>7}",
-                r.workload,
-                r.topology.key(),
-                r.native_cycles,
-                r.native_remote_hitms,
-                r.repair_remote_hitms,
-                r.detect_norm,
-                r.repair_norm,
-                if r.repair_invoked { "yes" } else { "-" }
-            );
-        }
-        out
+            "topology",
+            "native_cycles",
+            "native_remote_hitms",
+            "repair_remote_hitms",
+            "detect_norm",
+            "repair_norm",
+            "repair_invoked",
+        ])
     }
 }
 

@@ -396,16 +396,7 @@ fn large_documents_parse_in_linear_time() {
 /// `experiments all --format json` prints.
 #[test]
 fn real_documents_parse_like_the_reference() {
-    use laser_bench::accuracy::{
-        fig9_from_grid, fig9_thresholds, plan_fig9, plan_table1, plan_table2, table1_from_grid,
-        table2_from_grid,
-    };
-    use laser_bench::characterization::{fig2_layout, fig3_characterization_on};
-    use laser_bench::performance::{
-        fig10_from_grid, fig11_from_grid, fig12_from_grid, fig13_from_grid, fig13_savs,
-        fig14_from_grid, plan_fig10, plan_fig11, plan_fig12, plan_fig13, plan_fig14,
-    };
-    use laser_bench::{CampaignConfig, CellCache, Emit, Grid};
+    use laser_bench::{AggregateFormat, CampaignConfig, CellCache, Emit, Grid, FIGURES};
     use std::sync::Arc;
 
     let dir = std::env::temp_dir().join(format!("serde-json-oracle-{}", std::process::id()));
@@ -414,14 +405,10 @@ fn real_documents_parse_like_the_reference() {
     config.set_threads(2).unwrap();
     config.cache = Some(Arc::new(CellCache::open(&dir).unwrap()));
     let mut grid = Grid::with_config(config);
-    plan_table1(&mut grid);
-    plan_table2(&mut grid);
-    plan_fig9(&mut grid);
-    plan_fig10(&mut grid);
-    plan_fig11(&mut grid);
-    plan_fig12(&mut grid);
-    plan_fig13(&mut grid, &fig13_savs());
-    plan_fig14(&mut grid);
+    let figures: Vec<_> = FIGURES.iter().filter(|f| f.in_all).collect();
+    for figure in &figures {
+        (figure.plan)(&mut grid);
+    }
     let grid = grid.run();
 
     let same = |what: &str, text: &str| {
@@ -448,48 +435,10 @@ fn real_documents_parse_like_the_reference() {
     // What `experiments all --format json` prints, line by line. (The
     // figures' `Value` is the non-test build of this crate: each crosses
     // over as its rendered text.)
-    let lines = [
-        (
-            "fig2",
-            Value::object()
-                .set("kind", "fig2")
-                .set("text", fig2_layout())
-                .render(),
-        ),
-        ("fig3", fig3_characterization_on(40, 2).to_json().render()),
-        (
-            "table1",
-            table1_from_grid(&grid).unwrap().to_json().render(),
-        ),
-        (
-            "table2",
-            table2_from_grid(&grid).unwrap().to_json().render(),
-        ),
-        (
-            "fig9",
-            fig9_from_grid(&grid, &fig9_thresholds())
-                .unwrap()
-                .to_json()
-                .render(),
-        ),
-        ("fig10", fig10_from_grid(&grid).unwrap().to_json().render()),
-        ("fig11", fig11_from_grid(&grid).unwrap().to_json().render()),
-        (
-            "fig12",
-            fig12_from_grid(&grid, 0.10).unwrap().to_json().render(),
-        ),
-        (
-            "fig13",
-            fig13_from_grid(&grid, &fig13_savs())
-                .unwrap()
-                .to_json()
-                .render(),
-        ),
-        ("fig14", fig14_from_grid(&grid).unwrap().to_json().render()),
-        ("campaign", grid.campaign().to_json().render()),
-    ];
-    for (what, line) in &lines {
-        same(what, line);
+    for figure in &figures {
+        let line = (figure.derive)(&grid, AggregateFormat::Json).unwrap();
+        same(figure.name, &line);
     }
+    same("campaign", &grid.campaign().to_json().render());
     let _ = std::fs::remove_dir_all(&dir);
 }
