@@ -22,6 +22,6 @@ pub mod sheriff;
 pub mod vtune;
 
 pub use sheriff::{
-    Sheriff, SheriffConfig, SheriffFailure, SheriffMode, SheriffOutcome, SheriffRun,
+    Sheriff, SheriffConfig, SheriffFailure, SheriffMode, SheriffNative, SheriffOutcome, SheriffRun,
 };
 pub use vtune::{Vtune, VtuneConfig, VtuneOutcome};

@@ -28,9 +28,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use laser_core::LaserError;
+use laser_core::{Laser, LaserError};
 use laser_isa::MemAccessSets;
-use laser_machine::{line_of, Addr, Machine, MachineConfig, MemAccessKind};
+use laser_machine::{
+    line_of, Addr, HitmEvent, MachineConfig, MemAccessKind, MemoryMap, RunResult, WorkloadImage,
+};
 use laser_workloads::{BuildOptions, SheriffCompat, WorkloadSpec};
 
 /// Which Sheriff scheme to run.
@@ -158,6 +160,10 @@ impl Sheriff {
     /// coherence cycles per HITM; on a multi-socket machine that makes it a
     /// conservative estimate of what address-space isolation saves.
     ///
+    /// This is [`Sheriff::compatibility`], then [`Sheriff::run_native`] and
+    /// [`Sheriff::project`]: a caller that wants both modes (or the native
+    /// cell as well) runs the native image once and projects it twice.
+    ///
     /// # Errors
     /// Returns an error if the underlying simulation exceeds its step budget.
     pub fn run_on(
@@ -167,85 +173,153 @@ impl Sheriff {
         mode: SheriffMode,
         machine_config: MachineConfig,
     ) -> Result<SheriffOutcome, LaserError> {
+        let result = match Sheriff::compatibility(spec) {
+            Ok(()) => {
+                let image = spec.build(opts);
+                let native =
+                    Sheriff::run_native(&image, machine_config, mode == SheriffMode::Detect)?;
+                Ok(self.project(&native, mode))
+            }
+            Err(failure) => Err(failure),
+        };
+        Ok(SheriffOutcome { mode, result })
+    }
+
+    /// Whether `spec` runs under Sheriff at all (the paper's Table 1 "x" and
+    /// "i" entries), decided from the workload before anything is built.
+    ///
+    /// # Errors
+    /// The [`SheriffFailure`] of a workload that crashes or is incompatible.
+    pub fn compatibility(spec: &WorkloadSpec) -> Result<(), SheriffFailure> {
         match spec.sheriff {
-            SheriffCompat::Crash => {
-                return Ok(SheriffOutcome {
-                    mode,
-                    result: Err(SheriffFailure::Crash),
-                });
-            }
-            SheriffCompat::Incompatible => {
-                return Ok(SheriffOutcome {
-                    mode,
-                    result: Err(SheriffFailure::Incompatible),
-                });
-            }
-            SheriffCompat::Works => {}
+            SheriffCompat::Crash => Err(SheriffFailure::Crash),
+            SheriffCompat::Incompatible => Err(SheriffFailure::Incompatible),
+            SheriffCompat::Works => Ok(()),
         }
+    }
 
-        let image = spec.build(opts);
+    /// Run `image` natively as the model reads it. With `observe_writers`,
+    /// each slice of the run's HITM events is folded into Sheriff-Detect's
+    /// per-line writer aggregation as the run goes, so the whole run's
+    /// events are never held; without it the events are dropped and only
+    /// Sheriff-Protect can be projected from the result.
+    ///
+    /// # Errors
+    /// Returns an error if the simulation exceeds its step budget.
+    pub fn run_native(
+        image: &WorkloadImage,
+        machine_config: MachineConfig,
+        observe_writers: bool,
+    ) -> Result<SheriffNative, LaserError> {
+        let num_cores = machine_config.num_cores as u64;
         let lat = machine_config.latency.clone();
-        let mut machine = Machine::new(machine_config, &image);
-        let native = machine.run_to_completion().map_err(LaserError::Machine)?;
-        let events = machine.take_hitm_events();
-        let memsets = MemAccessSets::analyze(image.program());
+        let mut writers = BTreeMap::new();
+        let run = if observe_writers {
+            let memsets = MemAccessSets::analyze(image.program());
+            let heap = image.memory_map();
+            Laser::run_native_with_events(image, machine_config, &mut |events| {
+                record_writes(&mut writers, &memsets, heap, events)
+            })?
+        } else {
+            Laser::run_native_on(image, machine_config)?
+        };
+        Ok(SheriffNative {
+            run,
+            num_cores,
+            hitm_penalty: lat.hitm - lat.l1_hit,
+            writers,
+        })
+    }
 
+    /// Sheriff's run in `mode`, as arithmetic on a native run.
+    pub fn project(&self, native: &SheriffNative, mode: SheriffMode) -> SheriffRun {
+        let stats = &native.run.stats;
         // Address-space isolation removes cross-thread coherence misses: each
         // process keeps touching its own copy of the line.
-        let removed_coherence_cycles = native.stats.hitm_events * (lat.hitm - lat.l1_hit);
+        let removed_coherence_cycles = stats.hitm_events * native.hitm_penalty;
         // ... but every synchronization operation pays for protection,
         // twinning and diffing.
-        let sync_ops = native.stats.atomics + native.stats.fences;
+        let sync_ops = stats.atomics + stats.fences;
         let per_sync = match mode {
             SheriffMode::Protect => self.config.per_sync_cycles_protect,
             SheriffMode::Detect => self.config.per_sync_cycles_detect,
         };
-        let overhead =
-            sync_ops * per_sync / (machine.num_cores() as u64).max(1) + self.config.startup_cycles;
-        let cycles = native.cycles.saturating_sub(removed_coherence_cycles) + overhead;
+        let overhead = sync_ops * per_sync / native.num_cores.max(1) + self.config.startup_cycles;
+        let cycles = native.run.cycles.saturating_sub(removed_coherence_cycles) + overhead;
 
         // Sheriff-Detect's twin comparison happens at synchronization points,
-        // so a parallel phase that never synchronizes is never sampled.
-        let mut reported_lines = Vec::new();
-        if mode == SheriffMode::Detect && sync_ops > 0 {
-            let heap = image.memory_map();
-            let mut writers: BTreeMap<Addr, (BTreeSet<usize>, u64, BTreeSet<u64>)> =
-                BTreeMap::new();
-            for e in &events {
-                if e.kind != MemAccessKind::Store && !memsets.is_store(e.pc) {
-                    continue;
-                }
-                if !heap.is_data(e.addr) {
-                    continue;
-                }
-                let entry = writers.entry(line_of(e.addr)).or_default();
-                entry.0.insert(e.core.0);
-                entry.1 += 1;
-                entry.2.insert(e.addr & !7);
-            }
-            reported_lines = writers
-                .into_iter()
-                .filter(|(_, (cores, count, words))| {
-                    cores.len() >= 2
-                        && *count >= self.config.detect_write_threshold
-                        && words.len() >= 2
+        // so a parallel phase that never synchronizes is never sampled. The
+        // map is in line order, so the reported lines come out sorted.
+        let reported_lines = if mode == SheriffMode::Detect && sync_ops > 0 {
+            native
+                .writers
+                .iter()
+                .filter(|(_, w)| {
+                    w.cores.len() >= 2
+                        && w.writes >= self.config.detect_write_threshold
+                        && w.words.len() >= 2
                 })
-                .map(|(line, _)| line)
-                .collect();
-            reported_lines.sort_unstable();
-        }
+                .map(|(&line, _)| line)
+                .collect()
+        } else {
+            Vec::new()
+        };
 
-        Ok(SheriffOutcome {
-            mode,
-            result: Ok(SheriffRun {
-                cycles,
-                native_cycles: native.cycles,
-                reported_lines,
-                sync_ops,
-                removed_coherence_cycles,
-            }),
-        })
+        SheriffRun {
+            cycles,
+            native_cycles: native.run.cycles,
+            reported_lines,
+            sync_ops,
+            removed_coherence_cycles,
+        }
     }
+}
+
+/// Who wrote one heap line with a HITM, as Sheriff-Detect's twin comparison
+/// would see it.
+#[derive(Debug, Clone, Default)]
+struct LineWriters {
+    cores: BTreeSet<usize>,
+    writes: u64,
+    /// The 8-byte words written.
+    words: BTreeSet<u64>,
+}
+
+/// Fold one slice of HITM events into the per-line writer aggregation:
+/// stores (by event kind, or by the PC's place in the store set) to heap
+/// data.
+fn record_writes(
+    writers: &mut BTreeMap<Addr, LineWriters>,
+    memsets: &MemAccessSets,
+    heap: &MemoryMap,
+    events: &[HitmEvent],
+) {
+    for e in events {
+        if e.kind != MemAccessKind::Store && !memsets.is_store(e.pc) {
+            continue;
+        }
+        if !heap.is_data(e.addr) {
+            continue;
+        }
+        let line = writers.entry(line_of(e.addr)).or_default();
+        line.cores.insert(e.core.0);
+        line.writes += 1;
+        line.words.insert(e.addr & !7);
+    }
+}
+
+/// A native run as Sheriff's model reads it: what [`Sheriff::project`]
+/// turns into either mode's [`SheriffRun`].
+#[derive(Debug, Clone)]
+pub struct SheriffNative {
+    /// The native run itself.
+    pub run: RunResult,
+    num_cores: u64,
+    /// Cycles a HITM costs over an L1 hit: what isolation saves per HITM.
+    hitm_penalty: u64,
+    /// Per heap line written with a HITM, in line order; empty unless the
+    /// run observed writers.
+    writers: BTreeMap<Addr, LineWriters>,
 }
 
 #[cfg(test)]
@@ -255,6 +329,126 @@ mod tests {
 
     fn small() -> BuildOptions {
         BuildOptions::scaled(0.15)
+    }
+
+    /// The model before it was split into a native run plus a projection:
+    /// `run_to_completion`, every HITM event of the run held, then both
+    /// modes' arithmetic and the writer scan over the held events.
+    fn reference_run_on(
+        config: &SheriffConfig,
+        spec: &WorkloadSpec,
+        opts: &BuildOptions,
+        machine_config: MachineConfig,
+    ) -> [SheriffRun; 2] {
+        use laser_machine::Machine;
+        let image = spec.build(opts);
+        let lat = machine_config.latency.clone();
+        let mut machine = Machine::new(machine_config, &image);
+        let native = machine.run_to_completion().unwrap();
+        let events = machine.take_hitm_events();
+        let memsets = MemAccessSets::analyze(image.program());
+        [SheriffMode::Detect, SheriffMode::Protect].map(|mode| {
+            let removed_coherence_cycles = native.stats.hitm_events * (lat.hitm - lat.l1_hit);
+            let sync_ops = native.stats.atomics + native.stats.fences;
+            let per_sync = match mode {
+                SheriffMode::Protect => config.per_sync_cycles_protect,
+                SheriffMode::Detect => config.per_sync_cycles_detect,
+            };
+            let overhead =
+                sync_ops * per_sync / (machine.num_cores() as u64).max(1) + config.startup_cycles;
+            let cycles = native.cycles.saturating_sub(removed_coherence_cycles) + overhead;
+            let mut reported_lines = Vec::new();
+            if mode == SheriffMode::Detect && sync_ops > 0 {
+                let heap = image.memory_map();
+                let mut writers: BTreeMap<Addr, (BTreeSet<usize>, u64, BTreeSet<u64>)> =
+                    BTreeMap::new();
+                for e in &events {
+                    if e.kind != MemAccessKind::Store && !memsets.is_store(e.pc) {
+                        continue;
+                    }
+                    if !heap.is_data(e.addr) {
+                        continue;
+                    }
+                    let entry = writers.entry(line_of(e.addr)).or_default();
+                    entry.0.insert(e.core.0);
+                    entry.1 += 1;
+                    entry.2.insert(e.addr & !7);
+                }
+                reported_lines = writers
+                    .into_iter()
+                    .filter(|(_, (cores, count, words))| {
+                        cores.len() >= 2
+                            && *count >= config.detect_write_threshold
+                            && words.len() >= 2
+                    })
+                    .map(|(line, _)| line)
+                    .collect();
+                reported_lines.sort_unstable();
+            }
+            SheriffRun {
+                cycles,
+                native_cycles: native.cycles,
+                reported_lines,
+                sync_ops,
+                removed_coherence_cycles,
+            }
+        })
+    }
+
+    /// Folding writers slice by slice and projecting one native run into
+    /// both modes changes no outcome: every Sheriff-compatible workload, on
+    /// one socket and on two.
+    #[test]
+    fn sheriff_outcomes_match_the_held_event_reference() {
+        use laser_machine::TopologySpec;
+        let sheriff = Sheriff::default();
+        let compatible: Vec<_> = laser_workloads::registry()
+            .into_iter()
+            .filter(|spec| Sheriff::compatibility(spec).is_ok())
+            .collect();
+        assert_eq!(compatible.len(), 17);
+        let mut reported = 0;
+        for topology in [TopologySpec::Flat, TopologySpec::DualSocket] {
+            let machine_config = MachineConfig::for_topology(topology);
+            for spec in &compatible {
+                let what = format!("{} on {topology}", spec.name);
+                let opts = BuildOptions::scaled(0.1).for_topology(topology);
+                let [detect, protect] =
+                    reference_run_on(sheriff.config(), spec, &opts, machine_config.clone());
+                reported += detect.reported_lines.len();
+
+                let image = spec.build(&opts);
+                let observed = Sheriff::run_native(&image, machine_config.clone(), true).unwrap();
+                assert_eq!(
+                    sheriff.project(&observed, SheriffMode::Detect),
+                    detect,
+                    "{what}"
+                );
+                assert_eq!(
+                    sheriff.project(&observed, SheriffMode::Protect),
+                    protect,
+                    "{what}"
+                );
+                let unobserved =
+                    Sheriff::run_native(&image, machine_config.clone(), false).unwrap();
+                assert_eq!(unobserved.run.stats, observed.run.stats, "{what}");
+                assert_eq!(
+                    sheriff.project(&unobserved, SheriffMode::Protect),
+                    protect,
+                    "{what}"
+                );
+
+                let via_run_on = |mode| {
+                    sheriff
+                        .run_on(spec, &opts, mode, machine_config.clone())
+                        .unwrap()
+                        .result
+                        .unwrap()
+                };
+                assert_eq!(via_run_on(SheriffMode::Detect), detect, "{what}");
+            }
+        }
+        assert!(reported > 0, "some workload reports a line");
     }
 
     #[test]

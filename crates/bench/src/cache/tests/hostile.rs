@@ -10,7 +10,7 @@
 use super::*;
 use crate::campaign::Campaign;
 use crate::emit::Emit;
-use crate::tool::{default_tools, LaserTool, NativeTool, Tool};
+use crate::tool::{LaserTool, NativeTool, Tool};
 use laser_core::LaserConfig;
 use laser_workloads::registry;
 use serde::json::MAX_DEPTH;
@@ -43,7 +43,7 @@ fn opts() -> BuildOptions {
 fn populate(dir: &Path) -> Vec<Entry> {
     let cache = Arc::new(CellCache::open(dir).unwrap());
     let workloads = ["histogram'", "linear_regression", "bodytrack", "dedup"];
-    let full = Campaign::new(registry(), default_tools())
+    let full = Campaign::default()
         .with_workload_names(&workloads)
         .unwrap()
         .with_options(opts())

@@ -29,6 +29,18 @@
 //! [`Campaign::run_with_progress`]; cells are announced as they start and
 //! complete ([`CampaignProgress`]), while the aggregated result stays
 //! deterministic.
+//!
+//! Cells that can be derived from one simulation run as one task. A campaign
+//! lowered from [`ToolSpec`] requests groups the cells of one workload on one
+//! deployment by `ToolSpec::simulation`: the LASER group (`laser`,
+//! `laser-detect`, `laser-detect-raw`, `laser-detect-sav19`) shares one
+//! session, the native group (`native` and both Sheriff modes) one native
+//! run. A pool worker takes a whole group, announces and caches its cells
+//! one at a time, and drops what they shared when the group is done; every
+//! other cell, and every caller-supplied [`Tool`], is a group of one. The
+//! paper grid's 245 cells take 124 simulations instead of 227, and every
+//! result is the one an unshared run would have produced (the derivations
+//! are listed on `SharedRuns` in [`crate::tool`]).
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,7 +54,7 @@ use serde::json::Value;
 use crate::cache::CellCache;
 use crate::config::{CampaignConfig, CellConfig};
 use crate::emit::{Column, Emit, Prec, View};
-use crate::tool::{default_tools, Tool, ToolFailure, ToolRun, ToolSpec};
+use crate::tool::{SharedRuns, Tool, ToolFailure, ToolRun, ToolSpec, DEFAULT_PANEL};
 use crate::topofile::CustomTopology;
 
 /// One `workload × tool` cell of a finished campaign.
@@ -144,7 +156,9 @@ pub fn validate_workload_names(
 /// A configured experiment campaign.
 pub struct Campaign {
     workloads: Vec<WorkloadSpec>,
-    tools: Vec<Box<dyn Tool>>,
+    /// Every distinct tool, with the spec it was lowered from: `None` for a
+    /// caller-supplied tool, whose cells never share a simulation.
+    tools: Vec<(Box<dyn Tool>, Option<ToolSpec>)>,
     /// The cells to run, as `(workload index, tool index, topology)` triples
     /// in grid (aggregation) order. A cross-product campaign is
     /// workload-major; a campaign lowered from requests lists exactly the
@@ -154,10 +168,15 @@ pub struct Campaign {
 }
 
 impl Default for Campaign {
-    /// The full suite under the default tool panel, one worker per available
-    /// core.
+    /// The full suite under the default tool panel (native, LASER, VTune and
+    /// both Sheriff modes), workload-major on the flat topology, one worker
+    /// per available core.
     fn default() -> Self {
-        Campaign::new(registry(), default_tools())
+        let workloads = registry();
+        let requests = workloads
+            .iter()
+            .flat_map(|w| DEFAULT_PANEL.map(|tool| (w, tool, TopologySpec::Flat)));
+        Campaign::from_requests(requests, CampaignConfig::default())
     }
 }
 
@@ -170,7 +189,7 @@ impl Campaign {
             .collect();
         Campaign {
             workloads,
-            tools,
+            tools: tools.into_iter().map(|tool| (tool, None)).collect(),
             cells,
             config: CampaignConfig::default(),
         }
@@ -200,7 +219,7 @@ impl Campaign {
                 campaign.workloads.len() - 1
             });
             let t = *tool_index.entry(tool).or_insert_with(|| {
-                campaign.tools.push(tool.build());
+                campaign.tools.push((tool.build(), Some(tool)));
                 campaign.tools.len() - 1
             });
             campaign.cells.push((w, t, topology));
@@ -311,52 +330,108 @@ impl Campaign {
     where
         F: Fn(CampaignProgress) + Sync,
     {
+        self.run_counting(progress).0
+    }
+
+    /// The cells grouped by the simulation they share, each group listed
+    /// with the cell that may attach repair first (its session can serve the
+    /// group's detection cells), then in grid order; groups are in the grid
+    /// order of their first cell.
+    fn groups(&self) -> Vec<Vec<usize>> {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut by_simulation: BTreeMap<(usize, TopologySpec, ToolSpec), usize> = BTreeMap::new();
+        for (i, &(w, t, topology)) in self.cells.iter().enumerate() {
+            match self.tools[t].1.and_then(|spec| spec.simulation()) {
+                Some(simulation) => {
+                    let g = *by_simulation
+                        .entry((w, topology, simulation))
+                        .or_insert_with(|| {
+                            groups.push(Vec::new());
+                            groups.len() - 1
+                        });
+                    groups[g].push(i);
+                }
+                None => groups.push(vec![i]),
+            }
+        }
+        for group in &mut groups {
+            group.sort_by_key(|&i| self.tools[self.cells[i].1].1 != Some(ToolSpec::Laser));
+        }
+        groups
+    }
+
+    /// [`Campaign::run_with_progress`], also returning how many simulations
+    /// the run started.
+    pub(crate) fn run_counting<F>(&self, progress: F) -> (CampaignResult, usize)
+    where
+        F: Fn(CampaignProgress) + Sync,
+    {
         let total = self.cells.len();
         let done = AtomicUsize::new(0);
+        let simulations = AtomicUsize::new(0);
         let cache = self.config.cache.as_deref();
-        let cells = ordered_parallel(total, self.config.worker_threads(), |i| {
-            let (w, t, topo) = self.cells[i];
-            let workload = &self.workloads[w];
-            let tool = &self.tools[t];
-            progress(CampaignProgress::Started {
-                index: i,
-                total,
-                workload: workload.name,
-                tool: tool.name(),
-            });
-            let config: CellConfig = self.config.cell(workload.name, tool.name(), topo);
-            let (cell, cached) = match cache.and_then(|c| c.load(&config)) {
-                Some(cell) => (cell, true),
-                None => {
-                    // A panicking tool must cost one cell, not the campaign:
-                    // the scoped worker would otherwise unwind and poison the
-                    // whole grid.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| tool.run(workload, &config)))
-                        .unwrap_or_else(|payload| {
-                            Err(ToolFailure::Panicked {
-                                message: panic_message(payload.as_ref()),
-                            })
-                        });
-                    let cell = CellResult {
-                        workload: workload.name.to_string(),
-                        tool: config.cell_key(),
-                        outcome,
+        let groups = self.groups();
+        let finished = ordered_parallel(groups.len(), self.config.worker_threads(), |g| {
+            let members = &groups[g];
+            let specs = members.iter().map(|&i| self.tools[self.cells[i].1].1);
+            let mut shared = SharedRuns::new(&self.workloads[self.cells[members[0]].0], specs);
+            let cells: Vec<(usize, CellResult)> = members
+                .iter()
+                .map(|&i| {
+                    let (w, t, topo) = self.cells[i];
+                    let workload = &self.workloads[w];
+                    let (tool, spec) = &self.tools[t];
+                    progress(CampaignProgress::Started {
+                        index: i,
+                        total,
+                        workload: workload.name,
+                        tool: tool.name(),
+                    });
+                    let config: CellConfig = self.config.cell(workload.name, tool.name(), topo);
+                    let (cell, cached) = match cache.and_then(|c| c.load(&config)) {
+                        Some(cell) => (cell, true),
+                        None => {
+                            // A panicking tool must cost one cell, not the
+                            // campaign: the scoped worker would otherwise
+                            // unwind and poison the whole grid. A shared
+                            // simulation that panics stays unrun, so the
+                            // next cell that needs it panics on its own.
+                            let run = || shared.run(*spec, tool.as_ref(), workload, &config);
+                            let outcome =
+                                catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+                                    Err(ToolFailure::Panicked {
+                                        message: panic_message(payload.as_ref()),
+                                    })
+                                });
+                            let cell = CellResult {
+                                workload: workload.name.to_string(),
+                                tool: config.cell_key(),
+                                outcome,
+                            };
+                            if let Some(cache) = cache {
+                                cache.store(&config, &cell);
+                            }
+                            (cell, false)
+                        }
                     };
-                    if let Some(cache) = cache {
-                        cache.store(&config, &cell);
-                    }
-                    (cell, false)
-                }
-            };
-            progress(CampaignProgress::Finished {
-                done: done.fetch_add(1, Ordering::Relaxed) + 1,
-                total,
-                cell: &cell,
-                cached,
-            });
-            cell
+                    progress(CampaignProgress::Finished {
+                        done: done.fetch_add(1, Ordering::Relaxed) + 1,
+                        total,
+                        cell: &cell,
+                        cached,
+                    });
+                    (i, cell)
+                })
+                .collect();
+            simulations.fetch_add(shared.simulations(), Ordering::Relaxed);
+            cells
         });
-        CampaignResult { cells }
+        // Every cell index is in exactly one group: sorted, the pairs are the
+        // grid.
+        let mut cells: Vec<(usize, CellResult)> = finished.into_iter().flatten().collect();
+        cells.sort_unstable_by_key(|&(i, _)| i);
+        let cells = cells.into_iter().map(|(_, cell)| cell).collect();
+        (CampaignResult { cells }, simulations.into_inner())
     }
 }
 

@@ -186,14 +186,10 @@ impl Grid {
     where
         F: Fn(CampaignProgress) + Sync,
     {
+        let result = self.campaign().run_with_progress(progress);
         let scale = self.scale();
         let topology = self.config.topology;
         let threads = self.config.worker_threads();
-        let requests = self
-            .requests
-            .iter()
-            .map(|(name, tool, topo)| (&self.specs[name], *tool, *topo));
-        let result = Campaign::from_requests(requests, self.config).run_with_progress(progress);
         let index = result
             .cells
             .iter()
@@ -207,6 +203,17 @@ impl Grid {
             result,
             index,
         }
+    }
+
+    /// The campaign that runs this grid: every planned cell, lowered in the
+    /// sorted request order, so cells of one workload share their
+    /// simulations.
+    fn campaign(&self) -> Campaign {
+        let requests = self
+            .requests
+            .iter()
+            .map(|(name, tool, topo)| (&self.specs[name], *tool, *topo));
+        Campaign::from_requests(requests, self.config.clone())
     }
 }
 
@@ -438,6 +445,32 @@ mod tests {
             result.tool_run("dedup", ToolSpec::SheriffDetect),
             Err(ExperimentError::Cell { .. })
         ));
+    }
+
+    /// The paper grid at scale 2, as `experiments all` plans it: 245 cells,
+    /// 227 of which run a machine (Sheriff declines 18), from 124
+    /// simulations. A planner or grouping change that splits a group fails
+    /// here.
+    #[test]
+    fn sharing_runs_the_paper_grid_in_124_simulations() {
+        let mut grid = Grid::with_config(CampaignConfig {
+            opts: laser_workloads::BuildOptions::scaled(2.0),
+            threads: Some(2),
+            ..CampaignConfig::default()
+        });
+        for figure in crate::FIGURES.iter().filter(|f| f.in_all) {
+            (figure.plan)(&mut grid);
+        }
+        let (result, simulations) = grid.campaign().run_counting(|_| {});
+        let unsupported = result
+            .cells
+            .iter()
+            .filter(|c| matches!(c.outcome, Err(ToolFailure::Unsupported(_))))
+            .count();
+        assert!(result.cells.iter().all(|c| c.status() != "error"));
+        assert_eq!(result.cells.len(), 245);
+        assert_eq!(result.cells.len() - unsupported, 227, "unshared runs");
+        assert_eq!(simulations, 124);
     }
 
     #[test]

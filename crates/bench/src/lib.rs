@@ -70,8 +70,8 @@ pub use runner::{geomean, ExperimentScale};
 pub use scenario::{AggregateFormat, Scenario, ScenarioCell, ScenarioError, Sweep};
 pub use service::{run_scenario, ServiceError, ServiceOptions, ServiceSummary};
 pub use tool::{
-    cell_key, default_tools, FixedNativeTool, LaserTool, NativeTool, ReportedLine, SheriffTool,
-    Tool, ToolFailure, ToolRun, ToolSpec, VtuneTool,
+    cell_key, FixedNativeTool, LaserTool, NativeTool, ReportedLine, SheriffTool, Tool, ToolFailure,
+    ToolRun, ToolSpec, VtuneTool,
 };
 pub use topofile::CustomTopology;
 pub use xsocket::{plan_xsocket, xsocket_from_grid, XsocketReport, XsocketRow};

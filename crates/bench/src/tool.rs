@@ -17,11 +17,15 @@
 
 use std::ops::ControlFlow;
 
-use laser_baselines::{Sheriff, SheriffConfig, SheriffFailure, SheriffMode, Vtune, VtuneConfig};
+use laser_baselines::{
+    Sheriff, SheriffConfig, SheriffFailure, SheriffMode, SheriffNative, SheriffRun, Vtune,
+    VtuneConfig,
+};
 use laser_core::{
     BudgetObserver, ContentionKind, LaserConfig, LaserError, LaserEvent, Observer, StopReason,
     TopologySpec,
 };
+use laser_machine::RunResult;
 use laser_workloads::{BuildOptions, WorkloadSpec};
 
 use crate::config::CellConfig;
@@ -187,6 +191,14 @@ fn finish_observed(
 fn native_run(spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
     let observer = cell.observer();
     let result = run_native(spec, cell).map_err(|e| ToolFailure::Error(e.to_string()))?;
+    native_cell(&result, observer)
+}
+
+/// The native cell of a finished native run, held to the cell's budget.
+fn native_cell(
+    result: &RunResult,
+    observer: Option<BudgetObserver>,
+) -> Result<ToolRun, ToolFailure> {
     finish_observed(observer, result.steps, result.cycles)?;
     Ok(ToolRun {
         cycles: result.cycles,
@@ -280,11 +292,17 @@ impl Tool for LaserTool {
     }
 
     fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-        let outcome = run_laser(spec, cell, self.config.clone()).map_err(|e| match e {
-            LaserError::Stopped(reason) => ToolFailure::BudgetExceeded { reason },
-            other => ToolFailure::Error(other.to_string()),
-        })?;
+        let outcome =
+            run_laser(spec, cell, self.config.clone(), cell.observer()).map_err(laser_failure)?;
         Ok(laser_outcome_to_tool_run(outcome))
+    }
+}
+
+/// The cell failure of a LASER run that did not finish.
+fn laser_failure(e: LaserError) -> ToolFailure {
+    match e {
+        LaserError::Stopped(reason) => ToolFailure::BudgetExceeded { reason },
+        other => ToolFailure::Error(other.to_string()),
     }
 }
 
@@ -394,30 +412,34 @@ impl Tool for SheriffTool {
         let outcome = Sheriff::new(self.config)
             .run_on(spec, &cell.adapted_opts(), self.mode, cell.machine_config())
             .map_err(|e| ToolFailure::Error(e.to_string()))?;
-        match outcome.result {
-            Ok(run) => {
-                // The Sheriff model reports no instruction count.
-                finish_observed(observer, 0, run.cycles)?;
-                Ok(ToolRun {
-                    cycles: run.cycles,
-                    reported: run
-                        .reported_lines
-                        .iter()
-                        .map(|line| ReportedLine {
-                            label: format!("line@{line:#x}"),
-                            file: None,
-                            line: None,
-                            kind: None,
-                            hitm_records: 0,
-                            rate_per_sec: 0.0,
-                        })
-                        .collect(),
-                    ..ToolRun::default()
-                })
-            }
-            Err(failure) => Err(ToolFailure::Unsupported(failure)),
-        }
+        sheriff_cell(outcome.result, observer)
     }
+}
+
+/// The Sheriff cell of the model's verdict, held to the cell's budget.
+fn sheriff_cell(
+    result: Result<SheriffRun, SheriffFailure>,
+    observer: Option<BudgetObserver>,
+) -> Result<ToolRun, ToolFailure> {
+    let run = result.map_err(ToolFailure::Unsupported)?;
+    // The Sheriff model reports no instruction count.
+    finish_observed(observer, 0, run.cycles)?;
+    Ok(ToolRun {
+        cycles: run.cycles,
+        reported: run
+            .reported_lines
+            .iter()
+            .map(|line| ReportedLine {
+                label: format!("line@{line:#x}"),
+                file: None,
+                line: None,
+                kind: None,
+                hitm_records: 0,
+                rate_per_sec: 0.0,
+            })
+            .collect(),
+        ..ToolRun::default()
+    })
 }
 
 /// Machine-readable identity of a tool configuration: the key under which a
@@ -496,36 +518,212 @@ impl ToolSpec {
 
     /// Instantiate the tool this spec describes.
     pub fn build(&self) -> Box<dyn Tool> {
+        if let Some(config) = self.laser_config() {
+            return Box::new(LaserTool::named(config, self.key()));
+        }
         match self {
-            ToolSpec::Native => Box::new(NativeTool),
             ToolSpec::NativeFixed => Box::new(FixedNativeTool),
-            ToolSpec::Laser => Box::new(LaserTool::default()),
-            ToolSpec::LaserDetect => Box::new(LaserTool::new(LaserConfig::detection_only())),
-            ToolSpec::LaserDetectRaw => Box::new(LaserTool::named(
-                LaserConfig::detection_only().with_rate_threshold(0.0),
-                self.key(),
-            )),
-            ToolSpec::LaserDetectSav(sav) => Box::new(LaserTool::named(
-                LaserConfig::detection_only().with_sav(*sav),
-                self.key(),
-            )),
             ToolSpec::Vtune => Box::new(VtuneTool::default()),
             ToolSpec::SheriffDetect => Box::new(SheriffTool::new(SheriffMode::Detect)),
             ToolSpec::SheriffProtect => Box::new(SheriffTool::new(SheriffMode::Protect)),
+            // `Native`: every LASER spec has a configuration.
+            _ => Box::new(NativeTool),
+        }
+    }
+
+    /// The configuration a LASER spec runs; `None` for every other tool.
+    fn laser_config(&self) -> Option<LaserConfig> {
+        let detect = LaserConfig::detection_only();
+        match self {
+            ToolSpec::Laser => Some(LaserConfig::default()),
+            ToolSpec::LaserDetect => Some(detect),
+            ToolSpec::LaserDetectRaw => Some(detect.with_rate_threshold(0.0)),
+            ToolSpec::LaserDetectSav(sav) => Some(detect.with_sav(*sav)),
+            _ => None,
+        }
+    }
+
+    /// The simulation this spec's cell can share with the cells of the same
+    /// workload and deployment, named by the spec that runs it on its own;
+    /// `None` for a cell that shares nothing. Native and both Sheriff modes
+    /// share the native run; a LASER cell whose configuration differs from
+    /// the raw detection session's only in its report threshold and in
+    /// repair shares that session.
+    pub(crate) fn simulation(&self) -> Option<ToolSpec> {
+        match self {
+            ToolSpec::Native | ToolSpec::SheriffDetect | ToolSpec::SheriffProtect => {
+                Some(ToolSpec::Native)
+            }
+            _ => {
+                let config = self.laser_config()?;
+                let raw = ToolSpec::LaserDetectRaw.laser_config()?;
+                let detection = LaserConfig {
+                    enable_repair: false,
+                    ..config.with_rate_threshold(raw.rate_threshold_hitm_per_sec)
+                };
+                (detection == raw).then_some(ToolSpec::LaserDetectRaw)
+            }
         }
     }
 }
 
-/// The default tool panel: native, LASER, VTune and both Sheriff modes —
-/// every column of the paper's comparison tables.
-pub fn default_tools() -> Vec<Box<dyn Tool>> {
-    vec![
-        Box::new(NativeTool),
-        Box::new(LaserTool::default()),
-        Box::new(VtuneTool::default()),
-        Box::new(SheriffTool::new(SheriffMode::Detect)),
-        Box::new(SheriffTool::new(SheriffMode::Protect)),
-    ]
+/// The tool panel of `experiments campaign`: native, LASER, VTune and both
+/// Sheriff modes — every column of the paper's comparison tables.
+pub(crate) const DEFAULT_PANEL: [ToolSpec; 5] = [
+    ToolSpec::Native,
+    ToolSpec::Laser,
+    ToolSpec::Vtune,
+    ToolSpec::SheriffDetect,
+    ToolSpec::SheriffProtect,
+];
+
+/// The simulations the cells of one group share — one workload on one
+/// deployment, its cells agreeing on [`ToolSpec::simulation`] — run at most
+/// once each, when the first cell that needs one is simulated, and dropped
+/// with the group. Every member cell is derived from them, and each
+/// derivation is exact by construction:
+///
+/// - A LASER session runs at report threshold 0, and each cell re-applies
+///   its own threshold to the report's lines: the detector applies the
+///   threshold once, when the report is made after the run, and nothing
+///   during the run reads it.
+/// - A repair-enabled session in which repair never attached is the
+///   detection-only session: the armed trigger only reads the detector's
+///   aggregates, and nothing is charged until a plan attaches.
+/// - `native` is the native run, and Sheriff-Protect and Sheriff-Detect are
+///   arithmetic on it ([`Sheriff::project`]), with Sheriff-Detect's writer
+///   aggregation folded in slice by slice while it runs.
+///
+/// A cell whose spec shares nothing — or a caller-supplied tool, which has
+/// no spec — runs its own tool.
+#[derive(Debug, Default)]
+pub(crate) struct SharedRuns {
+    /// Whether the native run feeds Sheriff-Detect's writer aggregation.
+    observe_writers: bool,
+    /// The repair-enabled LASER session at report threshold 0.
+    repaired: Option<Result<ToolRun, ToolFailure>>,
+    /// The detection-only LASER session at report threshold 0.
+    detected: Option<Result<ToolRun, ToolFailure>>,
+    native: Option<Result<SheriffNative, ToolFailure>>,
+    /// Simulations started so far.
+    simulations: usize,
+}
+
+impl SharedRuns {
+    /// The shared runs of a group on `workload` whose cells are lowered
+    /// from `members` (`None` for a caller-supplied tool).
+    pub(crate) fn new(
+        workload: &WorkloadSpec,
+        mut members: impl Iterator<Item = Option<ToolSpec>>,
+    ) -> Self {
+        SharedRuns {
+            observe_writers: members.any(|spec| spec == Some(ToolSpec::SheriffDetect))
+                && Sheriff::compatibility(workload).is_ok(),
+            ..SharedRuns::default()
+        }
+    }
+
+    /// Simulations this group has started.
+    pub(crate) fn simulations(&self) -> usize {
+        self.simulations
+    }
+
+    /// The cell of `tool` — lowered from `spec`, if it came from one — on
+    /// `workload` as `cell` configures it: [`Tool::run`]'s result, derived
+    /// from the group's shared simulations where the spec allows.
+    ///
+    /// # Errors
+    /// As [`Tool::run`].
+    pub(crate) fn run(
+        &mut self,
+        spec: Option<ToolSpec>,
+        tool: &dyn Tool,
+        workload: &WorkloadSpec,
+        cell: &CellConfig,
+    ) -> Result<ToolRun, ToolFailure> {
+        let Some(spec) = spec.filter(|s| s.simulation().is_some()) else {
+            self.simulations += 1;
+            return tool.run(workload, cell);
+        };
+        if let Some(config) = spec.laser_config() {
+            return self.laser(config, workload, cell);
+        }
+        let mode = match spec {
+            ToolSpec::SheriffDetect => SheriffMode::Detect,
+            ToolSpec::SheriffProtect => SheriffMode::Protect,
+            // `Native`, the one other spec with a simulation.
+            _ => {
+                let observer = cell.observer();
+                return native_cell(&self.native(workload, cell)?.run, observer);
+            }
+        };
+        Sheriff::compatibility(workload).map_err(ToolFailure::Unsupported)?;
+        let observer = cell.observer();
+        let native = self.native(workload, cell)?;
+        sheriff_cell(Ok(Sheriff::default().project(native, mode)), observer)
+    }
+
+    /// A LASER cell under `config`: the group's session at threshold 0,
+    /// filtered to `config`'s threshold.
+    fn laser(
+        &mut self,
+        config: LaserConfig,
+        workload: &WorkloadSpec,
+        cell: &CellConfig,
+    ) -> Result<ToolRun, ToolFailure> {
+        let threshold = config.rate_threshold_hitm_per_sec;
+        let unrepaired = match &self.repaired {
+            Some(Ok(run)) if !config.enable_repair && !run.repair_invoked => Some(run.clone()),
+            _ => None,
+        };
+        let mut run = match unrepaired {
+            Some(run) => run,
+            None => {
+                let slot = if config.enable_repair {
+                    &mut self.repaired
+                } else {
+                    &mut self.detected
+                };
+                simulate(slot, &mut self.simulations, || {
+                    let config = config.with_rate_threshold(0.0);
+                    run_laser(workload, cell, config, cell.observer())
+                        .map(laser_outcome_to_tool_run)
+                        .map_err(laser_failure)
+                })?
+                .clone()
+            }
+        };
+        run.reported.retain(|line| line.rate_per_sec >= threshold);
+        Ok(run)
+    }
+
+    /// The group's native run.
+    fn native(
+        &mut self,
+        workload: &WorkloadSpec,
+        cell: &CellConfig,
+    ) -> Result<&SheriffNative, ToolFailure> {
+        let observe_writers = self.observe_writers;
+        simulate(&mut self.native, &mut self.simulations, || {
+            let image = workload.build(&cell.adapted_opts());
+            Sheriff::run_native(&image, cell.machine_config(), observe_writers)
+                .map_err(|e| ToolFailure::Error(e.to_string()))
+        })
+    }
+}
+
+/// The result in `slot`, simulated by `run` (and counted) on first use.
+fn simulate<'a, T>(
+    slot: &'a mut Option<Result<T, ToolFailure>>,
+    simulations: &mut usize,
+    run: impl FnOnce() -> Result<T, ToolFailure>,
+) -> Result<&'a T, ToolFailure> {
+    slot.get_or_insert_with(|| {
+        *simulations += 1;
+        run()
+    })
+    .as_ref()
+    .map_err(Clone::clone)
 }
 
 #[cfg(test)]
@@ -651,7 +849,7 @@ mod tests {
 
     #[test]
     fn tool_names_are_distinct() {
-        let tools = default_tools();
+        let tools: Vec<_> = DEFAULT_PANEL.iter().map(ToolSpec::build).collect();
         let mut names: Vec<&str> = tools.iter().map(|t| t.name()).collect();
         names.sort_unstable();
         names.dedup();
@@ -673,6 +871,26 @@ mod tests {
         ];
         for spec in specs {
             assert_eq!(spec.key(), spec.build().name(), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn simulations_group_exactly_the_specs_that_can_share_one() {
+        let raw = Some(ToolSpec::LaserDetectRaw);
+        let native = Some(ToolSpec::Native);
+        for (spec, simulation) in [
+            (ToolSpec::Laser, raw),
+            (ToolSpec::LaserDetect, raw),
+            (ToolSpec::LaserDetectRaw, raw),
+            (ToolSpec::LaserDetectSav(19), raw),
+            (ToolSpec::LaserDetectSav(7), None),
+            (ToolSpec::Native, native),
+            (ToolSpec::SheriffDetect, native),
+            (ToolSpec::SheriffProtect, native),
+            (ToolSpec::NativeFixed, None),
+            (ToolSpec::Vtune, None),
+        ] {
+            assert_eq!(spec.simulation(), simulation, "{spec:?}");
         }
     }
 

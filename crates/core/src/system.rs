@@ -15,7 +15,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use laser_machine::machine::MachineError;
-use laser_machine::{Machine, MachineConfig, RunResult, RunStatus, WorkloadImage};
+use laser_machine::{HitmEvent, Machine, MachineConfig, RunResult, RunStatus, WorkloadImage};
 use laser_pebs::driver::DriverStats;
 
 use crate::config::LaserConfig;
@@ -103,18 +103,26 @@ impl From<MachineError> for LaserError {
 /// contended run stays a few megabytes.
 const NATIVE_SLICE_STEPS: u64 = 1 << 18;
 
-/// [`Machine::run_to_completion`] for a caller that reads no HITM events:
-/// run `machine` up to `max_steps` executed instructions in slices of
-/// `slice` steps, dropping each slice's events.
+/// Where a native run hands each slice's HITM events.
+type EventSink<'a> = &'a mut dyn FnMut(&[HitmEvent]);
+
+/// [`Machine::run_to_completion`] for a caller that never holds the whole
+/// run's HITM events: run `machine` up to `max_steps` executed instructions
+/// in slices of `slice` steps, handing each slice's events to `sink` — or,
+/// without one, dropping them — before the next slice starts.
 fn run_discarding_events(
     machine: &mut Machine,
     max_steps: u64,
     slice: u64,
+    mut sink: Option<EventSink<'_>>,
 ) -> Result<RunResult, MachineError> {
     loop {
         let budget = max_steps.saturating_sub(machine.steps());
         let status = machine.run_steps(slice.min(budget));
-        machine.discard_hitm_events();
+        match sink.as_mut() {
+            Some(sink) => sink(&machine.take_hitm_events()),
+            None => machine.discard_hitm_events(),
+        }
         if status == RunStatus::Done {
             return Ok(machine.result());
         }
@@ -183,6 +191,30 @@ impl Laser {
             &mut machine,
             max_steps,
             NATIVE_SLICE_STEPS,
+            None,
+        )?)
+    }
+
+    /// Like [`Laser::run_native_on`], handing the run's HITM events to
+    /// `sink` one slice at a time, in the order the machine generated them.
+    /// A caller that folds the events into a summary (Sheriff-Detect's
+    /// writer aggregation) never holds more than one slice of them; the
+    /// result is the same as [`Laser::run_native_on`]'s.
+    ///
+    /// # Errors
+    /// Returns an error if the workload exceeds the machine's step budget.
+    pub fn run_native_with_events(
+        image: &WorkloadImage,
+        machine_config: MachineConfig,
+        sink: EventSink<'_>,
+    ) -> Result<RunResult, LaserError> {
+        let max_steps = machine_config.max_steps;
+        let mut machine = Machine::new(machine_config, image);
+        Ok(run_discarding_events(
+            &mut machine,
+            max_steps,
+            NATIVE_SLICE_STEPS,
+            Some(sink),
         )?)
     }
 
@@ -376,7 +408,8 @@ mod tests {
                 // Slices far shorter than a run, so that every workload
                 // crosses many slice boundaries.
                 let mut sliced = Machine::new(config.clone(), &image);
-                let native = run_discarding_events(&mut sliced, config.max_steps, 777).unwrap();
+                let native =
+                    run_discarding_events(&mut sliced, config.max_steps, 777, None).unwrap();
                 assert_same_result(&native, &reference, &what);
             }
         }
@@ -397,7 +430,7 @@ mod tests {
             );
             let mut machine = Machine::new(config, &image);
             assert_eq!(
-                run_discarding_events(&mut machine, max_steps, slice).unwrap_err(),
+                run_discarding_events(&mut machine, max_steps, slice, None).unwrap_err(),
                 MachineError::MaxStepsExceeded { steps: max_steps }
             );
             assert_eq!(machine.steps(), max_steps, "slices of {slice}");
@@ -415,7 +448,7 @@ mod tests {
         const SLICE: u64 = 64;
         let image = false_sharing_image(4000);
         let mut machine = Machine::new(MachineConfig::default(), &image);
-        let run = run_discarding_events(&mut machine, u64::MAX, SLICE).unwrap();
+        let run = run_discarding_events(&mut machine, u64::MAX, SLICE, None).unwrap();
         assert!(run.stats.hitm_events > 2000, "a contended run");
         // The drained queue is the buffer every slice reused: nothing left in
         // it, and it never grew past what one slice can generate (at most one
@@ -428,6 +461,43 @@ mod tests {
             "queue grew to {} events for slices of {SLICE} steps",
             queue.capacity()
         );
+    }
+
+    /// A sink sees every event `run_to_completion` would have queued, in
+    /// order, one slice at a time — and the run is unchanged by it.
+    #[test]
+    fn a_native_sink_sees_every_event_in_order_one_slice_at_a_time() {
+        const SLICE: u64 = 500;
+        let image = false_sharing_image(4000);
+        let mut reference = Machine::new(MachineConfig::default(), &image);
+        let expected_run = reference.run_to_completion().unwrap();
+        let expected = reference.take_hitm_events();
+        assert!(expected.len() > 2000, "a contended run");
+
+        let mut seen = Vec::new();
+        let mut largest = 0;
+        let mut machine = Machine::new(MachineConfig::default(), &image);
+        let run = run_discarding_events(
+            &mut machine,
+            u64::MAX,
+            SLICE,
+            Some(&mut |events: &[HitmEvent]| {
+                largest = largest.max(events.len());
+                seen.extend_from_slice(events);
+            }),
+        )
+        .unwrap();
+        assert_same_result(&run, &expected_run, "sliced with a sink");
+        assert_eq!(seen, expected);
+        assert!(largest as u64 <= 2 * SLICE, "one slice holds {largest}");
+
+        let mut count = 0;
+        let run = Laser::run_native_with_events(&image, MachineConfig::default(), &mut |events| {
+            count += events.len()
+        })
+        .unwrap();
+        assert_same_result(&run, &expected_run, "run_native_with_events");
+        assert_eq!(count, expected.len());
     }
 
     #[test]
