@@ -199,7 +199,7 @@ impl Sheriff {
     }
 
     /// Run `image` natively as the model reads it. With `observe_writers`,
-    /// each slice of the run's HITM events is folded into Sheriff-Detect's
+    /// each batch of the run's HITM events is folded into Sheriff-Detect's
     /// per-line writer aggregation as the run goes, so the whole run's
     /// events are never held; without it the events are dropped and only
     /// Sheriff-Protect can be projected from the result.
@@ -285,7 +285,7 @@ struct LineWriters {
     words: BTreeSet<u64>,
 }
 
-/// Fold one slice of HITM events into the per-line writer aggregation:
+/// Fold one batch of HITM events into the per-line writer aggregation:
 /// stores (by event kind, or by the PC's place in the store set) to heap
 /// data.
 fn record_writes(
@@ -395,7 +395,7 @@ mod tests {
         })
     }
 
-    /// Folding writers slice by slice and projecting one native run into
+    /// Folding writers batch by batch and projecting one native run into
     /// both modes changes no outcome: every Sheriff-compatible workload, on
     /// one socket and on two.
     #[test]

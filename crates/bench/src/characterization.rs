@@ -163,20 +163,12 @@ pub fn fig3_characterization_on(
     })
 }
 
-/// Score one characterization case on `config`: run it to completion, pass
-/// every ground-truth HITM event through the imprecision model, and count
-/// how many records keep the right address and PC.
+/// Score one characterization case on `config`: run it to completion,
+/// passing each batch of ground-truth HITM events through the imprecision
+/// model as the machine drains it, and count how many records keep the right
+/// address and PC.
 fn fig3_case(case: &CharacterizationCase, config: MachineConfig) -> Result<Fig3Case, String> {
     let built = case.build();
-    let mut machine = Machine::new(config, &built.image);
-    machine.run_to_completion().map_err(|e| {
-        format!(
-            "characterization case {} ({}) did not terminate: {e}",
-            case.id,
-            case.label()
-        )
-    })?;
-    let events = machine.take_hitm_events();
     let program = built.image.program();
     let mut model = ImprecisionModel::new(
         ImprecisionParams::default(),
@@ -184,29 +176,34 @@ fn fig3_case(case: &CharacterizationCase, config: MachineConfig) -> Result<Fig3C
         (program.base_pc(), program.end_pc()),
         0xF163 + case.id as u64,
     );
-    let mut addr_ok = 0u64;
-    let mut pc_ok = 0u64;
-    let mut pc_adj = 0u64;
-    for e in &events {
-        let r = model.distort(e);
-        if r.data_addr == e.addr {
-            addr_ok += 1;
-        }
-        if r.pc == e.pc {
-            pc_ok += 1;
-        }
-        if (r.pc as i64 - e.pc as i64).unsigned_abs() <= laser_isa::program::INST_BYTES {
-            pc_adj += 1;
-        }
-    }
-    let n = events.len().max(1) as f64;
+    let (mut events, mut addr_ok, mut pc_ok, mut pc_adj) = (0u64, 0u64, 0u64, 0u64);
+    Machine::new(config, &built.image)
+        .run_draining(|batch| {
+            events += batch.len() as u64;
+            for e in batch {
+                let r = model.distort(e);
+                addr_ok += u64::from(r.data_addr == e.addr);
+                pc_ok += u64::from(r.pc == e.pc);
+                pc_adj += u64::from(
+                    (r.pc as i64 - e.pc as i64).unsigned_abs() <= laser_isa::program::INST_BYTES,
+                );
+            }
+        })
+        .map_err(|e| {
+            format!(
+                "characterization case {} ({}) did not terminate: {e}",
+                case.id,
+                case.label()
+            )
+        })?;
+    let n = events.max(1) as f64;
     Ok(Fig3Case {
         id: case.id,
         label: case.label(),
         addr_correct: addr_ok as f64 / n,
         pc_exact: pc_ok as f64 / n,
         pc_adjacent: pc_adj as f64 / n,
-        events: events.len() as u64,
+        events,
     })
 }
 

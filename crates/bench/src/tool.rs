@@ -592,7 +592,7 @@ pub(crate) const DEFAULT_PANEL: [ToolSpec; 5] = [
 ///   aggregates, and nothing is charged until a plan attaches.
 /// - `native` is the native run, and Sheriff-Protect and Sheriff-Detect are
 ///   arithmetic on it ([`Sheriff::project`]), with Sheriff-Detect's writer
-///   aggregation folded in slice by slice while it runs.
+///   aggregation folded in batch by batch while it runs.
 ///
 /// A cell whose spec shares nothing — or a caller-supplied tool, which has
 /// no spec — runs its own tool.

@@ -15,7 +15,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use laser_machine::machine::MachineError;
-use laser_machine::{HitmEvent, Machine, MachineConfig, RunResult, RunStatus, WorkloadImage};
+use laser_machine::{HitmEvent, Machine, MachineConfig, RunResult, WorkloadImage};
 use laser_pebs::driver::DriverStats;
 
 use crate::config::LaserConfig;
@@ -97,41 +97,6 @@ impl From<MachineError> for LaserError {
     }
 }
 
-/// Steps a native run executes between two discards of the machine's HITM
-/// queue: large enough that restarting the machine's run-ahead rounds at each
-/// boundary is invisible even at 32 cores, small enough that the queue of a
-/// contended run stays a few megabytes.
-const NATIVE_SLICE_STEPS: u64 = 1 << 18;
-
-/// Where a native run hands each slice's HITM events.
-type EventSink<'a> = &'a mut dyn FnMut(&[HitmEvent]);
-
-/// [`Machine::run_to_completion`] for a caller that never holds the whole
-/// run's HITM events: run `machine` up to `max_steps` executed instructions
-/// in slices of `slice` steps, handing each slice's events to `sink` — or,
-/// without one, dropping them — before the next slice starts.
-fn run_discarding_events(
-    machine: &mut Machine,
-    max_steps: u64,
-    slice: u64,
-    mut sink: Option<EventSink<'_>>,
-) -> Result<RunResult, MachineError> {
-    loop {
-        let budget = max_steps.saturating_sub(machine.steps());
-        let status = machine.run_steps(slice.min(budget));
-        match sink.as_mut() {
-            Some(sink) => sink(&machine.take_hitm_events()),
-            None => machine.discard_hitm_events(),
-        }
-        if status == RunStatus::Done {
-            return Ok(machine.result());
-        }
-        if budget <= slice {
-            return Err(MachineError::MaxStepsExceeded { steps: max_steps });
-        }
-    }
-}
-
 /// The LASER system: detection plus (optionally) online repair.
 #[derive(Debug, Clone)]
 pub struct Laser {
@@ -176,8 +141,9 @@ impl Laser {
     /// Like [`Laser::run_native`] but with an explicit machine configuration.
     ///
     /// Nobody reads a native run's HITM events, so they are discarded as the
-    /// run goes instead of queueing up inside the machine; the result equals
-    /// [`Machine::run_to_completion`]'s field for field.
+    /// run goes ([`Machine::run_draining`]) instead of queueing up inside the
+    /// machine; the result equals [`Machine::run_to_completion`]'s field for
+    /// field.
     ///
     /// # Errors
     /// Returns an error if the workload exceeds the machine's step budget.
@@ -185,37 +151,24 @@ impl Laser {
         image: &WorkloadImage,
         machine_config: MachineConfig,
     ) -> Result<RunResult, LaserError> {
-        let max_steps = machine_config.max_steps;
-        let mut machine = Machine::new(machine_config, image);
-        Ok(run_discarding_events(
-            &mut machine,
-            max_steps,
-            NATIVE_SLICE_STEPS,
-            None,
-        )?)
+        Self::run_native_with_events(image, machine_config, &mut |_| {})
     }
 
     /// Like [`Laser::run_native_on`], handing the run's HITM events to
-    /// `sink` one slice at a time, in the order the machine generated them.
-    /// A caller that folds the events into a summary (Sheriff-Detect's
-    /// writer aggregation) never holds more than one slice of them; the
-    /// result is the same as [`Laser::run_native_on`]'s.
+    /// `sink` a batch at a time, in the order the machine generated them
+    /// ([`Machine::run_draining`]). A caller that folds the events into a
+    /// summary (Sheriff-Detect's writer aggregation) never holds more than
+    /// one batch of them; the result is the same as
+    /// [`Laser::run_native_on`]'s.
     ///
     /// # Errors
     /// Returns an error if the workload exceeds the machine's step budget.
     pub fn run_native_with_events(
         image: &WorkloadImage,
         machine_config: MachineConfig,
-        sink: EventSink<'_>,
+        sink: &mut dyn FnMut(&[HitmEvent]),
     ) -> Result<RunResult, LaserError> {
-        let max_steps = machine_config.max_steps;
-        let mut machine = Machine::new(machine_config, image);
-        Ok(run_discarding_events(
-            &mut machine,
-            max_steps,
-            NATIVE_SLICE_STEPS,
-            Some(sink),
-        )?)
+        Ok(Machine::new(machine_config, image).run_draining(sink)?)
     }
 
     /// Run `image` under LASER with the default machine configuration.
@@ -405,12 +358,6 @@ mod tests {
                     .unwrap();
                 let native = Laser::run_native_on(&image, config.clone()).unwrap();
                 assert_same_result(&native, &reference, &what);
-                // Slices far shorter than a run, so that every workload
-                // crosses many slice boundaries.
-                let mut sliced = Machine::new(config.clone(), &image);
-                let native =
-                    run_discarding_events(&mut sliced, config.max_steps, 777, None).unwrap();
-                assert_same_result(&native, &reference, &what);
             }
         }
     }
@@ -419,7 +366,7 @@ mod tests {
     fn native_runs_stop_on_exactly_the_step_budget() {
         let image = false_sharing_image(4000);
         let total = Laser::run_native(&image).unwrap().steps;
-        for (max_steps, slice) in [(10_000, 1 << 20), (10_000, 999), (10_000, 10_000), (0, 64)] {
+        for max_steps in [10_000, 999, 0] {
             let config = MachineConfig {
                 max_steps,
                 ..Default::default()
@@ -430,10 +377,10 @@ mod tests {
             );
             let mut machine = Machine::new(config, &image);
             assert_eq!(
-                run_discarding_events(&mut machine, max_steps, slice, None).unwrap_err(),
+                machine.run_draining(|_| {}).unwrap_err(),
                 MachineError::MaxStepsExceeded { steps: max_steps }
             );
-            assert_eq!(machine.steps(), max_steps, "slices of {slice}");
+            assert_eq!(machine.steps(), max_steps);
         }
         // A budget of exactly the run's length is enough.
         let config = MachineConfig {
@@ -443,61 +390,45 @@ mod tests {
         assert_eq!(Laser::run_native_on(&image, config).unwrap().steps, total);
     }
 
+    /// A contended native run drains the machine's queue as it goes: the
+    /// buffer left behind never grew to hold more than a small part of the
+    /// run's events.
     #[test]
-    fn native_runs_hold_one_slice_of_events_at_most() {
-        const SLICE: u64 = 64;
-        let image = false_sharing_image(4000);
+    fn native_runs_hold_one_batch_of_events_at_most() {
+        let image = false_sharing_image(40_000);
         let mut machine = Machine::new(MachineConfig::default(), &image);
-        let run = run_discarding_events(&mut machine, u64::MAX, SLICE, None).unwrap();
-        assert!(run.stats.hitm_events > 2000, "a contended run");
-        // The drained queue is the buffer every slice reused: nothing left in
-        // it, and it never grew past what one slice can generate (at most one
-        // event per line an instruction touches, two lines an access; a
-        // growing `Vec` at most doubles).
+        let run = machine.run_draining(|_| {}).unwrap();
+        assert!(run.stats.hitm_events > 40_000, "a contended run");
         let queue = machine.take_hitm_events();
         assert!(queue.is_empty());
         assert!(
-            queue.capacity() as u64 <= 4 * SLICE,
-            "queue grew to {} events for slices of {SLICE} steps",
-            queue.capacity()
+            queue.capacity() <= 4096,
+            "queue grew to {} events of {}",
+            queue.capacity(),
+            run.stats.hitm_events
         );
     }
 
     /// A sink sees every event `run_to_completion` would have queued, in
-    /// order, one slice at a time — and the run is unchanged by it.
+    /// order, one batch at a time — and the run is unchanged by it.
     #[test]
-    fn a_native_sink_sees_every_event_in_order_one_slice_at_a_time() {
-        const SLICE: u64 = 500;
-        let image = false_sharing_image(4000);
+    fn a_native_sink_sees_every_event_in_order_one_batch_at_a_time() {
+        let image = false_sharing_image(20_000);
         let mut reference = Machine::new(MachineConfig::default(), &image);
         let expected_run = reference.run_to_completion().unwrap();
         let expected = reference.take_hitm_events();
-        assert!(expected.len() > 2000, "a contended run");
+        assert!(expected.len() > 20_000, "a contended run");
 
         let mut seen = Vec::new();
-        let mut largest = 0;
-        let mut machine = Machine::new(MachineConfig::default(), &image);
-        let run = run_discarding_events(
-            &mut machine,
-            u64::MAX,
-            SLICE,
-            Some(&mut |events: &[HitmEvent]| {
-                largest = largest.max(events.len());
-                seen.extend_from_slice(events);
-            }),
-        )
-        .unwrap();
-        assert_same_result(&run, &expected_run, "sliced with a sink");
-        assert_eq!(seen, expected);
-        assert!(largest as u64 <= 2 * SLICE, "one slice holds {largest}");
-
-        let mut count = 0;
+        let mut batches = 0;
         let run = Laser::run_native_with_events(&image, MachineConfig::default(), &mut |events| {
-            count += events.len()
+            batches += 1;
+            seen.extend_from_slice(events);
         })
         .unwrap();
         assert_same_result(&run, &expected_run, "run_native_with_events");
-        assert_eq!(count, expected.len());
+        assert_eq!(seen, expected);
+        assert!(batches > 5, "{} events in {batches} batches", seen.len());
     }
 
     #[test]

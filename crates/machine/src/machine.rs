@@ -75,7 +75,7 @@ pub struct MachineConfig {
     /// cost model byte-identically.
     pub topology: Topology,
     /// Upper bound on executed instructions before
-    /// [`Machine::run_to_completion`] gives up.
+    /// [`Machine::run_to_completion`] or [`Machine::run_draining`] gives up.
     pub max_steps: u64,
 }
 
@@ -336,22 +336,16 @@ impl Machine {
     ///
     /// The machine queues one event per HITM and never drops any itself: the
     /// queue is the caller's to drain. A session drains it every quantum
-    /// ([`Machine::run_quantum`]); a caller that wants the whole run's events
-    /// calls this once after [`Machine::run_to_completion`] and holds them
-    /// all until then; a caller that reads none of them — a native run — runs
-    /// in slices and calls [`Machine::discard_hitm_events`] after each.
+    /// ([`Machine::run_quantum`]), and a whole run that reads its events as
+    /// they come, or not at all, drains it at round boundaries
+    /// ([`Machine::run_draining`]). Calling this once after
+    /// [`Machine::run_to_completion`] holds the whole run's events at once,
+    /// which only tests and small cases do.
     pub fn take_hitm_events(&mut self) -> Vec<HitmEvent> {
         // Leave a buffer sized to the batch just yielded, so a contended run
         // does not regrow the queue from empty every quantum.
         let next = Vec::with_capacity(self.inner.pending_hitms.len());
         std::mem::replace(&mut self.inner.pending_hitms, next)
-    }
-
-    /// Drop the HITM events generated since the last drain, keeping the
-    /// queue's buffer. The statistics ([`MachineStats::hitm_events`] and its
-    /// splits) have counted them already and are not touched.
-    pub fn discard_hitm_events(&mut self) {
-        self.inner.pending_hitms.clear();
     }
 
     /// Run one quantum of up to `steps` instructions and *yield* the HITM

@@ -53,12 +53,19 @@
 //!     parked. The loop parks it — the new front thread's register-only
 //!     prefix, then a reposition — before it takes the next root. A core
 //!     whose last thread halted has left the heap.
-//!   - *The budget.* `H` is `min_clock + (left / live_cores) × floor`, where
-//!     the *round floor* `floor ≥ 1` is the least any instruction costs, so
-//!     each live core retires at most `left / live_cores` instructions and a
-//!     round cannot overshoot the `left` steps still owed. Rounds repeat
-//!     until fewer than 8 steps per live core are owed; that short tail is
-//!     plain `step()`.
+//!   - *The budget.* `H` is `min_clock + (min(left, 2^14) / live_cores) ×
+//!     floor`, where the *round floor* `floor ≥ 1` is the least any
+//!     instruction costs, so each live core retires at most that many
+//!     instructions: a round cannot overshoot the `left` steps still owed,
+//!     and retires at most 2^14 ([`MAX_ROUND_STEPS`]) however long the run.
+//!     Rounds repeat until fewer than 8 steps per live core are owed; that
+//!     short tail is plain `step()`.
+//!   - *Round boundaries drain.* Between two rounds the machine has executed
+//!     a prefix of the per-instruction order, so its HITM queue holds exactly
+//!     the events that prefix generated. [`Machine::run_draining`] hands the
+//!     queue over there once it holds [`DRAIN_BATCH_EVENTS`]: a run to
+//!     completion then holds at most that many events plus one round's,
+//!     delivered in the order the run generated them.
 //! * **A hooked machine runs ahead inside what its hook declares** (the
 //!   run-ahead contract of [`ExecHook`](crate::hook::ExecHook), read once
 //!   when the hook is attached).
@@ -92,7 +99,7 @@ use laser_isa::inst::{Inst, MemAddr, Operand, RmwOp, Terminator, NUM_REGS};
 use laser_isa::program::{BlockId, Pc};
 
 use crate::addr::Addr;
-use crate::event::MemAccessKind;
+use crate::event::{HitmEvent, MemAccessKind};
 use crate::hook::{HookAction, MemOp};
 use crate::machine::{Machine, MachineError, RunResult, RunStatus};
 use crate::timing::HotLatency;
@@ -101,6 +108,16 @@ use crate::timing::HotLatency;
 /// owed: a round's fixed cost no longer pays for itself, and the remaining
 /// steps are dispatched one by one.
 pub(super) const MIN_ROUND_STEPS_PER_CORE: u64 = 8;
+
+/// The most instructions one round retires: a run to completion crosses a
+/// round boundary at least once per this many instructions, and each
+/// crossing costs one parking pass over the cores. A session's quantum is shorter than this, so only
+/// whole runs see the bound.
+const MAX_ROUND_STEPS: u64 = 1 << 14;
+
+/// How many HITM events [`Machine::run_draining`] lets queue up before it
+/// hands them over at the next round boundary.
+pub(crate) const DRAIN_BATCH_EVENTS: usize = 2048;
 
 /// Counts of the round loop's work, kept in test builds for the test that
 /// holds it to one scheduler visit per active instruction.
@@ -112,6 +129,8 @@ pub(crate) struct RoundTrace {
     /// Times the round loop took the heap's root, the visit that ends each
     /// round included.
     pub(crate) visits: u64,
+    /// The most HITM events one round queued.
+    pub(crate) most_events: usize,
 }
 
 impl Machine {
@@ -123,7 +142,7 @@ impl Machine {
     /// per-instruction one, whatever `n` is. Returns [`RunStatus::Done`]
     /// once all threads have halted.
     pub fn run_steps(&mut self, n: u64) -> RunStatus {
-        let tail = self.run_ahead(n);
+        let tail = self.run_ahead(n, |_| {});
         for _ in 0..tail {
             if !self.step() {
                 break;
@@ -153,9 +172,10 @@ impl Machine {
     }
 
     /// Run until every thread halts. Every HITM event of the run stays
-    /// queued for [`Machine::take_hitm_events`]; a caller that will not read
-    /// them runs [`Machine::run_steps`] in slices and discards in between, as
-    /// `laser-core`'s native runs do.
+    /// queued for [`Machine::take_hitm_events`], which makes this the path
+    /// of tests and of runs small enough to hold whole; a run of any size
+    /// that reads its events as they come, or not at all, is
+    /// [`Machine::run_draining`].
     ///
     /// # Errors
     /// Returns [`MachineError::MaxStepsExceeded`] if the configured step
@@ -163,7 +183,61 @@ impl Machine {
     /// `max_steps` instructions.
     pub fn run_to_completion(&mut self) -> Result<RunResult, MachineError> {
         let budget = self.config.max_steps.saturating_sub(self.steps);
-        match self.run_steps(budget) {
+        let status = self.run_steps(budget);
+        self.completion(status)
+    }
+
+    /// [`Machine::run_to_completion`] for a caller that never holds the
+    /// whole run's HITM events: at each run-ahead round boundary where the
+    /// queue holds at least 2,048 events, hand the queue to `sink` and clear
+    /// it; hand over the rest at the end. A batch is then at most 2,048
+    /// events plus what one round (at most 2^14 instructions) queued. The
+    /// batches,
+    /// concatenated, are the events `run_to_completion` would have queued,
+    /// in the same order, and the result is the same field for field. A sink
+    /// that ignores its argument discards the events as the run goes.
+    ///
+    /// # Errors
+    /// As [`Machine::run_to_completion`]: [`MachineError::MaxStepsExceeded`]
+    /// after exactly `max_steps` instructions, every event generated until
+    /// then handed over.
+    pub fn run_draining(
+        &mut self,
+        sink: impl FnMut(&[HitmEvent]),
+    ) -> Result<RunResult, MachineError> {
+        self.run_draining_at(DRAIN_BATCH_EVENTS, sink)
+    }
+
+    /// [`Machine::run_draining`], draining once the queue holds `batch`
+    /// events.
+    pub(crate) fn run_draining_at(
+        &mut self,
+        batch: usize,
+        mut sink: impl FnMut(&[HitmEvent]),
+    ) -> Result<RunResult, MachineError> {
+        let mut drain = |queue: &mut Vec<HitmEvent>, at_least: usize| {
+            if !queue.is_empty() && queue.len() >= at_least {
+                sink(queue);
+                queue.clear();
+            }
+        };
+        let budget = self.config.max_steps.saturating_sub(self.steps);
+        let tail = self.run_ahead(budget, |queue| drain(queue, batch));
+        // The tail is plain steps, each a round of one instruction.
+        for _ in 0..tail {
+            if !self.step() {
+                break;
+            }
+            drain(&mut self.inner.pending_hitms, batch);
+        }
+        drain(&mut self.inner.pending_hitms, 0);
+        let status = self.status();
+        self.completion(status)
+    }
+
+    /// The outcome of a run to completion that stopped with `status`.
+    fn completion(&self, status: RunStatus) -> Result<RunResult, MachineError> {
+        match status {
             RunStatus::Done => Ok(self.result()),
             RunStatus::Running => Err(MachineError::MaxStepsExceeded {
                 steps: self.config.max_steps,
@@ -175,7 +249,8 @@ impl Machine {
     /// return the steps still owed (fewer than
     /// [`MIN_ROUND_STEPS_PER_CORE`] per live core, anything once every
     /// thread has halted, or all of them under a hook with no cost floor).
-    fn run_ahead(&mut self, mut left: u64) -> u64 {
+    /// `boundary` is shown the HITM queue after every round.
+    fn run_ahead(&mut self, mut left: u64, mut boundary: impl FnMut(&mut Vec<HitmEvent>)) -> u64 {
         // The round floor: the least any instruction costs, whether the
         // machine or the attached hook services it. A hook that promises
         // nothing (floor 0) gives no horizon to run up to: every instruction
@@ -190,14 +265,27 @@ impl Machine {
                 break;
             }
             // Every instruction costs at least `floor`, so a core starting at
-            // or above the minimum clock retires at most `left / live`
+            // or above the minimum clock retires at most `span`
             // instructions before its clock reaches the horizon. Saturation
             // only lowers the horizon.
-            let horizon =
-                self.core_cycles[root].saturating_add((left / live).saturating_mul(floor));
+            let span = left.min(MAX_ROUND_STEPS) / live;
+            let horizon = self.core_cycles[root].saturating_add(span.saturating_mul(floor));
+            #[cfg(test)]
+            let queued = self.inner.pending_hitms.len();
             let done = self.run_to_horizon(horizon);
-            debug_assert!(done <= left, "a round overshot its budget");
+            #[cfg(test)]
+            {
+                let trace = &mut self.round_trace;
+                trace.most_events = trace
+                    .most_events
+                    .max(self.inner.pending_hitms.len() - queued);
+            }
+            debug_assert!(
+                done <= left.min(MAX_ROUND_STEPS),
+                "a round overshot its budget"
+            );
             left -= done;
+            boundary(&mut self.inner.pending_hitms);
         }
         left
     }

@@ -4,6 +4,7 @@ use crate::image::ThreadSpec;
 use laser_isa::inst::{Operand, Reg};
 use laser_isa::ProgramBuilder;
 
+mod draining;
 mod run_ahead;
 
 /// A single thread storing 1..=n into consecutive u64 slots.

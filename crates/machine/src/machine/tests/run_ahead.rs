@@ -397,7 +397,7 @@ fn emit_kernel(rng: &mut XorShift, b: &mut ProgramBuilder, kernel: usize, mem_pc
 /// A seeded multi-threaded image: two kernels, `threads` threads spread over
 /// them with seeded trip counts (some halt almost at once), all sharing four
 /// lines and falsely sharing their private slots.
-fn generated_image(rng: &mut XorShift, threads: usize) -> WorkloadImage {
+pub(super) fn generated_image(rng: &mut XorShift, threads: usize) -> WorkloadImage {
     let mem_pct = [2, 10, 30, 60][rng.below(4) as usize];
     generated_image_with(rng, threads, mem_pct, None)
 }
@@ -452,7 +452,7 @@ fn generated_image_with(
 /// A seeded machine for a generated image: 1–6 cores on one socket or the
 /// dual-socket preset, with the default latencies or dearer seeded ones (so
 /// the horizon's `floor` is not always 1).
-fn generated_config(rng: &mut XorShift) -> (MachineConfig, ThreadPlacement) {
+pub(super) fn generated_config(rng: &mut XorShift) -> (MachineConfig, ThreadPlacement) {
     let (mut config, placement) = if rng.below(4) == 0 {
         (
             MachineConfig::for_topology(TopologySpec::DualSocket),
@@ -955,19 +955,19 @@ fn run_ahead_visits_the_scheduler_once_per_active_instruction() {
 
 /// Input scale of the registry runs: every workload keeps its shape (the
 /// builders floor their trip counts) at a size a debug build finishes.
-const REGISTRY_SCALE: f64 = 0.02;
+pub(super) const REGISTRY_SCALE: f64 = 0.02;
 
-/// Rebuild an image `laser-workloads` built against the plain library as an
-/// image of the crate under test. The program is `laser-isa`'s type on both
+/// Rebuild an image `laser-workloads` built at input scale `scale` against
+/// the plain library as an image of the crate under test. The program is `laser-isa`'s type on both
 /// sides; threads, initial contents and dilation are copied over, which is
 /// all `Machine::new` reads besides the memory map.
-fn registry_image(
+pub(super) fn registry_image(
     spec: &laser_workloads::WorkloadSpec,
+    scale: f64,
     threads: usize,
     placement: ThreadPlacement,
 ) -> WorkloadImage {
-    let theirs =
-        spec.build(&laser_workloads::BuildOptions::scaled(REGISTRY_SCALE).with_threads(threads));
+    let theirs = spec.build(&laser_workloads::BuildOptions::scaled(scale).with_threads(threads));
     let mut image = WorkloadImage::new(theirs.name(), theirs.program().clone());
     for (addr, bytes) in theirs.layout().initial_contents() {
         image.layout_mut().poke_bytes(*addr, bytes);
@@ -994,7 +994,7 @@ fn registry_agrees_on(topology: TopologySpec, hooked: bool) {
     };
     let config = MachineConfig::for_topology(topology);
     for (i, spec) in laser_workloads::registry().iter().enumerate() {
-        let image = registry_image(spec, 4 * topology.sockets(), placement);
+        let image = registry_image(spec, REGISTRY_SCALE, 4 * topology.sockets(), placement);
         let what = format!("{} on {topology:?}", spec.name);
         if !hooked {
             lockstep_from_image(&image, &config, 1 + i as u64, &what);
