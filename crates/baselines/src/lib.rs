@@ -16,8 +16,6 @@
 //! itself, so the accuracy (Table 1/2) and overhead (Figures 10 and 14)
 //! comparisons are apples-to-apples.
 
-#![forbid(unsafe_code)]
-
 pub mod sheriff;
 pub mod vtune;
 

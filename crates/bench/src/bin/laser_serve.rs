@@ -168,6 +168,10 @@ fn read_scenario_file(path: &Path) -> Result<String, String> {
 
 /// One sorted scan of the watch directory for `*.json` files.
 fn scan_watch_dir(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the entries are collected and sorted below before any is served"
+    )]
     let entries = std::fs::read_dir(dir)
         .map_err(|e| format!("failed to read watch directory {}: {e}", dir.display()))?;
     let mut files: Vec<PathBuf> = entries

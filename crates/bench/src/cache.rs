@@ -304,7 +304,11 @@ impl CellCache {
             }
             Err(message) => {
                 let _ = fs::remove_file(&tmp);
-                let mut slot = self.write_error.lock().unwrap(); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "lock poisoning only follows a panic already unwinding this run"
+                )]
+                let mut slot = self.write_error.lock().unwrap();
                 slot.get_or_insert(message);
             }
         }
@@ -323,7 +327,11 @@ impl CellCache {
     /// The first write failure, if any store failed. Binaries check this
     /// after a run and exit nonzero with the message.
     pub fn write_error(&self) -> Option<String> {
-        self.write_error.lock().unwrap().clone() // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        #[expect(
+            clippy::unwrap_used,
+            reason = "lock poisoning only follows a panic already unwinding this run"
+        )]
+        self.write_error.lock().unwrap().clone()
     }
 }
 

@@ -462,6 +462,10 @@ where
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
+            #[expect(
+                clippy::unwrap_used,
+                reason = "lock poisoning only follows a panic already unwinding this run"
+            )]
             scope.spawn(|| loop {
                 // Work stealing off a shared counter: each worker claims the
                 // next unclaimed index until the range is drained.
@@ -469,14 +473,19 @@ where
                 if i >= n {
                     break;
                 }
-                *slots[i].lock().unwrap() = Some(f(i)); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+                *slots[i].lock().unwrap() = Some(f(i));
             });
         }
     });
 
+    #[expect(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        reason = "the scoped-thread join above guarantees every slot was filled exactly once"
+    )]
     slots
         .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("every index is computed")) // lint:allow(panic) — the scoped-thread join above guarantees every slot was filled exactly once
+        .map(|slot| slot.into_inner().unwrap().expect("every index is computed"))
         .collect()
 }
 

@@ -49,7 +49,7 @@ impl Fig3Report {
         if vals.is_empty() {
             0.0
         } else {
-            vals.iter().sum::<f64>() / vals.len() as f64 // lint:allow(float-accum) — vals is a Vec summed in index order, which is fixed across runs
+            vals.iter().sum::<f64>() / vals.len() as f64
         }
     }
 }
@@ -214,7 +214,11 @@ pub const FIG2_WORKLOAD: &str = "linear_regression";
 /// across cache lines, with and without the manual alignment fix.
 pub fn fig2_layout() -> String {
     use laser_workloads::{find, BuildOptions};
-    let spec = find(FIG2_WORKLOAD).expect("workload exists"); // lint:allow(panic) — a missing built-in workload is a bench-table bug, not a runtime condition; reached by figures::tests
+    #[expect(
+        clippy::expect_used,
+        reason = "a missing built-in workload is a bench-table bug, not a runtime condition; reached by figures::tests"
+    )]
+    let spec = find(FIG2_WORKLOAD).expect("workload exists");
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -37,8 +37,6 @@
 //! roughly what factor, and where the crossovers fall. `EXPERIMENTS.md` at the
 //! repository root records paper-reported versus measured values side by side.
 
-#![forbid(unsafe_code)]
-
 pub mod accuracy;
 pub mod args;
 pub mod cache;

@@ -293,7 +293,11 @@ pub const FIG13_WORKLOAD: &str = "dedup";
 
 /// Plan the cells the Figure 13 SAV sweep needs.
 pub fn plan_fig13(grid: &mut Grid, savs: &[u32]) {
-    let spec = laser_workloads::find(FIG13_WORKLOAD).expect("dedup exists"); // lint:allow(panic) — a missing built-in workload is a bench-table bug, not a runtime condition
+    #[expect(
+        clippy::expect_used,
+        reason = "a missing built-in workload is a bench-table bug, not a runtime condition"
+    )]
+    let spec = laser_workloads::find(FIG13_WORKLOAD).expect("dedup exists");
     grid.request(&spec, ToolSpec::Native);
     for &sav in savs {
         grid.request(&spec, ToolSpec::LaserDetectSav(sav));

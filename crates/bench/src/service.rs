@@ -162,16 +162,28 @@ pub fn run_scenario<W: Write + Send>(
             .set("done", done)
             .set("total", total);
         let rendered = line.render();
-        let mut w = writer.lock().unwrap(); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        #[expect(
+            clippy::unwrap_used,
+            reason = "lock poisoning only follows a panic already unwinding this run"
+        )]
+        let mut w = writer.lock().unwrap();
         if let Err(e) = writeln!(w, "{rendered}") {
-            let mut slot = write_error.lock().unwrap(); // lint:allow(panic) — same poisoning argument as the writer lock
+            #[expect(
+                clippy::unwrap_used,
+                reason = "same poisoning argument as the writer lock"
+            )]
+            let mut slot = write_error.lock().unwrap();
             if slot.is_none() {
                 *slot = Some(e.to_string());
             }
         }
     });
 
-    let error = write_error.into_inner().unwrap(); // lint:allow(panic) — the campaign joined; the mutex cannot be poisoned or held
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the campaign joined; the mutex cannot be poisoned or held"
+    )]
+    let error = write_error.into_inner().unwrap();
     if let Some(message) = error {
         return Err(ServiceError(format!(
             "failed to write result stream: {message}"
@@ -199,7 +211,11 @@ pub fn run_scenario<W: Write + Send>(
         line = line.set("aggregate", aggregate);
     }
     let rendered = line.render();
-    let mut w = writer.into_inner().unwrap(); // lint:allow(panic) — the campaign joined; the mutex cannot be poisoned or held
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the campaign joined; the mutex cannot be poisoned or held"
+    )]
+    let mut w = writer.into_inner().unwrap();
     writeln!(w, "{rendered}")
         .map_err(|e| ServiceError(format!("failed to write result stream: {e}")))?;
 

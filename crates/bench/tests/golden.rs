@@ -20,6 +20,11 @@ use std::process::Command;
 
 /// Run `experiments <cmd> --scale 0.1 --format <fmt>` for every format and
 /// compare each stdout with `tests/golden/<cmd>.<fmt>`.
+#[expect(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "a test helper: a failed run or an unreadable pin fails the calling test"
+)]
 fn assert_golden(cmd: &str) {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     for fmt in ["text", "json", "csv"] {

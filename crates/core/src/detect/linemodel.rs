@@ -93,15 +93,16 @@ impl CacheLineModel {
     /// Fold another model's per-line state into this one, deterministically:
     /// the other map is drained into a vector and *sorted by line number*
     /// before insertion, so the merged table is independent of either map's
-    /// iteration order — the sorted-merge discipline `laser-lint`'s
-    /// `shard-merge` rule enforces for every cross-shard reduction.
+    /// iteration order.
     ///
     /// Where both models track a line, the absorbed model's (later) access
     /// wins. Under line-hash shard routing this never happens: a line's
     /// records all hash to one shard, so the maps are disjoint and absorbing
     /// every shard reconstructs exactly the inline model.
     pub fn absorb(&mut self, other: CacheLineModel) {
-        let mut entries: Vec<(u64, u64)> = other.lines.into_iter().collect(); // lint:allow(hash-iter) — drained into a Vec and sorted by key before any use
+        // An explicit `into_iter` is the one hash iteration the workspace
+        // lints cannot see, hence the sort before any entry is used.
+        let mut entries: Vec<(u64, u64)> = other.lines.into_iter().collect();
         entries.sort_unstable_by_key(|(line, _)| *line);
         for (line, bitmap) in entries {
             self.lines.insert(line, bitmap);

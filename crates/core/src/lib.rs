@@ -77,8 +77,6 @@
 //! The legacy entry points ([`Laser::run`], [`Laser::session_on`],
 //! [`LaserSession::new`], …) remain as thin wrappers over the builder.
 
-#![forbid(unsafe_code)]
-
 pub mod config;
 pub mod detect;
 pub mod observe;

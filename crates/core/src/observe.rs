@@ -214,13 +214,21 @@ impl EventLog {
 
     /// A snapshot of every event recorded so far.
     pub fn events(&self) -> Vec<LaserEvent> {
-        self.events.lock().unwrap().clone() // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        #[expect(
+            clippy::unwrap_used,
+            reason = "lock poisoning only follows a panic already unwinding this run"
+        )]
+        self.events.lock().unwrap().clone()
     }
 }
 
 impl Observer for EventLog {
     fn on_event(&mut self, event: &LaserEvent) -> ControlFlow<StopReason> {
-        self.events.lock().unwrap().push(event.clone()); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        #[expect(
+            clippy::unwrap_used,
+            reason = "lock poisoning only follows a panic already unwinding this run"
+        )]
+        self.events.lock().unwrap().push(event.clone());
         ControlFlow::Continue(())
     }
 }
@@ -280,7 +288,11 @@ impl BudgetObserver {
         BudgetObserver {
             budget,
             steps: 0,
-            started: Instant::now(), // lint:allow(wall-clock) — BudgetObserver is the opt-in wall-clock budget; it aborts runs and never feeds simulated state or emitted bytes
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "BudgetObserver is the opt-in wall-clock budget; it aborts runs and never feeds simulated state or emitted bytes"
+            )]
+            started: Instant::now(),
         }
     }
 

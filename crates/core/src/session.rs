@@ -345,7 +345,11 @@ fn detector_worker(
 ) -> (Detector, Duration) {
     let mut busy = Duration::ZERO;
     while let Some(job) = jobs.recv() {
-        let start = Instant::now(); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "occupancy accounting only; never feeds back into simulated state"
+        )]
+        let start = Instant::now();
         process(&mut detector, &job.records);
         if job.reply {
             // A dead reply channel just means the session was dropped
@@ -435,8 +439,12 @@ impl DetectorWorker {
 
 /// The detector worker exited while the session still held its channel, with
 /// no panic of its own to re-raise.
+#[expect(
+    clippy::panic,
+    reason = "a worker exiting with its channel open is a protocol bug worth crashing the cell"
+)]
 fn worker_exited_early() -> ! {
-    panic!("pipeline stage worker exited before its channel closed") // lint:allow(panic) — a worker exiting with its channel open is a protocol bug worth crashing the cell
+    panic!("pipeline stage worker exited before its channel closed")
 }
 
 /// Where the session's one [`Detector`] lives. The two deployments differ
@@ -721,7 +729,11 @@ impl LaserSession {
         let timed = self.is_pipelined();
         let app = &mut self.app;
         let steps_before = app.machine.steps();
-        let start = timed.then(Instant::now); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "occupancy accounting only; never feeds back into simulated state"
+        )]
+        let start = timed.then(Instant::now);
         let quantum = app.machine.run_quantum(app.config.poll_interval_steps);
         if let Some(start) = start {
             app.machine_busy += start.elapsed();
@@ -760,7 +772,11 @@ impl LaserSession {
     ) -> ControlFlow<StopReason> {
         let timed = self.is_pipelined();
         let app = &mut self.app;
-        let start = timed.then(Instant::now); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "occupancy accounting only; never feeds back into simulated state"
+        )]
+        let start = timed.then(Instant::now);
         self.driver.ingest(events, &mut app.machine);
         if let Some(start) = start {
             app.driver_busy += start.elapsed();

@@ -67,7 +67,11 @@ impl AliasSpeculation {
                     ssb_loads.insert(pc);
                     continue;
                 }
-                let addr = inst.mem_addr().expect("loads have addresses"); // lint:allow(panic) — guarded by is_load() just above; every load carries an address
+                #[expect(
+                    clippy::expect_used,
+                    reason = "guarded by is_load() just above; every load carries an address"
+                )]
+                let addr = inst.mem_addr().expect("loads have addresses");
                 let aliases_store = addr.regs().iter().any(|r| store_base_regs.contains(r));
                 if aliases_store {
                     ssb_loads.insert(pc);
@@ -90,7 +94,11 @@ impl AliasSpeculation {
                 if !speculative_loads.contains(&pc) {
                     continue;
                 }
-                let addr = inst.mem_addr().expect("loads have addresses"); // lint:allow(panic) — guarded by is_load() just above; every load carries an address
+                #[expect(
+                    clippy::expect_used,
+                    reason = "guarded by is_load() just above; every load carries an address"
+                )]
+                let addr = inst.mem_addr().expect("loads have addresses");
                 let uses = uses_per_base.get(&(bid, addr.base)).copied().unwrap_or(1);
                 checks_required.insert(pc, usize::max(1, uses));
             }

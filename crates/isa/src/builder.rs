@@ -118,9 +118,13 @@ impl ProgramBuilder {
     }
 
     fn cur(&mut self) -> &mut PendingBlock {
+        #[expect(
+            clippy::expect_used,
+            reason = "builder misuse is a workload-definition bug; fail fast at build time"
+        )]
         let idx = self
             .current
-            .expect("switch_to must be called before emitting instructions"); // lint:allow(panic) — builder misuse is a workload-definition bug; fail fast at build time
+            .expect("switch_to must be called before emitting instructions");
         &mut self.blocks[idx]
     }
 
@@ -365,9 +369,13 @@ impl ProgramBuilder {
         let mut blocks = Vec::with_capacity(self.blocks.len());
         let mut srcs = Vec::with_capacity(self.blocks.len());
         for (i, pending) in self.blocks.into_iter().enumerate() {
+            #[expect(
+                clippy::panic,
+                reason = "builder misuse is a workload-definition bug; fail fast at build time"
+            )]
             let term = pending
                 .term
-                .unwrap_or_else(|| panic!("block '{}' was never sealed", pending.label)); // lint:allow(panic) — builder misuse is a workload-definition bug; fail fast at build time
+                .unwrap_or_else(|| panic!("block '{}' was never sealed", pending.label));
             let mut block_srcs = pending.srcs;
             block_srcs.push(pending.term_src);
             blocks.push(BasicBlock {

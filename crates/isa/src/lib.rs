@@ -42,8 +42,6 @@
 //! assert_eq!(program.num_insts(), 5);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod alias;
 pub mod builder;
 pub mod cfg;

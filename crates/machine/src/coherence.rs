@@ -8,12 +8,11 @@
 //! and 3).
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
 use crate::addr::Addr;
-use crate::fasthash::FastBuildHasher;
+use crate::fasthash::FastHashMap;
 
 /// Outcome classification of a single line access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -58,7 +57,7 @@ enum LineState {
 #[derive(Debug, Clone)]
 pub struct CoherenceDirectory {
     num_cores: usize,
-    lines: HashMap<Addr, LineState, FastBuildHasher>,
+    lines: FastHashMap<Addr, LineState>,
 }
 
 impl CoherenceDirectory {
@@ -73,7 +72,7 @@ impl CoherenceDirectory {
         );
         CoherenceDirectory {
             num_cores,
-            lines: HashMap::default(),
+            lines: FastHashMap::default(),
         }
     }
 

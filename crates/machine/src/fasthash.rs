@@ -71,17 +71,26 @@ pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 /// lookups for the hot per-access paths. Its iteration order still depends
 /// on insertion history and capacity, so — like any hash map in this
 /// workspace — it must never be *iterated* on a path that reaches simulated
-/// state or emitted bytes (the `hash-iter` lint rule enforces this).
+/// state or emitted bytes (`clippy::iter_over_hash_type` and the
+/// `disallowed-methods` list in `clippy.toml` enforce this).
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one place a std map is named: its hasher is fixed, so lookups are deterministic"
+)]
 pub type FastHashMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 
 /// A `HashSet` hashed through [`FastHasher`]; same determinism caveats as
 /// [`FastHashMap`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one place a std set is named: its hasher is fixed, so lookups are deterministic"
+)]
 pub type FastHashSet<T> = std::collections::HashSet<T, FastBuildHasher>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeSet;
     use std::hash::BuildHasher;
 
     #[test]
@@ -97,7 +106,7 @@ mod tests {
     fn distinct_keys_rarely_collide() {
         // Line addresses are 64-byte aligned; make sure aligned keys spread.
         let b = FastBuildHasher::default();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = BTreeSet::new();
         for i in 0..10_000u64 {
             seen.insert(b.hash_one(i * 64));
         }
@@ -125,7 +134,7 @@ mod tests {
 
     #[test]
     fn usable_as_map_hasher() {
-        let mut m: HashMap<u64, u32, FastBuildHasher> = HashMap::default();
+        let mut m: FastHashMap<u64, u32> = FastHashMap::default();
         for i in 0..1000 {
             m.insert(i * 4096, i as u32);
         }

@@ -60,8 +60,6 @@
 //! assert!(result.stats.hitm_events > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod addr;
 pub mod alloc;
 pub mod coherence;

@@ -218,8 +218,12 @@ impl Machine {
             !image.threads().is_empty(),
             "workload image declares no threads"
         );
+        #[expect(
+            clippy::panic,
+            reason = "configuration is validated before any simulation starts; a bad config must abort the run"
+        )]
         if let Err(e) = config.topology.validate(&config.latency) {
-            panic!("invalid machine configuration: {e}"); // lint:allow(panic) — configuration is validated before any simulation starts; a bad config must abort the run
+            panic!("invalid machine configuration: {e}");
         }
         let program = image.program().clone();
         let mut mem = SparseMemory::new();
@@ -228,9 +232,13 @@ impl Machine {
         }
         let mut threads = Vec::new();
         for (tid, spec) in image.threads().iter().enumerate() {
+            #[expect(
+                clippy::panic,
+                reason = "an unknown entry label is a workload-definition bug; fail fast at machine construction"
+            )]
             let entry = program
                 .block_by_label(&spec.entry_label)
-                .unwrap_or_else(|| panic!("unknown thread entry label '{}'", spec.entry_label)); // lint:allow(panic) — an unknown entry label is a workload-definition bug; fail fast at machine construction
+                .unwrap_or_else(|| panic!("unknown thread entry label '{}'", spec.entry_label));
             let mut regs = [0u64; NUM_REGS];
             for (r, v) in &spec.regs {
                 regs[r.0 as usize] = *v;

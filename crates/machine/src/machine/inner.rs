@@ -34,7 +34,6 @@ impl MachineInner {
     /// Perform a memory access through the coherence directory, recording a
     /// HITM event when the access hits a remotely-Modified line. Returns the
     /// loaded value (0 for stores) and the cycle cost.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn access(
         &mut self,
         core: usize,

@@ -239,14 +239,14 @@ fn machine_is_send() {
 
 #[test]
 fn hook_can_intercept_and_service_ops() {
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     use crate::event::MemAccessKind;
 
     /// Buffers every store to the watched line and serves loads from it.
     struct TinySsb {
         watched_line: Addr,
-        buffer: HashMap<Addr, u64>,
+        buffer: BTreeMap<Addr, u64>,
         intercepted: usize,
     }
     impl ExecHook for TinySsb {
@@ -289,7 +289,7 @@ fn hook_can_intercept_and_service_ops() {
     let mut m = Machine::new(MachineConfig::default(), &image);
     m.attach_hook(Box::new(TinySsb {
         watched_line: crate::addr::line_of(watched),
-        buffer: HashMap::new(),
+        buffer: BTreeMap::new(),
         intercepted: 0,
     }));
     assert!(m.has_hook());

@@ -1,9 +1,7 @@
 //! Sparse byte-addressable memory for the simulated process.
 
-use std::collections::HashMap;
-
 use crate::addr::Addr;
-use crate::fasthash::FastBuildHasher;
+use crate::fasthash::FastHashMap;
 
 const PAGE_SIZE: u64 = 4096;
 
@@ -16,14 +14,14 @@ const PAGE_SIZE: u64 = 4096;
 /// access through [`SparseMemory::read`] and [`SparseMemory::write`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparseMemory {
-    pages: HashMap<u64, Box<[u8]>, FastBuildHasher>,
+    pages: FastHashMap<u64, Box<[u8]>>,
 }
 
 impl SparseMemory {
     /// An empty memory image.
     pub fn new() -> Self {
         SparseMemory {
-            pages: HashMap::default(),
+            pages: FastHashMap::default(),
         }
     }
 

@@ -469,9 +469,13 @@ impl Topology {
         match outcome.class {
             AccessClass::L1Hit => ResolvedClass::L1Hit,
             AccessClass::Hitm => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the coherence directory only reports HITM when a previous owner exists"
+                )]
                 let owner = outcome
                     .previous_owner
-                    .expect("HITM outcomes carry their previous owner"); // lint:allow(panic) — the coherence directory only reports HITM when a previous owner exists
+                    .expect("HITM outcomes carry their previous owner");
                 if socket_of(owner) == socket_of(core) {
                     ResolvedClass::HitmLocal
                 } else {
@@ -853,6 +857,10 @@ mod tests {
         for cores in [13, 16, 9] {
             cases.push((thin.clone(), cores));
         }
+        #[expect(
+            clippy::disallowed_types,
+            reason = "a membership count in a test; ResolvedClass has no order to key a BTreeSet by"
+        )]
         let mut seen = std::collections::HashSet::new();
         for (t, num_cores) in cases {
             let what = format!("{} with {num_cores} cores", t.name());

@@ -106,8 +106,12 @@ impl<T> Sender<T> {
     /// Offer one batch. Under [`OverflowPolicy::Backpressure`] this blocks
     /// while the channel is full; under [`OverflowPolicy::DropNewest`] a full
     /// channel discards the batch and returns [`SendOutcome::Dropped`].
+    #[expect(
+        clippy::unwrap_used,
+        reason = "lock poisoning only follows a panic already unwinding this run"
+    )]
     pub fn send(&self, item: T) -> SendOutcome {
-        let mut state = self.shared.state.lock().unwrap(); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        let mut state = self.shared.state.lock().unwrap();
         loop {
             if !state.receiver_alive {
                 return SendOutcome::Closed;
@@ -122,7 +126,7 @@ impl<T> Sender<T> {
                     return SendOutcome::Dropped;
                 }
                 OverflowPolicy::Backpressure => {
-                    state = self.shared.not_full.wait(state).unwrap(); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+                    state = self.shared.not_full.wait(state).unwrap();
                 }
             }
         }
@@ -130,8 +134,12 @@ impl<T> Sender<T> {
 }
 
 impl<T> Clone for Sender<T> {
+    #[expect(
+        clippy::unwrap_used,
+        reason = "lock poisoning only follows a panic already unwinding this run"
+    )]
     fn clone(&self) -> Self {
-        self.shared.state.lock().unwrap().senders += 1; // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        self.shared.state.lock().unwrap().senders += 1;
         Sender {
             shared: Arc::clone(&self.shared),
         }
@@ -140,7 +148,11 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut state = self.shared.state.lock().unwrap(); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        #[expect(
+            clippy::unwrap_used,
+            reason = "lock poisoning only follows a panic already unwinding this run"
+        )]
+        let mut state = self.shared.state.lock().unwrap();
         state.senders -= 1;
         if state.senders == 0 {
             // Wake a consumer blocked on an empty queue so it can observe the
@@ -153,8 +165,12 @@ impl<T> Drop for Sender<T> {
 impl<T> Receiver<T> {
     /// Receive the next batch, blocking while the channel is empty. Returns
     /// `None` once every sender is gone and the queue is drained.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "lock poisoning only follows a panic already unwinding this run"
+    )]
     pub fn recv(&self) -> Option<T> {
-        let mut state = self.shared.state.lock().unwrap(); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        let mut state = self.shared.state.lock().unwrap();
         loop {
             if let Some(item) = state.queue.pop_front() {
                 self.shared.not_full.notify_one();
@@ -163,14 +179,18 @@ impl<T> Receiver<T> {
             if state.senders == 0 {
                 return None;
             }
-            state = self.shared.not_empty.wait(state).unwrap(); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+            state = self.shared.not_empty.wait(state).unwrap();
         }
     }
 
     /// Receive without blocking: `None` when the queue is currently empty
     /// (whether or not senders remain).
     pub fn try_recv(&self) -> Option<T> {
-        let mut state = self.shared.state.lock().unwrap(); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        #[expect(
+            clippy::unwrap_used,
+            reason = "lock poisoning only follows a panic already unwinding this run"
+        )]
+        let mut state = self.shared.state.lock().unwrap();
         let item = state.queue.pop_front();
         if item.is_some() {
             self.shared.not_full.notify_one();
@@ -181,7 +201,11 @@ impl<T> Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut state = self.shared.state.lock().unwrap(); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        #[expect(
+            clippy::unwrap_used,
+            reason = "lock poisoning only follows a panic already unwinding this run"
+        )]
+        let mut state = self.shared.state.lock().unwrap();
         state.receiver_alive = false;
         state.queue.clear();
         // Wake producers blocked on a full queue so they observe the close.
@@ -191,7 +215,11 @@ impl<T> Drop for Receiver<T> {
 
 impl<T> std::fmt::Debug for Sender<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.shared.state.lock().unwrap(); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        #[expect(
+            clippy::unwrap_used,
+            reason = "lock poisoning only follows a panic already unwinding this run"
+        )]
+        let state = self.shared.state.lock().unwrap();
         f.debug_struct("Sender")
             .field("queued", &state.queue.len())
             .field("capacity", &self.shared.capacity)
@@ -202,7 +230,11 @@ impl<T> std::fmt::Debug for Sender<T> {
 
 impl<T> std::fmt::Debug for Receiver<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.shared.state.lock().unwrap(); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        #[expect(
+            clippy::unwrap_used,
+            reason = "lock poisoning only follows a panic already unwinding this run"
+        )]
+        let state = self.shared.state.lock().unwrap();
         f.debug_struct("Receiver")
             .field("queued", &state.queue.len())
             .finish()

@@ -48,8 +48,6 @@
 //! assert_eq!(records[0].pc, 0x40_0010);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod channel;
 pub mod driver;
 pub mod imprecision;

@@ -197,10 +197,14 @@ pub fn private_compute(
         image.layout_mut().perturb_heap(opts.layout_perturbation);
     }
     for t in 0..opts.threads {
+        #[expect(
+            clippy::expect_used,
+            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+        )]
         let buf = image
             .layout_mut()
             .heap_alloc(8 * private_slots.max(1), 64)
-            .expect("heap space for private buffers"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+            .expect("heap space for private buffers");
         image.push_thread(
             ThreadSpec::new(format!("worker{t}"), "entry")
                 .with_reg(regs::DATA, buf)
@@ -258,7 +262,11 @@ pub fn barrier_phased(
         .layout_mut()
         .global_alloc(64 * phases.max(1) as u64, 64);
     for t in 0..opts.threads {
-        let buf = image.layout_mut().heap_alloc(64, 64).expect("heap space"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        #[expect(
+            clippy::expect_used,
+            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+        )]
+        let buf = image.layout_mut().heap_alloc(64, 64).expect("heap space");
         image.push_thread(
             ThreadSpec::new(format!("worker{t}"), "entry")
                 .with_reg(regs::DATA, buf)
@@ -324,7 +332,11 @@ pub fn locked_accumulator(
     // Lock on its own line at +0, accumulator on the next line at +64.
     let shared = image.layout_mut().global_alloc(128, 64);
     for t in 0..opts.threads {
-        let buf = image.layout_mut().heap_alloc(64, 64).expect("heap space"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        #[expect(
+            clippy::expect_used,
+            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+        )]
+        let buf = image.layout_mut().heap_alloc(64, 64).expect("heap space");
         image.push_thread(
             ThreadSpec::new(format!("worker{t}"), "entry")
                 .with_reg(regs::DATA, buf)

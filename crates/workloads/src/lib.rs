@@ -26,8 +26,6 @@
 //! assert!(!image.threads().is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod common;
 pub mod microbench;
 pub mod parsec;

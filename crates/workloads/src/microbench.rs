@@ -125,7 +125,11 @@ impl CharacterizationCase {
         let peer_mem_pc = program.pc_of(p_body, 0);
 
         let mut image = WorkloadImage::new(format!("chara_{}", self.id), program);
-        let line = image.layout_mut().heap_alloc(64, 64).expect("shared line"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        #[expect(
+            clippy::expect_used,
+            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+        )]
+        let line = image.layout_mut().heap_alloc(64, 64).expect("shared line");
         image.push_thread(
             ThreadSpec::new("writer", "writer")
                 .with_reg(regs::DATA, line)

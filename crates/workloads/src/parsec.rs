@@ -178,10 +178,14 @@ fn bodytrack(opts: &BuildOptions) -> WorkloadImage {
     }
     let ticket = image.layout_mut().global_alloc(64, 64);
     for t in 0..opts.threads {
+        #[expect(
+            clippy::expect_used,
+            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+        )]
         let buf = image
             .layout_mut()
             .heap_alloc(64, 64)
-            .expect("particle buffer"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+            .expect("particle buffer");
         image.push_thread(
             ThreadSpec::new(format!("body{t}"), "entry")
                 .with_reg(regs::DATA, buf)
@@ -292,10 +296,14 @@ fn dedup(opts: &BuildOptions) -> WorkloadImage {
     // Queue header: lock at +0, head at +8, tail at +16 (all one line in the
     // buggy variant); the fixed variant's counters live at +64 and +128.
     let queue = image.layout_mut().global_alloc(192, 64);
+    #[expect(
+        clippy::expect_used,
+        reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+    )]
     let slots = image
         .layout_mut()
         .heap_alloc(16 * 8, 64)
-        .expect("queue slots"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        .expect("queue slots");
     for t in 0..opts.threads {
         let entry = if t % 2 == 0 { "producer" } else { "consumer" };
         image.push_thread(
@@ -353,12 +361,20 @@ fn streamcluster(opts: &BuildOptions) -> WorkloadImage {
         image.layout_mut().perturb_heap(opts.layout_perturbation);
     }
     let stride = if opts.fixed { 64 } else { 32 };
+    #[expect(
+        clippy::expect_used,
+        reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+    )]
     let work_mem = image
         .layout_mut()
         .heap_alloc(stride * opts.threads as u64 + 64, 64)
-        .expect("work_mem"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        .expect("work_mem");
     for t in 0..opts.threads {
-        let private = image.layout_mut().heap_alloc(64, 64).expect("private"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        #[expect(
+            clippy::expect_used,
+            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+        )]
+        let private = image.layout_mut().heap_alloc(64, 64).expect("private");
         image.push_thread(
             ThreadSpec::new(format!("sc{t}"), "entry")
                 .with_reg(regs::DATA, work_mem + stride * t as u64)
@@ -412,7 +428,11 @@ fn x264(opts: &BuildOptions) -> WorkloadImage {
     }
     let row_counter = image.layout_mut().global_alloc(64, 64);
     for t in 0..opts.threads {
-        let buf = image.layout_mut().heap_alloc(64, 64).expect("frame buffer"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        #[expect(
+            clippy::expect_used,
+            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+        )]
+        let buf = image.layout_mut().heap_alloc(64, 64).expect("frame buffer");
         image.push_thread(
             ThreadSpec::new(format!("frame{t}"), "entry")
                 .with_reg(regs::DATA, buf)

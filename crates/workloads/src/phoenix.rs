@@ -161,12 +161,20 @@ fn linear_regression(opts: &BuildOptions) -> WorkloadImage {
     // the allocator's chunk header, as in Figure 2.
     let struct_size = 64u64;
     let align = if opts.fixed { 64 } else { 1 };
+    #[expect(
+        clippy::expect_used,
+        reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+    )]
     let args_array = image
         .layout_mut()
         .heap_alloc(struct_size * opts.threads as u64, align)
-        .expect("args array"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        .expect("args array");
     for t in 0..opts.threads {
-        let points = image.layout_mut().heap_alloc(512, 64).expect("points"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        #[expect(
+            clippy::expect_used,
+            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+        )]
+        let points = image.layout_mut().heap_alloc(512, 64).expect("points");
         image.push_thread(
             ThreadSpec::new(format!("lreg{t}"), "entry")
                 .with_reg(regs::DATA, args_array + t as u64 * struct_size)
@@ -233,10 +241,14 @@ fn histogram(opts: &BuildOptions, alternative_input: bool) -> WorkloadImage {
     if alternative_input && !opts.fixed {
         // All threads' counters in one packed allocation: 32 bytes per
         // thread, two threads per 64-byte line.
+        #[expect(
+            clippy::expect_used,
+            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+        )]
         let packed = image
             .layout_mut()
             .heap_alloc(per_thread_bytes * opts.threads as u64, 1)
-            .expect("packed counters"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+            .expect("packed counters");
         for t in 0..opts.threads {
             image.push_thread(
                 ThreadSpec::new(format!("hist{t}"), "entry")
@@ -248,7 +260,11 @@ fn histogram(opts: &BuildOptions, alternative_input: bool) -> WorkloadImage {
         // Default input / fixed variant: each thread's counters on their own
         // cache line.
         for t in 0..opts.threads {
-            let buf = image.layout_mut().heap_alloc(64, 64).expect("counters"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+            #[expect(
+                clippy::expect_used,
+                reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+            )]
+            let buf = image.layout_mut().heap_alloc(64, 64).expect("counters");
             image.push_thread(
                 ThreadSpec::new(format!("hist{t}"), "entry")
                     .with_reg(regs::DATA, buf)
@@ -330,16 +346,20 @@ fn kmeans(opts: &BuildOptions) -> WorkloadImage {
         // Each worker gets its own run of sum objects; in the buggy variant
         // they are packed 32-byte heap objects (allocated by the main thread),
         // in the fixed variant they are cache-line-aligned "stack" objects.
+        #[expect(
+            clippy::expect_used,
+            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+        )]
         let sums = if opts.fixed {
             image
                 .layout_mut()
                 .heap_alloc(clusters * 64, 64)
-                .expect("sums") // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+                .expect("sums")
         } else {
             image
                 .layout_mut()
                 .heap_alloc(clusters * 32, 1)
-                .expect("sums") // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+                .expect("sums")
         };
         image.push_thread(
             ThreadSpec::new(format!("kmeans{t}"), "entry")
@@ -410,8 +430,16 @@ fn packed_counter_kernel(
     if opts.fixed {
         // Manual fix: pad each counter to its own cache line.
         for t in 0..opts.threads {
-            let slot = image.layout_mut().heap_alloc(64, 64).expect("use_len"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
-            let private = image.layout_mut().heap_alloc(64, 64).expect("private"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+            #[expect(
+                clippy::expect_used,
+                reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+            )]
+            let slot = image.layout_mut().heap_alloc(64, 64).expect("use_len");
+            #[expect(
+                clippy::expect_used,
+                reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+            )]
+            let private = image.layout_mut().heap_alloc(64, 64).expect("private");
             image.push_thread(
                 ThreadSpec::new(format!("{name}{t}"), "entry")
                     .with_reg(regs::DATA, slot)
@@ -421,12 +449,20 @@ fn packed_counter_kernel(
             );
         }
     } else {
+        #[expect(
+            clippy::expect_used,
+            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+        )]
         let use_len = image
             .layout_mut()
             .heap_alloc(8 * opts.threads as u64, 1)
-            .expect("use_len array"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+            .expect("use_len array");
         for t in 0..opts.threads {
-            let private = image.layout_mut().heap_alloc(64, 64).expect("private"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+            #[expect(
+                clippy::expect_used,
+                reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+            )]
+            let private = image.layout_mut().heap_alloc(64, 64).expect("private");
             image.push_thread(
                 ThreadSpec::new(format!("{name}{t}"), "entry")
                     .with_reg(regs::DATA, use_len + 8 * t as u64)

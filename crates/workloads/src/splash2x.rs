@@ -182,7 +182,11 @@ fn lu_ncb(opts: &BuildOptions) -> WorkloadImage {
     let block_bytes: u64 = 48; // 6 elements of 8 bytes
     if aligned {
         for t in 0..opts.threads {
-            let block = image.layout_mut().heap_alloc(64, 64).expect("a block"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+            #[expect(
+                clippy::expect_used,
+                reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+            )]
+            let block = image.layout_mut().heap_alloc(64, 64).expect("a block");
             image.push_thread(
                 ThreadSpec::new(format!("lu{t}"), "entry")
                     .with_reg(regs::DATA, block)
@@ -190,10 +194,14 @@ fn lu_ncb(opts: &BuildOptions) -> WorkloadImage {
             );
         }
     } else {
+        #[expect(
+            clippy::expect_used,
+            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+        )]
         let a = image
             .layout_mut()
             .heap_alloc(block_bytes * opts.threads as u64 + 64, 1)
-            .expect("a matrix"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+            .expect("a matrix");
         for t in 0..opts.threads {
             image.push_thread(
                 ThreadSpec::new(format!("lu{t}"), "entry")
@@ -257,7 +265,11 @@ fn volrend(opts: &BuildOptions) -> WorkloadImage {
     }
     let queue = image.layout_mut().global_alloc(128, 64);
     for t in 0..opts.threads {
-        let buf = image.layout_mut().heap_alloc(64, 64).expect("ray buffer"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        #[expect(
+            clippy::expect_used,
+            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+        )]
+        let buf = image.layout_mut().heap_alloc(64, 64).expect("ray buffer");
         image.push_thread(
             ThreadSpec::new(format!("vol{t}"), "entry")
                 .with_reg(regs::DATA, buf)

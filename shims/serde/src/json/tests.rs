@@ -415,6 +415,10 @@ fn real_documents_parse_like_the_reference() {
         let value = Value::parse(text).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(reference::parse(text), Ok(value), "{what}");
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the entries are collected and sorted on the next line"
+    )]
     let mut entries: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|entry| entry.unwrap().path())

@@ -6,7 +6,7 @@
 //! access, so the same properties are exercised with a small deterministic
 //! case generator (fixed seeds, many cases) instead of shrinking strategies.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use laser::core::repair::ssb::{SoftwareStoreBuffer, SsbLookup};
 use laser::isa::inst::{Operand, Reg};
@@ -47,7 +47,7 @@ impl Gen {
 /// A reference "memory" for the SSB equivalence property.
 #[derive(Default)]
 struct RefMem {
-    bytes: HashMap<u64, u8>,
+    bytes: BTreeMap<u64, u8>,
 }
 
 impl RefMem {
