@@ -39,13 +39,21 @@
 //!
 //! A warm `experiments all` is almost nothing but hits, so a hit is kept
 //! close to its file read. [`CellCache::load`] renders the canonical config
-//! once, hashes it into the file name, reads the entry (≈ 700 bytes), parses
-//! it with the linear `serde::json` parser and compares the stored config
-//! with the same rendering. Measured per hit over the 245 entries of a
-//! scale-2 `experiments all` store (optimised build): file read ≈ 1.7 µs,
-//! parse ≈ 2.8 µs, fingerprint ≈ 1.1 µs (the rendering 0.3 of it), decode
-//! and checks ≈ 1.5 µs — ≈ 7 µs in all, against ≈ 31 µs while the parser was
-//! quadratic. Nothing is memoised: every lookup reads and verifies its file.
+//! once and hashes it into the file name (both FNV-1a chains in one pass
+//! over the bytes). It opens the entry and reads it (≈ 430–1,400 bytes) into
+//! a buffer sized for any real entry, with no size probe. Then it decodes
+//! the text in one pass straight off a [`Reader`], with no `Value` tree:
+//! each object is one key-dispatch loop, the stored config is compared with
+//! the rendering in place, and nothing but the returned cell is allocated.
+//! Measured per hit over the 245 entries of a scale-2 `experiments all`
+//! store (one thread, optimised build, 2-CPU host; the fastest of repeated
+//! passes): rendering ≈ 0.4 µs, fingerprint ≈ 0.5, file name ≈ 0.2, file
+//! read ≈ 1.8–2.1, decode and checks ≈ 1.5 (the tokenizer ≈ 1.1 of it) —
+//! ≈ 4.7 µs in all, against ≈ 8.4 µs while every entry became a `Value`
+//! tree first and ≈ 31 µs while that parser was quadratic. Nothing is
+//! memoised: every lookup reads and verifies its file. The tree decoder is
+//! kept as the `#[cfg(test)]` reference (`cache/reference.rs`), and the
+//! tests hold both to the same outcome on every hostile entry.
 //!
 //! # What a hostile or damaged entry can do
 //!
@@ -54,20 +62,23 @@
 //! shape, a stale salt or another config's entry is a miss (or, for the
 //! salt, an invalidation), and the cell is simulated. What it *cannot*
 //! detect is a well-formed edit of a value — a flipped digit inside
-//! `"cycles"`, a changed rate, a duplicated key (the first one wins): entries
-//! carry no checksum, so such an entry is served as written, with the config's
-//! workload and tool but the edited numbers. The store is trusted like the
-//! build directory is; delete it (or bump [`CACHE_SALT`]) if it may have
-//! been tampered with.
+//! `"cycles"`, a changed rate, a duplicated key (the first one wins, as
+//! `Value::get` finds it; later ones are skipped but still syntax-checked,
+//! like unknown keys): entries carry no checksum, so such an entry is served
+//! as written, with the config's workload and tool but the edited numbers.
+//! The store is trusted like the build directory is; delete it (or bump
+//! [`CACHE_SALT`]) if it may have been tampered with.
 
-use std::fs;
+use std::borrow::Cow;
+use std::fs::{self, File};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use laser_baselines::SheriffFailure;
 use laser_core::{ContentionKind, StopReason};
-use serde::json::Value;
+use serde::json::{ParseError, Reader, Value};
 
 use crate::campaign::CellResult;
 pub use crate::config::CellConfig;
@@ -93,24 +104,18 @@ pub fn fingerprint(config: &CellConfig) -> String {
 
 /// [`fingerprint`] of an already-rendered canonical config.
 fn fingerprint_of(canonical: &str) -> String {
-    let a = fnv1a(canonical.as_bytes(), 0xcbf2_9ce4_8422_2325);
-    // Second pass from a different basis: 128 bits total makes accidental
-    // collisions implausible, and the stored canonical string catches the
-    // implausible ones.
-    let b = fnv1a(
-        canonical.as_bytes(),
-        0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15,
-    );
-    format!("{a:016x}{b:016x}")
-}
-
-fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
-    let mut hash = basis;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    // Two FNV-1a chains from different bases, run side by side in one pass
+    // over the bytes: 128 bits total makes accidental collisions
+    // implausible, and the stored canonical string catches the implausible
+    // ones.
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut a: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut b: u64 = 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15;
+    for &byte in canonical.as_bytes() {
+        a = (a ^ u64::from(byte)).wrapping_mul(PRIME);
+        b = (b ^ u64::from(byte)).wrapping_mul(PRIME);
     }
-    hash
+    format!("{a:016x}{b:016x}")
 }
 
 /// Why a cache directory could not be opened.
@@ -258,12 +263,9 @@ impl CellCache {
         }
         // One rendering serves both the path and the stored-config check.
         let canonical = config.canonical();
-        let text = match fs::read_to_string(self.path_of(&fingerprint_of(&canonical))) {
-            Ok(text) => text,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        let Some(text) = read_file(&self.path_of(&fingerprint_of(&canonical))) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
         };
         match decode_entry(&text, self.salt, &canonical, config) {
             Ok(cell) => {
@@ -335,6 +337,24 @@ impl CellCache {
     }
 }
 
+/// Bytes [`read_file`] reserves up front: a stored entry is ≈ 550–1,100.
+const READ_CAPACITY: usize = 4096;
+
+/// An entry file's text; `None` if it cannot be read or is not UTF-8.
+///
+/// `File::read_to_end` and `fs::read_to_string` first ask the file for its
+/// size (a `statx` and a seek); read through `take`, the bytes go straight
+/// into a buffer sized for any real entry.
+fn read_file(path: &Path) -> Option<String> {
+    let mut bytes = Vec::with_capacity(READ_CAPACITY);
+    File::open(path)
+        .ok()?
+        .take(u64::MAX)
+        .read_to_end(&mut bytes)
+        .ok()?;
+    String::from_utf8(bytes).ok()
+}
+
 /// Outcomes that are deterministic replays of the simulation: successful
 /// runs, Sheriff's static compatibility verdicts, and step-budget trips
 /// (steps are counted in simulated instructions, not real time). Errors and
@@ -351,6 +371,7 @@ fn outcome_is_cacheable(outcome: &Result<ToolRun, ToolFailure>) -> bool {
 }
 
 /// Why a present cache file was not used.
+#[derive(Debug, PartialEq, Eq)]
 enum EntryRejected {
     /// Written under a different [`CACHE_SALT`].
     StaleSalt,
@@ -377,26 +398,244 @@ fn decode_entry(
     canonical: &str,
     config: &CellConfig,
 ) -> Result<CellResult, EntryRejected> {
-    let value = Value::parse(text).map_err(|_| EntryRejected::Unusable)?;
-    if value.get("kind").and_then(as_str) != Some(ENTRY_KIND) {
+    let entry = read_entry(text, canonical).map_err(|_| EntryRejected::Unusable)?;
+    if entry.kind != Some(true) {
         return Err(EntryRejected::Unusable);
     }
-    match value.get("salt") {
-        Some(Value::Int(stored)) if *stored == i64::from(salt) => {}
-        Some(Value::Int(_)) => return Err(EntryRejected::StaleSalt),
+    match entry.salt {
+        Some(Some(stored)) if stored == i64::from(salt) => {}
+        Some(Some(_)) => return Err(EntryRejected::StaleSalt),
         _ => return Err(EntryRejected::Unusable),
     }
-    if value.get("config").and_then(as_str) != Some(canonical) {
+    if entry.config != Some(true) {
         return Err(EntryRejected::Unusable);
     }
-    let cell = value.get("cell").ok_or(EntryRejected::Unusable)?;
-    let cell = decode_cell(cell).ok_or(EntryRejected::Unusable)?;
+    let cell = entry.cell.flatten().ok_or(EntryRejected::Unusable)?;
     // Belt and braces: the stored identity must match what the campaign
     // would label a fresh simulation of this config.
     if cell.workload != config.workload || cell.tool != config.cell_key() {
         return Err(EntryRejected::Unusable);
     }
     Ok(cell)
+}
+
+/// An entry's top-level fields, read in one pass. Each is the first
+/// occurrence of its key, as [`Value::get`] would find it: `None` if the key
+/// is absent, `Some(None)` if its value has the wrong type or shape.
+#[derive(Default)]
+struct EntryFields {
+    /// Whether `"kind"` is [`ENTRY_KIND`].
+    kind: Option<bool>,
+    salt: Option<Option<i64>>,
+    /// Whether `"config"` is the canonical rendering looked up.
+    config: Option<bool>,
+    cell: Option<Option<CellResult>>,
+}
+
+/// Read an entry's fields straight off a [`Reader`], with no tree. Every
+/// object is one key-dispatch loop in which a key's first occurrence is
+/// decoded and later duplicates and unknown keys are skipped, so keys may
+/// come in any order. The whole text is syntax-checked: an error anywhere is
+/// a [`ParseError`], as from [`Value::parse`].
+fn read_entry(text: &str, canonical: &str) -> Result<EntryFields, ParseError> {
+    let mut r = Reader::new(text);
+    let mut entry = EntryFields::default();
+    if r.enter_object()? {
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "kind" if entry.kind.is_none() => entry.kind = Some(r.str_eq(ENTRY_KIND)?),
+                "salt" if entry.salt.is_none() => entry.salt = Some(r.i64()?),
+                "config" if entry.config.is_none() => entry.config = Some(r.str_eq(canonical)?),
+                "cell" if entry.cell.is_none() => entry.cell = Some(read_cell(&mut r)?),
+                _ => r.skip()?,
+            }
+        }
+    }
+    r.end()?;
+    Ok(entry)
+}
+
+/// `Some(None)` for `null`, otherwise what `read` makes of the value.
+fn nullable<'a, T>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<Option<T>, ParseError>,
+) -> Result<Option<Option<T>>, ParseError> {
+    if r.null()? {
+        return Ok(Some(None));
+    }
+    Ok(read(r)?.map(Some))
+}
+
+fn read_u64(r: &mut Reader<'_>) -> Result<Option<u64>, ParseError> {
+    Ok(r.i64()?.and_then(|i| u64::try_from(i).ok()))
+}
+
+fn read_cell(r: &mut Reader<'_>) -> Result<Option<CellResult>, ParseError> {
+    if !r.enter_object()? {
+        return Ok(None);
+    }
+    let (mut workload, mut tool, mut run, mut failure) = (None, None, None, None);
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "workload" if workload.is_none() => workload = Some(r.str()?),
+            "tool" if tool.is_none() => tool = Some(r.str()?),
+            "run" if run.is_none() => run = Some(nullable(r, read_run)?),
+            "failure" if failure.is_none() => failure = Some(nullable(r, read_failure)?),
+            _ => r.skip()?,
+        }
+    }
+    let (Some(workload), Some(tool), Some(run), Some(failure)) = (
+        workload.flatten(),
+        tool.flatten(),
+        run.flatten(),
+        failure.flatten(),
+    ) else {
+        return Ok(None);
+    };
+    let outcome = match (run, failure) {
+        (Some(run), None) => Ok(run),
+        (None, Some(failure)) => Err(failure),
+        _ => return Ok(None),
+    };
+    Ok(Some(CellResult {
+        workload: workload.into_owned(),
+        tool: tool.into_owned(),
+        outcome,
+    }))
+}
+
+fn read_run(r: &mut Reader<'_>) -> Result<Option<ToolRun>, ParseError> {
+    if !r.enter_object()? {
+        return Ok(None);
+    }
+    let (mut cycles, mut reported, mut repair_invoked) = (None, None, None);
+    let (mut driver, mut detector, mut events, mut remote) = (None, None, None, None);
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "cycles" if cycles.is_none() => cycles = Some(read_u64(r)?),
+            "reported" if reported.is_none() => reported = Some(read_lines(r)?),
+            "repair_invoked" if repair_invoked.is_none() => repair_invoked = Some(r.bool()?),
+            "driver_overhead_cycles" if driver.is_none() => driver = Some(read_u64(r)?),
+            "detector_cycles" if detector.is_none() => detector = Some(read_u64(r)?),
+            "hitm_events" if events.is_none() => events = Some(read_u64(r)?),
+            "hitm_remote" if remote.is_none() => remote = Some(read_u64(r)?),
+            _ => r.skip()?,
+        }
+    }
+    Ok((|| {
+        Some(ToolRun {
+            cycles: cycles.flatten()?,
+            reported: reported.flatten()?,
+            repair_invoked: repair_invoked.flatten()?,
+            driver_overhead_cycles: driver.flatten()?,
+            detector_cycles: detector.flatten()?,
+            hitm_events: events.flatten()?,
+            hitm_remote: remote.flatten()?,
+        })
+    })())
+}
+
+/// A `"reported"` array: `None` if it is not an array or any item is bad
+/// (the rest are still read).
+fn read_lines(r: &mut Reader<'_>) -> Result<Option<Vec<ReportedLine>>, ParseError> {
+    if !r.enter_array()? {
+        return Ok(None);
+    }
+    let mut lines = Some(Vec::new());
+    while r.next_item()? {
+        match (read_line(r)?, &mut lines) {
+            (Some(line), Some(lines)) => lines.push(line),
+            _ => lines = None,
+        }
+    }
+    Ok(lines)
+}
+
+fn read_line(r: &mut Reader<'_>) -> Result<Option<ReportedLine>, ParseError> {
+    if !r.enter_object()? {
+        return Ok(None);
+    }
+    let (mut label, mut file, mut line, mut kind) = (None, None, None, None);
+    let (mut hitm_records, mut rate_per_sec) = (None, None);
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "label" if label.is_none() => label = Some(r.str()?),
+            "file" if file.is_none() => file = Some(nullable(r, Reader::str)?),
+            "line" if line.is_none() => {
+                line = Some(nullable(r, |r| {
+                    Ok(r.i64()?.and_then(|i| u32::try_from(i).ok()))
+                })?);
+            }
+            "kind" if kind.is_none() => kind = Some(nullable(r, read_kind)?),
+            "hitm_records" if hitm_records.is_none() => hitm_records = Some(read_u64(r)?),
+            "rate_per_sec" if rate_per_sec.is_none() => rate_per_sec = Some(r.f64()?),
+            _ => r.skip()?,
+        }
+    }
+    Ok((|| {
+        Some(ReportedLine {
+            label: label.flatten()?.into_owned(),
+            file: file.flatten()?.map(Cow::into_owned),
+            line: line.flatten()?,
+            kind: kind.flatten()?,
+            hitm_records: hitm_records.flatten()?,
+            rate_per_sec: rate_per_sec.flatten()?,
+        })
+    })())
+}
+
+fn read_kind(r: &mut Reader<'_>) -> Result<Option<ContentionKind>, ParseError> {
+    Ok(r.str()?.and_then(|kind| match &*kind {
+        "false-sharing" => Some(ContentionKind::FalseSharing),
+        "true-sharing" => Some(ContentionKind::TrueSharing),
+        "unknown" => Some(ContentionKind::Unknown),
+        _ => None,
+    }))
+}
+
+/// A `"failure"` object: `"unsupported"` decides it when present, as the
+/// encoder writes one key or the other.
+fn read_failure(r: &mut Reader<'_>) -> Result<Option<ToolFailure>, ParseError> {
+    if !r.enter_object()? {
+        return Ok(None);
+    }
+    let (mut unsupported, mut step_budget) = (None, None);
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "unsupported" if unsupported.is_none() => {
+                unsupported = Some(r.str()?.and_then(|which| match &*which {
+                    "crash" => Some(SheriffFailure::Crash),
+                    "incompatible" => Some(SheriffFailure::Incompatible),
+                    _ => None,
+                }));
+            }
+            "step_budget" if step_budget.is_none() => step_budget = Some(read_step_budget(r)?),
+            _ => r.skip()?,
+        }
+    }
+    Ok(match (unsupported, step_budget) {
+        (Some(which), _) => which.map(ToolFailure::Unsupported),
+        (None, Some(reason)) => reason.map(|reason| ToolFailure::BudgetExceeded { reason }),
+        (None, None) => None,
+    })
+}
+
+fn read_step_budget(r: &mut Reader<'_>) -> Result<Option<StopReason>, ParseError> {
+    if !r.enter_object()? {
+        return Ok(None);
+    }
+    let (mut limit, mut used) = (None, None);
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "limit" if limit.is_none() => limit = Some(read_u64(r)?),
+            "used" if used.is_none() => used = Some(read_u64(r)?),
+            _ => r.skip()?,
+        }
+    }
+    Ok(limit
+        .flatten()
+        .zip(used.flatten())
+        .map(|(limit, used)| StopReason::StepBudget { limit, used }))
 }
 
 fn encode_cell(cell: &CellResult) -> Value {
@@ -411,21 +650,6 @@ fn encode_cell(cell: &CellResult) -> Value {
         .set("failure", failure)
 }
 
-fn decode_cell(value: &Value) -> Option<CellResult> {
-    let workload = as_str(value.get("workload")?)?.to_string();
-    let tool = as_str(value.get("tool")?)?.to_string();
-    let outcome = match (value.get("run")?, value.get("failure")?) {
-        (run, Value::Null) => Ok(decode_run(run)?),
-        (Value::Null, failure) => Err(decode_failure(failure)?),
-        _ => return None,
-    };
-    Some(CellResult {
-        workload,
-        tool,
-        outcome,
-    })
-}
-
 fn encode_run(run: &ToolRun) -> Value {
     Value::object()
         .set("cycles", run.cycles)
@@ -438,25 +662,6 @@ fn encode_run(run: &ToolRun) -> Value {
             "reported",
             Value::Array(run.reported.iter().map(encode_line).collect()),
         )
-}
-
-fn decode_run(value: &Value) -> Option<ToolRun> {
-    let reported = match value.get("reported")? {
-        Value::Array(items) => items
-            .iter()
-            .map(decode_line)
-            .collect::<Option<Vec<ReportedLine>>>()?,
-        _ => return None,
-    };
-    Some(ToolRun {
-        cycles: as_u64(value.get("cycles")?)?,
-        reported,
-        repair_invoked: as_bool(value.get("repair_invoked")?)?,
-        driver_overhead_cycles: as_u64(value.get("driver_overhead_cycles")?)?,
-        detector_cycles: as_u64(value.get("detector_cycles")?)?,
-        hitm_events: as_u64(value.get("hitm_events")?)?,
-        hitm_remote: as_u64(value.get("hitm_remote")?)?,
-    })
 }
 
 fn encode_line(line: &ReportedLine) -> Value {
@@ -475,42 +680,6 @@ fn encode_line(line: &ReportedLine) -> Value {
         )
         .set("hitm_records", line.hitm_records)
         .set("rate_per_sec", line.rate_per_sec)
-}
-
-fn decode_line(value: &Value) -> Option<ReportedLine> {
-    let file = match value.get("file")? {
-        Value::Null => None,
-        Value::Str(s) => Some(s.clone()),
-        _ => return None,
-    };
-    let line = match value.get("line")? {
-        Value::Null => None,
-        Value::Int(i) => Some(u32::try_from(*i).ok()?),
-        _ => return None,
-    };
-    let kind = match value.get("kind")? {
-        Value::Null => None,
-        Value::Str(s) => Some(match s.as_str() {
-            "false-sharing" => ContentionKind::FalseSharing,
-            "true-sharing" => ContentionKind::TrueSharing,
-            "unknown" => ContentionKind::Unknown,
-            _ => return None,
-        }),
-        _ => return None,
-    };
-    let rate_per_sec = match value.get("rate_per_sec")? {
-        Value::Float(f) => *f,
-        Value::Int(i) => *i as f64,
-        _ => return None,
-    };
-    Some(ReportedLine {
-        label: as_str(value.get("label")?)?.to_string(),
-        file,
-        line,
-        kind,
-        hitm_records: as_u64(value.get("hitm_records")?)?,
-        rate_per_sec,
-    })
 }
 
 fn encode_failure(failure: &ToolFailure) -> Value {
@@ -533,45 +702,8 @@ fn encode_failure(failure: &ToolFailure) -> Value {
     }
 }
 
-fn decode_failure(value: &Value) -> Option<ToolFailure> {
-    if let Some(which) = value.get("unsupported") {
-        return match as_str(which)? {
-            "crash" => Some(ToolFailure::Unsupported(SheriffFailure::Crash)),
-            "incompatible" => Some(ToolFailure::Unsupported(SheriffFailure::Incompatible)),
-            _ => None,
-        };
-    }
-    if let Some(budget) = value.get("step_budget") {
-        return Some(ToolFailure::BudgetExceeded {
-            reason: StopReason::StepBudget {
-                limit: as_u64(budget.get("limit")?)?,
-                used: as_u64(budget.get("used")?)?,
-            },
-        });
-    }
-    None
-}
-
-fn as_str(value: &Value) -> Option<&str> {
-    match value {
-        Value::Str(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn as_u64(value: &Value) -> Option<u64> {
-    match value {
-        Value::Int(i) => u64::try_from(*i).ok(),
-        _ => None,
-    }
-}
-
-fn as_bool(value: &Value) -> Option<bool> {
-    match value {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -996,5 +1128,198 @@ mod tests {
                     remote_dram=310"),
             "custom layout missing from canonical:\n{canonical}"
         );
+    }
+
+    /// Both decoders on `text`, under the current salt and a bumped one:
+    /// the same hit, miss or stale salt. Returns the current-salt outcome.
+    pub(super) fn assert_decoders_agree(
+        text: &str,
+        config: &CellConfig,
+        what: &str,
+    ) -> Result<CellResult, EntryRejected> {
+        let canonical = config.canonical();
+        let agreed = |salt| {
+            let read = decode_entry(text, salt, &canonical, config);
+            let tree = reference::decode_entry(text, salt, &canonical, config);
+            assert_eq!(read, tree, "{what} (salt {salt}): {text}");
+            read
+        };
+        let _ = agreed(CACHE_SALT + 1);
+        agreed(CACHE_SALT)
+    }
+
+    /// `f` on every object of `value`, outermost first.
+    fn each_object(value: &mut Value, f: &mut impl FnMut(&mut Vec<(String, Value)>)) {
+        match value {
+            Value::Object(pairs) => {
+                f(pairs);
+                for (_, child) in pairs {
+                    each_object(child, f);
+                }
+            }
+            Value::Array(items) => items.iter_mut().for_each(|item| each_object(item, f)),
+            _ => {}
+        }
+    }
+
+    /// The key/value pairs of every object of `value`, outermost first.
+    fn objects_of(value: &Value) -> Vec<Vec<(String, Value)>> {
+        let mut objects = Vec::new();
+        each_object(&mut value.clone(), &mut |pairs| objects.push(pairs.clone()));
+        objects
+    }
+
+    /// `value` rendered with `edit` applied to its `target`-th object
+    /// (outermost first).
+    fn edited(
+        value: &Value,
+        target: usize,
+        edit: impl FnOnce(&mut Vec<(String, Value)>),
+    ) -> String {
+        let (mut doc, mut n, mut edit) = (value.clone(), 0, Some(edit));
+        each_object(&mut doc, &mut |pairs| {
+            if n == target {
+                if let Some(edit) = edit.take() {
+                    edit(pairs);
+                }
+            }
+            n += 1;
+        });
+        doc.render()
+    }
+
+    /// `text` with whitespace between every two tokens.
+    fn spaced(text: &str) -> String {
+        let (mut out, mut in_string, mut escaped) = (String::new(), false, false);
+        for c in text.chars() {
+            let structural = !in_string && "{}[],:".contains(c);
+            if structural {
+                out.push_str(" \n\t");
+            }
+            out.push(c);
+            if structural {
+                out.push_str("\r ");
+            }
+            match c {
+                _ if escaped => escaped = false,
+                '\\' if in_string => escaped = true,
+                '"' => in_string = !in_string,
+                _ => {}
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_reader_decoder_agrees_with_the_tree_decoder_on_hand_cases() {
+        let opts = base_opts();
+        let cfg = config(&opts);
+        let crash = ToolFailure::Unsupported(SheriffFailure::Crash);
+        let budget = ToolFailure::BudgetExceeded {
+            reason: StopReason::StepBudget {
+                limit: 1_000,
+                used: 1_001,
+            },
+        };
+        let outcomes = [
+            Ok(sample_run()),
+            Err(crash.clone()),
+            Err(ToolFailure::Unsupported(SheriffFailure::Incompatible)),
+            Err(budget.clone()),
+        ];
+        for outcome in outcomes {
+            let cell = sample_cell(outcome);
+            let entry = encode_entry(CACHE_SALT, &cfg, &cell);
+            let text = entry.render();
+            let agree = |text: &str, what: &str| assert_decoders_agree(text, &cfg, what);
+            let hit = |text: &str, what: &str| assert_eq!(agree(text, what), Ok(cell.clone()));
+            hit(&text, "as written");
+
+            // Keys in reverse order in every object.
+            let mut reversed = entry.clone();
+            each_object(&mut reversed, &mut |pairs| pairs.reverse());
+            hit(&reversed.render(), "reordered keys");
+
+            // `\u000a` for every `\n` (only the stored config has any).
+            assert!(text.contains("\\n"));
+            hit(&text.replace("\\n", "\\u000a"), "\\u000a for \\n");
+
+            // Whitespace between every two tokens.
+            hit(&spaced(&text), "spaced");
+
+            // Anything after the entry.
+            for tail in [" 0", "}", ",", " {}", &text] {
+                let text = format!("{text}{tail}");
+                assert_eq!(agree(&text, "trailing"), Err(EntryRejected::Unusable));
+            }
+
+            let objects = objects_of(&entry);
+            let known: Vec<&(String, Value)> = objects.iter().flatten().collect();
+            for (target, pairs) in objects.iter().enumerate() {
+                for at in [0, pairs.len()] {
+                    // An unknown key holding a nested value is skipped.
+                    let extra = Value::object().set(
+                        "reported",
+                        Value::Array(vec![Value::Null, Value::object().set("kind", "x")]),
+                    );
+                    let doc = edited(&entry, target, |pairs| {
+                        pairs.insert(at, ("unknown".to_string(), extra));
+                    });
+                    assert!(doc.len() > text.len(), "the edit landed");
+                    hit(&doc, "unknown key");
+
+                    // A key another object holds, with its value there.
+                    for (key, value) in &known {
+                        if pairs.iter().all(|(k, _)| k != key) {
+                            let doc = edited(&entry, target, |pairs| {
+                                pairs.insert(at, (key.clone(), value.clone()));
+                            });
+                            let _ = agree(&doc, &format!("misplaced {key:?}"));
+                        }
+                    }
+                }
+
+                // A duplicate of every key, before and after the original:
+                // after, the original decides (a hit); before, the twin does.
+                for key in 0..pairs.len() {
+                    for twin in [Value::Null, Value::Int(7), Value::from("laser-cell")] {
+                        for before in [true, false] {
+                            let doc = edited(&entry, target, |pairs| {
+                                let twin = (pairs[key].0.clone(), twin.clone());
+                                pairs.insert(if before { key } else { key + 1 }, twin);
+                            });
+                            if before {
+                                let _ = agree(&doc, "duplicate key before");
+                            } else {
+                                hit(&doc, "duplicate key after");
+                            }
+                        }
+                    }
+                }
+            }
+
+            // Every pairing of a run and a failure in the cell: null, a valid
+            // one of either kind, or the wrong type.
+            let runs = [Value::Null, encode_run(&sample_run()), Value::Int(1)];
+            let failures = [
+                Value::Null,
+                encode_failure(&crash),
+                encode_failure(&budget),
+                Value::object()
+                    .set("step_budget", Value::Null)
+                    .set("unsupported", "crash"),
+                Value::Int(1),
+            ];
+            let cell_object = objects.iter().position(|pairs| pairs[0].0 == "workload");
+            for run in &runs {
+                for failure in &failures {
+                    let doc = edited(&entry, cell_object.unwrap(), |pairs| {
+                        pairs[2].1 = run.clone();
+                        pairs[3].1 = failure.clone();
+                    });
+                    let _ = agree(&doc, "run and failure");
+                }
+            }
+        }
     }
 }

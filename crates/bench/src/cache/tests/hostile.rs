@@ -328,9 +328,10 @@ fn hostile_entries_are_misses_or_correctly_labelled_hits() {
     let cache = CellCache::open(&dir).unwrap();
     let path = |entry: &Entry| dir.join(format!("{}.json", fingerprint(&entry.config(&opts))));
 
-    // Unmutated, every entry hits.
+    // Unmutated, every entry hits, and both decoders agree on it.
     for entry in &entries {
         assert!(load_checked(&cache, entry, &opts, "pristine"));
+        assert!(assert_decoders_agree(&entry.text, &entry.config(&opts), "pristine").is_ok());
     }
 
     // Truncation at every character boundary of one entry: only the whole
@@ -342,6 +343,7 @@ fn hostile_entries_are_misses_or_correctly_labelled_hits() {
             !load_checked(&cache, entry, &opts, "truncated"),
             "cut at {cut}"
         );
+        let _ = assert_decoders_agree(&entry.text[..cut], &entry.config(&opts), "truncated");
     }
     fs::write(path(entry), &entry.text).unwrap();
 
@@ -361,6 +363,11 @@ fn hostile_entries_are_misses_or_correctly_labelled_hits() {
             String::from_utf8_lossy(&bytes[..bytes.len().min(300)])
         );
         hits += usize::from(load_checked(&cache, entry, &opts, &what));
+        // Text the store can hand a decoder: the pull reader decodes it as
+        // the tree decoder does.
+        if let Ok(text) = std::str::from_utf8(&bytes) {
+            let _ = assert_decoders_agree(text, &entry.config(&opts), &what);
+        }
         fs::write(path(entry), &entry.text).unwrap();
     }
     // Both outcomes occur: the mutations are not all trivially rejected.

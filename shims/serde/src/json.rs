@@ -4,18 +4,25 @@
 //! The offline build cannot pull `serde_json`, but the experiment harness
 //! needs machine-readable output (`experiments --format json`) and reads JSON
 //! back on real paths. This module provides the smallest useful subset: a
-//! [`Value`] tree, a compact writer ([`Value::render`]) and a
-//! recursive-descent parser ([`Value::parse`]). When the real `serde_json`
-//! becomes available, callers can migrate to it mechanically — the shapes are
-//! deliberately the same.
+//! [`Value`] tree, a compact writer ([`Value::render`]) and a parser. When
+//! the real `serde_json` becomes available, callers can migrate to it
+//! mechanically — the shapes are deliberately the same.
 //!
-//! The parser is not a test utility. Every warm cell-cache hit (`experiments
-//! --cache`, `laser-serve --cache`) parses its entry here — on a warm
-//! `experiments all` the parse was most of the run — and so does every
-//! scenario file and every topology file. It is therefore:
+//! The parser is one tokenizer, the pull [`Reader`], with two ways to use it:
 //!
-//! * **linear** in the input: a string is copied a run at a time, up to the
-//!   next `"`, `\` or control byte, with one UTF-8 check per run;
+//! * **field by field**, straight off a `Reader`: the cell cache decodes
+//!   every entry this way (`laser_bench::cache`), because a warm
+//!   `experiments all` is almost nothing but cache hits and a tree per hit
+//!   was most of a hit's cost. Strings come back borrowed unless escaped,
+//!   and [`Reader::str_eq`] compares one in place;
+//! * **as a tree**, through [`Value::parse`], a thin builder over
+//!   [`Reader::value`]: scenario files, topology files, tests and the
+//!   benchmark's own documents, where a `Value` is the natural shape.
+//!
+//! Neither is a test utility, so the tokenizer is:
+//!
+//! * **linear** in the input: a string is scanned a run at a time, up to the
+//!   next `"`, `\` or control byte;
 //! * **strict** per RFC 8259: numbers follow
 //!   `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, `\u` takes exactly four
 //!   hex digits, raw control bytes in strings are rejected. Two deliberate
@@ -24,21 +31,24 @@
 //! * **depth-bounded**: arrays and objects nest at most [`MAX_DEPTH`] deep, so
 //!   a hostile document is a [`ParseError`], never a stack overflow.
 //!
-//! Every error carries the byte offset of the first offending byte.
+//! Every error carries the byte offset of the first offending byte, the same
+//! whichever way the document is read. `json/reference.rs` keeps the parser
+//! as it was before the linear scanner, as the tests' differential oracle.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// How deep arrays and objects may nest before [`Value::parse`] gives up.
+/// How deep arrays and objects may nest before a [`Reader`] gives up.
 ///
 /// Real documents nest at most 6 deep (cache entries 5; figure documents and
 /// scenarios fewer). The bound exists for hostile input: without it, 100,000
 /// `[` abort the process with a stack overflow, which no caller can catch.
 /// Parsing runs on campaign pool and service worker threads, whose stacks are
-/// Rust's 2 MiB default. One nesting level is one `parse_value` frame —
-/// measured at 1.6 KiB unoptimised and 0.3 KiB optimised — so 128 levels take
-/// about 210 KiB of a debug build's 2 MiB (36 KiB optimised), a tenth of the
-/// stack, leaving the callers' frames ample room. 128 is also `serde_json`'s
-/// default recursion limit.
+/// Rust's 2 MiB default. One nesting level is one [`Reader::value`] frame —
+/// measured at 2.2 KiB unoptimised and 0.3 KiB optimised ([`Reader::skip`]:
+/// 1.5 and 0.1) — so 128 levels take about 285 KiB of a debug build's 2 MiB
+/// (35 KiB optimised), a seventh of the stack, leaving the callers' frames
+/// ample room. 128 is also `serde_json`'s default recursion limit.
 pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
@@ -140,13 +150,9 @@ impl Value {
     /// # Errors
     /// Returns a [`ParseError`] describing the first offending byte offset.
     pub fn parse(input: &str) -> Result<Value, ParseError> {
-        let bytes = input.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(ParseError::new(pos, "trailing data after value"));
-        }
+        let mut reader = Reader::new(input);
+        let value = reader.value()?;
+        reader.end()?;
         Ok(value)
     }
 }
@@ -253,201 +259,534 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// What the next value of a [`Reader`] is, from its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Null,
+    Bool,
+    /// A number — or a byte no value starts with, which reading it as a
+    /// number reports.
+    Number,
+    Str,
+    Array,
+    Object,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), ParseError> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
+/// A pull reader over one JSON document: the parser's one tokenizer.
+///
+/// A caller reads values in document order and never holds a tree. Every
+/// read consumes exactly one value; a typed read of a value of another type
+/// skips it and returns `None` (or `false`). Nothing is skipped unchecked:
+/// [`Reader::skip`] checks syntax, nesting and numbers like
+/// [`Value::parse`], so a document a caller reads to [`Reader::end`]
+/// without an error is one `Value::parse` accepts, and an error is
+/// `Value::parse`'s error, at the same byte.
+///
+/// Objects and arrays are walked with [`Reader::enter_object`] /
+/// [`Reader::next_key`] and [`Reader::enter_array`] /
+/// [`Reader::next_item`]: after each key or item, read (or skip) its value
+/// before asking for the next one.
+///
+/// ```
+/// use serde::json::Reader;
+///
+/// let mut reader = Reader::new(r#"{"name": "dedup", "cycles": 42, "extra": [1, {}]}"#);
+/// let (mut name, mut cycles) = (None, None);
+/// assert!(reader.enter_object().unwrap());
+/// while let Some(key) = reader.next_key().unwrap() {
+///     match &*key {
+///         "name" => name = reader.str().unwrap(),
+///         "cycles" => cycles = reader.i64().unwrap(),
+///         _ => reader.skip().unwrap(),
+///     }
+/// }
+/// reader.end().unwrap();
+/// assert_eq!((name.as_deref(), cycles), (Some("dedup"), Some(42)));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Arrays and objects open around the position.
+    depth: usize,
+    /// Whether the innermost open array or object has no member yet.
+    first: bool,
+}
+
+/// One piece of a string literal: a run of literal text, or one escape.
+enum Piece<'a> {
+    Run(&'a str),
+    Char(char),
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            first: false,
+        }
+    }
+
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn error(&self, message: &str) -> ParseError {
+        ParseError::new(self.pos, message)
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// The kind of the next value, without consuming it; an error at the
+    /// end of the input.
+    fn peek(&mut self) -> Result<Kind, ParseError> {
+        self.skip_ws();
+        match self.byte() {
+            None => Err(self.error("unexpected end of input")),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'{') => Ok(Kind::Object),
+            Some(_) => Ok(Kind::Number),
+        }
+    }
+
+    /// Consume the next value if it is `null` (`true`); leave any other
+    /// value unread (`false`).
+    ///
+    /// # Errors
+    /// On malformed input.
+    pub fn null(&mut self) -> Result<bool, ParseError> {
+        if self.peek()? != Kind::Null {
+            return Ok(false);
+        }
+        self.literal()?;
+        Ok(true)
+    }
+
+    /// The next value as a boolean.
+    ///
+    /// # Errors
+    /// On malformed input.
+    pub fn bool(&mut self) -> Result<Option<bool>, ParseError> {
+        match self.peek()? {
+            Kind::Bool => self.literal(),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// The next value as an integer (a number without fraction or exponent).
+    ///
+    /// # Errors
+    /// On malformed input, including an integer beyond `i64`.
+    pub fn i64(&mut self) -> Result<Option<i64>, ParseError> {
+        match self.peek()? {
+            Kind::Number => Ok(match self.number()? {
+                Number::Int(i) => Some(i),
+                Number::Float { .. } => None,
+            }),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// The next value as a float; an integer converts.
+    ///
+    /// # Errors
+    /// On malformed input, including an integer beyond `i64`.
+    pub fn f64(&mut self) -> Result<Option<f64>, ParseError> {
+        match self.peek()? {
+            Kind::Number => self.number()?.to_f64().map(Some),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// The next value as a string: borrowed from the input unless it has
+    /// escapes.
+    ///
+    /// # Errors
+    /// On malformed input.
+    pub fn str(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        match self.peek()? {
+            Kind::Str => self.string().map(Some),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// Whether the next value is a string equal to `expected`, compared
+    /// piece by piece without allocating; the value is consumed either way.
+    ///
+    /// # Errors
+    /// On malformed input.
+    pub fn str_eq(&mut self, expected: &str) -> Result<bool, ParseError> {
+        if self.peek()? != Kind::Str {
+            return self.skip().map(|()| false);
+        }
+        // The part of `expected` not yet matched; `None` after a mismatch.
+        let mut rest = Some(expected);
+        self.scan_string(|piece| {
+            rest = rest.and_then(|rest| match piece {
+                Piece::Run(run) => rest.strip_prefix(run),
+                Piece::Char(c) => rest.strip_prefix(c),
+            });
+        })?;
+        Ok(rest == Some(""))
+    }
+
+    /// Enter the next value if it is an object (`true`), to walk with
+    /// [`Reader::next_key`]; skip it otherwise (`false`).
+    ///
+    /// # Errors
+    /// On malformed input, or an object nested deeper than [`MAX_DEPTH`].
+    pub fn enter_object(&mut self) -> Result<bool, ParseError> {
+        if self.peek()? != Kind::Object {
+            return self.skip().map(|()| false);
+        }
+        self.open()?;
+        Ok(true)
+    }
+
+    /// The next key of the object entered last, with the reader at its
+    /// value; `None` past the object's closing `}`.
+    ///
+    /// # Errors
+    /// On malformed input.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if !self.next_member(b'}', "expected ',' or '}'")? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        if self.byte() != Some(b':') {
+            return Err(self.error("expected ':'"));
+        }
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// Enter the next value if it is an array (`true`), to walk with
+    /// [`Reader::next_item`]; skip it otherwise (`false`).
+    ///
+    /// # Errors
+    /// On malformed input, or an array nested deeper than [`MAX_DEPTH`].
+    pub fn enter_array(&mut self) -> Result<bool, ParseError> {
+        if self.peek()? != Kind::Array {
+            return self.skip().map(|()| false);
+        }
+        self.open()?;
+        Ok(true)
+    }
+
+    /// Whether the array entered last has another item, with the reader at
+    /// it; `false` past the array's closing `]`.
+    ///
+    /// # Errors
+    /// On malformed input.
+    pub fn next_item(&mut self) -> Result<bool, ParseError> {
+        self.next_member(b']', "expected ',' or ']'")
+    }
+
+    /// Consume the next value unread, checking it as [`Value::parse`]
+    /// would.
+    ///
+    /// # Errors
+    /// On malformed input.
+    pub fn skip(&mut self) -> Result<(), ParseError> {
+        match self.peek()? {
+            Kind::Null | Kind::Bool => {
+                self.literal()?;
+            }
+            Kind::Number => {
+                self.number()?;
+            }
+            Kind::Str => self.scan_string(|_| {})?,
+            Kind::Array => {
+                self.open()?;
+                while self.next_item()? {
+                    self.skip()?;
+                }
+            }
+            Kind::Object => {
+                self.open()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+            }
+        }
         Ok(())
-    } else {
-        Err(ParseError::new(*pos, "unexpected token"))
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(ParseError::new(*pos, "unexpected end of input")),
-        Some(b'n') => expect(bytes, pos, "null").map(|()| Value::Null),
-        Some(b't') => expect(bytes, pos, "true").map(|()| Value::Bool(true)),
-        Some(b'f') => expect(bytes, pos, "false").map(|()| Value::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Value::Str),
-        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(ParseError {
-            offset: *pos,
-            message: format!("nested deeper than {MAX_DEPTH} levels"),
-        }),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return Err(ParseError::new(*pos, "expected ',' or ']'")),
+    /// The next value as a [`Value`] tree.
+    ///
+    /// # Errors
+    /// On malformed input.
+    pub fn value(&mut self) -> Result<Value, ParseError> {
+        Ok(match self.peek()? {
+            Kind::Null | Kind::Bool => self.literal()?.map_or(Value::Null, Value::Bool),
+            Kind::Number => match self.number()? {
+                Number::Int(i) => Value::Int(i),
+                float => Value::Float(float.to_f64()?),
+            },
+            Kind::Str => Value::Str(self.string()?.into_owned()),
+            Kind::Array => {
+                self.open()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
                 }
+                Value::Array(items)
             }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Object(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(ParseError::new(*pos, "expected ':'"));
+            Kind::Object => {
+                self.open()?;
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    pairs.push((key.into_owned(), value));
                 }
-                *pos += 1;
-                pairs.push((key, parse_value(bytes, pos, depth + 1)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Object(pairs));
-                    }
-                    _ => return Err(ParseError::new(*pos, "expected ',' or '}'")),
-                }
+                Value::Object(pairs)
             }
-        }
-        Some(_) => parse_number(bytes, pos),
+        })
     }
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(ParseError::new(*pos, "expected '\"'"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        // Copy the run up to the next byte that needs a decision. All three
-        // stops are ASCII, so on `&str` input the run ends on a character
-        // boundary and is valid UTF-8 on its own.
-        let start = *pos;
-        *pos += bytes[start..]
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-            .unwrap_or(bytes.len() - start);
-        let run = std::str::from_utf8(&bytes[start..*pos])
-            .map_err(|e| ParseError::new(start + e.valid_up_to(), "invalid utf-8"))?;
-        out.push_str(run);
-        match bytes.get(*pos) {
-            None => return Err(ParseError::new(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        // Exactly four hex digits: no sign, no short form.
-                        let code = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|hex| {
-                                hex.iter().try_fold(0, |code, &b| {
-                                    Some(code * 16 + char::from(b).to_digit(16)?)
-                                })
-                            })
-                            .ok_or_else(|| ParseError::new(*pos, "bad \\u escape"))?;
-                        // Surrogate pairs are not needed for this workspace's
-                        // output; reject them rather than mis-decode.
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| ParseError::new(*pos, "surrogate \\u escape"))?;
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    _ => return Err(ParseError::new(*pos, "bad escape")),
-                }
-                *pos += 1;
-            }
-            Some(_) => return Err(ParseError::new(*pos, "control byte in string")),
-        }
-    }
-}
-
-/// One RFC 8259 number: `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
-/// A fraction or exponent makes it a [`Value::Float`], otherwise it must fit
-/// an [`i64`].
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    let start = *pos;
-    // Consume a run of digits, failing at the first byte if there are none.
-    let digits = |pos: &mut usize| {
-        let first = *pos;
-        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        if *pos == first {
-            Err(ParseError::new(first, "expected a digit"))
-        } else {
+    /// Check that only whitespace follows the values read.
+    ///
+    /// # Errors
+    /// On anything else.
+    pub fn end(mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
             Ok(())
+        } else {
+            Err(self.error("trailing data after value"))
         }
-    };
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    } else if !bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-        return Err(ParseError::new(start, "expected a value"));
     }
-    if bytes.get(*pos) == Some(&b'0') {
-        *pos += 1;
-        if bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            return Err(ParseError::new(*pos, "leading zero in number"));
+
+    /// Open the array or object at the position, within [`MAX_DEPTH`].
+    fn open(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError {
+                offset: self.pos,
+                message: format!("nested deeper than {MAX_DEPTH} levels"),
+            });
         }
-    } else {
-        digits(pos)?;
+        self.depth += 1;
+        self.pos += 1;
+        self.first = true;
+        Ok(())
     }
-    let mut is_float = false;
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        digits(pos)?;
-        is_float = true;
+
+    /// Step to the next member of the innermost open array or object: past
+    /// its `,` (`true`, also for a first member), or past `close` (`false`).
+    fn next_member(&mut self, close: u8, expected: &str) -> Result<bool, ParseError> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.first, false);
+        match self.byte() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(self.error(expected)),
+        }
     }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+
+    /// `null` (`None`), `true` or `false` at the position.
+    fn literal(&mut self) -> Result<Option<bool>, ParseError> {
+        let (text, value) = match self.byte() {
+            Some(b'n') => ("null", None),
+            Some(b't') => ("true", Some(true)),
+            _ => ("false", Some(false)),
+        };
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
+            self.pos += text.len();
+            Ok(value)
+        } else {
+            Err(self.error("unexpected token"))
+        }
+    }
+
+    /// The string literal at the position.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let mut out = Cow::Borrowed("");
+        self.scan_string(|piece| match piece {
+            // Only a literal without escapes is one run.
+            Piece::Run(run) if out.is_empty() => out = Cow::Borrowed(run),
+            Piece::Run(run) => out.to_mut().push_str(run),
+            Piece::Char(c) => out.to_mut().push(c),
+        })?;
+        Ok(out)
+    }
+
+    /// Scan the string literal at the position, handing each piece to
+    /// `piece` in order.
+    fn scan_string(&mut self, mut piece: impl FnMut(Piece<'a>)) -> Result<(), ParseError> {
+        let bytes = self.text.as_bytes();
+        if bytes.get(self.pos) != Some(&b'"') {
+            return Err(self.error("expected '\"'"));
+        }
+        self.pos += 1;
+        loop {
+            // A run up to the next byte that needs a decision. All three
+            // stops are ASCII, so the run ends on a character boundary.
+            let start = self.pos;
+            self.pos += bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(bytes.len() - start);
+            let run = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| ParseError::new(start, "invalid utf-8"))?;
+            piece(Piece::Run(run));
+            match bytes.get(self.pos) {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    piece(Piece::Char(self.escape()?));
+                    self.pos += 1;
+                }
+                Some(_) => return Err(self.error("control byte in string")),
+            }
+        }
+    }
+
+    /// The character an escape stands for, with the position at the byte
+    /// after the `\` and left at the escape's last byte.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        Ok(match self.byte() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                // Exactly four hex digits: no sign, no short form.
+                let code = self
+                    .text
+                    .as_bytes()
+                    .get(self.pos + 1..self.pos + 5)
+                    .and_then(|hex| {
+                        hex.iter()
+                            .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+                    })
+                    .ok_or_else(|| self.error("bad \\u escape"))?;
+                // Surrogate pairs are not needed for this workspace's
+                // output; reject them rather than mis-decode.
+                let c = char::from_u32(code).ok_or_else(|| self.error("surrogate \\u escape"))?;
+                self.pos += 4;
+                c
+            }
+            _ => return Err(self.error("bad escape")),
+        })
+    }
+
+    /// One RFC 8259 number at the position:
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. Without fraction or
+    /// exponent it must fit an [`i64`]; a float is checked, not converted.
+    fn number(&mut self) -> Result<Number<'a>, ParseError> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        // Consume a run of digits, failing at the first byte if there are
+        // none.
+        let digits = |pos: &mut usize| {
+            let first = *pos;
+            while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+                *pos += 1;
+            }
+            if *pos == first {
+                Err(ParseError::new(first, "expected a digit"))
+            } else {
+                Ok(())
+            }
+        };
+        let pos = &mut self.pos;
+        let negative = bytes.get(*pos) == Some(&b'-');
+        if negative {
             *pos += 1;
+        } else if !bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            return Err(ParseError::new(start, "expected a value"));
         }
-        digits(pos)?;
-        is_float = true;
+        let integer = *pos;
+        if bytes.get(*pos) == Some(&b'0') {
+            *pos += 1;
+            if bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+                return Err(ParseError::new(*pos, "leading zero in number"));
+            }
+        } else {
+            digits(pos)?;
+        }
+        let integer = &bytes[integer..*pos];
+        let mut is_float = false;
+        if bytes.get(*pos) == Some(&b'.') {
+            *pos += 1;
+            digits(pos)?;
+            is_float = true;
+        }
+        if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+            *pos += 1;
+            if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+                *pos += 1;
+            }
+            digits(pos)?;
+            is_float = true;
+        }
+        if is_float {
+            return Ok(Number::Float {
+                start,
+                text: self.text.get(start..self.pos).unwrap_or_default(),
+            });
+        }
+        // Accumulate downwards: `i64::MIN` has no positive counterpart.
+        let below = integer.iter().try_fold(0i64, |value, &digit| {
+            value.checked_mul(10)?.checked_sub(i64::from(digit - b'0'))
+        });
+        if negative {
+            below
+        } else {
+            below.and_then(i64::checked_neg)
+        }
+        .map(Number::Int)
+        .ok_or_else(|| ParseError::new(start, "invalid number"))
     }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| ParseError::new(start, "invalid number"))?;
-    if is_float {
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| ParseError::new(start, "invalid number"))
-    } else {
-        text.parse::<i64>()
-            .map(Value::Int)
-            .map_err(|_| ParseError::new(start, "invalid number"))
+}
+
+/// A number a [`Reader`] has checked: an integer, converted, or a float's
+/// text, converted only when read.
+#[derive(Clone, Copy)]
+enum Number<'a> {
+    Int(i64),
+    Float { start: usize, text: &'a str },
+}
+
+impl Number<'_> {
+    /// The number as a float; an integer converts.
+    fn to_f64(self) -> Result<f64, ParseError> {
+        match self {
+            Number::Int(i) => Ok(i as f64),
+            Number::Float { start, text } => text
+                .parse()
+                .map_err(|_| ParseError::new(start, "invalid number")),
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! The parser as it was before the linear string scanner, the strict number
-//! grammar and the depth bound: the differential oracle for
-//! [`super::parse_string`] and, on well-formed documents, for
+//! grammar and the depth bound: the differential oracle for the string
+//! scanner of [`Reader`](super::Reader) and, on well-formed documents, for
 //! [`Value::parse`](super::Value::parse).
 //!
 //! Kept verbatim apart from this header and [`parse`]: `parse_string`

@@ -109,6 +109,10 @@ fn nesting_is_bounded_at_max_depth() {
             "{}",
             &text[..40]
         );
+        assert_skip_agrees(&text);
+    }
+    for text in [&arrays, &objects, &mixed] {
+        assert_skip_agrees(text);
     }
 }
 
@@ -158,6 +162,7 @@ fn lax_numbers_and_escapes_are_rejected_at_the_offending_byte() {
     ];
     for &(text, offset, message) in cases {
         assert_eq!(error_of(text), (offset, message.to_string()), "{text}");
+        assert_skip_agrees(text);
     }
     // The parent accepted every one of these spellings.
     assert_eq!(reference::parse(".5"), Ok(Value::Float(0.5)));
@@ -278,13 +283,32 @@ fn literal_body(rng: &mut Rng) -> String {
 /// Both scanners on `text` from its first byte: the same `Ok` string and end
 /// position, or the same `(offset, message)`.
 fn assert_scanners_agree(text: &str) {
-    let (mut new_pos, mut old_pos) = (0, 0);
-    let new = parse_string(text.as_bytes(), &mut new_pos);
+    let mut reader = Reader::new(text);
+    let new = reader.string().map(Cow::into_owned);
+    let mut old_pos = 0;
     let old = reference::parse_string(text.as_bytes(), &mut old_pos);
     assert_eq!(new, old, "{text:?}");
-    if new.is_ok() {
-        assert_eq!(new_pos, old_pos, "{text:?}");
+    if let Ok(string) = &new {
+        assert_eq!(reader.pos, old_pos, "{text:?}");
+        // Compared in place, a literal equals its own decoding and nothing
+        // one character shorter or longer.
+        let str_eq = |expected: &str| Reader::new(text).str_eq(expected);
+        assert_eq!(str_eq(string), Ok(true), "{text:?}");
+        assert_eq!(str_eq(&format!("{string}x")), Ok(false), "{text:?}");
+        let mut shorter = string.clone();
+        if shorter.pop().is_some() {
+            assert_eq!(str_eq(&shorter), Ok(false), "{text:?}");
+        }
     }
+    assert_skip_agrees(text);
+}
+
+/// Skipping `text` through a [`Reader`] succeeds exactly when
+/// [`Value::parse`] does, and fails with its error.
+fn assert_skip_agrees(text: &str) {
+    let mut reader = Reader::new(text);
+    let skipped = reader.skip().and_then(|()| reader.end());
+    assert_eq!(skipped, Value::parse(text).map(|_| ()), "{text:?}");
 }
 
 #[test]
@@ -329,6 +353,14 @@ fn documents_from_the_writer_parse_like_the_reference() {
         let text = value.render();
         assert_eq!(Value::parse(&text).as_ref(), Ok(&value), "{text}");
         assert_eq!(reference::parse(&text).as_ref(), Ok(&value), "{text}");
+        assert_skip_agrees(&text);
+        // Cut short, the skip fails where the tree builder does.
+        for cut in (0..text.len())
+            .filter(|&i| text.is_char_boundary(i))
+            .step_by(7)
+        {
+            assert_skip_agrees(&text[..cut]);
+        }
     }
 }
 
@@ -445,4 +477,119 @@ fn real_documents_parse_like_the_reference() {
     }
     same("campaign", &grid.campaign().to_json().render());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn typed_reads_consume_one_value_whatever_its_type() {
+    let text = r#"[7, 2.5, -3, "s", true, null, [1, [2]], {"k": {"j": []}}, 1e2]"#;
+    let mut reader = Reader::new(text);
+    assert!(reader.enter_array().unwrap());
+    let mut read = Vec::new();
+    while reader.next_item().unwrap() {
+        // Each read leaves the reader at the next item, matched or not.
+        read.push(match read.len() {
+            0 => format!("{:?}", reader.i64().unwrap()),
+            1 => format!("{:?}", reader.i64().unwrap()),
+            2 => format!("{:?}", reader.f64().unwrap()),
+            3 => format!("{:?}", reader.bool().unwrap()),
+            4 => format!("{:?}", reader.str().unwrap()),
+            5 => format!("{:?}", (reader.null().unwrap(), reader.null().unwrap())),
+            6 => format!("{:?}", reader.enter_object().unwrap()),
+            7 => format!("{:?}", reader.enter_array().unwrap()),
+            _ => format!("{:?}", reader.f64().unwrap()),
+        });
+    }
+    reader.end().unwrap();
+    assert_eq!(
+        read,
+        [
+            "Some(7)",
+            "None",
+            "Some(-3.0)",
+            "None",
+            "None",
+            "(true, false)",
+            "false",
+            "false",
+            "Some(100.0)"
+        ]
+    );
+}
+
+#[test]
+fn strings_are_borrowed_unless_escaped_and_compared_in_place() {
+    let mut reader = Reader::new(r#"["plain é", "esc\n\u0041", "a\nb", "a\nb", "a\nb", 5]"#);
+    assert!(reader.enter_array().unwrap());
+    assert!(reader.next_item().unwrap());
+    assert!(matches!(
+        reader.str().unwrap(),
+        Some(Cow::Borrowed("plain é"))
+    ));
+    assert!(reader.next_item().unwrap());
+    assert!(matches!(reader.str().unwrap(), Some(Cow::Owned(s)) if s == "esc\nA"));
+    assert!(reader.next_item().unwrap());
+    assert!(reader.str_eq("a\nb").unwrap());
+    assert!(reader.next_item().unwrap());
+    assert!(!reader.str_eq("a\nc").unwrap());
+    assert!(reader.next_item().unwrap());
+    assert!(!reader.str_eq("a\nbc").unwrap());
+    assert!(reader.next_item().unwrap());
+    assert!(!reader.str_eq("5").unwrap(), "a number is not a string");
+    assert!(!reader.next_item().unwrap());
+    reader.end().unwrap();
+}
+
+#[test]
+fn a_walk_fails_where_the_tree_builder_fails() {
+    // Read an entry-shaped document field by field, keys in any order, and
+    // compare the outcome with `Value::parse` on every prefix and on a few
+    // damaged spellings.
+    fn walk(text: &str) -> Result<(), ParseError> {
+        let mut reader = Reader::new(text);
+        if reader.enter_object()? {
+            while let Some(key) = reader.next_key()? {
+                match &*key {
+                    "kind" => {
+                        reader.str_eq("laser-cell")?;
+                    }
+                    "salt" => {
+                        reader.i64()?;
+                    }
+                    "cell" => {
+                        if reader.enter_object()? {
+                            while reader.next_key()?.is_some() {
+                                if reader.enter_array()? {
+                                    while reader.next_item()? {
+                                        reader.f64()?;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    _ => reader.skip()?,
+                }
+            }
+        }
+        reader.end()
+    }
+    let text = r#" {"salt": 1, "kind": "laser-cell", "cell": {"a": [1, 2.5e1, "x"], "b": {}},
+        "config": "w=a\nt=b\n", "x": [null, true, {"y": [false]}]} "#;
+    walk(text).unwrap();
+    let damaged = [
+        text.replace("2.5e1", "2.5e"),
+        text.replace("true", "tru"),
+        text.replace(": 1,", ": 1"),
+        text.replace("\\nt", "\\qt"),
+        text.replace("[false]", "[false,]"),
+        text.replace("{}", "{,}"),
+        format!("{text} 0"),
+        format!("{}{text}", "[".repeat(MAX_DEPTH)),
+    ];
+    for text in damaged.iter().map(String::as_str).chain(
+        (0..text.len())
+            .filter(|&i| text.is_char_boundary(i))
+            .map(|i| &text[..i]),
+    ) {
+        assert_eq!(walk(text), Value::parse(text).map(|_| ()), "{text:?}");
+    }
 }
