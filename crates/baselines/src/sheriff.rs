@@ -26,8 +26,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use laser_core::{Laser, LaserError};
 use laser_isa::MemAccessSets;
 use laser_machine::{
@@ -36,7 +34,7 @@ use laser_machine::{
 use laser_workloads::{BuildOptions, SheriffCompat, WorkloadSpec};
 
 /// Which Sheriff scheme to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SheriffMode {
     /// Sheriff-Detect: periodic write-protection and twin comparison to report
     /// falsely-shared objects.
@@ -46,7 +44,7 @@ pub enum SheriffMode {
 }
 
 /// Why a workload could not be run under Sheriff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SheriffFailure {
     /// The benchmark encounters a runtime error ("x" in the paper's Table 1).
     Crash,
@@ -56,7 +54,7 @@ pub enum SheriffFailure {
 }
 
 /// Cost model of the Sheriff execution environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SheriffConfig {
     /// Cycles charged per synchronization operation under Sheriff-Protect
     /// (commit/merge of private pages).
@@ -83,7 +81,7 @@ impl Default for SheriffConfig {
 }
 
 /// A completed Sheriff run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SheriffRun {
     /// Estimated cycles under the Sheriff execution model.
     pub cycles: u64,
@@ -107,7 +105,7 @@ impl SheriffRun {
 }
 
 /// Outcome of attempting to run a workload under Sheriff.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SheriffOutcome {
     /// Which scheme was run.
     pub mode: SheriffMode,

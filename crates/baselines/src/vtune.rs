@@ -13,8 +13,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use laser_core::LaserError;
 use laser_isa::program::SourceLoc;
 use laser_machine::{Machine, MachineConfig, RunResult, RunStatus, WorkloadImage};
@@ -23,7 +21,7 @@ use laser_pebs::imprecision::{ImprecisionModel, ImprecisionParams};
 use laser_pebs::pmu::{Pmu, PmuConfig};
 
 /// VTune model configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VtuneConfig {
     /// Reporting threshold in HITM records per second. The paper applies a
     /// 2 000/s threshold to VTune's output to give it the benefit of the
@@ -62,7 +60,7 @@ impl Default for VtuneConfig {
 }
 
 /// A source line VTune reports, with its record count and rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VtuneLine {
     /// Reported location (`[unknown]` for records outside the binary, which
     /// VTune does not filter).

@@ -4,7 +4,7 @@
 //! experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|fig11|fig12|fig13|fig14]
 //!             [--scale S] [--threads N] [--only w1,w2,...] [--format text|json|csv]
 //!             [--cell-budget-steps N] [--pipeline]
-//!             [--topology flat|2s|4s|8s|32s] [--topology-file FILE]
+//!             [--topology flat|2s|4s|8s] [--topology-file FILE]
 //!             [--cache DIR] [--cache-stats FILE]
 //! ```
 //!
@@ -38,7 +38,7 @@ use laser_workloads::registry;
 const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|\
                      fig11|fig12|fig13|fig14] [--scale S] [--threads N] [--only w1,w2,...] \
                      [--format text|json|csv] [--cell-budget-steps N] [--pipeline] \
-                     [--topology flat|2s|4s|8s|32s] [--topology-file FILE] [--cache DIR] \
+                     [--topology flat|2s|4s|8s] [--topology-file FILE] [--cache DIR] \
                      [--cache-stats FILE]\n\
                      \n\
                      --scale S             workload input-size multiplier (default 0.4;\n\
@@ -52,9 +52,9 @@ const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|t
                      \x20                     thread, overlapped with the simulated quantum\n\
                      \x20                     (byte-identical output, higher throughput)\n\
                      --topology T          deploy every cell on a socket-topology preset:\n\
-                     \x20                     flat (default, single socket), 2s, 4s, 8s or\n\
-                     \x20                     32s (4 cores/socket, threads scaled to match);\n\
-                     \x20                     xsocket always sweeps flat/2s/4s/8s\n\
+                     \x20                     flat (default, single socket), 2s, 4s or 8s\n\
+                     \x20                     (4 cores/socket, threads scaled to match);\n\
+                     \x20                     xsocket always sweeps all four\n\
                      --topology-file FILE  campaign only: deploy every cell on a bespoke\n\
                      \x20                     asymmetric layout loaded from a JSON spec\n\
                      \x20                     (validated up front; replaces --topology and\n\
@@ -243,7 +243,7 @@ impl Cli {
                     let name: String = value(&mut args)?;
                     config.topology = TopologySpec::parse(&name).ok_or_else(|| {
                         CliError::Invalid(format!(
-                            "unknown topology '{name}' (expected flat, 2s, 4s, 8s or 32s)"
+                            "unknown topology '{name}' (expected flat, 2s, 4s or 8s)"
                         ))
                     })?;
                 }
@@ -410,20 +410,21 @@ mod tests {
             ("2s", TopologySpec::DualSocket),
             ("4s", TopologySpec::QuadSocket),
             ("8s", TopologySpec::OctoSocket),
-            ("32s", TopologySpec::ThirtyTwoSocket),
         ] {
             let cli = Cli::parse(&args(&["campaign", "--topology", name])).unwrap();
             assert_eq!(cli.config.topology, spec);
         }
-        // ...an unknown name is rejected before anything simulates, with the
-        // valid set in the message...
-        let err = Cli::parse(&args(&["campaign", "--topology", "16s"])).unwrap_err();
-        match err {
-            CliError::Invalid(msg) => {
-                assert!(msg.contains("unknown topology '16s'"), "{msg}");
-                assert!(msg.contains("flat, 2s, 4s, 8s or 32s"), "{msg}");
+        // ...an unknown name (`32s` too: no preset exceeds the directory's
+        // 64 cores) is rejected before anything simulates, with the valid
+        // set in the message...
+        for name in ["16s", "32s"] {
+            match Cli::parse(&args(&["campaign", "--topology", name])).unwrap_err() {
+                CliError::Invalid(msg) => {
+                    assert!(msg.contains(&format!("unknown topology '{name}'")), "{msg}");
+                    assert!(msg.contains("(expected flat, 2s, 4s or 8s)"), "{msg}");
+                }
+                other => panic!("expected Invalid, got {other:?}"),
             }
-            other => panic!("expected Invalid, got {other:?}"),
         }
         // ...and a dangling flag is a usage error.
         assert_eq!(

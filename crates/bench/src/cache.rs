@@ -23,9 +23,10 @@
 //! * the canonical config string is stored *inside* the cache file and
 //!   verified on load, so a fingerprint collision degrades to a miss, never
 //!   to a wrong result;
-//! * only deterministic outcomes are cached: successful runs, Sheriff
-//!   compatibility verdicts and step-budget exhaustion. Errors, panics and
-//!   anything involving a wall-clock budget always re-simulate.
+//! * every cell configuration is deterministic (budgets count simulated
+//!   steps), and only deterministic outcomes are cached: successful runs,
+//!   Sheriff compatibility verdicts and step-budget exhaustion. Errors and
+//!   panics always re-simulate.
 //!
 //! Simulation-semantics changes are handled by [`CACHE_SALT`]: the salt is
 //! written into every cache file and checked on load, so bumping it (one
@@ -256,11 +257,6 @@ impl CellCache {
     /// what the original simulation produced. `None` bumps the miss (or
     /// `invalidated`, on a salt mismatch) counter and the caller simulates.
     pub fn load(&self, config: &CellConfig) -> Option<CellResult> {
-        if !config.cacheable() {
-            // Never served from the store, and not a "miss" — the cell was
-            // never eligible.
-            return None;
-        }
         // One rendering serves both the path and the stored-config check.
         let canonical = config.canonical();
         let Some(text) = read_file(&self.path_of(&fingerprint_of(&canonical))) else {
@@ -288,7 +284,7 @@ impl CellCache {
     /// through [`CellCache::write_error`]; they never panic and never affect
     /// the in-memory result.
     pub fn store(&self, config: &CellConfig, cell: &CellResult) {
-        if !config.cacheable() || !outcome_is_cacheable(&cell.outcome) {
+        if !outcome_is_cacheable(&cell.outcome) {
             return;
         }
         let entry = encode_entry(self.salt, config, cell).render();
@@ -358,7 +354,7 @@ fn read_file(path: &Path) -> Option<String> {
 /// Outcomes that are deterministic replays of the simulation: successful
 /// runs, Sheriff's static compatibility verdicts, and step-budget trips
 /// (steps are counted in simulated instructions, not real time). Errors and
-/// panics are transient; wall-clock trips depend on machine load.
+/// panics are transient.
 fn outcome_is_cacheable(outcome: &Result<ToolRun, ToolFailure>) -> bool {
     match outcome {
         Ok(_) => true,
@@ -713,7 +709,6 @@ mod tests {
     use laser_machine::ThreadPlacement;
     use laser_workloads::BuildOptions;
     use std::sync::atomic::AtomicU32;
-    use std::time::Duration;
 
     mod hostile;
 
@@ -790,6 +785,22 @@ mod tests {
         assert!(fp.bytes().all(|b| b.is_ascii_hexdigit()));
         assert_eq!(fp, fingerprint(&config(&opts)), "pure function");
         assert_eq!(fp, "8f5a794020bcd14449ca73c76a42b7bf");
+    }
+
+    #[test]
+    fn budgeted_fingerprint_is_pinned() {
+        // Like the pin above, for a step budget: its rendering keeps the
+        // literal `budget_wall_ms=none` line, so budgeted entries written
+        // while budgets could also be wall-clock ones keep hitting.
+        let opts = base_opts();
+        let budgeted = CellConfig {
+            budget: CellBudget::steps(10_000),
+            ..config(&opts)
+        };
+        assert!(budgeted
+            .canonical()
+            .contains("\nbudget_steps=10000\nbudget_wall_ms=none\n"));
+        assert_eq!(fingerprint(&budgeted), "25f3bde0d864acebf378eb71c508cc12");
     }
 
     #[test]
@@ -872,13 +883,6 @@ mod tests {
                 "budget_steps",
                 fingerprint(&CellConfig {
                     budget: CellBudget::steps(1_000_000),
-                    ..config(&opts)
-                }),
-            ),
-            (
-                "budget_wall",
-                fingerprint(&CellConfig {
-                    budget: CellBudget::wall(Duration::from_millis(500)),
                     ..config(&opts)
                 }),
             ),
@@ -1002,19 +1006,8 @@ mod tests {
         let cache = CellCache::open(&dir).unwrap();
         let opts = base_opts();
 
-        // A wall-clock budget depends on machine load: not cacheable, and
-        // not counted as a miss — the cell was never eligible.
-        let walled = CellConfig {
-            budget: CellBudget::wall(Duration::from_secs(5)),
-            ..config(&opts)
-        };
-        assert!(!walled.cacheable());
-        cache.store(&walled, &sample_cell(Ok(sample_run())));
-        assert_eq!(cache.load(&walled), None);
-        assert_eq!(cache.stats(), CacheStats::default());
-
-        // Transient outcomes (errors, panics, wall-clock trips) are never
-        // stored even under a cacheable config.
+        // Every config is cacheable, but transient outcomes (errors, panics,
+        // a caller's cancellation) are never stored.
         let cfg = config(&opts);
         for failure in [
             ToolFailure::Error("io".to_string()),
@@ -1022,10 +1015,7 @@ mod tests {
                 message: "boom".to_string(),
             },
             ToolFailure::BudgetExceeded {
-                reason: StopReason::WallClock {
-                    limit_ms: 10,
-                    elapsed_ms: 11,
-                },
+                reason: StopReason::Cancelled("caller".to_string()),
             },
         ] {
             cache.store(&cfg, &sample_cell(Err(failure)));

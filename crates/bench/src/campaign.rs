@@ -55,7 +55,6 @@ use crate::cache::CellCache;
 use crate::config::{CampaignConfig, CellConfig};
 use crate::emit::{Column, Emit, Prec, View};
 use crate::tool::{SharedRuns, Tool, ToolFailure, ToolRun, ToolSpec, DEFAULT_PANEL};
-use crate::topofile::CustomTopology;
 
 /// One `workload × tool` cell of a finished campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -259,16 +258,6 @@ impl Campaign {
         self
     }
 
-    /// Deploy every cell on a bespoke topology instead of its preset
-    /// (`--topology-file` / a scenario's `"custom_topology"`). Cell keys
-    /// gain an `@layout-name` suffix and the cache fingerprints the full
-    /// layout, so custom cells never alias preset ones. The override is
-    /// campaign-wide: the per-cell preset axis is ignored while it is set.
-    pub fn with_custom_topology(mut self, custom: Arc<CustomTopology>) -> Self {
-        self.config.custom_topology = Some(custom);
-        self
-    }
-
     /// Set the build options applied to every cell.
     pub fn with_options(mut self, opts: BuildOptions) -> Self {
         self.config.opts = opts;
@@ -283,8 +272,8 @@ impl Campaign {
 
     /// Bound every cell with `budget`: a cell that trips it is recorded as
     /// [`ToolFailure::BudgetExceeded`] without disturbing the other cells.
-    /// Step budgets keep campaigns deterministic across thread counts;
-    /// wall-clock budgets trade that determinism for a hard time bound.
+    /// A budget counts simulated steps, so budgeted campaigns stay
+    /// deterministic across thread counts.
     pub fn with_cell_budget(mut self, budget: CellBudget) -> Self {
         self.config.budget = budget;
         self

@@ -170,10 +170,6 @@ impl<'a> CellConfig<'a> {
             Some(n) => n.to_string(),
             None => "none".to_string(),
         };
-        let wall_ms = match self.budget.max_wall {
-            Some(d) => d.as_millis().to_string(),
-            None => "none".to_string(),
-        };
         // A custom layout's full canonical rendering takes the preset key's
         // slot; names cannot shadow preset keys (topofile validation), so
         // the two families never alias and preset-only fingerprints are
@@ -182,13 +178,14 @@ impl<'a> CellConfig<'a> {
             Some(custom) => custom.canonical(),
             None => self.topology.key().to_string(),
         };
-        // Every `pipeline_*` line after `pipeline=` is a literal: the
-        // deployment has one channel depth, lossless delivery, one detector
-        // and no charge-back lag, and the lines keep every fingerprint — and
-        // every cache entry already on disk — valid.
+        // `budget_wall_ms=` and every `pipeline_*` line after `pipeline=`
+        // are literals: budgets count steps only, and the deployment has one
+        // channel depth, lossless delivery, one detector and no charge-back
+        // lag. The lines keep every fingerprint — and every cache entry
+        // already on disk — valid.
         format!(
             "workload={}\ntool={}\ntopology={}\nthreads={}\nscale={:?}\nfixed={}\n\
-             layout_perturbation={}\nplacement={}\nbudget_steps={}\nbudget_wall_ms={}\n\
+             layout_perturbation={}\nplacement={}\nbudget_steps={}\nbudget_wall_ms=none\n\
              pipeline={}\npipeline_capacity=2\npipeline_lossy=false\npipeline_shards=1\n\
              pipeline_routing=line\npipeline_driver_lag=0\n",
             self.workload,
@@ -200,16 +197,8 @@ impl<'a> CellConfig<'a> {
             self.opts.layout_perturbation,
             self.opts.placement,
             steps,
-            wall_ms,
             self.pipeline.enabled,
         )
-    }
-
-    /// Whether results under this config are deterministic enough to cache
-    /// at all: wall-clock budgets depend on real time and machine load, so
-    /// they are never cached.
-    pub fn cacheable(&self) -> bool {
-        self.budget.max_wall.is_none()
     }
 
     /// The key this cell's result is labelled with: the bare tool name on
@@ -242,10 +231,10 @@ impl<'a> CellConfig<'a> {
         }
     }
 
-    /// The observer enforcing the cell's budget, started now; `None` when
-    /// the budget is unlimited, so an unbudgeted LASER session stays
-    /// genuinely unobserved (no events constructed, no per-batch replies
-    /// owed by a pipelined worker).
+    /// The observer enforcing the cell's budget; `None` when the budget is
+    /// unlimited, so an unbudgeted LASER session stays genuinely unobserved
+    /// (no events constructed, no per-batch replies owed by a pipelined
+    /// worker).
     pub fn observer(&self) -> Option<BudgetObserver> {
         (!self.budget.is_unlimited()).then(|| BudgetObserver::new(self.budget))
     }

@@ -360,7 +360,7 @@ fn parse_tool(key: &str) -> Result<ToolSpec, ScenarioError> {
 
 fn parse_topology(key: &str) -> Result<TopologySpec, ScenarioError> {
     TopologySpec::parse(key)
-        .ok_or_else(|| ScenarioError(format!("unknown topology '{key}' (flat, 2s, 4s, 8s, 32s)")))
+        .ok_or_else(|| ScenarioError(format!("unknown topology '{key}' (flat, 2s, 4s, 8s)")))
 }
 
 fn parse_cell(value: &Value) -> Result<ScenarioCell, ScenarioError> {
@@ -651,6 +651,10 @@ mod tests {
                 "unknown topology '16s'",
             ),
             (
+                r#"{"name": "x", "cells": [{"workload": "swaptions", "tool": "native", "topology": "32s"}]}"#,
+                "unknown topology '32s' (flat, 2s, 4s, 8s)",
+            ),
+            (
                 r#"{"name": "x", "cells": [{"workload": "swaptions", "tool": "native", "color": "red"}]}"#,
                 "unknown cell key \"color\"",
             ),
@@ -695,6 +699,23 @@ mod tests {
                         "remote": {"remote_hitm": 1, "remote_llc": 100, "remote_dram": 310}},
                     "cells": [{"workload": "swaptions", "tool": "native"}]}"#,
                 "\"custom_topology\":",
+            ),
+            (
+                r#"{"name": "x",
+                    "custom_topology": {"name": "wide", "core_blocks": [33, 32],
+                        "remote": {"remote_hitm": 220, "remote_llc": 100, "remote_dram": 310}},
+                    "cells": [{"workload": "swaptions", "tool": "native"}]}"#,
+                "at most 64",
+            ),
+            // Blocks whose sum wraps `usize` to 0 once passed the cap and
+            // failed every cell at run time with a division by zero.
+            (
+                r#"{"name": "x",
+                    "custom_topology": {"name": "wrap",
+                        "core_blocks": [9223372036854775807, 9223372036854775807, 2],
+                        "remote": {"remote_hitm": 220, "remote_llc": 100, "remote_dram": 310}},
+                    "cells": [{"workload": "swaptions", "tool": "native"}]}"#,
+                "at most 64",
             ),
             (
                 r#"{"name": "x",

@@ -161,7 +161,7 @@ pub trait Tool: Send + Sync {
     /// a single [`LaserEvent::Finished`] after the simulation, so a budget
     /// can mark them over-budget but not shorten them. (The Sheriff model
     /// exposes no step counter; its `Finished` events carry `steps: 0`, so
-    /// only wall-clock budgets can catch Sheriff cells.) The pipeline
+    /// no budget catches a Sheriff cell.) The pipeline
     /// deployment is an *execution strategy*, not a measurement change, so
     /// tools without a detector stage to move ignore it.
     ///
@@ -174,8 +174,7 @@ pub trait Tool: Send + Sync {
 
 /// Deliver the post-run [`LaserEvent::Finished`] event for a tool that cannot
 /// stream intermediate events, translating an observer break into the
-/// budget-exceeded cell failure. `observer` is the cell's, started before
-/// the run so a wall-clock budget covers it.
+/// budget-exceeded cell failure. `observer` is the cell's.
 fn finish_observed(
     observer: Option<BudgetObserver>,
     steps: u64,

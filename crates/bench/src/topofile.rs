@@ -16,8 +16,9 @@
 //! ```
 //!
 //! Parsing follows the scenario-file convention: **everything** is validated
-//! fail-fast — unknown keys, malformed numbers, a layout the machine would
-//! reject ([`Topology::validate`]) — before anything simulates, so the
+//! fail-fast — unknown keys, malformed numbers, more than
+//! [`MAX_CUSTOM_CORES`] cores, a layout the machine would reject
+//! ([`Topology::validate`]) — before anything simulates, so the
 //! binaries can turn an invalid file into exit code 2 up front. `experiments
 //! --topology-file FILE` deploys a whole campaign on the loaded layout;
 //! scenario files carry the same object inline under `"custom_topology"`.
@@ -35,9 +36,9 @@ use laser_workloads::BuildOptions;
 use serde::json::Value;
 
 /// Upper bound on the total core count of a custom topology: the coherence
-/// directory tracks sharers in a 128-bit bitmap, so anything wider cannot be
+/// directory tracks sharers in a 64-bit bitmap, so anything wider cannot be
 /// simulated.
-pub const MAX_CUSTOM_CORES: usize = 128;
+pub const MAX_CUSTOM_CORES: usize = 64;
 
 /// A parsed, validated bespoke topology: an asymmetric socket layout plus
 /// the machine core count it implies (the sum of its core blocks).
@@ -102,13 +103,16 @@ impl CustomTopology {
         let Some(remote) = remote else {
             return Err("missing required key \"remote\"".to_string());
         };
-        let num_cores: usize = core_blocks.iter().sum();
-        if num_cores > MAX_CUSTOM_CORES {
+        // Summed with a cap, not `.sum()`: huge blocks must not wrap past it.
+        let Some(num_cores) = core_blocks.iter().try_fold(0usize, |sum, &cores| {
+            sum.checked_add(cores)
+                .filter(|&sum| sum <= MAX_CUSTOM_CORES)
+        }) else {
             return Err(format!(
-                "\"core_blocks\" sum to {num_cores} cores; the coherence directory admits at \
-                 most {MAX_CUSTOM_CORES}"
+                "\"core_blocks\" sum to more than {MAX_CUSTOM_CORES} cores; the coherence \
+                 directory admits at most {MAX_CUSTOM_CORES}"
             ));
-        }
+        };
         let topology = Topology::asymmetric(name, core_blocks, remote);
         topology
             .validate(&LatencyModel::default())
@@ -281,6 +285,13 @@ mod tests {
         assert_eq!(custom.topology().num_sockets(), 2);
         assert_eq!(custom.topology().core_blocks(), &[6, 2]);
         assert_eq!(custom.topology().remote_latency().remote_hitm, 220);
+        // The widest layout the directory admits.
+        let wide = CustomTopology::from_json(
+            r#"{"name": "wide", "core_blocks": [32, 32],
+                "remote": {"remote_hitm": 220, "remote_llc": 100, "remote_dram": 310}}"#,
+        )
+        .unwrap();
+        assert_eq!(wide.num_cores(), MAX_CUSTOM_CORES);
     }
 
     #[test]
@@ -361,8 +372,17 @@ mod tests {
                 "positive integers",
             ),
             (
-                r#"{"name": "x", "core_blocks": [129], "remote": {"remote_hitm": 220, "remote_llc": 100, "remote_dram": 310}}"#,
-                "at most 128",
+                r#"{"name": "x", "core_blocks": [65], "remote": {"remote_hitm": 220, "remote_llc": 100, "remote_dram": 310}}"#,
+                "at most 64",
+            ),
+            (
+                r#"{"name": "x", "core_blocks": [33, 32], "remote": {"remote_hitm": 220, "remote_llc": 100, "remote_dram": 310}}"#,
+                "sum to more than 64 cores",
+            ),
+            // These blocks sum past `usize::MAX` and once wrapped to 0 cores.
+            (
+                r#"{"name": "x", "core_blocks": [9223372036854775807, 9223372036854775807, 2], "remote": {"remote_hitm": 220, "remote_llc": 100, "remote_dram": 310}}"#,
+                "at most 64",
             ),
             (
                 r#"{"name": "x", "core_blocks": [4], "remote": {"remote_hitm": 220, "remote_llc": 100}}"#,

@@ -1,6 +1,7 @@
 //! The binaries on hostile JSON: a document nested 100,000 deep is an
 //! invalid input (exit 2 with the parser's message), not a stack overflow
-//! that aborts the process.
+//! that aborts the process, and a layout whose core blocks overflow is an
+//! invalid input, not a campaign of failed cells.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -9,13 +10,28 @@ fn flood() -> String {
     format!("{}{}", "[".repeat(100_000), "]".repeat(100_000))
 }
 
-fn assert_rejected(output: &Output, what: &str) {
+fn assert_rejected(output: &Output, what: &str, needle: &str) {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(2), "{what}: {stderr}");
-    assert!(
-        stderr.contains("nested deeper than 128 levels"),
-        "{what}: {stderr}"
-    );
+    assert!(stderr.contains(needle), "{what}: {stderr}");
+    assert!(output.stdout.is_empty(), "{what}: nothing runs");
+}
+
+/// `experiments campaign --topology-file` on a file holding `text`.
+#[expect(
+    clippy::unwrap_used,
+    reason = "a test helper: a failed write or spawn fails the calling test"
+)]
+fn campaign_on_topology_file(tag: &str, text: &str) -> Output {
+    let path = std::env::temp_dir().join(format!("laser-{tag}-topo-{}.json", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["campaign", "--topology-file"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&path);
+    output
 }
 
 #[test]
@@ -34,20 +50,31 @@ fn laser_serve_rejects_a_bracket_flood_on_stdin_with_exit_2() {
         .write_all(flood().as_bytes())
         .unwrap();
     let output = child.wait_with_output().unwrap();
-    assert_rejected(&output, "laser-serve --stdin");
-    assert!(output.stdout.is_empty());
+    assert_rejected(
+        &output,
+        "laser-serve --stdin",
+        "nested deeper than 128 levels",
+    );
 }
 
 #[test]
 fn experiments_rejects_a_bracket_flood_topology_file_with_exit_2() {
-    let path = std::env::temp_dir().join(format!("laser-flood-topo-{}.json", std::process::id()));
-    std::fs::write(&path, flood()).unwrap();
-    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["campaign", "--topology-file"])
-        .arg(&path)
-        .output()
-        .unwrap();
-    let _ = std::fs::remove_file(&path);
-    assert_rejected(&output, "experiments --topology-file");
-    assert!(output.stdout.is_empty());
+    assert_rejected(
+        &campaign_on_topology_file("flood", &flood()),
+        "experiments --topology-file",
+        "nested deeper than 128 levels",
+    );
+}
+
+#[test]
+fn experiments_rejects_core_blocks_that_wrap_with_exit_2() {
+    // These blocks once summed to 0 cores in release builds, passed the cap
+    // and failed every cell with a division by zero, at exit 0.
+    let wrap = r#"{"name": "wrap", "core_blocks": [9223372036854775807, 9223372036854775807, 2],
+        "remote": {"remote_hitm": 220, "remote_llc": 100, "remote_dram": 310}}"#;
+    assert_rejected(
+        &campaign_on_topology_file("wrap", wrap),
+        "experiments --topology-file",
+        "at most 64",
+    );
 }

@@ -1,14 +1,12 @@
 //! Configuration of the LASER system.
 
-use serde::{Deserialize, Serialize};
-
 use laser_machine::TopologySpec;
 use laser_pebs::driver::DriverConfig;
 use laser_pebs::imprecision::ImprecisionParams;
 
 /// Tunables of the LASER system. The defaults are the values the paper uses
 /// throughout its evaluation (SAV = 19, rate threshold = 1 000 HITMs/second).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaserConfig {
     /// PEBS Sample-After-Value (paper default: 19, a prime).
     pub sav: u32,

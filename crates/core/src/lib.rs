@@ -74,7 +74,7 @@
 //! }
 //! ```
 //!
-//! The legacy entry points ([`Laser::run`], [`Laser::session_on`],
+//! The legacy entry points ([`Laser::run`], [`Laser::run_on`],
 //! [`LaserSession::new`], …) remain as thin wrappers over the builder.
 
 pub mod config;

@@ -13,8 +13,9 @@
 //! sequence through a shareable handle (the sequence is deterministic for a
 //! given workload and configuration, and identical on whatever thread the
 //! session runs), and [`BudgetObserver`] enforces a [`CellBudget`] — the
-//! mechanism `laser-bench`'s campaign runner uses for per-cell step and
-//! wall-clock limits.
+//! mechanism `laser-bench`'s campaign runner uses for per-cell step limits.
+//! A budget counts simulated instructions, never real time, so a budgeted
+//! run trips (or doesn't) at the same event on every host and thread count.
 //!
 //! The event stream is part of the determinism contract: an observer cannot
 //! tell how the session it watches is deployed. Inline or pipelined, the
@@ -25,7 +26,6 @@
 
 use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// The live HITM rate of one source line, as carried by
 /// [`LaserEvent::DetectionUpdate`].
@@ -110,13 +110,6 @@ pub enum StopReason {
         /// Instructions retired when the limit tripped.
         used: u64,
     },
-    /// The run held its worker longer than its wall-clock budget allows.
-    WallClock {
-        /// The configured limit, in milliseconds.
-        limit_ms: u64,
-        /// Real time elapsed when the limit tripped, in milliseconds.
-        elapsed_ms: u64,
-    },
     /// The caller cancelled the run for its own reason.
     Cancelled(String),
 }
@@ -126,15 +119,6 @@ impl std::fmt::Display for StopReason {
         match self {
             StopReason::StepBudget { limit, used } => {
                 write!(f, "step budget exceeded ({used} steps > limit {limit})")
-            }
-            StopReason::WallClock {
-                limit_ms,
-                elapsed_ms,
-            } => {
-                write!(
-                    f,
-                    "wall-clock budget exceeded ({elapsed_ms} ms > limit {limit_ms} ms)"
-                )
             }
             StopReason::Cancelled(why) => write!(f, "cancelled: {why}"),
         }
@@ -233,38 +217,26 @@ impl Observer for EventLog {
     }
 }
 
-/// Resource limits for one run (one campaign cell): a step budget, a
-/// wall-clock budget, neither, or both. Enforced by [`BudgetObserver`].
+/// The resource limit of one run (one campaign cell): a step budget, or
+/// none. Enforced by [`BudgetObserver`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CellBudget {
     /// Maximum instructions the run may retire.
     pub max_steps: Option<u64>,
-    /// Maximum real time the run may hold its worker.
-    pub max_wall: Option<Duration>,
 }
 
 impl CellBudget {
-    /// A pure step budget. Step budgets are deterministic: the same run trips
+    /// A step budget. Step budgets are deterministic: the same run trips
     /// (or doesn't) at the same event on every thread count.
     pub fn steps(max_steps: u64) -> Self {
         CellBudget {
             max_steps: Some(max_steps),
-            max_wall: None,
-        }
-    }
-
-    /// A pure wall-clock budget. Wall-clock budgets depend on real time and
-    /// machine load; use step budgets where determinism matters.
-    pub fn wall(max_wall: Duration) -> Self {
-        CellBudget {
-            max_steps: None,
-            max_wall: Some(max_wall),
         }
     }
 
     /// Whether this budget can never stop a run.
     pub fn is_unlimited(&self) -> bool {
-        self.max_steps.is_none() && self.max_wall.is_none()
+        self.max_steps.is_none()
     }
 }
 
@@ -279,42 +251,22 @@ impl CellBudget {
 pub struct BudgetObserver {
     budget: CellBudget,
     steps: u64,
-    started: Instant,
 }
 
 impl BudgetObserver {
-    /// Start enforcing `budget` now (the wall clock starts at construction).
+    /// Enforce `budget` from the run's first event.
     pub fn new(budget: CellBudget) -> Self {
-        BudgetObserver {
-            budget,
-            steps: 0,
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "BudgetObserver is the opt-in wall-clock budget; it aborts runs and never feeds simulated state or emitted bytes"
-            )]
-            started: Instant::now(),
-        }
+        BudgetObserver { budget, steps: 0 }
     }
 
     fn check(&self, total_steps: u64) -> ControlFlow<StopReason> {
-        if let Some(limit) = self.budget.max_steps {
-            if total_steps > limit {
-                return ControlFlow::Break(StopReason::StepBudget {
-                    limit,
-                    used: total_steps,
-                });
-            }
+        match self.budget.max_steps {
+            Some(limit) if total_steps > limit => ControlFlow::Break(StopReason::StepBudget {
+                limit,
+                used: total_steps,
+            }),
+            _ => ControlFlow::Continue(()),
         }
-        if let Some(limit) = self.budget.max_wall {
-            let elapsed = self.started.elapsed();
-            if elapsed > limit {
-                return ControlFlow::Break(StopReason::WallClock {
-                    limit_ms: limit.as_millis() as u64,
-                    elapsed_ms: elapsed.as_millis() as u64,
-                });
-            }
-        }
-        ControlFlow::Continue(())
     }
 }
 
@@ -413,20 +365,9 @@ mod tests {
     fn unlimited_budget_never_stops() {
         assert!(CellBudget::default().is_unlimited());
         assert!(!CellBudget::steps(1).is_unlimited());
-        assert!(!CellBudget::wall(Duration::from_millis(1)).is_unlimited());
         let mut obs = BudgetObserver::new(CellBudget::default());
         assert!(obs.on_event(&quantum(u64::MAX / 2)).is_continue());
         assert!(obs.on_event(&quantum(u64::MAX / 2)).is_continue());
-    }
-
-    #[test]
-    fn wall_clock_budget_trips_on_elapsed_time() {
-        let mut obs = BudgetObserver::new(CellBudget::wall(Duration::from_millis(1)));
-        std::thread::sleep(Duration::from_millis(5));
-        match obs.on_event(&quantum(1)) {
-            ControlFlow::Break(StopReason::WallClock { limit_ms: 1, .. }) => {}
-            other => panic!("expected wall-clock stop, got {other:?}"),
-        }
     }
 
     #[test]
@@ -438,14 +379,6 @@ mod tests {
             }
             .to_string(),
             "step budget exceeded (12 steps > limit 10)"
-        );
-        assert_eq!(
-            StopReason::WallClock {
-                limit_ms: 5,
-                elapsed_ms: 9
-            }
-            .to_string(),
-            "wall-clock budget exceeded (9 ms > limit 5 ms)"
         );
         assert_eq!(
             StopReason::Cancelled("why".into()).to_string(),

@@ -7,8 +7,6 @@
 //! plan's flush blocks, at fences/atomics, at thread exit, and pre-emptively
 //! when it outgrows the transaction capacity.
 
-use serde::{Deserialize, Serialize};
-
 use laser_isa::program::{BlockId, Pc, INST_BYTES};
 use laser_machine::htm::HtmOutcome;
 use laser_machine::{ExecHook, HookAction, HookCtx, Machine, MemAccessKind, MemOp};
@@ -17,7 +15,7 @@ use super::plan::RepairPlan;
 use super::ssb::{SoftwareStoreBuffer, SsbLookup};
 
 /// Per-operation instrumentation costs in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SsbCosts {
     /// Cost of buffering one store.
     pub store: u64,
@@ -42,7 +40,7 @@ impl Default for SsbCosts {
 }
 
 /// Counters describing what the instrumentation did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SsbStats {
     /// Stores diverted into the SSB.
     pub buffered_stores: u64,

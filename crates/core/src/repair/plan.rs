@@ -18,8 +18,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use laser_isa::alias::AliasSpeculation;
 use laser_isa::cfg::Cfg;
 use laser_isa::dom::PostDominators;
@@ -29,7 +27,7 @@ use laser_isa::program::{BlockId, Pc, Program};
 const ASSUMED_LOOP_ITERATIONS: f64 = 100.0;
 
 /// The instrumentation plan LASERREPAIR derives for one contention site.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RepairPlan {
     /// Basic blocks whose memory operations are instrumented.
     pub instrumented_blocks: BTreeSet<BlockId>,

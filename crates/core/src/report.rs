@@ -1,11 +1,9 @@
 //! Contention reports produced by LASERDETECT.
 
-use serde::{Deserialize, Serialize};
-
 use laser_isa::program::{Pc, SourceLoc};
 
 /// The type of contention detected on a source line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContentionKind {
     /// Distinct bytes of one cache line are contended by different threads.
     FalseSharing,
@@ -27,7 +25,7 @@ impl std::fmt::Display for ContentionKind {
 }
 
 /// Contention attributed to one source line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LineReport {
     /// The source line.
     pub location: SourceLoc,
@@ -46,7 +44,7 @@ pub struct LineReport {
 }
 
 /// The detector's report for a whole run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContentionReport {
     /// Workload name.
     pub workload: String,

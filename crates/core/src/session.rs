@@ -36,9 +36,10 @@
 //!
 //! The paper's deployment has two parties: the PEBS interrupt handler (the
 //! driver) runs *on the application's cores*, and the detector is a separate
-//! user-space process. [`SessionBuilder::pipeline`] deploys the session the
-//! same way, on **two threads**. The calling thread runs the application and
-//! the driver — `run_quantum`, then [`Driver::ingest`] — exactly as an inline
+//! user-space process. [`SessionBuilder::pipeline_config`] with
+//! [`PipelineConfig::pipelined`] deploys the session the same way, on **two
+//! threads**. The calling thread runs the application and the driver —
+//! `run_quantum`, then [`Driver::ingest`] — exactly as an inline
 //! session does; the one [`Detector`] lives on a `laser-detector` worker
 //! thread and receives each quantum's sampled records through a bounded
 //! double-buffered channel (`laser_pebs::channel`). Delivery is lossless: a
@@ -144,13 +145,13 @@ impl PipelineConfig {
 ///
 /// ```no_run
 /// use std::ops::ControlFlow;
-/// use laser_core::{Laser, LaserConfig, LaserEvent};
+/// use laser_core::{Laser, LaserConfig, LaserEvent, PipelineConfig};
 /// # fn image() -> laser_machine::WorkloadImage { unimplemented!() }
 ///
 /// let session = Laser::builder()
 ///     .config(LaserConfig::default().with_seed(7))
 ///     .machine(laser_machine::MachineConfig::default())
-///     .pipeline(true)
+///     .pipeline_config(PipelineConfig::pipelined())
 ///     .observer(|event: &LaserEvent| {
 ///         if let LaserEvent::RepairAttached { at_cycle, .. } = event {
 ///             eprintln!("repair attached at cycle {at_cycle}");
@@ -197,17 +198,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Run the detector on a worker thread, overlapped with application
-    /// execution (default: off). Shorthand for
-    /// [`SessionBuilder::pipeline_config`] with
-    /// [`PipelineConfig::pipelined`]; the results are byte-identical either
-    /// way, only the wall-clock changes.
-    pub fn pipeline(mut self, enabled: bool) -> Self {
-        self.pipeline.enabled = enabled;
-        self
-    }
-
-    /// Set the pipeline deployment.
+    /// Set the pipeline deployment (default: inline).
+    /// [`PipelineConfig::pipelined`] runs the detector on a worker thread,
+    /// overlapped with application execution; the results are
+    /// byte-identical either way, only the wall-clock changes.
     pub fn pipeline_config(mut self, pipeline: PipelineConfig) -> Self {
         self.pipeline = pipeline;
         self
@@ -216,14 +210,8 @@ impl SessionBuilder {
     /// Attach an [`Observer`] that receives the run's
     /// [`LaserEvent`] stream and may cancel the
     /// run. Without one, events go to a [`NullObserver`].
-    pub fn observer(self, observer: impl Observer + 'static) -> Self {
-        self.boxed_observer(Box::new(observer))
-    }
-
-    /// Like [`SessionBuilder::observer`], for an observer that is already
-    /// boxed (e.g. one threaded through `dyn`-typed plumbing).
-    pub fn boxed_observer(mut self, observer: Box<dyn Observer>) -> Self {
-        self.observer = Some(observer);
+    pub fn observer(mut self, observer: impl Observer + 'static) -> Self {
+        self.observer = Some(Box::new(observer));
         self
     }
 
@@ -1246,7 +1234,7 @@ mod tests {
             .unwrap();
         let piped = Laser::builder()
             .config(config)
-            .pipeline(true)
+            .pipeline_config(PipelineConfig::pipelined())
             .build(&image)
             .run()
             .unwrap();
@@ -1268,7 +1256,11 @@ mod tests {
         // the attach point, plan and final outcome must match inline exactly.
         let image = contended_image("piperep", 6000);
         let inline = Laser::builder().build(&image).run().unwrap();
-        let piped = Laser::builder().pipeline(true).build(&image).run().unwrap();
+        let piped = Laser::builder()
+            .pipeline_config(PipelineConfig::pipelined())
+            .build(&image)
+            .run()
+            .unwrap();
 
         assert!(inline.repair.is_some(), "workload should trigger repair");
         let (a, b) = (
@@ -1305,7 +1297,7 @@ mod tests {
             let piped_log = EventLog::new();
             let piped = Laser::builder()
                 .config(config.clone())
-                .pipeline(true)
+                .pipeline_config(PipelineConfig::pipelined())
                 .observer(piped_log.clone())
                 .build(&image)
                 .run()
@@ -1324,7 +1316,7 @@ mod tests {
         let image = contended_image("reclaim", 1500);
         let mut session = Laser::builder()
             .config(LaserConfig::detection_only())
-            .pipeline(true)
+            .pipeline_config(PipelineConfig::pipelined())
             .build(&image);
         assert!(session.is_pipelined());
         assert!(
@@ -1350,7 +1342,7 @@ mod tests {
         let run = |pipelined: bool| {
             Laser::builder()
                 .config(config.clone())
-                .pipeline(pipelined)
+                .pipeline_config(PipelineConfig { enabled: pipelined })
                 .observer(BudgetObserver::new(CellBudget::steps(limit)))
                 .build(&image)
                 .run()
@@ -1373,7 +1365,7 @@ mod tests {
         };
         let mut session = Laser::builder()
             .config(config)
-            .pipeline(true)
+            .pipeline_config(PipelineConfig::pipelined())
             .observer(|event: &LaserEvent| {
                 if let LaserEvent::RecordBatch { .. } = event {
                     return ControlFlow::Break(StopReason::Cancelled("first batch".into()));
@@ -1439,7 +1431,7 @@ mod tests {
         let image = contended_image("pipdrop", 50_000);
         let mut session = Laser::builder()
             .config(LaserConfig::detection_only())
-            .pipeline(true)
+            .pipeline_config(PipelineConfig::pipelined())
             .build(&image);
         for _ in 0..3 {
             assert_eq!(session.advance().unwrap(), SessionStatus::Running);
@@ -1458,7 +1450,7 @@ mod tests {
         let run = |pipelined: bool| {
             let log = EventLog::new();
             let outcome = Laser::builder()
-                .pipeline(pipelined)
+                .pipeline_config(PipelineConfig { enabled: pipelined })
                 .observer(log.clone())
                 .build(&image)
                 .run()
@@ -1510,7 +1502,9 @@ mod tests {
         let image = mixed_image("unawait", 6000);
         let inline = Laser::builder().build(&image).run().unwrap();
 
-        let mut session = Laser::builder().pipeline(true).build(&image);
+        let mut session = Laser::builder()
+            .pipeline_config(PipelineConfig::pipelined())
+            .build(&image);
         while !session.repair_triggered() {
             assert_eq!(session.advance().unwrap(), SessionStatus::Running);
         }
@@ -1553,7 +1547,10 @@ mod tests {
         alive: &Arc<()>,
     ) -> LaserSession {
         let detector = Detector::new(&config, image.program(), image.memory_map());
-        let mut session = Laser::builder().config(config).pipeline(true).build(image);
+        let mut session = Laser::builder()
+            .config(config)
+            .pipeline_config(PipelineConfig::pipelined())
+            .build(image);
         let held = Arc::clone(alive);
         let worker = DetectorWorker::spawn_with(detector, move |_, _| {
             let _held = &held;

@@ -12,8 +12,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use laser_machine::machine::MachineError;
 use laser_machine::{HitmEvent, Machine, MachineConfig, RunResult, WorkloadImage};
 use laser_pebs::driver::DriverStats;
@@ -22,10 +20,10 @@ use crate::config::LaserConfig;
 use crate::observe::StopReason;
 use crate::repair::{RepairPlan, SsbStats};
 use crate::report::ContentionReport;
-use crate::session::{LaserSession, SessionBuilder, StageOccupancy};
+use crate::session::{SessionBuilder, StageOccupancy};
 
 /// What LASERREPAIR did during a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RepairSummary {
     /// Machine cycle count at which repair was attached.
     pub triggered_at_cycle: u64,
@@ -75,7 +73,7 @@ pub enum LaserError {
     /// The underlying machine failed (e.g. the workload livelocked).
     Machine(MachineError),
     /// The session's [`Observer`](crate::observe::Observer) cancelled the run
-    /// mid-flight (e.g. a step or wall-clock budget tripped); there is no
+    /// mid-flight (e.g. a step budget tripped); there is no
     /// complete outcome.
     Stopped(StopReason),
 }
@@ -181,10 +179,11 @@ impl Laser {
 
     /// Run `image` under LASER on a machine with `machine_config`.
     ///
-    /// The whole run lives in a [`LaserSession`] — an owned, `Send`-able
-    /// value — so callers that want to fan runs out across threads can use
-    /// [`Laser::session_on`] and move the session to a worker instead.
-    /// Callers that want to watch or cancel the run use [`Laser::builder`].
+    /// The whole run lives in a [`LaserSession`](crate::session::LaserSession)
+    /// — an owned, `Send`-able value — so callers that want to fan runs out
+    /// across threads can build one with [`Laser::builder`] and move it to a
+    /// worker instead; the builder is also how a caller watches or cancels
+    /// the run.
     ///
     /// # Errors
     /// Returns an error if the workload exceeds the machine's step budget.
@@ -193,22 +192,11 @@ impl Laser {
         image: &WorkloadImage,
         machine_config: MachineConfig,
     ) -> Result<LaserOutcome, LaserError> {
-        self.session_on(image, machine_config).run()
-    }
-
-    /// Set up (but do not run) a session for `image` with the default machine
-    /// configuration. Thin wrapper over [`Laser::builder`].
-    pub fn session(&self, image: &WorkloadImage) -> LaserSession {
-        self.session_on(image, MachineConfig::default())
-    }
-
-    /// Set up (but do not run) a session for `image` on a machine with
-    /// `machine_config`. Thin wrapper over [`Laser::builder`].
-    pub fn session_on(&self, image: &WorkloadImage, machine_config: MachineConfig) -> LaserSession {
         Laser::builder()
             .config(self.config.clone())
             .machine(machine_config)
             .build(image)
+            .run()
     }
 }
 

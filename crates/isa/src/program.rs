@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::inst::{Inst, Terminator};
 
 /// A program counter. PCs are byte addresses inside the simulated
@@ -17,7 +15,7 @@ pub type Pc = u64;
 pub const INST_BYTES: u64 = 4;
 
 /// Identifier of a basic block within a [`Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u32);
 
 impl fmt::Display for BlockId {
@@ -30,7 +28,7 @@ impl fmt::Display for BlockId {
 ///
 /// LASERDETECT aggregates HITM records by source line, so the mapping from PC
 /// to `SourceLoc` plays the role of DWARF line tables.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SourceLoc {
     /// Source file name.
     pub file: String,

@@ -9,8 +9,6 @@
 //! and preceded by a metadata header, unless the program explicitly asks for
 //! stronger alignment (the manual fix).
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::Addr;
 
 /// Size of the allocator's per-chunk metadata header, in bytes. Matches
@@ -21,7 +19,7 @@ pub const CHUNK_HEADER_BYTES: u64 = 16;
 pub const DEFAULT_ALIGN: u64 = 16;
 
 /// Errors returned by the allocator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AllocError {
     /// The heap region is exhausted.
     OutOfMemory {
@@ -54,7 +52,7 @@ impl std::fmt::Display for AllocError {
 impl std::error::Error for AllocError {}
 
 /// A bump allocator over the simulated heap region.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HeapAllocator {
     start: Addr,
     end: Addr,

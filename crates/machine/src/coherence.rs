@@ -6,16 +6,17 @@
 //! hit a line Modified in a *remote* cache — the HITM case that Haswell's
 //! PEBS facility can sample and that LASER is built around (paper Sections 2
 //! and 3).
+//!
+//! A line's sharer set is one `u64` bitmap, so a directory — and with it a
+//! machine — has at most 64 cores.
 
 use std::collections::hash_map::Entry;
-
-use serde::{Deserialize, Serialize};
 
 use crate::addr::Addr;
 use crate::fasthash::FastHashMap;
 
 /// Outcome classification of a single line access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessClass {
     /// The line was already present locally in a suitable state.
     L1Hit,
@@ -39,12 +40,12 @@ pub struct AccessOutcome {
     /// sharer set, or the Modified owner's bit; zero for a cold miss). The
     /// topology layer uses it to decide whether an LLC hit was serviced
     /// on-socket or across the interconnect.
-    pub sharers: u128,
+    pub sharers: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LineState {
-    Shared(u128),
+    Shared(u64),
     Modified(usize),
 }
 
@@ -64,11 +65,12 @@ impl CoherenceDirectory {
     /// Create a directory for `num_cores` cores.
     ///
     /// # Panics
-    /// Panics if `num_cores` is zero or greater than 128.
+    /// Panics if `num_cores` is zero or greater than 64 (the width of the
+    /// sharer bitmap).
     pub fn new(num_cores: usize) -> Self {
         assert!(
-            (1..=128).contains(&num_cores),
-            "1..=128 cores supported, got {num_cores}"
+            (1..=64).contains(&num_cores),
+            "1..=64 cores supported, got {num_cores}"
         );
         CoherenceDirectory {
             num_cores,
@@ -93,7 +95,7 @@ impl CoherenceDirectory {
     /// Panics if `core` is out of range.
     pub fn access(&mut self, core: usize, line_addr: Addr, is_write: bool) -> AccessOutcome {
         assert!(core < self.num_cores, "core {core} out of range");
-        let bit = 1u128 << core;
+        let bit = 1u64 << core;
         // One map probe for both the state read and the in-place update.
         let slot = match self.lines.entry(line_addr) {
             Entry::Vacant(e) => {
@@ -123,12 +125,12 @@ impl CoherenceDirectory {
                 *slot = if is_write {
                     LineState::Modified(core)
                 } else {
-                    LineState::Shared(bit | (1u128 << owner))
+                    LineState::Shared(bit | (1u64 << owner))
                 };
                 AccessOutcome {
                     class: AccessClass::Hitm,
                     previous_owner: Some(owner),
-                    sharers: 1u128 << owner,
+                    sharers: 1u64 << owner,
                 }
             }
             LineState::Shared(sharers) => {
@@ -279,26 +281,27 @@ mod tests {
     }
 
     #[test]
-    fn directories_wider_than_64_cores_track_high_core_bits() {
-        // The sharers bitmap is 128 bits wide so many-core topologies (the
-        // 32-socket preset, 128-thread deployments) are constructible; the
-        // high half must behave exactly like the low half.
-        let mut d = CoherenceDirectory::new(128);
-        d.access(127, 0x300, false);
+    fn a_64_core_directory_tracks_the_top_core_bit() {
+        // The sharer bitmap is one u64, so core 63's bit is the sign bit:
+        // it must survive a shared read, an upgrade and a write like any
+        // other core's.
+        let mut d = CoherenceDirectory::new(64);
+        d.access(63, 0x300, false);
         let o = d.access(0, 0x300, false);
         assert_eq!(o.class, AccessClass::LlcHit);
-        assert_eq!(o.sharers, 1u128 << 127, "core 127's bit survives");
-        let o = d.access(127, 0x300, true); // upgrade over two sharers
+        assert_eq!(o.sharers, 1u64 << 63, "core 63's bit survives");
+        let o = d.access(63, 0x300, true); // upgrade over two sharers
         assert_eq!(o.class, AccessClass::LlcHit);
-        assert_eq!(o.sharers, (1u128 << 127) | 1);
+        assert_eq!(o.sharers, (1u64 << 63) | 1);
         let o = d.access(0, 0x300, false);
         assert_eq!(o.class, AccessClass::Hitm);
-        assert_eq!(o.previous_owner, Some(127));
+        assert_eq!(o.previous_owner, Some(63));
+        assert_eq!(o.sharers, 1u64 << 63);
     }
 
     #[test]
-    #[should_panic(expected = "1..=128 cores supported")]
-    fn directories_cap_at_128_cores() {
-        let _ = CoherenceDirectory::new(129);
+    #[should_panic(expected = "1..=64 cores supported")]
+    fn directories_cap_at_64_cores() {
+        let _ = CoherenceDirectory::new(65);
     }
 }

@@ -1,12 +1,10 @@
 //! Coherence events observed by the performance-monitoring hardware.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::Addr;
 use crate::machine::CoreId;
 
 /// Whether a memory access reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemAccessKind {
     /// A load (or the read half of an atomic).
     Load,
@@ -20,7 +18,7 @@ pub enum MemAccessKind {
 /// These are the ground-truth events; the PEBS model in `laser-pebs` samples
 /// them and injects Haswell's measured record imprecision before anything
 /// reaches the detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HitmEvent {
     /// The core that performed the access.
     pub core: CoreId,

@@ -7,15 +7,13 @@
 //! are strong atomicity and a bounded write-set capacity of roughly the L1
 //! associativity (8 ways on the paper's machine); both are modelled here.
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum number of distinct cache lines a transaction's write set may
 /// contain before it aborts for capacity. The paper's machine has an 8-way L1,
 /// and LASERREPAIR pre-emptively flushes when the SSB exceeds 8 entries.
 pub const HTM_CAPACITY_LINES: usize = 8;
 
 /// Outcome of attempting a hardware transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HtmOutcome {
     /// The transaction committed; `cycles` is its total cost (begin + body +
     /// commit).

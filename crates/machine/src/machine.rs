@@ -26,8 +26,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use laser_isa::decoded::DecodedProgram;
 use laser_isa::inst::NUM_REGS;
 use laser_isa::program::Program;
@@ -54,7 +52,7 @@ pub(crate) use inner::MachineInner;
 use sched::{CoreSched, ThreadCtx};
 
 /// Identifier of a simulated core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CoreId(pub usize);
 
 impl fmt::Display for CoreId {
@@ -64,7 +62,7 @@ impl fmt::Display for CoreId {
 }
 
 /// Configuration of the simulated machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Number of cores (the paper's machine has 4, hyper-threading disabled).
     pub num_cores: usize,
@@ -129,7 +127,7 @@ pub struct QuantumYield {
 }
 
 /// Summary of a completed run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Wall-clock cycles of the run: the maximum over all core clocks.
     pub cycles: u64,

@@ -5,12 +5,10 @@
 //! data address as stack or not (Section 4.1). Both queries are answered from
 //! the memory map, which this module models explicitly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::Addr;
 
 /// What a mapped region contains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionKind {
     /// The application's own code (text segment).
     AppCode,
@@ -27,7 +25,7 @@ pub enum RegionKind {
 }
 
 /// Classification of a PC by the detector's first filter stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PcClass {
     /// PC inside the application's text segment.
     Application,
@@ -38,7 +36,7 @@ pub enum PcClass {
 }
 
 /// A contiguous mapped region `[start, end)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
     /// Inclusive start address.
     pub start: Addr,
@@ -79,7 +77,7 @@ impl Region {
 }
 
 /// The full memory map of the simulated process.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MemoryMap {
     regions: Vec<Region>,
 }

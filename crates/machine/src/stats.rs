@@ -1,9 +1,7 @@
 //! Execution statistics collected by the simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated over a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineStats {
     /// Instructions executed (including terminators).
     pub instructions: u64,

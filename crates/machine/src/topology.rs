@@ -15,18 +15,17 @@
 //! [`LatencyModel`], so a single-socket machine is **byte-identical** to the
 //! pre-topology flat cost model.
 //!
-//! [`TopologySpec`] names the preset topologies the bench layer sweeps
-//! (`flat`, `2s`, `4s`, `8s`) plus the many-core `32s` part (128 cores, kept
-//! out of the default sweep); it is `Copy + Ord + Hash` so it can serve as a
+//! [`TopologySpec`] names the four preset topologies the bench layer sweeps
+//! (`flat`, `2s`, `4s`, `8s`); it is `Copy + Ord + Hash` so it can serve as a
 //! grid axis and a CLI flag, and resolves to a full [`Topology`] on demand.
+//! A machine has at most 64 cores, the width of the coherence directory's
+//! sharer bitmap.
 //!
 //! Sockets need not be uniform: [`Topology::asymmetric`] takes an explicit
 //! per-socket core-block layout (e.g. a fat socket of accelerator-adjacent
 //! cores next to thin ones), and every socket-mapping query honours it.
 
 use std::fmt;
-
-use serde::{Deserialize, Serialize};
 
 use crate::addr::{line_of, Addr};
 use crate::coherence::{AccessClass, AccessOutcome};
@@ -37,7 +36,7 @@ use crate::timing::{LatencyError, LatencyModel};
 /// The local variants correspond 1:1 to [`AccessClass`] and are priced from
 /// the base [`LatencyModel`]; the remote variants only arise on multi-socket
 /// topologies and are priced from the topology's [`SocketLatency`] table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResolvedClass {
     /// Satisfied from the local L1.
     L1Hit,
@@ -61,7 +60,7 @@ pub enum ResolvedClass {
 /// Local classes are always priced from the base model; these three fields
 /// price their remote counterparts. Validation requires each remote latency
 /// to be at least its local counterpart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SocketLatency {
     /// Cross-socket HITM transfer (local: [`LatencyModel::hitm`]).
     pub remote_hitm: u64,
@@ -72,7 +71,7 @@ pub struct SocketLatency {
 }
 
 /// How a workload's threads are laid out over the sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ThreadPlacement {
     /// Fill socket 0's cores first, then socket 1's, and so on (thread `t`
     /// runs on core `t % num_cores`). This is the pre-topology behaviour, so
@@ -148,7 +147,7 @@ impl From<LatencyError> for TopologyError {
 
 /// A machine topology: how many sockets there are, how cores map onto them,
 /// and what crossing the interconnect costs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     name: String,
     num_sockets: usize,
@@ -237,23 +236,6 @@ impl Topology {
                 remote_hitm: 300,
                 remote_llc: 160,
                 remote_dram: 410,
-            },
-        )
-    }
-
-    /// A 32-socket rack-scale part (128 cores): node controllers stack up, so
-    /// every remote class pays yet another hop over the eight-socket table.
-    /// This is the largest preset the coherence directory's 128-bit sharer
-    /// bitmap admits; it is deliberately left out of [`TopologySpec::ALL`] so
-    /// the default cross-socket sweep stays four cells wide.
-    pub fn thirty_two_socket() -> Self {
-        Topology::new(
-            "32s",
-            32,
-            SocketLatency {
-                remote_hitm: 340,
-                remote_llc: 190,
-                remote_dram: 460,
             },
         )
     }
@@ -484,7 +466,7 @@ impl Topology {
             }
             AccessClass::LlcHit => {
                 let socket = socket_of(core);
-                let mut holders = outcome.sharers & !(1u128 << core);
+                let mut holders = outcome.sharers & !(1u64 << core);
                 let mut local = false;
                 while holders != 0 {
                     let holder = holders.trailing_zeros() as usize;
@@ -528,9 +510,7 @@ impl Topology {
 /// The named preset topologies — the axis the bench layer sweeps and the
 /// `experiments --topology` flag names. `Copy + Ord + Hash`, so it can key a
 /// grid cell alongside the workload and tool.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum TopologySpec {
     /// The paper's single-socket machine (the default; byte-identical to the
     /// pre-topology flat cost model).
@@ -542,16 +522,10 @@ pub enum TopologySpec {
     QuadSocket,
     /// Eight sockets, 4 cores each (32 cores).
     OctoSocket,
-    /// Thirty-two sockets, 4 cores each (128 cores) — the many-core ceiling
-    /// the coherence directory's 128-bit sharer bitmap admits. Deliberately
-    /// excluded from [`TopologySpec::ALL`] so the default cross-socket sweep
-    /// stays four cells wide; name it explicitly (`--topology 32s`) to use it.
-    ThirtyTwoSocket,
 }
 
 impl TopologySpec {
-    /// Every preset in the default sweep, in sweep order.
-    /// [`TopologySpec::ThirtyTwoSocket`] is opt-in and not listed here.
+    /// Every preset, in sweep order.
     pub const ALL: [TopologySpec; 4] = [
         TopologySpec::Flat,
         TopologySpec::DualSocket,
@@ -559,7 +533,7 @@ impl TopologySpec {
         TopologySpec::OctoSocket,
     ];
 
-    /// The stable key (`flat`, `2s`, `4s`, `8s`, `32s`) used in CLI flags and
+    /// The stable key (`flat`, `2s`, `4s`, `8s`) used in CLI flags and
     /// cell names.
     pub fn key(&self) -> &'static str {
         match self {
@@ -567,7 +541,6 @@ impl TopologySpec {
             TopologySpec::DualSocket => "2s",
             TopologySpec::QuadSocket => "4s",
             TopologySpec::OctoSocket => "8s",
-            TopologySpec::ThirtyTwoSocket => "32s",
         }
     }
 
@@ -578,7 +551,6 @@ impl TopologySpec {
             "2s" => Some(TopologySpec::DualSocket),
             "4s" => Some(TopologySpec::QuadSocket),
             "8s" => Some(TopologySpec::OctoSocket),
-            "32s" => Some(TopologySpec::ThirtyTwoSocket),
             _ => None,
         }
     }
@@ -590,7 +562,6 @@ impl TopologySpec {
             TopologySpec::DualSocket => 2,
             TopologySpec::QuadSocket => 4,
             TopologySpec::OctoSocket => 8,
-            TopologySpec::ThirtyTwoSocket => 32,
         }
     }
 
@@ -601,7 +572,6 @@ impl TopologySpec {
             TopologySpec::DualSocket => Topology::dual_socket(),
             TopologySpec::QuadSocket => Topology::quad_socket(),
             TopologySpec::OctoSocket => Topology::octo_socket(),
-            TopologySpec::ThirtyTwoSocket => Topology::thirty_two_socket(),
         }
     }
 
@@ -777,31 +747,12 @@ mod tests {
             assert_eq!(spec.to_string(), spec.key());
         }
         assert_eq!(TopologySpec::parse("16s"), None);
-        assert_eq!(TopologySpec::default(), TopologySpec::Flat);
-    }
-
-    #[test]
-    fn thirty_two_socket_preset_is_opt_in_and_reaches_128_cores() {
-        let t = Topology::thirty_two_socket();
-        assert_eq!(t.num_sockets(), 32);
-        t.validate(&LatencyModel::default()).unwrap();
-        let spec = TopologySpec::ThirtyTwoSocket;
-        assert_eq!(spec.num_cores(), 128);
-        assert_eq!(spec.key(), "32s");
-        assert_eq!(TopologySpec::parse("32s"), Some(spec));
-        assert!(
-            !TopologySpec::ALL.contains(&spec),
-            "32s stays out of the default sweep"
+        assert_eq!(
+            TopologySpec::parse("32s"),
+            None,
+            "no preset exceeds 64 cores"
         );
-        // Each hop up the ladder keeps making remote classes dearer.
-        let octo = Topology::octo_socket().remote_latency();
-        let many = t.remote_latency();
-        assert!(many.remote_hitm > octo.remote_hitm);
-        assert!(many.remote_llc > octo.remote_llc);
-        assert!(many.remote_dram > octo.remote_dram);
-        // The highest core maps to the highest socket.
-        assert_eq!(t.socket_of(127, 128), 31);
-        assert_eq!(t.socket_of(0, 128), 0);
+        assert_eq!(TopologySpec::default(), TopologySpec::Flat);
     }
 
     #[test]
@@ -843,12 +794,13 @@ mod tests {
         let remote = Topology::dual_socket_remote();
         let mut cases: Vec<(Topology, usize)> = TopologySpec::ALL
             .into_iter()
-            .chain([TopologySpec::ThirtyTwoSocket])
             .map(|spec| (spec.topology(), spec.num_cores()))
             .collect();
-        // Core counts that do not divide over the sockets.
+        // Core counts that do not divide over the sockets, and the widest
+        // machine the directory admits.
         cases.push((Topology::dual_socket(), 5));
         cases.push((Topology::octo_socket(), 30));
+        cases.push((Topology::octo_socket(), 64));
         let fat = Topology::asymmetric("fat0", vec![6, 2], remote);
         let thin = Topology::asymmetric("thin-mid", vec![3, 1, 7, 2], remote);
         for cores in [8, 12, 5] {

@@ -9,22 +9,18 @@
 //! capacity — two batches by default, the classic double buffer — bounds how
 //! far the consumer may lag.
 //!
-//! What happens when the consumer lags a full `capacity` behind is the
-//! [`OverflowPolicy`]:
-//!
-//! * [`OverflowPolicy::Backpressure`] blocks the producer until a slot frees
-//!   up. Nothing is ever lost, so a pipelined run stays **byte-identical** to
-//!   its inline equivalent — this is the policy `laser-core`'s deterministic
-//!   session pipeline uses.
-//! * [`OverflowPolicy::DropNewest`] rejects the batch instead, the way real
-//!   PEBS hardware overflows a full buffer. The rejection is the producer's
-//!   signal ([`SendOutcome::Dropped`]); accounting the loss belongs to the
-//!   producer. Lossy delivery trades determinism for a hard bound on
-//!   producer latency.
+//! Delivery is lossless: when the consumer lags a full `capacity` behind,
+//! the producer blocks until a slot frees up ([`OverflowPolicy::Backpressure`],
+//! the one policy). Nothing is ever dropped, so a pipelined run stays
+//! **byte-identical** to its inline equivalent.
 //!
 //! Both endpoints detect disconnection: a send into a closed channel returns
 //! [`SendOutcome::Closed`], and a receive from a closed, drained channel
 //! returns `None`, so neither stage can deadlock on a departed peer.
+//!
+//! The body is a `Mutex` + two `Condvar`s. `std::sync::mpsc::sync_channel`
+//! measured slower in the pipelined session: its receiver spins before it
+//! parks, and that spinning is CPU time on a two-thread pipeline.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -37,9 +33,6 @@ pub enum OverflowPolicy {
     /// pipelined execution deterministic).
     #[default]
     Backpressure,
-    /// Drop the offered batch (models PEBS buffer overflow;
-    /// non-deterministic under load).
-    DropNewest,
 }
 
 /// The result of offering a batch to a bounded channel.
@@ -47,9 +40,6 @@ pub enum OverflowPolicy {
 pub enum SendOutcome {
     /// The batch was queued for the consumer.
     Sent,
-    /// The channel was full and the policy is [`OverflowPolicy::DropNewest`]:
-    /// the batch was discarded. The producer owns accounting the loss.
-    Dropped,
     /// The consumer is gone; the batch was discarded.
     Closed,
 }
@@ -63,7 +53,6 @@ struct State<T> {
 struct Shared<T> {
     state: Mutex<State<T>>,
     capacity: usize,
-    policy: OverflowPolicy,
     not_empty: Condvar,
     not_full: Condvar,
 }
@@ -79,10 +68,11 @@ pub struct Receiver<T> {
 }
 
 /// Create a bounded channel of `capacity` batches (clamped to at least 1)
-/// with the given overflow `policy`. `capacity = 2` is the double buffer the
-/// pipelined session uses: one batch in flight at the detector, one staged
-/// behind it.
+/// under `policy`, whose one value is [`OverflowPolicy::Backpressure`].
+/// `capacity = 2` is the double buffer the pipelined session uses: one batch
+/// in flight at the detector, one staged behind it.
 pub fn bounded<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>, Receiver<T>) {
+    let OverflowPolicy::Backpressure = policy;
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             queue: VecDeque::new(),
@@ -90,7 +80,6 @@ pub fn bounded<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>, Receiv
             receiver_alive: true,
         }),
         capacity: capacity.max(1),
-        policy,
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
     });
@@ -103,9 +92,7 @@ pub fn bounded<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>, Receiv
 }
 
 impl<T> Sender<T> {
-    /// Offer one batch. Under [`OverflowPolicy::Backpressure`] this blocks
-    /// while the channel is full; under [`OverflowPolicy::DropNewest`] a full
-    /// channel discards the batch and returns [`SendOutcome::Dropped`].
+    /// Offer one batch, blocking while the channel is full.
     #[expect(
         clippy::unwrap_used,
         reason = "lock poisoning only follows a panic already unwinding this run"
@@ -121,14 +108,7 @@ impl<T> Sender<T> {
                 self.shared.not_empty.notify_one();
                 return SendOutcome::Sent;
             }
-            match self.shared.policy {
-                OverflowPolicy::DropNewest => {
-                    return SendOutcome::Dropped;
-                }
-                OverflowPolicy::Backpressure => {
-                    state = self.shared.not_full.wait(state).unwrap();
-                }
-            }
+            state = self.shared.not_full.wait(state).unwrap();
         }
     }
 }
@@ -182,21 +162,6 @@ impl<T> Receiver<T> {
             state = self.shared.not_empty.wait(state).unwrap();
         }
     }
-
-    /// Receive without blocking: `None` when the queue is currently empty
-    /// (whether or not senders remain).
-    pub fn try_recv(&self) -> Option<T> {
-        #[expect(
-            clippy::unwrap_used,
-            reason = "lock poisoning only follows a panic already unwinding this run"
-        )]
-        let mut state = self.shared.state.lock().unwrap();
-        let item = state.queue.pop_front();
-        if item.is_some() {
-            self.shared.not_full.notify_one();
-        }
-        item
-    }
 }
 
 impl<T> Drop for Receiver<T> {
@@ -223,7 +188,6 @@ impl<T> std::fmt::Debug for Sender<T> {
         f.debug_struct("Sender")
             .field("queued", &state.queue.len())
             .field("capacity", &self.shared.capacity)
-            .field("policy", &self.shared.policy)
             .finish()
     }
 }
@@ -259,11 +223,11 @@ mod tests {
         for i in 0..4 {
             assert_eq!(tx.send(i), SendOutcome::Sent);
         }
-        assert_eq!(rx.recv(), Some(0));
-        assert_eq!(rx.recv(), Some(1));
-        assert_eq!(rx.try_recv(), Some(2));
-        assert_eq!(rx.recv(), Some(3));
-        assert_eq!(rx.try_recv(), None);
+        drop(tx);
+        for i in 0..4 {
+            assert_eq!(rx.recv(), Some(i));
+        }
+        assert_eq!(rx.recv(), None);
     }
 
     #[test]
@@ -279,22 +243,6 @@ mod tests {
         assert_eq!(producer.join().unwrap(), SendOutcome::Sent);
         assert_eq!(rx.recv(), Some(2));
         assert_eq!(rx.recv(), Some(3));
-    }
-
-    #[test]
-    fn lossy_channel_drops_when_the_consumer_lags() {
-        let (tx, rx) = bounded(2, OverflowPolicy::DropNewest);
-        assert_eq!(tx.send(1), SendOutcome::Sent);
-        assert_eq!(tx.send(2), SendOutcome::Sent);
-        // The consumer has lagged a full capacity behind: the hardware model
-        // overflows instead of stalling the application. The rejection is
-        // the producer's signal to account the loss.
-        assert_eq!(tx.send(3), SendOutcome::Dropped);
-        assert_eq!(tx.send(4), SendOutcome::Dropped);
-        assert_eq!(rx.recv(), Some(1));
-        assert_eq!(tx.send(5), SendOutcome::Sent);
-        assert_eq!(rx.recv(), Some(2));
-        assert_eq!(rx.recv(), Some(5));
     }
 
     #[test]
@@ -318,9 +266,15 @@ mod tests {
 
     #[test]
     fn capacity_is_clamped_to_at_least_one() {
-        let (tx, rx) = bounded(0, OverflowPolicy::DropNewest);
+        let (tx, rx) = bounded(0, OverflowPolicy::Backpressure);
+        assert_eq!(tx.shared.capacity, 1);
         assert_eq!(tx.send(1), SendOutcome::Sent);
-        assert_eq!(tx.send(2), SendOutcome::Dropped);
+        // A second batch waits for the one slot to free.
+        let producer = std::thread::spawn(move || tx.send(2));
+        std::thread::sleep(Duration::from_millis(20));
         assert_eq!(rx.recv(), Some(1));
+        assert_eq!(producer.join().unwrap(), SendOutcome::Sent);
+        assert_eq!(rx.recv(), Some(2));
+        assert_eq!(rx.recv(), None);
     }
 }

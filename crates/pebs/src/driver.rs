@@ -14,15 +14,13 @@
 //! resulting records in an internal buffer the detector reads with
 //! [`Driver::read_records`].
 
-use serde::{Deserialize, Serialize};
-
 use laser_machine::{HitmEvent, Machine};
 
 use crate::pmu::Pmu;
 use crate::record::HitmRecord;
 
 /// Overhead parameters of the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriverConfig {
     /// Cycles charged to a core for handling one performance-monitoring
     /// interrupt (register save/restore, handler body, buffer swap).
@@ -42,7 +40,7 @@ impl Default for DriverConfig {
 }
 
 /// Aggregate statistics of the driver's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DriverStats {
     /// Ground-truth HITM events observed by the PMU.
     pub events_observed: u64,

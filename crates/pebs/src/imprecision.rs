@@ -19,7 +19,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use laser_machine::memmap::RegionKind;
 use laser_machine::{Addr, HitmEvent, MemAccessKind, MemoryMap};
@@ -28,7 +27,7 @@ use crate::record::HitmRecord;
 
 /// Probabilities governing record accuracy, separately for load-triggered and
 /// store-triggered HITM events.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImprecisionParams {
     /// P(correct data address) for load-triggered events.
     pub load_addr_correct: f64,

@@ -7,15 +7,13 @@
 //! raised; the driver handles the interrupt, drains the buffer and charges the
 //! interrupted core for the handler's cycles.
 
-use serde::{Deserialize, Serialize};
-
 use laser_machine::HitmEvent;
 
 use crate::imprecision::ImprecisionModel;
 use crate::record::HitmRecord;
 
 /// PMU configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PmuConfig {
     /// Sample-After-Value: every `sav`-th HITM event is sampled. The paper
     /// uses 19 (a prime, as PEBS folklore recommends) by default and 1 for the

@@ -1,14 +1,12 @@
 //! The HITM record delivered to the detector.
 
-use serde::{Deserialize, Serialize};
-
 use laser_machine::{Addr, CoreId};
 
 /// A PEBS HITM record after the driver has stripped it down to the fields the
 /// detector needs: the PC, the data linear address, and the originating core
 /// (paper Section 6). Unlike [`laser_machine::HitmEvent`], the PC and data
 /// address here may be *imprecise*, as characterized in Section 3.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HitmRecord {
     /// Program counter reported by the hardware (possibly off by an adjacent
     /// instruction, or entirely wrong for store-triggered events).

@@ -293,9 +293,6 @@ mod tests {
         let octo = base.clone().for_topology(TopologySpec::OctoSocket);
         assert_eq!(octo.threads, 32);
         assert_eq!(octo.placement, ThreadPlacement::RoundRobin);
-        let many = base.clone().for_topology(TopologySpec::ThirtyTwoSocket);
-        assert_eq!(many.threads, 128, "the 32s preset reaches 128 threads");
-        assert_eq!(many.placement, ThreadPlacement::RoundRobin);
         // Builder helpers.
         let o = BuildOptions::default()
             .with_threads(0)

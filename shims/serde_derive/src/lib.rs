@@ -1,10 +1,9 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! The build environment cannot reach a crates.io mirror, and this workspace
-//! only uses `#[derive(Serialize, Deserialize)]` as inert markers on config
-//! and result types — nothing is ever serialized. These derives therefore
-//! expand to nothing; swapping the real serde back in later requires no source
-//! changes in the crates that use it.
+//! The build environment cannot reach a crates.io mirror. These derives
+//! expand to nothing, and no crate in the workspace uses them: the crate
+//! stays only because the stand-alone benchmark package's lock file lists
+//! it (see the `serde` shim).
 
 use proc_macro::TokenStream;
 

@@ -130,7 +130,7 @@ fn pipelined_observer_event_stream_is_identical_to_inline() {
         let piped_log = EventLog::new();
         let piped = Laser::builder()
             .config(config.clone())
-            .pipeline(true)
+            .pipeline_config(PipelineConfig::pipelined())
             .observer(piped_log.clone())
             .build(&image)
             .run()

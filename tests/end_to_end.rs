@@ -56,12 +56,11 @@ fn builder_and_legacy_constructors_produce_identical_outcomes() {
         let via_session_new = LaserSession::new(config.clone(), &image, MachineConfig::default())
             .run()
             .unwrap();
-        let via_session_on = Laser::new(config)
-            .session_on(&image, MachineConfig::default())
-            .run()
+        let via_run_on = Laser::new(config)
+            .run_on(&image, MachineConfig::default())
             .unwrap();
 
-        for other in [&via_laser_run, &via_session_new, &via_session_on] {
+        for other in [&via_laser_run, &via_session_new, &via_run_on] {
             assert_eq!(via_builder.cycles(), other.cycles());
             assert_eq!(via_builder.report, other.report);
             assert_eq!(via_builder.detector_cycles, other.detector_cycles);
