@@ -353,7 +353,7 @@ fn parse_tool(key: &str) -> Result<ToolSpec, ScenarioError> {
     ToolSpec::parse(key).ok_or_else(|| {
         ScenarioError(format!(
             "unknown tool '{key}' (expected native, native-fixed, laser, laser-detect, \
-             laser-detect-raw, laser-detect-savN, vtune, sheriff-detect or sheriff-protect)"
+             laser-detect-raw, laser-detect-savN for N >= 1, vtune, sheriff-detect or sheriff-protect)"
         ))
     })
 }
@@ -645,6 +645,10 @@ mod tests {
             (
                 r#"{"name": "x", "cells": [{"workload": "swaptions", "tool": "nativ"}]}"#,
                 "unknown tool 'nativ'",
+            ),
+            (
+                r#"{"name": "x", "cells": [{"workload": "swaptions", "tool": "laser-detect-sav0"}]}"#,
+                "unknown tool 'laser-detect-sav0'",
             ),
             (
                 r#"{"name": "x", "cells": [{"workload": "swaptions", "tool": "native", "topology": "16s"}]}"#,

@@ -457,7 +457,8 @@ pub enum ToolSpec {
     /// LASERDETECT with the rate threshold at zero, so every line survives
     /// filtering and Figure 9 can apply candidate thresholds offline.
     LaserDetectRaw,
-    /// LASERDETECT at an explicit Sample-After-Value (the Figure 13 sweep).
+    /// LASERDETECT at an explicit Sample-After-Value (the Figure 13 sweep);
+    /// at least 1, the least a PMU counts down from.
     LaserDetectSav(u32),
     /// The VTune profiler model.
     Vtune,
@@ -490,8 +491,8 @@ impl ToolSpec {
 
     /// Parse a stable cell key back into its spec — the exact inverse of
     /// [`ToolSpec::key`], including the parameterized
-    /// `laser-detect-sav{N}` family. Scenario files name tools with these
-    /// keys.
+    /// `laser-detect-sav{N}` family for every `N >= 1` (a PMU cannot sample
+    /// at SAV 0). Scenario files name tools with these keys.
     pub fn parse(key: &str) -> Option<ToolSpec> {
         match key {
             "native" => Some(ToolSpec::Native),
@@ -507,7 +508,7 @@ impl ToolSpec {
                 // Reject non-canonical spellings ("sav007") so parse(key())
                 // round-trips exactly and nothing else is accepted.
                 let value: u32 = sav.parse().ok()?;
-                if value.to_string() != sav {
+                if value == 0 || value.to_string() != sav {
                     return None;
                 }
                 Some(ToolSpec::LaserDetectSav(value))
@@ -762,7 +763,7 @@ mod tests {
             ToolSpec::Laser,
             ToolSpec::LaserDetect,
             ToolSpec::LaserDetectRaw,
-            ToolSpec::LaserDetectSav(0),
+            ToolSpec::LaserDetectSav(1),
             ToolSpec::LaserDetectSav(97),
             ToolSpec::LaserDetectSav(20011),
             ToolSpec::Vtune,
@@ -779,6 +780,8 @@ mod tests {
             "laser-detect-sav007",
             "laser-detect-sav-3",
             "laser-detect-savx",
+            // SAV 0 once parsed and panicked the cell inside `Pmu::new`.
+            "laser-detect-sav0",
             "",
             "native@2s",
         ] {

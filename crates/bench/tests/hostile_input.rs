@@ -1,7 +1,8 @@
 //! The binaries on hostile JSON: a document nested 100,000 deep is an
 //! invalid input (exit 2 with the parser's message), not a stack overflow
-//! that aborts the process, and a layout whose core blocks overflow is an
-//! invalid input, not a campaign of failed cells.
+//! that aborts the process, and a layout whose core blocks overflow or a
+//! tool that cannot run is an invalid input, not a campaign of failed
+//! cells.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -34,8 +35,12 @@ fn campaign_on_topology_file(tag: &str, text: &str) -> Output {
     output
 }
 
-#[test]
-fn laser_serve_rejects_a_bracket_flood_on_stdin_with_exit_2() {
+/// `laser-serve --stdin` fed `text`.
+#[expect(
+    clippy::unwrap_used,
+    reason = "a test helper: a failed spawn or pipe fails the calling test"
+)]
+fn serve_on_stdin(text: &str) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_laser-serve"))
         .arg("--stdin")
         .stdin(Stdio::piped())
@@ -47,13 +52,30 @@ fn laser_serve_rejects_a_bracket_flood_on_stdin_with_exit_2() {
         .stdin
         .take()
         .unwrap()
-        .write_all(flood().as_bytes())
+        .write_all(text.as_bytes())
         .unwrap();
-    let output = child.wait_with_output().unwrap();
+    child.wait_with_output().unwrap()
+}
+
+#[test]
+fn laser_serve_rejects_a_bracket_flood_on_stdin_with_exit_2() {
     assert_rejected(
-        &output,
+        &serve_on_stdin(&flood()),
         "laser-serve --stdin",
         "nested deeper than 128 levels",
+    );
+}
+
+#[test]
+fn laser_serve_rejects_a_sav_0_tool_with_exit_2() {
+    // This key once parsed, and its cell panicked inside `Pmu::new` while
+    // the service reported the panic and exited 0.
+    let scenario = r#"{"name": "sav0", "scale": 0.1,
+        "cells": [{"workload": "swaptions", "tool": "laser-detect-sav0"}]}"#;
+    assert_rejected(
+        &serve_on_stdin(scenario),
+        "laser-serve --stdin",
+        "unknown tool 'laser-detect-sav0'",
     );
 }
 

@@ -48,8 +48,11 @@
 //!   unmapped data addresses. With 10^5–10^6 random 41-bit line numbers per
 //!   run a repeat is not negligible (birthday bound about 0.2 per million
 //!   draws), and a repeat is a classified sharing event, so dropping such
-//!   lines would change counts. The model therefore stays a hash table, at
-//!   one word per line.
+//!   lines would change counts. The model therefore keeps every line
+//!   exactly, and makes each one cheap instead: a ten-byte slot (line
+//!   number and a packed 13-bit footprint) in its own open-addressing
+//!   table, split into 64 segments that double one at a time, so growing
+//!   the table never holds two copies of it.
 //! - **Aggregates carry line ids, not strings.** Source locations are
 //!   interned once, sorted, at [`Detector::new`]; per-line aggregation
 //!   indexes by id and comes out in id order, which is source-location
