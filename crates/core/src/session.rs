@@ -36,37 +36,53 @@
 //!
 //! The paper's deployment has two parties: the PEBS interrupt handler (the
 //! driver) runs *on the application's cores*, and the detector is a separate
-//! user-space process. [`SessionBuilder::pipeline_config`] with
-//! [`PipelineConfig::pipelined`] deploys the session the same way, on **two
-//! threads**. The calling thread runs the application and the driver —
-//! `run_quantum`, then [`Driver::ingest`] — exactly as an inline
-//! session does; the one [`Detector`] lives on a `laser-detector` worker
-//! thread and receives each quantum's sampled records through a bounded
-//! double-buffered channel (`laser_pebs::channel`). Delivery is lossless: a
-//! full channel blocks the producer, nothing is ever dropped.
+//! user-space process that reads the driver's records from a device.
+//! [`SessionBuilder::pipeline_config`] with [`PipelineConfig::pipelined`]
+//! deploys the session the same way, on **two threads**. The calling thread
+//! runs the application and the driver — `run_quantum`, then
+//! [`Driver::ingest`] — exactly as an inline session does; the one
+//! [`Detector`] lives on a `laser-detector` worker thread and receives the
+//! sampled records in *jobs* through a bounded channel
+//! (`laser_pebs::channel`). Delivery is lossless: when every job buffer is
+//! in flight the producer waits for the worker to return one, and nothing is
+//! ever dropped.
 //!
-//! A batch is handed over in one of two ways:
+//! A quantum's records are handed over in one of two ways:
 //!
 //! * **Un-awaited.** An unobserved session whose repair is off (or already
-//!   attached) sends the batch and moves on. Detection of quantum `k`
-//!   overlaps the execution of quantum `k + 1`, with no per-quantum
-//!   round-trip.
+//!   attached) appends the quantum's records to a pending job and moves on.
+//!   The job goes to the worker when the next quantum's records would not
+//!   fit in its buffer (`JOB_RECORDS`, 4,032 records), so the worker wakes
+//!   once per job of one to a few quanta, and its detection overlaps the
+//!   quanta that follow.
 //! * **Awaited.** While the session is observed or repair is armed, the
 //!   machine thread needs the detector's per-line aggregates as of this
-//!   batch — for the observer's `DetectionUpdate` and for the repair
-//!   trigger — so the job asks for a reply and the machine thread waits for
-//!   it. Once repair attaches on an unobserved session the batches go back
-//!   to un-awaited.
+//!   quantum — for the observer's `DetectionUpdate` and for the repair
+//!   trigger — so the pending job is sent at once, asks for a reply, and
+//!   the machine thread waits for it. Once repair attaches on an unobserved
+//!   session the quanta go back to un-awaited. [`LaserSession::finish`]
+//!   sends what is still pending before it joins the worker.
+//!
+//! The worker still runs [`Detector::process`] once per quantum, on that
+//! quantum's slice of the job: `process` orders records by cycle *within*
+//! a batch, so merging quanta would reorder records. Record buffers
+//! circulate instead of being freed: after every read the session gives the
+//! driver an emptied buffer to fill next ([`Driver::give_back`]), inline
+//! and pipelined, and the worker hands each processed job back emptied. A
+//! job's first batch is not copied — the driver's buffer becomes the job's,
+//! and the job's emptied one goes to the driver — so a pipelined session
+//! circulates three `JOB_RECORDS` buffers (the driver's and `CHANNEL_DEPTH`
+//! jobs'), an inline one a single buffer, and neither allocates per
+//! quantum.
 //!
 //! Either way the detector's per-record cost is configuration, not state, so
-//! the machine is charged for a batch at the same point an inline run
-//! charges it, and a pipelined run is **byte-identical** to its inline
-//! equivalent — outcome and event stream alike. If the worker thread cannot
-//! be spawned the session simply runs its detector inline.
+//! the machine is charged for each quantum's batch at the same point an
+//! inline run charges it, and a pipelined run is **byte-identical** to its
+//! inline equivalent — outcome and event stream alike. If the worker thread
+//! cannot be spawned the session simply runs its detector inline.
 
 use std::fmt;
 use std::ops::ControlFlow;
-use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -97,9 +113,20 @@ pub enum SessionStatus {
     Stopped(StopReason),
 }
 
-/// Depth of the detector worker's record channel, in batches: the classic
-/// double buffer — one batch in flight at the detector, one staged behind it.
+/// Jobs a pipelined session circulates: the classic double buffer — one
+/// job at the detector (or queued for it), one filling on the machine
+/// thread. Both channels hold that many, so no send waits on a full
+/// channel: with both jobs out, the machine thread waits for the worker to
+/// return one. Their buffers are what a pipelined session holds beyond an
+/// inline one.
 const CHANNEL_DEPTH: usize = 2;
+
+/// Records one record buffer holds, the driver's and each job's: 126 KiB of
+/// them (4,032), just under glibc's default 128 KiB mmap threshold. A
+/// larger buffer is mmapped, and freeing one raises that threshold, and the
+/// heap's trim threshold with it, for the rest of the process: measured
+/// ≈ +0.5 MiB peak RSS on `contended_piped` (EXPERIMENTS.md, "Issue 34").
+const JOB_RECORDS: usize = 126 * 1024 / std::mem::size_of::<HitmRecord>();
 
 /// How a session's detector is deployed (see the [module docs](self) on
 /// pipelined execution). The default is inline.
@@ -132,8 +159,8 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// The pipelined deployment: the detector on a worker thread behind a
-    /// lossless double-buffered channel.
+    /// The pipelined deployment: the detector on a worker thread, fed
+    /// coalesced jobs through a lossless double buffer.
     pub fn pipelined() -> Self {
         PipelineConfig { enabled: true }
     }
@@ -277,8 +304,12 @@ impl SessionBuilder {
             None => DetectorStage::Inline(Box::new(new_detector())),
         };
 
+        let mut driver = Driver::new(pmu, config.driver);
+        // The driver's record buffer is sized like a job's, so the two can
+        // trade places (see `DetectorWorker::process`).
+        driver.give_back(Vec::with_capacity(JOB_RECORDS));
         LaserSession {
-            driver: Driver::new(pmu, config.driver),
+            driver,
             detector,
             aggs: LineAggregates::default(),
             app: AppSide {
@@ -314,37 +345,71 @@ pub struct StageOccupancy {
     pub detector_busy: Duration,
 }
 
-/// One quantum's sampled records on their way to the detector worker.
+/// One hand-off to the detector worker: the records of one or more
+/// consecutive quanta, back to back in one buffer.
+#[derive(Default)]
 struct DetectJob {
     records: Vec<HitmRecord>,
+    /// Where each quantum's batch ends in `records`, in quantum order.
+    ends: Vec<usize>,
     /// Whether the machine thread is waiting for the detector's per-line
-    /// aggregates as of this batch.
+    /// aggregates as of the job's last batch.
     reply: bool,
 }
 
-/// The detector worker's loop: consume batches in FIFO order until the
-/// session closes the channel, then hand the detector (and the time spent on
-/// it) back. `process` is [`Detector::process`] outside tests.
+impl DetectJob {
+    /// An empty job with room for `JOB_RECORDS` records.
+    fn new() -> Self {
+        DetectJob {
+            records: Vec::with_capacity(JOB_RECORDS),
+            ends: Vec::with_capacity(16),
+            reply: false,
+        }
+    }
+
+    /// The job's quantum batches, in order.
+    fn batches(&self) -> impl Iterator<Item = &[HitmRecord]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let batch = &self.records[start..end];
+            start = end;
+            batch
+        })
+    }
+}
+
+/// A processed job on its way back: its buffers, emptied for the next job,
+/// and the aggregates it asked for.
+struct DoneJob {
+    job: DetectJob,
+    aggs: Option<LineAggregates>,
+}
+
+/// The detector worker's loop: consume jobs in FIFO order until the session
+/// closes the channel, returning each one emptied, then hand the detector
+/// (and the time spent on it) back. `process` runs [`Detector::process`] on
+/// each of a job's batches outside tests.
 fn detector_worker(
     mut detector: Detector,
     jobs: channel::Receiver<DetectJob>,
-    replies: mpsc::Sender<LineAggregates>,
-    mut process: impl FnMut(&mut Detector, &[HitmRecord]),
+    done: channel::Sender<DoneJob>,
+    mut process: impl FnMut(&mut Detector, &DetectJob),
 ) -> (Detector, Duration) {
     let mut busy = Duration::ZERO;
-    while let Some(job) = jobs.recv() {
+    while let Some(mut job) = jobs.recv() {
         #[expect(
             clippy::disallowed_methods,
             reason = "occupancy accounting only; never feeds back into simulated state"
         )]
         let start = Instant::now();
-        process(&mut detector, &job.records);
-        if job.reply {
-            // A dead reply channel just means the session was dropped
-            // mid-run; keep draining so the job channel closes cleanly.
-            let _ = replies.send(detector.line_aggregates());
-        }
+        process(&mut detector, &job);
+        let aggs = job.reply.then(|| detector.line_aggregates());
+        job.records.clear();
+        job.ends.clear();
         busy += start.elapsed();
+        // A closed return channel just means the session was dropped
+        // mid-run; keep draining so the job channel closes cleanly.
+        let _ = done.send(DoneJob { job, aggs });
     }
     (detector, busy)
 }
@@ -352,51 +417,127 @@ fn detector_worker(
 /// The session's end of a detector that lives on the `laser-detector` thread.
 struct DetectorWorker {
     jobs: channel::Sender<DetectJob>,
-    replies: mpsc::Receiver<LineAggregates>,
+    /// Processed jobs coming back. Its capacity is `CHANNEL_DEPTH`, so the
+    /// worker never waits to return one.
+    done: channel::Receiver<DoneJob>,
+    /// The job the machine thread is filling; it has no buffer until its
+    /// first batch.
+    pending: DetectJob,
+    /// Emptied jobs on the machine thread: every job at spawn, then those
+    /// the worker returned while the session awaited a reply.
+    free: Vec<DetectJob>,
+    /// Jobs sent.
+    sent: u64,
     /// `None` once the thread has been joined.
     thread: Option<JoinHandle<(Detector, Duration)>>,
 }
 
 impl DetectorWorker {
     fn spawn(detector: Detector) -> std::io::Result<Self> {
-        Self::spawn_with(detector, |detector, records| {
-            detector.process(records);
+        Self::spawn_with(detector, |detector, job| {
+            for batch in job.batches() {
+                detector.process(batch);
+            }
         })
     }
 
-    /// [`DetectorWorker::spawn`] with the per-batch step injected, so a test
+    /// [`DetectorWorker::spawn`] with the per-job step injected, so a test
     /// can make the worker die mid-run.
     fn spawn_with(
         detector: Detector,
-        process: impl FnMut(&mut Detector, &[HitmRecord]) + Send + 'static,
+        process: impl FnMut(&mut Detector, &DetectJob) + Send + 'static,
     ) -> std::io::Result<Self> {
         let (jobs, jobs_rx) = channel::bounded(CHANNEL_DEPTH, OverflowPolicy::Backpressure);
-        let (replies_tx, replies) = mpsc::channel();
+        let (done_tx, done) = channel::bounded(CHANNEL_DEPTH, OverflowPolicy::Backpressure);
         let thread = std::thread::Builder::new()
             .name("laser-detector".into())
-            .spawn(move || detector_worker(detector, jobs_rx, replies_tx, process))?;
+            .spawn(move || detector_worker(detector, jobs_rx, done_tx, process))?;
         Ok(DetectorWorker {
             jobs,
-            replies,
+            done,
+            pending: DetectJob::default(),
+            free: (0..CHANNEL_DEPTH).map(|_| DetectJob::new()).collect(),
+            sent: 0,
             thread: Some(thread),
         })
     }
 
-    /// Hand one batch to the worker; when `reply` is set, wait for the
-    /// detector's aggregates as of that batch. The worker holds its ends of
-    /// both channels for as long as it runs, so a closed channel means it
-    /// died mid-run: fail the session now, with the worker's own panic,
-    /// instead of simulating the rest of the cell for nothing.
-    fn process(&mut self, records: Vec<HitmRecord>, reply: bool) -> Option<LineAggregates> {
-        if self.jobs.send(DetectJob { records, reply }) != SendOutcome::Sent {
+    /// Add one quantum's batch to the pending job, sending the job first if
+    /// the batch would not fit, so a job never outgrows its buffer (a
+    /// single batch of more than `JOB_RECORDS` records still goes whole).
+    /// The first batch of a job is not copied: its buffer becomes the job's,
+    /// and the job's emptied buffer is what comes back for the driver to
+    /// fill next. With `reply`, send the job now and wait for the
+    /// detector's aggregates as of this batch.
+    fn process(
+        &mut self,
+        batch: Vec<HitmRecord>,
+        reply: bool,
+    ) -> (Option<LineAggregates>, Vec<HitmRecord>) {
+        if self.pending.records.len() + batch.len() > JOB_RECORDS {
+            self.send_pending(false);
+        }
+        let spare = if self.pending.ends.is_empty() {
+            if self.pending.records.capacity() == 0 {
+                self.pending = self.empty_job();
+            }
+            std::mem::replace(&mut self.pending.records, batch)
+        } else {
+            self.pending.records.extend_from_slice(&batch);
+            batch
+        };
+        self.pending.ends.push(self.pending.records.len());
+        if reply {
+            self.send_pending(true);
+            return (Some(self.await_reply()), spare);
+        }
+        (None, spare)
+    }
+
+    /// Hand the pending job, if it holds a batch, to the worker. The worker
+    /// holds its ends of both channels for as long as it runs, so a closed
+    /// channel means it died mid-run: fail the session now, with the
+    /// worker's own panic, instead of simulating the rest of the cell for
+    /// nothing.
+    fn send_pending(&mut self, reply: bool) {
+        if self.pending.ends.is_empty() {
+            return;
+        }
+        let mut job = std::mem::take(&mut self.pending);
+        job.reply = reply;
+        if self.jobs.send(job) != SendOutcome::Sent {
             self.died();
         }
-        if !reply {
-            return None;
+        self.sent += 1;
+    }
+
+    /// An emptied job to fill: one the worker has returned — first, so a
+    /// worker that keeps up leaves the other buffer untouched — else one on
+    /// hand, else the next one the worker returns.
+    fn empty_job(&mut self) -> DetectJob {
+        if let Some(done) = self.done.try_recv() {
+            return done.job;
         }
-        match self.replies.recv() {
-            Ok(aggs) => Some(aggs),
-            Err(mpsc::RecvError) => self.died(),
+        if let Some(job) = self.free.pop() {
+            return job;
+        }
+        match self.done.recv() {
+            Some(done) => done.job,
+            None => self.died(),
+        }
+    }
+
+    /// Wait for the worker to return the awaited job, keeping the emptied
+    /// jobs it returns on the way.
+    fn await_reply(&mut self) -> LineAggregates {
+        loop {
+            let Some(DoneJob { job, aggs }) = self.done.recv() else {
+                self.died();
+            };
+            self.free.push(job);
+            if let Some(aggs) = aggs {
+                return aggs;
+            }
         }
     }
 
@@ -410,10 +551,11 @@ impl DetectorWorker {
         }
     }
 
-    /// Close the job channel so the worker drains its queue and exits, then
-    /// join it and take back the detector and its busy time. A panic on the
-    /// worker is re-raised here.
-    fn join(self) -> (Detector, Duration) {
+    /// Send the pending job, close the job channel so the worker drains its
+    /// queue and exits, then join it and take back the detector and its busy
+    /// time. A panic on the worker is re-raised here.
+    fn join(mut self) -> (Detector, Duration) {
+        self.send_pending(false);
         let DetectorWorker { jobs, thread, .. } = self;
         drop(jobs);
         match thread.map(JoinHandle::join) {
@@ -443,13 +585,18 @@ enum DetectorStage {
 }
 
 impl DetectorStage {
-    /// Run one batch through the detector; with `reply`, return its
-    /// per-line aggregates as of that batch.
-    fn process(&mut self, records: Vec<HitmRecord>, reply: bool) -> Option<LineAggregates> {
+    /// Run one quantum's batch through the detector; with `reply`, also
+    /// return its per-line aggregates as of that batch. Either way, return
+    /// an emptied record buffer for the driver to fill next.
+    fn process(
+        &mut self,
+        records: Vec<HitmRecord>,
+        reply: bool,
+    ) -> (Option<LineAggregates>, Vec<HitmRecord>) {
         match self {
             DetectorStage::Inline(detector) => {
                 detector.process(&records);
-                reply.then(|| detector.line_aggregates())
+                (reply.then(|| detector.line_aggregates()), records)
             }
             DetectorStage::Worker(worker) => worker.process(records, reply),
         }
@@ -773,12 +920,16 @@ impl LaserSession {
             app.emit(event)?;
         }
         let records = self.driver.read_records();
-        if !records.is_empty() {
-            let n = records.len();
+        let n = records.len();
+        if n == 0 {
+            self.driver.give_back(records);
+        } else {
             // Only an observer or an armed trigger reads the aggregates; a
-            // worker is otherwise left to overlap with the next quantum.
+            // worker is otherwise left to overlap with the next quanta.
             let reply = app.observed || app.repair_armed();
-            if let Some(aggs) = self.detector.process(records, reply) {
+            let (aggs, spare) = self.detector.process(records, reply);
+            self.driver.give_back(spare);
+            if let Some(aggs) = aggs {
                 self.aggs = aggs;
             }
             app.charge_detector_batch(n);
@@ -814,9 +965,9 @@ impl LaserSession {
     /// [`advance`](LaserSession::advance) batch — the detector is still
     /// sharing the chip while it drains the device — so the outcome's cycle
     /// count accounts for every record the detector processed. A pipelined
-    /// session first joins its worker, which drains every streamed batch
-    /// before handing the detector back, so the final flush (and the report)
-    /// sees them all.
+    /// session first sends its pending job and joins its worker, which
+    /// drains every job before handing the detector back, so the final
+    /// flush (and the report) sees them all.
     pub fn finish(self) -> LaserOutcome {
         let LaserSession {
             mut app,
@@ -1533,15 +1684,272 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
+    // Coalesced hand-off
+    // ------------------------------------------------------------------
+
+    /// Detection-only at sav 1: every HITM a record, so a contended run
+    /// sends many coalesced jobs. The odd per-record cost makes every
+    /// batch charge leave a remainder.
+    fn sav1() -> LaserConfig {
+        LaserConfig {
+            detector_cycles_per_record: 37,
+            ..LaserConfig::detection_only().with_sav(1)
+        }
+    }
+
+    /// Everything a run produces that a hand-off could move.
+    fn assert_same_outcome(inline: &LaserOutcome, piped: &LaserOutcome) {
+        assert_eq!(inline.cycles(), piped.cycles());
+        assert_eq!(inline.run.per_core_cycles, piped.run.per_core_cycles);
+        assert_eq!(inline.run.stats, piped.run.stats);
+        assert_eq!(inline.report, piped.report);
+        assert_eq!(
+            format!("{:?}", inline.report),
+            format!("{:?}", piped.report)
+        );
+        assert_eq!(inline.detector_cycles, piped.detector_cycles);
+        assert_eq!(inline.driver_stats, piped.driver_stats);
+    }
+
+    /// The pipelined session's worker end.
+    fn worker(session: &LaserSession) -> &DetectorWorker {
+        match &session.detector {
+            DetectorStage::Worker(worker) => worker,
+            DetectorStage::Inline(_) => panic!("session runs inline"),
+        }
+    }
+
+    /// Run a pipelined `session` to the end and finish it, with the number
+    /// of jobs its worker was sent, the one `finish` sends included.
+    fn run_counting_jobs(mut session: LaserSession) -> (LaserOutcome, u64) {
+        while session.advance().unwrap() == SessionStatus::Running {}
+        let worker = worker(&session);
+        let jobs = worker.sent + u64::from(!worker.pending.ends.is_empty());
+        (session.finish(), jobs)
+    }
+
+    #[test]
+    fn coalesced_pipelined_run_is_byte_identical_to_inline_over_many_jobs() {
+        let image = contended_image("coalesce", 40_000);
+        let build = |pipelined: bool, log: Option<EventLog>| {
+            let builder = Laser::builder()
+                .config(sav1())
+                .pipeline_config(PipelineConfig { enabled: pipelined });
+            match log {
+                Some(log) => builder.observer(log),
+                None => builder,
+            }
+            .build(&image)
+        };
+
+        // Unobserved: un-awaited, so quanta coalesce into jobs.
+        let inline = build(false, None).run().unwrap();
+        let (piped, jobs) = run_counting_jobs(build(true, None));
+        assert_same_outcome(&inline, &piped);
+        assert_eq!(
+            piped.detector_cycles,
+            piped.driver_stats.records_sampled * 37
+        );
+        let records = piped.driver_stats.records_sampled;
+        assert!(jobs >= 8, "{jobs} jobs for {records} records");
+        // A job goes only when the next batch would overflow it, so any two
+        // consecutive jobs hold more than `JOB_RECORDS` records.
+        assert!(jobs <= 2 * records / JOB_RECORDS as u64 + 1, "{jobs} jobs");
+
+        // Observed: every quantum is awaited, one job per batch, and the
+        // event stream is the inline one.
+        let (inline_log, piped_log) = (EventLog::new(), EventLog::new());
+        let inline = build(false, Some(inline_log.clone())).run().unwrap();
+        let (piped, jobs) = run_counting_jobs(build(true, Some(piped_log.clone())));
+        assert_same_outcome(&inline, &piped);
+        let events = piped_log.events();
+        assert_eq!(inline_log.events(), events);
+        assert_stream_accounts_for_every_record(&events, &piped);
+        let batches = events
+            .iter()
+            .filter(|e| matches!(e, LaserEvent::RecordBatch { .. }))
+            .count() as u64;
+        // The final flush is processed after the join, not as a job.
+        assert!(
+            jobs + 1 >= batches && jobs <= batches,
+            "{jobs} jobs, {batches} batches"
+        );
+    }
+
+    #[test]
+    fn records_pending_at_a_stop_are_processed_by_finish() {
+        let image = contended_image("pendfin", 40_000);
+
+        // Unobserved: stop calling `advance` while the pending job holds
+        // records the worker has not seen; `finish` sends them first.
+        let mut piped = Laser::builder()
+            .config(sav1())
+            .pipeline_config(PipelineConfig::pipelined())
+            .build(&image);
+        let mut quanta = 0;
+        while worker(&piped).sent == 0 || worker(&piped).pending.ends.is_empty() {
+            assert_eq!(piped.advance().unwrap(), SessionStatus::Running);
+            quanta += 1;
+        }
+        let mut inline = Laser::builder().config(sav1()).build(&image);
+        for _ in 0..quanta {
+            assert_eq!(inline.advance().unwrap(), SessionStatus::Running);
+        }
+        let (inline, piped) = (inline.finish(), piped.finish());
+        assert_same_outcome(&inline, &piped);
+        assert_eq!(
+            piped.detector_cycles,
+            piped.driver_stats.records_sampled * 37
+        );
+
+        // Observed: a break on a `QuantumCompleted` leaves that quantum's
+        // records staged in the driver, unread; `finish` reads, processes
+        // and charges them exactly once.
+        let stopped = |pipelined: bool| {
+            let mut quanta = 0;
+            let mut session = Laser::builder()
+                .config(sav1())
+                .pipeline_config(PipelineConfig { enabled: pipelined })
+                .observer(move |event: &LaserEvent| {
+                    if let LaserEvent::QuantumCompleted { .. } = event {
+                        quanta += 1;
+                        if quanta == 5 {
+                            return ControlFlow::Break(StopReason::Cancelled("fifth".into()));
+                        }
+                    }
+                    ControlFlow::Continue(())
+                })
+                .build(&image);
+            loop {
+                match session.advance().unwrap() {
+                    SessionStatus::Running => {}
+                    SessionStatus::Done => panic!("observer should stop before completion"),
+                    SessionStatus::Stopped(_) => break,
+                }
+            }
+            assert!(
+                session.detector_cycles() < session.driver.stats().records_sampled * 37,
+                "sampled records are still outstanding at the stop"
+            );
+            session.finish()
+        };
+        let (inline, piped) = (stopped(false), stopped(true));
+        assert_same_outcome(&inline, &piped);
+        assert!(piped.driver_stats.records_sampled > 0);
+        assert_eq!(
+            piped.detector_cycles,
+            piped.driver_stats.records_sampled * 37,
+            "every sampled record must be processed and charged exactly once"
+        );
+        assert_eq!(
+            piped.run.stats.injected_overhead_cycles,
+            piped.driver_stats.overhead_cycles + piped.detector_cycles
+        );
+    }
+
+    #[test]
+    fn a_repair_session_coalesces_once_repair_attaches() {
+        let image = mixed_image("coalrep", 40_000);
+        let config = LaserConfig::default().with_sav(1);
+        let inline = Laser::builder()
+            .config(config.clone())
+            .build(&image)
+            .run()
+            .unwrap();
+
+        let mut session = Laser::builder()
+            .config(config)
+            .pipeline_config(PipelineConfig::pipelined())
+            .build(&image);
+        // Armed: every batch is awaited, so nothing is ever left pending.
+        while !session.repair_triggered() {
+            assert_eq!(session.advance().unwrap(), SessionStatus::Running);
+            assert!(worker(&session).pending.ends.is_empty());
+        }
+        let jobs_at_attach = worker(&session).sent;
+        assert!(jobs_at_attach > 0);
+        // Attached and unobserved: quanta coalesce.
+        let (mut quanta, mut coalesced) = (0u64, false);
+        while session.advance().unwrap() == SessionStatus::Running {
+            quanta += 1;
+            coalesced |= worker(&session).pending.ends.len() > 1;
+        }
+        assert!(coalesced, "no job ever held two quanta");
+        let jobs_after = worker(&session).sent - jobs_at_attach;
+        assert!(
+            jobs_after < quanta,
+            "{jobs_after} jobs over {quanta} quanta"
+        );
+
+        let piped = session.finish();
+        let (a, b) = (
+            inline.repair.as_ref().unwrap(),
+            piped.repair.as_ref().unwrap(),
+        );
+        assert_eq!(a.triggered_at_cycle, b.triggered_at_cycle);
+        assert_eq!(a.stats, b.stats);
+        assert_same_outcome(&inline, &piped);
+    }
+
+    #[test]
+    fn a_contended_pass_sends_a_job_per_job_records() {
+        // The benchmark's `contended_piped` pass: the six most contended
+        // programs, detection-only at sav 1. Full size in release (as CI
+        // runs it); a smaller scale keeps the debug run short.
+        let scale = if cfg!(debug_assertions) { 2.0 } else { 14.0 };
+        let opts = laser_workloads::BuildOptions::scaled(scale);
+        let config = LaserConfig::detection_only().with_sav(1);
+        let (mut jobs, mut records, mut quanta) = (0, 0, 0);
+        let programs = [
+            "dedup",
+            "volrend",
+            "linear_regression",
+            "kmeans",
+            "bodytrack",
+            "histogram'",
+        ];
+        for name in programs {
+            let spec = laser_workloads::find(name).unwrap();
+            let image = laser_bench::runner::build_under_tool(&spec, &opts);
+            let build = |pipeline: PipelineConfig| {
+                Laser::builder()
+                    .config(config.clone())
+                    .pipeline_config(pipeline)
+                    .build(&image)
+            };
+            let inline = build(PipelineConfig::default()).run().unwrap();
+            let (piped, piped_jobs) = run_counting_jobs(build(PipelineConfig::pipelined()));
+            assert_same_outcome(&inline, &piped);
+            jobs += piped_jobs;
+            records += piped.driver_stats.records_sampled;
+            quanta += piped.run.steps.div_ceil(config.poll_interval_steps);
+        }
+        eprintln!("scale {scale}: {records} records, {quanta} quanta, {jobs} jobs");
+        assert!(jobs <= 2 * records / JOB_RECORDS as u64 + programs.len() as u64);
+        assert!(3 * jobs < 2 * quanta, "{jobs} jobs for {quanta} quanta");
+    }
+
+    // ------------------------------------------------------------------
     // A dying detector worker
     // ------------------------------------------------------------------
 
     const WORKER_PANIC: &str = "deliberate detector worker panic";
 
     /// A pipelined session for `image` whose worker panics on its first
-    /// batch. `alive` is held by the worker thread for as long as it exists,
+    /// job. `alive` is held by the worker thread for as long as it exists,
     /// so `Arc::strong_count(alive) == 1` means it is gone.
     fn session_with_dying_worker(
+        config: LaserConfig,
+        image: &WorkloadImage,
+        alive: &Arc<()>,
+    ) -> LaserSession {
+        session_with_worker_dying_on_job(1, config, image, alive)
+    }
+
+    /// [`session_with_dying_worker`], except that the worker processes its
+    /// first `k - 1` jobs as usual and panics on job `k`.
+    fn session_with_worker_dying_on_job(
+        k: u64,
         config: LaserConfig,
         image: &WorkloadImage,
         alive: &Arc<()>,
@@ -1552,9 +1960,16 @@ mod tests {
             .pipeline_config(PipelineConfig::pipelined())
             .build(image);
         let held = Arc::clone(alive);
-        let worker = DetectorWorker::spawn_with(detector, move |_, _| {
+        let mut jobs = 0;
+        let worker = DetectorWorker::spawn_with(detector, move |detector, job| {
             let _held = &held;
-            std::panic::panic_any(WORKER_PANIC.to_string());
+            jobs += 1;
+            if jobs == k {
+                std::panic::panic_any(WORKER_PANIC.to_string());
+            }
+            for batch in job.batches() {
+                detector.process(batch);
+            }
         })
         .unwrap();
         session.detector = DetectorStage::Worker(worker);
@@ -1579,6 +1994,36 @@ mod tests {
                 "the worker was joined before its panic was re-raised"
             );
         }
+    }
+
+    #[test]
+    fn a_worker_dying_on_a_later_job_surfaces_its_panic_on_a_send_and_is_joined() {
+        // Un-awaited and coalesced: the first jobs are processed, the third
+        // kills the worker, and the machine thread finds out when it next
+        // hands over a job or waits for a buffer — long before the run ends.
+        let image = contended_image("dieslater", 40_000);
+        let alive = Arc::new(());
+        let mut session = session_with_worker_dying_on_job(3, sav1(), &image, &alive);
+        let mut quanta = 0;
+        let payload = catch_unwind(AssertUnwindSafe(|| loop {
+            quanta += 1;
+            if session.advance().unwrap() != SessionStatus::Running {
+                break;
+            }
+        }))
+        .expect_err("the worker's panic must unwind advance()");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), WORKER_PANIC);
+        assert_eq!(
+            Arc::strong_count(&alive),
+            1,
+            "the worker was joined before its panic was re-raised"
+        );
+        let inline = Laser::builder().config(sav1()).build(&image).run().unwrap();
+        let quanta_in_run = inline.run.steps.div_ceil(sav1().poll_interval_steps);
+        assert!(
+            quanta < quanta_in_run / 2,
+            "surfaced after {quanta} of {quanta_in_run} quanta"
+        );
     }
 
     /// LASERDETECT through `laser-bench`, except that the session of one

@@ -20,7 +20,10 @@
 //!
 //! The body is a `Mutex` + two `Condvar`s. `std::sync::mpsc::sync_channel`
 //! measured slower in the pipelined session: its receiver spins before it
-//! parks, and that spinning is CPU time on a two-thread pipeline.
+//! parks, and that spinning is CPU time on a two-thread pipeline. Each side
+//! counts its parked threads under the mutex and signals a `Condvar` only
+//! when the other side has one parked: with std's futex `Condvar` every
+//! notify is a `futex_wake` syscall, waiter or not.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -48,6 +51,10 @@ struct State<T> {
     queue: VecDeque<T>,
     senders: usize,
     receiver_alive: bool,
+    /// Receivers parked on `not_empty`.
+    parked_receivers: usize,
+    /// Senders parked on `not_full`.
+    parked_senders: usize,
 }
 
 struct Shared<T> {
@@ -69,8 +76,9 @@ pub struct Receiver<T> {
 
 /// Create a bounded channel of `capacity` batches (clamped to at least 1)
 /// under `policy`, whose one value is [`OverflowPolicy::Backpressure`].
-/// `capacity = 2` is the double buffer the pipelined session uses: one batch
-/// in flight at the detector, one staged behind it.
+/// The pipelined session sends its detector jobs, and gets them back, through
+/// `capacity = 2` channels: the double buffer, one job at the detector and
+/// one filling behind it.
 pub fn bounded<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>, Receiver<T>) {
     let OverflowPolicy::Backpressure = policy;
     let shared = Arc::new(Shared {
@@ -78,6 +86,8 @@ pub fn bounded<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>, Receiv
             queue: VecDeque::new(),
             senders: 1,
             receiver_alive: true,
+            parked_receivers: 0,
+            parked_senders: 0,
         }),
         capacity: capacity.max(1),
         not_empty: Condvar::new(),
@@ -105,10 +115,14 @@ impl<T> Sender<T> {
             }
             if state.queue.len() < self.shared.capacity {
                 state.queue.push_back(item);
-                self.shared.not_empty.notify_one();
+                if state.parked_receivers > 0 {
+                    self.shared.not_empty.notify_one();
+                }
                 return SendOutcome::Sent;
             }
+            state.parked_senders += 1;
             state = self.shared.not_full.wait(state).unwrap();
+            state.parked_senders -= 1;
         }
     }
 }
@@ -134,7 +148,7 @@ impl<T> Drop for Sender<T> {
         )]
         let mut state = self.shared.state.lock().unwrap();
         state.senders -= 1;
-        if state.senders == 0 {
+        if state.senders == 0 && state.parked_receivers > 0 {
             // Wake a consumer blocked on an empty queue so it can observe the
             // disconnect and shut down.
             self.shared.not_empty.notify_all();
@@ -153,14 +167,32 @@ impl<T> Receiver<T> {
         let mut state = self.shared.state.lock().unwrap();
         loop {
             if let Some(item) = state.queue.pop_front() {
-                self.shared.not_full.notify_one();
+                if state.parked_senders > 0 {
+                    self.shared.not_full.notify_one();
+                }
                 return Some(item);
             }
             if state.senders == 0 {
                 return None;
             }
+            state.parked_receivers += 1;
             state = self.shared.not_empty.wait(state).unwrap();
+            state.parked_receivers -= 1;
         }
+    }
+
+    /// Take the next batch if one is queued, without blocking.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "lock poisoning only follows a panic already unwinding this run"
+    )]
+    pub fn try_recv(&self) -> Option<T> {
+        let mut state = self.shared.state.lock().unwrap();
+        let item = state.queue.pop_front()?;
+        if state.parked_senders > 0 {
+            self.shared.not_full.notify_one();
+        }
+        Some(item)
     }
 }
 
@@ -174,7 +206,9 @@ impl<T> Drop for Receiver<T> {
         state.receiver_alive = false;
         state.queue.clear();
         // Wake producers blocked on a full queue so they observe the close.
-        self.shared.not_full.notify_all();
+        if state.parked_senders > 0 {
+            self.shared.not_full.notify_all();
+        }
     }
 }
 
@@ -262,6 +296,51 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         drop(rx);
         assert_eq!(blocked.join().unwrap(), SendOutcome::Closed);
+    }
+
+    #[test]
+    fn try_recv_takes_what_is_queued_without_blocking() {
+        let (tx, rx) = bounded(2, OverflowPolicy::Backpressure);
+        assert_eq!(rx.try_recv(), None);
+        tx.send(1);
+        tx.send(2);
+        assert_eq!(rx.try_recv(), Some(1));
+        // A producer parked on the full channel is released by `try_recv`.
+        tx.send(3);
+        let producer = std::thread::spawn(move || tx.send(4));
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(rx.try_recv(), Some(2));
+        assert_eq!(producer.join().unwrap(), SendOutcome::Sent);
+        assert_eq!(rx.try_recv(), Some(3));
+        assert_eq!(rx.try_recv(), Some(4));
+        assert_eq!(rx.try_recv(), None);
+        assert_eq!(rx.recv(), None);
+    }
+
+    #[test]
+    fn parked_peers_are_always_woken_and_counted_out() {
+        // Ping-pong through two depth-1 channels: every hand-off finds the
+        // peer parked or about to park, so a notify skipped while a peer is
+        // parked would hang this test.
+        let (ping_tx, ping_rx) = bounded::<u32>(1, OverflowPolicy::Backpressure);
+        let (pong_tx, pong_rx) = bounded::<u32>(1, OverflowPolicy::Backpressure);
+        let echo = std::thread::spawn(move || {
+            while let Some(n) = ping_rx.recv() {
+                pong_tx.send(n + 1);
+            }
+        });
+        for i in 0..5_000 {
+            assert_eq!(ping_tx.send(i), SendOutcome::Sent);
+            assert_eq!(pong_rx.recv(), Some(i + 1));
+        }
+        {
+            let state = ping_tx.shared.state.lock().unwrap();
+            assert_eq!(state.parked_senders, 0);
+        }
+        drop(ping_tx);
+        echo.join().unwrap();
+        let state = pong_rx.shared.state.lock().unwrap();
+        assert_eq!((state.parked_senders, state.parked_receivers), (0, 0));
     }
 
     #[test]

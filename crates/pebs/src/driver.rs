@@ -63,6 +63,9 @@ pub struct Driver {
     config: DriverConfig,
     staged: Vec<HitmRecord>,
     stats: DriverStats,
+    /// Per-core targeted charges of the batch being ingested, kept so a
+    /// batch does not allocate them.
+    charges: Vec<u64>,
 }
 
 impl Driver {
@@ -73,6 +76,7 @@ impl Driver {
             config,
             staged: Vec::new(),
             stats: DriverStats::default(),
+            charges: Vec::new(),
         }
     }
 
@@ -113,7 +117,9 @@ impl Driver {
             // Targeted charges accumulate per core and land in one
             // `charge_per_core` call: one scheduler fix-up per charged core
             // rather than one per interrupt.
-            let mut per_core = vec![0u64; num_cores];
+            let per_core = &mut self.charges;
+            per_core.clear();
+            per_core.resize(num_cores, 0);
             // Interrupt handling lands on the core whose buffer filled; we
             // charge it round-robin over the cores that produced events, which
             // is equivalent in aggregate.
@@ -139,7 +145,7 @@ impl Driver {
                 }
                 self.stats.overhead_cycles += copy_cycles;
             }
-            machine.charge_per_core(&per_core);
+            machine.charge_per_core(per_core);
         }
         let ready = self.pmu.drain_ready();
         self.stage(ready);
@@ -166,6 +172,14 @@ impl Driver {
     /// Read the records staged for the detector (the file-like device read).
     pub fn read_records(&mut self) -> Vec<HitmRecord> {
         std::mem::take(&mut self.staged)
+    }
+
+    /// Give back a buffer [`Driver::read_records`] returned, once its
+    /// records are consumed: the PMU fills it next (see
+    /// [`Pmu::give_back`]), so a reader that gives back every batch keeps
+    /// one buffer circulating and allocates nothing per batch.
+    pub fn give_back(&mut self, buffer: Vec<HitmRecord>) {
+        self.pmu.give_back(buffer);
     }
 }
 

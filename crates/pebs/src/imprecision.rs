@@ -124,10 +124,22 @@ impl ImprecisionModel {
         &self.params
     }
 
+    /// A random instruction of the binary other than `exclude`. A code
+    /// range of fewer than two instructions may hold no such PC, so the
+    /// wrong PC then lands outside the binary (its one instruction, if that
+    /// is not `exclude`, is taken without a draw).
     fn random_in_binary_pc(&mut self, exclude: Addr) -> Addr {
         let (lo, hi) = self.code_range;
+        let slots = hi.saturating_sub(lo) / 4;
+        if slots < 2 {
+            return if slots == 1 && lo != exclude {
+                lo
+            } else {
+                self.random_unmapped_addr()
+            };
+        }
         loop {
-            let pc = lo + self.rng.gen_range(0..(hi - lo) / 4) * 4;
+            let pc = lo + self.rng.gen_range(0..slots) * 4;
             if pc != exclude {
                 return pc;
             }
@@ -384,6 +396,59 @@ mod tests {
         }
         assert!(wrong > 0);
         assert!(in_binary as f64 / wrong as f64 > 0.95);
+    }
+
+    /// Every PC wrong and every wrong PC drawn inside the binary, so each
+    /// record goes through `random_in_binary_pc`.
+    fn always_wrong_pc() -> ImprecisionParams {
+        ImprecisionParams {
+            store_pc_exact: 0.0,
+            store_pc_adjacent: 0.0,
+            wrong_pc_in_binary: 1.0,
+            ..ImprecisionParams::perfect()
+        }
+    }
+
+    #[test]
+    fn a_one_instruction_binary_yields_wrong_pcs_outside_it() {
+        // The event's PC is the binary's only instruction: no other PC in
+        // the binary exists, and drawing for one used to loop forever.
+        let map = test_map();
+        let pc = event(MemAccessKind::Store).pc;
+        let mut m = ImprecisionModel::new(always_wrong_pc(), &map, (pc, pc + 4), 8);
+        for _ in 0..1_000 {
+            let r = m.distort(&event(MemAccessKind::Store));
+            assert!(!map.is_mapped(r.pc), "wrong PC {:#x} is mapped", r.pc);
+        }
+        // Any other event's PC is wrong as the one instruction.
+        let mut m = ImprecisionModel::new(always_wrong_pc(), &map, (pc + 4, pc + 8), 8);
+        for _ in 0..100 {
+            assert_eq!(m.distort(&event(MemAccessKind::Store)).pc, pc + 4);
+        }
+    }
+
+    #[test]
+    fn a_binary_narrower_than_one_instruction_does_not_panic() {
+        // `gen_range(0..0)` used to panic: "cannot sample empty range".
+        let map = test_map();
+        let pc = event(MemAccessKind::Store).pc;
+        for code_range in [(pc, pc + 2), (pc, pc), (pc + 8, pc)] {
+            let mut m = ImprecisionModel::new(always_wrong_pc(), &map, code_range, 9);
+            for _ in 0..100 {
+                let r = m.distort(&event(MemAccessKind::Store));
+                assert!(!map.is_mapped(r.pc), "wrong PC {:#x} is mapped", r.pc);
+            }
+        }
+    }
+
+    #[test]
+    fn a_two_instruction_binary_still_draws_the_other_instruction() {
+        let map = test_map();
+        let pc = event(MemAccessKind::Store).pc;
+        let mut m = ImprecisionModel::new(always_wrong_pc(), &map, (pc, pc + 8), 10);
+        for _ in 0..100 {
+            assert_eq!(m.distort(&event(MemAccessKind::Store)).pc, pc + 4);
+        }
     }
 
     #[test]

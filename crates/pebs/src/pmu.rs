@@ -62,6 +62,12 @@ pub struct Pmu {
     countdown: Vec<u32>,
     buffers: Vec<Vec<HitmRecord>>,
     ready: Vec<HitmRecord>,
+    /// An emptied buffer the reader gave back while `ready` held records
+    /// ([`Pmu::give_back`]): the next `ready` once those are drained.
+    spare: Vec<HitmRecord>,
+    /// Whether the reader gives its buffers back, so a drain can leave
+    /// `ready` unallocated for the give-back to fill.
+    recycling: bool,
     total_events: u64,
     total_samples: u64,
     total_interrupts: u64,
@@ -80,6 +86,8 @@ impl Pmu {
             countdown: vec![config.sav; config.num_cores],
             buffers: vec![Vec::new(); config.num_cores],
             ready: Vec::new(),
+            spare: Vec::new(),
+            recycling: false,
             total_events: 0,
             total_samples: 0,
             total_interrupts: 0,
@@ -149,10 +157,37 @@ impl Pmu {
 
     /// Records whose buffers have already been flushed by an interrupt.
     pub fn drain_ready(&mut self) -> Vec<HitmRecord> {
-        // Leave a buffer sized to the batch just yielded, so a contended run
-        // does not regrow `ready` from empty every quantum.
-        let next = Vec::with_capacity(self.ready.len());
+        // The next `ready` is a buffer the reader gave back. A reader that
+        // gives buffers back will hand this one back too, so `ready` may
+        // wait for it unallocated; otherwise it is sized to the batch just
+        // yielded, so a contended run does not regrow it from empty every
+        // quantum.
+        let next = if self.spare.capacity() > 0 {
+            std::mem::take(&mut self.spare)
+        } else if self.recycling {
+            Vec::new()
+        } else {
+            Vec::with_capacity(self.ready.len())
+        };
         std::mem::replace(&mut self.ready, next)
+    }
+
+    /// Give back a buffer [`Pmu::drain_ready`] yielded, once its records
+    /// are read: it becomes `ready` again, emptied — at once if nothing has
+    /// been made ready since, else after the next drain. A reader that gives
+    /// back every batch keeps one buffer circulating and allocates nothing
+    /// per batch. Of two buffers competing for a place, the larger is kept.
+    pub fn give_back(&mut self, mut buffer: Vec<HitmRecord>) {
+        self.recycling = true;
+        buffer.clear();
+        let slot = if self.ready.is_empty() {
+            &mut self.ready
+        } else {
+            &mut self.spare
+        };
+        if buffer.capacity() > slot.capacity() {
+            *slot = buffer;
+        }
     }
 
     /// Flush every per-core buffer (end of run) and return everything,
@@ -288,6 +323,50 @@ mod tests {
         let act = pmu.observe(&events(3, 1));
         assert_eq!(act.events_dropped, 0);
         assert_eq!(pmu.total_dropped(), 5);
+    }
+
+    #[test]
+    fn a_recycled_buffer_drains_the_same_batches_as_a_fresh_one() {
+        let cfg = PmuConfig {
+            sav: 3,
+            pebs_buffer_capacity: 7,
+            num_cores: 2,
+            ..Default::default()
+        };
+        let mut fresh = Pmu::new(cfg, model(7));
+        let mut recycled = Pmu::new(cfg, model(7));
+        let stale = HitmRecord {
+            pc: 0xdead,
+            data_addr: 0xbeef,
+            core: CoreId(1),
+            cycle: 1,
+        };
+        for round in 0..12 {
+            let batch = events(10 + round * 7, round % 2);
+            fresh.observe(&batch);
+            recycled.observe(&batch);
+            let want = fresh.drain_ready();
+            let got = recycled.drain_ready();
+            assert_eq!(want, got, "round {round}");
+            // Every other round, records are made ready again before the
+            // buffer comes back, so it waits as the spare.
+            if round % 2 == 1 {
+                let early = events(40, 0);
+                fresh.observe(&early);
+                recycled.observe(&early);
+            }
+            // Hand back the drained buffer with stale records in it and
+            // spare capacity, or (every third round) a foreign one.
+            let mut back = if round % 3 == 2 {
+                Vec::with_capacity(500)
+            } else {
+                got
+            };
+            back.extend(std::iter::repeat_n(stale, round + 1));
+            recycled.give_back(back);
+        }
+        assert_eq!(fresh.drain_all_buffers(), recycled.drain_all_buffers());
+        assert_eq!(fresh.total_samples(), recycled.total_samples());
     }
 
     #[test]
