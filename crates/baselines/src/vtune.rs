@@ -219,8 +219,10 @@ mod tests {
             .unwrap()
             .build(&BuildOptions::scaled(0.2));
         let native = Laser::run_native(&image).unwrap();
-        let laser = Laser::new(laser_core::LaserConfig::detection_only())
-            .run(&image)
+        let laser = Laser::builder()
+            .config(laser_core::LaserConfig::detection_only())
+            .build(&image)
+            .run()
             .unwrap();
         let vtune = Vtune::default().run(&image).unwrap();
         let laser_norm = laser.run.cycles as f64 / native.cycles as f64;

@@ -48,9 +48,11 @@ const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|t
                      \x20                     (validated up front; unknown names are an error)\n\
                      --format F            stdout format: text (default), json or csv\n\
                      --cell-budget-steps N bound every cell at N retired instructions\n\
-                     --pipeline            run each LASER cell's detector on a worker\n\
-                     \x20                     thread, overlapped with the simulated quantum\n\
-                     \x20                     (byte-identical output, higher throughput)\n\
+                     --pipeline            run the detector of each unbudgeted,\n\
+                     \x20                     detection-only LASER cell on a worker thread,\n\
+                     \x20                     overlapped with the simulated quanta; repair\n\
+                     \x20                     and budgeted cells stay inline (byte-identical\n\
+                     \x20                     output either way)\n\
                      --topology T          deploy every cell on a socket-topology preset:\n\
                      \x20                     flat (default, single socket), 2s, 4s or 8s\n\
                      \x20                     (4 cores/socket, threads scaled to match);\n\

@@ -232,9 +232,9 @@ impl<'a> CellConfig<'a> {
     }
 
     /// The observer enforcing the cell's budget; `None` when the budget is
-    /// unlimited, so an unbudgeted LASER session stays genuinely unobserved
-    /// (no events constructed, no per-batch replies owed by a pipelined
-    /// worker).
+    /// unlimited, so an unbudgeted LASER session stays genuinely unobserved:
+    /// no events are constructed, and under `--pipeline` a detection-only
+    /// session gets its detector worker (an observed session runs inline).
     pub fn observer(&self) -> Option<BudgetObserver> {
         (!self.budget.is_unlimited()).then(|| BudgetObserver::new(self.budget))
     }

@@ -113,17 +113,17 @@ pub(crate) struct LineAgg {
     pub(crate) pcs: Vec<Pc>,
 }
 
-/// A detector's per-line aggregates: the unit a pipelined session's detector
-/// thread ships back to the machine thread, and the *single* shape every
-/// report derivation ([`line_rates_from`], [`trigger_pcs_from`],
-/// [`report_lines_from`]) consumes — inline and pipelined sessions both
-/// reduce to one of these before anything user-visible is computed, which is
-/// what makes their outputs byte-identical.
+/// A detector's per-line aggregates: the *single* shape every report
+/// derivation ([`line_rates_from`], [`trigger_pcs_from`],
+/// [`report_lines_from`]) consumes. The live rates and the repair trigger
+/// are derived from them on an inline session, the end-of-run report on
+/// every session, so nothing user-visible depends on where the detector
+/// ran.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct LineAggregates {
     /// The detector's line table: the program's distinct source locations
-    /// and the `<unknown>:0` sentinel, ascending. Shared, not copied — the
-    /// aggregates cross the reply channel once per awaited batch.
+    /// and the `<unknown>:0` sentinel, ascending. Shared, not copied — an
+    /// observed or armed session builds aggregates after every batch.
     pub(crate) lines: Arc<[SourceLoc]>,
     /// One entry per line with records, ascending by `line` — which, the
     /// table being sorted, is ascending by source location.
@@ -585,21 +585,15 @@ impl Detector {
         self.total_records
     }
 
-    /// The table entries that have received a record the filters kept, with
-    /// their PCs, ascending. Only these can hold sharing events: a PC off the
-    /// table has no load/store-set entry, so it is never classified.
-    fn seen_entries(&self) -> impl Iterator<Item = (Pc, &PcEntry)> + '_ {
-        (self.base_pc..)
-            .step_by(INST_BYTES as usize)
-            .zip(&self.table)
-            .filter(|(_, entry)| entry.counters.records > 0)
-    }
-
     /// Every PC that has received a record the filters kept, ascending: the
     /// table's and the spill map's, a spill PC as the entry the table would
     /// hold for it — no debug info, not a memory instruction.
     fn seen_pcs(&self) -> Vec<(Pc, PcEntry)> {
-        let table = self.seen_entries().map(|(pc, entry)| (pc, *entry));
+        let table = (self.base_pc..)
+            .step_by(INST_BYTES as usize)
+            .zip(&self.table)
+            .filter(|(_, entry)| entry.counters.records > 0)
+            .map(|(pc, entry)| (pc, *entry));
         let spill = self.spill.iter().map(|(&pc, &records)| {
             let counters = PcCounters {
                 records,
@@ -621,47 +615,12 @@ impl Detector {
         seen
     }
 
-    /// Total false-sharing events observed so far across all PCs.
-    pub fn false_sharing_events(&self) -> u64 {
-        self.seen_entries()
-            .map(|(_, entry)| entry.counters.false_sharing)
-            .sum()
-    }
-
-    /// Total true-sharing events observed so far across all PCs.
-    pub fn true_sharing_events(&self) -> u64 {
-        self.seen_entries()
-            .map(|(_, entry)| entry.counters.true_sharing)
-            .sum()
-    }
-
-    /// The current false-sharing event rate (events per second of dilated
-    /// benchmark time); LASERREPAIR is invoked when this crosses the
-    /// configured threshold.
-    pub fn false_sharing_rate(&self, elapsed_seconds: f64) -> f64 {
-        if elapsed_seconds <= 0.0 {
-            0.0
-        } else {
-            self.false_sharing_events() as f64 / elapsed_seconds
-        }
-    }
-
-    /// The live per-line HITM rates, hottest line first (ties broken by
-    /// source location), with no rate threshold applied. This is the
-    /// detector's intra-run view, carried by
-    /// [`LaserEvent::DetectionUpdate`](crate::observe::LaserEvent) so
-    /// observers can watch contention build while the run advances; the
-    /// end-of-run [`Detector::report`] applies the threshold.
-    pub fn line_rates(&self, elapsed_seconds: f64) -> Vec<LineRate> {
-        line_rates_from(&self.line_aggregates(), elapsed_seconds)
-    }
-
-    /// This detector's per-line aggregates, sorted by source location. The
-    /// core of every report derivation: a pipelined session's detector
-    /// thread ships these back in reply to an awaited batch; an inline
-    /// session reads its own directly. Both paths feed the same pure
-    /// derivations, which is what keeps the deployment shape invisible in
-    /// the output.
+    /// This detector's per-line aggregates, sorted by source location: the
+    /// one thing the detector answers with. An inline session reads them
+    /// after a batch while it is observed (the live [`line_rates_from`]) or
+    /// repair is armed ([`trigger_pcs_from`]); [`Detector::report`] derives
+    /// the end-of-run report from them ([`report_lines_from`]), inline and
+    /// pipelined alike.
     pub(crate) fn line_aggregates(&self) -> LineAggregates {
         let mut by_line: Vec<Option<LineAgg>> = vec![None; self.lines.len()];
         for (pc, entry) in self.seen_pcs() {
@@ -716,34 +675,6 @@ impl Detector {
         self.total_records += other.total_records;
         self.dropped_non_code += other.dropped_non_code;
         self.dropped_stack += other.dropped_stack;
-    }
-
-    /// PCs implicated in false sharing, ordered by decreasing false-sharing
-    /// evidence. These seed LASERREPAIR's control-flow analysis.
-    ///
-    /// Noise PCs (imprecise records scattered over the binary) are excluded by
-    /// requiring each PC to carry a meaningful fraction of the strongest PC's
-    /// false-sharing evidence; feeding stray PCs to the control-flow analysis
-    /// would otherwise drag unrelated blocks into the instrumented region.
-    pub fn false_sharing_pcs(&self) -> Vec<Pc> {
-        let mut v: Vec<(Pc, u64)> = self
-            .seen_entries()
-            .map(|(pc, entry)| (pc, entry.counters))
-            .filter(|(_, c)| c.false_sharing > c.true_sharing && c.false_sharing > 0)
-            .map(|(pc, c)| (pc, c.false_sharing))
-            .collect();
-        let top = v.iter().map(|(_, n)| *n).max().unwrap_or(0);
-        let min_evidence = (top / 10).max(2);
-        v.retain(|(_, n)| *n >= min_evidence);
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.into_iter().map(|(pc, _)| pc).collect()
-    }
-
-    /// PCs of source lines whose contention is dominated by false sharing and
-    /// whose HITM-record rate exceeds `min_line_rate` — the condition under
-    /// which the system hands control to LASERREPAIR (Section 4.4).
-    pub fn repair_trigger_pcs(&self, elapsed_seconds: f64, min_line_rate: f64) -> Vec<Pc> {
-        trigger_pcs_from(&self.line_aggregates(), elapsed_seconds, min_line_rate)
     }
 
     fn classify(records: u64, ts: u64, fs: u64) -> ContentionKind {
@@ -898,10 +829,14 @@ pub(crate) mod tests {
             records.push(record(p.base_pc(), addr, i));
         }
         d.process(&records);
-        assert!(d.false_sharing_events() > 400);
-        assert_eq!(d.true_sharing_events(), 0);
-        assert!(d.false_sharing_rate(1.0) > 400.0);
-        assert_eq!(d.false_sharing_pcs(), vec![p.base_pc()]);
+        let aggs = d.line_aggregates();
+        assert_eq!(aggs.aggs.len(), 1);
+        assert!(aggs.aggs[0].false_sharing > 400);
+        assert_eq!(aggs.aggs[0].true_sharing, 0);
+        // 500 records over a second: the line triggers repair at 400/s, not
+        // at 600/s.
+        assert_eq!(trigger_pcs_from(&aggs, 1.0, 400.0), vec![p.base_pc()]);
+        assert!(trigger_pcs_from(&aggs, 1.0, 600.0).is_empty());
         let r = d.report("det", 1.0, 0.0, false);
         assert_eq!(r.lines[0].kind, ContentionKind::FalseSharing);
     }
@@ -922,13 +857,14 @@ pub(crate) mod tests {
             records.push(record(pc, 0x1000_0000, i));
         }
         d.process(&records);
-        assert!(d.true_sharing_events() > 400);
+        let aggs = d.line_aggregates();
+        assert!(aggs.aggs.iter().map(|agg| agg.true_sharing).sum::<u64>() > 400);
         let r = d.report("det", 1.0, 0.0, false);
         assert!(r
             .lines
             .iter()
             .all(|l| l.kind == ContentionKind::TrueSharing));
-        assert!(d.false_sharing_pcs().is_empty());
+        assert!(trigger_pcs_from(&aggs, 1.0, 0.0).is_empty());
     }
 
     #[test]
@@ -990,7 +926,7 @@ pub(crate) mod tests {
             r.lines.is_empty(),
             "stack records must not create report lines"
         );
-        assert_eq!(d.false_sharing_events() + d.true_sharing_events(), 0);
+        assert!(d.line_aggregates().aggs.is_empty());
     }
 
     #[test]
@@ -1035,14 +971,14 @@ pub(crate) mod tests {
         let p = program();
         let m = map(&p);
         let mut d = Detector::new(&LaserConfig::default(), &p, &m);
-        assert!(d.line_rates(1.0).is_empty());
+        assert!(line_rates_from(&d.line_aggregates(), 1.0).is_empty());
         let mut records = Vec::new();
         for i in 0..30 {
             records.push(record(p.base_pc(), 0x1000_0000 + (i % 2) * 8, i));
         }
         records.push(record(p.base_pc() + 4, 0x1000_0100, 100));
         d.process(&records);
-        let rates = d.line_rates(2.0);
+        let rates = line_rates_from(&d.line_aggregates(), 2.0);
         // No threshold: both lines are visible, hottest first.
         assert_eq!(rates.len(), 2);
         assert_eq!((rates[0].file.as_str(), rates[0].line), ("det.c", 10));

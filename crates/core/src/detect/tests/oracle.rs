@@ -142,14 +142,6 @@ impl Reference {
         kept
     }
 
-    fn false_sharing_events(&self) -> u64 {
-        self.per_pc.values().map(|c| c.false_sharing).sum()
-    }
-
-    fn true_sharing_events(&self) -> u64 {
-        self.per_pc.values().map(|c| c.true_sharing).sum()
-    }
-
     fn line_aggregates(&self) -> Vec<RefLineAgg> {
         let mut per_line: BTreeMap<SourceLoc, RefLineAgg> = BTreeMap::new();
         for (&pc, c) in &self.per_pc {
@@ -192,20 +184,6 @@ impl Reference {
                 .then(a.line.cmp(&b.line))
         });
         lines
-    }
-
-    fn false_sharing_pcs(&self) -> Vec<Pc> {
-        let mut v: Vec<(Pc, u64)> = self
-            .per_pc
-            .iter()
-            .filter(|(_, c)| c.false_sharing > c.true_sharing && c.false_sharing > 0)
-            .map(|(&pc, c)| (pc, c.false_sharing))
-            .collect();
-        let top = v.iter().map(|(_, n)| *n).max().unwrap_or(0);
-        let min_evidence = (top / 10).max(2);
-        v.retain(|(_, n)| *n >= min_evidence);
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.into_iter().map(|(pc, _)| pc).collect()
     }
 
     fn repair_trigger_pcs(&self, elapsed_seconds: f64, min_line_rate: f64) -> Vec<Pc> {
@@ -308,8 +286,10 @@ impl Lockstep {
         }
     }
 
-    /// Feed `records` to both and compare every observable. `elapsed` is the
-    /// benchmark time the rate-dependent views are evaluated at.
+    /// Feed `records` to both and compare every observable: the aggregates,
+    /// and the live rates, repair trigger and report lines a session derives
+    /// from them. `elapsed` is the benchmark time the rate-dependent views
+    /// are evaluated at.
     fn feed(&mut self, records: &[HitmRecord], elapsed: f64) {
         self.batches += 1;
         let what = format!("{} batch {}", self.what, self.batches);
@@ -332,27 +312,12 @@ impl Lockstep {
             .collect();
         assert_eq!(materialised, r.line_aggregates(), "{what}: aggregates");
         assert_eq!(
-            d.false_sharing_events(),
-            r.false_sharing_events(),
-            "{what}: false-sharing events"
-        );
-        assert_eq!(
-            d.true_sharing_events(),
-            r.true_sharing_events(),
-            "{what}: true-sharing events"
-        );
-        assert_eq!(
-            d.false_sharing_pcs(),
-            r.false_sharing_pcs(),
-            "{what}: false-sharing PCs"
-        );
-        assert_eq!(
             d.model.tracked_lines(),
             r.model.len(),
             "{what}: tracked lines"
         );
         assert_eq!(
-            d.line_rates(elapsed),
+            line_rates_from(&aggs, elapsed),
             r.line_rates(elapsed),
             "{what}: line rates"
         );
@@ -360,14 +325,20 @@ impl Lockstep {
         // reach, and one nothing does.
         let mean_rate = r.total_records as f64 / elapsed.max(1e-9) / 8.0;
         for threshold in [0.0, mean_rate, f64::MAX] {
+            let reference = r.report("oracle", elapsed, threshold, false);
             assert_eq!(
-                d.repair_trigger_pcs(elapsed, threshold),
+                trigger_pcs_from(&aggs, elapsed, threshold),
                 r.repair_trigger_pcs(elapsed, threshold),
                 "{what}: trigger PCs at {threshold}"
             );
             assert_eq!(
+                report_lines_from(&aggs, elapsed, threshold),
+                reference.lines,
+                "{what}: report lines at {threshold}"
+            );
+            assert_eq!(
                 d.report("oracle", elapsed, threshold, false),
-                r.report("oracle", elapsed, threshold, false),
+                reference,
                 "{what}: report at {threshold}"
             );
         }
@@ -712,7 +683,6 @@ fn absorbing_a_line_hash_split_reconstructs_the_single_detector() {
             merged.report("absorb", 1.0, 0.0, false),
             whole.report("absorb", 1.0, 0.0, false)
         );
-        assert_eq!(merged.false_sharing_pcs(), whole.false_sharing_pcs());
         assert_eq!(merged.model.tracked_lines(), whole.model.tracked_lines());
     }
 }

@@ -74,8 +74,8 @@
 //! }
 //! ```
 //!
-//! The legacy entry points ([`Laser::run`], [`Laser::run_on`],
-//! [`LaserSession::new`], …) remain as thin wrappers over the builder.
+//! The builder is the only way to run LASER; [`Laser`] otherwise holds just
+//! the native baseline runs ([`Laser::run_native`] and its variants).
 
 pub mod config;
 pub mod detect;

@@ -9,8 +9,8 @@
 //! `workload × tool` experiment grids across a thread pool.
 //!
 //! Sessions are built with [`SessionBuilder`] (obtained from
-//! [`Laser::builder`](crate::system::Laser::builder)), the single
-//! construction path behind every legacy constructor:
+//! [`Laser::builder`](crate::system::Laser::builder)), the one way to build
+//! a session:
 //!
 //! ```no_run
 //! use laser_core::{Laser, LaserConfig};
@@ -38,30 +38,28 @@
 //! driver) runs *on the application's cores*, and the detector is a separate
 //! user-space process that reads the driver's records from a device.
 //! [`SessionBuilder::pipeline_config`] with [`PipelineConfig::pipelined`]
-//! deploys the session the same way, on **two threads**. The calling thread
-//! runs the application and the driver — `run_quantum`, then
-//! [`Driver::ingest`] — exactly as an inline session does; the one
-//! [`Detector`] lives on a `laser-detector` worker thread and receives the
-//! sampled records in *jobs* through a bounded channel
-//! (`laser_pebs::channel`). Delivery is lossless: when every job buffer is
-//! in flight the producer waits for the worker to return one, and nothing is
-//! ever dropped.
+//! deploys a session the same way, on **two threads**, if nothing reads its
+//! detector before the run ends: no [`Observer`] is attached and repair is
+//! off. An observer is sent live per-line rates after every batch, and an
+//! armed repair trigger reads them at every quantum, so either would make the
+//! machine thread wait on the worker each quantum and overlap nothing; such a
+//! session runs its detector inline whatever its pipeline configuration
+//! ([`LaserSession::is_pipelined`] says which way it went).
 //!
-//! A quantum's records are handed over in one of two ways:
+//! In a pipelined session the calling thread runs the application and the
+//! driver — `run_quantum`, then [`Driver::ingest`] — exactly as an inline
+//! session does; the one [`Detector`] lives on a `laser-detector` worker
+//! thread and receives the sampled records in *jobs* through a bounded
+//! channel (`laser_pebs::channel`). Delivery is lossless: when every job
+//! buffer is in flight the producer waits for the worker to return one, and
+//! nothing is ever dropped.
 //!
-//! * **Un-awaited.** An unobserved session whose repair is off (or already
-//!   attached) appends the quantum's records to a pending job and moves on.
-//!   The job goes to the worker when the next quantum's records would not
-//!   fit in its buffer (`JOB_RECORDS`, 4,032 records), so the worker wakes
-//!   once per job of one to a few quanta, and its detection overlaps the
-//!   quanta that follow.
-//! * **Awaited.** While the session is observed or repair is armed, the
-//!   machine thread needs the detector's per-line aggregates as of this
-//!   quantum — for the observer's `DetectionUpdate` and for the repair
-//!   trigger — so the pending job is sent at once, asks for a reply, and
-//!   the machine thread waits for it. Once repair attaches on an unobserved
-//!   session the quanta go back to un-awaited. [`LaserSession::finish`]
-//!   sends what is still pending before it joins the worker.
+//! The machine thread appends each quantum's records to a pending job and
+//! moves on. The job goes to the worker when the next quantum's records
+//! would not fit in its buffer (`JOB_RECORDS`, 4,032 records), so the worker
+//! wakes once per job of one to a few quanta, and its detection overlaps the
+//! quanta that follow. [`LaserSession::finish`] sends what is still pending
+//! before it joins the worker.
 //!
 //! The worker still runs [`Detector::process`] once per quantum, on that
 //! quantum's slice of the job: `process` orders records by cycle *within*
@@ -75,11 +73,11 @@
 //! jobs'), an inline one a single buffer, and neither allocates per
 //! quantum.
 //!
-//! Either way the detector's per-record cost is configuration, not state, so
-//! the machine is charged for each quantum's batch at the same point an
-//! inline run charges it, and a pipelined run is **byte-identical** to its
-//! inline equivalent — outcome and event stream alike. If the worker thread
-//! cannot be spawned the session simply runs its detector inline.
+//! The detector's per-record cost is configuration, not state, so the
+//! machine is charged for each quantum's batch at the same point an inline
+//! run charges it, and a pipelined run is **byte-identical** to its inline
+//! equivalent. If the worker thread cannot be spawned the session simply
+//! runs its detector inline.
 
 use std::fmt;
 use std::ops::ControlFlow;
@@ -129,7 +127,9 @@ const CHANNEL_DEPTH: usize = 2;
 const JOB_RECORDS: usize = 126 * 1024 / std::mem::size_of::<HitmRecord>();
 
 /// How a session's detector is deployed (see the [module docs](self) on
-/// pipelined execution). The default is inline.
+/// pipelined execution). The default is inline. A pipelined configuration
+/// gives a session a detector worker only if the session has no observer
+/// and repair is off; any other session runs its detector inline.
 ///
 /// A pipelined session is byte-identical to the same run inline:
 ///
@@ -154,13 +154,15 @@ const JOB_RECORDS: usize = 126 * 1024 / std::mem::size_of::<HitmRecord>();
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineConfig {
     /// Run the detector on a worker thread, overlapping record processing
-    /// with the next quantum of application execution.
+    /// with the next quanta of application execution, if the session is
+    /// unobserved and repair is off.
     pub enabled: bool,
 }
 
 impl PipelineConfig {
-    /// The pipelined deployment: the detector on a worker thread, fed
-    /// coalesced jobs through a lossless double buffer.
+    /// The pipelined deployment: the detector of an unobserved,
+    /// detection-only session on a worker thread, fed coalesced jobs through
+    /// a lossless double buffer.
     pub fn pipelined() -> Self {
         PipelineConfig { enabled: true }
     }
@@ -227,7 +229,8 @@ impl SessionBuilder {
 
     /// Set the pipeline deployment (default: inline).
     /// [`PipelineConfig::pipelined`] runs the detector on a worker thread,
-    /// overlapped with application execution; the results are
+    /// overlapped with application execution, if no observer is attached
+    /// and repair is off; any other session stays inline. The results are
     /// byte-identical either way, only the wall-clock changes.
     pub fn pipeline_config(mut self, pipeline: PipelineConfig) -> Self {
         self.pipeline = pipeline;
@@ -243,8 +246,10 @@ impl SessionBuilder {
     }
 
     /// Construct the session for `image`. Pure setup: nothing runs until
-    /// [`LaserSession::advance`] or [`LaserSession::run`] (a pipelined
-    /// session's detector thread spawns here, but idles on an empty channel).
+    /// [`LaserSession::advance`] or [`LaserSession::run`]. Under
+    /// [`PipelineConfig::pipelined`] an unobserved session with repair off
+    /// spawns its detector thread here, idle on an empty channel; every
+    /// other session builds its detector inline.
     ///
     /// A non-flat [`LaserConfig::topology`] deploys the machine on that
     /// preset (its socket topology and 4-cores-per-socket count) unless the
@@ -292,9 +297,10 @@ impl SessionBuilder {
             model,
         );
         let new_detector = || Detector::new(&config, program, image.memory_map());
-        // A failed spawn has consumed its detector; both deployments produce
+        // Only a session nothing reads mid-run overlaps with a worker. A
+        // failed spawn has consumed its detector; both deployments produce
         // the same bytes, so the session falls back to a fresh inline one.
-        let worker = if pipeline.enabled {
+        let worker = if pipeline.enabled && observer.is_none() && !config.enable_repair {
             DetectorWorker::spawn(new_detector()).ok()
         } else {
             None
@@ -352,9 +358,6 @@ struct DetectJob {
     records: Vec<HitmRecord>,
     /// Where each quantum's batch ends in `records`, in quantum order.
     ends: Vec<usize>,
-    /// Whether the machine thread is waiting for the detector's per-line
-    /// aggregates as of the job's last batch.
-    reply: bool,
 }
 
 impl DetectJob {
@@ -363,7 +366,6 @@ impl DetectJob {
         DetectJob {
             records: Vec::with_capacity(JOB_RECORDS),
             ends: Vec::with_capacity(16),
-            reply: false,
         }
     }
 
@@ -378,13 +380,6 @@ impl DetectJob {
     }
 }
 
-/// A processed job on its way back: its buffers, emptied for the next job,
-/// and the aggregates it asked for.
-struct DoneJob {
-    job: DetectJob,
-    aggs: Option<LineAggregates>,
-}
-
 /// The detector worker's loop: consume jobs in FIFO order until the session
 /// closes the channel, returning each one emptied, then hand the detector
 /// (and the time spent on it) back. `process` runs [`Detector::process`] on
@@ -392,7 +387,7 @@ struct DoneJob {
 fn detector_worker(
     mut detector: Detector,
     jobs: channel::Receiver<DetectJob>,
-    done: channel::Sender<DoneJob>,
+    done: channel::Sender<DetectJob>,
     mut process: impl FnMut(&mut Detector, &DetectJob),
 ) -> (Detector, Duration) {
     let mut busy = Duration::ZERO;
@@ -403,13 +398,12 @@ fn detector_worker(
         )]
         let start = Instant::now();
         process(&mut detector, &job);
-        let aggs = job.reply.then(|| detector.line_aggregates());
         job.records.clear();
         job.ends.clear();
         busy += start.elapsed();
         // A closed return channel just means the session was dropped
         // mid-run; keep draining so the job channel closes cleanly.
-        let _ = done.send(DoneJob { job, aggs });
+        let _ = done.send(job);
     }
     (detector, busy)
 }
@@ -419,12 +413,11 @@ struct DetectorWorker {
     jobs: channel::Sender<DetectJob>,
     /// Processed jobs coming back. Its capacity is `CHANNEL_DEPTH`, so the
     /// worker never waits to return one.
-    done: channel::Receiver<DoneJob>,
+    done: channel::Receiver<DetectJob>,
     /// The job the machine thread is filling; it has no buffer until its
     /// first batch.
     pending: DetectJob,
-    /// Emptied jobs on the machine thread: every job at spawn, then those
-    /// the worker returned while the session awaited a reply.
+    /// The jobs that have never been sent: every job at spawn.
     free: Vec<DetectJob>,
     /// Jobs sent.
     sent: u64,
@@ -467,15 +460,10 @@ impl DetectorWorker {
     /// single batch of more than `JOB_RECORDS` records still goes whole).
     /// The first batch of a job is not copied: its buffer becomes the job's,
     /// and the job's emptied buffer is what comes back for the driver to
-    /// fill next. With `reply`, send the job now and wait for the
-    /// detector's aggregates as of this batch.
-    fn process(
-        &mut self,
-        batch: Vec<HitmRecord>,
-        reply: bool,
-    ) -> (Option<LineAggregates>, Vec<HitmRecord>) {
+    /// fill next.
+    fn process(&mut self, batch: Vec<HitmRecord>) -> Vec<HitmRecord> {
         if self.pending.records.len() + batch.len() > JOB_RECORDS {
-            self.send_pending(false);
+            self.send_pending();
         }
         let spare = if self.pending.ends.is_empty() {
             if self.pending.records.capacity() == 0 {
@@ -487,11 +475,7 @@ impl DetectorWorker {
             batch
         };
         self.pending.ends.push(self.pending.records.len());
-        if reply {
-            self.send_pending(true);
-            return (Some(self.await_reply()), spare);
-        }
-        (None, spare)
+        spare
     }
 
     /// Hand the pending job, if it holds a batch, to the worker. The worker
@@ -499,12 +483,11 @@ impl DetectorWorker {
     /// channel means it died mid-run: fail the session now, with the
     /// worker's own panic, instead of simulating the rest of the cell for
     /// nothing.
-    fn send_pending(&mut self, reply: bool) {
+    fn send_pending(&mut self) {
         if self.pending.ends.is_empty() {
             return;
         }
-        let mut job = std::mem::take(&mut self.pending);
-        job.reply = reply;
+        let job = std::mem::take(&mut self.pending);
         if self.jobs.send(job) != SendOutcome::Sent {
             self.died();
         }
@@ -515,29 +498,15 @@ impl DetectorWorker {
     /// worker that keeps up leaves the other buffer untouched — else one on
     /// hand, else the next one the worker returns.
     fn empty_job(&mut self) -> DetectJob {
-        if let Some(done) = self.done.try_recv() {
-            return done.job;
+        if let Some(job) = self.done.try_recv() {
+            return job;
         }
         if let Some(job) = self.free.pop() {
             return job;
         }
         match self.done.recv() {
-            Some(done) => done.job,
+            Some(job) => job,
             None => self.died(),
-        }
-    }
-
-    /// Wait for the worker to return the awaited job, keeping the emptied
-    /// jobs it returns on the way.
-    fn await_reply(&mut self) -> LineAggregates {
-        loop {
-            let Some(DoneJob { job, aggs }) = self.done.recv() else {
-                self.died();
-            };
-            self.free.push(job);
-            if let Some(aggs) = aggs {
-                return aggs;
-            }
         }
     }
 
@@ -555,7 +524,7 @@ impl DetectorWorker {
     /// queue and exits, then join it and take back the detector and its busy
     /// time. A panic on the worker is re-raised here.
     fn join(mut self) -> (Detector, Duration) {
-        self.send_pending(false);
+        self.send_pending();
         let DetectorWorker { jobs, thread, .. } = self;
         drop(jobs);
         match thread.map(JoinHandle::join) {
@@ -578,27 +547,29 @@ fn worker_exited_early() -> ! {
 }
 
 /// Where the session's one [`Detector`] lives. The two deployments differ
-/// only in how a batch reaches it. Fixed at construction.
+/// only in how a batch reaches it. Fixed at construction: a worker only for
+/// a session nothing reads mid-run (see [`SessionBuilder::build`]).
 enum DetectorStage {
     Inline(Box<Detector>),
     Worker(DetectorWorker),
 }
 
 impl DetectorStage {
-    /// Run one quantum's batch through the detector; with `reply`, also
-    /// return its per-line aggregates as of that batch. Either way, return
-    /// an emptied record buffer for the driver to fill next.
+    /// Run one quantum's batch through the detector, returning an emptied
+    /// record buffer for the driver to fill next. With `read` — asked only
+    /// of an inline detector, the one kind that is read mid-run — also
+    /// return its per-line aggregates as of that batch.
     fn process(
         &mut self,
         records: Vec<HitmRecord>,
-        reply: bool,
+        read: bool,
     ) -> (Option<LineAggregates>, Vec<HitmRecord>) {
         match self {
             DetectorStage::Inline(detector) => {
                 detector.process(&records);
-                (reply.then(|| detector.line_aggregates()), records)
+                (read.then(|| detector.line_aggregates()), records)
             }
-            DetectorStage::Worker(worker) => worker.process(records, reply),
+            DetectorStage::Worker(worker) => (None, worker.process(records)),
         }
     }
 
@@ -621,8 +592,8 @@ struct AppSide {
     config: LaserConfig,
     machine: Machine,
     /// Whether an observer was attached at build time. Events are not even
-    /// constructed when this is false, so unobserved runs (every legacy entry
-    /// point) pay nothing for the event stream.
+    /// constructed when this is false, so unobserved runs pay nothing for
+    /// the event stream.
     observed: bool,
     observer: Box<dyn Observer>,
     workload: String,
@@ -645,8 +616,9 @@ pub struct LaserSession {
     app: AppSide,
     driver: Driver,
     detector: DetectorStage,
-    /// The detector's per-line aggregates as of the last batch that asked
-    /// for them: what the armed repair trigger evaluates between batches.
+    /// The inline detector's per-line aggregates as of the last batch read
+    /// while the session was observed or repair armed: what the armed
+    /// repair trigger evaluates between batches.
     aggs: LineAggregates,
 }
 
@@ -804,17 +776,6 @@ impl AppSide {
 }
 
 impl LaserSession {
-    /// Set up a run of `image` under LASER on a machine with `machine_config`.
-    ///
-    /// Legacy entry point: delegates to [`SessionBuilder`], which also takes
-    /// an [`Observer`].
-    pub fn new(config: LaserConfig, image: &WorkloadImage, machine_config: MachineConfig) -> Self {
-        SessionBuilder::new()
-            .config(config)
-            .machine(machine_config)
-            .build(image)
-    }
-
     /// The machine being monitored.
     pub fn machine(&self) -> &Machine {
         &self.app.machine
@@ -829,7 +790,8 @@ impl LaserSession {
         }
     }
 
-    /// Whether the detector runs pipelined on a worker thread.
+    /// Whether the detector runs pipelined on a worker thread: only under
+    /// [`PipelineConfig::pipelined`], with no observer and repair off.
     pub fn is_pipelined(&self) -> bool {
         matches!(self.detector, DetectorStage::Worker(_))
     }
@@ -855,8 +817,8 @@ impl LaserSession {
     /// [`LaserSession::finish`] never undercounts).
     ///
     /// In a pipelined session the detector consumes the batch on its own
-    /// thread; the event order, payloads and machine charging are identical
-    /// to an inline run (see the [module docs](self)).
+    /// thread; the machine charging is identical to an inline run (see the
+    /// [module docs](self)).
     ///
     /// # Errors
     /// Returns an error if the machine exhausts its step budget.
@@ -924,10 +886,10 @@ impl LaserSession {
         if n == 0 {
             self.driver.give_back(records);
         } else {
-            // Only an observer or an armed trigger reads the aggregates; a
-            // worker is otherwise left to overlap with the next quanta.
-            let reply = app.observed || app.repair_armed();
-            let (aggs, spare) = self.detector.process(records, reply);
+            // Only an observer or an armed trigger reads the aggregates, and
+            // a session with either runs its detector inline.
+            let read = app.observed || app.repair_armed();
+            let (aggs, spare) = self.detector.process(records, read);
             self.driver.give_back(spare);
             if let Some(aggs) = aggs {
                 self.aggs = aggs;
@@ -1102,12 +1064,9 @@ mod tests {
     fn session_run_on_a_worker_thread_matches_inline_run() {
         let image = contended_image("xthread", 1500);
 
-        let config = LaserConfig::default();
-        let inline = LaserSession::new(config.clone(), &image, MachineConfig::default())
-            .run()
-            .unwrap();
+        let inline = Laser::builder().build(&image).run().unwrap();
 
-        let session = LaserSession::new(config, &image, MachineConfig::default());
+        let session = Laser::builder().build(&image);
         let moved = std::thread::spawn(move || session.run().unwrap())
             .join()
             .unwrap();
@@ -1147,10 +1106,6 @@ mod tests {
             "total charged must equal driver overhead + detector cycles"
         );
     }
-
-    // Builder/legacy-constructor outcome equivalence is pinned by the broader
-    // integration test in `tests/end_to_end.rs`, which covers all four entry
-    // points under both configurations on a real workload.
 
     #[test]
     fn stopped_session_can_still_finish_without_undercounting() {
@@ -1403,8 +1358,8 @@ mod tests {
 
     #[test]
     fn pipelined_repair_run_attaches_at_the_same_cycle_as_inline() {
-        // With repair enabled the pipeline runs armed quanta in lock-step;
-        // the attach point, plan and final outcome must match inline exactly.
+        // With repair enabled a pipelined configuration runs inline; the
+        // attach point, plan and final outcome must match inline exactly.
         let image = contended_image("piperep", 6000);
         let inline = Laser::builder().build(&image).run().unwrap();
         let piped = Laser::builder()
@@ -1507,8 +1462,9 @@ mod tests {
 
     #[test]
     fn stopped_pipelined_session_still_finishes_without_undercounting() {
-        // The stop surfaces after the batch went to the worker; finish()
-        // must join it and charge every sampled record exactly once.
+        // Observed, so the pipelined configuration runs inline: the stop
+        // surfaces after the batch was processed, and finish() must charge
+        // every sampled record exactly once.
         let image = contended_image("pipstop", 6000);
         let config = LaserConfig {
             detector_cycles_per_record: 37,
@@ -1595,8 +1551,8 @@ mod tests {
 
     #[test]
     fn awaited_pipelined_repair_session_streams_and_attaches_like_inline() {
-        // Observed *and* repair-armed: every batch is awaited, so the
-        // observer's rates and the trigger both read the worker's reply.
+        // Observed *and* repair-armed: the observer's rates and the trigger
+        // both read the detector every quantum, so the session runs inline.
         let image = contended_image("awaited", 6000);
         let run = |pipelined: bool| {
             let log = EventLog::new();
@@ -1656,18 +1612,19 @@ mod tests {
         let mut session = Laser::builder()
             .pipeline_config(PipelineConfig::pipelined())
             .build(&image);
+        assert!(!session.is_pipelined(), "repair is enabled");
         while !session.repair_triggered() {
             assert_eq!(session.advance().unwrap(), SessionStatus::Running);
         }
-        // Armed batches were awaited: the trigger fired off the worker's
-        // aggregates. From here on nobody reads them, so no batch asks, and
-        // the session's copy goes stale while records keep flowing.
+        // Armed batches were read: the trigger fired off the detector's
+        // aggregates. From here on nobody reads them, so no batch builds
+        // them, and the session's copy goes stale while records keep flowing.
         let at_attach = session.aggs.clone();
         assert!(!at_attach.aggs.is_empty());
         let sampled_at_attach = session.driver.stats().records_sampled;
         while session.advance().unwrap() == SessionStatus::Running {}
         assert!(session.driver.stats().records_sampled > sampled_at_attach);
-        assert_eq!(session.aggs, at_attach, "no reply was asked for");
+        assert_eq!(session.aggs, at_attach, "no batch was read");
 
         let piped = session.finish();
         let (a, b) = (
@@ -1731,20 +1688,15 @@ mod tests {
     #[test]
     fn coalesced_pipelined_run_is_byte_identical_to_inline_over_many_jobs() {
         let image = contended_image("coalesce", 40_000);
-        let build = |pipelined: bool, log: Option<EventLog>| {
-            let builder = Laser::builder()
+        let build = |pipelined: bool| {
+            Laser::builder()
                 .config(sav1())
-                .pipeline_config(PipelineConfig { enabled: pipelined });
-            match log {
-                Some(log) => builder.observer(log),
-                None => builder,
-            }
-            .build(&image)
+                .pipeline_config(PipelineConfig { enabled: pipelined })
+                .build(&image)
         };
 
-        // Unobserved: un-awaited, so quanta coalesce into jobs.
-        let inline = build(false, None).run().unwrap();
-        let (piped, jobs) = run_counting_jobs(build(true, None));
+        let inline = build(false).run().unwrap();
+        let (piped, jobs) = run_counting_jobs(build(true));
         assert_same_outcome(&inline, &piped);
         assert_eq!(
             piped.detector_cycles,
@@ -1755,25 +1707,57 @@ mod tests {
         // A job goes only when the next batch would overflow it, so any two
         // consecutive jobs hold more than `JOB_RECORDS` records.
         assert!(jobs <= 2 * records / JOB_RECORDS as u64 + 1, "{jobs} jobs");
+    }
 
-        // Observed: every quantum is awaited, one job per batch, and the
-        // event stream is the inline one.
+    #[test]
+    fn only_an_unobserved_detection_session_gets_a_worker() {
+        let image = contended_image("whopipes", 40_000);
+        let repair = LaserConfig {
+            enable_repair: true,
+            ..sav1()
+        };
+        let run = |config: &LaserConfig, pipelined: bool, log: Option<EventLog>| {
+            let builder = Laser::builder()
+                .config(config.clone())
+                .pipeline_config(PipelineConfig { enabled: pipelined });
+            let session = match log {
+                Some(log) => builder.observer(log),
+                None => builder,
+            }
+            .build(&image);
+            (session.is_pipelined(), session.run().unwrap())
+        };
+
+        // Observed, detection-only: the observer reads the detector after
+        // every batch, so the session runs inline and streams the inline
+        // events.
         let (inline_log, piped_log) = (EventLog::new(), EventLog::new());
-        let inline = build(false, Some(inline_log.clone())).run().unwrap();
-        let (piped, jobs) = run_counting_jobs(build(true, Some(piped_log.clone())));
+        let (_, inline) = run(&sav1(), false, Some(inline_log.clone()));
+        let (pipelined, piped) = run(&sav1(), true, Some(piped_log.clone()));
+        assert!(!pipelined, "an observed session runs inline");
+        assert_eq!(piped.stage_occupancy, None);
         assert_same_outcome(&inline, &piped);
         let events = piped_log.events();
         assert_eq!(inline_log.events(), events);
         assert_stream_accounts_for_every_record(&events, &piped);
-        let batches = events
-            .iter()
-            .filter(|e| matches!(e, LaserEvent::RecordBatch { .. }))
-            .count() as u64;
-        // The final flush is processed after the join, not as a job.
-        assert!(
-            jobs + 1 >= batches && jobs <= batches,
-            "{jobs} jobs, {batches} batches"
+
+        // Unobserved, repair enabled: the armed trigger reads the detector
+        // every quantum, so the session runs inline too.
+        let (_, inline) = run(&repair, false, None);
+        let (pipelined, piped) = run(&repair, true, None);
+        assert!(!pipelined, "a repair session runs inline");
+        assert_eq!(piped.stage_occupancy, None);
+        assert!(piped.repair.is_some(), "repair attaches");
+        assert_eq!(
+            inline.repair.as_ref().unwrap().triggered_at_cycle,
+            piped.repair.as_ref().unwrap().triggered_at_cycle
         );
+        assert_same_outcome(&inline, &piped);
+
+        // Unobserved, detection-only: nothing reads the detector mid-run.
+        let (pipelined, piped) = run(&sav1(), true, None);
+        assert!(pipelined, "an unobserved detection session pipelines");
+        assert!(piped.stage_occupancy.is_some());
     }
 
     #[test]
@@ -1848,50 +1832,6 @@ mod tests {
     }
 
     #[test]
-    fn a_repair_session_coalesces_once_repair_attaches() {
-        let image = mixed_image("coalrep", 40_000);
-        let config = LaserConfig::default().with_sav(1);
-        let inline = Laser::builder()
-            .config(config.clone())
-            .build(&image)
-            .run()
-            .unwrap();
-
-        let mut session = Laser::builder()
-            .config(config)
-            .pipeline_config(PipelineConfig::pipelined())
-            .build(&image);
-        // Armed: every batch is awaited, so nothing is ever left pending.
-        while !session.repair_triggered() {
-            assert_eq!(session.advance().unwrap(), SessionStatus::Running);
-            assert!(worker(&session).pending.ends.is_empty());
-        }
-        let jobs_at_attach = worker(&session).sent;
-        assert!(jobs_at_attach > 0);
-        // Attached and unobserved: quanta coalesce.
-        let (mut quanta, mut coalesced) = (0u64, false);
-        while session.advance().unwrap() == SessionStatus::Running {
-            quanta += 1;
-            coalesced |= worker(&session).pending.ends.len() > 1;
-        }
-        assert!(coalesced, "no job ever held two quanta");
-        let jobs_after = worker(&session).sent - jobs_at_attach;
-        assert!(
-            jobs_after < quanta,
-            "{jobs_after} jobs over {quanta} quanta"
-        );
-
-        let piped = session.finish();
-        let (a, b) = (
-            inline.repair.as_ref().unwrap(),
-            piped.repair.as_ref().unwrap(),
-        );
-        assert_eq!(a.triggered_at_cycle, b.triggered_at_cycle);
-        assert_eq!(a.stats, b.stats);
-        assert_same_outcome(&inline, &piped);
-    }
-
-    #[test]
     fn a_contended_pass_sends_a_job_per_job_records() {
         // The benchmark's `contended_piped` pass: the six most contended
         // programs, detection-only at sav 1. Full size in release (as CI
@@ -1935,15 +1875,11 @@ mod tests {
 
     const WORKER_PANIC: &str = "deliberate detector worker panic";
 
-    /// A pipelined session for `image` whose worker panics on its first
-    /// job. `alive` is held by the worker thread for as long as it exists,
-    /// so `Arc::strong_count(alive) == 1` means it is gone.
-    fn session_with_dying_worker(
-        config: LaserConfig,
-        image: &WorkloadImage,
-        alive: &Arc<()>,
-    ) -> LaserSession {
-        session_with_worker_dying_on_job(1, config, image, alive)
+    /// A pipelined detection-only session for `image` whose worker panics
+    /// on its first job. `alive` is held by the worker thread for as long as
+    /// it exists, so `Arc::strong_count(alive) == 1` means it is gone.
+    fn session_with_dying_worker(image: &WorkloadImage, alive: &Arc<()>) -> LaserSession {
+        session_with_worker_dying_on_job(1, LaserConfig::detection_only(), image, alive)
     }
 
     /// [`session_with_dying_worker`], except that the worker processes its
@@ -1959,6 +1895,10 @@ mod tests {
             .config(config)
             .pipeline_config(PipelineConfig::pipelined())
             .build(image);
+        assert!(
+            session.is_pipelined(),
+            "only a pipelined session has a worker"
+        );
         let held = Arc::clone(alive);
         let mut jobs = 0;
         let worker = DetectorWorker::spawn_with(detector, move |detector, job| {
@@ -1978,27 +1918,24 @@ mod tests {
 
     #[test]
     fn a_dying_worker_fails_the_run_with_its_own_panic_and_is_joined() {
-        // Detection-only and unobserved: batches are un-awaited, and the
-        // closed job channel (or the join at finish) gives the worker away.
-        // Repair-armed: the awaited reply never comes.
-        for config in [LaserConfig::detection_only(), LaserConfig::default()] {
-            let image = contended_image("dying", 6000);
-            let alive = Arc::new(());
-            let session = session_with_dying_worker(config, &image, &alive);
-            let payload = catch_unwind(AssertUnwindSafe(|| session.run()))
-                .expect_err("the worker's panic must unwind run()");
-            assert_eq!(payload.downcast_ref::<String>().unwrap(), WORKER_PANIC);
-            assert_eq!(
-                Arc::strong_count(&alive),
-                1,
-                "the worker was joined before its panic was re-raised"
-            );
-        }
+        // Detection-only and unobserved: the closed job channel (or the join
+        // at finish) gives the worker away.
+        let image = contended_image("dying", 6000);
+        let alive = Arc::new(());
+        let session = session_with_dying_worker(&image, &alive);
+        let payload = catch_unwind(AssertUnwindSafe(|| session.run()))
+            .expect_err("the worker's panic must unwind run()");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), WORKER_PANIC);
+        assert_eq!(
+            Arc::strong_count(&alive),
+            1,
+            "the worker was joined before its panic was re-raised"
+        );
     }
 
     #[test]
     fn a_worker_dying_on_a_later_job_surfaces_its_panic_on_a_send_and_is_joined() {
-        // Un-awaited and coalesced: the first jobs are processed, the third
+        // Coalesced: the first jobs are processed, the third
         // kills the worker, and the machine thread finds out when it next
         // hands over a job or waits for a buffer — long before the run ends.
         let image = contended_image("dieslater", 40_000);
@@ -2047,8 +1984,7 @@ mod tests {
                 return self.inner.run(spec, cell);
             }
             let image = spec.build(&cell.adapted_opts());
-            let session =
-                session_with_dying_worker(LaserConfig::detection_only(), &image, &Arc::new(()));
+            let session = session_with_dying_worker(&image, &Arc::new(()));
             let outcome = session.run();
             unreachable!("the worker's panic unwinds run(): {outcome:?}")
         }

@@ -1,14 +1,14 @@
 //! The end-to-end LASER system (paper Section 6, Figure 8).
 //!
-//! [`Laser::run`] wires the pieces together the way the paper's deployment
-//! does: the application runs on the simulated machine; the kernel driver
-//! configures the PMU and ships stripped HITM records to the user-space
-//! detector; the detector runs its pipeline online and, when the
-//! false-sharing rate crosses a threshold, attaches the Pin-based SSB
-//! instrumentation to the still-running program. Driver, detector and
-//! instrumentation overhead are all charged to the machine, so the run's
-//! cycle count is directly comparable to a native run — which is exactly how
-//! the paper's Figures 10–14 are built.
+//! A session built by [`Laser::builder`] wires the pieces together the way
+//! the paper's deployment does: the application runs on the simulated
+//! machine; the kernel driver configures the PMU and ships stripped HITM
+//! records to the user-space detector; the detector runs its pipeline
+//! online and, when the false-sharing rate crosses a threshold, attaches the
+//! Pin-based SSB instrumentation to the still-running program. Driver,
+//! detector and instrumentation overhead are all charged to the machine, so
+//! the run's cycle count is directly comparable to a native run — which is
+//! exactly how the paper's Figures 10–14 are built.
 
 use std::fmt;
 
@@ -16,7 +16,6 @@ use laser_machine::machine::MachineError;
 use laser_machine::{HitmEvent, Machine, MachineConfig, RunResult, WorkloadImage};
 use laser_pebs::driver::DriverStats;
 
-use crate::config::LaserConfig;
 use crate::observe::StopReason;
 use crate::repair::{RepairPlan, SsbStats};
 use crate::report::ContentionReport;
@@ -95,36 +94,19 @@ impl From<MachineError> for LaserError {
     }
 }
 
-/// The LASER system: detection plus (optionally) online repair.
-#[derive(Debug, Clone)]
-pub struct Laser {
-    config: LaserConfig,
-}
-
-impl Default for Laser {
-    fn default() -> Self {
-        Laser::new(LaserConfig::default())
-    }
-}
+/// The LASER system: detection plus (optionally) online repair, run
+/// through a session from [`Laser::builder`], and the native baseline runs
+/// every overhead figure is normalized against.
+#[derive(Debug)]
+pub struct Laser;
 
 impl Laser {
-    /// Create a system with the given configuration.
-    pub fn new(config: LaserConfig) -> Self {
-        Laser { config }
-    }
-
-    /// Start building a session: the canonical construction path. The
-    /// builder unifies the LASER and machine configurations and optionally
-    /// attaches an [`Observer`](crate::observe::Observer) to stream the run's
-    /// [`LaserEvent`](crate::observe::LaserEvent)s; every other constructor
-    /// on this type is a thin wrapper over it.
+    /// Start building a session: the one way to run LASER. The builder
+    /// unifies the LASER and machine configurations and optionally attaches
+    /// an [`Observer`](crate::observe::Observer) to stream the run's
+    /// [`LaserEvent`](crate::observe::LaserEvent)s.
     pub fn builder() -> SessionBuilder {
         SessionBuilder::new()
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &LaserConfig {
-        &self.config
     }
 
     /// Run `image` natively — no driver, no detector, no repair. This is the
@@ -168,41 +150,12 @@ impl Laser {
     ) -> Result<RunResult, LaserError> {
         Ok(Machine::new(machine_config, image).run_draining(sink)?)
     }
-
-    /// Run `image` under LASER with the default machine configuration.
-    ///
-    /// # Errors
-    /// Returns an error if the workload exceeds the machine's step budget.
-    pub fn run(&self, image: &WorkloadImage) -> Result<LaserOutcome, LaserError> {
-        self.run_on(image, MachineConfig::default())
-    }
-
-    /// Run `image` under LASER on a machine with `machine_config`.
-    ///
-    /// The whole run lives in a [`LaserSession`](crate::session::LaserSession)
-    /// — an owned, `Send`-able value — so callers that want to fan runs out
-    /// across threads can build one with [`Laser::builder`] and move it to a
-    /// worker instead; the builder is also how a caller watches or cancels
-    /// the run.
-    ///
-    /// # Errors
-    /// Returns an error if the workload exceeds the machine's step budget.
-    pub fn run_on(
-        &self,
-        image: &WorkloadImage,
-        machine_config: MachineConfig,
-    ) -> Result<LaserOutcome, LaserError> {
-        Laser::builder()
-            .config(self.config.clone())
-            .machine(machine_config)
-            .build(image)
-            .run()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LaserConfig;
     use laser_isa::inst::{Operand, Reg};
     use laser_isa::ProgramBuilder;
     use laser_machine::ThreadSpec;
@@ -266,7 +219,7 @@ mod tests {
     fn detects_and_repairs_false_sharing_online() {
         let image = false_sharing_image(4000);
         let native = Laser::run_native(&image).unwrap();
-        let outcome = Laser::new(LaserConfig::default()).run(&image).unwrap();
+        let outcome = Laser::builder().build(&image).run().unwrap();
 
         // The contending source line is reported.
         assert!(
@@ -290,8 +243,10 @@ mod tests {
     #[test]
     fn detection_only_mode_reports_without_repair() {
         let image = false_sharing_image(3000);
-        let outcome = Laser::new(LaserConfig::detection_only())
-            .run(&image)
+        let outcome = Laser::builder()
+            .config(LaserConfig::detection_only())
+            .build(&image)
+            .run()
             .unwrap();
         assert!(outcome.repair.is_none());
         assert!(!outcome.report.repair_invoked);
@@ -304,7 +259,7 @@ mod tests {
         let image = private_image(3000);
         let native = Laser::run_native(&image).unwrap();
         assert_eq!(native.stats.hitm_events, 0);
-        let outcome = Laser::new(LaserConfig::default()).run(&image).unwrap();
+        let outcome = Laser::builder().build(&image).run().unwrap();
         let normalized = outcome.normalized_runtime(&native);
         assert!(normalized < 1.02, "overhead too high: {normalized}");
         assert!(outcome.report.lines.is_empty());
@@ -422,9 +377,14 @@ mod tests {
     #[test]
     fn laser_run_is_deterministic_given_seed() {
         let image = false_sharing_image(1000);
-        let l = Laser::new(LaserConfig::default().with_seed(9));
-        let a = l.run(&image).unwrap();
-        let b = l.run(&image).unwrap();
+        let run = || {
+            Laser::builder()
+                .config(LaserConfig::default().with_seed(9))
+                .build(&image)
+                .run()
+                .unwrap()
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.cycles(), b.cycles());
         assert_eq!(a.report, b.report);
     }

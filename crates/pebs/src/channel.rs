@@ -49,7 +49,7 @@ pub enum SendOutcome {
 
 struct State<T> {
     queue: VecDeque<T>,
-    senders: usize,
+    sender_alive: bool,
     receiver_alive: bool,
     /// Receivers parked on `not_empty`.
     parked_receivers: usize,
@@ -64,7 +64,8 @@ struct Shared<T> {
     not_full: Condvar,
 }
 
-/// Producer endpoint of a bounded channel (see [`bounded`]).
+/// Producer endpoint of a bounded channel (see [`bounded`]); each channel
+/// has exactly one.
 pub struct Sender<T> {
     shared: Arc<Shared<T>>,
 }
@@ -84,7 +85,7 @@ pub fn bounded<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>, Receiv
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             queue: VecDeque::new(),
-            senders: 1,
+            sender_alive: true,
             receiver_alive: true,
             parked_receivers: 0,
             parked_senders: 0,
@@ -127,19 +128,6 @@ impl<T> Sender<T> {
     }
 }
 
-impl<T> Clone for Sender<T> {
-    #[expect(
-        clippy::unwrap_used,
-        reason = "lock poisoning only follows a panic already unwinding this run"
-    )]
-    fn clone(&self) -> Self {
-        self.shared.state.lock().unwrap().senders += 1;
-        Sender {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         #[expect(
@@ -147,8 +135,8 @@ impl<T> Drop for Sender<T> {
             reason = "lock poisoning only follows a panic already unwinding this run"
         )]
         let mut state = self.shared.state.lock().unwrap();
-        state.senders -= 1;
-        if state.senders == 0 && state.parked_receivers > 0 {
+        state.sender_alive = false;
+        if state.parked_receivers > 0 {
             // Wake a consumer blocked on an empty queue so it can observe the
             // disconnect and shut down.
             self.shared.not_empty.notify_all();
@@ -158,7 +146,7 @@ impl<T> Drop for Sender<T> {
 
 impl<T> Receiver<T> {
     /// Receive the next batch, blocking while the channel is empty. Returns
-    /// `None` once every sender is gone and the queue is drained.
+    /// `None` once the sender is gone and the queue is drained.
     #[expect(
         clippy::unwrap_used,
         reason = "lock poisoning only follows a panic already unwinding this run"
@@ -172,7 +160,7 @@ impl<T> Receiver<T> {
                 }
                 return Some(item);
             }
-            if state.senders == 0 {
+            if !state.sender_alive {
                 return None;
             }
             state.parked_receivers += 1;

@@ -20,8 +20,8 @@
 //!   buffers, buffer-full interrupts, and the overhead-charging driver that
 //!   moves records into a file-like device the detector reads.
 //! * [`channel`] — the bounded, double-buffered batch channel that feeds a
-//!   concurrent detector stage, with backpressure or PEBS-style overflow
-//!   drops when the consumer lags ([`channel::OverflowPolicy`]).
+//!   concurrent detector stage, with backpressure when the consumer lags
+//!   ([`channel::OverflowPolicy`]).
 //!
 //! ## Example
 //!

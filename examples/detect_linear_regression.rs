@@ -18,8 +18,10 @@ fn main() {
         std::process::exit(2);
     };
     let image = spec.build(&BuildOptions::scaled(0.3));
-    let outcome = Laser::new(LaserConfig::detection_only())
-        .run(&image)
+    let outcome = Laser::builder()
+        .config(LaserConfig::detection_only())
+        .build(&image)
+        .run()
         .expect("detection run succeeds");
 
     println!("workload: {name}");

@@ -37,8 +37,10 @@ fn main() {
         native.cycles, native.stats.hitm_events
     );
 
-    let outcome = Laser::new(LaserConfig::default())
-        .run(&image)
+    let outcome = Laser::builder()
+        .config(LaserConfig::default())
+        .build(&image)
+        .run()
         .expect("LASER run");
     println!(
         "\n== LASER contention report ==\n{}",

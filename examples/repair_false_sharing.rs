@@ -12,11 +12,15 @@ fn main() {
     let image = spec.build(&opts);
 
     let native = Laser::run_native(&image).expect("native run");
-    let detect_only = Laser::new(LaserConfig::detection_only())
-        .run(&image)
+    let detect_only = Laser::builder()
+        .config(LaserConfig::detection_only())
+        .build(&image)
+        .run()
         .expect("detection run");
-    let repaired = Laser::new(LaserConfig::default())
-        .run(&image)
+    let repaired = Laser::builder()
+        .config(LaserConfig::default())
+        .build(&image)
+        .run()
         .expect("repair run");
     let fixed_image = spec.build(&BuildOptions {
         fixed: true,

@@ -19,8 +19,10 @@ fn main() {
     for spec in registry() {
         let image = spec.build(&opts);
         let native = Laser::run_native(&image).expect("native run");
-        let outcome = Laser::new(LaserConfig::detection_only())
-            .run(&image)
+        let outcome = Laser::builder()
+            .config(LaserConfig::detection_only())
+            .build(&image)
+            .run()
             .expect("LASER run");
         let overhead = outcome.run.cycles as f64 / native.cycles.max(1) as f64;
         let top = outcome

@@ -48,8 +48,10 @@ fn laser_is_cheaper_than_vtune_across_a_mixed_subset() {
         let spec = find(name).unwrap();
         let image = spec.build(&opts());
         let native = Laser::run_native(&image).unwrap();
-        let laser = Laser::new(LaserConfig::detection_only())
-            .run(&image)
+        let laser = Laser::builder()
+            .config(LaserConfig::detection_only())
+            .build(&image)
+            .run()
             .unwrap();
         let v = vtune.run(&image).unwrap();
         laser_norms.push(laser.run.cycles as f64 / native.cycles as f64);
@@ -87,8 +89,10 @@ fn sheriff_protect_fixes_false_sharing_it_cannot_see_while_laser_reports_it() {
             protect.normalized_runtime() < 1.0,
             "{name}: Sheriff-Protect should remove the false-sharing misses"
         );
-        let outcome = Laser::new(LaserConfig::detection_only())
-            .run(&spec.build(&opts()))
+        let outcome = Laser::builder()
+            .config(LaserConfig::detection_only())
+            .build(&spec.build(&opts()))
+            .run()
             .unwrap();
         let found = spec.known_bugs.iter().any(|bug| {
             bug.lines
@@ -138,8 +142,10 @@ fn vtune_reports_more_locations_than_laser_for_the_same_workload() {
     for name in ["kmeans", "bodytrack"] {
         let spec = find(name).unwrap();
         let image = spec.build(&opts());
-        let laser = Laser::new(LaserConfig::detection_only())
-            .run(&image)
+        let laser = Laser::builder()
+            .config(LaserConfig::detection_only())
+            .build(&image)
+            .run()
             .unwrap();
         let vtune = Vtune::default().run(&image).unwrap();
         assert!(

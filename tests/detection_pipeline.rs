@@ -74,8 +74,10 @@ fn perfect_records_classify_every_characterization_category_correctly() {
 fn report_lines_are_monotone_in_the_rate_threshold() {
     let spec = find("kmeans").unwrap();
     let image = spec.build(&BuildOptions::scaled(0.2));
-    let outcome = Laser::new(LaserConfig::detection_only().with_rate_threshold(0.0))
-        .run(&image)
+    let outcome = Laser::builder()
+        .config(LaserConfig::detection_only().with_rate_threshold(0.0))
+        .build(&image)
+        .run()
         .unwrap();
     let all = &outcome.report.lines;
     assert!(!all.is_empty());
@@ -135,16 +137,22 @@ fn spurious_records_never_produce_report_lines() {
 fn detection_is_reproducible_and_robust_to_the_sampling_seed() {
     let spec = find("histogram'").unwrap();
     let image = spec.build(&BuildOptions::scaled(0.2));
-    let a = Laser::new(LaserConfig::detection_only().with_seed(1))
-        .run(&image)
+    let a = Laser::builder()
+        .config(LaserConfig::detection_only().with_seed(1))
+        .build(&image)
+        .run()
         .unwrap();
-    let b = Laser::new(LaserConfig::detection_only().with_seed(1))
-        .run(&image)
+    let b = Laser::builder()
+        .config(LaserConfig::detection_only().with_seed(1))
+        .build(&image)
+        .run()
         .unwrap();
     assert_eq!(a.report, b.report);
     for seed in [2, 3, 4, 5] {
-        let c = Laser::new(LaserConfig::detection_only().with_seed(seed))
-            .run(&image)
+        let c = Laser::builder()
+            .config(LaserConfig::detection_only().with_seed(seed))
+            .build(&image)
+            .run()
             .unwrap();
         let found = spec.known_bugs.iter().any(|bug| {
             bug.lines
@@ -164,8 +172,10 @@ fn detection_works_across_sampling_rates() {
     let mut overheads = Vec::new();
     let native = Laser::run_native(&image).unwrap();
     for sav in [1u32, 7, 19, 31] {
-        let outcome = Laser::new(LaserConfig::detection_only().with_sav(sav))
-            .run(&image)
+        let outcome = Laser::builder()
+            .config(LaserConfig::detection_only().with_sav(sav))
+            .build(&image)
+            .run()
             .unwrap();
         let found = spec.known_bugs.iter().any(|bug| {
             bug.lines

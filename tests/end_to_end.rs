@@ -3,7 +3,7 @@
 //! the umbrella crate.
 
 use laser::workloads::{find, BugKind, BuildOptions};
-use laser::{ContentionKind, Laser, LaserConfig, LaserSession, MachineConfig};
+use laser::{ContentionKind, Laser, LaserConfig};
 
 fn opts() -> BuildOptions {
     BuildOptions::scaled(0.2)
@@ -21,8 +21,10 @@ fn laser_finds_every_headline_bug() {
         "volrend",
     ] {
         let spec = find(name).unwrap();
-        let outcome = Laser::new(LaserConfig::detection_only())
-            .run(&spec.build(&opts()))
+        let outcome = Laser::builder()
+            .config(LaserConfig::detection_only())
+            .build(&spec.build(&opts()))
+            .run()
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let found = spec.known_bugs.iter().any(|bug| {
             bug.lines
@@ -38,43 +40,6 @@ fn laser_finds_every_headline_bug() {
 }
 
 #[test]
-fn builder_and_legacy_constructors_produce_identical_outcomes() {
-    // The fluent builder is the single construction path; the legacy entry
-    // points are thin wrappers over it and must agree with it exactly, on a
-    // representative contending workload under both LASER configurations.
-    for config in [LaserConfig::default(), LaserConfig::detection_only()] {
-        let spec = find("histogram'").unwrap();
-        let image = spec.build(&opts());
-
-        let via_builder = Laser::builder()
-            .config(config.clone())
-            .machine(MachineConfig::default())
-            .build(&image)
-            .run()
-            .unwrap();
-        let via_laser_run = Laser::new(config.clone()).run(&image).unwrap();
-        let via_session_new = LaserSession::new(config.clone(), &image, MachineConfig::default())
-            .run()
-            .unwrap();
-        let via_run_on = Laser::new(config)
-            .run_on(&image, MachineConfig::default())
-            .unwrap();
-
-        for other in [&via_laser_run, &via_session_new, &via_run_on] {
-            assert_eq!(via_builder.cycles(), other.cycles());
-            assert_eq!(via_builder.report, other.report);
-            assert_eq!(via_builder.detector_cycles, other.detector_cycles);
-            assert_eq!(via_builder.driver_stats, other.driver_stats);
-            assert_eq!(
-                via_builder.repair.is_some(),
-                other.repair.is_some(),
-                "repair decision must not depend on the construction path"
-            );
-        }
-    }
-}
-
-#[test]
 fn contention_free_workloads_stay_quiet_and_cheap() {
     for name in ["blackscholes", "swaptions", "string_match", "histogram"] {
         let spec = find(name).unwrap();
@@ -84,7 +49,7 @@ fn contention_free_workloads_stay_quiet_and_cheap() {
             native.stats.hitm_events, 0,
             "{name} should have no contention"
         );
-        let outcome = Laser::new(LaserConfig::default()).run(&image).unwrap();
+        let outcome = Laser::builder().build(&image).run().unwrap();
         assert!(
             outcome.report.lines.is_empty(),
             "{name}: {}",
@@ -102,8 +67,10 @@ fn true_sharing_bugs_are_classified_as_true_sharing() {
         let spec = find(name).unwrap();
         let bug = &spec.known_bugs[0];
         assert_eq!(bug.kind, BugKind::TrueSharing);
-        let outcome = Laser::new(LaserConfig::detection_only())
-            .run(&spec.build(&opts()))
+        let outcome = Laser::builder()
+            .config(LaserConfig::detection_only())
+            .build(&spec.build(&opts()))
+            .run()
             .unwrap();
         let reported = outcome
             .report
@@ -133,8 +100,10 @@ fn false_sharing_bugs_are_not_classified_as_true_sharing() {
         ("linear_regression", true),
     ] {
         let spec = find(name).unwrap();
-        let outcome = Laser::new(LaserConfig::detection_only())
-            .run(&spec.build(&opts()))
+        let outcome = Laser::builder()
+            .config(LaserConfig::detection_only())
+            .build(&spec.build(&opts()))
+            .run()
             .unwrap();
         let reported = outcome
             .report
@@ -162,7 +131,7 @@ fn online_repair_speeds_up_intense_false_sharing() {
         // run left after detection for the SSB to pay off.
         let image = spec.build(&BuildOptions::default());
         let native = Laser::run_native(&image).unwrap();
-        let outcome = Laser::new(LaserConfig::default()).run(&image).unwrap();
+        let outcome = Laser::builder().build(&image).run().unwrap();
         assert!(outcome.repair.is_some(), "{name}: repair should trigger");
         assert!(
             outcome.run.cycles < native.cycles,
@@ -177,9 +146,7 @@ fn online_repair_speeds_up_intense_false_sharing() {
 fn repair_is_not_attempted_for_true_sharing_or_mild_contention() {
     for name in ["bodytrack", "reverse_index", "volrend"] {
         let spec = find(name).unwrap();
-        let outcome = Laser::new(LaserConfig::default())
-            .run(&spec.build(&opts()))
-            .unwrap();
+        let outcome = Laser::builder().build(&spec.build(&opts())).run().unwrap();
         assert!(
             outcome.repair.is_none(),
             "{name}: repair should not trigger ({:?})",
@@ -194,8 +161,10 @@ fn overhead_across_the_whole_suite_is_low_on_geometric_mean() {
     for spec in laser::workloads::registry() {
         let image = spec.build(&BuildOptions::scaled(0.1));
         let native = Laser::run_native(&image).unwrap();
-        let outcome = Laser::new(LaserConfig::detection_only())
-            .run(&image)
+        let outcome = Laser::builder()
+            .config(LaserConfig::detection_only())
+            .build(&image)
+            .run()
             .unwrap();
         ratios.push(outcome.run.cycles as f64 / native.cycles.max(1) as f64);
     }
