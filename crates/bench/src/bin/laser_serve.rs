@@ -66,7 +66,8 @@ struct Cli {
     stdin: bool,
     watch: Option<String>,
     once: bool,
-    poll_ms: u64,
+    /// `--poll-ms N`, if given; the watch loop polls every 500 ms without it.
+    poll_ms: Option<u64>,
     threads: Option<usize>,
     cache: Option<String>,
     cache_stats: Option<String>,
@@ -82,7 +83,7 @@ impl Cli {
             stdin: false,
             watch: None,
             once: false,
-            poll_ms: 500,
+            poll_ms: None,
             threads: None,
             cache: None,
             cache_stats: None,
@@ -93,7 +94,13 @@ impl Cli {
                 "--stdin" => cli.stdin = true,
                 "--watch" => cli.watch = Some(value(&mut args)?),
                 "--once" => cli.once = true,
-                "--poll-ms" => cli.poll_ms = value(&mut args)?,
+                "--poll-ms" => {
+                    let ms: u64 = value(&mut args)?;
+                    if ms == 0 {
+                        return Err(CliError::Invalid(format!("{arg} must be at least 1")));
+                    }
+                    cli.poll_ms = Some(ms);
+                }
                 "--threads" => cli.threads = Some(value(&mut args)?),
                 "--cache" => cli.cache = Some(value(&mut args)?),
                 "--cache-stats" => cli.cache_stats = Some(value(&mut args)?),
@@ -109,7 +116,7 @@ impl Cli {
                 "nothing to serve: give scenario files, --stdin or --watch DIR".to_string(),
             ));
         }
-        if (cli.once || cli.poll_ms != 500) && cli.watch.is_none() {
+        if (cli.once || cli.poll_ms.is_some()) && cli.watch.is_none() {
             return Err(CliError::Invalid(
                 "--once and --poll-ms only apply with --watch".to_string(),
             ));
@@ -267,7 +274,7 @@ fn main() -> ExitCode {
             if cli.once {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(cli.poll_ms.max(1)));
+            std::thread::sleep(Duration::from_millis(cli.poll_ms.unwrap_or(500)));
         }
     }
     ExitCode::SUCCESS
@@ -303,7 +310,7 @@ mod tests {
         .unwrap();
         assert_eq!(cli.watch, Some("inbox".to_string()));
         assert!(cli.once);
-        assert_eq!(cli.poll_ms, 50);
+        assert_eq!(cli.poll_ms, Some(50));
         assert_eq!(cli.threads, Some(2));
     }
 
@@ -348,6 +355,34 @@ mod tests {
         .unwrap();
         assert_eq!(cli.cache, Some("dir".to_string()));
         assert_eq!(cli.cache_stats, Some("s.json".to_string()));
+    }
+
+    #[test]
+    fn poll_ms_without_watch_is_rejected_whatever_its_value() {
+        // Whether the flag was given decides, not its value: the default
+        // interval spelled out is still a flag that needs --watch.
+        for ms in ["500", "50"] {
+            assert_eq!(
+                Cli::parse(&args(&["a.json", "--poll-ms", ms])).unwrap_err(),
+                CliError::Invalid("--once and --poll-ms only apply with --watch".to_string()),
+                "--poll-ms {ms}"
+            );
+        }
+        let cli = Cli::parse(&args(&["--watch", "inbox", "--poll-ms", "500"])).unwrap();
+        assert_eq!(cli.poll_ms, Some(500));
+        assert_eq!(
+            Cli::parse(&args(&["--watch", "inbox"])).unwrap().poll_ms,
+            None
+        );
+    }
+
+    #[test]
+    fn a_zero_poll_interval_is_rejected() {
+        // Refused up front, not quietly raised to 1 ms.
+        assert_eq!(
+            Cli::parse(&args(&["--watch", "inbox", "--poll-ms", "0"])).unwrap_err(),
+            CliError::Invalid("--poll-ms must be at least 1".to_string())
+        );
     }
 
     #[test]

@@ -83,7 +83,7 @@ use serde::json::{ParseError, Reader, Value};
 
 use crate::campaign::CellResult;
 pub use crate::config::CellConfig;
-use crate::tool::{ReportedLine, ToolFailure, ToolRun};
+use crate::tool::{PebsAccuracy, ReportedLine, ToolFailure, ToolRun};
 
 /// Version salt baked into every cache file.
 ///
@@ -506,6 +506,7 @@ fn read_run(r: &mut Reader<'_>) -> Result<Option<ToolRun>, ParseError> {
     }
     let (mut cycles, mut reported, mut repair_invoked) = (None, None, None);
     let (mut driver, mut detector, mut events, mut remote) = (None, None, None, None);
+    let mut accuracy = None;
     while let Some(key) = r.next_key()? {
         match &*key {
             "cycles" if cycles.is_none() => cycles = Some(read_u64(r)?),
@@ -515,6 +516,7 @@ fn read_run(r: &mut Reader<'_>) -> Result<Option<ToolRun>, ParseError> {
             "detector_cycles" if detector.is_none() => detector = Some(read_u64(r)?),
             "hitm_events" if events.is_none() => events = Some(read_u64(r)?),
             "hitm_remote" if remote.is_none() => remote = Some(read_u64(r)?),
+            "pebs_accuracy" if accuracy.is_none() => accuracy = Some(read_accuracy(r)?),
             _ => r.skip()?,
         }
     }
@@ -527,6 +529,34 @@ fn read_run(r: &mut Reader<'_>) -> Result<Option<ToolRun>, ParseError> {
             detector_cycles: detector.flatten()?,
             hitm_events: events.flatten()?,
             hitm_remote: remote.flatten()?,
+            // Optional: absent in every entry but a Figure 3 case's.
+            pebs_accuracy: match accuracy {
+                Some(counts) => Some(counts?),
+                None => None,
+            },
+        })
+    })())
+}
+
+/// A `"pebs_accuracy"` object: `None` unless it holds all three counts.
+fn read_accuracy(r: &mut Reader<'_>) -> Result<Option<PebsAccuracy>, ParseError> {
+    if !r.enter_object()? {
+        return Ok(None);
+    }
+    let (mut addr, mut pc, mut adjacent) = (None, None, None);
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "addr_correct" if addr.is_none() => addr = Some(read_u64(r)?),
+            "pc_exact" if pc.is_none() => pc = Some(read_u64(r)?),
+            "pc_adjacent" if adjacent.is_none() => adjacent = Some(read_u64(r)?),
+            _ => r.skip()?,
+        }
+    }
+    Ok((|| {
+        Some(PebsAccuracy {
+            addr_correct: addr.flatten()?,
+            pc_exact: pc.flatten()?,
+            pc_adjacent: adjacent.flatten()?,
         })
     })())
 }
@@ -647,7 +677,7 @@ fn encode_cell(cell: &CellResult) -> Value {
 }
 
 fn encode_run(run: &ToolRun) -> Value {
-    Value::object()
+    let run_value = Value::object()
         .set("cycles", run.cycles)
         .set("repair_invoked", run.repair_invoked)
         .set("driver_overhead_cycles", run.driver_overhead_cycles)
@@ -657,7 +687,18 @@ fn encode_run(run: &ToolRun) -> Value {
         .set(
             "reported",
             Value::Array(run.reported.iter().map(encode_line).collect()),
-        )
+        );
+    // Written only when present, so every other entry keeps its bytes.
+    match run.pebs_accuracy {
+        Some(counts) => run_value.set(
+            "pebs_accuracy",
+            Value::object()
+                .set("addr_correct", counts.addr_correct)
+                .set("pc_exact", counts.pc_exact)
+                .set("pc_adjacent", counts.pc_adjacent),
+        ),
+        None => run_value,
+    }
 }
 
 fn encode_line(line: &ReportedLine) -> Value {
@@ -760,6 +801,19 @@ mod tests {
             detector_cycles: 1_900,
             hitm_events: 5_000,
             hitm_remote: 120,
+            pebs_accuracy: None,
+        }
+    }
+
+    /// A run carrying Figure 3's counts.
+    fn accuracy_run() -> ToolRun {
+        ToolRun {
+            pebs_accuracy: Some(PebsAccuracy {
+                addr_correct: 4_100,
+                pc_exact: 1_700,
+                pc_adjacent: 3_900,
+            }),
+            ..sample_run()
         }
     }
 
@@ -945,6 +999,43 @@ mod tests {
         assert_eq!(reader.load(&cfg), Some(cell));
         assert_eq!(reader.stats().hits, 1);
         assert_eq!(reader.stats().simulated(), 0);
+
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_figure_3_cell_round_trips_with_its_counts() {
+        use crate::characterization::PebsAccuracyTool;
+        use crate::tool::Tool;
+        let dir = scratch_dir("fig3");
+        let opts = base_opts();
+        let spec = laser_workloads::characterization_cases()[7].spec();
+        let cfg = CellConfig::flat(spec.name, "pebs-accuracy", &opts);
+        let run = PebsAccuracyTool.run(&spec, &cfg).unwrap();
+        let counts = run.pebs_accuracy.expect("the tool counts");
+        assert!(counts.addr_correct > 0 && counts.pc_adjacent >= counts.pc_exact);
+        let cell = CellResult {
+            workload: spec.name.to_string(),
+            tool: cfg.cell_key(),
+            outcome: Ok(run),
+        };
+
+        let writer = CellCache::open(&dir).unwrap();
+        writer.store(&cfg, &cell);
+        let text = fs::read_to_string(dir.join(format!("{}.json", fingerprint(&cfg)))).unwrap();
+        let stored = format!(
+            "\"pebs_accuracy\":{{\"addr_correct\":{},\"pc_exact\":{},\"pc_adjacent\":{}}}",
+            counts.addr_correct, counts.pc_exact, counts.pc_adjacent
+        );
+        assert!(text.contains(&stored), "{text}");
+        let reader = CellCache::open(&dir).unwrap();
+        assert_eq!(reader.load(&cfg), Some(cell));
+        assert_eq!(reader.stats().hits, 1);
+        assert!(assert_decoders_agree(&text, &cfg, "figure 3 entry").is_ok());
+
+        // A run without counts writes no key for them: every entry stored
+        // before Figure 3 joined the grid keeps its bytes.
+        assert!(!encode_run(&sample_run()).render().contains("pebs_accuracy"));
 
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1213,6 +1304,7 @@ mod tests {
         };
         let outcomes = [
             Ok(sample_run()),
+            Ok(accuracy_run()),
             Err(crash.clone()),
             Err(ToolFailure::Unsupported(SheriffFailure::Incompatible)),
             Err(budget.clone()),
@@ -1290,7 +1382,12 @@ mod tests {
 
             // Every pairing of a run and a failure in the cell: null, a valid
             // one of either kind, or the wrong type.
-            let runs = [Value::Null, encode_run(&sample_run()), Value::Int(1)];
+            let runs = [
+                Value::Null,
+                encode_run(&sample_run()),
+                encode_run(&accuracy_run()),
+                Value::Int(1),
+            ];
             let failures = [
                 Value::Null,
                 encode_failure(&crash),

@@ -3,8 +3,9 @@
 //! differential oracle for [`super::decode_entry`], which must give the same
 //! outcome — the same hit, a miss or a stale salt — on every input.
 //!
-//! Kept verbatim apart from this header, the imports and `pub(super)` on
-//! [`decode_entry`]. Only tests call it.
+//! Kept verbatim apart from this header, the imports, `pub(super)` on
+//! [`decode_entry`] and the optional `"pebs_accuracy"` counts of a Figure 3
+//! cell, taught to both decoders in lock-step. Only tests call it.
 
 use laser_baselines::SheriffFailure;
 use laser_core::{ContentionKind, StopReason};
@@ -13,7 +14,7 @@ use serde::json::Value;
 use super::{EntryRejected, ENTRY_KIND};
 use crate::campaign::CellResult;
 use crate::config::CellConfig;
-use crate::tool::{ReportedLine, ToolFailure, ToolRun};
+use crate::tool::{PebsAccuracy, ReportedLine, ToolFailure, ToolRun};
 
 /// Check, in order, the entry's kind, salt, stored canonical config
 /// (`canonical` is `config.canonical()`, rendered once by the caller) and the
@@ -77,6 +78,14 @@ fn decode_run(value: &Value) -> Option<ToolRun> {
         detector_cycles: as_u64(value.get("detector_cycles")?)?,
         hitm_events: as_u64(value.get("hitm_events")?)?,
         hitm_remote: as_u64(value.get("hitm_remote")?)?,
+        pebs_accuracy: match value.get("pebs_accuracy") {
+            Some(counts) => Some(PebsAccuracy {
+                addr_correct: as_u64(counts.get("addr_correct")?)?,
+                pc_exact: as_u64(counts.get("pc_exact")?)?,
+                pc_adjacent: as_u64(counts.get("pc_adjacent")?)?,
+            }),
+            None => None,
+        },
     })
 }
 

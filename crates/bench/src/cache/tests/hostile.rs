@@ -10,7 +10,7 @@
 use super::*;
 use crate::campaign::Campaign;
 use crate::emit::Emit;
-use crate::tool::{LaserTool, NativeTool, Tool};
+use crate::tool::{LaserTool, NativeTool, Tool, ToolSpec};
 use laser_core::LaserConfig;
 use laser_workloads::registry;
 use serde::json::MAX_DEPTH;
@@ -38,8 +38,9 @@ fn opts() -> BuildOptions {
 }
 
 /// Fill `dir` through real campaigns — every default tool on four workloads
-/// (successful runs, Sheriff's crash and incompatible verdicts) and a
-/// step-budgeted pair (budget trips) — and read every entry back.
+/// (successful runs, Sheriff's crash and incompatible verdicts), a
+/// step-budgeted pair (budget trips) and one Figure 3 case (a run with
+/// accuracy counts) — and read every entry back.
 fn populate(dir: &Path) -> Vec<Entry> {
     let cache = Arc::new(CellCache::open(dir).unwrap());
     let workloads = ["histogram'", "linear_regression", "bodytrack", "dedup"];
@@ -63,11 +64,23 @@ fn populate(dir: &Path) -> Vec<Entry> {
         .with_cell_budget(budget)
         .with_cache(Arc::clone(&cache))
         .run();
+    let case = laser_workloads::characterization_cases()[3].spec();
+    let figure3 = Campaign::from_requests(
+        [(&case, ToolSpec::PebsAccuracy, TopologySpec::Flat)],
+        crate::config::CampaignConfig {
+            opts: opts(),
+            threads: Some(1),
+            cache: Some(Arc::clone(&cache)),
+            ..crate::config::CampaignConfig::default()
+        },
+    )
+    .run();
     let opts = opts();
     let mut entries = Vec::new();
     for (cells, budget) in [
         (&full.cells, CellBudget::default()),
         (&tripped.cells, budget),
+        (&figure3.cells, CellBudget::default()),
     ] {
         for cell in cells {
             let mut entry = Entry {
@@ -86,6 +99,7 @@ fn populate(dir: &Path) -> Vec<Entry> {
         "\"run\":{",
         "\"unsupported\":\"crash\"",
         "\"unsupported\":\"incompatible\"",
+        "\"pebs_accuracy\":{",
     ] {
         assert!(entries.iter().any(|e| e.text.contains(shape)), "{shape}");
     }
@@ -168,6 +182,9 @@ const COUNT_FIELDS: &[&str] = &[
     "line",
     "limit",
     "used",
+    "addr_correct",
+    "pc_exact",
+    "pc_adjacent",
 ];
 const BAD_COUNTS: &[&str] = &[
     "1e999",

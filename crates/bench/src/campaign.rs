@@ -37,9 +37,9 @@
 //! session, the native group (`native` and both Sheriff modes) one native
 //! run. A pool worker takes a whole group, announces and caches its cells
 //! one at a time, and drops what they shared when the group is done; every
-//! other cell, and every caller-supplied [`Tool`], is a group of one. The
-//! paper grid's 245 cells take 124 simulations instead of 227, and every
-//! result is the one an unshared run would have produced (the derivations
+//! other cell, and every caller-supplied [`Tool`], is a group of one (each
+//! Figure 3 case among them). The scale-2 paper grid's 405 cells take 284
+//! simulations instead of 387, and every result is the one an unshared run would have produced (the derivations
 //! are listed on `SharedRuns` in [`crate::tool`]).
 
 use std::collections::BTreeMap;
@@ -437,10 +437,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Deterministically-ordered parallel map: compute `f(0..n)` on up to
 /// `threads` workers off a shared atomic counter and return the results in
-/// index order. This is the executor under [`Campaign::run`]; the Figure 3
-/// characterization reuses it directly because its unit of work is a test
-/// case, not a `workload × tool` cell.
-pub fn ordered_parallel<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+/// index order. This is the executor under [`Campaign::run`], and the only
+/// one: every simulated figure, Figure 3 included, runs as campaign cells.
+fn ordered_parallel<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

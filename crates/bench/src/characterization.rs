@@ -1,14 +1,19 @@
 //! Figure 2 (allocation layout) and Figure 3 (HITM record accuracy
-//! characterization).
+//! characterization): Figure 3's cases are ordinary grid cells, each a
+//! `chara_{id}` workload under the `pebs-accuracy` tool.
 
 use std::fmt::Write as _;
 
+use laser_core::{BudgetObserver, TopologySpec};
 use laser_machine::{line_of, Machine, MachineConfig};
 use laser_pebs::imprecision::{ImprecisionModel, ImprecisionParams};
-use laser_workloads::{characterization_cases, CharacterizationCase};
+use laser_workloads::{characterization_cases, CharacterizationCase, WorkloadSpec};
 use serde::json::Value;
 
+use crate::config::CellConfig;
 use crate::emit::{Column, Emit, Prec, View};
+use crate::grid::{ExperimentError, Grid, GridResult};
+use crate::tool::{finish_observed, PebsAccuracy, Tool, ToolFailure, ToolRun, ToolSpec};
 
 /// The four sharing categories of Figure 3, in the paper's order.
 const CATEGORIES: [&str; 4] = ["TSRW", "FSRW", "TSWW", "FSWW"];
@@ -130,44 +135,93 @@ pub fn fig3_cases_per_category(scale: f64) -> usize {
     }
 }
 
-/// Run the Figure 3 characterization over `cases_per_category` cases per
-/// category (the paper uses 40; pass a smaller number for quick runs) on
-/// `threads` workers. Sampling is disabled, as in the paper: every
-/// ground-truth HITM event is scored after passing through the imprecision
-/// model. Each test case is an independent deterministic simulation, so the
-/// cases fan out over the campaign runner's
-/// [`ordered_parallel`](crate::campaign::ordered_parallel) executor and the
-/// report is identical for any thread count.
-///
-/// # Errors
-/// The first case, in case order, that does not finish within the
-/// machine's step budget.
-pub fn fig3_characterization_on(
-    cases_per_category: usize,
-    threads: usize,
-) -> Result<Fig3Report, String> {
-    let mut selected: Vec<CharacterizationCase> = Vec::new();
-    for label in CATEGORIES {
-        selected.extend(
-            characterization_cases()
-                .into_iter()
-                .filter(|c| c.label() == label)
-                .take(cases_per_category),
-        );
-    }
-    let cases = crate::campaign::ordered_parallel(selected.len(), threads, |i| {
-        fig3_case(&selected[i], MachineConfig::default())
-    });
-    Ok(Fig3Report {
-        cases: cases.into_iter().collect::<Result<_, _>>()?,
-    })
+/// The cases Figure 3 scores at input scale `scale`, in report order: the
+/// first [`fig3_cases_per_category`] of each category.
+fn fig3_cases(scale: f64) -> Vec<CharacterizationCase> {
+    let all = characterization_cases();
+    CATEGORIES
+        .iter()
+        .flat_map(|&label| {
+            all.iter()
+                .filter(move |c| c.label() == label)
+                .take(fig3_cases_per_category(scale))
+                .copied()
+        })
+        .collect()
 }
 
-/// Score one characterization case on `config`: run it to completion,
-/// passing each batch of ground-truth HITM events through the imprecision
-/// model as the machine drains it, and count how many records keep the right
-/// address and PC.
-fn fig3_case(case: &CharacterizationCase, config: MachineConfig) -> Result<Fig3Case, String> {
+/// Request Figure 3's cells: each scored case as a `chara_{id}` workload
+/// under [`ToolSpec::PebsAccuracy`]. The characterization is defined on the
+/// flat machine, so a grid on another topology plans nothing.
+pub fn plan_fig3(grid: &mut Grid) {
+    if grid.topology() != TopologySpec::Flat {
+        return;
+    }
+    for case in fig3_cases(grid.scale().workload_scale) {
+        grid.request(&case.spec(), ToolSpec::PebsAccuracy);
+    }
+}
+
+/// Figure 3 from its cells: each case's record counts over its ground-truth
+/// HITM events.
+///
+/// # Errors
+/// The first case, in report order, whose cell is missing or failed (a
+/// case that outruns the machine's step budget or the cell budget).
+pub fn fig3_from_grid(grid: &GridResult) -> Result<Fig3Report, ExperimentError> {
+    let cases = fig3_cases(grid.scale().workload_scale)
+        .iter()
+        .map(|case| {
+            let workload = case.spec().name;
+            let run = grid.tool_run(workload, ToolSpec::PebsAccuracy)?;
+            let counts = run.pebs_accuracy.ok_or_else(|| ExperimentError::Cell {
+                workload: workload.to_string(),
+                tool: ToolSpec::PebsAccuracy.key(),
+                failure: ToolFailure::Error("the run carries no accuracy counts".to_string()),
+            })?;
+            let n = run.hitm_events.max(1) as f64;
+            Ok(Fig3Case {
+                id: case.id,
+                label: case.label(),
+                addr_correct: counts.addr_correct as f64 / n,
+                pc_exact: counts.pc_exact as f64 / n,
+                pc_adjacent: counts.pc_adjacent as f64 / n,
+                events: run.hitm_events,
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Fig3Report { cases })
+}
+
+/// The Figure 3 tool: score a characterization case's HITM records.
+/// Sampling is off, as in the paper: the case runs to completion on the
+/// cell's machine, every ground-truth HITM event passes through the
+/// imprecision model as the machine drains it, and the cell counts how many
+/// records keep the right address and PC. Any other workload is an error
+/// cell.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PebsAccuracyTool;
+
+impl Tool for PebsAccuracyTool {
+    fn name(&self) -> &str {
+        "pebs-accuracy"
+    }
+
+    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
+        let case = spec.characterization().ok_or_else(|| {
+            ToolFailure::Error(format!("{} is not a characterization case", spec.name))
+        })?;
+        score_case(case, cell.machine_config(), cell.observer())
+    }
+}
+
+/// Score one characterization case on `config`, then hold the finished run
+/// to `observer`'s budget.
+fn score_case(
+    case: &CharacterizationCase,
+    config: MachineConfig,
+    observer: Option<BudgetObserver>,
+) -> Result<ToolRun, ToolFailure> {
     let built = case.build();
     let program = built.image.program();
     let mut model = ImprecisionModel::new(
@@ -176,34 +230,33 @@ fn fig3_case(case: &CharacterizationCase, config: MachineConfig) -> Result<Fig3C
         (program.base_pc(), program.end_pc()),
         0xF163 + case.id as u64,
     );
-    let (mut events, mut addr_ok, mut pc_ok, mut pc_adj) = (0u64, 0u64, 0u64, 0u64);
-    Machine::new(config, &built.image)
+    let (mut events, mut counts) = (0u64, PebsAccuracy::default());
+    let result = Machine::new(config, &built.image)
         .run_draining(|batch| {
             events += batch.len() as u64;
             for e in batch {
                 let r = model.distort(e);
-                addr_ok += u64::from(r.data_addr == e.addr);
-                pc_ok += u64::from(r.pc == e.pc);
-                pc_adj += u64::from(
+                counts.addr_correct += u64::from(r.data_addr == e.addr);
+                counts.pc_exact += u64::from(r.pc == e.pc);
+                counts.pc_adjacent += u64::from(
                     (r.pc as i64 - e.pc as i64).unsigned_abs() <= laser_isa::program::INST_BYTES,
                 );
             }
         })
         .map_err(|e| {
-            format!(
+            ToolFailure::Error(format!(
                 "characterization case {} ({}) did not terminate: {e}",
                 case.id,
                 case.label()
-            )
+            ))
         })?;
-    let n = events.max(1) as f64;
-    Ok(Fig3Case {
-        id: case.id,
-        label: case.label(),
-        addr_correct: addr_ok as f64 / n,
-        pc_exact: pc_ok as f64 / n,
-        pc_adjacent: pc_adj as f64 / n,
-        events,
+    finish_observed(observer, result.steps, result.cycles)?;
+    Ok(ToolRun {
+        cycles: result.cycles,
+        hitm_events: events,
+        hitm_remote: result.stats.hitm_remote,
+        pebs_accuracy: Some(counts),
+        ..ToolRun::default()
     })
 }
 
@@ -257,11 +310,17 @@ pub fn fig2_layout() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::single_figure;
+    use crate::runner::ExperimentScale;
 
     #[test]
     fn fig3_reproduces_the_rw_vs_ww_accuracy_gap() {
-        let report = fig3_characterization_on(3, 2).unwrap();
-        assert_eq!(report.cases.len(), 12);
+        let scale = ExperimentScale {
+            workload_scale: 0.1,
+            only: None,
+        };
+        let report = single_figure(scale, plan_fig3, fig3_from_grid).unwrap();
+        assert_eq!(report.cases.len(), 20);
         // RW (load-triggered) records are far more accurate than WW
         // (store-triggered) ones, as in the paper's Figure 3.
         let rw_addr = (report.category_mean("TSRW", |c| c.addr_correct)
@@ -278,28 +337,58 @@ mod tests {
     }
 
     #[test]
-    fn fig3_is_thread_count_independent() {
-        let serial = fig3_characterization_on(2, 1).unwrap();
-        let parallel = fig3_characterization_on(2, 8).unwrap();
-        assert_eq!(serial.cases, parallel.cases);
-        assert_eq!(serial.render(), parallel.render());
-    }
-
-    #[test]
     fn a_case_that_outruns_the_step_budget_is_an_error_naming_it() {
         let case = &characterization_cases()[0];
         let config = MachineConfig {
             max_steps: 10,
             ..MachineConfig::default()
         };
-        let err = fig3_case(case, config).unwrap_err();
+        let Err(ToolFailure::Error(err)) = score_case(case, config, None) else {
+            panic!("a case cut at 10 steps must be an error cell");
+        };
         assert!(
             err.starts_with(&format!("characterization case {} ", case.id)),
             "{err}"
         );
         assert!(err.contains("within 10 steps"), "{err}");
         // The same case terminates under the default budget.
-        assert!(fig3_case(case, MachineConfig::default()).is_ok());
+        assert!(score_case(case, MachineConfig::default(), None).is_ok());
+    }
+
+    #[test]
+    fn pebs_accuracy_on_a_registry_workload_is_an_error_cell() {
+        let spec = laser_workloads::find("histogram'").unwrap();
+        let opts = laser_workloads::BuildOptions::scaled(0.08);
+        let cell = CellConfig::flat(spec.name, "pebs-accuracy", &opts);
+        assert_eq!(
+            PebsAccuracyTool.run(&spec, &cell),
+            Err(ToolFailure::Error(
+                "histogram' is not a characterization case".to_string()
+            ))
+        );
+        // Through a campaign, too: one error cell, no panic.
+        let campaign = crate::campaign::Campaign::from_requests(
+            [(&spec, ToolSpec::PebsAccuracy, TopologySpec::Flat)],
+            crate::config::CampaignConfig {
+                opts,
+                threads: Some(1),
+                ..crate::config::CampaignConfig::default()
+            },
+        );
+        let result = campaign.run();
+        assert_eq!(result.cells.len(), 1);
+        assert_eq!(result.cells[0].status(), "error");
+    }
+
+    #[test]
+    fn fig3_plans_nothing_off_the_flat_machine() {
+        let mut grid =
+            Grid::new(ExperimentScale::default()).with_topology(TopologySpec::DualSocket);
+        plan_fig3(&mut grid);
+        assert_eq!(grid.cells(), 0);
+        let mut grid = Grid::new(ExperimentScale::default());
+        plan_fig3(&mut grid);
+        assert_eq!(grid.cells(), 160);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! binary's usage text and the artifact table in the crate docs all follow
 //! [`FIGURES`]; a figure is named once, here.
 //!
-//! Figures 2 and 3 plan no cells. Figure 2 is an allocator-layout
-//! demonstration and Figure 3 scores PEBS records of characterization cases;
-//! both are derived outside the workload grid.
+//! Figure 2 alone plans no cells: it is an allocator-layout demonstration.
+//! Every simulated figure, Figure 3's characterization cases included, is
+//! cells on the grid, so one executor, one cache, one budget rule and one
+//! progress stream serve them all.
 
 use laser_core::TopologySpec;
 use serde::json::Value;
@@ -16,7 +17,7 @@ use crate::accuracy::{
     fig9_from_grid, fig9_thresholds, plan_fig9, plan_table1, plan_table2, table1_from_grid,
     table2_from_grid,
 };
-use crate::characterization::{fig2_layout, fig3_cases_per_category, fig3_characterization_on};
+use crate::characterization::{fig2_layout, fig3_from_grid, plan_fig3};
 use crate::emit::Emit;
 use crate::grid::{ExperimentError, Grid, GridResult};
 use crate::performance::{
@@ -60,7 +61,10 @@ pub type Derive = fn(&GridResult, AggregateFormat) -> Result<String, FigureError
 /// Every figure, in `experiments all` order.
 pub static FIGURES: &[FigureSpec] = &[
     paper("fig2", no_cells, fig2),
-    paper("fig3", no_cells, fig3),
+    paper("fig3", plan_fig3, |g, f| {
+        flat_only(g)?;
+        emit(fig3_from_grid(g), f)
+    }),
     paper("table1", plan_table1, |g, f| emit(table1_from_grid(g), f)),
     paper("table2", plan_table2, |g, f| emit(table2_from_grid(g), f)),
     paper("fig9", plan_fig9, |g, f| {
@@ -115,14 +119,16 @@ fn emit<R: Emit>(
         .map_err(|e| FigureError::Failed(e.to_string()))
 }
 
-/// Figures 2 and 3 are derived outside the workload grid: under a topology
-/// preset they would pass flat results off as multi-socket data.
+/// Figures 2 and 3 are defined on the flat machine: Figure 2 lays out the
+/// allocator's array and Figure 3's cases are two-thread programs, and under
+/// a topology preset either would pass flat results off as multi-socket
+/// data (so [`plan_fig3`] plans nothing there).
 fn flat_only(grid: &GridResult) -> Result<(), FigureError> {
     if grid.topology() == TopologySpec::Flat {
         Ok(())
     } else {
         Err(FigureError::Inapplicable(
-            "derived outside the workload grid, --topology does not apply",
+            "defined on the flat machine only, --topology does not apply",
         ))
     }
 }
@@ -141,13 +147,6 @@ fn fig2(grid: &GridResult, format: AggregateFormat) -> Result<String, FigureErro
             .render(),
         _ => fig2_layout(),
     })
-}
-
-fn fig3(grid: &GridResult, format: AggregateFormat) -> Result<String, FigureError> {
-    flat_only(grid)?;
-    let cases = fig3_cases_per_category(grid.scale().workload_scale);
-    let report = fig3_characterization_on(cases, grid.threads()).map_err(FigureError::Failed)?;
-    Ok(format.payload(&report))
 }
 
 #[cfg(test)]
@@ -196,5 +195,19 @@ mod tests {
             .map(|f| f.name)
             .collect();
         assert_eq!(extras, ["xsocket"]);
+    }
+
+    #[test]
+    fn only_fig2_plans_no_cells() {
+        let cellless: Vec<&str> = FIGURES
+            .iter()
+            .filter(|f| {
+                let mut grid = Grid::new(ExperimentScale::default());
+                (f.plan)(&mut grid);
+                grid.cells() == 0
+            })
+            .map(|f| f.name)
+            .collect();
+        assert_eq!(cellless, ["fig2"]);
     }
 }

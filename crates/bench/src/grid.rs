@@ -150,6 +150,11 @@ impl Grid {
         }
     }
 
+    /// The topology [`Grid::request`] plans cells on.
+    pub fn topology(&self) -> TopologySpec {
+        self.config.topology
+    }
+
     /// Request one cell. Requests deduplicate: planning ten figures that all
     /// need `(histogram', native)` still runs that cell once. Taking the
     /// [`WorkloadSpec`] itself (obtained from `laser_workloads::registry()` /
@@ -189,7 +194,6 @@ impl Grid {
         let result = self.campaign().run_with_progress(progress);
         let scale = self.scale();
         let topology = self.config.topology;
-        let threads = self.config.worker_threads();
         let index = result
             .cells
             .iter()
@@ -199,7 +203,6 @@ impl Grid {
         GridResult {
             scale,
             topology,
-            threads,
             result,
             index,
         }
@@ -222,7 +225,6 @@ impl Grid {
 pub struct GridResult {
     scale: ExperimentScale,
     topology: TopologySpec,
-    threads: usize,
     result: CampaignResult,
     index: BTreeMap<(String, String), usize>,
 }
@@ -238,12 +240,6 @@ impl GridResult {
     /// the 2-socket cells without the views knowing anything changed.
     pub fn topology(&self) -> TopologySpec {
         self.topology
-    }
-
-    /// The worker threads the grid ran on; work derived outside the grid
-    /// (Figure 3's characterization cases) fans out over as many.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The underlying campaign result, in grid order.
@@ -447,12 +443,13 @@ mod tests {
         ));
     }
 
-    /// The paper grid at scale 2, as `experiments all` plans it: 245 cells,
-    /// 227 of which run a machine (Sheriff declines 18), from 124
-    /// simulations. A planner or grouping change that splits a group fails
-    /// here.
+    /// The paper grid at scale 2, as `experiments all` plans it: 405 cells,
+    /// 387 of which run a machine (Sheriff declines 18), from 284
+    /// simulations. Figure 3's 160 cases are 160 of each, one simulation a
+    /// case; the other 245 cells share 124. A planner or grouping change that
+    /// splits a group fails here.
     #[test]
-    fn sharing_runs_the_paper_grid_in_124_simulations() {
+    fn sharing_runs_the_paper_grid_in_284_simulations() {
         let mut grid = Grid::with_config(CampaignConfig {
             opts: laser_workloads::BuildOptions::scaled(2.0),
             threads: Some(2),
@@ -468,9 +465,9 @@ mod tests {
             .filter(|c| matches!(c.outcome, Err(ToolFailure::Unsupported(_))))
             .count();
         assert!(result.cells.iter().all(|c| c.status() != "error"));
-        assert_eq!(result.cells.len(), 245);
-        assert_eq!(result.cells.len() - unsupported, 227, "unshared runs");
-        assert_eq!(simulations, 124);
+        assert_eq!(result.cells.len(), 405);
+        assert_eq!(result.cells.len() - unsupported, 387, "unshared runs");
+        assert_eq!(simulations, 284);
     }
 
     #[test]

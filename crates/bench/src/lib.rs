@@ -6,7 +6,7 @@
 //! | Artifact | Planner / view | Binary sub-command |
 //! |---|---|---|
 //! | Figure 2 | [`characterization::fig2_layout`] | `experiments fig2` |
-//! | Figure 3 | [`characterization::fig3_characterization_on`] | `experiments fig3` |
+//! | Figure 3 | [`characterization::plan_fig3`] / [`characterization::fig3_from_grid`] | `experiments fig3` |
 //! | Table 1 | [`accuracy::plan_table1`] / [`accuracy::table1_from_grid`] | `experiments table1` |
 //! | Table 2 | [`accuracy::plan_table2`] / [`accuracy::table2_from_grid`] | `experiments table2` |
 //! | Figure 9 | [`accuracy::plan_fig9`] / [`accuracy::fig9_from_grid`] | `experiments fig9` |
@@ -56,8 +56,8 @@ pub mod xsocket;
 
 pub use cache::{fingerprint, CacheError, CacheStats, CellCache, CACHE_SALT};
 pub use campaign::{
-    ordered_parallel, validate_workload_names, Campaign, CampaignProgress, CampaignResult,
-    CellResult, UnknownWorkload,
+    validate_workload_names, Campaign, CampaignProgress, CampaignResult, CellResult,
+    UnknownWorkload,
 };
 pub use config::{CampaignConfig, CellConfig};
 pub use emit::{Emit, View};
@@ -68,8 +68,8 @@ pub use runner::{geomean, ExperimentScale};
 pub use scenario::{AggregateFormat, Scenario, ScenarioCell, ScenarioError, Sweep};
 pub use service::{run_scenario, ServiceError, ServiceOptions, ServiceSummary};
 pub use tool::{
-    cell_key, FixedNativeTool, LaserTool, NativeTool, ReportedLine, SheriffTool, Tool, ToolFailure,
-    ToolRun, ToolSpec, VtuneTool,
+    cell_key, FixedNativeTool, LaserTool, NativeTool, PebsAccuracy, ReportedLine, SheriffTool,
+    Tool, ToolFailure, ToolRun, ToolSpec, VtuneTool,
 };
 pub use topofile::CustomTopology;
 pub use xsocket::{plan_xsocket, xsocket_from_grid, XsocketReport, XsocketRow};

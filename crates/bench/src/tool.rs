@@ -1,5 +1,5 @@
-//! The [`Tool`] abstraction: LASER, VTune, Sheriff and native execution
-//! behind one interface.
+//! The [`Tool`] abstraction: LASER, VTune, Sheriff, native execution and
+//! Figure 3's record scoring ([`PebsAccuracyTool`]) behind one interface.
 //!
 //! The paper's evaluation repeatedly runs the same 35 workloads under
 //! different tools (Figures 10–14, Tables 1–2). A `Tool` encapsulates "run
@@ -10,8 +10,8 @@
 //! a cell's result is independent of which worker thread computes it.
 //!
 //! A [`ToolRun`] carries everything any figure or table derives from a cell —
-//! cycles, structured reported lines, repair activity and the driver/detector
-//! overhead split — which is what lets the [`crate::grid::Grid`] cache run
+//! cycles, structured reported lines, repair activity, the driver/detector
+//! overhead split and Figure 3's record counts — which is what lets the [`crate::grid::Grid`] cache run
 //! each unique `(workload, tool)` cell exactly once and serve every consumer
 //! from the cached result.
 
@@ -28,6 +28,7 @@ use laser_core::{
 use laser_machine::RunResult;
 use laser_workloads::{BuildOptions, WorkloadSpec};
 
+use crate::characterization::PebsAccuracyTool;
 use crate::config::CellConfig;
 use crate::runner::{build_under_tool, run_laser, run_native};
 
@@ -81,6 +82,21 @@ pub struct ToolRun {
     /// on the flat topology. The cross-socket sweep derives its
     /// repair-reduces-remote-HITMs claim from this.
     pub hitm_remote: u64,
+    /// How many of the run's `hitm_events` kept their address and PC
+    /// through the imprecision model (`pebs-accuracy` only).
+    pub pebs_accuracy: Option<PebsAccuracy>,
+}
+
+/// How many HITM records of a characterization case kept the right address
+/// and PC: the counts Figure 3 divides by the case's `hitm_events`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PebsAccuracy {
+    /// Records with the correct data address.
+    pub addr_correct: u64,
+    /// Records with the exact PC.
+    pub pc_exact: u64,
+    /// Records with the exact or an adjacent PC.
+    pub pc_adjacent: u64,
 }
 
 impl ToolRun {
@@ -175,7 +191,7 @@ pub trait Tool: Send + Sync {
 /// Deliver the post-run [`LaserEvent::Finished`] event for a tool that cannot
 /// stream intermediate events, translating an observer break into the
 /// budget-exceeded cell failure. `observer` is the cell's.
-fn finish_observed(
+pub(crate) fn finish_observed(
     observer: Option<BudgetObserver>,
     steps: u64,
     cycles: u64,
@@ -327,6 +343,7 @@ fn laser_outcome_to_tool_run(outcome: laser_core::LaserOutcome) -> ToolRun {
         detector_cycles: outcome.detector_cycles,
         hitm_events: outcome.run.stats.hitm_events,
         hitm_remote: outcome.run.stats.hitm_remote,
+        pebs_accuracy: None,
     }
 }
 
@@ -466,6 +483,9 @@ pub enum ToolSpec {
     SheriffDetect,
     /// Sheriff-Protect.
     SheriffProtect,
+    /// The Figure 3 scoring of a characterization case's HITM records
+    /// ([`PebsAccuracyTool`]).
+    PebsAccuracy,
 }
 
 impl ToolSpec {
@@ -486,6 +506,7 @@ impl ToolSpec {
             ToolSpec::Vtune => "vtune".to_string(),
             ToolSpec::SheriffDetect => "sheriff-detect".to_string(),
             ToolSpec::SheriffProtect => "sheriff-protect".to_string(),
+            ToolSpec::PebsAccuracy => "pebs-accuracy".to_string(),
         }
     }
 
@@ -503,6 +524,7 @@ impl ToolSpec {
             "vtune" => Some(ToolSpec::Vtune),
             "sheriff-detect" => Some(ToolSpec::SheriffDetect),
             "sheriff-protect" => Some(ToolSpec::SheriffProtect),
+            "pebs-accuracy" => Some(ToolSpec::PebsAccuracy),
             _ => {
                 let sav = key.strip_prefix("laser-detect-sav")?;
                 // Reject non-canonical spellings ("sav007") so parse(key())
@@ -526,6 +548,7 @@ impl ToolSpec {
             ToolSpec::Vtune => Box::new(VtuneTool::default()),
             ToolSpec::SheriffDetect => Box::new(SheriffTool::new(SheriffMode::Detect)),
             ToolSpec::SheriffProtect => Box::new(SheriffTool::new(SheriffMode::Protect)),
+            ToolSpec::PebsAccuracy => Box::new(PebsAccuracyTool),
             // `Native`: every LASER spec has a configuration.
             _ => Box::new(NativeTool),
         }
@@ -769,6 +792,7 @@ mod tests {
             ToolSpec::Vtune,
             ToolSpec::SheriffDetect,
             ToolSpec::SheriffProtect,
+            ToolSpec::PebsAccuracy,
         ];
         for spec in specs {
             assert_eq!(ToolSpec::parse(&spec.key()), Some(spec), "{}", spec.key());
@@ -797,6 +821,7 @@ mod tests {
         assert_sync_send::<LaserTool>();
         assert_sync_send::<VtuneTool>();
         assert_sync_send::<SheriffTool>();
+        assert_sync_send::<PebsAccuracyTool>();
         assert_sync_send::<Box<dyn Tool>>();
     }
 
@@ -870,6 +895,7 @@ mod tests {
             ToolSpec::Vtune,
             ToolSpec::SheriffDetect,
             ToolSpec::SheriffProtect,
+            ToolSpec::PebsAccuracy,
         ];
         for spec in specs {
             assert_eq!(spec.key(), spec.build().name(), "{spec:?}");
@@ -891,6 +917,7 @@ mod tests {
             (ToolSpec::SheriffProtect, native),
             (ToolSpec::NativeFixed, None),
             (ToolSpec::Vtune, None),
+            (ToolSpec::PebsAccuracy, None),
         ] {
             assert_eq!(spec.simulation(), simulation, "{spec:?}");
         }

@@ -12,12 +12,16 @@
 //! truth — the PCs and data addresses truly involved in contention — so the
 //! Figure 3 experiment can score every HITM record it receives.
 
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
+
 use laser_isa::inst::{Operand, Reg};
 use laser_isa::program::Pc;
 use laser_isa::ProgramBuilder;
 use laser_machine::{Addr, ThreadSpec, WorkloadImage};
 
 use crate::common::{close_loop, open_loop, regs};
+use crate::spec::{Build, SheriffCompat, Suite, WorkloadSpec};
 
 /// True sharing (same bytes) or false sharing (distinct bytes, same line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,6 +75,20 @@ impl CharacterizationCase {
             (SharingPattern::FalseSharing, WriteMode::ReadWrite) => "FSRW",
             (SharingPattern::TrueSharing, WriteMode::WriteWrite) => "TSWW",
             (SharingPattern::FalseSharing, WriteMode::WriteWrite) => "FSWW",
+        }
+    }
+
+    /// The case as a workload a campaign plans like any other, named
+    /// `chara_{id}` after its image. [`registry`](crate::registry) does not
+    /// list it, and its image ignores the build options.
+    pub fn spec(&self) -> WorkloadSpec {
+        WorkloadSpec {
+            name: case_name(self.id),
+            suite: Suite::Characterization,
+            known_bugs: Vec::new(),
+            sheriff: SheriffCompat::Works,
+            has_fix: false,
+            build_fn: Build::Case(*self),
         }
     }
 
@@ -151,6 +169,16 @@ impl CharacterizationCase {
             contended_addrs,
         }
     }
+}
+
+/// `chara_{id}` as a workload name, which is `'static`: each distinct id is
+/// rendered once per process and kept.
+fn case_name(id: usize) -> &'static str {
+    static NAMES: Mutex<BTreeMap<usize, &'static str>> = Mutex::new(BTreeMap::new());
+    let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+    names
+        .entry(id)
+        .or_insert_with(|| Box::leak(format!("chara_{id}").into_boxed_str()))
 }
 
 /// Generate the full matrix of 160 characterization cases: the four
@@ -243,6 +271,21 @@ mod tests {
         let r = m.run_to_completion().unwrap();
         assert!(r.stats.hitm_events > 100);
         assert!(r.stats.hitm_stores > 0);
+    }
+
+    #[test]
+    fn a_case_is_a_workload_the_registry_does_not_list() {
+        let case = characterization_cases()[37];
+        let spec = case.spec();
+        assert_eq!(spec.name, "chara_37");
+        assert!(std::ptr::eq(spec.name, case.spec().name), "named once");
+        assert_eq!(spec.characterization(), Some(&case));
+        assert!(crate::find(spec.name).is_none());
+        assert_eq!(crate::find("histogram").unwrap().characterization(), None);
+        // The spec builds the case's own image, whatever the options.
+        let image = spec.build(&crate::BuildOptions::scaled(3.0).with_threads(8));
+        assert_eq!(image.name(), spec.name);
+        assert_eq!(format!("{image:?}"), format!("{:?}", case.build().image));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::common::{
     open_loop, private_compute, regs, scaled_iters, BENIGN_DILATION, INTENSE_DILATION,
     MILD_DILATION,
 };
-use crate::spec::{BugKind, BuildOptions, KnownBug, SheriffCompat, Suite, WorkloadSpec};
+use crate::spec::{BugKind, Build, BuildOptions, KnownBug, SheriffCompat, Suite, WorkloadSpec};
 
 /// All PARSEC workload specifications.
 pub fn all() -> Vec<WorkloadSpec> {
@@ -25,7 +25,9 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Works,
             has_fix: false,
-            build_fn: |o| private_compute("blackscholes", "blackscholes.c", o, 2600, 10, 8),
+            build_fn: Build::Options(|o| {
+                private_compute("blackscholes", "blackscholes.c", o, 2600, 10, 8)
+            }),
         },
         WorkloadSpec {
             name: "bodytrack",
@@ -39,7 +41,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             )],
             sheriff: SheriffCompat::Crash,
             has_fix: false,
-            build_fn: bodytrack,
+            build_fn: Build::Options(bodytrack),
         },
         WorkloadSpec {
             name: "canneal",
@@ -47,7 +49,9 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Crash,
             has_fix: false,
-            build_fn: |o| locked_accumulator("canneal", "canneal.cpp", o, 2000, 64, 8),
+            build_fn: Build::Options(|o| {
+                locked_accumulator("canneal", "canneal.cpp", o, 2000, 64, 8)
+            }),
         },
         WorkloadSpec {
             name: "dedup",
@@ -61,7 +65,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             )],
             sheriff: SheriffCompat::Incompatible,
             has_fix: true,
-            build_fn: dedup,
+            build_fn: Build::Options(dedup),
         },
         WorkloadSpec {
             name: "facesim",
@@ -69,7 +73,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Crash,
             has_fix: false,
-            build_fn: |o| barrier_phased("facesim", "facesim.cpp", o, 3, 700, 8),
+            build_fn: Build::Options(|o| barrier_phased("facesim", "facesim.cpp", o, 3, 700, 8)),
         },
         WorkloadSpec {
             name: "ferret",
@@ -77,7 +81,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Works,
             has_fix: false,
-            build_fn: |o| locked_accumulator("ferret", "ferret.c", o, 2200, 48, 6),
+            build_fn: Build::Options(|o| locked_accumulator("ferret", "ferret.c", o, 2200, 48, 6)),
         },
         WorkloadSpec {
             name: "fluidanimate",
@@ -85,7 +89,9 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Crash,
             has_fix: false,
-            build_fn: |o| barrier_phased("fluidanimate", "fluidanimate.cpp", o, 4, 600, 5),
+            build_fn: Build::Options(|o| {
+                barrier_phased("fluidanimate", "fluidanimate.cpp", o, 4, 600, 5)
+            }),
         },
         WorkloadSpec {
             name: "freqmine",
@@ -93,7 +99,9 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Incompatible,
             has_fix: false,
-            build_fn: |o| private_compute("freqmine", "freqmine.cpp", o, 2400, 7, 16),
+            build_fn: Build::Options(|o| {
+                private_compute("freqmine", "freqmine.cpp", o, 2400, 7, 16)
+            }),
         },
         WorkloadSpec {
             name: "raytrace.parsec",
@@ -101,9 +109,9 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Incompatible,
             has_fix: false,
-            build_fn: |o| {
+            build_fn: Build::Options(|o| {
                 locked_accumulator("raytrace.parsec", "raytrace_parsec.cpp", o, 2000, 80, 10)
-            },
+            }),
         },
         WorkloadSpec {
             name: "streamcluster",
@@ -117,7 +125,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             )],
             sheriff: SheriffCompat::Crash,
             has_fix: true,
-            build_fn: streamcluster,
+            build_fn: Build::Options(streamcluster),
         },
         WorkloadSpec {
             name: "swaptions",
@@ -125,7 +133,9 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Works,
             has_fix: false,
-            build_fn: |o| private_compute("swaptions", "swaptions.cpp", o, 2400, 12, 8),
+            build_fn: Build::Options(|o| {
+                private_compute("swaptions", "swaptions.cpp", o, 2400, 12, 8)
+            }),
         },
         WorkloadSpec {
             name: "vips",
@@ -133,7 +143,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Incompatible,
             has_fix: false,
-            build_fn: |o| locked_accumulator("vips", "vips.c", o, 2200, 56, 7),
+            build_fn: Build::Options(|o| locked_accumulator("vips", "vips.c", o, 2200, 56, 7)),
         },
         WorkloadSpec {
             name: "x264",
@@ -141,7 +151,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Incompatible,
             has_fix: false,
-            build_fn: x264,
+            build_fn: Build::Options(x264),
         },
     ]
 }

@@ -13,7 +13,7 @@ use crate::common::{
     self, close_loop, open_loop, private_compute, regs, scaled_iters, INTENSE_DILATION,
     MILD_DILATION,
 };
-use crate::spec::{BugKind, BuildOptions, KnownBug, SheriffCompat, Suite, WorkloadSpec};
+use crate::spec::{BugKind, Build, BuildOptions, KnownBug, SheriffCompat, Suite, WorkloadSpec};
 
 /// All Phoenix workload specifications (including the `histogram'`
 /// alternative-input configuration).
@@ -25,7 +25,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Works,
             has_fix: false,
-            build_fn: |o| histogram(o, false),
+            build_fn: Build::Options(|o| histogram(o, false)),
         },
         WorkloadSpec {
             name: "histogram'",
@@ -38,7 +38,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             )],
             sheriff: SheriffCompat::Works,
             has_fix: true,
-            build_fn: |o| histogram(o, true),
+            build_fn: Build::Options(|o| histogram(o, true)),
         },
         WorkloadSpec {
             name: "kmeans",
@@ -52,7 +52,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             )],
             sheriff: SheriffCompat::Works,
             has_fix: true,
-            build_fn: kmeans,
+            build_fn: Build::Options(kmeans),
         },
         WorkloadSpec {
             name: "linear_regression",
@@ -66,7 +66,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             )],
             sheriff: SheriffCompat::Works,
             has_fix: true,
-            build_fn: linear_regression,
+            build_fn: Build::Options(linear_regression),
         },
         WorkloadSpec {
             name: "matrix_multiply",
@@ -74,7 +74,9 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Works,
             has_fix: false,
-            build_fn: |o| private_compute("matrix_multiply", "matrix_multiply.c", o, 2200, 6, 16),
+            build_fn: Build::Options(|o| {
+                private_compute("matrix_multiply", "matrix_multiply.c", o, 2200, 6, 16)
+            }),
         },
         WorkloadSpec {
             name: "pca",
@@ -82,7 +84,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Works,
             has_fix: false,
-            build_fn: |o| private_compute("pca", "pca.c", o, 2600, 8, 32),
+            build_fn: Build::Options(|o| private_compute("pca", "pca.c", o, 2600, 8, 32)),
         },
         WorkloadSpec {
             name: "reverse_index",
@@ -95,9 +97,9 @@ pub fn all() -> Vec<WorkloadSpec> {
             )],
             sheriff: SheriffCompat::Works,
             has_fix: true,
-            build_fn: |o| {
+            build_fn: Build::Options(|o| {
                 packed_counter_kernel("reverse_index", "reverse_index.c", 88, o, 1800, 10, 6)
-            },
+            }),
         },
         WorkloadSpec {
             name: "string_match",
@@ -105,7 +107,9 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Works,
             has_fix: false,
-            build_fn: |o| private_compute("string_match", "string_match.c", o, 3000, 10, 8),
+            build_fn: Build::Options(|o| {
+                private_compute("string_match", "string_match.c", o, 3000, 10, 8)
+            }),
         },
         WorkloadSpec {
             name: "word_count",
@@ -113,7 +117,9 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Crash,
             has_fix: true,
-            build_fn: |o| packed_counter_kernel("word_count", "word_count.c", 71, o, 1500, 10, 10),
+            build_fn: Build::Options(|o| {
+                packed_counter_kernel("word_count", "word_count.c", 71, o, 1500, 10, 10)
+            }),
         },
     ]
 }

@@ -3,6 +3,8 @@
 
 use laser_machine::{ThreadPlacement, TopologySpec, WorkloadImage};
 
+use crate::microbench::CharacterizationCase;
+
 /// Benchmark suite a workload belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
@@ -12,6 +14,9 @@ pub enum Suite {
     Parsec,
     /// Splash2x.
     Splash2x,
+    /// The Section 3.1 HITM-record characterization cases (never in the
+    /// registry).
+    Characterization,
 }
 
 /// The actual kind of a known contention bug.
@@ -159,7 +164,16 @@ pub struct WorkloadSpec {
     pub sheriff: SheriffCompat,
     /// True if a manually-fixed variant exists (Figures 11/14).
     pub has_fix: bool,
-    pub(crate) build_fn: fn(&BuildOptions) -> WorkloadImage,
+    pub(crate) build_fn: Build,
+}
+
+/// How a [`WorkloadSpec`] builds its image.
+#[derive(Clone, Copy)]
+pub(crate) enum Build {
+    /// A registry workload: a kernel shaped by the build options.
+    Options(fn(&BuildOptions) -> WorkloadImage),
+    /// A characterization case, whose two-thread image ignores the options.
+    Case(CharacterizationCase),
 }
 
 impl std::fmt::Debug for WorkloadSpec {
@@ -178,7 +192,10 @@ impl WorkloadSpec {
     /// thread placement is stamped onto the image here, so every workload
     /// honours it without each builder having to thread it through.
     pub fn build(&self, opts: &BuildOptions) -> WorkloadImage {
-        let mut image = (self.build_fn)(opts);
+        let mut image = match self.build_fn {
+            Build::Options(build) => build(opts),
+            Build::Case(case) => case.build().image,
+        };
         image.set_thread_placement(opts.placement);
         image
     }
@@ -186,6 +203,15 @@ impl WorkloadSpec {
     /// Build with default options (4 threads, native-style input, unfixed).
     pub fn build_default(&self) -> WorkloadImage {
         self.build(&BuildOptions::default())
+    }
+
+    /// The characterization case this workload is, if it is one
+    /// ([`CharacterizationCase::spec`]).
+    pub fn characterization(&self) -> Option<&CharacterizationCase> {
+        match &self.build_fn {
+            Build::Case(case) => Some(case),
+            Build::Options(_) => None,
+        }
     }
 
     /// True if this workload has at least one known performance bug.
@@ -293,7 +319,7 @@ mod tests {
         let octo = base.clone().for_topology(TopologySpec::OctoSocket);
         assert_eq!(octo.threads, 32);
         assert_eq!(octo.placement, ThreadPlacement::RoundRobin);
-        // Builder helpers.
+        // Build helpers.
         let o = BuildOptions::default()
             .with_threads(0)
             .with_placement(ThreadPlacement::RoundRobin);

@@ -12,7 +12,7 @@ use crate::common::{
     barrier_phased, close_loop, emit_lock_acquire, emit_lock_release, locked_accumulator,
     open_loop, private_compute, regs, scaled_iters, INTENSE_DILATION, MILD_DILATION,
 };
-use crate::spec::{BugKind, BuildOptions, KnownBug, SheriffCompat, Suite, WorkloadSpec};
+use crate::spec::{BugKind, Build, BuildOptions, KnownBug, SheriffCompat, Suite, WorkloadSpec};
 
 /// All Splash2x workload specifications.
 pub fn all() -> Vec<WorkloadSpec> {
@@ -23,7 +23,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Crash,
             has_fix: false,
-            build_fn: |o| barrier_phased("barnes", "barnes.c", o, 3, 650, 7),
+            build_fn: Build::Options(|o| barrier_phased("barnes", "barnes.c", o, 3, 650, 7)),
         },
         WorkloadSpec {
             name: "fft",
@@ -31,7 +31,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Crash,
             has_fix: false,
-            build_fn: |o| barrier_phased("fft", "fft.c", o, 2, 900, 6),
+            build_fn: Build::Options(|o| barrier_phased("fft", "fft.c", o, 2, 900, 6)),
         },
         WorkloadSpec {
             name: "fmm",
@@ -39,7 +39,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Crash,
             has_fix: false,
-            build_fn: |o| barrier_phased("fmm", "fmm.c", o, 3, 700, 8),
+            build_fn: Build::Options(|o| barrier_phased("fmm", "fmm.c", o, 3, 700, 8)),
         },
         WorkloadSpec {
             name: "lu_cb",
@@ -47,7 +47,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Works,
             has_fix: false,
-            build_fn: |o| barrier_phased("lu_cb", "lu_cb.c", o, 3, 750, 6),
+            build_fn: Build::Options(|o| barrier_phased("lu_cb", "lu_cb.c", o, 3, 750, 6)),
         },
         WorkloadSpec {
             name: "lu_ncb",
@@ -61,7 +61,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             )],
             sheriff: SheriffCompat::Works,
             has_fix: true,
-            build_fn: lu_ncb,
+            build_fn: Build::Options(lu_ncb),
         },
         WorkloadSpec {
             name: "ocean_cp",
@@ -69,7 +69,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Crash,
             has_fix: false,
-            build_fn: |o| barrier_phased("ocean_cp", "ocean_cp.c", o, 4, 550, 5),
+            build_fn: Build::Options(|o| barrier_phased("ocean_cp", "ocean_cp.c", o, 4, 550, 5)),
         },
         WorkloadSpec {
             name: "ocean_ncp",
@@ -77,7 +77,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Crash,
             has_fix: false,
-            build_fn: |o| barrier_phased("ocean_ncp", "ocean_ncp.c", o, 4, 550, 5),
+            build_fn: Build::Options(|o| barrier_phased("ocean_ncp", "ocean_ncp.c", o, 4, 550, 5)),
         },
         WorkloadSpec {
             name: "radiosity",
@@ -85,7 +85,9 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Crash,
             has_fix: false,
-            build_fn: |o| locked_accumulator("radiosity", "radiosity.c", o, 2000, 72, 7),
+            build_fn: Build::Options(|o| {
+                locked_accumulator("radiosity", "radiosity.c", o, 2000, 72, 7)
+            }),
         },
         WorkloadSpec {
             name: "radix",
@@ -93,7 +95,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Works,
             has_fix: false,
-            build_fn: |o| barrier_phased("radix", "radix.c", o, 2, 800, 4),
+            build_fn: Build::Options(|o| barrier_phased("radix", "radix.c", o, 2, 800, 4)),
         },
         WorkloadSpec {
             name: "raytrace.splash2x",
@@ -101,9 +103,9 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Works,
             has_fix: false,
-            build_fn: |o| {
+            build_fn: Build::Options(|o| {
                 locked_accumulator("raytrace.splash2x", "raytrace_splash.c", o, 2100, 64, 9)
-            },
+            }),
         },
         WorkloadSpec {
             name: "volrend",
@@ -117,7 +119,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             )],
             sheriff: SheriffCompat::Crash,
             has_fix: true,
-            build_fn: volrend,
+            build_fn: Build::Options(volrend),
         },
         WorkloadSpec {
             name: "water_nsquared",
@@ -125,7 +127,7 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Works,
             has_fix: false,
-            build_fn: water_nsquared,
+            build_fn: Build::Options(water_nsquared),
         },
         WorkloadSpec {
             name: "water_spatial",
@@ -133,7 +135,9 @@ pub fn all() -> Vec<WorkloadSpec> {
             known_bugs: vec![],
             sheriff: SheriffCompat::Works,
             has_fix: false,
-            build_fn: |o| private_compute("water_spatial", "water_spatial.c", o, 2400, 9, 16),
+            build_fn: Build::Options(|o| {
+                private_compute("water_spatial", "water_spatial.c", o, 2400, 9, 16)
+            }),
         },
     ]
 }

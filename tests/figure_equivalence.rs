@@ -6,6 +6,7 @@
 use laser_bench::accuracy::{
     fig9_from_grid, plan_fig9, plan_table1, plan_table2, table1_from_grid, table2_from_grid,
 };
+use laser_bench::characterization::{fig3_from_grid, plan_fig3};
 use laser_bench::emit::Emit;
 use laser_bench::performance::{
     fig10_from_grid, fig11_from_grid, fig12_from_grid, fig13_from_grid, fig14_from_grid,
@@ -31,6 +32,7 @@ fn full_grid_with(threads: usize, pipeline: PipelineConfig) -> GridResult {
     let mut grid = Grid::new(scale())
         .with_threads(threads)
         .with_pipeline(pipeline);
+    plan_fig3(&mut grid);
     plan_fig9(&mut grid);
     plan_fig10(&mut grid);
     plan_fig11(&mut grid);
@@ -55,6 +57,8 @@ fn render_all(grid: &GridResult) -> Vec<(&'static str, String)> {
         out.push((name, report.to_json().render()));
         out.push((name, report.to_csv()));
     };
+    let fig3 = fig3_from_grid(grid).unwrap();
+    push("fig3", &fig3, fig3.render());
     let fig9 = fig9_from_grid(grid, THRESHOLDS).unwrap();
     push("fig9", &fig9, fig9.render());
     let fig10 = fig10_from_grid(grid).unwrap();
@@ -137,6 +141,7 @@ fn pipelined_budgeted_grids_emit_byte_identically_to_inline() {
             .with_threads(threads)
             .with_cell_budget(CellBudget::steps(10_000))
             .with_pipeline(pipeline);
+        plan_fig3(&mut grid);
         plan_fig10(&mut grid);
         plan_table1(&mut grid);
         grid.run()
@@ -216,6 +221,7 @@ fn budgeted_grids_emit_byte_identically_for_any_thread_count() {
         let mut grid = Grid::new(scale())
             .with_threads(threads)
             .with_cell_budget(CellBudget::steps(10_000));
+        plan_fig3(&mut grid);
         plan_fig10(&mut grid);
         plan_table1(&mut grid);
         grid.run()

@@ -17,7 +17,7 @@ use laser_bench::{
     PipelineConfig, Tool, ToolFailure, ToolRun, ToolSpec, TopologySpec, FIGURES,
 };
 use laser_core::{EventLog, Laser, LaserConfig, LaserEvent};
-use laser_workloads::{find, registry, BuildOptions, WorkloadSpec};
+use laser_workloads::{characterization_cases, find, registry, BuildOptions, WorkloadSpec};
 
 /// A tool the campaign cannot see through: the wrapped tool, run on its
 /// own for every cell.
@@ -69,6 +69,13 @@ fn grouped(
     grid.run().campaign().cells.clone()
 }
 
+/// The registry, then every characterization case Figure 3 can plan.
+fn workloads_and_cases() -> Vec<WorkloadSpec> {
+    let mut workloads = registry();
+    workloads.extend(characterization_cases().iter().map(|case| case.spec()));
+    workloads
+}
+
 /// Every cell of `cells` again, each simulated on its own: one campaign of
 /// one opaque tool per `(tool, topology)`, over the workloads that
 /// requested it. Returned in the order of `cells`.
@@ -91,10 +98,10 @@ fn unshared(cells: &[CellResult], scale: f64, budget: CellBudget) -> Vec<CellRes
             topology: TopologySpec::parse(topology).expect("a planned topology"),
             ..CampaignConfig::default()
         };
-        let result = Campaign::new(registry(), vec![Box::new(Opaque(spec.build()))])
+        let result = Campaign::new(workloads_and_cases(), vec![Box::new(Opaque(spec.build()))])
             .with_config(config)
             .with_workload_names(&workloads)
-            .expect("registry workloads")
+            .expect("planned workloads")
             .run();
         for cell in result.cells {
             by_cell.insert((cell.workload.clone(), cell.tool.clone()), cell);
