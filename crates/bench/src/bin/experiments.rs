@@ -48,11 +48,10 @@ const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|t
                      \x20                     (validated up front; unknown names are an error)\n\
                      --format F            stdout format: text (default), json or csv\n\
                      --cell-budget-steps N bound every cell at N retired instructions\n\
-                     --pipeline            run the detector of each unbudgeted,\n\
-                     \x20                     detection-only LASER cell on a worker thread,\n\
-                     \x20                     overlapped with the simulated quanta; repair\n\
-                     \x20                     and budgeted cells stay inline (byte-identical\n\
-                     \x20                     output either way)\n\
+                     --pipeline            run the detector of each detection-only LASER\n\
+                     \x20                     cell on a worker thread, overlapped with the\n\
+                     \x20                     simulated quanta; repair cells stay inline\n\
+                     \x20                     (byte-identical output either way)\n\
                      --topology T          deploy every cell on a socket-topology preset:\n\
                      \x20                     flat (default, single socket), 2s, 4s or 8s\n\
                      \x20                     (4 cores/socket, threads scaled to match);\n\
@@ -381,7 +380,7 @@ mod tests {
         assert_eq!(cli.format, AggregateFormat::Text);
         assert_eq!(cli.config, CampaignConfig::evaluation());
         assert!(!cli.config.pipeline.enabled);
-        assert!(cli.config.budget.is_unlimited());
+        assert_eq!(cli.config.budget, CellBudget::default());
         assert_eq!(cli.only, None);
         assert_eq!(cli.config.topology, TopologySpec::Flat);
         // At most one subcommand: a second positional is named and rejected,

@@ -39,8 +39,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use laser_bench::args::{value, CliError};
-use laser_bench::{run_scenario, CellCache, Scenario, ServiceOptions};
+use laser_bench::args::{knob, value, CliError};
+use laser_bench::{run_scenario, CampaignConfig, CellCache, Scenario, ServiceOptions};
 
 const USAGE: &str = "usage: laser-serve [scenario.json ...] [--stdin] [--watch DIR] [--once] \
                      [--poll-ms N] [--threads N] [--cache DIR] [--cache-stats FILE]\n\
@@ -101,7 +101,12 @@ impl Cli {
                     }
                     cli.poll_ms = Some(ms);
                 }
-                "--threads" => cli.threads = Some(value(&mut args)?),
+                "--threads" => {
+                    // The scenario key's setter, so both reject the same values.
+                    let mut config = CampaignConfig::default();
+                    knob(arg, config.set_threads(value(&mut args)?))?;
+                    cli.threads = config.threads;
+                }
                 "--cache" => cli.cache = Some(value(&mut args)?),
                 "--cache-stats" => cli.cache_stats = Some(value(&mut args)?),
                 "--help" | "-h" => return Err(CliError::Usage),
@@ -382,6 +387,15 @@ mod tests {
         assert_eq!(
             Cli::parse(&args(&["--watch", "inbox", "--poll-ms", "0"])).unwrap_err(),
             CliError::Invalid("--poll-ms must be at least 1".to_string())
+        );
+    }
+
+    #[test]
+    fn zero_threads_are_rejected_like_the_scenario_key() {
+        // Refused up front with the setter's words, not quietly raised to 1.
+        assert_eq!(
+            Cli::parse(&args(&["--stdin", "--threads", "0"])).unwrap_err(),
+            CliError::Invalid("--threads must be at least 1".to_string())
         );
     }
 

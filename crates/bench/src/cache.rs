@@ -1097,16 +1097,13 @@ mod tests {
         let cache = CellCache::open(&dir).unwrap();
         let opts = base_opts();
 
-        // Every config is cacheable, but transient outcomes (errors, panics,
-        // a caller's cancellation) are never stored.
+        // Every config is cacheable, but transient outcomes (errors and
+        // panics) are never stored.
         let cfg = config(&opts);
         for failure in [
             ToolFailure::Error("io".to_string()),
             ToolFailure::Panicked {
                 message: "boom".to_string(),
-            },
-            ToolFailure::BudgetExceeded {
-                reason: StopReason::Cancelled("caller".to_string()),
             },
         ] {
             cache.store(&cfg, &sample_cell(Err(failure)));

@@ -4,7 +4,7 @@
 
 use std::fmt::Write as _;
 
-use laser_core::{BudgetObserver, TopologySpec};
+use laser_core::{CellBudget, TopologySpec};
 use laser_machine::{line_of, Machine, MachineConfig};
 use laser_pebs::imprecision::{ImprecisionModel, ImprecisionParams};
 use laser_workloads::{characterization_cases, CharacterizationCase, WorkloadSpec};
@@ -13,7 +13,7 @@ use serde::json::Value;
 use crate::config::CellConfig;
 use crate::emit::{Column, Emit, Prec, View};
 use crate::grid::{ExperimentError, Grid, GridResult};
-use crate::tool::{finish_observed, PebsAccuracy, Tool, ToolFailure, ToolRun, ToolSpec};
+use crate::tool::{PebsAccuracy, Tool, ToolFailure, ToolRun, ToolSpec};
 
 /// The four sharing categories of Figure 3, in the paper's order.
 const CATEGORIES: [&str; 4] = ["TSRW", "FSRW", "TSWW", "FSWW"];
@@ -211,16 +211,16 @@ impl Tool for PebsAccuracyTool {
         let case = spec.characterization().ok_or_else(|| {
             ToolFailure::Error(format!("{} is not a characterization case", spec.name))
         })?;
-        score_case(case, cell.machine_config(), cell.observer())
+        score_case(case, cell.machine_config(), cell.budget)
     }
 }
 
 /// Score one characterization case on `config`, then hold the finished run
-/// to `observer`'s budget.
+/// to `budget`.
 fn score_case(
     case: &CharacterizationCase,
     config: MachineConfig,
-    observer: Option<BudgetObserver>,
+    budget: CellBudget,
 ) -> Result<ToolRun, ToolFailure> {
     let built = case.build();
     let program = built.image.program();
@@ -250,7 +250,7 @@ fn score_case(
                 case.label()
             ))
         })?;
-    finish_observed(observer, result.steps, result.cycles)?;
+    budget.check(result.steps)?;
     Ok(ToolRun {
         cycles: result.cycles,
         hitm_events: events,
@@ -343,7 +343,7 @@ mod tests {
             max_steps: 10,
             ..MachineConfig::default()
         };
-        let Err(ToolFailure::Error(err)) = score_case(case, config, None) else {
+        let Err(ToolFailure::Error(err)) = score_case(case, config, CellBudget::default()) else {
             panic!("a case cut at 10 steps must be an error cell");
         };
         assert!(
@@ -352,7 +352,7 @@ mod tests {
         );
         assert!(err.contains("within 10 steps"), "{err}");
         // The same case terminates under the default budget.
-        assert!(score_case(case, MachineConfig::default(), None).is_ok());
+        assert!(score_case(case, MachineConfig::default(), CellBudget::default()).is_ok());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use laser_core::{BudgetObserver, CellBudget, PipelineConfig, TopologySpec};
+use laser_core::{CellBudget, PipelineConfig, TopologySpec};
 use laser_machine::MachineConfig;
 use laser_workloads::BuildOptions;
 
@@ -229,13 +229,5 @@ impl<'a> CellConfig<'a> {
             Some(custom) => custom.machine_config(),
             None => MachineConfig::for_topology(self.topology),
         }
-    }
-
-    /// The observer enforcing the cell's budget; `None` when the budget is
-    /// unlimited, so an unbudgeted LASER session stays genuinely unobserved:
-    /// no events are constructed, and under `--pipeline` a detection-only
-    /// session gets its detector worker (an observed session runs inline).
-    pub fn observer(&self) -> Option<BudgetObserver> {
-        (!self.budget.is_unlimited()).then(|| BudgetObserver::new(self.budget))
     }
 }

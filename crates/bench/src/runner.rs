@@ -1,7 +1,7 @@
 //! Shared plumbing for the experiments: workload selection, tool invocation
 //! and scoring against the known-bug database.
 
-use laser_core::{BudgetObserver, ContentionReport, Laser, LaserConfig, LaserError, LaserOutcome};
+use laser_core::{ContentionReport, Laser, LaserConfig, LaserError, LaserOutcome};
 use laser_machine::{RunResult, WorkloadImage};
 use laser_workloads::{registry, BuildOptions, WorkloadSpec};
 
@@ -81,32 +81,26 @@ pub fn run_native(spec: &WorkloadSpec, cell: &CellConfig) -> Result<RunResult, L
 }
 
 /// Run a workload under LASER as `cell` deploys it: its machine, its
-/// pipeline deployment (which changes only the wall-clock: outcome and event
-/// stream are byte-identical to an inline run) and, when the cell is
-/// budgeted, `observer` — the cell's [`CellConfig::observer`] — on the
-/// session's event stream.
+/// pipeline deployment (which changes only the wall-clock: the outcome is
+/// byte-identical to an inline run) and its step budget.
 ///
 /// The machine configuration is passed explicitly, so it wins over
 /// `config.topology` — except on the flat preset, whose default machine never
 /// clobbers a topology the caller put in their own config.
 ///
 /// # Errors
-/// Propagates simulator errors, and [`LaserError::Stopped`] when the budget
-/// observer cancelled the run.
+/// Propagates simulator errors, and [`LaserError::Stopped`] when the run
+/// went past the cell's budget.
 pub fn run_laser(
     spec: &WorkloadSpec,
     cell: &CellConfig,
     config: LaserConfig,
-    observer: Option<BudgetObserver>,
 ) -> Result<LaserOutcome, LaserError> {
-    let mut builder = Laser::builder()
+    Laser::builder()
         .config(config)
         .machine(cell.machine_config())
-        .pipeline_config(cell.pipeline);
-    if let Some(observer) = observer {
-        builder = builder.observer(observer);
-    }
-    builder
+        .pipeline_config(cell.pipeline)
+        .budget(cell.budget)
         .build(&build_under_tool(spec, &cell.adapted_opts()))
         .run()
 }
@@ -198,7 +192,7 @@ mod tests {
         let opts = BuildOptions::scaled(0.05);
         let flat = CellConfig::flat(spec.name, "laser-detect", &opts);
         let native = run_native(&spec, &flat).unwrap();
-        let laser = run_laser(&spec, &flat, LaserConfig::detection_only(), None).unwrap();
+        let laser = run_laser(&spec, &flat, LaserConfig::detection_only()).unwrap();
         assert!(native.cycles > 0);
         assert!(laser.run.cycles >= native.cycles);
     }

@@ -533,7 +533,7 @@ mod tests {
         assert_eq!(s.config, CampaignConfig::evaluation());
         assert_eq!(s.config.opts.scale, 0.4);
         assert_eq!(s.config.threads, None);
-        assert!(s.config.budget.is_unlimited());
+        assert_eq!(s.config.budget, CellBudget::default());
         assert_eq!(s.config.pipeline, PipelineConfig::default());
         assert_eq!(s.format, None);
     }

@@ -15,16 +15,11 @@
 //! each unique `(workload, tool)` cell exactly once and serve every consumer
 //! from the cached result.
 
-use std::ops::ControlFlow;
-
 use laser_baselines::{
     Sheriff, SheriffConfig, SheriffFailure, SheriffMode, SheriffNative, SheriffRun, Vtune,
     VtuneConfig,
 };
-use laser_core::{
-    BudgetObserver, ContentionKind, LaserConfig, LaserError, LaserEvent, Observer, StopReason,
-    TopologySpec,
-};
+use laser_core::{CellBudget, ContentionKind, LaserConfig, LaserError, StopReason, TopologySpec};
 use laser_machine::RunResult;
 use laser_workloads::{BuildOptions, WorkloadSpec};
 
@@ -120,13 +115,19 @@ pub enum ToolFailure {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// The cell exceeded its per-cell budget ([`CellConfig::budget`]): the
-    /// budget observer stopped the run. LASER runs are cancelled mid-flight;
-    /// tools that report only a final event are marked after completion.
+    /// The cell exceeded its per-cell budget ([`CellConfig::budget`]).
+    /// LASER runs are stopped mid-flight; whole-run tools are checked
+    /// against their final step count and marked after completion.
     BudgetExceeded {
         /// Which budget tripped, and by how much.
         reason: StopReason,
     },
+}
+
+impl From<StopReason> for ToolFailure {
+    fn from(reason: StopReason) -> Self {
+        ToolFailure::BudgetExceeded { reason }
+    }
 }
 
 impl std::fmt::Display for ToolFailure {
@@ -163,7 +164,7 @@ pub fn cell_key(tool_name: &str, topo: TopologySpec) -> String {
 /// cache fingerprints — and the tool deploys itself from it: build options
 /// adapted to the topology ([`CellConfig::adapted_opts`]), the machine
 /// ([`CellConfig::machine_config`]), the session pipeline and the budget
-/// ([`CellConfig::observer`]). A caller never keeps options and machine
+/// ([`CellConfig::budget`]). A caller never keeps options and machine
 /// configuration in sync by hand.
 pub trait Tool: Send + Sync {
     /// Stable display name, used (decorated with the deployment by
@@ -172,12 +173,11 @@ pub trait Tool: Send + Sync {
 
     /// Build and run `spec` under this tool as `cell` configures it.
     ///
-    /// A budgeted LASER run streams its [`LaserEvent`]s to the budget
-    /// observer and stops mid-quantum; the native and baseline tools report
-    /// a single [`LaserEvent::Finished`] after the simulation, so a budget
-    /// can mark them over-budget but not shorten them. (The Sheriff model
-    /// exposes no step counter; its `Finished` events carry `steps: 0`, so
-    /// no budget catches a Sheriff cell.) The pipeline
+    /// A budgeted LASER session stops at the first quantum past the budget;
+    /// the native, VTune and Figure 3 tools hold their finished run's step
+    /// count to the same rule ([`CellBudget::check`]), so a budget can mark
+    /// them over budget but not shorten them. (The Sheriff model exposes no
+    /// step counter, so no budget catches a Sheriff cell.) The pipeline
     /// deployment is an *execution strategy*, not a measurement change, so
     /// tools without a detector stage to move ignore it.
     ///
@@ -188,33 +188,15 @@ pub trait Tool: Send + Sync {
     fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure>;
 }
 
-/// Deliver the post-run [`LaserEvent::Finished`] event for a tool that cannot
-/// stream intermediate events, translating an observer break into the
-/// budget-exceeded cell failure. `observer` is the cell's.
-pub(crate) fn finish_observed(
-    observer: Option<BudgetObserver>,
-    steps: u64,
-    cycles: u64,
-) -> Result<(), ToolFailure> {
-    match observer.map(|mut o| o.on_event(&LaserEvent::Finished { steps, cycles })) {
-        Some(ControlFlow::Break(reason)) => Err(ToolFailure::BudgetExceeded { reason }),
-        _ => Ok(()),
-    }
-}
-
 /// A native run of `spec` as `cell` deploys it, held to the cell's budget.
 fn native_run(spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-    let observer = cell.observer();
     let result = run_native(spec, cell).map_err(|e| ToolFailure::Error(e.to_string()))?;
-    native_cell(&result, observer)
+    native_cell(&result, cell.budget)
 }
 
-/// The native cell of a finished native run, held to the cell's budget.
-fn native_cell(
-    result: &RunResult,
-    observer: Option<BudgetObserver>,
-) -> Result<ToolRun, ToolFailure> {
-    finish_observed(observer, result.steps, result.cycles)?;
+/// The native cell of a finished native run, held to `budget`.
+fn native_cell(result: &RunResult, budget: CellBudget) -> Result<ToolRun, ToolFailure> {
+    budget.check(result.steps)?;
     Ok(ToolRun {
         cycles: result.cycles,
         hitm_events: result.stats.hitm_events,
@@ -307,8 +289,7 @@ impl Tool for LaserTool {
     }
 
     fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-        let outcome =
-            run_laser(spec, cell, self.config.clone(), cell.observer()).map_err(laser_failure)?;
+        let outcome = run_laser(spec, cell, self.config.clone()).map_err(laser_failure)?;
         Ok(laser_outcome_to_tool_run(outcome))
     }
 }
@@ -316,7 +297,7 @@ impl Tool for LaserTool {
 /// The cell failure of a LASER run that did not finish.
 fn laser_failure(e: LaserError) -> ToolFailure {
     match e {
-        LaserError::Stopped(reason) => ToolFailure::BudgetExceeded { reason },
+        LaserError::Stopped(reason) => reason.into(),
         other => ToolFailure::Error(other.to_string()),
     }
 }
@@ -366,12 +347,11 @@ impl Tool for VtuneTool {
     }
 
     fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-        let observer = cell.observer();
         let image = build_under_tool(spec, &cell.adapted_opts());
         let outcome = Vtune::new(self.config.clone())
             .run_on(&image, cell.machine_config())
             .map_err(|e| ToolFailure::Error(e.to_string()))?;
-        finish_observed(observer, outcome.run.steps, outcome.run.cycles)?;
+        cell.budget.check(outcome.run.steps)?;
         Ok(ToolRun {
             cycles: outcome.run.cycles,
             reported: outcome
@@ -424,22 +404,17 @@ impl Tool for SheriffTool {
     }
 
     fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-        let observer = cell.observer();
         let outcome = Sheriff::new(self.config)
             .run_on(spec, &cell.adapted_opts(), self.mode, cell.machine_config())
             .map_err(|e| ToolFailure::Error(e.to_string()))?;
-        sheriff_cell(outcome.result, observer)
+        sheriff_cell(outcome.result)
     }
 }
 
-/// The Sheriff cell of the model's verdict, held to the cell's budget.
-fn sheriff_cell(
-    result: Result<SheriffRun, SheriffFailure>,
-    observer: Option<BudgetObserver>,
-) -> Result<ToolRun, ToolFailure> {
+/// The Sheriff cell of the model's verdict. The model reports no
+/// instruction count, so no step budget applies.
+fn sheriff_cell(result: Result<SheriffRun, SheriffFailure>) -> Result<ToolRun, ToolFailure> {
     let run = result.map_err(ToolFailure::Unsupported)?;
-    // The Sheriff model reports no instruction count.
-    finish_observed(observer, 0, run.cycles)?;
     Ok(ToolRun {
         cycles: run.cycles,
         reported: run
@@ -675,15 +650,11 @@ impl SharedRuns {
             ToolSpec::SheriffDetect => SheriffMode::Detect,
             ToolSpec::SheriffProtect => SheriffMode::Protect,
             // `Native`, the one other spec with a simulation.
-            _ => {
-                let observer = cell.observer();
-                return native_cell(&self.native(workload, cell)?.run, observer);
-            }
+            _ => return native_cell(&self.native(workload, cell)?.run, cell.budget),
         };
         Sheriff::compatibility(workload).map_err(ToolFailure::Unsupported)?;
-        let observer = cell.observer();
         let native = self.native(workload, cell)?;
-        sheriff_cell(Ok(Sheriff::default().project(native, mode)), observer)
+        sheriff_cell(Ok(Sheriff::default().project(native, mode)))
     }
 
     /// A LASER cell under `config`: the group's session at threshold 0,
@@ -709,7 +680,7 @@ impl SharedRuns {
                 };
                 simulate(slot, &mut self.simulations, || {
                     let config = config.with_rate_threshold(0.0);
-                    run_laser(workload, cell, config, cell.observer())
+                    run_laser(workload, cell, config)
                         .map(laser_outcome_to_tool_run)
                         .map_err(laser_failure)
                 })?

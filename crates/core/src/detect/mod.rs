@@ -57,7 +57,7 @@
 //!   interned once, sorted, at [`Detector::new`]; per-line aggregation
 //!   indexes by id and comes out in id order, which is source-location
 //!   order. Strings are materialised only in what leaves the crate
-//!   ([`LineRate`], [`LineReport`]).
+//!   ([`LineReport`]).
 //!
 //! `tests/oracle.rs` keeps the straightforward implementation — copy, stable
 //! sort, memory-map queries, ordered maps, a per-byte bitmap loop — as a
@@ -75,7 +75,6 @@ use laser_machine::{Addr, MemoryMap};
 use laser_pebs::HitmRecord;
 
 use crate::config::LaserConfig;
-use crate::observe::LineRate;
 use crate::report::{ContentionKind, ContentionReport, LineReport};
 use linemodel::{CacheLineModel, SharingClass};
 
@@ -113,17 +112,16 @@ pub(crate) struct LineAgg {
     pub(crate) pcs: Vec<Pc>,
 }
 
-/// A detector's per-line aggregates: the *single* shape every report
-/// derivation ([`line_rates_from`], [`trigger_pcs_from`],
-/// [`report_lines_from`]) consumes. The live rates and the repair trigger
-/// are derived from them on an inline session, the end-of-run report on
-/// every session, so nothing user-visible depends on where the detector
+/// A detector's per-line aggregates: the *single* shape both derivations
+/// ([`trigger_pcs_from`], [`report_lines_from`]) consume. The repair
+/// trigger is derived from them on an inline session, the end-of-run report
+/// on every session, so nothing user-visible depends on where the detector
 /// ran.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct LineAggregates {
     /// The detector's line table: the program's distinct source locations
     /// and the `<unknown>:0` sentinel, ascending. Shared, not copied — an
-    /// observed or armed session builds aggregates after every batch.
+    /// armed session builds aggregates after every batch.
     pub(crate) lines: Arc<[SourceLoc]>,
     /// One entry per line with records, ascending by `line` — which, the
     /// table being sorted, is ascending by source location.
@@ -142,24 +140,6 @@ impl LineAggregates {
     fn loc(&self, agg: &LineAgg) -> &SourceLoc {
         &self.lines[agg.line as usize]
     }
-}
-
-/// The live per-line HITM rates derived from aggregates: hottest line first,
-/// ties broken by source location, no rate threshold applied.
-pub(crate) fn line_rates_from(aggs: &LineAggregates, elapsed_seconds: f64) -> Vec<LineRate> {
-    let elapsed = elapsed_seconds.max(1e-9);
-    aggs.hottest_first()
-        .into_iter()
-        .map(|agg| {
-            let loc = aggs.loc(agg);
-            LineRate {
-                file: loc.file.clone(),
-                line: loc.line,
-                hitm_records: agg.records,
-                rate_per_sec: agg.records as f64 / elapsed,
-            }
-        })
-        .collect()
 }
 
 /// The repair-trigger PC set derived from aggregates: PCs of known source
@@ -617,8 +597,8 @@ impl Detector {
 
     /// This detector's per-line aggregates, sorted by source location: the
     /// one thing the detector answers with. An inline session reads them
-    /// after a batch while it is observed (the live [`line_rates_from`]) or
-    /// repair is armed ([`trigger_pcs_from`]); [`Detector::report`] derives
+    /// after a batch while repair is armed ([`trigger_pcs_from`]);
+    /// [`Detector::report`] derives
     /// the end-of-run report from them ([`report_lines_from`]), inline and
     /// pipelined alike.
     pub(crate) fn line_aggregates(&self) -> LineAggregates {
@@ -964,28 +944,6 @@ pub(crate) mod tests {
         }
         assert_eq!(d.report("det", 1.0, 0.0, false).lines.len(), 2);
         assert_eq!(d.report("det", 1.0, 1_000_000.0, false).lines.len(), 0);
-    }
-
-    #[test]
-    fn line_rates_are_live_unfiltered_and_hottest_first() {
-        let p = program();
-        let m = map(&p);
-        let mut d = Detector::new(&LaserConfig::default(), &p, &m);
-        assert!(line_rates_from(&d.line_aggregates(), 1.0).is_empty());
-        let mut records = Vec::new();
-        for i in 0..30 {
-            records.push(record(p.base_pc(), 0x1000_0000 + (i % 2) * 8, i));
-        }
-        records.push(record(p.base_pc() + 4, 0x1000_0100, 100));
-        d.process(&records);
-        let rates = line_rates_from(&d.line_aggregates(), 2.0);
-        // No threshold: both lines are visible, hottest first.
-        assert_eq!(rates.len(), 2);
-        assert_eq!((rates[0].file.as_str(), rates[0].line), ("det.c", 10));
-        assert_eq!(rates[0].hitm_records, 30);
-        assert!((rates[0].rate_per_sec - 15.0).abs() < 1e-9);
-        assert_eq!(rates[1].line, 20);
-        assert_eq!(rates[1].hitm_records, 1);
     }
 
     #[test]

@@ -165,27 +165,6 @@ impl Reference {
         per_line.into_values().collect()
     }
 
-    fn line_rates(&self, elapsed_seconds: f64) -> Vec<LineRate> {
-        let elapsed = elapsed_seconds.max(1e-9);
-        let mut lines: Vec<LineRate> = self
-            .line_aggregates()
-            .iter()
-            .map(|agg| LineRate {
-                file: agg.loc.file.clone(),
-                line: agg.loc.line,
-                hitm_records: agg.records,
-                rate_per_sec: agg.records as f64 / elapsed,
-            })
-            .collect();
-        lines.sort_by(|a, b| {
-            b.hitm_records
-                .cmp(&a.hitm_records)
-                .then_with(|| a.file.cmp(&b.file))
-                .then(a.line.cmp(&b.line))
-        });
-        lines
-    }
-
     fn repair_trigger_pcs(&self, elapsed_seconds: f64, min_line_rate: f64) -> Vec<Pc> {
         let elapsed = elapsed_seconds.max(1e-9);
         let mut pcs = Vec::new();
@@ -287,7 +266,7 @@ impl Lockstep {
     }
 
     /// Feed `records` to both and compare every observable: the aggregates,
-    /// and the live rates, repair trigger and report lines a session derives
+    /// and the repair trigger and report lines a session derives
     /// from them. `elapsed` is the benchmark time the rate-dependent views
     /// are evaluated at.
     fn feed(&mut self, records: &[HitmRecord], elapsed: f64) {
@@ -315,11 +294,6 @@ impl Lockstep {
             d.model.tracked_lines(),
             r.model.len(),
             "{what}: tracked lines"
-        );
-        assert_eq!(
-            line_rates_from(&aggs, elapsed),
-            r.line_rates(elapsed),
-            "{what}: line rates"
         );
         // Thresholds in records per second: everything, a rate a few lines
         // reach, and one nothing does.

@@ -36,8 +36,9 @@
 //! ## Quick start
 //!
 //! Runs are built with [`Laser::builder`] — the single construction path —
-//! which wires the LASER configuration, the machine configuration and an
-//! optional [`Observer`] into a [`LaserSession`]:
+//! which wires the LASER configuration, the machine configuration, an
+//! optional step [`CellBudget`] and the pipeline deployment into a
+//! [`LaserSession`]:
 //!
 //! ```no_run
 //! use laser_core::{Laser, LaserConfig};
@@ -53,20 +54,19 @@
 //! }
 //! ```
 //!
-//! LASER is an *online* tool, and the session exposes that: an [`Observer`]
-//! attached through the builder receives typed [`LaserEvent`]s while the run
-//! advances — completed quanta, record batches (with PMU drop counts), live
-//! per-line HITM rates, the repair attachment — and can cancel the run
-//! mid-flight by returning `ControlFlow::Break` with a [`StopReason`]:
+//! LASER is an *online* tool, and the session exposes that:
+//! [`LaserSession::advance`] runs one poll quantum at a time, and between
+//! quanta a caller can read the machine, the inline detector and whether
+//! repair has attached. A budget stops the run once it retires more
+//! instructions than allowed, with a [`StopReason`]:
 //!
 //! ```no_run
-//! use std::ops::ControlFlow;
-//! use laser_core::{BudgetObserver, CellBudget, Laser, LaserError, StopReason};
+//! use laser_core::{CellBudget, Laser, LaserError, StopReason};
 //! # fn image() -> laser_machine::WorkloadImage { unimplemented!() }
 //!
-//! // Cancel the run once it retires more than a million instructions.
+//! // Stop the run once it retires more than a million instructions.
 //! let result = Laser::builder()
-//!     .observer(BudgetObserver::new(CellBudget::steps(1_000_000)))
+//!     .budget(CellBudget::steps(1_000_000))
 //!     .build(&image())
 //!     .run();
 //! if let Err(LaserError::Stopped(StopReason::StepBudget { used, .. })) = result {
@@ -77,20 +77,18 @@
 //! The builder is the only way to run LASER; [`Laser`] otherwise holds just
 //! the native baseline runs ([`Laser::run_native`] and its variants).
 
+pub mod budget;
 pub mod config;
 pub mod detect;
-pub mod observe;
 pub mod repair;
 pub mod report;
 pub mod session;
 pub mod system;
 
+pub use budget::{CellBudget, StopReason};
 pub use config::LaserConfig;
 pub use detect::Detector;
 pub use laser_machine::{ThreadPlacement, Topology, TopologySpec};
-pub use observe::{
-    BudgetObserver, CellBudget, EventLog, LaserEvent, LineRate, NullObserver, Observer, StopReason,
-};
 pub use repair::{RepairPlan, SoftwareStoreBuffer, SsbHook, SsbStats};
 pub use report::{ContentionKind, ContentionReport, LineReport};
 pub use session::{LaserSession, PipelineConfig, SessionBuilder, SessionStatus, StageOccupancy};

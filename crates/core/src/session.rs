@@ -1,4 +1,4 @@
-//! A self-contained, movable, observable LASER run.
+//! A self-contained, movable LASER run.
 //!
 //! [`LaserSession`] owns every piece of the deployment of the paper's
 //! Figure 8 — the simulated machine, the kernel driver + PMU, the user-space
@@ -26,11 +26,11 @@
 //! The session advances in *poll quanta*: the application runs
 //! `poll_interval_steps` instructions, then the driver services the PMU and
 //! the detector consumes the new records — exactly the cadence of the
-//! monolithic loop this type was extracted from. Each quantum is reported to
-//! the session's [`Observer`] as a stream of typed
-//! [`LaserEvent`]s, and the observer can cancel
-//! the run mid-flight by returning `ControlFlow::Break` (see
-//! [`crate::observe`]).
+//! monolithic loop this type was extracted from. A caller that steps the
+//! session itself ([`LaserSession::advance`]) can read the machine, the
+//! inline detector and the repair state between quanta. A session built
+//! with a [`CellBudget`] stops at the first quantum that takes the machine
+//! past the budget (see [`crate::budget`]).
 //!
 //! # Pipelined execution
 //!
@@ -38,13 +38,13 @@
 //! driver) runs *on the application's cores*, and the detector is a separate
 //! user-space process that reads the driver's records from a device.
 //! [`SessionBuilder::pipeline_config`] with [`PipelineConfig::pipelined`]
-//! deploys a session the same way, on **two threads**, if nothing reads its
-//! detector before the run ends: no [`Observer`] is attached and repair is
-//! off. An observer is sent live per-line rates after every batch, and an
-//! armed repair trigger reads them at every quantum, so either would make the
-//! machine thread wait on the worker each quantum and overlap nothing; such a
-//! session runs its detector inline whatever its pipeline configuration
-//! ([`LaserSession::is_pipelined`] says which way it went).
+//! deploys a session the same way, on **two threads**, unless repair is on.
+//! An armed repair trigger reads the detector's per-line rates at every
+//! quantum, which would make the machine thread wait on the worker each
+//! quantum and overlap nothing, so a repair session runs its detector inline
+//! whatever its pipeline configuration ([`LaserSession::is_pipelined`] says
+//! which way it went). A budget reads only the machine's step count, so a
+//! budgeted detection-only session pipelines like any other.
 //!
 //! In a pipelined session the calling thread runs the application and the
 //! driver — `run_quantum`, then [`Driver::ingest`] — exactly as an inline
@@ -80,11 +80,9 @@
 //! runs its detector inline.
 
 use std::fmt;
-use std::ops::ControlFlow;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use laser_isa::program::Pc;
 use laser_machine::machine::MachineError;
 use laser_machine::{CoreId, HitmEvent, Machine, MachineConfig, RunStatus, WorkloadImage};
 use laser_pebs::channel::{self, OverflowPolicy, SendOutcome};
@@ -93,9 +91,9 @@ use laser_pebs::imprecision::ImprecisionModel;
 use laser_pebs::pmu::{Pmu, PmuConfig};
 use laser_pebs::record::HitmRecord;
 
+use crate::budget::{CellBudget, StopReason};
 use crate::config::LaserConfig;
 use crate::detect::{self, Detector, LineAggregates};
-use crate::observe::{LaserEvent, NullObserver, Observer, StopReason};
 use crate::repair::{RepairPlan, SsbHook};
 use crate::system::{LaserError, LaserOutcome, RepairSummary};
 
@@ -106,8 +104,9 @@ pub enum SessionStatus {
     Running,
     /// The application halted; call [`LaserSession::finish`] for the outcome.
     Done,
-    /// The session's [`Observer`] cancelled the run. The partial state is
-    /// still inspectable, but there is no complete outcome to produce.
+    /// The machine ran past the session's [`CellBudget`]. The partial state
+    /// is still inspectable, and [`LaserSession::finish`] still produces the
+    /// outcome of the run so far.
     Stopped(StopReason),
 }
 
@@ -128,8 +127,8 @@ const JOB_RECORDS: usize = 126 * 1024 / std::mem::size_of::<HitmRecord>();
 
 /// How a session's detector is deployed (see the [module docs](self) on
 /// pipelined execution). The default is inline. A pipelined configuration
-/// gives a session a detector worker only if the session has no observer
-/// and repair is off; any other session runs its detector inline.
+/// gives a session a detector worker only if repair is off; a repair
+/// session runs its detector inline.
 ///
 /// A pipelined session is byte-identical to the same run inline:
 ///
@@ -154,63 +153,51 @@ const JOB_RECORDS: usize = 126 * 1024 / std::mem::size_of::<HitmRecord>();
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineConfig {
     /// Run the detector on a worker thread, overlapping record processing
-    /// with the next quanta of application execution, if the session is
-    /// unobserved and repair is off.
+    /// with the next quanta of application execution, if repair is off.
     pub enabled: bool,
 }
 
 impl PipelineConfig {
-    /// The pipelined deployment: the detector of an unobserved,
-    /// detection-only session on a worker thread, fed coalesced jobs through
-    /// a lossless double buffer.
+    /// The pipelined deployment: the detector of a detection-only session
+    /// on a worker thread, fed coalesced jobs through a lossless double
+    /// buffer.
     pub fn pipelined() -> Self {
         PipelineConfig { enabled: true }
     }
 }
 
 /// Fluent construction of a [`LaserSession`]: LASER configuration, machine
-/// configuration, an optional [`Observer`] and the pipeline deployment, in
-/// any order, then [`SessionBuilder::build`].
+/// configuration, an optional [`CellBudget`] and the pipeline deployment,
+/// in any order, then [`SessionBuilder::build`].
 ///
 /// ```no_run
-/// use std::ops::ControlFlow;
-/// use laser_core::{Laser, LaserConfig, LaserEvent, PipelineConfig};
+/// use laser_core::{CellBudget, Laser, LaserConfig, PipelineConfig, SessionStatus};
 /// # fn image() -> laser_machine::WorkloadImage { unimplemented!() }
 ///
-/// let session = Laser::builder()
+/// let mut session = Laser::builder()
 ///     .config(LaserConfig::default().with_seed(7))
 ///     .machine(laser_machine::MachineConfig::default())
 ///     .pipeline_config(PipelineConfig::pipelined())
-///     .observer(|event: &LaserEvent| {
-///         if let LaserEvent::RepairAttached { at_cycle, .. } = event {
-///             eprintln!("repair attached at cycle {at_cycle}");
-///         }
-///         ControlFlow::Continue(())
-///     })
+///     .budget(CellBudget::steps(50_000_000))
 ///     .build(&image());
+/// while session.advance().unwrap() == SessionStatus::Running {
+///     if session.repair_triggered() {
+///         eprintln!("repair attached by cycle {}", session.machine().cycles());
+///         break;
+///     }
+/// }
 /// ```
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct SessionBuilder {
     config: LaserConfig,
     machine: MachineConfig,
-    observer: Option<Box<dyn Observer>>,
+    budget: CellBudget,
     pipeline: PipelineConfig,
-}
-
-impl fmt::Debug for SessionBuilder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SessionBuilder")
-            .field("config", &self.config)
-            .field("machine", &self.machine)
-            .field("observer", &self.observer.is_some())
-            .field("pipeline", &self.pipeline)
-            .finish()
-    }
 }
 
 impl SessionBuilder {
     /// A builder with the default LASER and machine configurations and no
-    /// observer. Equivalent to [`Laser::builder`](crate::system::Laser::builder).
+    /// budget. Equivalent to [`Laser::builder`](crate::system::Laser::builder).
     pub fn new() -> Self {
         SessionBuilder::default()
     }
@@ -229,27 +216,27 @@ impl SessionBuilder {
 
     /// Set the pipeline deployment (default: inline).
     /// [`PipelineConfig::pipelined`] runs the detector on a worker thread,
-    /// overlapped with application execution, if no observer is attached
-    /// and repair is off; any other session stays inline. The results are
-    /// byte-identical either way, only the wall-clock changes.
+    /// overlapped with application execution, if repair is off; a repair
+    /// session stays inline. The results are byte-identical either way, only
+    /// the wall-clock changes.
     pub fn pipeline_config(mut self, pipeline: PipelineConfig) -> Self {
         self.pipeline = pipeline;
         self
     }
 
-    /// Attach an [`Observer`] that receives the run's
-    /// [`LaserEvent`] stream and may cancel the
-    /// run. Without one, events go to a [`NullObserver`].
-    pub fn observer(mut self, observer: impl Observer + 'static) -> Self {
-        self.observer = Some(Box::new(observer));
+    /// Hold the run to `budget` (default: unlimited). At the end of every
+    /// quantum that takes the machine past it, [`LaserSession::advance`]
+    /// reports [`SessionStatus::Stopped`] with the budget's [`StopReason`].
+    pub fn budget(mut self, budget: CellBudget) -> Self {
+        self.budget = budget;
         self
     }
 
     /// Construct the session for `image`. Pure setup: nothing runs until
     /// [`LaserSession::advance`] or [`LaserSession::run`]. Under
-    /// [`PipelineConfig::pipelined`] an unobserved session with repair off
-    /// spawns its detector thread here, idle on an empty channel; every
-    /// other session builds its detector inline.
+    /// [`PipelineConfig::pipelined`] a session with repair off spawns its
+    /// detector thread here, idle on an empty channel; a repair session
+    /// builds its detector inline.
     ///
     /// A non-flat [`LaserConfig::topology`] deploys the machine on that
     /// preset (its socket topology and 4-cores-per-socket count) unless the
@@ -265,7 +252,7 @@ impl SessionBuilder {
         let SessionBuilder {
             config,
             machine: mut machine_config,
-            observer,
+            budget,
             pipeline,
         } = self;
         if config.topology != laser_machine::TopologySpec::Flat
@@ -297,10 +284,11 @@ impl SessionBuilder {
             model,
         );
         let new_detector = || Detector::new(&config, program, image.memory_map());
-        // Only a session nothing reads mid-run overlaps with a worker. A
-        // failed spawn has consumed its detector; both deployments produce
-        // the same bytes, so the session falls back to a fresh inline one.
-        let worker = if pipeline.enabled && observer.is_none() && !config.enable_repair {
+        // Only a session whose detector nothing reads mid-run (repair off)
+        // overlaps with a worker. A failed spawn has consumed its detector;
+        // both deployments produce the same bytes, so the session falls back
+        // to a fresh inline one.
+        let worker = if pipeline.enabled && !config.enable_repair {
             DetectorWorker::spawn(new_detector()).ok()
         } else {
             None
@@ -321,13 +309,11 @@ impl SessionBuilder {
             app: AppSide {
                 config,
                 machine,
-                observed: observer.is_some(),
-                observer: observer.unwrap_or_else(|| Box::new(NullObserver)),
+                budget,
                 workload: image.name().to_string(),
                 num_cores,
                 max_steps,
                 detector_cycles: 0,
-                reported_dropped: 0,
                 repair: None,
                 machine_busy: Duration::ZERO,
                 driver_busy: Duration::ZERO,
@@ -548,7 +534,7 @@ fn worker_exited_early() -> ! {
 
 /// Where the session's one [`Detector`] lives. The two deployments differ
 /// only in how a batch reaches it. Fixed at construction: a worker only for
-/// a session nothing reads mid-run (see [`SessionBuilder::build`]).
+/// a session with repair off (see [`SessionBuilder::build`]).
 enum DetectorStage {
     Inline(Box<Detector>),
     Worker(DetectorWorker),
@@ -557,8 +543,8 @@ enum DetectorStage {
 impl DetectorStage {
     /// Run one quantum's batch through the detector, returning an emptied
     /// record buffer for the driver to fill next. With `read` — asked only
-    /// of an inline detector, the one kind that is read mid-run — also
-    /// return its per-line aggregates as of that batch.
+    /// of an inline detector, the one kind an armed repair trigger reads —
+    /// also return its per-line aggregates as of that batch.
     fn process(
         &mut self,
         records: Vec<HitmRecord>,
@@ -586,22 +572,16 @@ impl DetectorStage {
     }
 }
 
-/// The application half of a session — machine, observer, repair and
+/// The application half of a session — machine, budget, repair and
 /// overhead accounting — which behaves the same wherever the detector lives.
 struct AppSide {
     config: LaserConfig,
     machine: Machine,
-    /// Whether an observer was attached at build time. Events are not even
-    /// constructed when this is false, so unobserved runs pay nothing for
-    /// the event stream.
-    observed: bool,
-    observer: Box<dyn Observer>,
+    budget: CellBudget,
     workload: String,
     num_cores: usize,
     max_steps: u64,
     detector_cycles: u64,
-    /// PMU drop count already reported through `RecordBatch` events.
-    reported_dropped: u64,
     repair: Option<RepairSummary>,
     /// Wall time spent inside `run_quantum` (pipelined sessions only; inline
     /// runs skip the measurement entirely).
@@ -610,15 +590,15 @@ struct AppSide {
     driver_busy: Duration,
 }
 
-/// An in-flight LASER run: application, driver, detector, observer and
-/// (optionally) repair, as one owned value.
+/// An in-flight LASER run: application, driver, detector and (optionally)
+/// repair, as one owned value.
 pub struct LaserSession {
     app: AppSide,
     driver: Driver,
     detector: DetectorStage,
     /// The inline detector's per-line aggregates as of the last batch read
-    /// while the session was observed or repair armed: what the armed
-    /// repair trigger evaluates between batches.
+    /// while repair was armed: what the armed repair trigger evaluates
+    /// between batches.
     aggs: LineAggregates,
 }
 
@@ -631,6 +611,7 @@ impl fmt::Debug for LaserSession {
             .field("workload", &self.app.workload)
             .field("num_cores", &self.app.num_cores)
             .field("max_steps", &self.app.max_steps)
+            .field("budget", &self.app.budget)
             .field("detector_cycles", &self.app.detector_cycles)
             .field("repair", &self.app.repair)
             .finish_non_exhaustive()
@@ -638,11 +619,6 @@ impl fmt::Debug for LaserSession {
 }
 
 impl AppSide {
-    /// Send one event to the observer.
-    fn emit(&mut self, event: LaserEvent) -> ControlFlow<StopReason> {
-        self.observer.on_event(&event)
-    }
-
     /// The mean cost of this run's HITM events relative to a local one.
     ///
     /// The paper's repair trigger is a threshold on the false-sharing *event
@@ -694,33 +670,6 @@ impl AppSide {
         }
     }
 
-    /// Report a processed batch of `n` records to the observer:
-    /// `RecordBatch` (advancing the reported-drop watermark to
-    /// `dropped_total`), then — while the run is live and `aggs` carries the
-    /// detector's per-line aggregates as of this batch — `DetectionUpdate`.
-    /// The final flush passes `None`: the report supersedes the live view.
-    fn emit_batch(
-        &mut self,
-        n: usize,
-        dropped_total: u64,
-        aggs: Option<&LineAggregates>,
-    ) -> ControlFlow<StopReason> {
-        if !self.observed {
-            return ControlFlow::Continue(());
-        }
-        let dropped = dropped_total - self.reported_dropped;
-        self.reported_dropped = dropped_total;
-        self.emit(LaserEvent::RecordBatch { n, dropped })?;
-        let Some(aggs) = aggs else {
-            return ControlFlow::Continue(());
-        };
-        let lines = detect::line_rates_from(aggs, self.machine.elapsed_benchmark_seconds());
-        self.emit(LaserEvent::DetectionUpdate {
-            lines,
-            remote_hitm_share: self.machine.stats().remote_hitm_share(),
-        })
-    }
-
     /// Whether LASERREPAIR is enabled and has not attached yet.
     fn repair_armed(&self) -> bool {
         self.config.enable_repair && self.repair.is_none()
@@ -730,48 +679,32 @@ impl AppSide {
     /// `aggs`. It runs at every boundary, not only when a batch lands,
     /// because rates decay as elapsed time grows. Attaches the SSB
     /// instrumentation when the lines over the threshold yield a profitable
-    /// plan, and reports it.
-    fn evaluate_trigger(&mut self, aggs: &LineAggregates) -> ControlFlow<StopReason> {
+    /// plan.
+    fn evaluate_trigger(&mut self, aggs: &LineAggregates) {
         let elapsed = self.machine.elapsed_benchmark_seconds();
         let threshold = self.effective_repair_threshold();
         let pcs = detect::trigger_pcs_from(aggs, elapsed, threshold);
-        match self.attach_repair_from_pcs(&pcs) {
-            Some(attached) if self.observed => self.emit(attached),
-            _ => ControlFlow::Continue(()),
-        }
-    }
-
-    /// Attach the SSB instrumentation if `pcs` (the lines over the repair
-    /// trigger threshold) yields a profitable plan. Returns the event to
-    /// report on attachment.
-    fn attach_repair_from_pcs(&mut self, pcs: &[Pc]) -> Option<LaserEvent> {
         if pcs.is_empty() {
-            return None;
+            return;
         }
-        let plan = RepairPlan::analyze(
+        let Some(plan) = RepairPlan::analyze(
             self.machine.program(),
-            pcs,
+            &pcs,
             self.config.min_stores_per_flush,
             self.config.max_plan_blocks,
-        )?;
+        ) else {
+            return;
+        };
         if !plan.profitable {
-            return None;
+            return;
         }
         let hook = SsbHook::new(plan.clone(), self.num_cores);
-        let event = LaserEvent::RepairAttached {
-            at_cycle: self.machine.cycles(),
-            instrumented_blocks: plan.instrumented_blocks.len(),
-            flush_blocks: plan.flush_blocks.len(),
-            ssb_stores: plan.ssb_stores.len(),
-            estimated_stores_per_flush: plan.estimated_stores_per_flush,
-        };
         self.repair = Some(RepairSummary {
             triggered_at_cycle: self.machine.cycles(),
             plan,
             stats: hook.stats(),
         });
         self.machine.attach_hook(Box::new(hook));
-        Some(event)
     }
 }
 
@@ -791,7 +724,7 @@ impl LaserSession {
     }
 
     /// Whether the detector runs pipelined on a worker thread: only under
-    /// [`PipelineConfig::pipelined`], with no observer and repair off.
+    /// [`PipelineConfig::pipelined`] with repair off.
     pub fn is_pipelined(&self) -> bool {
         matches!(self.detector, DetectorStage::Worker(_))
     }
@@ -809,12 +742,11 @@ impl LaserSession {
     /// Run one poll quantum: `poll_interval_steps` application instructions,
     /// one driver service pass, one detector batch, and — when the
     /// false-sharing rate crosses the threshold — the repair attachment
-    /// decision. The quantum is reported to the session's [`Observer`] as
-    /// [`LaserEvent`]s; if the observer breaks, the quantum's remaining
-    /// events are skipped and the session reports [`SessionStatus::Stopped`].
-    /// Every event is emitted *after* the work it describes, so a stopped
-    /// session is always in a consistent state (a later
-    /// [`LaserSession::finish`] never undercounts).
+    /// decision. If the quantum took the machine past the session's
+    /// [`CellBudget`], the session reports [`SessionStatus::Stopped`] right
+    /// after the driver has serviced the quantum, leaving its records staged
+    /// in the driver for a later [`LaserSession::finish`], which never
+    /// undercounts.
     ///
     /// In a pipelined session the detector consumes the batch on its own
     /// thread; the machine charging is identical to an inline run (see the
@@ -825,7 +757,6 @@ impl LaserSession {
     pub fn advance(&mut self) -> Result<SessionStatus, LaserError> {
         let timed = self.is_pipelined();
         let app = &mut self.app;
-        let steps_before = app.machine.steps();
         #[expect(
             clippy::disallowed_methods,
             reason = "occupancy accounting only; never feeds back into simulated state"
@@ -836,14 +767,8 @@ impl LaserSession {
             app.machine_busy += start.elapsed();
         }
         let status = quantum.status;
-        // Capture the quantum event *before* the driver charges interrupt and
-        // copy overhead.
-        let quantum_event = app.observed.then(|| LaserEvent::QuantumCompleted {
-            steps: app.machine.steps() - steps_before,
-            cycles: app.machine.cycles(),
-        });
 
-        if let ControlFlow::Break(reason) = self.settle_boundary(quantum.events, quantum_event) {
+        if let Err(reason) = self.settle_boundary(quantum.events) {
             return Ok(SessionStatus::Stopped(reason));
         }
 
@@ -860,13 +785,9 @@ impl LaserSession {
     }
 
     /// The quantum boundary: service the quantum's raw HITM batch on this
-    /// thread, hand the sampled records to the detector, report the boundary
-    /// to the observer, and evaluate the armed repair trigger.
-    fn settle_boundary(
-        &mut self,
-        events: Vec<HitmEvent>,
-        quantum_event: Option<LaserEvent>,
-    ) -> ControlFlow<StopReason> {
+    /// thread, check the budget, hand the sampled records to the detector,
+    /// and evaluate the armed repair trigger.
+    fn settle_boundary(&mut self, events: Vec<HitmEvent>) -> Result<(), StopReason> {
         let timed = self.is_pipelined();
         let app = &mut self.app;
         #[expect(
@@ -878,38 +799,33 @@ impl LaserSession {
         if let Some(start) = start {
             app.driver_busy += start.elapsed();
         }
-        if let Some(event) = quantum_event {
-            app.emit(event)?;
-        }
+        app.budget.check(app.machine.steps())?;
         let records = self.driver.read_records();
         let n = records.len();
         if n == 0 {
             self.driver.give_back(records);
         } else {
-            // Only an observer or an armed trigger reads the aggregates, and
-            // a session with either runs its detector inline.
-            let read = app.observed || app.repair_armed();
-            let (aggs, spare) = self.detector.process(records, read);
+            // Only an armed trigger reads the aggregates, and a repair
+            // session runs its detector inline.
+            let (aggs, spare) = self.detector.process(records, app.repair_armed());
             self.driver.give_back(spare);
             if let Some(aggs) = aggs {
                 self.aggs = aggs;
             }
             app.charge_detector_batch(n);
-            let dropped_total = self.driver.stats().events_dropped;
-            app.emit_batch(n, dropped_total, Some(&self.aggs))?;
         }
         if app.repair_armed() {
-            app.evaluate_trigger(&self.aggs)?;
+            app.evaluate_trigger(&self.aggs);
         }
-        ControlFlow::Continue(())
+        Ok(())
     }
 
     /// Drive the session to completion.
     ///
     /// # Errors
     /// Returns [`LaserError::Machine`] if the machine exhausts its step
-    /// budget, and [`LaserError::Stopped`] if the session's [`Observer`]
-    /// cancelled the run.
+    /// limit, and [`LaserError::Stopped`] if the run went past the session's
+    /// [`CellBudget`].
     pub fn run(mut self) -> Result<LaserOutcome, LaserError> {
         loop {
             match self.advance()? {
@@ -945,7 +861,6 @@ impl LaserSession {
         if !records.is_empty() {
             detector.process(&records);
             app.charge_detector_batch(records.len());
-            let _ = app.emit_batch(records.len(), driver.stats().events_dropped, None);
         }
 
         if let Some(summary) = app.repair.as_mut() {
@@ -953,14 +868,6 @@ impl LaserSession {
             if let Some(ssb) = SsbHook::attached_to(&app.machine) {
                 summary.stats = ssb.stats();
             }
-        }
-
-        if app.observed {
-            let finished = LaserEvent::Finished {
-                steps: app.machine.steps(),
-                cycles: app.machine.cycles(),
-            };
-            let _ = app.emit(finished);
         }
 
         let elapsed = app.machine.elapsed_benchmark_seconds();
@@ -992,7 +899,6 @@ impl LaserSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::{BudgetObserver, CellBudget, EventLog};
     use crate::system::Laser;
     use laser_isa::inst::{Operand, Reg};
     use laser_isa::ProgramBuilder;
@@ -1032,20 +938,18 @@ mod tests {
         image
     }
 
-    /// The stream accounting invariant: every sampled record is reported in
-    /// exactly one `RecordBatch` — whether its events were emitted at a
-    /// boundary, deferred to the wind-down or part of the final flush — and
-    /// `Finished` closes the stream.
-    fn assert_stream_accounts_for_every_record(events: &[LaserEvent], outcome: &LaserOutcome) {
-        let batched: u64 = events
-            .iter()
-            .filter_map(|e| match e {
-                LaserEvent::RecordBatch { n, .. } => Some(*n as u64),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(batched, outcome.driver_stats.records_sampled);
-        assert!(matches!(events.last(), Some(LaserEvent::Finished { .. })));
+    /// Advance `session` until its budget stops it: the number of quanta
+    /// that took, the stopping one included, and the reason.
+    fn advance_to_stop(session: &mut LaserSession) -> (u32, StopReason) {
+        let mut quanta = 0;
+        loop {
+            quanta += 1;
+            match session.advance().unwrap() {
+                SessionStatus::Running => {}
+                SessionStatus::Done => panic!("the budget should stop the run first"),
+                SessionStatus::Stopped(reason) => return (quanta, reason),
+            }
+        }
     }
 
     /// The whole point of the session refactor: a full LASER run is one owned
@@ -1109,34 +1013,23 @@ mod tests {
 
     #[test]
     fn stopped_session_can_still_finish_without_undercounting() {
-        // An observer that breaks on the first RecordBatch: the batch must
-        // already be processed and charged when the stop surfaces, so a
-        // subsequent finish() yields an outcome whose detector accounting
-        // still balances.
+        // A budget trips after the driver has sampled the quantum's records
+        // and before the detector reads them: a subsequent finish() must
+        // process and charge them, so the detector accounting still
+        // balances.
         let image = contended_image("stopfin", 6000);
         let config = LaserConfig {
             detector_cycles_per_record: 37,
             ..LaserConfig::detection_only()
         };
+        let limit = config.poll_interval_steps * 2;
         let mut session = Laser::builder()
             .config(config)
-            .observer(|event: &LaserEvent| {
-                if let LaserEvent::RecordBatch { .. } = event {
-                    return ControlFlow::Break(StopReason::Cancelled("first batch".into()));
-                }
-                ControlFlow::Continue(())
-            })
+            .budget(CellBudget::steps(limit))
             .build(&image);
-        loop {
-            match session.advance().unwrap() {
-                SessionStatus::Running => {}
-                SessionStatus::Done => panic!("observer should stop before completion"),
-                SessionStatus::Stopped(reason) => {
-                    assert_eq!(reason, StopReason::Cancelled("first batch".into()));
-                    break;
-                }
-            }
-        }
+        let (_, reason) = advance_to_stop(&mut session);
+        let used = session.machine().steps();
+        assert_eq!(reason, StopReason::StepBudget { limit, used });
         let outcome = session.finish();
         assert!(outcome.driver_stats.records_sampled > 0);
         assert_eq!(
@@ -1151,104 +1044,65 @@ mod tests {
     }
 
     #[test]
-    fn observer_stream_narrates_the_run_and_does_not_perturb_it() {
-        let image = contended_image("events", 6000);
-        let baseline = Laser::builder().build(&image).run().unwrap();
-
-        let log = EventLog::new();
-        let observed = Laser::builder()
-            .observer(log.clone())
-            .build(&image)
-            .run()
-            .unwrap();
-        // Observation is read-only: the outcome is identical.
-        assert_eq!(baseline.cycles(), observed.cycles());
-        assert_eq!(baseline.report, observed.report);
-
-        let events = log.events();
-        assert_stream_accounts_for_every_record(&events, &observed);
-        let total_steps: u64 = events
-            .iter()
-            .filter_map(|e| match e {
-                LaserEvent::QuantumCompleted { steps, .. } => Some(*steps),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(total_steps, observed.run.steps);
-        // This workload contends: the detector's live view reported it before
-        // the run ended, and repair attached exactly once.
-        assert!(events.iter().any(|e| matches!(
-            e,
-            LaserEvent::DetectionUpdate { lines, .. } if !lines.is_empty()
-        )));
-        assert!(observed.repair.is_some(), "repair should trigger");
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| matches!(e, LaserEvent::RepairAttached { .. }))
-                .count(),
-            1
-        );
-    }
-
-    #[test]
-    fn observer_break_cancels_the_run_mid_flight() {
-        let image = contended_image("cancel", 50_000);
-        let mut quanta = 0u32;
-        let err = Laser::builder()
-            .observer(move |event: &LaserEvent| {
-                if let LaserEvent::QuantumCompleted { .. } = event {
-                    quanta += 1;
-                    if quanta >= 2 {
-                        return ControlFlow::Break(StopReason::Cancelled("test".into()));
-                    }
-                }
-                ControlFlow::Continue(())
-            })
-            .build(&image)
-            .run()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            LaserError::Stopped(StopReason::Cancelled("test".into()))
-        );
-    }
-
-    #[test]
-    fn budget_observer_stops_a_session_at_its_step_budget() {
+    fn a_budget_stops_a_session_at_the_first_quantum_past_it() {
         let image = contended_image("budget", 50_000);
         let config = LaserConfig::detection_only();
-        let limit = config.poll_interval_steps * 3;
-        let err = Laser::builder()
-            .config(config)
-            .observer(BudgetObserver::new(CellBudget::steps(limit)))
-            .build(&image)
-            .run()
-            .unwrap_err();
-        match err {
-            LaserError::Stopped(StopReason::StepBudget { limit: l, used }) => {
-                assert_eq!(l, limit);
-                assert!(used > limit);
-            }
-            other => panic!("expected a step-budget stop, got {other:?}"),
+        // The machine's step count and the detector's records at the end
+        // of each quantum, unbudgeted.
+        let mut free = Laser::builder().config(config.clone()).build(&image);
+        let (mut ends, mut received) = (Vec::new(), Vec::new());
+        while free.advance().unwrap() == SessionStatus::Running {
+            ends.push(free.machine().steps());
+            received.push(free.detector().unwrap().records_received());
         }
+        let budgeted = |limit| {
+            Laser::builder()
+                .config(config.clone())
+                .budget(CellBudget::steps(limit))
+                .build(&image)
+        };
+        // On a quantum end, just below one and just above one.
+        for limit in [ends[2], ends[2] - 1, ends[2] + 1] {
+            let quantum = ends.iter().position(|&end| end > limit).unwrap();
+            let used = ends[quantum];
+            assert_eq!(
+                advance_to_stop(&mut budgeted(limit)),
+                (quantum as u32 + 1, StopReason::StepBudget { limit, used })
+            );
+        }
+        // The check comes before the detector reads the quantum's batch: a
+        // stop at a quantum that delivered records leaves them for `finish`.
+        let k = (1..received.len())
+            .find(|&k| received[k] > received[k - 1])
+            .unwrap();
+        let mut session = budgeted(ends[k - 1]);
+        assert_eq!(advance_to_stop(&mut session).0, k as u32 + 1);
+        assert_eq!(
+            session.detector().unwrap().records_received(),
+            received[k - 1]
+        );
+        // `run` surfaces the stop as an error.
+        assert_eq!(
+            budgeted(ends[2]).run().unwrap_err(),
+            LaserError::Stopped(StopReason::StepBudget {
+                limit: ends[2],
+                used: ends[3]
+            })
+        );
     }
 
     #[test]
     fn advance_reports_stopped_and_leaves_state_inspectable() {
         let image = contended_image("stopped", 50_000);
-        let mut session = Laser::builder()
-            .observer(|_: &LaserEvent| {
-                ControlFlow::Break(StopReason::Cancelled("immediately".into()))
-            })
-            .build(&image);
+        let mut session = Laser::builder().budget(CellBudget::steps(1)).build(&image);
         let status = session.advance().unwrap();
+        let used = session.machine().steps();
         assert_eq!(
             status,
-            SessionStatus::Stopped(StopReason::Cancelled("immediately".into()))
+            SessionStatus::Stopped(StopReason::StepBudget { limit: 1, used })
         );
         // The partial run is still inspectable.
-        assert!(session.machine().steps() > 0);
+        assert!(used > 1);
         assert!(!session.repair_triggered());
     }
 
@@ -1256,33 +1110,31 @@ mod tests {
     fn config_topology_deploys_the_machine_on_the_preset() {
         use laser_machine::{ThreadPlacement, TopologySpec};
         // Two threads false-sharing one line, pinned to different sockets:
-        // the session must surface the cross-socket share in its live
-        // DetectionUpdate events and in the final report.
+        // the session must surface the cross-socket share mid-run and in the
+        // final report.
         let mut image = contended_image("xsock", 4000);
         image.set_thread_placement(ThreadPlacement::RoundRobin);
-        let log = EventLog::new();
         let mut session = Laser::builder()
             .config(LaserConfig::detection_only().with_topology(TopologySpec::DualSocket))
-            .observer(log.clone())
             .build(&image);
         assert_eq!(session.machine().num_cores(), 8);
         assert_eq!(session.machine().topology().num_sockets(), 2);
+        let mut live_share = 0.0f64;
         loop {
-            match session.advance().unwrap() {
+            let status = session.advance().unwrap();
+            live_share = live_share.max(session.machine().stats().remote_hitm_share());
+            match status {
                 SessionStatus::Running => {}
                 SessionStatus::Done => break,
                 SessionStatus::Stopped(r) => panic!("unexpected stop: {r}"),
             }
         }
+        assert!(live_share > 0.99, "{live_share}");
         let outcome = session.finish();
         let stats = &outcome.run.stats;
         assert!(stats.hitm_remote > 0, "threads sit on different sockets");
         assert_eq!(stats.hitm_remote, stats.hitm_events);
         assert!((outcome.report.remote_hitm_share - 1.0).abs() < 1e-12);
-        assert!(log.events().iter().any(|e| matches!(
-            e,
-            LaserEvent::DetectionUpdate { remote_hitm_share, .. } if *remote_hitm_share > 0.99
-        )));
     }
 
     #[test]
@@ -1390,34 +1242,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_event_stream_is_byte_identical_to_inline() {
-        for config in [LaserConfig::detection_only(), LaserConfig::default()] {
-            let image = contended_image("pipevents", 6000);
-            let inline_log = EventLog::new();
-            let inline = Laser::builder()
-                .config(config.clone())
-                .observer(inline_log.clone())
-                .build(&image)
-                .run()
-                .unwrap();
-            let piped_log = EventLog::new();
-            let piped = Laser::builder()
-                .config(config.clone())
-                .pipeline_config(PipelineConfig::pipelined())
-                .observer(piped_log.clone())
-                .build(&image)
-                .run()
-                .unwrap();
-            assert_eq!(inline.cycles(), piped.cycles());
-            let (ie, pe) = (inline_log.events(), piped_log.events());
-            assert!(!ie.is_empty());
-            assert_eq!(ie, pe, "repair={}", config.enable_repair);
-            assert_eq!(format!("{ie:?}"), format!("{pe:?}"));
-            assert_stream_accounts_for_every_record(&pe, &piped);
-        }
-    }
-
-    #[test]
     fn pipelined_session_exposes_stage_and_reclaims_detector() {
         let image = contended_image("reclaim", 1500);
         let mut session = Laser::builder()
@@ -1442,54 +1266,55 @@ mod tests {
 
     #[test]
     fn pipelined_budget_cancellation_matches_inline() {
-        let image = contended_image("pipbudget", 50_000);
-        let config = LaserConfig::detection_only();
-        let limit = config.poll_interval_steps * 3;
-        let run = |pipelined: bool| {
+        // A budget reads only the machine's step count, so a budgeted
+        // detection-only session keeps its worker, stops at the same quantum
+        // with the same reason as inline, and finishes to the same outcome,
+        // joining its worker on the way.
+        let image = contended_image("pipbudget", 40_000);
+        let budget = CellBudget::steps(sav1().poll_interval_steps * 12);
+        let build = |pipelined: bool| {
             Laser::builder()
-                .config(config.clone())
+                .config(sav1())
                 .pipeline_config(PipelineConfig { enabled: pipelined })
-                .observer(BudgetObserver::new(CellBudget::steps(limit)))
+                .budget(budget)
                 .build(&image)
-                .run()
-                .unwrap_err()
         };
-        // Step budgets trip on QuantumCompleted events, which pipelining
-        // emits at the same stream position with the same payloads — the
-        // stop reason is identical, not merely similar.
-        assert_eq!(run(false), run(true));
+        let alive = Arc::new(());
+        let mut piped = with_worker_dying_on_job(u64::MAX, build(true), &image, &alive);
+        let mut inline = build(false);
+        let stop = advance_to_stop(&mut inline);
+        assert_eq!(advance_to_stop(&mut piped), stop);
+        assert!(worker(&piped).sent > 0, "jobs reached the worker first");
+        assert_same_outcome(&inline.finish(), &piped.finish());
+        assert_eq!(Arc::strong_count(&alive), 1, "finish joined the worker");
+        // `run` reports the same stop either way.
+        assert_eq!(
+            build(false).run().unwrap_err(),
+            build(true).run().unwrap_err()
+        );
     }
 
     #[test]
     fn stopped_pipelined_session_still_finishes_without_undercounting() {
-        // Observed, so the pipelined configuration runs inline: the stop
-        // surfaces after the batch was processed, and finish() must charge
-        // every sampled record exactly once.
+        // Budgeted and detection-only, so the session keeps its worker: at
+        // the stop, batches sit with the worker, in the pending job and
+        // staged in the driver, and finish() must charge every sampled
+        // record exactly once.
         let image = contended_image("pipstop", 6000);
         let config = LaserConfig {
             detector_cycles_per_record: 37,
             ..LaserConfig::detection_only()
         };
+        let limit = config.poll_interval_steps * 2;
         let mut session = Laser::builder()
             .config(config)
             .pipeline_config(PipelineConfig::pipelined())
-            .observer(|event: &LaserEvent| {
-                if let LaserEvent::RecordBatch { .. } = event {
-                    return ControlFlow::Break(StopReason::Cancelled("first batch".into()));
-                }
-                ControlFlow::Continue(())
-            })
+            .budget(CellBudget::steps(limit))
             .build(&image);
-        loop {
-            match session.advance().unwrap() {
-                SessionStatus::Running => {}
-                SessionStatus::Done => panic!("observer should stop before completion"),
-                SessionStatus::Stopped(reason) => {
-                    assert_eq!(reason, StopReason::Cancelled("first batch".into()));
-                    break;
-                }
-            }
-        }
+        assert!(session.is_pipelined());
+        let (_, reason) = advance_to_stop(&mut session);
+        let used = session.machine().steps();
+        assert_eq!(reason, StopReason::StepBudget { limit, used });
         let outcome = session.finish();
         assert!(outcome.driver_stats.records_sampled > 0);
         assert_eq!(
@@ -1549,44 +1374,6 @@ mod tests {
         drop(session);
     }
 
-    #[test]
-    fn awaited_pipelined_repair_session_streams_and_attaches_like_inline() {
-        // Observed *and* repair-armed: the observer's rates and the trigger
-        // both read the detector every quantum, so the session runs inline.
-        let image = contended_image("awaited", 6000);
-        let run = |pipelined: bool| {
-            let log = EventLog::new();
-            let outcome = Laser::builder()
-                .pipeline_config(PipelineConfig { enabled: pipelined })
-                .observer(log.clone())
-                .build(&image)
-                .run()
-                .unwrap();
-            (outcome, log.events())
-        };
-        let (inline, inline_events) = run(false);
-        let (piped, piped_events) = run(true);
-        assert_eq!(inline_events, piped_events);
-        let attached_at = |events: &[LaserEvent]| {
-            let at: Vec<u64> = events
-                .iter()
-                .filter_map(|e| match e {
-                    LaserEvent::RepairAttached { at_cycle, .. } => Some(*at_cycle),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(at.len(), 1, "repair attaches exactly once");
-            at[0]
-        };
-        let at = attached_at(&piped_events);
-        assert_eq!(at, attached_at(&inline_events));
-        assert_eq!(at, piped.repair.as_ref().unwrap().triggered_at_cycle);
-        assert_eq!(at, inline.repair.as_ref().unwrap().triggered_at_cycle);
-        assert_eq!(inline.cycles(), piped.cycles());
-        assert_eq!(inline.report, piped.report);
-        assert_stream_accounts_for_every_record(&piped_events, &piped);
-    }
-
     /// [`contended_image`] plus two threads truly sharing one counter on a
     /// second line, which repair leaves alone: HITM records keep flowing
     /// after repair attaches.
@@ -1605,7 +1392,7 @@ mod tests {
     }
 
     #[test]
-    fn unobserved_pipelined_repair_session_stops_awaiting_once_attached() {
+    fn a_pipelined_repair_session_stops_reading_once_attached() {
         let image = mixed_image("unawait", 6000);
         let inline = Laser::builder().build(&image).run().unwrap();
 
@@ -1710,61 +1497,54 @@ mod tests {
     }
 
     #[test]
-    fn only_an_unobserved_detection_session_gets_a_worker() {
+    fn only_repair_keeps_a_pipelined_session_inline() {
         let image = contended_image("whopipes", 40_000);
         let repair = LaserConfig {
             enable_repair: true,
             ..sav1()
         };
-        let run = |config: &LaserConfig, pipelined: bool, log: Option<EventLog>| {
-            let builder = Laser::builder()
+        // Checked at every quantum, never tripped.
+        let generous = CellBudget::steps(u64::MAX);
+        let run = |config: &LaserConfig, pipelined: bool, budget: CellBudget| {
+            let session = Laser::builder()
                 .config(config.clone())
-                .pipeline_config(PipelineConfig { enabled: pipelined });
-            let session = match log {
-                Some(log) => builder.observer(log),
-                None => builder,
-            }
-            .build(&image);
+                .pipeline_config(PipelineConfig { enabled: pipelined })
+                .budget(budget)
+                .build(&image);
             (session.is_pipelined(), session.run().unwrap())
         };
 
-        // Observed, detection-only: the observer reads the detector after
-        // every batch, so the session runs inline and streams the inline
-        // events.
-        let (inline_log, piped_log) = (EventLog::new(), EventLog::new());
-        let (_, inline) = run(&sav1(), false, Some(inline_log.clone()));
-        let (pipelined, piped) = run(&sav1(), true, Some(piped_log.clone()));
-        assert!(!pipelined, "an observed session runs inline");
-        assert_eq!(piped.stage_occupancy, None);
-        assert_same_outcome(&inline, &piped);
-        let events = piped_log.events();
-        assert_eq!(inline_log.events(), events);
-        assert_stream_accounts_for_every_record(&events, &piped);
+        // Detection-only, budgeted or not: nothing reads the detector
+        // mid-run, so the session pipelines.
+        let (_, inline) = run(&sav1(), false, CellBudget::default());
+        for budget in [CellBudget::default(), generous] {
+            let (pipelined, piped) = run(&sav1(), true, budget);
+            assert!(pipelined, "a detection session pipelines: {budget:?}");
+            assert!(piped.stage_occupancy.is_some());
+            assert_same_outcome(&inline, &piped);
+        }
 
-        // Unobserved, repair enabled: the armed trigger reads the detector
-        // every quantum, so the session runs inline too.
-        let (_, inline) = run(&repair, false, None);
-        let (pipelined, piped) = run(&repair, true, None);
-        assert!(!pipelined, "a repair session runs inline");
-        assert_eq!(piped.stage_occupancy, None);
-        assert!(piped.repair.is_some(), "repair attaches");
-        assert_eq!(
-            inline.repair.as_ref().unwrap().triggered_at_cycle,
-            piped.repair.as_ref().unwrap().triggered_at_cycle
-        );
-        assert_same_outcome(&inline, &piped);
-
-        // Unobserved, detection-only: nothing reads the detector mid-run.
-        let (pipelined, piped) = run(&sav1(), true, None);
-        assert!(pipelined, "an unobserved detection session pipelines");
-        assert!(piped.stage_occupancy.is_some());
+        // Repair enabled, budgeted or not: the armed trigger reads the
+        // detector every quantum, so the session runs inline.
+        let (_, inline) = run(&repair, false, CellBudget::default());
+        assert!(inline.repair.is_some(), "repair attaches");
+        for budget in [CellBudget::default(), generous] {
+            let (pipelined, piped) = run(&repair, true, budget);
+            assert!(!pipelined, "a repair session runs inline: {budget:?}");
+            assert_eq!(piped.stage_occupancy, None);
+            assert_eq!(
+                inline.repair.as_ref().unwrap().triggered_at_cycle,
+                piped.repair.as_ref().unwrap().triggered_at_cycle
+            );
+            assert_same_outcome(&inline, &piped);
+        }
     }
 
     #[test]
     fn records_pending_at_a_stop_are_processed_by_finish() {
         let image = contended_image("pendfin", 40_000);
 
-        // Unobserved: stop calling `advance` while the pending job holds
+        // Unbudgeted: stop calling `advance` while the pending job holds
         // records the worker has not seen; `finish` sends them first.
         let mut piped = Laser::builder()
             .config(sav1())
@@ -1786,31 +1566,18 @@ mod tests {
             piped.driver_stats.records_sampled * 37
         );
 
-        // Observed: a break on a `QuantumCompleted` leaves that quantum's
-        // records staged in the driver, unread; `finish` reads, processes
-        // and charges them exactly once.
+        // Budgeted: the stop at the fifth quantum leaves that quantum's
+        // records staged in the driver, unread (and, pipelined, earlier ones
+        // in the pending job); `finish` reads, processes and charges them
+        // exactly once.
         let stopped = |pipelined: bool| {
-            let mut quanta = 0;
             let mut session = Laser::builder()
                 .config(sav1())
                 .pipeline_config(PipelineConfig { enabled: pipelined })
-                .observer(move |event: &LaserEvent| {
-                    if let LaserEvent::QuantumCompleted { .. } = event {
-                        quanta += 1;
-                        if quanta == 5 {
-                            return ControlFlow::Break(StopReason::Cancelled("fifth".into()));
-                        }
-                    }
-                    ControlFlow::Continue(())
-                })
+                .budget(CellBudget::steps(4 * sav1().poll_interval_steps))
                 .build(&image);
-            loop {
-                match session.advance().unwrap() {
-                    SessionStatus::Running => {}
-                    SessionStatus::Done => panic!("observer should stop before completion"),
-                    SessionStatus::Stopped(_) => break,
-                }
-            }
+            assert_eq!(session.is_pipelined(), pipelined);
+            assert_eq!(advance_to_stop(&mut session).0, 5);
             assert!(
                 session.detector_cycles() < session.driver.stats().records_sampled * 37,
                 "sampled records are still outstanding at the stop"
@@ -1879,26 +1646,37 @@ mod tests {
     /// on its first job. `alive` is held by the worker thread for as long as
     /// it exists, so `Arc::strong_count(alive) == 1` means it is gone.
     fn session_with_dying_worker(image: &WorkloadImage, alive: &Arc<()>) -> LaserSession {
-        session_with_worker_dying_on_job(1, LaserConfig::detection_only(), image, alive)
+        with_worker_dying_on_job(
+            1,
+            pipelined(LaserConfig::detection_only(), image),
+            image,
+            alive,
+        )
     }
 
-    /// [`session_with_dying_worker`], except that the worker processes its
-    /// first `k - 1` jobs as usual and panics on job `k`.
-    fn session_with_worker_dying_on_job(
+    /// A pipelined session of `config` for `image`, unbudgeted.
+    fn pipelined(config: LaserConfig, image: &WorkloadImage) -> LaserSession {
+        Laser::builder()
+            .config(config)
+            .pipeline_config(PipelineConfig::pipelined())
+            .build(image)
+    }
+
+    /// `session` (a pipelined session for `image`) with its worker replaced
+    /// by one that processes its first `k - 1` jobs as usual and panics on
+    /// job `k`. `alive` is held by the new worker thread as in
+    /// [`session_with_dying_worker`].
+    fn with_worker_dying_on_job(
         k: u64,
-        config: LaserConfig,
+        mut session: LaserSession,
         image: &WorkloadImage,
         alive: &Arc<()>,
     ) -> LaserSession {
-        let detector = Detector::new(&config, image.program(), image.memory_map());
-        let mut session = Laser::builder()
-            .config(config)
-            .pipeline_config(PipelineConfig::pipelined())
-            .build(image);
         assert!(
             session.is_pipelined(),
             "only a pipelined session has a worker"
         );
+        let detector = Detector::new(&session.app.config, image.program(), image.memory_map());
         let held = Arc::clone(alive);
         let mut jobs = 0;
         let worker = DetectorWorker::spawn_with(detector, move |detector, job| {
@@ -1918,7 +1696,7 @@ mod tests {
 
     #[test]
     fn a_dying_worker_fails_the_run_with_its_own_panic_and_is_joined() {
-        // Detection-only and unobserved: the closed job channel (or the join
+        // Detection-only: the closed job channel (or the join
         // at finish) gives the worker away.
         let image = contended_image("dying", 6000);
         let alive = Arc::new(());
@@ -1940,7 +1718,7 @@ mod tests {
         // hands over a job or waits for a buffer — long before the run ends.
         let image = contended_image("dieslater", 40_000);
         let alive = Arc::new(());
-        let mut session = session_with_worker_dying_on_job(3, sav1(), &image, &alive);
+        let mut session = with_worker_dying_on_job(3, pipelined(sav1(), &image), &image, &alive);
         let mut quanta = 0;
         let payload = catch_unwind(AssertUnwindSafe(|| loop {
             quanta += 1;

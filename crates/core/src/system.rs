@@ -16,7 +16,7 @@ use laser_machine::machine::MachineError;
 use laser_machine::{HitmEvent, Machine, MachineConfig, RunResult, WorkloadImage};
 use laser_pebs::driver::DriverStats;
 
-use crate::observe::StopReason;
+use crate::budget::StopReason;
 use crate::repair::{RepairPlan, SsbStats};
 use crate::report::ContentionReport;
 use crate::session::{SessionBuilder, StageOccupancy};
@@ -71,9 +71,9 @@ impl LaserOutcome {
 pub enum LaserError {
     /// The underlying machine failed (e.g. the workload livelocked).
     Machine(MachineError),
-    /// The session's [`Observer`](crate::observe::Observer) cancelled the run
-    /// mid-flight (e.g. a step budget tripped); there is no
-    /// complete outcome.
+    /// The run went past the session's
+    /// [`CellBudget`](crate::budget::CellBudget) and was stopped mid-flight;
+    /// there is no complete outcome.
     Stopped(StopReason),
 }
 
@@ -81,7 +81,7 @@ impl fmt::Display for LaserError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LaserError::Machine(e) => write!(f, "machine error: {e}"),
-            LaserError::Stopped(reason) => write!(f, "run stopped by observer: {reason}"),
+            LaserError::Stopped(reason) => write!(f, "run stopped: {reason}"),
         }
     }
 }
@@ -102,9 +102,8 @@ pub struct Laser;
 
 impl Laser {
     /// Start building a session: the one way to run LASER. The builder
-    /// unifies the LASER and machine configurations and optionally attaches
-    /// an [`Observer`](crate::observe::Observer) to stream the run's
-    /// [`LaserEvent`](crate::observe::LaserEvent)s.
+    /// unifies the LASER and machine configurations, the pipeline deployment
+    /// and an optional step [`CellBudget`](crate::budget::CellBudget).
     pub fn builder() -> SessionBuilder {
         SessionBuilder::new()
     }

@@ -16,8 +16,9 @@
 //!
 //! ## Quick start
 //!
-//! Runs are assembled with [`Laser::builder`] — configuration, machine and an
-//! optional [`Observer`] — and driven to an outcome with `run()`:
+//! Runs are assembled with [`Laser::builder`] — configuration, machine,
+//! pipeline deployment and an optional step [`CellBudget`] — and driven to
+//! an outcome with `run()`:
 //!
 //! ```
 //! use laser::workloads::{find, BuildOptions};
@@ -33,9 +34,10 @@
 //! println!("{}", outcome.report.render());
 //! ```
 //!
-//! An [`Observer`] attached through the builder streams typed [`LaserEvent`]s
-//! while the run advances and can cancel it mid-flight — see
-//! [`laser_core::observe`](crate::core::observe).
+//! To watch a run as it goes, step it with [`LaserSession::advance`] and read
+//! the machine, the inline detector and the repair state between quanta; a
+//! budget stops the run mid-flight with a [`StopReason`] — see
+//! [`laser_core::budget`](crate::core::budget).
 //!
 //! (The paper's alternative-input variant is registered as `histogram'` —
 //! apostrophe included — and is the one that false-shares.)
@@ -51,9 +53,8 @@ pub use laser_pebs as pebs;
 pub use laser_workloads as workloads;
 
 pub use laser_core::{
-    BudgetObserver, CellBudget, ContentionKind, EventLog, Laser, LaserConfig, LaserError,
-    LaserEvent, LaserOutcome, LaserSession, Observer, PipelineConfig, SessionBuilder,
-    SessionStatus, StopReason,
+    CellBudget, ContentionKind, Laser, LaserConfig, LaserError, LaserOutcome, LaserSession,
+    PipelineConfig, SessionBuilder, SessionStatus, StopReason,
 };
 pub use laser_machine::{
     Machine, MachineConfig, ThreadPlacement, Topology, TopologySpec, WorkloadImage,

@@ -2,14 +2,14 @@
 //! across a thread pool changes nothing but the wall-clock. A campaign run
 //! with `threads = 1` (the reference serial execution) and with `threads = N`
 //! must produce byte-identical aggregated results — including when per-cell
-//! budgets are enabled, and including the per-run observer event stream,
-//! which is identical whether a session runs inline or on a worker thread.
+//! budgets are enabled, and including a single session's outcome, which is
+//! identical whether it runs inline, on a worker thread or pipelined.
 
 use laser_bench::{
-    Campaign, CellBudget, Emit, LaserTool, NativeTool, PipelineConfig, SheriffTool, Tool,
-    TopologySpec, VtuneTool,
+    Campaign, Emit, LaserTool, NativeTool, PipelineConfig, SheriffTool, Tool, TopologySpec,
+    VtuneTool,
 };
-use laser_core::{EventLog, Laser, LaserConfig};
+use laser_core::{CellBudget, Laser, LaserConfig, LaserOutcome, StopReason};
 use laser_workloads::{find, registry, BuildOptions};
 
 fn tools() -> Vec<Box<dyn Tool>> {
@@ -51,40 +51,37 @@ fn repeated_parallel_runs_are_stable() {
     assert_eq!(a.render(), b.render());
 }
 
+/// Everything a session produces that its deployment could move.
+fn assert_same_outcome(a: &LaserOutcome, b: &LaserOutcome) {
+    assert_eq!(a.cycles(), b.cycles());
+    assert_eq!(a.run.per_core_cycles, b.run.per_core_cycles);
+    assert_eq!(a.run.stats, b.run.stats);
+    assert_eq!(a.report, b.report);
+    assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
+    assert_eq!(a.detector_cycles, b.detector_cycles);
+    assert_eq!(a.driver_stats, b.driver_stats);
+    assert_eq!(
+        a.repair.as_ref().map(|r| (r.triggered_at_cycle, r.stats)),
+        b.repair.as_ref().map(|r| (r.triggered_at_cycle, r.stats))
+    );
+}
+
 #[test]
-fn observer_event_stream_is_identical_inline_and_on_a_worker_thread() {
+fn session_outcome_is_identical_inline_and_on_a_worker_thread() {
     let spec = find("histogram'").expect("known workload");
     let image = spec.build(&BuildOptions::scaled(0.08));
     let config = LaserConfig::detection_only();
 
-    let inline_log = EventLog::new();
     let inline = Laser::builder()
         .config(config.clone())
-        .observer(inline_log.clone())
         .build(&image)
         .run()
         .unwrap();
-
-    let worker_log = EventLog::new();
-    let session = Laser::builder()
-        .config(config)
-        .observer(worker_log.clone())
-        .build(&image);
+    let session = Laser::builder().config(config).build(&image);
     let moved = std::thread::spawn(move || session.run().unwrap())
         .join()
         .unwrap();
-
-    // The runs agree...
-    assert_eq!(inline.cycles(), moved.cycles());
-    assert_eq!(inline.report, moved.report);
-    // ...and so does the full event sequence, byte for byte.
-    let inline_events = inline_log.events();
-    assert!(!inline_events.is_empty());
-    assert_eq!(inline_events, worker_log.events());
-    assert_eq!(
-        format!("{inline_events:?}"),
-        format!("{:?}", worker_log.events())
-    );
+    assert_same_outcome(&inline, &moved);
 }
 
 #[test]
@@ -110,45 +107,41 @@ fn pipelined_campaigns_are_byte_identical_to_inline_for_any_thread_count() {
 }
 
 #[test]
-fn pipelined_observer_event_stream_is_identical_to_inline() {
-    // The event sequence — order and payloads — is part of the determinism
-    // contract: an observer cannot tell a pipelined session from an inline
-    // one. Every batch of an observed session is awaited, repair armed or
-    // not.
+fn pipelined_session_outcome_is_identical_to_inline() {
+    // Detection-only sessions get a detector worker, repair sessions stay
+    // inline; either way the outcome cannot tell. A budget reads only the
+    // machine's step count, so a budgeted pipelined session stops at the
+    // same quantum with the same reason as inline.
+    let spec = find("histogram'").expect("known workload");
+    let image = spec.build(&BuildOptions::scaled(0.08));
     for config in [LaserConfig::detection_only(), LaserConfig::default()] {
-        let spec = find("histogram'").expect("known workload");
-        let image = spec.build(&BuildOptions::scaled(0.08));
+        let run = |pipeline, budget| {
+            let session = Laser::builder()
+                .config(config.clone())
+                .pipeline_config(pipeline)
+                .budget(budget)
+                .build(&image);
+            assert_eq!(
+                session.is_pipelined(),
+                pipeline.enabled && !config.enable_repair
+            );
+            session.run()
+        };
+        let unlimited = CellBudget::default();
+        let inline = run(PipelineConfig::default(), unlimited).unwrap();
+        let piped = run(PipelineConfig::pipelined(), unlimited).unwrap();
+        assert_same_outcome(&inline, &piped);
 
-        let inline_log = EventLog::new();
-        let inline = Laser::builder()
-            .config(config.clone())
-            .observer(inline_log.clone())
-            .build(&image)
-            .run()
-            .unwrap();
-
-        let piped_log = EventLog::new();
-        let piped = Laser::builder()
-            .config(config.clone())
-            .pipeline_config(PipelineConfig::pipelined())
-            .observer(piped_log.clone())
-            .build(&image)
-            .run()
-            .unwrap();
-
-        assert_eq!(inline.cycles(), piped.cycles());
-        assert_eq!(inline.report, piped.report);
-        let inline_events = inline_log.events();
-        assert!(!inline_events.is_empty());
+        let budget = CellBudget::steps(inline.run.steps / 2);
+        let stopped = run(PipelineConfig::default(), budget).unwrap_err();
+        assert!(matches!(
+            stopped,
+            laser_core::LaserError::Stopped(StopReason::StepBudget { used, .. })
+                if used > inline.run.steps / 2
+        ));
         assert_eq!(
-            inline_events,
-            piped_log.events(),
-            "repair={}",
-            config.enable_repair
-        );
-        assert_eq!(
-            format!("{inline_events:?}"),
-            format!("{:?}", piped_log.events())
+            stopped,
+            run(PipelineConfig::pipelined(), budget).unwrap_err()
         );
     }
 }
@@ -189,9 +182,9 @@ fn topology_campaigns_are_byte_identical_across_thread_counts_and_pipelining() {
 
 #[test]
 fn pipelined_budgeted_campaigns_match_inline_budgeted_campaigns() {
-    // Budget observers ride the event stream; since the stream is identical,
-    // the same cells trip the same budgets at the same points whatever the
-    // execution mode or thread count.
+    // A budget reads only the machine's step count, which deployment does
+    // not move, so the same cells trip the same budgets at the same points
+    // whatever the execution mode or thread count.
     let budget = CellBudget::steps(10_000);
     let inline = campaign(1).with_cell_budget(budget).run();
     let piped = campaign(8)
@@ -219,7 +212,7 @@ fn three_stage_campaigns_at_lag_zero_are_byte_identical_to_inline() {
     let piped = PipelineConfig::pipelined();
     for (reference, pipelined) in [
         (campaign(1).run(), campaign(8).with_pipeline(piped).run()),
-        // Budget observers ride the same event stream, so the same cells
+        // Budgets read only the machine's step count, so the same cells
         // trip the same budgets at the same points.
         (
             campaign(1).with_cell_budget(budget).run(),

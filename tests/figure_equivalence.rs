@@ -134,8 +134,8 @@ fn pipelined_grids_render_every_figure_byte_identically_to_inline() {
 
 #[test]
 fn pipelined_budgeted_grids_emit_byte_identically_to_inline() {
-    // Budgets and pipelining compose: the budget observer rides an identical
-    // event stream, so budget-exceeded cells land identically too.
+    // Budgets and pipelining compose: a budget reads only the machine's step
+    // count, so budget-exceeded cells land identically too.
     let budgeted = |threads, pipeline| {
         let mut grid = Grid::new(scale())
             .with_threads(threads)

@@ -16,7 +16,7 @@ use laser_bench::{
     Campaign, CampaignConfig, CellBudget, CellConfig, CellResult, ExperimentScale, Grid,
     PipelineConfig, Tool, ToolFailure, ToolRun, ToolSpec, TopologySpec, FIGURES,
 };
-use laser_core::{EventLog, Laser, LaserConfig, LaserEvent};
+use laser_core::{Laser, LaserConfig, SessionStatus};
 use laser_workloads::{characterization_cases, find, registry, BuildOptions, WorkloadSpec};
 
 /// A tool the campaign cannot see through: the wrapped tool, run on its
@@ -210,22 +210,23 @@ fn histogram_attach_steps() -> (u64, u64) {
     let image = find("histogram'")
         .expect("a registry workload")
         .build(&BuildOptions::scaled(REPAIR_SCALE));
-    let log = EventLog::new();
-    Laser::builder()
+    let mut session = Laser::builder()
         .config(LaserConfig::default())
-        .observer(log.clone())
-        .build(&image)
-        .run()
-        .expect("the repairing session finishes");
-    let (mut steps, mut attached) = (0, None);
-    for event in log.events() {
-        match event {
-            LaserEvent::QuantumCompleted { steps: s, .. } => steps += s,
-            LaserEvent::RepairAttached { .. } => attached = attached.or(Some(steps)),
-            _ => {}
+        .build(&image);
+    let mut attached = None;
+    loop {
+        let status = session.advance().expect("the repairing session runs");
+        if attached.is_none() && session.repair_triggered() {
+            attached = Some(session.machine().steps());
+        }
+        match status {
+            SessionStatus::Running => {}
+            SessionStatus::Done => break,
+            SessionStatus::Stopped(reason) => panic!("an unbudgeted session stopped: {reason}"),
         }
     }
-    (attached.expect("repair attaches to histogram'"), steps)
+    let total = session.machine().steps();
+    (attached.expect("repair attaches to histogram'"), total)
 }
 
 #[test]
