@@ -453,7 +453,7 @@ mod tests {
         let cli = Cli::parse(&args(&["campaign", "--pipeline", "--threads", "2"])).unwrap();
         assert!(cli.config.pipeline.enabled);
         assert_eq!(cli.config.pipeline, PipelineConfig::pipelined());
-        assert_eq!(cli.config.threads, Some(2));
+        assert_eq!(cli.config.threads, std::num::NonZeroUsize::new(2));
     }
 
     #[test]
@@ -590,7 +590,7 @@ mod tests {
         // In range, the same flags land in the config.
         let cli = Cli::parse(&args(&["--cell-budget-steps", "9", "--threads", "1"])).unwrap();
         assert_eq!(cli.config.budget, CellBudget::steps(9));
-        assert_eq!(cli.config.threads, Some(1));
+        assert_eq!(cli.config.threads, std::num::NonZeroUsize::new(1));
     }
 
     #[test]

@@ -34,6 +34,7 @@
 use std::collections::BTreeSet;
 use std::env;
 use std::io::Read;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -68,7 +69,7 @@ struct Cli {
     once: bool,
     /// `--poll-ms N`, if given; the watch loop polls every 500 ms without it.
     poll_ms: Option<u64>,
-    threads: Option<usize>,
+    threads: Option<NonZeroUsize>,
     cache: Option<String>,
     cache_stats: Option<String>,
 }
@@ -316,7 +317,7 @@ mod tests {
         assert_eq!(cli.watch, Some("inbox".to_string()));
         assert!(cli.once);
         assert_eq!(cli.poll_ms, Some(50));
-        assert_eq!(cli.threads, Some(2));
+        assert_eq!(cli.threads, NonZeroUsize::new(2));
     }
 
     #[test]

@@ -1005,13 +1005,13 @@ mod tests {
 
     #[test]
     fn a_figure_3_cell_round_trips_with_its_counts() {
-        use crate::characterization::PebsAccuracyTool;
-        use crate::tool::Tool;
         let dir = scratch_dir("fig3");
         let opts = base_opts();
         let spec = laser_workloads::characterization_cases()[7].spec();
         let cfg = CellConfig::flat(spec.name, "pebs-accuracy", &opts);
-        let run = PebsAccuracyTool.run(&spec, &cfg).unwrap();
+        let run = crate::tool::ToolSpec::PebsAccuracy
+            .run(&spec, &cfg)
+            .unwrap();
         let counts = run.pebs_accuracy.expect("the tool counts");
         assert!(counts.addr_correct > 0 && counts.pc_adjacent >= counts.pc_exact);
         let cell = CellResult {

@@ -9,11 +9,11 @@
 
 use super::*;
 use crate::campaign::Campaign;
+use crate::config::CampaignConfig;
 use crate::emit::Emit;
-use crate::tool::{LaserTool, NativeTool, Tool, ToolSpec};
-use laser_core::LaserConfig;
-use laser_workloads::registry;
+use crate::tool::ToolSpec;
 use serde::json::MAX_DEPTH;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// One stored cell: enough to rebuild its config, plus its entry's text.
@@ -37,6 +37,30 @@ fn opts() -> BuildOptions {
     BuildOptions::scaled(0.08)
 }
 
+/// The config of a campaign at [`opts`] on two workers, with `budget` and
+/// `cache`.
+fn config(budget: CellBudget, cache: &Arc<CellCache>) -> CampaignConfig {
+    CampaignConfig {
+        opts: opts(),
+        threads: NonZeroUsize::new(2),
+        budget,
+        cache: Some(Arc::clone(cache)),
+        ..CampaignConfig::default()
+    }
+}
+
+/// Native and LASERDETECT on each of `workloads` under `config`.
+fn native_and_detect(workloads: &[&str], config: CampaignConfig) -> Campaign {
+    let specs: Vec<_> = workloads
+        .iter()
+        .map(|w| laser_workloads::find(w).unwrap())
+        .collect();
+    let requests = specs.iter().flat_map(|w| {
+        [ToolSpec::Native, ToolSpec::LaserDetect].map(|tool| (w, tool, TopologySpec::Flat))
+    });
+    Campaign::from_requests(requests, config)
+}
+
 /// Fill `dir` through real campaigns — every default tool on four workloads
 /// (successful runs, Sheriff's crash and incompatible verdicts), a
 /// step-budgeted pair (budget trips) and one Figure 3 case (a run with
@@ -45,34 +69,16 @@ fn populate(dir: &Path) -> Vec<Entry> {
     let cache = Arc::new(CellCache::open(dir).unwrap());
     let workloads = ["histogram'", "linear_regression", "bodytrack", "dedup"];
     let full = Campaign::default()
+        .with_config(config(CellBudget::default(), &cache))
         .with_workload_names(&workloads)
         .unwrap()
-        .with_options(opts())
-        .with_threads(2)
-        .with_cache(Arc::clone(&cache))
         .run();
     let budget = CellBudget::steps(5_000);
-    let tools: Vec<Box<dyn Tool>> = vec![
-        Box::new(NativeTool),
-        Box::new(LaserTool::new(LaserConfig::detection_only())),
-    ];
-    let tripped = Campaign::new(registry(), tools)
-        .with_workload_names(&["histogram'"])
-        .unwrap()
-        .with_options(opts())
-        .with_threads(2)
-        .with_cell_budget(budget)
-        .with_cache(Arc::clone(&cache))
-        .run();
+    let tripped = native_and_detect(&["histogram'"], config(budget, &cache)).run();
     let case = laser_workloads::characterization_cases()[3].spec();
     let figure3 = Campaign::from_requests(
         [(&case, ToolSpec::PebsAccuracy, TopologySpec::Flat)],
-        crate::config::CampaignConfig {
-            opts: opts(),
-            threads: Some(1),
-            cache: Some(Arc::clone(&cache)),
-            ..crate::config::CampaignConfig::default()
-        },
+        config(CellBudget::default(), &cache),
     )
     .run();
     let opts = opts();
@@ -401,27 +407,20 @@ fn a_bracket_flood_entry_is_one_counted_miss_with_identical_bytes() {
     // Before the parser had a depth bound this entry aborted the process
     // with a stack overflow on the campaign pool thread that loaded it.
     let dir = scratch_dir("flood");
-    let campaign = || {
-        let tools: Vec<Box<dyn Tool>> = vec![
-            Box::new(NativeTool),
-            Box::new(LaserTool::new(LaserConfig::detection_only())),
-        ];
-        Campaign::new(registry(), tools)
-            .with_workload_names(&["histogram'", "swaptions"])
-            .unwrap()
-            .with_options(opts())
-            .with_threads(2)
+    let campaign = |cache: &Arc<CellCache>| {
+        native_and_detect(
+            &["histogram'", "swaptions"],
+            config(CellBudget::default(), cache),
+        )
     };
-    let cold = campaign()
-        .with_cache(Arc::new(CellCache::open(&dir).unwrap()))
-        .run();
+    let cold = campaign(&Arc::new(CellCache::open(&dir).unwrap())).run();
     let opts = opts();
     let victim = fingerprint(&CellConfig::flat("swaptions", "laser-detect", &opts));
     let flood = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
     fs::write(dir.join(format!("{victim}.json")), flood).unwrap();
 
     let cache = Arc::new(CellCache::open(&dir).unwrap());
-    let warm = campaign().with_cache(Arc::clone(&cache)).run();
+    let warm = campaign(&cache).run();
     let cells = cold.cells.len() as u64;
     assert_eq!(
         cache.stats(),

@@ -10,20 +10,23 @@
 //! whatever the thread count: `threads = 1` is the reference serial
 //! execution, `threads = N` is just faster.
 //!
-//! Long campaigns survive misbehaving cells: a panic inside a [`Tool`] is
-//! caught per cell and recorded as [`ToolFailure::Panicked`], so one bad
+//! Long campaigns survive misbehaving cells: a panic inside a cell is
+//! caught and recorded as [`ToolFailure::Panicked`], so one bad
 //! `(workload, tool)` combination costs one grid entry, not the whole run.
-//! A campaign can also bound every cell with a [`CellBudget`]
-//! ([`Campaign::with_cell_budget`]): the budget rides each cell's
-//! [`CellConfig`] into [`Tool::run`], and a cell that trips it is recorded
-//! as [`ToolFailure::BudgetExceeded`] — again one grid entry, not the whole
-//! run. Step budgets are deterministic, so budgeted campaigns keep the
-//! byte-identical-across-thread-counts guarantee.
+//! A campaign can also bound every cell with a
+//! [`CellBudget`](laser_core::CellBudget) ([`CampaignConfig::budget`]): the budget rides each cell's
+//! [`CellConfig`] into [`ToolSpec::run`], and a cell that trips it is
+//! recorded as [`ToolFailure::BudgetExceeded`] — again one grid entry, not
+//! the whole run. Step budgets are deterministic, so budgeted campaigns keep
+//! the byte-identical-across-thread-counts guarantee.
 //!
 //! Everything a campaign applies to every cell lives in one
-//! [`CampaignConfig`]; [`Campaign::run_with_progress`] lowers it to one
-//! [`CellConfig`] per cell and hands that same value to the cache lookup,
-//! the tool and the cache store.
+//! [`CampaignConfig`], and every campaign is lowered from `(workload,
+//! ToolSpec, topology)` requests by [`Campaign::from_requests`];
+//! [`Campaign::run_with_progress`] lowers the config to one [`CellConfig`]
+//! per cell and hands that same value to the cache lookup, the tool and the
+//! cache store. A cell's tool is a [`ToolSpec`], so the `tool=` line of the
+//! cell's fingerprinted config names its whole configuration.
 //!
 //! Callers that want incremental feedback pass a progress sink to
 //! [`Campaign::run_with_progress`]; cells are announced as they start and
@@ -31,30 +34,29 @@
 //! deterministic.
 //!
 //! Cells that can be derived from one simulation run as one task. A campaign
-//! lowered from [`ToolSpec`] requests groups the cells of one workload on one
-//! deployment by `ToolSpec::simulation`: the LASER group (`laser`,
+//! groups the cells of one workload on one deployment by
+//! `ToolSpec::simulation`: the LASER group (`laser`,
 //! `laser-detect`, `laser-detect-raw`, `laser-detect-sav19`) shares one
 //! session, the native group (`native` and both Sheriff modes) one native
 //! run. A pool worker takes a whole group, announces and caches its cells
 //! one at a time, and drops what they shared when the group is done; every
-//! other cell, and every caller-supplied [`Tool`], is a group of one (each
-//! Figure 3 case among them). The scale-2 paper grid's 405 cells take 284
-//! simulations instead of 387, and every result is the one an unshared run would have produced (the derivations
-//! are listed on `SharedRuns` in [`crate::tool`]).
+//! other cell is a group of one (each Figure 3 case among them). The
+//! scale-2 paper grid's 405 cells take 284 simulations instead of 387, and
+//! every result is the one [`ToolSpec::run`] alone would have produced (the
+//! derivations are listed on `SharedRuns` in [`crate::tool`]).
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use laser_core::{CellBudget, PipelineConfig, TopologySpec};
-use laser_workloads::{registry, BuildOptions, WorkloadSpec};
+use laser_core::TopologySpec;
+use laser_workloads::{registry, WorkloadSpec};
 use serde::json::Value;
 
-use crate::cache::CellCache;
 use crate::config::{CampaignConfig, CellConfig};
 use crate::emit::{Column, Emit, Prec, View};
-use crate::tool::{SharedRuns, Tool, ToolFailure, ToolRun, ToolSpec, DEFAULT_PANEL};
+use crate::tool::{SharedRuns, ToolFailure, ToolRun, ToolSpec, DEFAULT_PANEL};
 
 /// One `workload × tool` cell of a finished campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,8 +109,9 @@ pub enum CampaignProgress<'a> {
         total: usize,
         /// The completed cell, including its outcome.
         cell: &'a CellResult,
-        /// Whether the cell was answered from the campaign's [`CellCache`]
-        /// instead of being simulated. Always `false` without a cache.
+        /// Whether the cell was answered from the campaign's
+        /// [`CellCache`](crate::cache::CellCache) instead of being
+        /// simulated. Always `false` without a cache.
         cached: bool,
     },
 }
@@ -155,13 +158,11 @@ pub fn validate_workload_names(
 /// A configured experiment campaign.
 pub struct Campaign {
     workloads: Vec<WorkloadSpec>,
-    /// Every distinct tool, with the spec it was lowered from: `None` for a
-    /// caller-supplied tool, whose cells never share a simulation.
-    tools: Vec<(Box<dyn Tool>, Option<ToolSpec>)>,
+    /// Every distinct tool, with its key rendered once.
+    tools: Vec<(ToolSpec, String)>,
     /// The cells to run, as `(workload index, tool index, topology)` triples
-    /// in grid (aggregation) order. A cross-product campaign is
-    /// workload-major; a campaign lowered from requests lists exactly the
-    /// cells the planned experiments need, which may mix topologies.
+    /// in grid (aggregation) order: exactly the cells requested, which may
+    /// mix topologies.
     cells: Vec<(usize, usize, TopologySpec)>,
     config: CampaignConfig,
 }
@@ -180,26 +181,12 @@ impl Default for Campaign {
 }
 
 impl Campaign {
-    /// A campaign over the full `workloads × tools` cross product, on the
-    /// flat (single-socket) topology, under [`CampaignConfig::default`].
-    pub fn new(workloads: Vec<WorkloadSpec>, tools: Vec<Box<dyn Tool>>) -> Self {
-        let cells = (0..workloads.len())
-            .flat_map(|w| (0..tools.len()).map(move |t| (w, t, TopologySpec::Flat)))
-            .collect();
-        Campaign {
-            workloads,
-            tools: tools.into_iter().map(|tool| (tool, None)).collect(),
-            cells,
-            config: CampaignConfig::default(),
-        }
-    }
-
     /// Lower a request list to a campaign under `config`: each
     /// `(workload, tool, topology)` request becomes one cell, in request
-    /// order, with every distinct workload and tool instantiated once. This
-    /// is how both the [`Grid`](crate::grid::Grid) and the scenario service
-    /// run sparse cell sets — cross-socket sweeps next to flat cells — as one
-    /// parallel campaign.
+    /// order, with every distinct workload and tool key rendered once. This
+    /// is the one way a campaign is made: the [`Grid`](crate::grid::Grid),
+    /// the scenario service and [`Campaign::default`] all run their cell
+    /// sets — cross-socket sweeps next to flat cells — through it.
     pub fn from_requests<'a>(
         requests: impl IntoIterator<Item = (&'a WorkloadSpec, ToolSpec, TopologySpec)>,
         config: CampaignConfig,
@@ -218,7 +205,7 @@ impl Campaign {
                 campaign.workloads.len() - 1
             });
             let t = *tool_index.entry(tool).or_insert_with(|| {
-                campaign.tools.push((tool.build(), Some(tool)));
+                campaign.tools.push((tool, tool.key()));
                 campaign.tools.len() - 1
             });
             campaign.cells.push((w, t, topology));
@@ -227,11 +214,15 @@ impl Campaign {
     }
 
     /// Replace the whole configuration, deploying every cell on
-    /// `config.topology` (see [`Campaign::with_topology`]).
+    /// `config.topology`. Cell keys keep their bare tool names on the flat
+    /// preset and gain an `@2s` / `@4s` suffix on the multi-socket ones, so
+    /// sweeps over several topologies never collide.
     pub fn with_config(mut self, config: CampaignConfig) -> Self {
-        let topology = config.topology;
+        for cell in &mut self.cells {
+            cell.2 = config.topology;
+        }
         self.config = config;
-        self.with_topology(topology)
+        self
     }
 
     /// Restrict the campaign to the named workloads, keeping grid order.
@@ -244,60 +235,6 @@ impl Campaign {
         self.cells
             .retain(|&(w, _, _)| names.contains(&self.workloads[w].name));
         Ok(self)
-    }
-
-    /// Run every cell on `topology` (default: flat). Cell keys keep their
-    /// bare tool names on the flat preset and gain an `@2s` / `@4s` suffix
-    /// on the multi-socket ones, so sweeps over several topologies never
-    /// collide.
-    pub fn with_topology(mut self, topology: TopologySpec) -> Self {
-        self.config.topology = topology;
-        for cell in &mut self.cells {
-            cell.2 = topology;
-        }
-        self
-    }
-
-    /// Set the build options applied to every cell.
-    pub fn with_options(mut self, opts: BuildOptions) -> Self {
-        self.config.opts = opts;
-        self
-    }
-
-    /// Set the worker-thread count (clamped to at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.config.threads = Some(threads);
-        self
-    }
-
-    /// Bound every cell with `budget`: a cell that trips it is recorded as
-    /// [`ToolFailure::BudgetExceeded`] without disturbing the other cells.
-    /// A budget counts simulated steps, so budgeted campaigns stay
-    /// deterministic across thread counts.
-    pub fn with_cell_budget(mut self, budget: CellBudget) -> Self {
-        self.config.budget = budget;
-        self
-    }
-
-    /// Deploy every LASER cell's session with `pipeline`: the detector moves
-    /// to a worker thread so record processing overlaps the simulated
-    /// quantum. Cell results — and therefore the whole aggregated campaign —
-    /// are byte-identical to an un-pipelined run; only the wall-clock
-    /// changes.
-    pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.config.pipeline = pipeline;
-        self
-    }
-
-    /// Consult `cache` before simulating any cell and write finished cells
-    /// back to it. Hits return byte-for-byte what a fresh simulation would
-    /// have produced (simulation is deterministic and the fingerprint covers
-    /// the full cell config), so a cached campaign's aggregated output is
-    /// identical to an uncached one — only faster. Share one `Arc` across
-    /// campaigns to reuse results between runs and processes.
-    pub fn with_cache(mut self, cache: Arc<CellCache>) -> Self {
-        self.config.cache = Some(cache);
-        self
     }
 
     /// Number of cells the campaign will run.
@@ -330,7 +267,7 @@ impl Campaign {
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut by_simulation: BTreeMap<(usize, TopologySpec, ToolSpec), usize> = BTreeMap::new();
         for (i, &(w, t, topology)) in self.cells.iter().enumerate() {
-            match self.tools[t].1.and_then(|spec| spec.simulation()) {
+            match self.tools[t].0.simulation() {
                 Some(simulation) => {
                     let g = *by_simulation
                         .entry((w, topology, simulation))
@@ -344,7 +281,7 @@ impl Campaign {
             }
         }
         for group in &mut groups {
-            group.sort_by_key(|&i| self.tools[self.cells[i].1].1 != Some(ToolSpec::Laser));
+            group.sort_by_key(|&i| self.tools[self.cells[i].1].0 != ToolSpec::Laser);
         }
         groups
     }
@@ -355,6 +292,23 @@ impl Campaign {
     where
         F: Fn(CampaignProgress) + Sync,
     {
+        self.run_cells(progress, SharedRuns::run)
+    }
+
+    /// [`Campaign::run_counting`] with `run` computing each cell the cache
+    /// does not answer, in place of [`SharedRuns::run`], so a test can make
+    /// a cell panic.
+    fn run_cells<F, R>(&self, progress: F, run: R) -> (CampaignResult, usize)
+    where
+        F: Fn(CampaignProgress) + Sync,
+        R: Fn(
+                &mut SharedRuns,
+                ToolSpec,
+                &WorkloadSpec,
+                &CellConfig,
+            ) -> Result<ToolRun, ToolFailure>
+            + Sync,
+    {
         let total = self.cells.len();
         let done = AtomicUsize::new(0);
         let simulations = AtomicUsize::new(0);
@@ -362,32 +316,32 @@ impl Campaign {
         let groups = self.groups();
         let finished = ordered_parallel(groups.len(), self.config.worker_threads(), |g| {
             let members = &groups[g];
-            let specs = members.iter().map(|&i| self.tools[self.cells[i].1].1);
+            let specs = members.iter().map(|&i| self.tools[self.cells[i].1].0);
             let mut shared = SharedRuns::new(&self.workloads[self.cells[members[0]].0], specs);
             let cells: Vec<(usize, CellResult)> = members
                 .iter()
                 .map(|&i| {
                     let (w, t, topo) = self.cells[i];
                     let workload = &self.workloads[w];
-                    let (tool, spec) = &self.tools[t];
+                    let (spec, key) = &self.tools[t];
                     progress(CampaignProgress::Started {
                         index: i,
                         total,
                         workload: workload.name,
-                        tool: tool.name(),
+                        tool: key,
                     });
-                    let config: CellConfig = self.config.cell(workload.name, tool.name(), topo);
+                    let config: CellConfig = self.config.cell(workload.name, key, topo);
                     let (cell, cached) = match cache.and_then(|c| c.load(&config)) {
                         Some(cell) => (cell, true),
                         None => {
-                            // A panicking tool must cost one cell, not the
+                            // A panicking cell must cost one cell, not the
                             // campaign: the scoped worker would otherwise
                             // unwind and poison the whole grid. A shared
                             // simulation that panics stays unrun, so the
                             // next cell that needs it panics on its own.
-                            let run = || shared.run(*spec, tool.as_ref(), workload, &config);
+                            let compute = || run(&mut shared, *spec, workload, &config);
                             let outcome =
-                                catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+                                catch_unwind(AssertUnwindSafe(compute)).unwrap_or_else(|payload| {
                                     Err(ToolFailure::Panicked {
                                         message: panic_message(payload.as_ref()),
                                     })
@@ -568,27 +522,40 @@ impl Emit for CampaignResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tool::{LaserTool, NativeTool};
-    use laser_core::LaserConfig;
+    use laser_core::{CellBudget, PipelineConfig};
+    use laser_workloads::BuildOptions;
+    use std::num::NonZeroUsize;
     use std::sync::atomic::AtomicUsize;
 
-    fn small_campaign(threads: usize) -> Campaign {
-        Campaign::new(
-            registry(),
-            vec![
-                Box::new(NativeTool),
-                Box::new(LaserTool::new(LaserConfig::detection_only())),
-            ],
-        )
-        .with_workload_names(&["histogram'", "swaptions"])
-        .unwrap()
-        .with_options(BuildOptions::scaled(0.08))
-        .with_threads(threads)
+    /// `tools` on each of the registry's `workloads`, workload-major, at
+    /// `scale` on `threads` workers.
+    fn campaign(workloads: &[&str], tools: &[ToolSpec], scale: f64, threads: usize) -> Campaign {
+        let registry = registry();
+        let requests = registry
+            .iter()
+            .filter(|w| workloads.contains(&w.name))
+            .flat_map(|w| tools.iter().map(move |&tool| (w, tool, TopologySpec::Flat)));
+        let config = CampaignConfig {
+            opts: BuildOptions::scaled(scale),
+            threads: NonZeroUsize::new(threads),
+            ..CampaignConfig::default()
+        };
+        Campaign::from_requests(requests, config)
+    }
+
+    /// Native and LASERDETECT on `histogram'` and `swaptions` at scale 0.08,
+    /// `deploy` applied to the config.
+    fn small_campaign(threads: usize, deploy: impl FnOnce(&mut CampaignConfig)) -> Campaign {
+        let tools = [ToolSpec::Native, ToolSpec::LaserDetect];
+        let campaign = campaign(&["histogram'", "swaptions"], &tools, 0.08, threads);
+        let mut config = campaign.config.clone();
+        deploy(&mut config);
+        campaign.with_config(config)
     }
 
     #[test]
     fn grid_is_workload_major_and_complete() {
-        let result = small_campaign(2).run();
+        let result = small_campaign(2, |_| {}).run();
         assert_eq!(result.cells.len(), 4);
         assert_eq!(
             result
@@ -608,7 +575,7 @@ mod tests {
 
     #[test]
     fn normalized_overhead_is_sane() {
-        let result = small_campaign(4).run();
+        let result = small_campaign(4, |_| {}).run();
         let norm = result.normalized("histogram'", "laser-detect").unwrap();
         assert!(
             norm >= 1.0,
@@ -621,16 +588,14 @@ mod tests {
     #[test]
     fn thread_count_caps_do_not_drop_cells() {
         // More workers than cells must still fill the grid exactly once each.
-        let result = small_campaign(64).run();
+        let result = small_campaign(64, |_| {}).run();
         assert_eq!(result.cells.len(), 4);
         assert!(result.cells.iter().all(|c| c.outcome.is_ok()));
     }
 
     #[test]
     fn unknown_workload_names_are_an_error() {
-        let err = match Campaign::new(registry(), vec![Box::new(NativeTool)])
-            .with_workload_names(&["histogram'", "histogramm"])
-        {
+        let err = match Campaign::default().with_workload_names(&["histogram'", "histogramm"]) {
             Err(e) => e,
             Ok(_) => panic!("typo'd workload name must not be silently dropped"),
         };
@@ -640,7 +605,7 @@ mod tests {
 
     #[test]
     fn progress_announces_every_cell_start_and_finish() {
-        let campaign = small_campaign(3);
+        let campaign = small_campaign(3, |_| {});
         let starts = Mutex::new(Vec::new());
         let finishes = Mutex::new(Vec::new());
         let result = campaign.run_with_progress(|p| match p {
@@ -688,9 +653,7 @@ mod tests {
     fn step_budget_marks_over_budget_cells_without_disturbing_the_rest() {
         // A budget that every cell blows through: each cell fails on its own,
         // the grid shape survives.
-        let result = small_campaign(2)
-            .with_cell_budget(CellBudget::steps(10))
-            .run();
+        let result = small_campaign(2, |c| c.budget = CellBudget::steps(10)).run();
         assert_eq!(result.cells.len(), 4);
         for cell in &result.cells {
             assert_eq!(cell.status(), "budget-exceeded", "{cell:?}");
@@ -700,10 +663,8 @@ mod tests {
             ));
         }
         // An unlimited budget behaves exactly like no budget.
-        let unlimited = small_campaign(2)
-            .with_cell_budget(CellBudget::default())
-            .run();
-        assert_eq!(unlimited.cells, small_campaign(2).run().cells);
+        let unlimited = small_campaign(2, |c| c.budget = CellBudget::default()).run();
+        assert_eq!(unlimited.cells, small_campaign(2, |_| {}).run().cells);
     }
 
     #[test]
@@ -735,10 +696,8 @@ mod tests {
 
     #[test]
     fn pipelined_campaign_is_byte_identical_to_inline() {
-        let inline = small_campaign(2).run();
-        let piped = small_campaign(2)
-            .with_pipeline(PipelineConfig::pipelined())
-            .run();
+        let inline = small_campaign(2, |_| {}).run();
+        let piped = small_campaign(2, |c| c.pipeline = PipelineConfig::pipelined()).run();
         assert_eq!(inline.cells, piped.cells);
         assert_eq!(inline.render(), piped.render());
     }
@@ -746,52 +705,44 @@ mod tests {
     #[test]
     fn budgeted_campaigns_stay_deterministic_across_thread_counts() {
         let budget = CellBudget::steps(200_000);
-        let serial = small_campaign(1).with_cell_budget(budget).run();
-        let parallel = small_campaign(8).with_cell_budget(budget).run();
+        let serial = small_campaign(1, |c| c.budget = budget).run();
+        let parallel = small_campaign(8, |c| c.budget = budget).run();
         assert_eq!(serial.cells, parallel.cells);
         assert_eq!(serial.render(), parallel.render());
     }
 
-    /// A tool that panics on one workload and works on the rest.
-    struct PanickyTool;
-
-    impl Tool for PanickyTool {
-        fn name(&self) -> &str {
-            "panicky"
-        }
-
-        fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-            if spec.name == "swaptions" {
-                panic!("deliberate test panic on {}", spec.name);
-            }
-            NativeTool.run(spec, cell)
-        }
-    }
-
     #[test]
     fn a_panicking_cell_does_not_destroy_the_campaign() {
-        let result = Campaign::new(registry(), vec![Box::new(PanickyTool)])
-            .with_workload_names(&["histogram'", "swaptions", "kmeans"])
-            .unwrap()
-            .with_options(BuildOptions::scaled(0.06))
-            .with_threads(2)
-            .run();
-        assert_eq!(result.cells.len(), 3);
-        let bad = result.cell("swaptions", "panicky").unwrap();
-        assert_eq!(
-            bad.outcome,
-            Err(ToolFailure::Panicked {
-                message: "deliberate test panic on swaptions".to_string()
-            })
+        let workloads = ["histogram'", "swaptions", "kmeans"];
+        let campaign = campaign(&workloads, &[ToolSpec::Native], 0.06, 2);
+        // A `&str` payload on swaptions and a `String` one on kmeans, so
+        // both arms of `panic_message` are taken.
+        let (result, _) = campaign.run_cells(
+            |_| {},
+            |shared, spec, workload, cell| match workload.name {
+                "swaptions" => panic!("deliberate test panic"),
+                "kmeans" => panic!("deliberate test panic on {}", workload.name),
+                _ => shared.run(spec, workload, cell),
+            },
         );
-        assert_eq!(bad.status(), "panicked");
-        // The other cells completed normally.
-        assert!(result
-            .cell("histogram'", "panicky")
-            .unwrap()
-            .outcome
-            .is_ok());
-        assert!(result.cell("kmeans", "panicky").unwrap().outcome.is_ok());
+        assert_eq!(result.cells.len(), 3);
+        for (workload, message) in [
+            ("swaptions", "deliberate test panic"),
+            ("kmeans", "deliberate test panic on kmeans"),
+        ] {
+            let bad = result.cell(workload, "native").unwrap();
+            assert_eq!(
+                bad.outcome,
+                Err(ToolFailure::Panicked {
+                    message: message.to_string()
+                })
+            );
+            assert_eq!(bad.status(), "panicked");
+        }
+        // The other cell completed normally.
+        let fine = result.cell("histogram'", "native").unwrap();
+        assert!(fine.outcome.is_ok());
+        assert_eq!(Some(fine), campaign.run().cell("histogram'", "native"));
     }
 
     #[test]

@@ -7,13 +7,12 @@ use std::fmt::Write as _;
 use laser_core::{CellBudget, TopologySpec};
 use laser_machine::{line_of, Machine, MachineConfig};
 use laser_pebs::imprecision::{ImprecisionModel, ImprecisionParams};
-use laser_workloads::{characterization_cases, CharacterizationCase, WorkloadSpec};
+use laser_workloads::{characterization_cases, CharacterizationCase};
 use serde::json::Value;
 
-use crate::config::CellConfig;
 use crate::emit::{Column, Emit, Prec, View};
 use crate::grid::{ExperimentError, Grid, GridResult};
-use crate::tool::{PebsAccuracy, Tool, ToolFailure, ToolRun, ToolSpec};
+use crate::tool::{PebsAccuracy, ToolFailure, ToolRun, ToolSpec};
 
 /// The four sharing categories of Figure 3, in the paper's order.
 const CATEGORIES: [&str; 4] = ["TSRW", "FSRW", "TSWW", "FSWW"];
@@ -193,31 +192,13 @@ pub fn fig3_from_grid(grid: &GridResult) -> Result<Fig3Report, ExperimentError> 
     Ok(Fig3Report { cases })
 }
 
-/// The Figure 3 tool: score a characterization case's HITM records.
-/// Sampling is off, as in the paper: the case runs to completion on the
-/// cell's machine, every ground-truth HITM event passes through the
-/// imprecision model as the machine drains it, and the cell counts how many
-/// records keep the right address and PC. Any other workload is an error
-/// cell.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PebsAccuracyTool;
-
-impl Tool for PebsAccuracyTool {
-    fn name(&self) -> &str {
-        "pebs-accuracy"
-    }
-
-    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-        let case = spec.characterization().ok_or_else(|| {
-            ToolFailure::Error(format!("{} is not a characterization case", spec.name))
-        })?;
-        score_case(case, cell.machine_config(), cell.budget)
-    }
-}
-
-/// Score one characterization case on `config`, then hold the finished run
-/// to `budget`.
-fn score_case(
+/// Score one characterization case on `config` (the `pebs-accuracy` cell,
+/// [`ToolSpec::PebsAccuracy`]), then hold the finished run to `budget`.
+/// Sampling is off, as in the paper: the case runs to completion, every
+/// ground-truth HITM event passes through the imprecision model as the
+/// machine drains it, and the cell counts how many records keep the right
+/// address and PC.
+pub(crate) fn score_case(
     case: &CharacterizationCase,
     config: MachineConfig,
     budget: CellBudget,
@@ -310,6 +291,7 @@ pub fn fig2_layout() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CellConfig;
     use crate::grid::single_figure;
     use crate::runner::ExperimentScale;
 
@@ -361,7 +343,7 @@ mod tests {
         let opts = laser_workloads::BuildOptions::scaled(0.08);
         let cell = CellConfig::flat(spec.name, "pebs-accuracy", &opts);
         assert_eq!(
-            PebsAccuracyTool.run(&spec, &cell),
+            ToolSpec::PebsAccuracy.run(&spec, &cell),
             Err(ToolFailure::Error(
                 "histogram' is not a characterization case".to_string()
             ))
@@ -371,7 +353,7 @@ mod tests {
             [(&spec, ToolSpec::PebsAccuracy, TopologySpec::Flat)],
             crate::config::CampaignConfig {
                 opts,
-                threads: Some(1),
+                threads: std::num::NonZeroUsize::new(1),
                 ..crate::config::CampaignConfig::default()
             },
         );

@@ -5,9 +5,10 @@
 //! one, so a value either front end rejects, the other rejects too), is
 //! lowered once per cell into a [`CellConfig`] by [`CampaignConfig::cell`],
 //! and that one value is what the cell cache fingerprints
-//! ([`crate::cache::fingerprint`]) and what [`Tool::run`](crate::tool::Tool::run)
+//! ([`crate::cache::fingerprint`]) and what [`ToolSpec::run`](crate::tool::ToolSpec::run)
 //! deploys from. Adding a knob is one field here plus its setter.
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use laser_core::{CellBudget, PipelineConfig, TopologySpec};
@@ -28,7 +29,7 @@ pub struct CampaignConfig {
     /// workload input-scale multiplier).
     pub opts: BuildOptions,
     /// Campaign worker threads; `None` means one per available core.
-    pub threads: Option<usize>,
+    pub threads: Option<NonZeroUsize>,
     /// Per-cell budget (unlimited by default).
     pub budget: CellBudget,
     /// Session pipeline deployment of LASER cells (inline by default). A
@@ -77,7 +78,7 @@ impl CampaignConfig {
     /// # Errors
     /// On zero.
     pub fn set_threads(&mut self, threads: u64) -> Result<(), String> {
-        self.threads = Some(at_least_one(threads)? as usize);
+        self.threads = Some(NonZeroUsize::new(threads as usize).ok_or("must be at least 1")?);
         Ok(())
     }
 
@@ -92,10 +93,9 @@ impl CampaignConfig {
 
     /// The worker-thread count a campaign under this config runs on.
     pub fn worker_threads(&self) -> usize {
-        self.threads.map_or_else(
-            || std::thread::available_parallelism().map_or(1, |n| n.get()),
-            |n| n.max(1),
-        )
+        self.threads
+            .unwrap_or_else(|| std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
+            .get()
     }
 
     /// Lower this config to the cell running `tool` on `workload` at
@@ -119,14 +119,15 @@ impl CampaignConfig {
 }
 
 /// The full configuration of one campaign cell: what the cache fingerprints
-/// and what a [`Tool`](crate::tool::Tool) deploys from. Everything that can
-/// change a cell's result must appear here.
+/// and what [`ToolSpec::run`](crate::tool::ToolSpec::run) deploys from.
+/// Everything that can change a cell's result must appear here: the tool's
+/// whole configuration is its key, [`ToolSpec::key`](crate::tool::ToolSpec::key).
 #[derive(Debug, Clone, Copy)]
 pub struct CellConfig<'a> {
     /// Workload name (unique in the registry).
     pub workload: &'a str,
-    /// Bare tool key (`ToolSpec::key()` / `Tool::name()`), without any
-    /// topology suffix.
+    /// Bare tool key ([`ToolSpec::key`](crate::tool::ToolSpec::key)),
+    /// without any topology suffix.
     pub tool: &'a str,
     /// Topology preset the cell deploys on (ignored when `custom_topology`
     /// overrides it).

@@ -16,6 +16,7 @@
 //! planning order.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use laser_baselines::SheriffFailure;
@@ -101,22 +102,28 @@ impl Grid {
         }
     }
 
-    /// Set the worker-thread count (clamped to at least 1).
+    /// Set the worker-thread count.
+    ///
+    /// # Panics
+    /// Panics if `threads` is 0: `threads` must be at least 1.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.config.threads = Some(threads);
+        let threads = NonZeroUsize::new(threads);
+        assert!(threads.is_some(), "`threads` must be at least 1");
+        self.config.threads = threads;
         self
     }
 
-    /// Bound every cell with `budget` (see [`Campaign::with_cell_budget`]).
-    /// A figure whose cells trip the budget derives to an
+    /// Bound every cell with `budget` ([`CampaignConfig::budget`]): a cell
+    /// that trips it is recorded as [`ToolFailure::BudgetExceeded`], and a
+    /// figure whose cells trip the budget derives to an
     /// [`ExperimentError::Cell`] instead of silently using partial data.
     pub fn with_cell_budget(mut self, budget: CellBudget) -> Self {
         self.config.budget = budget;
         self
     }
 
-    /// Deploy every cell's session with `pipeline` (see
-    /// [`Campaign::with_pipeline`]). The cached cells — and every figure
+    /// Deploy every LASER cell's session with `pipeline`
+    /// ([`CampaignConfig::pipeline`]). The cached cells — and every figure
     /// derived from them — are byte-identical to an un-pipelined grid.
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
         self.config.pipeline = pipeline;
@@ -135,8 +142,9 @@ impl Grid {
     }
 
     /// Consult `cache` before simulating any cell and write finished cells
-    /// back (see [`Campaign::with_cache`]). Figures derived from a cached
-    /// grid are byte-identical to a cold one.
+    /// back ([`CampaignConfig::cache`]). Hits return byte-for-byte what a
+    /// fresh simulation would have produced, so figures derived from a
+    /// cached grid are byte-identical to a cold one.
     pub fn with_cache(mut self, cache: Arc<CellCache>) -> Self {
         self.config.cache = Some(cache);
         self
@@ -389,6 +397,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "`threads` must be at least 1")]
+    fn a_grid_on_zero_threads_is_refused() {
+        let _ = Grid::new(tiny_scale()).with_threads(0);
+    }
+
+    #[test]
     fn requests_deduplicate_and_run_once() {
         let mut grid = Grid::new(tiny_scale()).with_threads(2);
         for _ in 0..3 {
@@ -452,7 +466,7 @@ mod tests {
     fn sharing_runs_the_paper_grid_in_284_simulations() {
         let mut grid = Grid::with_config(CampaignConfig {
             opts: laser_workloads::BuildOptions::scaled(2.0),
-            threads: Some(2),
+            threads: NonZeroUsize::new(2),
             ..CampaignConfig::default()
         });
         for figure in crate::FIGURES.iter().filter(|f| f.in_all) {

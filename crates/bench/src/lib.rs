@@ -29,8 +29,9 @@
 //! the `experiments` binary plans every selected figure into one grid,
 //! streams per-cell progress to stderr while the grid is hot, and emits the
 //! results. Flags and scenario keys alike reach a cell through one path —
-//! [`CampaignConfig`] → [`CellConfig`] → [`Tool::run`] and [`fingerprint`] —
-//! described in [`config`].
+//! [`CampaignConfig`] → [`CellConfig`] → [`ToolSpec::run`] and
+//! [`fingerprint`] — described in [`config`]. The tools are one closed
+//! [`ToolSpec`], so a cell's key names everything the cell runs.
 //!
 //! Absolute numbers are simulated cycles, not the paper's wall-clock seconds;
 //! what is expected to match is the *shape* of each result: who wins, by
@@ -67,9 +68,6 @@ pub use laser_core::{CellBudget, PipelineConfig, StopReason, TopologySpec};
 pub use runner::{geomean, ExperimentScale};
 pub use scenario::{AggregateFormat, Scenario, ScenarioCell, ScenarioError, Sweep};
 pub use service::{run_scenario, ServiceError, ServiceOptions, ServiceSummary};
-pub use tool::{
-    cell_key, FixedNativeTool, LaserTool, NativeTool, PebsAccuracy, ReportedLine, SheriffTool,
-    Tool, ToolFailure, ToolRun, ToolSpec, VtuneTool,
-};
+pub use tool::{cell_key, PebsAccuracy, ReportedLine, ToolFailure, ToolRun, ToolSpec};
 pub use topofile::CustomTopology;
 pub use xsocket::{plan_xsocket, xsocket_from_grid, XsocketReport, XsocketRow};

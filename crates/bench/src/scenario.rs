@@ -352,8 +352,8 @@ fn parse_workload(name: &str) -> Result<String, ScenarioError> {
 fn parse_tool(key: &str) -> Result<ToolSpec, ScenarioError> {
     ToolSpec::parse(key).ok_or_else(|| {
         ScenarioError(format!(
-            "unknown tool '{key}' (expected native, native-fixed, laser, laser-detect, \
-             laser-detect-raw, laser-detect-savN for N >= 1, vtune, sheriff-detect or sheriff-protect)"
+            "unknown tool '{key}' (expected {})",
+            ToolSpec::expected_keys()
         ))
     })
 }
@@ -492,7 +492,7 @@ mod tests {
         .unwrap();
         assert_eq!(s.name, "nightly");
         assert_eq!(s.config.opts.scale, 0.25);
-        assert_eq!(s.config.threads, Some(3));
+        assert_eq!(s.config.threads, std::num::NonZeroUsize::new(3));
         assert_eq!(s.config.budget, CellBudget::steps(500000));
         assert_eq!(s.config.pipeline, PipelineConfig::pipelined());
         assert_eq!(s.format, Some(AggregateFormat::Csv));

@@ -21,6 +21,7 @@
 //! binaries turn into a clean nonzero exit.
 
 use std::io::Write;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -51,7 +52,7 @@ impl std::error::Error for ServiceError {}
 pub struct ServiceOptions {
     /// Default worker-thread count for scenarios that do not pin their own
     /// `threads`; `None` means one worker per available core.
-    pub threads: Option<usize>,
+    pub threads: Option<NonZeroUsize>,
     /// Persistent cell cache shared across scenarios and invocations. Cells
     /// already in the cache stream back immediately with `"cached": true`.
     pub cache: Option<Arc<CellCache>>,

@@ -1,29 +1,28 @@
-//! The [`Tool`] abstraction: LASER, VTune, Sheriff, native execution and
-//! Figure 3's record scoring ([`PebsAccuracyTool`]) behind one interface.
+//! The tools a cell can run: native execution, the manual fix, LASER and
+//! LASERDETECT, VTune, Sheriff and Figure 3's record scoring, as one closed
+//! [`ToolSpec`].
 //!
 //! The paper's evaluation repeatedly runs the same 35 workloads under
-//! different tools (Figures 10–14, Tables 1–2). A `Tool` encapsulates "run
-//! this workload under me and tell me what you saw" so the
-//! [`crate::campaign::Campaign`] runner can fan arbitrary `workload × tool`
-//! grids across a thread pool. Implementations are `Send + Sync` values whose
-//! `run` takes `&self`, and every underlying simulation is deterministic, so
-//! a cell's result is independent of which worker thread computes it.
+//! different tools (Figures 10–14, Tables 1–2). [`ToolSpec::run`] is "run
+//! this workload under this tool and tell me what it saw", so the
+//! [`crate::campaign::Campaign`] runner can fan `workload × tool` grids
+//! across a thread pool. A spec is a `Copy` value and every underlying
+//! simulation is deterministic, so a cell's result is independent of which
+//! worker thread computes it, and a spec's key ([`ToolSpec::key`]) names
+//! everything the cell runs.
 //!
 //! A [`ToolRun`] carries everything any figure or table derives from a cell —
 //! cycles, structured reported lines, repair activity, the driver/detector
-//! overhead split and Figure 3's record counts — which is what lets the [`crate::grid::Grid`] cache run
-//! each unique `(workload, tool)` cell exactly once and serve every consumer
-//! from the cached result.
+//! overhead split and Figure 3's record counts — which is what lets the
+//! [`crate::grid::Grid`] cache run each unique `(workload, tool)` cell
+//! exactly once and serve every consumer from the cached result.
 
-use laser_baselines::{
-    Sheriff, SheriffConfig, SheriffFailure, SheriffMode, SheriffNative, SheriffRun, Vtune,
-    VtuneConfig,
-};
+use laser_baselines::{Sheriff, SheriffFailure, SheriffMode, SheriffNative, SheriffRun, Vtune};
 use laser_core::{CellBudget, ContentionKind, LaserConfig, LaserError, StopReason, TopologySpec};
 use laser_machine::RunResult;
 use laser_workloads::{BuildOptions, WorkloadSpec};
 
-use crate::characterization::PebsAccuracyTool;
+use crate::characterization::score_case;
 use crate::config::CellConfig;
 use crate::runner::{build_under_tool, run_laser, run_native};
 
@@ -158,36 +157,6 @@ pub fn cell_key(tool_name: &str, topo: TopologySpec) -> String {
     }
 }
 
-/// A contention tool (or the absence of one) that can run a workload.
-///
-/// [`Tool::run`] takes the cell's whole [`CellConfig`] — the same value the
-/// cache fingerprints — and the tool deploys itself from it: build options
-/// adapted to the topology ([`CellConfig::adapted_opts`]), the machine
-/// ([`CellConfig::machine_config`]), the session pipeline and the budget
-/// ([`CellConfig::budget`]). A caller never keeps options and machine
-/// configuration in sync by hand.
-pub trait Tool: Send + Sync {
-    /// Stable display name, used (decorated with the deployment by
-    /// [`CellConfig::cell_key`]) as the cell key in campaign results.
-    fn name(&self) -> &str;
-
-    /// Build and run `spec` under this tool as `cell` configures it.
-    ///
-    /// A budgeted LASER session stops at the first quantum past the budget;
-    /// the native, VTune and Figure 3 tools hold their finished run's step
-    /// count to the same rule ([`CellBudget::check`]), so a budget can mark
-    /// them over budget but not shorten them. (The Sheriff model exposes no
-    /// step counter, so no budget catches a Sheriff cell.) The pipeline
-    /// deployment is an *execution strategy*, not a measurement change, so
-    /// tools without a detector stage to move ignore it.
-    ///
-    /// # Errors
-    /// Returns [`ToolFailure::Unsupported`] when the tool cannot run the
-    /// workload, [`ToolFailure::Error`] when the simulation fails and
-    /// [`ToolFailure::BudgetExceeded`] when the budget stopped the run.
-    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure>;
-}
-
 /// A native run of `spec` as `cell` deploys it, held to the cell's budget.
 fn native_run(spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
     let result = run_native(spec, cell).map_err(|e| ToolFailure::Error(e.to_string()))?;
@@ -205,101 +174,18 @@ fn native_cell(result: &RunResult, budget: CellBudget) -> Result<ToolRun, ToolFa
     })
 }
 
-/// Native execution: no tool attached; the baseline every overhead figure is
-/// normalized against.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NativeTool;
-
-impl Tool for NativeTool {
-    fn name(&self) -> &str {
-        "native"
-    }
-
-    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-        native_run(spec, cell)
-    }
-}
-
-/// Native execution of the manually-fixed binary variant (padding/alignment/
-/// restructuring applied by hand, as in Figures 11 and 14). Only meaningful
-/// for workloads with `has_fix`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FixedNativeTool;
-
-impl Tool for FixedNativeTool {
-    fn name(&self) -> &str {
-        "native-fixed"
-    }
-
-    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-        let opts = BuildOptions {
-            fixed: true,
-            ..cell.opts.clone()
-        };
-        native_run(
-            spec,
-            &CellConfig {
-                opts: &opts,
-                ..*cell
-            },
-        )
-    }
-}
-
-/// The LASER system (detection, and repair when the configuration allows it).
-#[derive(Debug, Clone)]
-pub struct LaserTool {
+/// A LASER run of `spec` under `config` as `cell` deploys it.
+fn laser_run(
+    spec: &WorkloadSpec,
+    cell: &CellConfig,
     config: LaserConfig,
-    name: String,
-}
-
-impl Default for LaserTool {
-    fn default() -> Self {
-        LaserTool::new(LaserConfig::default())
-    }
-}
-
-impl LaserTool {
-    /// Run LASER with `config` (e.g. [`LaserConfig::detection_only`]). The
-    /// tool is named `laser` when repair is enabled, `laser-detect` otherwise.
-    pub fn new(config: LaserConfig) -> Self {
-        let name = if config.enable_repair {
-            "laser"
-        } else {
-            "laser-detect"
-        };
-        LaserTool::named(config, name)
-    }
-
-    /// Run LASER with `config` under an explicit cell-key name. Campaign cells
-    /// are keyed by tool name, so variant configurations sharing a grid (the
-    /// Figure 13 SAV sweep, Figure 9's unfiltered detector) need distinct
-    /// names.
-    pub fn named(config: LaserConfig, name: impl Into<String>) -> Self {
-        LaserTool {
-            config,
-            name: name.into(),
-        }
-    }
-}
-
-impl Tool for LaserTool {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-        let outcome = run_laser(spec, cell, self.config.clone()).map_err(laser_failure)?;
-        Ok(laser_outcome_to_tool_run(outcome))
-    }
-}
-
-/// The cell failure of a LASER run that did not finish.
-fn laser_failure(e: LaserError) -> ToolFailure {
-    match e {
-        LaserError::Stopped(reason) => reason.into(),
-        other => ToolFailure::Error(other.to_string()),
-    }
+) -> Result<ToolRun, ToolFailure> {
+    run_laser(spec, cell, config)
+        .map(laser_outcome_to_tool_run)
+        .map_err(|e| match e {
+            LaserError::Stopped(reason) => reason.into(),
+            other => ToolFailure::Error(other.to_string()),
+        })
 }
 
 /// Project a finished LASER run onto the tool-neutral [`ToolRun`] shape.
@@ -328,87 +214,44 @@ fn laser_outcome_to_tool_run(outcome: laser_core::LaserOutcome) -> ToolRun {
     }
 }
 
-/// The VTune profiler model.
-#[derive(Debug, Clone, Default)]
-pub struct VtuneTool {
-    config: VtuneConfig,
+/// A VTune profile of `spec` as `cell` deploys it, held to the cell's
+/// budget.
+fn vtune_run(spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
+    let image = build_under_tool(spec, &cell.adapted_opts());
+    let outcome = Vtune::default()
+        .run_on(&image, cell.machine_config())
+        .map_err(|e| ToolFailure::Error(e.to_string()))?;
+    cell.budget.check(outcome.run.steps)?;
+    Ok(ToolRun {
+        cycles: outcome.run.cycles,
+        reported: outcome
+            .reported_lines
+            .iter()
+            .map(|l| ReportedLine {
+                label: l.location.label(),
+                file: Some(l.location.file.clone()),
+                line: Some(l.location.line),
+                kind: None,
+                hitm_records: l.records,
+                rate_per_sec: l.rate_per_sec,
+            })
+            .collect(),
+        hitm_events: outcome.run.stats.hitm_events,
+        hitm_remote: outcome.run.stats.hitm_remote,
+        ..ToolRun::default()
+    })
 }
 
-impl VtuneTool {
-    /// Run VTune with an explicit configuration.
-    pub fn new(config: VtuneConfig) -> Self {
-        VtuneTool { config }
-    }
-}
-
-impl Tool for VtuneTool {
-    fn name(&self) -> &str {
-        "vtune"
-    }
-
-    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-        let image = build_under_tool(spec, &cell.adapted_opts());
-        let outcome = Vtune::new(self.config.clone())
-            .run_on(&image, cell.machine_config())
-            .map_err(|e| ToolFailure::Error(e.to_string()))?;
-        cell.budget.check(outcome.run.steps)?;
-        Ok(ToolRun {
-            cycles: outcome.run.cycles,
-            reported: outcome
-                .reported_lines
-                .iter()
-                .map(|l| ReportedLine {
-                    label: l.location.label(),
-                    file: Some(l.location.file.clone()),
-                    line: Some(l.location.line),
-                    kind: None,
-                    hitm_records: l.records,
-                    rate_per_sec: l.rate_per_sec,
-                })
-                .collect(),
-            hitm_events: outcome.run.stats.hitm_events,
-            hitm_remote: outcome.run.stats.hitm_remote,
-            ..ToolRun::default()
-        })
-    }
-}
-
-/// The Sheriff baseline in either mode.
-#[derive(Debug, Clone)]
-pub struct SheriffTool {
-    config: SheriffConfig,
+/// A Sheriff run of `spec` in `mode` as `cell` deploys it.
+fn sheriff_run(
+    spec: &WorkloadSpec,
+    cell: &CellConfig,
     mode: SheriffMode,
-}
-
-impl SheriffTool {
-    /// Sheriff with the default cost model in `mode`.
-    pub fn new(mode: SheriffMode) -> Self {
-        SheriffTool {
-            config: SheriffConfig::default(),
-            mode,
-        }
-    }
-
-    /// Sheriff with an explicit cost model.
-    pub fn with_config(config: SheriffConfig, mode: SheriffMode) -> Self {
-        SheriffTool { config, mode }
-    }
-}
-
-impl Tool for SheriffTool {
-    fn name(&self) -> &str {
-        match self.mode {
-            SheriffMode::Detect => "sheriff-detect",
-            SheriffMode::Protect => "sheriff-protect",
-        }
-    }
-
-    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-        let outcome = Sheriff::new(self.config)
-            .run_on(spec, &cell.adapted_opts(), self.mode, cell.machine_config())
-            .map_err(|e| ToolFailure::Error(e.to_string()))?;
-        sheriff_cell(outcome.result)
-    }
+) -> Result<ToolRun, ToolFailure> {
+    let outcome = Sheriff::default()
+        .run_on(spec, &cell.adapted_opts(), mode, cell.machine_config())
+        .map_err(|e| ToolFailure::Error(e.to_string()))?;
+    sheriff_cell(outcome.result)
 }
 
 /// The Sheriff cell of the model's verdict. The model reports no
@@ -433,9 +276,11 @@ fn sheriff_cell(result: Result<SheriffRun, SheriffFailure>) -> Result<ToolRun, T
     })
 }
 
-/// Machine-readable identity of a tool configuration: the key under which a
-/// [`crate::grid::Grid`] caches cells, and a factory for the corresponding
-/// [`Tool`] instance. `key()` always equals `build().name()`.
+/// A whole tool configuration. Its key ([`ToolSpec::key`]) is what a
+/// [`crate::grid::Grid`] and the cell cache file a cell under, and the spec
+/// is all [`ToolSpec::run`] needs to run the cell. The set is closed: the
+/// paper's tools (native, the manual fix, LASER and LASERDETECT, VTune,
+/// Sheriff-Detect and Sheriff-Protect) and Figure 3's scoring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ToolSpec {
     /// Un-instrumented baseline.
@@ -458,8 +303,10 @@ pub enum ToolSpec {
     SheriffDetect,
     /// Sheriff-Protect.
     SheriffProtect,
-    /// The Figure 3 scoring of a characterization case's HITM records
-    /// ([`PebsAccuracyTool`]).
+    /// The Figure 3 scoring of a characterization case's HITM records:
+    /// sampling off, every ground-truth HITM event of the case passes
+    /// through the imprecision model, and the cell counts the records that
+    /// keep the right address and PC. Any other workload is an error cell.
     PebsAccuracy,
 }
 
@@ -469,7 +316,7 @@ impl ToolSpec {
         cell_key(&self.key(), topo)
     }
 
-    /// The stable cell key: identical to the built tool's `name()`.
+    /// The stable cell key, which names the whole configuration.
     pub fn key(&self) -> String {
         match self {
             ToolSpec::Native => "native".to_string(),
@@ -477,7 +324,7 @@ impl ToolSpec {
             ToolSpec::Laser => "laser".to_string(),
             ToolSpec::LaserDetect => "laser-detect".to_string(),
             ToolSpec::LaserDetectRaw => "laser-detect-raw".to_string(),
-            ToolSpec::LaserDetectSav(sav) => format!("laser-detect-sav{sav}"),
+            ToolSpec::LaserDetectSav(sav) => format!("{SAV_PREFIX}{sav}"),
             ToolSpec::Vtune => "vtune".to_string(),
             ToolSpec::SheriffDetect => "sheriff-detect".to_string(),
             ToolSpec::SheriffProtect => "sheriff-protect".to_string(),
@@ -486,46 +333,79 @@ impl ToolSpec {
     }
 
     /// Parse a stable cell key back into its spec — the exact inverse of
-    /// [`ToolSpec::key`], including the parameterized
-    /// `laser-detect-sav{N}` family for every `N >= 1` (a PMU cannot sample
-    /// at SAV 0). Scenario files name tools with these keys.
+    /// [`ToolSpec::key`]: a spec with a fixed key, or the
+    /// parameterized `laser-detect-sav{N}` family for every `N >= 1` (a PMU
+    /// cannot sample at SAV 0). Scenario files name tools with these keys.
     pub fn parse(key: &str) -> Option<ToolSpec> {
-        match key {
-            "native" => Some(ToolSpec::Native),
-            "native-fixed" => Some(ToolSpec::NativeFixed),
-            "laser" => Some(ToolSpec::Laser),
-            "laser-detect" => Some(ToolSpec::LaserDetect),
-            "laser-detect-raw" => Some(ToolSpec::LaserDetectRaw),
-            "vtune" => Some(ToolSpec::Vtune),
-            "sheriff-detect" => Some(ToolSpec::SheriffDetect),
-            "sheriff-protect" => Some(ToolSpec::SheriffProtect),
-            "pebs-accuracy" => Some(ToolSpec::PebsAccuracy),
-            _ => {
-                let sav = key.strip_prefix("laser-detect-sav")?;
-                // Reject non-canonical spellings ("sav007") so parse(key())
-                // round-trips exactly and nothing else is accepted.
-                let value: u32 = sav.parse().ok()?;
-                if value == 0 || value.to_string() != sav {
-                    return None;
-                }
-                Some(ToolSpec::LaserDetectSav(value))
-            }
+        if let Some(spec) = FIXED_SPECS.into_iter().find(|spec| spec.key() == key) {
+            return Some(spec);
         }
+        let sav = key.strip_prefix(SAV_PREFIX)?;
+        // Reject non-canonical spellings ("sav007") so parse(key())
+        // round-trips exactly and nothing else is accepted.
+        let value: u32 = sav.parse().ok()?;
+        if value == 0 || value.to_string() != sav {
+            return None;
+        }
+        Some(ToolSpec::LaserDetectSav(value))
     }
 
-    /// Instantiate the tool this spec describes.
-    pub fn build(&self) -> Box<dyn Tool> {
+    /// Every key [`ToolSpec::parse`] accepts, as an error message lists
+    /// them: the fixed keys, then the SAV family.
+    pub(crate) fn expected_keys() -> String {
+        let fixed: Vec<String> = FIXED_SPECS.iter().map(ToolSpec::key).collect();
+        format!("{}, or {SAV_PREFIX}N for N >= 1", fixed.join(", "))
+    }
+
+    /// Run `spec` under this tool, on a simulation of its own, as `cell`
+    /// configures it: build options adapted to the topology
+    /// ([`CellConfig::adapted_opts`]), the machine
+    /// ([`CellConfig::machine_config`]), the session pipeline and the budget
+    /// ([`CellConfig::budget`]). A campaign derives the cells of one
+    /// workload that can share a simulation from one run (`SharedRuns`);
+    /// each such cell equals this one.
+    ///
+    /// A budgeted LASER session stops at the first quantum past the budget;
+    /// the native, VTune and Figure 3 runs hold their finished step count to
+    /// the same rule ([`CellBudget::check`]), so a budget can mark them over
+    /// budget but not shorten them. (The Sheriff model exposes no step
+    /// counter, so no budget catches a Sheriff cell.) The pipeline is an
+    /// execution strategy, not a measurement change, so runs without a
+    /// detector stage to move ignore it.
+    ///
+    /// # Errors
+    /// Returns [`ToolFailure::Unsupported`] when the tool cannot run the
+    /// workload, [`ToolFailure::Error`] when the simulation fails and
+    /// [`ToolFailure::BudgetExceeded`] when the budget stopped the run.
+    pub fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
         if let Some(config) = self.laser_config() {
-            return Box::new(LaserTool::named(config, self.key()));
+            return laser_run(spec, cell, config);
         }
         match self {
-            ToolSpec::NativeFixed => Box::new(FixedNativeTool),
-            ToolSpec::Vtune => Box::new(VtuneTool::default()),
-            ToolSpec::SheriffDetect => Box::new(SheriffTool::new(SheriffMode::Detect)),
-            ToolSpec::SheriffProtect => Box::new(SheriffTool::new(SheriffMode::Protect)),
-            ToolSpec::PebsAccuracy => Box::new(PebsAccuracyTool),
+            ToolSpec::NativeFixed => {
+                let opts = BuildOptions {
+                    fixed: true,
+                    ..cell.opts.clone()
+                };
+                native_run(
+                    spec,
+                    &CellConfig {
+                        opts: &opts,
+                        ..*cell
+                    },
+                )
+            }
+            ToolSpec::Vtune => vtune_run(spec, cell),
+            ToolSpec::SheriffDetect => sheriff_run(spec, cell, SheriffMode::Detect),
+            ToolSpec::SheriffProtect => sheriff_run(spec, cell, SheriffMode::Protect),
+            ToolSpec::PebsAccuracy => {
+                let case = spec.characterization().ok_or_else(|| {
+                    ToolFailure::Error(format!("{} is not a characterization case", spec.name))
+                })?;
+                score_case(case, cell.machine_config(), cell.budget)
+            }
             // `Native`: every LASER spec has a configuration.
-            _ => Box::new(NativeTool),
+            _ => native_run(spec, cell),
         }
     }
 
@@ -565,6 +445,23 @@ impl ToolSpec {
     }
 }
 
+/// Every spec with a fixed key, in the order [`ToolSpec::expected_keys`]
+/// lists them; every other spec is a `laser-detect-sav{N}`.
+const FIXED_SPECS: [ToolSpec; 9] = [
+    ToolSpec::Native,
+    ToolSpec::NativeFixed,
+    ToolSpec::Laser,
+    ToolSpec::LaserDetect,
+    ToolSpec::LaserDetectRaw,
+    ToolSpec::Vtune,
+    ToolSpec::SheriffDetect,
+    ToolSpec::SheriffProtect,
+    ToolSpec::PebsAccuracy,
+];
+
+/// The key prefix of the `laser-detect-sav{N}` family.
+const SAV_PREFIX: &str = "laser-detect-sav";
+
 /// The tool panel of `experiments campaign`: native, LASER, VTune and both
 /// Sheriff modes — every column of the paper's comparison tables.
 pub(crate) const DEFAULT_PANEL: [ToolSpec; 5] = [
@@ -592,8 +489,7 @@ pub(crate) const DEFAULT_PANEL: [ToolSpec; 5] = [
 ///   arithmetic on it ([`Sheriff::project`]), with Sheriff-Detect's writer
 ///   aggregation folded in batch by batch while it runs.
 ///
-/// A cell whose spec shares nothing — or a caller-supplied tool, which has
-/// no spec — runs its own tool.
+/// A cell whose spec shares nothing runs on its own ([`ToolSpec::run`]).
 #[derive(Debug, Default)]
 pub(crate) struct SharedRuns {
     /// Whether the native run feeds Sheriff-Detect's writer aggregation.
@@ -608,14 +504,13 @@ pub(crate) struct SharedRuns {
 }
 
 impl SharedRuns {
-    /// The shared runs of a group on `workload` whose cells are lowered
-    /// from `members` (`None` for a caller-supplied tool).
+    /// The shared runs of a group on `workload` whose cells run `members`.
     pub(crate) fn new(
         workload: &WorkloadSpec,
-        mut members: impl Iterator<Item = Option<ToolSpec>>,
+        mut members: impl Iterator<Item = ToolSpec>,
     ) -> Self {
         SharedRuns {
-            observe_writers: members.any(|spec| spec == Some(ToolSpec::SheriffDetect))
+            observe_writers: members.any(|spec| spec == ToolSpec::SheriffDetect)
                 && Sheriff::compatibility(workload).is_ok(),
             ..SharedRuns::default()
         }
@@ -626,23 +521,22 @@ impl SharedRuns {
         self.simulations
     }
 
-    /// The cell of `tool` — lowered from `spec`, if it came from one — on
-    /// `workload` as `cell` configures it: [`Tool::run`]'s result, derived
-    /// from the group's shared simulations where the spec allows.
+    /// The cell of `spec` on `workload` as `cell` configures it:
+    /// [`ToolSpec::run`]'s result, derived from the group's shared
+    /// simulations where the spec has one.
     ///
     /// # Errors
-    /// As [`Tool::run`].
+    /// As [`ToolSpec::run`].
     pub(crate) fn run(
         &mut self,
-        spec: Option<ToolSpec>,
-        tool: &dyn Tool,
+        spec: ToolSpec,
         workload: &WorkloadSpec,
         cell: &CellConfig,
     ) -> Result<ToolRun, ToolFailure> {
-        let Some(spec) = spec.filter(|s| s.simulation().is_some()) else {
+        if spec.simulation().is_none() {
             self.simulations += 1;
-            return tool.run(workload, cell);
-        };
+            return spec.run(workload, cell);
+        }
         if let Some(config) = spec.laser_config() {
             return self.laser(config, workload, cell);
         }
@@ -679,10 +573,7 @@ impl SharedRuns {
                     &mut self.detected
                 };
                 simulate(slot, &mut self.simulations, || {
-                    let config = config.with_rate_threshold(0.0);
-                    run_laser(workload, cell, config)
-                        .map(laser_outcome_to_tool_run)
-                        .map_err(laser_failure)
+                    laser_run(workload, cell, config.with_rate_threshold(0.0))
                 })?
                 .clone()
             }
@@ -729,7 +620,7 @@ mod tests {
     /// Run `tool` on `spec` as the flat inline cell at scale 0.08, with
     /// `budget` and `pipeline` overriding its defaults.
     fn run_cell(
-        tool: &dyn Tool,
+        tool: ToolSpec,
         spec: &WorkloadSpec,
         budget: CellBudget,
         pipeline: PipelineConfig,
@@ -740,12 +631,12 @@ mod tests {
             &CellConfig {
                 budget,
                 pipeline,
-                ..CellConfig::flat(spec.name, tool.name(), &opts)
+                ..CellConfig::flat(spec.name, &tool.key(), &opts)
             },
         )
     }
 
-    fn run(tool: &dyn Tool, spec: &WorkloadSpec) -> Result<ToolRun, ToolFailure> {
+    fn run(tool: ToolSpec, spec: &WorkloadSpec) -> Result<ToolRun, ToolFailure> {
         run_cell(tool, spec, CellBudget::default(), PipelineConfig::default())
     }
 
@@ -785,21 +676,73 @@ mod tests {
     }
 
     #[test]
+    fn the_expected_keys_are_exactly_the_keys_that_parse() {
+        let expected = ToolSpec::expected_keys();
+        // Every fixed key is listed, `pebs-accuracy` among them...
+        for spec in FIXED_SPECS {
+            assert!(
+                expected.split(", ").any(|k| k == spec.key()),
+                "{} missing from {expected:?}",
+                spec.key()
+            );
+        }
+        assert!(expected.contains("pebs-accuracy"), "{expected}");
+        // ...and every key listed parses, the SAV family at any N >= 1.
+        for key in expected.split(", ") {
+            let key = key.strip_prefix("or ").unwrap_or(key);
+            let key = match key.strip_suffix("N for N >= 1") {
+                Some(prefix) => format!("{prefix}19"),
+                None => key.to_string(),
+            };
+            assert!(ToolSpec::parse(&key).is_some(), "{key:?} is listed");
+        }
+        assert_eq!(
+            expected.split(", ").count(),
+            FIXED_SPECS.len() + 1,
+            "{expected}"
+        );
+    }
+
+    #[test]
+    fn a_cell_key_names_its_whole_tool() {
+        let specs = FIXED_SPECS
+            .into_iter()
+            .chain((1..=32).map(ToolSpec::LaserDetectSav));
+        let opts = BuildOptions::scaled(0.4);
+        let mut fingerprints = std::collections::BTreeMap::new();
+        for spec in specs {
+            let key = spec.key();
+            for topology in TopologySpec::ALL {
+                let cell = CellConfig {
+                    topology,
+                    ..CellConfig::flat("histogram'", &key, &opts)
+                };
+                let canonical = cell.canonical();
+                let tool = canonical
+                    .lines()
+                    .find_map(|line| line.strip_prefix("tool="))
+                    .expect("a tool= line");
+                assert_eq!(ToolSpec::parse(tool), Some(spec), "{canonical}");
+                let previous =
+                    fingerprints.insert(crate::cache::fingerprint(&cell), (spec, topology));
+                assert_eq!(previous, None, "{spec:?} at {topology} collides");
+            }
+        }
+        assert_eq!(fingerprints.len(), (FIXED_SPECS.len() + 32) * 4);
+    }
+
+    #[test]
     fn tools_are_share_and_send() {
         fn assert_sync_send<T: Send + Sync>() {}
-        assert_sync_send::<NativeTool>();
-        assert_sync_send::<FixedNativeTool>();
-        assert_sync_send::<LaserTool>();
-        assert_sync_send::<VtuneTool>();
-        assert_sync_send::<SheriffTool>();
-        assert_sync_send::<PebsAccuracyTool>();
-        assert_sync_send::<Box<dyn Tool>>();
+        assert_sync_send::<ToolSpec>();
+        assert_sync_send::<ToolRun>();
+        assert_sync_send::<ToolFailure>();
     }
 
     #[test]
     fn native_runs_and_reports_nothing() {
         let spec = find("swaptions").unwrap();
-        let run = run(&NativeTool, &spec).unwrap();
+        let run = run(ToolSpec::Native, &spec).unwrap();
         assert!(run.cycles > 0);
         assert!(run.reported.is_empty());
         assert!(!run.repair_invoked);
@@ -810,8 +753,8 @@ mod tests {
     fn fixed_native_beats_buggy_native_where_a_fix_exists() {
         let spec = find("linear_regression").unwrap();
         assert!(spec.has_fix);
-        let buggy = run(&NativeTool, &spec).unwrap();
-        let fixed = run(&FixedNativeTool, &spec).unwrap();
+        let buggy = run(ToolSpec::Native, &spec).unwrap();
+        let fixed = run(ToolSpec::NativeFixed, &spec).unwrap();
         assert!(
             fixed.cycles < buggy.cycles,
             "{} vs {}",
@@ -823,8 +766,8 @@ mod tests {
     #[test]
     fn laser_tool_reports_contention_with_overhead() {
         let spec = find("histogram'").unwrap();
-        let native = run(&NativeTool, &spec).unwrap();
-        let laser = run(&LaserTool::new(LaserConfig::detection_only()), &spec).unwrap();
+        let native = run(ToolSpec::Native, &spec).unwrap();
+        let laser = run(ToolSpec::LaserDetect, &spec).unwrap();
         assert!(laser.cycles >= native.cycles);
         assert!(!laser.reported.is_empty(), "histogram' contends");
         let first = &laser.reported[0];
@@ -838,7 +781,7 @@ mod tests {
     #[test]
     fn sheriff_tool_surfaces_incompatibility() {
         let spec = find("dedup").unwrap();
-        let out = run(&SheriffTool::new(SheriffMode::Detect), &spec);
+        let out = run(ToolSpec::SheriffDetect, &spec);
         assert_eq!(
             out,
             Err(ToolFailure::Unsupported(SheriffFailure::Incompatible))
@@ -847,30 +790,10 @@ mod tests {
 
     #[test]
     fn tool_names_are_distinct() {
-        let tools: Vec<_> = DEFAULT_PANEL.iter().map(ToolSpec::build).collect();
-        let mut names: Vec<&str> = tools.iter().map(|t| t.name()).collect();
+        let mut names: Vec<String> = DEFAULT_PANEL.iter().map(ToolSpec::key).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), tools.len());
-    }
-
-    #[test]
-    fn tool_spec_keys_match_built_tool_names() {
-        let specs = [
-            ToolSpec::Native,
-            ToolSpec::NativeFixed,
-            ToolSpec::Laser,
-            ToolSpec::LaserDetect,
-            ToolSpec::LaserDetectRaw,
-            ToolSpec::LaserDetectSav(7),
-            ToolSpec::Vtune,
-            ToolSpec::SheriffDetect,
-            ToolSpec::SheriffProtect,
-            ToolSpec::PebsAccuracy,
-        ];
-        for spec in specs {
-            assert_eq!(spec.key(), spec.build().name(), "{spec:?}");
-        }
+        assert_eq!(names.len(), DEFAULT_PANEL.len());
     }
 
     #[test]
@@ -920,7 +843,7 @@ mod tests {
     fn laser_tool_is_cancelled_mid_flight_by_a_step_budget() {
         let spec = find("histogram'").unwrap();
         let out = run_cell(
-            &LaserTool::new(LaserConfig::detection_only()),
+            ToolSpec::LaserDetect,
             &spec,
             CellBudget::steps(5_000),
             PipelineConfig::default(),
@@ -936,7 +859,7 @@ mod tests {
     #[test]
     fn pipelined_laser_cell_is_byte_identical_to_inline() {
         let spec = find("histogram'").unwrap();
-        let piped = |tool: &dyn Tool| {
+        let piped = |tool| {
             run_cell(
                 tool,
                 &spec,
@@ -945,15 +868,14 @@ mod tests {
             )
             .unwrap()
         };
-        let laser = LaserTool::new(LaserConfig::detection_only());
-        let inline = run(&laser, &spec).unwrap();
-        assert_eq!(inline, piped(&laser));
-
-        // The trait-object path the campaign runner uses agrees too.
-        assert_eq!(piped(ToolSpec::LaserDetect.build().as_ref()), inline);
+        let inline = run(ToolSpec::LaserDetect, &spec).unwrap();
+        assert_eq!(inline, piped(ToolSpec::LaserDetect));
 
         // Tools without a detector stage accept (and ignore) the deployment.
-        assert_eq!(piped(&NativeTool), run(&NativeTool, &spec).unwrap());
+        assert_eq!(
+            piped(ToolSpec::Native),
+            run(ToolSpec::Native, &spec).unwrap()
+        );
     }
 
     #[test]
@@ -961,7 +883,7 @@ mod tests {
         let spec = find("swaptions").unwrap();
         let budgeted = |steps| {
             run_cell(
-                &NativeTool,
+                ToolSpec::Native,
                 &spec,
                 CellBudget::steps(steps),
                 PipelineConfig::default(),
@@ -977,7 +899,7 @@ mod tests {
         ));
         // A generous budget changes nothing about the run.
         assert_eq!(
-            run(&NativeTool, &spec).unwrap(),
+            run(ToolSpec::Native, &spec).unwrap(),
             budgeted(u64::MAX).unwrap()
         );
     }

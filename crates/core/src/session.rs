@@ -1617,7 +1617,7 @@ mod tests {
         ];
         for name in programs {
             let spec = laser_workloads::find(name).unwrap();
-            let image = laser_bench::runner::build_under_tool(&spec, &opts);
+            let image = spec.build(&opts);
             let build = |pipeline: PipelineConfig| {
                 Laser::builder()
                     .config(config.clone())
@@ -1739,67 +1739,5 @@ mod tests {
             quanta < quanta_in_run / 2,
             "surfaced after {quanta} of {quanta_in_run} quanta"
         );
-    }
-
-    /// LASERDETECT through `laser-bench`, except that the session of one
-    /// workload's cell gets a dying worker.
-    struct DyingWorkerTool {
-        inner: Box<dyn laser_bench::Tool>,
-        victim: &'static str,
-    }
-
-    impl laser_bench::Tool for DyingWorkerTool {
-        fn name(&self) -> &str {
-            self.inner.name()
-        }
-
-        fn run(
-            &self,
-            spec: &laser_workloads::WorkloadSpec,
-            cell: &laser_bench::CellConfig,
-        ) -> Result<laser_bench::ToolRun, laser_bench::ToolFailure> {
-            if spec.name != self.victim {
-                return self.inner.run(spec, cell);
-            }
-            let image = spec.build(&cell.adapted_opts());
-            let session = session_with_dying_worker(&image, &Arc::new(()));
-            let outcome = session.run();
-            unreachable!("the worker's panic unwinds run(): {outcome:?}")
-        }
-    }
-
-    #[test]
-    fn a_dying_worker_costs_a_campaign_one_cell() {
-        // `laser_bench` links the non-test build of this crate, so its
-        // `PipelineConfig` is named through it.
-        let campaign = |tool: Box<dyn laser_bench::Tool>| {
-            laser_bench::Campaign::new(laser_workloads::registry(), vec![tool])
-                .with_workload_names(&["histogram'", "swaptions", "kmeans"])
-                .unwrap()
-                .with_options(laser_workloads::BuildOptions::scaled(1.0))
-                .with_pipeline(laser_bench::PipelineConfig::pipelined())
-                .with_threads(2)
-                .run()
-        };
-        let detect = || laser_bench::ToolSpec::LaserDetect.build();
-        let clean = campaign(detect());
-        let faulty = campaign(Box::new(DyingWorkerTool {
-            inner: detect(),
-            victim: "histogram'",
-        }));
-        assert_eq!(clean.cells.len(), 3);
-        assert!(clean.cells.iter().all(|c| c.outcome.is_ok()));
-        for (clean, faulty) in clean.cells.iter().zip(&faulty.cells) {
-            if clean.workload == "histogram'" {
-                assert_eq!(
-                    faulty.outcome,
-                    Err(laser_bench::ToolFailure::Panicked {
-                        message: WORKER_PANIC.to_string()
-                    })
-                );
-            } else {
-                assert_eq!(clean, faulty);
-            }
-        }
     }
 }

@@ -8,15 +8,15 @@
 //! rerun against a warm cache streams every cell back as a hit and produces
 //! the identical aggregate document.
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use laser_bench::{
-    run_scenario, Campaign, CampaignConfig, CellBudget, CellCache, Emit, LaserTool, NativeTool,
-    Scenario, ServiceOptions, Tool, TopologySpec, CACHE_SALT,
+    run_scenario, Campaign, CampaignConfig, CellBudget, CellCache, Emit, Scenario, ServiceOptions,
+    ToolSpec, TopologySpec, CACHE_SALT,
 };
-use laser_core::LaserConfig;
 use laser_workloads::{registry, BuildOptions};
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -25,19 +25,34 @@ fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("laser-cache-it-{}-{tag}-{n}", std::process::id()))
 }
 
-fn tools() -> Vec<Box<dyn Tool>> {
-    vec![
-        Box::new(NativeTool),
-        Box::new(LaserTool::new(LaserConfig::detection_only())),
-    ]
+/// Native and LASERDETECT on `histogram'` and `swaptions`, workload-major,
+/// under `config`.
+fn campaign_under(config: CampaignConfig) -> Campaign {
+    let workloads = registry();
+    let topology = config.topology;
+    let requests = workloads
+        .iter()
+        .filter(|w| ["histogram'", "swaptions"].contains(&w.name))
+        .flat_map(|w| [ToolSpec::Native, ToolSpec::LaserDetect].map(|tool| (w, tool, topology)));
+    Campaign::from_requests(requests, config)
 }
 
-fn campaign(threads: usize) -> Campaign {
-    Campaign::new(registry(), tools())
-        .with_workload_names(&["histogram'", "swaptions"])
-        .expect("known workload names")
-        .with_options(BuildOptions::scaled(0.08))
-        .with_threads(threads)
+/// [`campaign_under`] at scale 0.08 on `threads` workers, with `deploy`
+/// applied to the config.
+fn campaign(threads: usize, deploy: impl FnOnce(&mut CampaignConfig)) -> Campaign {
+    let mut config = CampaignConfig {
+        opts: BuildOptions::scaled(0.08),
+        threads: NonZeroUsize::new(threads),
+        ..CampaignConfig::default()
+    };
+    deploy(&mut config);
+    campaign_under(config)
+}
+
+/// Deploy a campaign with `cache`.
+fn cached(cache: &Arc<CellCache>) -> impl FnOnce(&mut CampaignConfig) {
+    let cache = Arc::clone(cache);
+    move |config| config.cache = Some(cache)
 }
 
 /// All three output formats of a campaign result, for byte comparison.
@@ -51,7 +66,7 @@ fn warm_cache_rerun_is_byte_identical_in_every_format_and_simulates_nothing() {
 
     // Cold run: everything simulates, everything is stored.
     let cold_cache = Arc::new(CellCache::open(&dir).expect("cache dir"));
-    let cold = campaign(2).with_cache(Arc::clone(&cold_cache)).run();
+    let cold = campaign(2, cached(&cold_cache)).run();
     let cells = cold.cells.len() as u64;
     assert_eq!(cold_cache.stats().hits, 0);
     assert_eq!(cold_cache.stats().simulated(), cells);
@@ -60,7 +75,7 @@ fn warm_cache_rerun_is_byte_identical_in_every_format_and_simulates_nothing() {
     // Warm run through a fresh handle (a new process over the same
     // directory): zero cells simulate...
     let warm_cache = Arc::new(CellCache::open(&dir).expect("cache dir"));
-    let warm = campaign(2).with_cache(Arc::clone(&warm_cache)).run();
+    let warm = campaign(2, cached(&warm_cache)).run();
     assert_eq!(warm_cache.stats().hits, cells);
     assert_eq!(warm_cache.stats().simulated(), 0);
     assert_eq!(warm_cache.stats().stored, 0);
@@ -68,7 +83,7 @@ fn warm_cache_rerun_is_byte_identical_in_every_format_and_simulates_nothing() {
     // ...and every output format is byte-identical, cold vs warm vs uncached.
     assert_eq!(cold.cells, warm.cells);
     assert_eq!(formats(&cold), formats(&warm));
-    let uncached = campaign(2).run();
+    let uncached = campaign(2, |_| {}).run();
     assert_eq!(formats(&uncached), formats(&warm));
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -77,21 +92,23 @@ fn warm_cache_rerun_is_byte_identical_in_every_format_and_simulates_nothing() {
 #[test]
 fn cache_covers_budgeted_and_multi_socket_cells() {
     let dir = scratch_dir("axes");
-    let shape = || {
-        campaign(2)
-            .with_cell_budget(CellBudget::steps(5_000))
-            .with_topology(TopologySpec::OctoSocket)
+    let shape = |cache: &Arc<CellCache>| {
+        campaign(2, |config| {
+            config.budget = CellBudget::steps(5_000);
+            config.topology = TopologySpec::OctoSocket;
+            cached(cache)(config);
+        })
     };
 
     let cold_cache = Arc::new(CellCache::open(&dir).expect("cache dir"));
-    let cold = shape().with_cache(Arc::clone(&cold_cache)).run();
+    let cold = shape(&cold_cache).run();
     // Step-budget trips are deterministic outcomes and cache like successes.
     assert!(cold.cells.iter().any(|c| c.status() == "budget-exceeded"));
     assert!(cold.cells.iter().all(|c| c.tool.ends_with("@8s")));
     assert_eq!(cold_cache.stats().stored, cold.cells.len() as u64);
 
     let warm_cache = Arc::new(CellCache::open(&dir).expect("cache dir"));
-    let warm = shape().with_cache(Arc::clone(&warm_cache)).run();
+    let warm = shape(&warm_cache).run();
     assert_eq!(warm_cache.stats().simulated(), 0);
     assert_eq!(formats(&cold), formats(&warm));
 
@@ -102,7 +119,7 @@ fn cache_covers_budgeted_and_multi_socket_cells() {
 fn salt_bump_invalidates_but_never_changes_output() {
     let dir = scratch_dir("salt");
     let first = Arc::new(CellCache::open(&dir).expect("cache dir"));
-    let cold = campaign(2).with_cache(Arc::clone(&first)).run();
+    let cold = campaign(2, cached(&first)).run();
 
     // A bumped salt treats every stored cell as stale: the rerun simulates
     // everything again (counted as invalidated, not missed) — and still
@@ -112,7 +129,7 @@ fn salt_bump_invalidates_but_never_changes_output() {
             .expect("cache dir")
             .with_salt(CACHE_SALT + 1),
     );
-    let rerun = campaign(2).with_cache(Arc::clone(&bumped)).run();
+    let rerun = campaign(2, cached(&bumped)).run();
     assert_eq!(bumped.stats().hits, 0);
     assert_eq!(bumped.stats().invalidated, cold.cells.len() as u64);
     assert_eq!(formats(&cold), formats(&rerun));
@@ -186,11 +203,7 @@ fn a_store_populated_through_the_flag_setters_serves_the_equivalent_scenario() {
     config.pipeline.enabled = true;
     config.set_budget_steps(200_000).expect("budget in range");
     config.cache = Some(Arc::new(CellCache::open(&dir).expect("cache dir")));
-    let cold = Campaign::new(registry(), tools())
-        .with_workload_names(&["histogram'", "swaptions"])
-        .expect("known workload names")
-        .with_config(config)
-        .run();
+    let cold = campaign_under(config).run();
 
     // The same knobs spelled as scenario keys reach the same fingerprints:
     // the service simulates nothing and aggregates the same bytes.

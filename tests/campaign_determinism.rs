@@ -5,28 +5,43 @@
 //! budgets are enabled, and including a single session's outcome, which is
 //! identical whether it runs inline, on a worker thread or pipelined.
 
-use laser_bench::{
-    Campaign, Emit, LaserTool, NativeTool, PipelineConfig, SheriffTool, Tool, TopologySpec,
-    VtuneTool,
-};
+use std::num::NonZeroUsize;
+
+use laser_bench::{Campaign, CampaignConfig, Emit, PipelineConfig, ToolSpec, TopologySpec};
 use laser_core::{CellBudget, Laser, LaserConfig, LaserOutcome, StopReason};
 use laser_workloads::{find, registry, BuildOptions};
 
-fn tools() -> Vec<Box<dyn Tool>> {
-    vec![
-        Box::new(NativeTool),
-        Box::new(LaserTool::new(LaserConfig::detection_only())),
-        Box::new(VtuneTool::default()),
-        Box::new(SheriffTool::new(laser_baselines::SheriffMode::Detect)),
-    ]
+const TOOLS: [ToolSpec; 4] = [
+    ToolSpec::Native,
+    ToolSpec::LaserDetect,
+    ToolSpec::Vtune,
+    ToolSpec::SheriffDetect,
+];
+
+/// Every tool of [`TOOLS`] on three workloads at scale 0.08, workload-major,
+/// on `threads` workers, with `deploy` applied to the config.
+fn campaign_with(threads: usize, deploy: impl FnOnce(&mut CampaignConfig)) -> Campaign {
+    let mut config = CampaignConfig {
+        opts: BuildOptions::scaled(0.08),
+        threads: NonZeroUsize::new(threads),
+        ..CampaignConfig::default()
+    };
+    deploy(&mut config);
+    let topology = config.topology;
+    let workloads = registry();
+    let requests = workloads
+        .iter()
+        .filter(|w| ["histogram'", "swaptions", "linear_regression"].contains(&w.name))
+        .flat_map(|w| TOOLS.map(|tool| (w, tool, topology)));
+    Campaign::from_requests(requests, config)
 }
 
 fn campaign(threads: usize) -> Campaign {
-    Campaign::new(registry(), tools())
-        .with_workload_names(&["histogram'", "swaptions", "linear_regression"])
-        .expect("known workload names")
-        .with_options(BuildOptions::scaled(0.08))
-        .with_threads(threads)
+    campaign_with(threads, |_| {})
+}
+
+fn piped(config: &mut CampaignConfig) {
+    config.pipeline = PipelineConfig::pipelined();
 }
 
 #[test]
@@ -92,8 +107,8 @@ fn pipelined_campaigns_are_byte_identical_to_inline_for_any_thread_count() {
     // inline reference — serial or fanned across workers, with the inline
     // serial run as the common baseline.
     let reference = campaign(1).run();
-    let piped_serial = campaign(1).with_pipeline(PipelineConfig::pipelined()).run();
-    let piped_parallel = campaign(8).with_pipeline(PipelineConfig::pipelined()).run();
+    let piped_serial = campaign_with(1, piped).run();
+    let piped_parallel = campaign_with(8, piped).run();
 
     assert_eq!(reference.cells, piped_serial.cells);
     assert_eq!(reference.cells, piped_parallel.cells);
@@ -151,12 +166,14 @@ fn topology_campaigns_are_byte_identical_across_thread_counts_and_pipelining() {
     // The topology axis composes with everything the campaign runner
     // guarantees: a 2-socket campaign aggregates and renders byte-identically
     // whatever the thread count, pipelined or inline, in all three formats.
-    let reference = campaign(1).with_topology(TopologySpec::DualSocket).run();
-    let parallel = campaign(8).with_topology(TopologySpec::DualSocket).run();
-    let piped = campaign(8)
-        .with_topology(TopologySpec::DualSocket)
-        .with_pipeline(PipelineConfig::pipelined())
-        .run();
+    let dual = |config: &mut CampaignConfig| config.topology = TopologySpec::DualSocket;
+    let reference = campaign_with(1, dual).run();
+    let parallel = campaign_with(8, dual).run();
+    let piped = campaign_with(8, |config| {
+        dual(config);
+        piped(config);
+    })
+    .run();
 
     assert_eq!(reference.cells, parallel.cells);
     assert_eq!(reference.cells, piped.cells);
@@ -186,11 +203,12 @@ fn pipelined_budgeted_campaigns_match_inline_budgeted_campaigns() {
     // not move, so the same cells trip the same budgets at the same points
     // whatever the execution mode or thread count.
     let budget = CellBudget::steps(10_000);
-    let inline = campaign(1).with_cell_budget(budget).run();
-    let piped = campaign(8)
-        .with_cell_budget(budget)
-        .with_pipeline(PipelineConfig::pipelined())
-        .run();
+    let inline = campaign_with(1, |config| config.budget = budget).run();
+    let piped = campaign_with(8, |config| {
+        config.budget = budget;
+        piped(config);
+    })
+    .run();
     assert_eq!(inline.cells, piped.cells);
     assert_eq!(inline.render(), piped.render());
     assert_eq!(inline.to_json().render(), piped.to_json().render());
@@ -209,17 +227,17 @@ fn three_stage_campaigns_at_lag_zero_are_byte_identical_to_inline() {
     // in every format — must come out byte-identical to the inline
     // reference.
     let budget = CellBudget::steps(10_000);
-    let piped = PipelineConfig::pipelined();
     for (reference, pipelined) in [
-        (campaign(1).run(), campaign(8).with_pipeline(piped).run()),
+        (campaign(1).run(), campaign_with(8, piped).run()),
         // Budgets read only the machine's step count, so the same cells
         // trip the same budgets at the same points.
         (
-            campaign(1).with_cell_budget(budget).run(),
-            campaign(8)
-                .with_pipeline(piped)
-                .with_cell_budget(budget)
-                .run(),
+            campaign_with(1, |config| config.budget = budget).run(),
+            campaign_with(8, |config| {
+                piped(config);
+                config.budget = budget;
+            })
+            .run(),
         ),
     ] {
         assert_eq!(reference.cells, pipelined.cells);
@@ -235,8 +253,8 @@ fn budgeted_campaigns_are_byte_identical_for_any_thread_count() {
     // aggregate identically — including the budget-exceeded cells — whatever
     // the thread count, in the text, JSON and CSV emissions alike.
     let budget = CellBudget::steps(10_000);
-    let serial = campaign(1).with_cell_budget(budget).run();
-    let parallel = campaign(8).with_cell_budget(budget).run();
+    let serial = campaign_with(1, |config| config.budget = budget).run();
+    let parallel = campaign_with(8, |config| config.budget = budget).run();
 
     assert_eq!(serial.cells, parallel.cells);
     assert_eq!(serial.render(), parallel.render());

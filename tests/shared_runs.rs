@@ -2,36 +2,21 @@
 //! one LASER session for a workload's `laser`, `laser-detect`,
 //! `laser-detect-raw` and `laser-detect-sav19` cells, and one native run for
 //! its `native` and Sheriff cells. This suite holds every such derived cell
-//! to the cell an unshared run produces: the same planned grids, re-run
-//! through opaque wrappers of the same tools, which a campaign cannot see
-//! through and so simulates once per cell. Inline and pipelined, at 1 and 4
+//! to the cell an unshared run produces: the same planned grids, every cell
+//! re-run on its own by `ToolSpec::run`. Inline and pipelined, at 1 and 4
 //! worker threads, unbudgeted and under step budgets that stop LASER cells
 //! before and after repair attaches.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use laser_bench::xsocket::plan_xsocket;
 use laser_bench::{
-    Campaign, CampaignConfig, CellBudget, CellConfig, CellResult, ExperimentScale, Grid,
-    PipelineConfig, Tool, ToolFailure, ToolRun, ToolSpec, TopologySpec, FIGURES,
+    CampaignConfig, CellBudget, CellResult, ExperimentScale, Grid, PipelineConfig, ToolFailure,
+    ToolSpec, TopologySpec, FIGURES,
 };
 use laser_core::{Laser, LaserConfig, SessionStatus};
 use laser_workloads::{characterization_cases, find, registry, BuildOptions, WorkloadSpec};
-
-/// A tool the campaign cannot see through: the wrapped tool, run on its
-/// own for every cell.
-struct Opaque(Box<dyn Tool>);
-
-impl Tool for Opaque {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn run(&self, spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-        self.0.run(spec, cell)
-    }
-}
 
 /// The planners of one grid.
 type Plan = fn(&mut Grid);
@@ -76,40 +61,47 @@ fn workloads_and_cases() -> Vec<WorkloadSpec> {
     workloads
 }
 
-/// Every cell of `cells` again, each simulated on its own: one campaign of
-/// one opaque tool per `(tool, topology)`, over the workloads that
-/// requested it. Returned in the order of `cells`.
+/// Every cell of `cells` again, each simulated on its own by
+/// [`ToolSpec::run`], inline, on four threads. Returned in the order of
+/// `cells`.
 fn unshared(cells: &[CellResult], scale: f64, budget: CellBudget) -> Vec<CellResult> {
-    let mut requests: BTreeMap<(&str, &str), Vec<&str>> = BTreeMap::new();
-    for cell in cells {
-        let (tool, topology) = cell.tool.split_once('@').unwrap_or((&cell.tool, "flat"));
-        requests
-            .entry((tool, topology))
-            .or_default()
-            .push(&cell.workload);
-    }
-    let mut by_cell = BTreeMap::new();
-    for ((tool, topology), workloads) in requests {
-        let spec = ToolSpec::parse(tool).expect("a planned tool key");
-        let config = CampaignConfig {
-            opts: BuildOptions::scaled(scale),
-            threads: Some(4),
-            budget,
-            topology: TopologySpec::parse(topology).expect("a planned topology"),
-            ..CampaignConfig::default()
-        };
-        let result = Campaign::new(workloads_and_cases(), vec![Box::new(Opaque(spec.build()))])
-            .with_config(config)
-            .with_workload_names(&workloads)
-            .expect("planned workloads")
-            .run();
-        for cell in result.cells {
-            by_cell.insert((cell.workload.clone(), cell.tool.clone()), cell);
+    let config = CampaignConfig {
+        opts: BuildOptions::scaled(scale),
+        budget,
+        ..CampaignConfig::default()
+    };
+    let workloads = workloads_and_cases();
+    let alone = |cell: &CellResult| {
+        let (key, topology) = cell.tool.split_once('@').unwrap_or((&cell.tool, "flat"));
+        let spec = ToolSpec::parse(key).expect("a planned tool key");
+        let topology = TopologySpec::parse(topology).expect("a planned topology");
+        let workload = workloads
+            .iter()
+            .find(|w| w.name == cell.workload)
+            .expect("a planned workload");
+        let cell_config = config.cell(workload.name, key, topology);
+        CellResult {
+            workload: cell.workload.clone(),
+            tool: cell_config.cell_key(),
+            outcome: spec.run(workload, &cell_config),
         }
-    }
-    cells
-        .iter()
-        .map(|c| by_cell[&(c.workload.clone(), c.tool.clone())].clone())
+    };
+    let next = AtomicUsize::new(0);
+    let done = Mutex::new(vec![None; cells.len()]);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = cells.get(i) else { break };
+                let result = alone(cell);
+                done.lock().unwrap()[i] = Some(result);
+            });
+        }
+    });
+    done.into_inner()
+        .unwrap()
+        .into_iter()
+        .map(|cell| cell.expect("every cell ran"))
         .collect()
 }
 
@@ -270,50 +262,4 @@ fn repaired_groups_match_one_simulation_per_cell_budgeted_or_not() {
         cell(&cells, "histogram'", "laser").outcome,
         Err(ToolFailure::BudgetExceeded { .. })
     ));
-}
-
-/// Calls of [`Impostor::run`].
-static IMPOSTOR_CALLS: AtomicUsize = AtomicUsize::new(0);
-
-/// A caller-supplied tool that calls itself `laser-detect` but reports a
-/// marker run.
-struct Impostor;
-
-impl Tool for Impostor {
-    fn name(&self) -> &str {
-        "laser-detect"
-    }
-
-    fn run(&self, _spec: &WorkloadSpec, _cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
-        IMPOSTOR_CALLS.fetch_add(1, Ordering::Relaxed);
-        Ok(ToolRun {
-            cycles: 42,
-            ..ToolRun::default()
-        })
-    }
-}
-
-#[test]
-fn a_caller_supplied_tool_runs_once_per_cell_whatever_its_name() {
-    let workloads = ["histogram'", "swaptions", "kmeans"];
-    let result = Campaign::new(
-        registry(),
-        vec![ToolSpec::Laser.build(), Box::new(Impostor)],
-    )
-    .with_workload_names(&workloads)
-    .expect("registry workloads")
-    .with_options(BuildOptions::scaled(0.1))
-    .with_threads(2)
-    .run();
-    assert_eq!(IMPOSTOR_CALLS.load(Ordering::Relaxed), workloads.len());
-    let marker = Ok(ToolRun {
-        cycles: 42,
-        ..ToolRun::default()
-    });
-    for workload in workloads {
-        assert_eq!(
-            cell(&result.cells, workload, "laser-detect").outcome,
-            marker
-        );
-    }
 }

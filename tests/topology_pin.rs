@@ -10,16 +10,15 @@
 //! misrouted class, an off-by-one in a latency table — fails loudly rather
 //! than silently skewing every figure.
 
-use laser_bench::{CellConfig, LaserTool, NativeTool, Tool, ToolRun, ToolSpec, TopologySpec};
-use laser_core::LaserConfig;
+use laser_bench::{CellConfig, ToolRun, ToolSpec, TopologySpec};
 use laser_machine::{LatencyModel, ResolvedClass, Topology};
 use laser_workloads::{find, BuildOptions, WorkloadSpec};
 
 /// Run `tool` on `spec` as the default cell — flat, inline, unbudgeted — at
 /// scale 0.08.
-fn run(tool: &dyn Tool, spec: &WorkloadSpec) -> ToolRun {
+fn run(tool: ToolSpec, spec: &WorkloadSpec) -> ToolRun {
     let opts = BuildOptions::scaled(0.08);
-    tool.run(spec, &CellConfig::flat(spec.name, tool.name(), &opts))
+    tool.run(spec, &CellConfig::flat(spec.name, &tool.key(), &opts))
         .unwrap()
 }
 
@@ -34,7 +33,7 @@ const PINNED_NATIVE: &[(&str, u64)] = &[
 fn default_topology_native_cycles_match_the_pre_refactor_flat_model() {
     for &(name, cycles) in PINNED_NATIVE {
         let spec = find(name).expect("known workload");
-        let run = run(&NativeTool, &spec);
+        let run = run(ToolSpec::Native, &spec);
         assert_eq!(
             run.cycles, cycles,
             "{name}: default-topology charges drifted from the flat model"
@@ -51,7 +50,7 @@ fn default_topology_laser_cycles_match_the_pre_refactor_flat_model() {
     // The LASER path exercises driver + detector charging on top of the
     // machine's access costs; its end-to-end count pins both.
     let spec = find("histogram'").expect("known workload");
-    let run = run(&LaserTool::new(LaserConfig::detection_only()), &spec);
+    let run = run(ToolSpec::LaserDetect, &spec);
     assert_eq!(run.cycles, 21_826, "laser-detect charges drifted");
 }
 
@@ -78,8 +77,8 @@ fn explicit_flat_topology_equals_the_default_cell_for_cell() {
     assert_eq!(flat.adapted_opts(), opts);
     assert_eq!(flat.cell_key(), "native");
     assert_eq!(
-        run(&NativeTool, &spec),
-        NativeTool.run(&spec, &flat).unwrap()
+        run(ToolSpec::Native, &spec),
+        ToolSpec::Native.run(&spec, &flat).unwrap()
     );
     assert_eq!(ToolSpec::Native.key_at(TopologySpec::Flat), "native");
     assert_eq!(
