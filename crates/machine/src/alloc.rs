@@ -91,6 +91,12 @@ impl HeapAllocator {
         self.perturbation = bytes;
     }
 
+    /// The high-water mark: the end of the last allocation (the region's
+    /// start before the first).
+    pub(crate) fn high_water(&self) -> Addr {
+        self.cursor
+    }
+
     /// The configured perturbation.
     pub fn perturbation(&self) -> u64 {
         self.perturbation

@@ -9,10 +9,19 @@
 //!
 //! A line's sharer set is one `u64` bitmap, so a directory — and with it a
 //! machine — has at most 64 cores.
+//!
+//! A machine's directory keeps the lines of the data its image allocated
+//! (see [`crate::image::MemoryLayout::data_extents`]) in a table indexed by
+//! `(addr − base) >> 6` and every other line in a hash map; both hold the
+//! same states and go through one transition function, so where a line
+//! lives never changes what an access to it does. A directory built with
+//! [`CoherenceDirectory::new`] keeps every line in the map.
 
 use std::collections::hash_map::Entry;
+use std::ops::Range;
 
 use crate::addr::Addr;
+use crate::dense::DenseExtents;
 use crate::fasthash::FastHashMap;
 
 /// Outcome classification of a single line access.
@@ -49,31 +58,107 @@ enum LineState {
     Modified(usize),
 }
 
+/// The MESI transition of one access by `core` to a line in `state` (`None`:
+/// never touched): the line's next state and the access's outcome.
+#[inline]
+fn transition(state: Option<LineState>, core: usize, is_write: bool) -> (LineState, AccessOutcome) {
+    let bit = 1u64 << core;
+    let outcome = |class, previous_owner, sharers| AccessOutcome {
+        class,
+        previous_owner,
+        sharers,
+    };
+    match state {
+        // Cold miss.
+        None => {
+            let next = if is_write {
+                LineState::Modified(core)
+            } else {
+                LineState::Shared(bit)
+            };
+            (next, outcome(AccessClass::Dram, None, 0))
+        }
+        Some(LineState::Modified(owner)) if owner == core => (
+            LineState::Modified(owner),
+            outcome(AccessClass::L1Hit, None, bit),
+        ),
+        // Remote modified: HITM. A read leaves the line shared by both; a
+        // write transfers ownership.
+        Some(LineState::Modified(owner)) => {
+            let next = if is_write {
+                LineState::Modified(core)
+            } else {
+                LineState::Shared(bit | (1u64 << owner))
+            };
+            (next, outcome(AccessClass::Hitm, Some(owner), 1u64 << owner))
+        }
+        // Upgrade / invalidate others.
+        Some(LineState::Shared(sharers)) if is_write => {
+            let class = if sharers == bit {
+                AccessClass::L1Hit
+            } else {
+                AccessClass::LlcHit
+            };
+            (LineState::Modified(core), outcome(class, None, sharers))
+        }
+        Some(LineState::Shared(sharers)) => {
+            let class = if sharers & bit != 0 {
+                AccessClass::L1Hit
+            } else {
+                AccessClass::LlcHit
+            };
+            (
+                LineState::Shared(sharers | bit),
+                outcome(class, None, sharers),
+            )
+        }
+    }
+}
+
 /// The coherence directory for all cores.
 ///
-/// Lines are keyed by a fast deterministic hasher: the directory sits on the
-/// simulator's hot path (one lookup per line per memory access) and its map
-/// is never iterated, so hashing cost is the only thing the hasher choice
-/// can change.
+/// Lines inside the directory's extents live in a table, one slot per line
+/// (`None`, a line never touched, until its first access); every other line
+/// lives in a map keyed by a fast deterministic hasher that is never
+/// iterated.
 #[derive(Debug, Clone)]
 pub struct CoherenceDirectory {
     num_cores: usize,
+    extents: DenseExtents,
+    dense: Box<[Option<LineState>]>,
     lines: FastHashMap<Addr, LineState>,
 }
 
 impl CoherenceDirectory {
-    /// Create a directory for `num_cores` cores.
+    /// Create a directory for `num_cores` cores that keeps every line in its
+    /// map.
     ///
     /// # Panics
     /// Panics if `num_cores` is zero or greater than 64 (the width of the
     /// sharer bitmap).
     pub fn new(num_cores: usize) -> Self {
+        Self::with_extents(num_cores, &[])
+    }
+
+    /// Create a directory for `num_cores` cores that indexes the lines of
+    /// `extents` (each rounded out to whole lines, up to
+    /// [`MAX_DENSE_LINES`](crate::dense::MAX_DENSE_LINES) lines in all; an
+    /// extent past it stays on the map) and maps the rest. Every access has
+    /// the outcome it has on [`CoherenceDirectory::new`].
+    ///
+    /// # Panics
+    /// Panics if `num_cores` is zero or greater than 64, or if two extents
+    /// overlap.
+    pub(crate) fn with_extents(num_cores: usize, extents: &[Range<Addr>]) -> Self {
         assert!(
             (1..=64).contains(&num_cores),
             "1..=64 cores supported, got {num_cores}"
         );
+        let extents = DenseExtents::new(extents);
         CoherenceDirectory {
             num_cores,
+            dense: vec![None; extents.lines()].into_boxed_slice(),
+            extents,
             lines: FastHashMap::default(),
         }
     }
@@ -83,8 +168,16 @@ impl CoherenceDirectory {
         self.num_cores
     }
 
-    /// Number of distinct lines the directory has ever tracked.
+    /// Number of distinct lines ever accessed, in the table and the map
+    /// together (a line, once touched, is never forgotten). Counts the table,
+    /// so it costs one pass over it.
     pub fn tracked_lines(&self) -> usize {
+        self.dense.iter().filter(|s| s.is_some()).count() + self.lines.len()
+    }
+
+    /// Number of lines in the map: those accessed outside every extent.
+    #[cfg(test)]
+    pub(crate) fn mapped_lines(&self) -> usize {
         self.lines.len()
     }
 
@@ -93,90 +186,29 @@ impl CoherenceDirectory {
     ///
     /// # Panics
     /// Panics if `core` is out of range.
+    #[inline]
     pub fn access(&mut self, core: usize, line_addr: Addr, is_write: bool) -> AccessOutcome {
         assert!(core < self.num_cores, "core {core} out of range");
-        let bit = 1u64 << core;
+        if let Some(i) = self.extents.line_slot(line_addr) {
+            let slot = &mut self.dense[i];
+            let (next, outcome) = transition(*slot, core, is_write);
+            *slot = Some(next);
+            return outcome;
+        }
         // One map probe for both the state read and the in-place update.
-        let slot = match self.lines.entry(line_addr) {
+        match self.lines.entry(line_addr) {
             Entry::Vacant(e) => {
-                // Cold miss.
-                e.insert(if is_write {
-                    LineState::Modified(core)
-                } else {
-                    LineState::Shared(bit)
-                });
-                return AccessOutcome {
-                    class: AccessClass::Dram,
-                    previous_owner: None,
-                    sharers: 0,
-                };
+                let (next, outcome) = transition(None, core, is_write);
+                e.insert(next);
+                outcome
             }
-            Entry::Occupied(e) => e.into_mut(),
-        };
-        match *slot {
-            LineState::Modified(owner) if owner == core => AccessOutcome {
-                class: AccessClass::L1Hit,
-                previous_owner: None,
-                sharers: bit,
-            },
-            LineState::Modified(owner) => {
-                // Remote modified: HITM. A read leaves the line shared by
-                // both; a write transfers ownership.
-                *slot = if is_write {
-                    LineState::Modified(core)
-                } else {
-                    LineState::Shared(bit | (1u64 << owner))
-                };
-                AccessOutcome {
-                    class: AccessClass::Hitm,
-                    previous_owner: Some(owner),
-                    sharers: 1u64 << owner,
-                }
-            }
-            LineState::Shared(sharers) => {
-                if is_write {
-                    // Upgrade / invalidate others.
-                    *slot = LineState::Modified(core);
-                    AccessOutcome {
-                        class: if sharers == bit {
-                            AccessClass::L1Hit
-                        } else {
-                            AccessClass::LlcHit
-                        },
-                        previous_owner: None,
-                        sharers,
-                    }
-                } else if sharers & bit != 0 {
-                    AccessOutcome {
-                        class: AccessClass::L1Hit,
-                        previous_owner: None,
-                        sharers,
-                    }
-                } else {
-                    *slot = LineState::Shared(sharers | bit);
-                    AccessOutcome {
-                        class: AccessClass::LlcHit,
-                        previous_owner: None,
-                        sharers,
-                    }
-                }
+            Entry::Occupied(e) => {
+                let slot = e.into_mut();
+                let (next, outcome) = transition(Some(*slot), core, is_write);
+                *slot = next;
+                outcome
             }
         }
-    }
-
-    /// True if `core` currently holds `line_addr` in Modified state.
-    pub fn is_modified_by(&self, line_addr: Addr, core: usize) -> bool {
-        matches!(self.lines.get(&line_addr), Some(LineState::Modified(o)) if *o == core)
-    }
-
-    /// True if any core other than `core` holds `line_addr` Modified.
-    pub fn is_remote_modified(&self, line_addr: Addr, core: usize) -> bool {
-        matches!(self.lines.get(&line_addr), Some(LineState::Modified(o)) if *o != core)
-    }
-
-    /// Reset all coherence state (used between experiment repetitions).
-    pub fn clear(&mut self) {
-        self.lines.clear();
     }
 }
 
@@ -195,7 +227,8 @@ mod tests {
         assert_eq!(o.class, AccessClass::L1Hit); // sole sharer upgrade
         let o = d.access(0, 0x1000, true);
         assert_eq!(o.class, AccessClass::L1Hit);
-        assert!(d.is_modified_by(0x1000, 0));
+        let o = d.access(1, 0x1000, false);
+        assert_eq!((o.class, o.previous_owner), (AccessClass::Hitm, Some(0)));
     }
 
     #[test]
@@ -216,8 +249,8 @@ mod tests {
         d.access(0, 0x80, true);
         let o = d.access(1, 0x80, true); // Figure 1c
         assert_eq!(o.class, AccessClass::Hitm);
-        assert!(d.is_modified_by(0x80, 1));
-        assert!(d.is_remote_modified(0x80, 0));
+        let o = d.access(0, 0x80, false); // core1 now owns it
+        assert_eq!((o.class, o.previous_owner), (AccessClass::Hitm, Some(1)));
     }
 
     #[test]
@@ -254,8 +287,6 @@ mod tests {
         let o = d.access(1, 0x40, true);
         assert_eq!(o.class, AccessClass::Dram);
         assert_eq!(d.tracked_lines(), 2);
-        d.clear();
-        assert_eq!(d.tracked_lines(), 0);
     }
 
     #[test]

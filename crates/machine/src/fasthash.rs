@@ -1,12 +1,15 @@
 //! A fast, deterministic hasher for the simulator's address-keyed maps.
 //!
-//! The coherence directory and sparse memory key their maps by line address
-//! and page number — small integers on the machine's hottest path. The
-//! standard library's default SipHash is DoS-resistant but costs tens of
-//! cycles per lookup, which the hot loop pays several times per simulated
-//! memory access. These maps are never exposed to untrusted keys and are
-//! never iterated (only counted), so a cheap multiply-rotate hash is both
-//! safe and behavior-preserving: every observable output of the machine is
+//! The coherence directory and memory key their fallback maps by line
+//! address and page number: the addresses outside an image's allocated data
+//! (stacks, wild pointers, accesses that wrap past `u64::MAX`), which the
+//! dense tables of `mem` and `coherence` do not index. No registry workload
+//! reaches them, so they are off the hot path, but a program that does
+//! still pays one probe per line per access. The standard library's default
+//! SipHash is DoS-resistant but costs tens of cycles per lookup. These maps
+//! are never exposed to untrusted keys and are never iterated (only
+//! counted), so a cheap multiply-rotate hash is both safe and
+//! behavior-preserving: every observable output of the machine is
 //! independent of map iteration order.
 //!
 //! The mixing function is the classic Fx hash (one wrapping multiply by a
@@ -15,7 +18,8 @@
 //! `finish` folds the product's high bits into its low ones: a product keeps
 //! its key's trailing zero bits, and the standard map picks a key's first
 //! bucket from the low bits, so unfolded, every line address (six zero low
-//! bits) would start probing at a bucket index divisible by 64.
+//! bits) would start probing at a bucket index divisible by 64. The
+//! directory's fallback map still keys line addresses, so the fold stays.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -6,10 +6,12 @@
 //! and initial argument registers). The synthetic benchmarks in
 //! `laser-workloads` each produce one of these.
 
+use std::ops::Range;
+
 use laser_isa::inst::Reg;
 use laser_isa::program::Program;
 
-use crate::addr::Addr;
+use crate::addr::{Addr, CACHE_LINE_SIZE};
 use crate::alloc::{AllocError, HeapAllocator, DEFAULT_ALIGN};
 use crate::memmap::{MemoryMap, Region, RegionKind};
 use crate::topology::ThreadPlacement;
@@ -114,6 +116,18 @@ impl MemoryLayout {
     /// The memory map (including any stacks added for spawned threads).
     pub fn map(&self) -> &MemoryMap {
         &self.map
+    }
+
+    /// The data allocated so far, each extent rounded out to whole lines:
+    /// the globals up to the globals cursor and the heap up to its
+    /// high-water mark (empty ranges where nothing was allocated). A machine
+    /// indexes these lines instead of hashing them.
+    pub fn data_extents(&self) -> [Range<Addr>; 2] {
+        let end = |cursor: Addr| cursor.next_multiple_of(CACHE_LINE_SIZE);
+        [
+            GLOBALS_START..end(self.globals_cursor),
+            HEAP_START..end(self.heap.high_water()),
+        ]
     }
 
     /// Allocate `size` bytes on the simulated heap. Alignments up to the
@@ -325,6 +339,24 @@ mod tests {
         let g = image.layout_mut().global_alloc(256, 64);
         assert_eq!(g % 64, 0);
         assert!((GLOBALS_START..GLOBALS_END).contains(&g));
+    }
+
+    #[test]
+    fn data_extents_cover_what_was_allocated_in_whole_lines() {
+        let mut image = WorkloadImage::new("t", trivial_program());
+        let empty = [GLOBALS_START..GLOBALS_START, HEAP_START..HEAP_START];
+        assert_eq!(image.layout().data_extents(), empty);
+        let g = image.layout_mut().global_alloc(8, 8);
+        let h = image.layout_mut().heap_alloc(100, 1).unwrap();
+        let [globals, heap] = image.layout().data_extents();
+        assert_eq!(globals, GLOBALS_START..GLOBALS_START + 64);
+        assert!(globals.contains(&g));
+        assert_eq!(
+            heap,
+            HEAP_START..HEAP_START + 128,
+            "header, 100 bytes, rounded"
+        );
+        assert!(heap.contains(&h) && heap.contains(&(h + 99)));
     }
 
     #[test]

@@ -63,6 +63,7 @@
 pub mod addr;
 pub mod alloc;
 pub mod coherence;
+mod dense;
 pub mod event;
 pub mod fasthash;
 pub mod hook;

@@ -49,6 +49,8 @@ mod tests;
 
 use dispatch::HookSlot;
 pub(crate) use inner::MachineInner;
+#[cfg(test)]
+pub(crate) use sched::tests::XorShift;
 use sched::{CoreSched, ThreadCtx};
 
 /// Identifier of a simulated core.
@@ -211,7 +213,21 @@ impl Machine {
     /// ladder, remote transfers cheaper than local ones) — rejecting nonsense
     /// cost models at construction time instead of producing corrupt rates
     /// downstream.
+    ///
+    /// The image's allocated data ([`crate::image::MemoryLayout::data_extents`])
+    /// is what the machine's memory and coherence directory index densely.
     pub fn new(config: MachineConfig, image: &WorkloadImage) -> Self {
+        Self::with_dense_extents(config, image, &image.layout().data_extents())
+    }
+
+    /// [`Machine::new`] indexing `extents` instead of the image's allocated
+    /// data: with none, every address goes through the maps — the reference
+    /// the dense tables are held to.
+    fn with_dense_extents(
+        config: MachineConfig,
+        image: &WorkloadImage,
+        extents: &[std::ops::Range<Addr>],
+    ) -> Self {
         assert!(
             !image.threads().is_empty(),
             "workload image declares no threads"
@@ -224,7 +240,7 @@ impl Machine {
             panic!("invalid machine configuration: {e}");
         }
         let program = image.program().clone();
-        let mut mem = SparseMemory::new();
+        let mut mem = SparseMemory::with_extents(extents);
         for (addr, bytes) in image.layout().initial_contents() {
             mem.write_bytes(*addr, bytes);
         }
@@ -255,7 +271,7 @@ impl Machine {
         }
         let inner = MachineInner {
             mem,
-            coh: CoherenceDirectory::new(config.num_cores),
+            coh: CoherenceDirectory::with_extents(config.num_cores, extents),
             stats: MachineStats::default(),
             pending_hitms: Vec::new(),
             latency: config.latency.clone(),

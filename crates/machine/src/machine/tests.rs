@@ -4,6 +4,7 @@ use crate::image::ThreadSpec;
 use laser_isa::inst::{Operand, Reg};
 use laser_isa::ProgramBuilder;
 
+mod dense;
 mod draining;
 mod run_ahead;
 

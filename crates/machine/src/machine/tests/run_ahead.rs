@@ -35,6 +35,7 @@ use laser_isa::program::{BlockId, Pc};
 use laser_isa::ProgramBuilder;
 
 use crate::addr::{crosses_line, line_of};
+use crate::alloc::CHUNK_HEADER_BYTES;
 use crate::hook::{ExecHook, HookAction, HookCtx, MemOp, NullHook};
 use crate::image::ThreadSpec;
 use crate::machine::sched::tests::XorShift;
@@ -47,7 +48,7 @@ const MAX_QUANTUM: u64 = 20_000;
 /// Steps after which a lock-step run stops comparing. A few registry
 /// workloads run millions of steps at any input scale; a debug build follows
 /// each for this long, a release build to the end.
-const STEP_CAP: u64 = if cfg!(debug_assertions) {
+pub(super) const STEP_CAP: u64 = if cfg!(debug_assertions) {
     100_000
 } else {
     u64::MAX
@@ -162,7 +163,10 @@ fn run_lockstep_by(
 
 /// A plan for [`run_lockstep_by`]: quanta drawn from `1..=max_quantum` and a
 /// seeded external charge (or none) between quanta.
-fn seeded_plan(seed: u64, max_quantum: u64) -> impl FnMut(&mut Machine, &mut Machine) -> u64 {
+pub(super) fn seeded_plan(
+    seed: u64,
+    max_quantum: u64,
+) -> impl FnMut(&mut Machine, &mut Machine) -> u64 {
     let mut rng = XorShift(seed | 1);
     let mut first = true;
     move |fast, slow| {
@@ -406,7 +410,7 @@ pub(super) fn generated_image(rng: &mut XorShift, threads: usize) -> WorkloadIma
 /// optionally, the private slots moved from the heap to `private_top`
 /// downwards: even threads all at `private_top`, odd thread `t` a stride
 /// below per `t`.
-fn generated_image_with(
+pub(super) fn generated_image_with(
     rng: &mut XorShift,
     threads: usize,
     mem_pct: u64,
@@ -502,7 +506,7 @@ fn generated_programs_agree_with_single_steps() {
 /// Eight bytes below the top of the address space: an 8-byte access at
 /// offset 0 ends on the last byte, one at offset 8 starts on it and wraps
 /// into line 0.
-const WRAPPING_PRIVATE_TOP: Addr = u64::MAX - 8;
+pub(super) const WRAPPING_PRIVATE_TOP: Addr = u64::MAX - 8;
 
 #[test]
 fn wrapping_programs_agree_with_single_steps() {
@@ -958,9 +962,10 @@ fn run_ahead_visits_the_scheduler_once_per_active_instruction() {
 pub(super) const REGISTRY_SCALE: f64 = 0.02;
 
 /// Rebuild an image `laser-workloads` built at input scale `scale` against
-/// the plain library as an image of the crate under test. The program is `laser-isa`'s type on both
-/// sides; threads, initial contents and dilation are copied over, which is
-/// all `Machine::new` reads besides the memory map.
+/// the plain library as an image of the crate under test. The program is
+/// `laser-isa`'s type on both sides; threads, initial contents and dilation
+/// are copied over, and the globals and heap are allocated out to the same
+/// extents, which is all `Machine::new` reads besides the memory map.
 pub(super) fn registry_image(
     spec: &laser_workloads::WorkloadSpec,
     scale: f64,
@@ -969,6 +974,16 @@ pub(super) fn registry_image(
 ) -> WorkloadImage {
     let theirs = spec.build(&laser_workloads::BuildOptions::scaled(scale).with_threads(threads));
     let mut image = WorkloadImage::new(theirs.name(), theirs.program().clone());
+    let [globals, heap] = theirs.layout().data_extents();
+    let layout = image.layout_mut();
+    layout.global_alloc(globals.end - globals.start, 1);
+    if heap.end > heap.start {
+        // One default allocation: its chunk header, then the rest.
+        layout
+            .heap_alloc(heap.end - heap.start - CHUNK_HEADER_BYTES, 1)
+            .unwrap();
+    }
+    assert_eq!(image.layout().data_extents(), [globals, heap]);
     for (addr, bytes) in theirs.layout().initial_contents() {
         image.layout_mut().poke_bytes(*addr, bytes);
     }

@@ -1,26 +1,79 @@
-//! Sparse byte-addressable memory for the simulated process.
+//! Byte-addressable memory for the simulated process.
+//!
+//! Inside the extents an image allocated (its globals and its heap, see
+//! [`crate::image::MemoryLayout::data_extents`]) bytes live in one flat table
+//! indexed by offset; everywhere else they live in 4 KiB pages of a hash
+//! map. Every access the registry workloads make lands in the table, so the
+//! load/store path hashes nothing; the map keeps stacks, wild pointers and
+//! accesses that wrap past `u64::MAX` working.
+
+use std::ops::Range;
 
 use crate::addr::Addr;
+use crate::dense::{DenseExtents, Home};
 use crate::fasthash::FastHashMap;
 
 const PAGE_SIZE: u64 = 4096;
 
-/// Sparse simulated memory. Untouched bytes read as zero, like freshly mapped
+/// Simulated memory. Untouched bytes read as zero, like freshly mapped
 /// anonymous pages. Addresses wrap: the byte after `u64::MAX` is byte 0.
 ///
-/// Pages are keyed by a fast deterministic hasher and multi-byte accesses
-/// that stay within one page (the overwhelmingly common case) touch the map
-/// once, not once per byte — the simulator's load/store path funnels every
-/// access through [`SparseMemory::read`] and [`SparseMemory::write`].
+/// A multi-byte access inside one dense extent is one slice copy; one that
+/// stays within one page outside them is one map probe; one that straddles
+/// an extent edge goes byte by byte to whichever part owns each byte.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparseMemory {
+    extents: DenseExtents,
+    /// The bytes of every extent, back to back.
+    dense: Box<[u8]>,
     pages: FastHashMap<u64, Box<[u8]>>,
 }
 
+/// Little-endian value of 1..=8 bytes, zero-extended. The fixed-length arms
+/// compile the common sizes to single moves instead of a `memcpy` call.
+#[inline]
+fn load_le(bytes: &[u8]) -> u64 {
+    let mut buf = [0u8; 8];
+    match bytes.len() {
+        8 => buf.copy_from_slice(bytes),
+        4 => buf[..4].copy_from_slice(bytes),
+        2 => buf[..2].copy_from_slice(bytes),
+        n => buf[..n].copy_from_slice(bytes),
+    }
+    u64::from_le_bytes(buf)
+}
+
+/// Store the low `bytes.len()` (1..=8) bytes of `value`, little-endian.
+#[inline]
+fn store_le(bytes: &mut [u8], value: u64) {
+    let buf = value.to_le_bytes();
+    match bytes.len() {
+        8 => bytes.copy_from_slice(&buf),
+        4 => bytes.copy_from_slice(&buf[..4]),
+        2 => bytes.copy_from_slice(&buf[..2]),
+        n => bytes.copy_from_slice(&buf[..n]),
+    }
+}
+
 impl SparseMemory {
-    /// An empty memory image.
+    /// An empty memory image with every address on the page map.
     pub fn new() -> Self {
+        SparseMemory::default()
+    }
+
+    /// An empty memory image that indexes the bytes of `extents` densely
+    /// (each rounded out to whole lines, up to
+    /// [`MAX_DENSE_LINES`](crate::dense::MAX_DENSE_LINES) lines in all; an
+    /// extent past it stays paged) and pages the rest.
+    /// It reads and writes exactly like [`SparseMemory::new`].
+    ///
+    /// # Panics
+    /// Panics if two extents overlap.
+    pub(crate) fn with_extents(extents: &[Range<Addr>]) -> Self {
+        let extents = DenseExtents::new(extents);
         SparseMemory {
+            dense: vec![0u8; extents.bytes()].into_boxed_slice(),
+            extents,
             pages: FastHashMap::default(),
         }
     }
@@ -33,38 +86,47 @@ impl SparseMemory {
 
     /// Read a single byte.
     pub fn read_u8(&self, addr: Addr) -> u8 {
-        let page = addr / PAGE_SIZE;
+        if let Home::Dense(i) = self.extents.home(addr, 1) {
+            return self.dense[i];
+        }
         let off = (addr % PAGE_SIZE) as usize;
-        self.pages.get(&page).map(|p| p[off]).unwrap_or(0)
+        self.pages.get(&(addr / PAGE_SIZE)).map_or(0, |p| p[off])
     }
 
     /// Write a single byte.
     pub fn write_u8(&mut self, addr: Addr, value: u8) {
-        let page = addr / PAGE_SIZE;
+        if let Home::Dense(i) = self.extents.home(addr, 1) {
+            self.dense[i] = value;
+            return;
+        }
         let off = (addr % PAGE_SIZE) as usize;
-        self.page_mut(page)[off] = value;
+        self.page_mut(addr / PAGE_SIZE)[off] = value;
     }
 
     /// Read `size` bytes (1..=8) little-endian, zero-extended to 64 bits.
     ///
     /// # Panics
     /// Panics if `size` is 0 or greater than 8.
+    #[inline]
     pub fn read(&self, addr: Addr, size: u8) -> u64 {
         assert!(
             (1..=8).contains(&size),
             "access size must be 1..=8, got {size}"
         );
-        let off = (addr % PAGE_SIZE) as usize;
-        if off + size as usize <= PAGE_SIZE as usize {
-            // Fast path: the access stays within one page — one map lookup.
-            let Some(page) = self.pages.get(&(addr / PAGE_SIZE)) else {
-                return 0;
-            };
-            let mut v: u64 = 0;
-            for (i, b) in page[off..off + size as usize].iter().enumerate() {
-                v |= (*b as u64) << (8 * i);
+        let n = size as usize;
+        match self.extents.home(addr, n as u64) {
+            Home::Dense(i) => return load_le(&self.dense[i..i + n]),
+            Home::Map => {
+                let off = (addr % PAGE_SIZE) as usize;
+                if off + n <= PAGE_SIZE as usize {
+                    // Within one page: one map probe.
+                    return self
+                        .pages
+                        .get(&(addr / PAGE_SIZE))
+                        .map_or(0, |page| load_le(&page[off..off + n]));
+                }
             }
-            return v;
+            Home::Split => {}
         }
         let mut v: u64 = 0;
         for i in 0..size as u64 {
@@ -77,48 +139,154 @@ impl SparseMemory {
     ///
     /// # Panics
     /// Panics if `size` is 0 or greater than 8.
+    #[inline]
     pub fn write(&mut self, addr: Addr, size: u8, value: u64) {
         assert!(
             (1..=8).contains(&size),
             "access size must be 1..=8, got {size}"
         );
-        let off = (addr % PAGE_SIZE) as usize;
-        if off + size as usize <= PAGE_SIZE as usize {
-            // Fast path: the access stays within one page — one map lookup.
-            let page = self.page_mut(addr / PAGE_SIZE);
-            for (i, b) in page[off..off + size as usize].iter_mut().enumerate() {
-                *b = (value >> (8 * i)) as u8;
+        let n = size as usize;
+        match self.extents.home(addr, n as u64) {
+            Home::Dense(i) => return store_le(&mut self.dense[i..i + n], value),
+            Home::Map => {
+                let off = (addr % PAGE_SIZE) as usize;
+                if off + n <= PAGE_SIZE as usize {
+                    // Within one page: one map probe.
+                    let page = self.page_mut(addr / PAGE_SIZE);
+                    return store_le(&mut page[off..off + n], value);
+                }
             }
-            return;
+            Home::Split => {}
         }
         for i in 0..size as u64 {
             self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
         }
     }
 
-    /// Copy `bytes` into memory starting at `addr`.
-    pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
+    /// The longest run of at most `max` bytes from `addr` with one home:
+    /// inside one extent, or inside one page outside every extent. Returns
+    /// the dense offset (if dense) and the run's length.
+    fn run(&self, addr: Addr, max: usize) -> (Option<usize>, usize) {
+        let (slot, n) = self.extents.run(addr, max as u64);
+        match slot {
+            Some(_) => (slot, n as usize),
+            None => (None, n.min(PAGE_SIZE - addr % PAGE_SIZE) as usize),
         }
     }
 
-    /// Read `len` bytes starting at `addr`.
-    pub fn read_bytes(&self, addr: Addr, len: usize) -> Vec<u8> {
-        (0..len as u64)
-            .map(|i| self.read_u8(addr.wrapping_add(i)))
-            .collect()
+    /// Copy `bytes` into memory starting at `addr`: one slice copy per
+    /// extent or page it covers.
+    pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) {
+        let (mut addr, mut rest) = (addr, bytes);
+        while !rest.is_empty() {
+            let (slot, n) = self.run(addr, rest.len());
+            let (head, tail) = rest.split_at(n);
+            match slot {
+                Some(i) => self.dense[i..i + n].copy_from_slice(head),
+                None => {
+                    let off = (addr % PAGE_SIZE) as usize;
+                    self.page_mut(addr / PAGE_SIZE)[off..off + n].copy_from_slice(head);
+                }
+            }
+            addr = addr.wrapping_add(n as u64);
+            rest = tail;
+        }
     }
 
-    /// Number of touched pages (for tests and capacity sanity checks).
+    /// The longest run of at most `max` bytes from `addr` with one home, as
+    /// the bytes themselves or `None` where they read as zero (a page never
+    /// touched), with its length.
+    fn span(&self, addr: Addr, max: usize) -> (Option<&[u8]>, usize) {
+        let (slot, n) = self.run(addr, max);
+        let bytes = match slot {
+            Some(i) => Some(&self.dense[i..i + n]),
+            None => self.pages.get(&(addr / PAGE_SIZE)).map(|page| {
+                let off = (addr % PAGE_SIZE) as usize;
+                &page[off..off + n]
+            }),
+        };
+        (bytes, n)
+    }
+
+    /// Read `len` bytes starting at `addr`: one slice copy per extent or
+    /// touched page it covers.
+    pub fn read_bytes(&self, addr: Addr, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        let (mut addr, mut rest) = (addr, &mut out[..]);
+        while !rest.is_empty() {
+            let (bytes, n) = self.span(addr, rest.len());
+            let (head, tail) = rest.split_at_mut(n);
+            if let Some(bytes) = bytes {
+                head.copy_from_slice(bytes);
+            }
+            addr = addr.wrapping_add(n as u64);
+            rest = tail;
+        }
+        out
+    }
+
+    /// Number of pages the map holds: touched bytes outside every dense
+    /// extent (for tests and capacity sanity checks).
     pub fn touched_pages(&self) -> usize {
         self.pages.len()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The dense extents of `m`, as address ranges.
+    pub(crate) fn dense_ranges(m: &SparseMemory) -> Vec<Range<Addr>> {
+        m.extents.ranges()
+    }
+
+    /// The base address of every page `m`'s map holds, ascending.
+    fn page_bases(m: &SparseMemory) -> Vec<Addr> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the keys are sorted before anyone sees them"
+        )]
+        let mut bases: Vec<Addr> = m.pages.keys().map(|p| p * PAGE_SIZE).collect();
+        bases.sort_unstable();
+        bases
+    }
+
+    /// True if `a` and `b` read the same `len` bytes from `addr`.
+    fn same_bytes(a: &SparseMemory, b: &SparseMemory, addr: Addr, len: usize) -> bool {
+        let (mut addr, mut left) = (addr, len);
+        while left > 0 {
+            let (mine, n) = a.span(addr, left);
+            let (theirs, n) = b.span(addr, n);
+            let mine = mine.map(|bytes| &bytes[..n]);
+            let same = match (mine, theirs) {
+                (Some(x), Some(y)) => x == y,
+                (Some(bytes), None) | (None, Some(bytes)) => bytes.iter().all(|&v| v == 0),
+                (None, None) => true,
+            };
+            if !same {
+                return false;
+            }
+            addr = addr.wrapping_add(n as u64);
+            left -= n;
+        }
+        true
+    }
+
+    /// True if `a` and `b` read the same at every address, wherever each
+    /// keeps its bytes.
+    pub(crate) fn same_contents(a: &SparseMemory, b: &SparseMemory) -> bool {
+        // A byte either memory ever wrote lives in one of its dense extents
+        // or mapped pages, so these spans cover every address where the two
+        // could read differently.
+        let dense = dense_ranges(a).into_iter().chain(dense_ranges(b));
+        let dense = dense.map(|r| (r.start, (r.end - r.start) as usize));
+        let pages = page_bases(a).into_iter().chain(page_bases(b));
+        let pages = pages.map(|base| (base, PAGE_SIZE as usize));
+        dense
+            .chain(pages)
+            .all(|(start, len)| same_bytes(a, b, start, len))
+    }
 
     #[test]
     fn zero_initialised() {

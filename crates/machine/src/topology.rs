@@ -422,6 +422,7 @@ impl Topology {
 
     /// [`Topology::resolve`] against a prebuilt [`Topology::socket_table`]:
     /// the same classes, with every core → socket query a table load.
+    #[inline]
     pub(crate) fn resolve_in(
         &self,
         outcome: &AccessOutcome,
@@ -494,6 +495,7 @@ impl Topology {
 
     /// The cycle cost of a resolved class: local classes from the base model,
     /// remote classes from this topology's [`SocketLatency`] table.
+    #[inline]
     pub fn cost(&self, class: ResolvedClass, base: &LatencyModel) -> u64 {
         match class {
             ResolvedClass::L1Hit => base.l1_hit,
