@@ -10,19 +10,18 @@
 //! A line's sharer set is one `u64` bitmap, so a directory — and with it a
 //! machine — has at most 64 cores.
 //!
-//! A machine's directory keeps the lines of the data its image allocated
-//! (see [`crate::image::MemoryLayout::data_extents`]) in a table indexed by
-//! `(addr − base) >> 6` and every other line in a hash map; both hold the
-//! same states and go through one transition function, so where a line
-//! lives never changes what an access to it does. A directory built with
+//! The directory keeps one state per line in a line table (`dense.rs`),
+//! split the way memory is: a machine's directory indexes the lines of the
+//! data its image allocated (see
+//! [`crate::image::MemoryLayout::data_extents`]) by `(addr − base) >> 6` and
+//! keeps every other line in one `BTreeMap`. Every line goes through one
+//! transition function wherever it lives. A directory built with
 //! [`CoherenceDirectory::new`] keeps every line in the map.
 
-use std::collections::hash_map::Entry;
 use std::ops::Range;
 
 use crate::addr::Addr;
-use crate::dense::DenseExtents;
-use crate::fasthash::FastHashMap;
+use crate::dense::LineTable;
 
 /// Outcome classification of a single line access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,7 +52,7 @@ pub struct AccessOutcome {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LineState {
+pub(crate) enum LineState {
     Shared(u64),
     Modified(usize),
 }
@@ -115,18 +114,12 @@ fn transition(state: Option<LineState>, core: usize, is_write: bool) -> (LineSta
     }
 }
 
-/// The coherence directory for all cores.
-///
-/// Lines inside the directory's extents live in a table, one slot per line
-/// (`None`, a line never touched, until its first access); every other line
-/// lives in a map keyed by a fast deterministic hasher that is never
-/// iterated.
+/// The coherence directory for all cores: one state per line, `None` for a
+/// line never touched.
 #[derive(Debug, Clone)]
 pub struct CoherenceDirectory {
     num_cores: usize,
-    extents: DenseExtents,
-    dense: Box<[Option<LineState>]>,
-    lines: FastHashMap<Addr, LineState>,
+    pub(crate) lines: LineTable<Option<LineState>>,
 }
 
 impl CoherenceDirectory {
@@ -143,7 +136,7 @@ impl CoherenceDirectory {
     /// Create a directory for `num_cores` cores that indexes the lines of
     /// `extents` (each rounded out to whole lines, up to
     /// [`MAX_DENSE_LINES`](crate::dense::MAX_DENSE_LINES) lines in all; an
-    /// extent past it stays on the map) and maps the rest. Every access has
+    /// extent past it stays in the map) and maps the rest. Every access has
     /// the outcome it has on [`CoherenceDirectory::new`].
     ///
     /// # Panics
@@ -154,12 +147,9 @@ impl CoherenceDirectory {
             (1..=64).contains(&num_cores),
             "1..=64 cores supported, got {num_cores}"
         );
-        let extents = DenseExtents::new(extents);
         CoherenceDirectory {
             num_cores,
-            dense: vec![None; extents.lines()].into_boxed_slice(),
-            extents,
-            lines: FastHashMap::default(),
+            lines: LineTable::new(extents, None),
         }
     }
 
@@ -168,17 +158,11 @@ impl CoherenceDirectory {
         self.num_cores
     }
 
-    /// Number of distinct lines ever accessed, in the table and the map
-    /// together (a line, once touched, is never forgotten). Counts the table,
-    /// so it costs one pass over it.
+    /// Number of distinct lines ever accessed (a line, once touched, is never
+    /// forgotten). Counts every indexed line too, so it costs one pass over
+    /// them.
     pub fn tracked_lines(&self) -> usize {
-        self.dense.iter().filter(|s| s.is_some()).count() + self.lines.len()
-    }
-
-    /// Number of lines in the map: those accessed outside every extent.
-    #[cfg(test)]
-    pub(crate) fn mapped_lines(&self) -> usize {
-        self.lines.len()
+        self.lines.values().filter(|s| s.is_some()).count()
     }
 
     /// Perform a coherence access by `core` to the line containing `line_addr`
@@ -189,26 +173,10 @@ impl CoherenceDirectory {
     #[inline]
     pub fn access(&mut self, core: usize, line_addr: Addr, is_write: bool) -> AccessOutcome {
         assert!(core < self.num_cores, "core {core} out of range");
-        if let Some(i) = self.extents.line_slot(line_addr) {
-            let slot = &mut self.dense[i];
-            let (next, outcome) = transition(*slot, core, is_write);
-            *slot = Some(next);
-            return outcome;
-        }
-        // One map probe for both the state read and the in-place update.
-        match self.lines.entry(line_addr) {
-            Entry::Vacant(e) => {
-                let (next, outcome) = transition(None, core, is_write);
-                e.insert(next);
-                outcome
-            }
-            Entry::Occupied(e) => {
-                let slot = e.into_mut();
-                let (next, outcome) = transition(Some(*slot), core, is_write);
-                *slot = next;
-                outcome
-            }
-        }
+        let state = self.lines.get_mut(line_addr);
+        let (next, outcome) = transition(*state, core, is_write);
+        *state = Some(next);
+        outcome
     }
 }
 

@@ -121,7 +121,7 @@ impl MemoryLayout {
     /// The data allocated so far, each extent rounded out to whole lines:
     /// the globals up to the globals cursor and the heap up to its
     /// high-water mark (empty ranges where nothing was allocated). A machine
-    /// indexes these lines instead of hashing them.
+    /// indexes these lines; every other line it keeps in a `BTreeMap`.
     pub fn data_extents(&self) -> [Range<Addr>; 2] {
         let end = |cursor: Addr| cursor.next_multiple_of(CACHE_LINE_SIZE);
         [

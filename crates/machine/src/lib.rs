@@ -65,7 +65,6 @@ pub mod alloc;
 pub mod coherence;
 mod dense;
 pub mod event;
-pub mod fasthash;
 pub mod hook;
 pub mod htm;
 pub mod image;

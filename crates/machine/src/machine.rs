@@ -150,8 +150,6 @@ pub enum MachineError {
         /// The step budget that was exhausted.
         steps: u64,
     },
-    /// A thread's entry label does not exist in the program.
-    UnknownEntryLabel(String),
 }
 
 impl fmt::Display for MachineError {
@@ -160,7 +158,6 @@ impl fmt::Display for MachineError {
             MachineError::MaxStepsExceeded { steps } => {
                 write!(f, "machine did not finish within {steps} steps")
             }
-            MachineError::UnknownEntryLabel(l) => write!(f, "unknown thread entry label '{l}'"),
         }
     }
 }
@@ -221,7 +218,7 @@ impl Machine {
     }
 
     /// [`Machine::new`] indexing `extents` instead of the image's allocated
-    /// data: with none, every address goes through the maps — the reference
+    /// data: with none, every line lives in the `BTreeMap` — the reference
     /// the dense tables are held to.
     fn with_dense_extents(
         config: MachineConfig,

@@ -403,3 +403,22 @@ fn invalid_latency_model_is_rejected_at_construction() {
     };
     Machine::new(config, &image);
 }
+
+#[test]
+#[should_panic(expected = "unknown thread entry label 'nowhere'")]
+fn unknown_entry_labels_are_rejected_at_construction() {
+    let (mut image, base) = store_loop_image(4);
+    image.push_thread(ThreadSpec::new("t1", "nowhere").with_reg(Reg(0), base));
+    Machine::new(MachineConfig::default(), &image);
+}
+
+#[test]
+#[should_panic(expected = "workload image declares no threads")]
+fn threadless_images_are_rejected_at_construction() {
+    let mut b = ProgramBuilder::new("idle");
+    let entry = b.block("entry");
+    b.switch_to(entry);
+    b.halt();
+    let image = WorkloadImage::new("idle", b.finish());
+    Machine::new(MachineConfig::default(), &image);
+}

@@ -1,20 +1,21 @@
 //! The dense memory path held to the map path on whole machines.
 //!
-//! [`Machine::new`] gives its memory and coherence directory line tables over
-//! the image's allocated data; a machine built over no extents sends every
-//! address through the hash maps, the path every access took before the
-//! tables. The two run one image in quantum lock-step, with seeded quanta and
-//! seeded external charges between them, and after every quantum must agree
-//! on the run status, every core clock, every `MachineStats` field, every
-//! HITM event, every thread's position and registers, and the memory as read
-//! at every address either holds. The images are every registry workload on
-//! `flat`, `2s` and `8s`, and `run_ahead.rs`'s generated programs, including
-//! those whose private slots sit at the top of the address space (map homes
-//! and wrapping accesses in the same run as dense ones).
+//! [`Machine::new`] gives its memory and coherence directory line tables that
+//! index the image's allocated data; a machine built over no extents keeps
+//! every line in the tables' `BTreeMap`s, the path every access outside the
+//! extents takes. The two run one image in quantum lock-step, with seeded
+//! quanta and seeded external charges between them, and after every quantum
+//! must agree on the run status, every core clock, every `MachineStats`
+//! field, every HITM event, every thread's position and registers, and the
+//! memory as read at every address either holds. The images are every
+//! registry workload on `flat`, `2s` and `8s`, and `run_ahead.rs`'s
+//! generated programs, including those whose private slots sit at the top of
+//! the address space (map homes and wrapping accesses in the same run as
+//! dense ones).
 //!
 //! `every_registry_access_stays_in_the_dense_part` pins what makes the tables
 //! pay: every registry workload keeps all its accesses inside its allocated
-//! extents, so a run leaves the fallback maps empty. With `--nocapture` it
+//! extents, so a run leaves both tables' maps empty. With `--nocapture` it
 //! prints the per-workload extent table EXPERIMENTS.md records.
 //!
 //! Every test here has `dense` in its path, so
@@ -145,13 +146,13 @@ fn dense_generated_programs_agree_with_the_map() {
         let what = format!("generated program {seed}");
         let dense = lockstep(&image, &config, rng.next(), &what);
         if seed % 3 != 0 {
-            assert_eq!(dense.inner.coh.mapped_lines(), 0, "{what}: all dense");
+            assert_eq!(dense.inner.coh.lines.mapped_lines(), 0, "{what}: all dense");
         }
     }
 }
 
 /// Every registry workload, on `flat` and `8s` at scale 0.1, run to the end:
-/// every line it touches lies in a dense table, so both fallback maps end
+/// every line it touches has a slot in a line table, so both maps end
 /// empty. A workload change that moves data off the fast path fails here.
 #[test]
 fn every_registry_access_stays_in_the_dense_part() {
@@ -166,8 +167,16 @@ fn every_registry_access_stays_in_the_dense_part() {
             m.run_to_completion().unwrap();
             let touched = m.inner.coh.tracked_lines();
             assert!(touched > 0, "{what}: the run touched memory");
-            assert_eq!(m.inner.coh.mapped_lines(), 0, "{what}: lines off the table");
-            assert_eq!(m.memory().touched_pages(), 0, "{what}: bytes off the table");
+            assert_eq!(
+                m.inner.coh.lines.mapped_lines(),
+                0,
+                "{what}: lines off the table"
+            );
+            assert_eq!(
+                m.memory().lines.mapped_lines(),
+                0,
+                "{what}: bytes off the table"
+            );
             let [globals, heap] = image.layout().data_extents();
             let lines = |r: std::ops::Range<u64>| (r.end - r.start) / crate::addr::CACHE_LINE_SIZE;
             println!(

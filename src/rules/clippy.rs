@@ -4,10 +4,10 @@
 //!
 //! Each case becomes one package of a throwaway workspace under the system
 //! temp directory, so a crate-level attribute or a `forbid` error in one case
-//! cannot mask another. Every package also gets a copy of
-//! `crates/machine/src/fasthash.rs` as `src/fasthash.rs`; a case that
-//! declares `pub mod fasthash;` lints against the workspace's real
-//! `FastHashMap`/`FastHashSet` aliases.
+//! cannot mask another. Every package also gets [`FASTHASH`] as
+//! `src/fasthash.rs`; a case that declares `pub mod fasthash;` lints against
+//! its `FastHashMap`/`FastHashSet` aliases, the shape a deterministic hash
+//! container takes under these rules.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -24,6 +24,29 @@ pub struct Finding {
     pub column: i64,
     pub lint: String,
 }
+
+/// A map and a set over a fixed hasher, each a reasoned escape from
+/// `clippy::disallowed_types`: lookups on them are deterministic, and the
+/// cases pin that iterating them is still flagged.
+const FASTHASH: &str = r#"//! Hash containers over a fixed hasher.
+
+use std::collections::hash_map::DefaultHasher;
+use std::hash::BuildHasherDefault;
+
+/// A `HashMap` whose hasher is the same on every run.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the hasher is fixed, so lookups are deterministic"
+)]
+pub type FastHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+
+/// A `HashSet` whose hasher is the same on every run.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the hasher is fixed, so lookups are deterministic"
+)]
+pub type FastHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<DefaultHasher>>;
+"#;
 
 /// The outcome of one `cargo clippy` run over a set of cases.
 pub struct Run {
@@ -136,7 +159,6 @@ impl Scratch {
         let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
         let read = |p: &str| std::fs::read_to_string(repo.join(p)).expect("read workspace file");
         let manifest = read("Cargo.toml");
-        let fasthash = read("crates/machine/src/fasthash.rs");
         let write = |p: PathBuf, text: &str| {
             std::fs::create_dir_all(p.parent().expect("a file has a parent"))
                 .expect("create scratch directory");
@@ -168,7 +190,7 @@ impl Scratch {
             );
             write(root.join(name).join("Cargo.toml"), &package);
             write(root.join(name).join("src/lib.rs"), source);
-            write(root.join(name).join("src/fasthash.rs"), &fasthash);
+            write(root.join(name).join("src/fasthash.rs"), FASTHASH);
         }
         Scratch(root)
     }
