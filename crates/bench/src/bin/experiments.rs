@@ -12,7 +12,8 @@
 //! ([`laser_bench::FIGURES`]): the binary plans the cells of every selected
 //! figure into one shared [`Grid`], runs each unique cell once on the
 //! parallel campaign runner, and derives each figure from the cached cells.
-//! `campaign` runs the full `workload × tool` grid instead. Per-cell progress
+//! `campaign` plans the full `workload × tool` grid on a [`Grid`] instead
+//! ([`plan_campaign`]) and prints every cell. Per-cell progress
 //! and notes go to stderr; stdout carries only the aggregated output, which
 //! is byte-identical whatever `--threads`, `--pipeline` or the cache's
 //! temperature. ARCHITECTURE.md ("Figures are views", "Scaling axes")
@@ -30,10 +31,9 @@ use std::sync::Arc;
 
 use laser_bench::args::{knob, value, CliError};
 use laser_bench::{
-    figure, validate_workload_names, AggregateFormat, Campaign, CampaignConfig, CampaignProgress,
+    figure, find_workload, plan_campaign, AggregateFormat, CampaignConfig, CampaignProgress,
     CellCache, CustomTopology, FigureError, Grid, TopologySpec, FIGURES,
 };
-use laser_workloads::registry;
 
 const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|\
                      fig11|fig12|fig13|fig14] [--scale S] [--threads N] [--only w1,w2,...] \
@@ -108,32 +108,10 @@ fn write_stdout(payload: &str) -> Result<(), String> {
         .map_err(|e| format!("failed to write to stdout: {e}"))
 }
 
-fn run_campaign(cli: &Cli) -> Result<(), String> {
-    let mut campaign = Campaign::default().with_config(cli.config.clone());
-    if let Some(names) = &cli.only {
-        // The names were validated at argument-parse time; revalidation here
-        // keeps `Campaign::with_workload_names` the single source of truth.
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        campaign = campaign
-            .with_workload_names(&names)
-            .map_err(|e| e.to_string())?;
-    }
-    eprintln!(
-        "running {} cells on {} worker threads...",
-        campaign.cells(),
-        cli.config.worker_threads()
-    );
-    let result = campaign.run_with_progress(announce);
-    let mut payload = cli.format.payload(&result);
-    if cli.format == AggregateFormat::Json {
-        payload.push('\n');
-    }
-    write_stdout(&payload)
-}
-
-/// Plan every selected figure into one grid, run it, then derive and print
-/// each figure in table order.
-fn run_figures(cli: &Cli) -> Result<(), String> {
+/// Plan every selected figure — or, for `campaign`, the whole grid — into
+/// one grid and run it, then print each figure in table order, or every
+/// cell.
+fn run(cli: &Cli) -> Result<(), String> {
     let all = cli.which == "all";
     let selected: Vec<_> = FIGURES
         .iter()
@@ -143,6 +121,9 @@ fn run_figures(cli: &Cli) -> Result<(), String> {
     // native baseline, both tables want laser-detect, ...) are planned once
     // and simulated once.
     let mut grid = Grid::with_config(cli.config.clone());
+    if cli.which == "campaign" {
+        plan_campaign(&mut grid, cli.only.as_deref())?;
+    }
     for figure in &selected {
         (figure.plan)(&mut grid);
     }
@@ -154,6 +135,13 @@ fn run_figures(cli: &Cli) -> Result<(), String> {
         );
     }
     let result = grid.run_with_progress(announce);
+    if cli.which == "campaign" {
+        let mut payload = cli.format.payload(result.campaign());
+        if cli.format == AggregateFormat::Json {
+            payload.push('\n');
+        }
+        return write_stdout(&payload);
+    }
 
     for figure in &selected {
         let name = figure.name;
@@ -293,9 +281,9 @@ impl Cli {
                     "--only only applies to the campaign subcommand".to_string(),
                 ));
             }
-            let names: Vec<&str> = names.iter().map(String::as_str).collect();
-            validate_workload_names(&names, &registry())
-                .map_err(|e| CliError::Invalid(e.to_string()))?;
+            for name in names {
+                find_workload(name).map_err(CliError::Invalid)?;
+            }
         }
         if cli.which != "campaign" && cli.which != "all" && figure(&cli.which).is_none() {
             return Err(CliError::Usage);
@@ -350,12 +338,8 @@ fn main() -> ExitCode {
     }
     // A failed campaign is a usage-class exit; a failed figure is a runtime
     // one.
-    let (run, failure) = if cli.which == "campaign" {
-        (run_campaign(&cli), 2)
-    } else {
-        (run_figures(&cli), 1)
-    };
-    match run.and_then(|()| finish_cache(&cli)) {
+    let failure = if cli.which == "campaign" { 2 } else { 1 };
+    match run(&cli).and_then(|()| finish_cache(&cli)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
@@ -578,6 +562,7 @@ mod tests {
             ("--scale", "-1", "must be a positive number, got -1"),
             ("--scale", "nan", "must be a positive number, got NaN"),
             ("--scale", "inf", "must be a positive number, got inf"),
+            ("--scale", "1e300", "must be at most 1242, got 1e300"),
             ("--threads", "0", "must be at least 1"),
             ("--cell-budget-steps", "0", "must be at least 1"),
         ] {
@@ -591,6 +576,8 @@ mod tests {
         let cli = Cli::parse(&args(&["--cell-budget-steps", "9", "--threads", "1"])).unwrap();
         assert_eq!(cli.config.budget, CellBudget::steps(9));
         assert_eq!(cli.config.threads, std::num::NonZeroUsize::new(1));
+        let cli = Cli::parse(&args(&["--scale", "1242"])).unwrap();
+        assert_eq!(cli.config.opts.scale, laser_bench::config::MAX_SCALE);
     }
 
     #[test]
@@ -648,11 +635,11 @@ mod tests {
         for (flags, keys) in knobs {
             let cli = Cli::parse(&args(flags)).unwrap();
             let scenario = scenario(keys).unwrap();
-            assert_eq!(cli.config, scenario.config, "{flags:?} vs {keys}");
+            assert_eq!(&cli.config, scenario.config(), "{flags:?} vs {keys}");
             let cell = |config: &CampaignConfig| {
                 fingerprint(&config.cell("histogram'", "laser", TopologySpec::DualSocket))
             };
-            assert_eq!(cell(&cli.config), cell(&scenario.config), "{flags:?}");
+            assert_eq!(cell(&cli.config), cell(scenario.config()), "{flags:?}");
         }
 
         // The bespoke layout is a file behind the flag and an inline object
@@ -671,11 +658,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let keyed = scenario(&format!(r#""custom_topology": {layout},"#)).unwrap();
         assert!(cli.config.custom_topology.is_some());
-        assert_eq!(cli.config, keyed.config);
+        assert_eq!(&cli.config, keyed.config());
         let cell = |config: &CampaignConfig| {
             fingerprint(&config.cell("histogram'", "laser", TopologySpec::Flat))
         };
-        assert_eq!(cell(&cli.config), cell(&keyed.config));
+        assert_eq!(cell(&cli.config), cell(keyed.config()));
 
         // Every out-of-range value is rejected by both, for the same reason.
         let rejected: &[(&str, &str, &str, &str)] = &[
@@ -685,6 +672,12 @@ mod tests {
                 "-0.5",
                 "scale",
                 "must be a positive number, got -0.5",
+            ),
+            (
+                "--scale",
+                "1e300",
+                "scale",
+                "must be at most 1242, got 1e300",
             ),
             ("--threads", "0", "threads", "must be at least 1"),
             (

@@ -152,7 +152,7 @@ fn serve_text(
     eprintln!(
         "serving scenario '{}' from {source}: {} cells",
         scenario.name,
-        scenario.plan().len()
+        scenario.grid().cells()
     );
     let summary = run_scenario(&scenario, options, std::io::stdout())
         .map_err(|e| (1, format!("{source}: {e}")))?;

@@ -6,7 +6,7 @@
 //! configuration — workload name, build options, tool key, topology preset,
 //! per-cell budget and pipeline deployment — and stores the finished
 //! [`CellResult`] on disk as compact JSON (via the `serde::json` shim). A
-//! [`Campaign`](crate::campaign::Campaign) holding a cache consults it before
+//! [`Grid`](crate::grid::Grid) holding a cache consults it before
 //! simulating a cell and writes the result back after, so a repeated or
 //! incrementally-changed campaign only pays for the cells that changed.
 //!

@@ -8,9 +8,10 @@
 //! well-formed edit of a number is served as written (module docs).
 
 use super::*;
-use crate::campaign::Campaign;
+use crate::campaign::plan_campaign;
 use crate::config::CampaignConfig;
 use crate::emit::Emit;
+use crate::grid::Grid;
 use crate::tool::ToolSpec;
 use serde::json::MAX_DEPTH;
 use std::num::NonZeroUsize;
@@ -50,15 +51,14 @@ fn config(budget: CellBudget, cache: &Arc<CellCache>) -> CampaignConfig {
 }
 
 /// Native and LASERDETECT on each of `workloads` under `config`.
-fn native_and_detect(workloads: &[&str], config: CampaignConfig) -> Campaign {
-    let specs: Vec<_> = workloads
-        .iter()
-        .map(|w| laser_workloads::find(w).unwrap())
-        .collect();
-    let requests = specs.iter().flat_map(|w| {
-        [ToolSpec::Native, ToolSpec::LaserDetect].map(|tool| (w, tool, TopologySpec::Flat))
-    });
-    Campaign::from_requests(requests, config)
+fn native_and_detect(workloads: &[&str], config: CampaignConfig) -> Grid {
+    let mut grid = Grid::with_config(config);
+    for workload in workloads {
+        let spec = laser_workloads::find(workload).unwrap();
+        grid.request(&spec, ToolSpec::Native);
+        grid.request(&spec, ToolSpec::LaserDetect);
+    }
+    grid
 }
 
 /// Fill `dir` through real campaigns — every default tool on four workloads
@@ -68,19 +68,17 @@ fn native_and_detect(workloads: &[&str], config: CampaignConfig) -> Campaign {
 fn populate(dir: &Path) -> Vec<Entry> {
     let cache = Arc::new(CellCache::open(dir).unwrap());
     let workloads = ["histogram'", "linear_regression", "bodytrack", "dedup"];
-    let full = Campaign::default()
-        .with_config(config(CellBudget::default(), &cache))
-        .with_workload_names(&workloads)
-        .unwrap()
-        .run();
+    let mut full = Grid::with_config(config(CellBudget::default(), &cache));
+    plan_campaign(&mut full, Some(&workloads)).unwrap();
+    let full = full.run().into_campaign();
     let budget = CellBudget::steps(5_000);
-    let tripped = native_and_detect(&["histogram'"], config(budget, &cache)).run();
+    let tripped = native_and_detect(&["histogram'"], config(budget, &cache))
+        .run()
+        .into_campaign();
     let case = laser_workloads::characterization_cases()[3].spec();
-    let figure3 = Campaign::from_requests(
-        [(&case, ToolSpec::PebsAccuracy, TopologySpec::Flat)],
-        config(CellBudget::default(), &cache),
-    )
-    .run();
+    let mut figure3 = Grid::with_config(config(CellBudget::default(), &cache));
+    figure3.request(&case, ToolSpec::PebsAccuracy);
+    let figure3 = figure3.run().into_campaign();
     let opts = opts();
     let mut entries = Vec::new();
     for (cells, budget) in [
@@ -413,14 +411,16 @@ fn a_bracket_flood_entry_is_one_counted_miss_with_identical_bytes() {
             config(CellBudget::default(), cache),
         )
     };
-    let cold = campaign(&Arc::new(CellCache::open(&dir).unwrap())).run();
+    let cold = campaign(&Arc::new(CellCache::open(&dir).unwrap()))
+        .run()
+        .into_campaign();
     let opts = opts();
     let victim = fingerprint(&CellConfig::flat("swaptions", "laser-detect", &opts));
     let flood = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
     fs::write(dir.join(format!("{victim}.json")), flood).unwrap();
 
     let cache = Arc::new(CellCache::open(&dir).unwrap());
-    let warm = campaign(&cache).run();
+    let warm = campaign(&cache).run().into_campaign();
     let cells = cold.cells.len() as u64;
     assert_eq!(
         cache.stats(),

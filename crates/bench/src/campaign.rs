@@ -1,14 +1,18 @@
-//! Parallel experiment campaigns: a `workload × tool` grid fanned across a
-//! thread pool.
+//! The campaign executor and its result: a `workload × tool` grid fanned
+//! across a thread pool.
 //!
-//! A [`Campaign`] is the unit in which the paper's evaluation actually runs:
-//! 35 workloads under up to 5 tools. Every cell — one tool on one workload —
-//! is an independent, deterministic simulation, and the execution stack is
-//! built from owned `Send` values (see `laser_core::session`), so cells can
-//! be computed by any worker in any order. Results are stored by cell index
-//! and aggregated in grid order, which makes the output **byte-identical**
-//! whatever the thread count: `threads = 1` is the reference serial
-//! execution, `threads = N` is just faster.
+//! The paper's evaluation runs as one grid: 35 workloads under up to 5
+//! tools. Every cell set — each figure, `experiments campaign`
+//! ([`plan_campaign`]) and every scenario — is planned on a [`Grid`], and
+//! [`Grid::run_with_progress`] lowers its sorted request set to the
+//! crate-private `Campaign` executor here. Every
+//! cell — one tool on one workload — is an independent, deterministic
+//! simulation, and the execution stack is built from owned `Send` values
+//! (see `laser_core::session`), so cells can be computed by any worker in
+//! any order. Results are stored by cell index and aggregated in grid
+//! order, which makes the output **byte-identical** whatever the thread
+//! count: `threads = 1` is the reference serial execution, `threads = N` is
+//! just faster.
 //!
 //! Long campaigns survive misbehaving cells: a panic inside a cell is
 //! caught and recorded as [`ToolFailure::Panicked`], so one bad
@@ -21,15 +25,13 @@
 //! the byte-identical-across-thread-counts guarantee.
 //!
 //! Everything a campaign applies to every cell lives in one
-//! [`CampaignConfig`], and every campaign is lowered from `(workload,
-//! ToolSpec, topology)` requests by [`Campaign::from_requests`];
-//! [`Campaign::run_with_progress`] lowers the config to one [`CellConfig`]
-//! per cell and hands that same value to the cache lookup, the tool and the
-//! cache store. A cell's tool is a [`ToolSpec`], so the `tool=` line of the
-//! cell's fingerprinted config names its whole configuration.
+//! [`CampaignConfig`]; the executor lowers it to one [`CellConfig`] per cell
+//! and hands that same value to the cache lookup, the tool and the cache
+//! store. A cell's tool is a [`ToolSpec`], so the `tool=` line of the cell's
+//! fingerprinted config names its whole configuration.
 //!
 //! Callers that want incremental feedback pass a progress sink to
-//! [`Campaign::run_with_progress`]; cells are announced as they start and
+//! [`Grid::run_with_progress`]; cells are announced as they start and
 //! complete ([`CampaignProgress`]), while the aggregated result stays
 //! deterministic.
 //!
@@ -56,6 +58,8 @@ use serde::json::Value;
 
 use crate::config::{CampaignConfig, CellConfig};
 use crate::emit::{Column, Emit, Prec, View};
+use crate::grid::Grid;
+use crate::runner::find_workload;
 use crate::tool::{SharedRuns, ToolFailure, ToolRun, ToolSpec, DEFAULT_PANEL};
 
 /// One `workload × tool` cell of a finished campaign.
@@ -83,7 +87,7 @@ impl CellResult {
 }
 
 /// One progress notification from an in-flight campaign, as delivered to the
-/// sink passed to [`Campaign::run_with_progress`].
+/// sink passed to [`Grid::run_with_progress`].
 ///
 /// Notification order depends on scheduling — that is the point: the sink
 /// streams what is happening while the run is hot — but the aggregated
@@ -116,47 +120,34 @@ pub enum CampaignProgress<'a> {
     },
 }
 
-/// A workload name passed to [`Campaign::with_workload_names`] that is not in
-/// the campaign's workload set. Surfacing this as an error (instead of
-/// silently dropping the name) is what keeps a typo from quietly running an
-/// empty or partial grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownWorkload(pub String);
-
-impl std::fmt::Display for UnknownWorkload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown workload '{}' (names are case-sensitive; the alternative-input histogram \
-             is \"histogram'\")",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for UnknownWorkload {}
-
-/// Check every name in `names` against `workloads`, rejecting the first
-/// unknown one. This is the validation behind
-/// [`Campaign::with_workload_names`], exposed so callers (the `experiments`
-/// binary's `--only` list) can fail fast *before* any cell is simulated.
+/// Plan the whole `workload × tool` grid of `experiments campaign`: every
+/// registry workload (the `only` ones, when given) under the default tool
+/// panel — native, LASER, VTune and both Sheriff modes — on the grid's
+/// topology. The grid's sorted order is registry order, workload-major, with
+/// the tools in panel order.
 ///
 /// # Errors
-/// Returns [`UnknownWorkload`] for the first name that matches no workload.
-pub fn validate_workload_names(
-    names: &[&str],
-    workloads: &[WorkloadSpec],
-) -> Result<(), UnknownWorkload> {
-    for name in names {
-        if !workloads.iter().any(|w| &w.name == name) {
-            return Err(UnknownWorkload((*name).to_string()));
+/// The [`find_workload`] message for the first name in `only` that matches
+/// no workload; nothing is planned then.
+pub fn plan_campaign(grid: &mut Grid, only: Option<&[impl AsRef<str>]>) -> Result<(), String> {
+    let workloads = match only {
+        Some(names) => names
+            .iter()
+            .map(|name| find_workload(name.as_ref()))
+            .collect::<Result<Vec<_>, _>>()?,
+        None => registry(),
+    };
+    for workload in &workloads {
+        for tool in DEFAULT_PANEL {
+            grid.request(workload, tool);
         }
     }
     Ok(())
 }
 
-/// A configured experiment campaign.
-pub struct Campaign {
+/// The executor behind [`Grid::run_with_progress`]: a grid's cells in
+/// grid (aggregation) order, each distinct workload and tool key held once.
+pub(crate) struct Campaign {
     workloads: Vec<WorkloadSpec>,
     /// Every distinct tool, with its key rendered once.
     tools: Vec<(ToolSpec, String)>,
@@ -167,27 +158,11 @@ pub struct Campaign {
     config: CampaignConfig,
 }
 
-impl Default for Campaign {
-    /// The full suite under the default tool panel (native, LASER, VTune and
-    /// both Sheriff modes), workload-major on the flat topology, one worker
-    /// per available core.
-    fn default() -> Self {
-        let workloads = registry();
-        let requests = workloads
-            .iter()
-            .flat_map(|w| DEFAULT_PANEL.map(|tool| (w, tool, TopologySpec::Flat)));
-        Campaign::from_requests(requests, CampaignConfig::default())
-    }
-}
-
 impl Campaign {
     /// Lower a request list to a campaign under `config`: each
     /// `(workload, tool, topology)` request becomes one cell, in request
-    /// order, with every distinct workload and tool key rendered once. This
-    /// is the one way a campaign is made: the [`Grid`](crate::grid::Grid),
-    /// the scenario service and [`Campaign::default`] all run their cell
-    /// sets — cross-socket sweeps next to flat cells — through it.
-    pub fn from_requests<'a>(
+    /// order, with every distinct workload and tool key rendered once.
+    pub(crate) fn from_requests<'a>(
         requests: impl IntoIterator<Item = (&'a WorkloadSpec, ToolSpec, TopologySpec)>,
         config: CampaignConfig,
     ) -> Self {
@@ -211,52 +186,6 @@ impl Campaign {
             campaign.cells.push((w, t, topology));
         }
         campaign
-    }
-
-    /// Replace the whole configuration, deploying every cell on
-    /// `config.topology`. Cell keys keep their bare tool names on the flat
-    /// preset and gain an `@2s` / `@4s` suffix on the multi-socket ones, so
-    /// sweeps over several topologies never collide.
-    pub fn with_config(mut self, config: CampaignConfig) -> Self {
-        for cell in &mut self.cells {
-            cell.2 = config.topology;
-        }
-        self.config = config;
-        self
-    }
-
-    /// Restrict the campaign to the named workloads, keeping grid order.
-    ///
-    /// # Errors
-    /// Returns [`UnknownWorkload`] for the first name that does not match any
-    /// workload of this campaign; nothing is silently dropped.
-    pub fn with_workload_names(mut self, names: &[&str]) -> Result<Self, UnknownWorkload> {
-        validate_workload_names(names, &self.workloads)?;
-        self.cells
-            .retain(|&(w, _, _)| names.contains(&self.workloads[w].name));
-        Ok(self)
-    }
-
-    /// Number of cells the campaign will run.
-    pub fn cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Run every cell and aggregate in grid order. The aggregation is
-    /// independent of the thread count.
-    pub fn run(&self) -> CampaignResult {
-        self.run_with_progress(|_| {})
-    }
-
-    /// Like [`Campaign::run`], streaming [`CampaignProgress`] notifications
-    /// to `progress` as cells start and finish. Notification order depends on
-    /// scheduling (that is the point: callers stream progress while the run
-    /// is hot), but the returned aggregation does not.
-    pub fn run_with_progress<F>(&self, progress: F) -> CampaignResult
-    where
-        F: Fn(CampaignProgress) + Sync,
-    {
-        self.run_counting(progress).0
     }
 
     /// The cells grouped by the simulation they share, each group listed
@@ -286,8 +215,10 @@ impl Campaign {
         groups
     }
 
-    /// [`Campaign::run_with_progress`], also returning how many simulations
-    /// the run started.
+    /// Run every cell and aggregate in grid order, streaming
+    /// [`CampaignProgress`] notifications to `progress` as cells start and
+    /// finish; also return how many simulations the run started.
+    /// Notification order depends on scheduling, the aggregation does not.
     pub(crate) fn run_counting<F>(&self, progress: F) -> (CampaignResult, usize)
     where
         F: Fn(CampaignProgress) + Sync,
@@ -391,8 +322,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Deterministically-ordered parallel map: compute `f(0..n)` on up to
 /// `threads` workers off a shared atomic counter and return the results in
-/// index order. This is the executor under [`Campaign::run`], and the only
-/// one: every simulated figure, Figure 3 included, runs as campaign cells.
+/// index order. This is the pool under every grid, and the only one: every
+/// simulated figure, Figure 3 included, runs as campaign cells.
 fn ordered_parallel<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -523,39 +454,56 @@ impl Emit for CampaignResult {
 mod tests {
     use super::*;
     use laser_core::{CellBudget, PipelineConfig};
-    use laser_workloads::BuildOptions;
+    use laser_workloads::{find, BuildOptions};
     use std::num::NonZeroUsize;
     use std::sync::atomic::AtomicUsize;
 
-    /// `tools` on each of the registry's `workloads`, workload-major, at
-    /// `scale` on `threads` workers.
-    fn campaign(workloads: &[&str], tools: &[ToolSpec], scale: f64, threads: usize) -> Campaign {
-        let registry = registry();
-        let requests = registry
-            .iter()
-            .filter(|w| workloads.contains(&w.name))
-            .flat_map(|w| tools.iter().map(move |&tool| (w, tool, TopologySpec::Flat)));
-        let config = CampaignConfig {
+    /// `tools` on each of `workloads`, at `scale` on `threads` workers with
+    /// `deploy` applied to the config, planned on a grid.
+    fn campaign_with(
+        workloads: &[&str],
+        tools: &[ToolSpec],
+        scale: f64,
+        threads: usize,
+        deploy: impl FnOnce(&mut CampaignConfig),
+    ) -> Grid {
+        let mut config = CampaignConfig {
             opts: BuildOptions::scaled(scale),
             threads: NonZeroUsize::new(threads),
             ..CampaignConfig::default()
         };
-        Campaign::from_requests(requests, config)
+        deploy(&mut config);
+        let mut grid = Grid::with_config(config);
+        for workload in workloads {
+            for &tool in tools {
+                grid.request(&find(workload).unwrap(), tool);
+            }
+        }
+        grid
+    }
+
+    /// [`campaign_with`] under the default deployment.
+    fn campaign(workloads: &[&str], tools: &[ToolSpec], scale: f64, threads: usize) -> Grid {
+        campaign_with(workloads, tools, scale, threads, |_| {})
     }
 
     /// Native and LASERDETECT on `histogram'` and `swaptions` at scale 0.08,
     /// `deploy` applied to the config.
-    fn small_campaign(threads: usize, deploy: impl FnOnce(&mut CampaignConfig)) -> Campaign {
+    fn small_campaign(threads: usize, deploy: impl FnOnce(&mut CampaignConfig)) -> Grid {
         let tools = [ToolSpec::Native, ToolSpec::LaserDetect];
-        let campaign = campaign(&["histogram'", "swaptions"], &tools, 0.08, threads);
-        let mut config = campaign.config.clone();
-        deploy(&mut config);
-        campaign.with_config(config)
+        campaign_with(&["histogram'", "swaptions"], &tools, 0.08, threads, deploy)
+    }
+
+    /// The whole campaign grid, restricted to `only`, planned on an empty
+    /// grid.
+    fn plan_only(only: &[&str]) -> Result<Grid, String> {
+        let mut grid = Grid::with_config(CampaignConfig::default());
+        plan_campaign(&mut grid, Some(only)).map(|()| grid)
     }
 
     #[test]
     fn grid_is_workload_major_and_complete() {
-        let result = small_campaign(2, |_| {}).run();
+        let result = small_campaign(2, |_| {}).run().into_campaign();
         assert_eq!(result.cells.len(), 4);
         assert_eq!(
             result
@@ -575,7 +523,7 @@ mod tests {
 
     #[test]
     fn normalized_overhead_is_sane() {
-        let result = small_campaign(4, |_| {}).run();
+        let result = small_campaign(4, |_| {}).run().into_campaign();
         let norm = result.normalized("histogram'", "laser-detect").unwrap();
         assert!(
             norm >= 1.0,
@@ -588,27 +536,27 @@ mod tests {
     #[test]
     fn thread_count_caps_do_not_drop_cells() {
         // More workers than cells must still fill the grid exactly once each.
-        let result = small_campaign(64, |_| {}).run();
+        let result = small_campaign(64, |_| {}).run().into_campaign();
         assert_eq!(result.cells.len(), 4);
         assert!(result.cells.iter().all(|c| c.outcome.is_ok()));
     }
 
     #[test]
     fn unknown_workload_names_are_an_error() {
-        let err = match Campaign::default().with_workload_names(&["histogram'", "histogramm"]) {
+        let err = match plan_only(&["histogram'", "histogramm"]) {
             Err(e) => e,
             Ok(_) => panic!("typo'd workload name must not be silently dropped"),
         };
-        assert_eq!(err, UnknownWorkload("histogramm".to_string()));
+        assert_eq!(err, find_workload("histogramm").unwrap_err());
         assert!(err.to_string().contains("histogramm"));
     }
 
     #[test]
     fn progress_announces_every_cell_start_and_finish() {
-        let campaign = small_campaign(3, |_| {});
+        let grid = small_campaign(3, |_| {});
         let starts = Mutex::new(Vec::new());
         let finishes = Mutex::new(Vec::new());
-        let result = campaign.run_with_progress(|p| match p {
+        let result = grid.run_with_progress(|p| match p {
             CampaignProgress::Started {
                 index,
                 total,
@@ -629,6 +577,7 @@ mod tests {
                 cell.tool.clone(),
             )),
         });
+        let result = result.campaign();
         let mut starts = starts.into_inner().unwrap();
         let mut finishes = finishes.into_inner().unwrap();
         let n = result.cells.len();
@@ -653,7 +602,9 @@ mod tests {
     fn step_budget_marks_over_budget_cells_without_disturbing_the_rest() {
         // A budget that every cell blows through: each cell fails on its own,
         // the grid shape survives.
-        let result = small_campaign(2, |c| c.budget = CellBudget::steps(10)).run();
+        let result = small_campaign(2, |c| c.budget = CellBudget::steps(10))
+            .run()
+            .into_campaign();
         assert_eq!(result.cells.len(), 4);
         for cell in &result.cells {
             assert_eq!(cell.status(), "budget-exceeded", "{cell:?}");
@@ -663,41 +614,42 @@ mod tests {
             ));
         }
         // An unlimited budget behaves exactly like no budget.
-        let unlimited = small_campaign(2, |c| c.budget = CellBudget::default()).run();
-        assert_eq!(unlimited.cells, small_campaign(2, |_| {}).run().cells);
+        let unlimited = small_campaign(2, |c| c.budget = CellBudget::default())
+            .run()
+            .into_campaign();
+        assert_eq!(
+            unlimited.cells,
+            small_campaign(2, |_| {}).run().into_campaign().cells
+        );
     }
 
     #[test]
     fn validate_workload_names_rejects_the_first_unknown_name() {
-        let workloads = registry();
-        assert_eq!(
-            validate_workload_names(&["histogram'", "swaptions"], &workloads),
-            Ok(())
-        );
-        assert_eq!(validate_workload_names(&[], &workloads), Ok(()));
+        let planned = |names: &[&str]| plan_only(names).map(|grid| grid.cells());
+        assert_eq!(planned(&["histogram'", "swaptions"]), Ok(10));
+        assert_eq!(planned(&[]), Ok(0));
         // `histogram` and `histogram'` are *both* real workloads (the
         // Phoenix original and its alternative-input variant) — neither is a
         // typo of the other, and both must validate.
+        assert_eq!(planned(&["histogram", "histogram'"]), Ok(10));
         assert_eq!(
-            validate_workload_names(&["histogram", "histogram'"], &workloads),
-            Ok(())
-        );
-        assert_eq!(
-            validate_workload_names(&["histogram'", "histogramm", "bogus"], &workloads),
-            Err(UnknownWorkload("histogramm".to_string())),
+            planned(&["histogram'", "histogramm", "bogus"]),
+            Err(find_workload("histogramm").unwrap_err()),
             "the first unknown name is the one reported"
         );
         assert_eq!(
-            validate_workload_names(&[""], &workloads),
-            Err(UnknownWorkload(String::new())),
+            planned(&[""]),
+            Err(find_workload("").unwrap_err()),
             "empty entries from a stray comma are unknown, not ignored"
         );
     }
 
     #[test]
     fn pipelined_campaign_is_byte_identical_to_inline() {
-        let inline = small_campaign(2, |_| {}).run();
-        let piped = small_campaign(2, |c| c.pipeline = PipelineConfig::pipelined()).run();
+        let inline = small_campaign(2, |_| {}).run().into_campaign();
+        let piped = small_campaign(2, |c| c.pipeline = PipelineConfig::pipelined())
+            .run()
+            .into_campaign();
         assert_eq!(inline.cells, piped.cells);
         assert_eq!(inline.render(), piped.render());
     }
@@ -705,8 +657,12 @@ mod tests {
     #[test]
     fn budgeted_campaigns_stay_deterministic_across_thread_counts() {
         let budget = CellBudget::steps(200_000);
-        let serial = small_campaign(1, |c| c.budget = budget).run();
-        let parallel = small_campaign(8, |c| c.budget = budget).run();
+        let serial = small_campaign(1, |c| c.budget = budget)
+            .run()
+            .into_campaign();
+        let parallel = small_campaign(8, |c| c.budget = budget)
+            .run()
+            .into_campaign();
         assert_eq!(serial.cells, parallel.cells);
         assert_eq!(serial.render(), parallel.render());
     }
@@ -714,10 +670,10 @@ mod tests {
     #[test]
     fn a_panicking_cell_does_not_destroy_the_campaign() {
         let workloads = ["histogram'", "swaptions", "kmeans"];
-        let campaign = campaign(&workloads, &[ToolSpec::Native], 0.06, 2);
+        let grid = campaign(&workloads, &[ToolSpec::Native], 0.06, 2);
         // A `&str` payload on swaptions and a `String` one on kmeans, so
         // both arms of `panic_message` are taken.
-        let (result, _) = campaign.run_cells(
+        let (result, _) = grid.campaign().run_cells(
             |_| {},
             |shared, spec, workload, cell| match workload.name {
                 "swaptions" => panic!("deliberate test panic"),
@@ -742,7 +698,10 @@ mod tests {
         // The other cell completed normally.
         let fine = result.cell("histogram'", "native").unwrap();
         assert!(fine.outcome.is_ok());
-        assert_eq!(Some(fine), campaign.run().cell("histogram'", "native"));
+        assert_eq!(
+            Some(fine),
+            grid.run().into_campaign().cell("histogram'", "native")
+        );
     }
 
     #[test]

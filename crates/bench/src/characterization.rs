@@ -349,15 +349,13 @@ mod tests {
             ))
         );
         // Through a campaign, too: one error cell, no panic.
-        let campaign = crate::campaign::Campaign::from_requests(
-            [(&spec, ToolSpec::PebsAccuracy, TopologySpec::Flat)],
-            crate::config::CampaignConfig {
-                opts,
-                threads: std::num::NonZeroUsize::new(1),
-                ..crate::config::CampaignConfig::default()
-            },
-        );
-        let result = campaign.run();
+        let mut grid = Grid::with_config(crate::config::CampaignConfig {
+            opts,
+            threads: std::num::NonZeroUsize::new(1),
+            ..crate::config::CampaignConfig::default()
+        });
+        grid.request(&spec, ToolSpec::PebsAccuracy);
+        let result = grid.run().into_campaign();
         assert_eq!(result.cells.len(), 1);
         assert_eq!(result.cells[0].status(), "error");
     }

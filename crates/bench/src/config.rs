@@ -44,6 +44,15 @@ pub struct CampaignConfig {
     pub cache: Option<Arc<CellCache>>,
 }
 
+/// The largest workload input scale a flag or scenario key accepts.
+///
+/// Past it every cell would run to `MachineConfig::default().max_steps`
+/// (4×10^8 instructions) and fail: the longest registry native run on the
+/// flat machine, `dedup`, retires 399,269,535 instructions at scale 1242 and
+/// exceeds the bound at 1243. A larger scale, `1e300` say, used to saturate
+/// every iteration count and cost each cell 4×10^8 steps before it failed.
+pub const MAX_SCALE: f64 = 1242.0;
+
 fn at_least_one(n: u64) -> Result<u64, String> {
     if n == 0 {
         return Err("must be at least 1".to_string());
@@ -64,10 +73,13 @@ impl CampaignConfig {
     /// Set the workload input-scale multiplier.
     ///
     /// # Errors
-    /// Unless `scale` is finite and positive.
+    /// Unless `scale` is finite and positive, and at most [`MAX_SCALE`].
     pub fn set_scale(&mut self, scale: f64) -> Result<(), String> {
         if !scale.is_finite() || scale <= 0.0 {
             return Err(format!("must be a positive number, got {scale}"));
+        }
+        if scale > MAX_SCALE {
+            return Err(format!("must be at most {MAX_SCALE}, got {scale:e}"));
         }
         self.opts.scale = scale;
         Ok(())

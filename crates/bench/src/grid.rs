@@ -1,15 +1,17 @@
-//! The shared cell cache behind every figure and table: plan the union of the
-//! `(workload, tool)` cells the requested experiments need, run each unique
-//! cell **exactly once** on the parallel [`Campaign`] runner, and let every
-//! figure derive its rows from the cached results.
+//! The one planner: every cell set a run holds is requested on a [`Grid`],
+//! which runs each unique cell **exactly once** on the parallel campaign
+//! executor ([`crate::campaign`]) and lets every figure derive its rows from
+//! the cached results.
 //!
-//! Before this layer, each figure generator re-ran its own workloads serially
-//! — `experiments all` simulated the same `(workload, native)` cell up to six
-//! times. Now the planning functions (`plan_fig10`, `plan_table1`, …, in
-//! [`crate::performance`] and [`crate::accuracy`]) register requests on a
-//! [`Grid`], requests deduplicate in a sorted set, and one campaign computes
-//! the union in parallel. Figures become pure views: `fig10_from_grid` and
-//! friends read cells out of the [`GridResult`] and never simulate anything.
+//! The figure planners (`plan_fig10`, `plan_table1`, …, in
+//! [`crate::performance`] and [`crate::accuracy`]), the whole-grid
+//! [`plan_campaign`](crate::campaign::plan_campaign) of `experiments
+//! campaign`, and a scenario's cells and sweeps
+//! ([`Scenario::grid`](crate::scenario::Scenario::grid)) all register
+//! requests through [`Grid::request`] / [`Grid::request_at`]. Requests
+//! deduplicate in a sorted set, and one campaign computes the union in
+//! parallel. Figures are pure views: `fig10_from_grid` and friends read
+//! cells out of the [`GridResult`] and never simulate anything.
 //!
 //! Cell order (and therefore aggregation order) is the sorted request set, so
 //! a grid's rendered output is byte-identical for any thread count and any
@@ -158,6 +160,11 @@ impl Grid {
         }
     }
 
+    /// Everything the grid applies to every cell.
+    pub fn config(&self) -> &CampaignConfig {
+        &self.config
+    }
+
     /// The topology [`Grid::request`] plans cells on.
     pub fn topology(&self) -> TopologySpec {
         self.config.topology
@@ -188,6 +195,12 @@ impl Grid {
         self.requests.len()
     }
 
+    /// The unique `(workload, tool, topology)` cells planned so far, in grid
+    /// order.
+    pub(crate) fn requests(&self) -> &BTreeSet<(String, ToolSpec, TopologySpec)> {
+        &self.requests
+    }
+
     /// Run every planned cell once, in parallel, and index the results.
     pub fn run(self) -> GridResult {
         self.run_with_progress(|_| {})
@@ -199,7 +212,7 @@ impl Grid {
     where
         F: Fn(CampaignProgress) + Sync,
     {
-        let result = self.campaign().run_with_progress(progress);
+        let (result, _) = self.campaign().run_counting(progress);
         let scale = self.scale();
         let topology = self.config.topology;
         let index = result
@@ -219,7 +232,7 @@ impl Grid {
     /// The campaign that runs this grid: every planned cell, lowered in the
     /// sorted request order, so cells of one workload share their
     /// simulations.
-    fn campaign(&self) -> Campaign {
+    pub(crate) fn campaign(&self) -> Campaign {
         let requests = self
             .requests
             .iter()
@@ -253,6 +266,11 @@ impl GridResult {
     /// The underlying campaign result, in grid order.
     pub fn campaign(&self) -> &CampaignResult {
         &self.result
+    }
+
+    /// The underlying campaign result, in grid order, without the index.
+    pub fn into_campaign(self) -> CampaignResult {
+        self.result
     }
 
     /// The raw cell for `workload` under `tool` on the grid's default
@@ -344,24 +362,8 @@ impl GridResult {
     /// # Errors
     /// Propagates missing/failed cells for either endpoint.
     pub fn normalized(&self, workload: &str, tool: ToolSpec) -> Result<f64, ExperimentError> {
-        self.normalized_at(workload, tool, self.topology)
-    }
-
-    /// Runtime of `workload` under `tool` normalized to the workload's
-    /// native cell, both on an explicit topology.
-    ///
-    /// # Errors
-    /// Propagates missing/failed cells for either endpoint.
-    pub fn normalized_at(
-        &self,
-        workload: &str,
-        tool: ToolSpec,
-        topology: TopologySpec,
-    ) -> Result<f64, ExperimentError> {
-        let cycles = self.tool_run_at(workload, tool, topology)?.cycles;
-        let native = self
-            .tool_run_at(workload, ToolSpec::Native, topology)?
-            .cycles;
+        let cycles = self.tool_run(workload, tool)?.cycles;
+        let native = self.tool_run(workload, ToolSpec::Native)?.cycles;
         Ok(cycles as f64 / native.max(1) as f64)
     }
 }

@@ -16,14 +16,16 @@
 //! | Figure 13 | [`performance::plan_fig13`] / [`performance::fig13_from_grid`] | `experiments fig13` |
 //! | Figure 14 | [`performance::plan_fig14`] / [`performance::fig14_from_grid`] | `experiments fig14` |
 //! | Cross-socket sweep (beyond the paper) | [`xsocket::plan_xsocket`] / [`xsocket::xsocket_from_grid`] | `experiments xsocket` |
-//! | The whole `workload × tool` grid | [`Campaign::run`] | `experiments campaign` |
+//! | The whole `workload × tool` grid | [`campaign::plan_campaign`] / [`CampaignResult`] | `experiments campaign` |
 //!
 //! Every table and figure is a *view over one campaign result*: a planner
 //! (`plan_fig10`, `plan_table1`, …) registers the `(workload, tool)` cells
 //! the experiment needs on a shared [`Grid`], the grid runs each unique cell
-//! exactly once on the parallel [`Campaign`] runner, and the figure derives
-//! its report from the cached cells (`fig10_from_grid`, …). Each report is
-//! one table, a [`View`], which one renderer spells as text, JSON or CSV
+//! exactly once on its parallel campaign executor, and the figure derives
+//! its report from the cached cells (`fig10_from_grid`, …). The grid is the
+//! one planner: `experiments campaign` ([`plan_campaign`]) and every
+//! scenario ([`Scenario::grid`]) request their cells on it too. Each report
+//! is one table, a [`View`], which one renderer spells as text, JSON or CSV
 //! (`--format`, see [`emit`]). The figures themselves are one table too:
 //! [`FIGURES`] pairs each subcommand with its planner and its derivation, and
 //! the `experiments` binary plans every selected figure into one grid,
@@ -56,17 +58,14 @@ pub mod topofile;
 pub mod xsocket;
 
 pub use cache::{fingerprint, CacheError, CacheStats, CellCache, CACHE_SALT};
-pub use campaign::{
-    validate_workload_names, Campaign, CampaignProgress, CampaignResult, CellResult,
-    UnknownWorkload,
-};
+pub use campaign::{plan_campaign, CampaignProgress, CampaignResult, CellResult};
 pub use config::{CampaignConfig, CellConfig};
 pub use emit::{Emit, View};
 pub use figures::{figure, FigureError, FigureSpec, FIGURES};
 pub use grid::{ExperimentError, Grid, GridResult};
 pub use laser_core::{CellBudget, PipelineConfig, StopReason, TopologySpec};
-pub use runner::{geomean, ExperimentScale};
-pub use scenario::{AggregateFormat, Scenario, ScenarioCell, ScenarioError, Sweep};
+pub use runner::{find_workload, geomean, ExperimentScale};
+pub use scenario::{AggregateFormat, Scenario, ScenarioError};
 pub use service::{run_scenario, ServiceError, ServiceOptions, ServiceSummary};
 pub use tool::{cell_key, PebsAccuracy, ReportedLine, ToolFailure, ToolRun, ToolSpec};
 pub use topofile::CustomTopology;

@@ -3,7 +3,7 @@
 
 use laser_core::{ContentionReport, Laser, LaserConfig, LaserError, LaserOutcome};
 use laser_machine::{RunResult, WorkloadImage};
-use laser_workloads::{registry, BuildOptions, WorkloadSpec};
+use laser_workloads::{find, registry, BuildOptions, WorkloadSpec};
 
 use crate::config::CellConfig;
 
@@ -46,6 +46,23 @@ impl ExperimentScale {
             })
             .collect()
     }
+}
+
+/// The registry workload called `name`: the one name check behind
+/// `experiments --only` and every workload a scenario names, so a typo is
+/// refused up front, before anything simulates, with the same words either
+/// way.
+///
+/// # Errors
+/// Names the unknown workload. Names are case-sensitive, and the
+/// alternative-input histogram carries an apostrophe.
+pub fn find_workload(name: &str) -> Result<WorkloadSpec, String> {
+    find(name).ok_or_else(|| {
+        format!(
+            "unknown workload '{name}' (names are case-sensitive; the alternative-input \
+             histogram is \"histogram'\")"
+        )
+    })
 }
 
 /// Incidental heap-layout shift caused by running a workload under a tool

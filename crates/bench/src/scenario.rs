@@ -4,9 +4,8 @@
 //! run — individually, or through named sweeps — plus the knobs the
 //! `experiments` CLI exposes as flags (scale, worker threads, step budget,
 //! pipelining, aggregate output format). `laser-serve` reads scenarios from
-//! files, stdin or a watch directory and fans their cells over the
-//! [`Campaign`](crate::campaign::Campaign) thread pool (see
-//! [`crate::service`]).
+//! files, stdin or a watch directory, requests their cells on a [`Grid`]
+//! and fans them over its thread pool (see [`crate::service`]).
 //!
 //! ```json
 //! {
@@ -32,22 +31,26 @@
 //! Parsing follows the `Cli::parse` convention: **everything** is validated
 //! fail-fast — unknown keys, unknown workload/tool/topology names, malformed
 //! numbers, an empty cell set — before anything simulates, and the binaries
-//! turn a [`ScenarioError`] into exit code 2. The resolved cell list
-//! ([`Scenario::plan`]) deduplicates in sorted grid order, so the aggregated
-//! result of a scenario is byte-identical however its cells were spelled.
+//! turn a [`ScenarioError`] into exit code 2. Workload names go through the
+//! same check as `experiments --only` ([`find_workload`]). The planned grid
+//! ([`Scenario::grid`]) deduplicates in sorted grid order, so the aggregated
+//! result of a scenario is byte-identical however its cells were spelled;
+//! an `xsocket` sweep requests what `experiments xsocket` requests
+//! ([`plan_xsocket`], `request_xsocket`).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use laser_core::TopologySpec;
-use laser_workloads::find;
+use laser_workloads::WorkloadSpec;
 use serde::json::Value;
 
 use crate::config::CampaignConfig;
 use crate::emit::Emit;
+use crate::grid::Grid;
+use crate::runner::find_workload;
 use crate::tool::ToolSpec;
 use crate::topofile::CustomTopology;
-use crate::xsocket::XSOCKET_WORKLOADS;
+use crate::xsocket::{plan_xsocket, request_xsocket};
 
 /// A scenario file could not be parsed or validated. The message names the
 /// offending field; the binaries print it and exit 2 before simulating.
@@ -113,59 +116,16 @@ impl AggregateFormat {
     }
 }
 
-/// A named sweep inside a scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Sweep {
-    /// The cross-socket sweep: the named workloads (default: the headline
-    /// false-sharing set) under native, LASERDETECT and LASER on every
-    /// preset topology — the scenario-file spelling of `experiments
-    /// xsocket`.
-    Xsocket {
-        /// Workloads to sweep; `None` means [`XSOCKET_WORKLOADS`].
-        workloads: Option<Vec<String>>,
-    },
-    /// An explicit cross product of workloads × tools × topologies.
-    Grid {
-        /// Workload names (validated against the registry).
-        workloads: Vec<String>,
-        /// Tool keys (see [`ToolSpec::parse`]).
-        tools: Vec<ToolSpec>,
-        /// Topology presets; an absent `topologies` key means `[flat]`.
-        topologies: Vec<TopologySpec>,
-    },
-}
-
-/// One explicitly-named cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioCell {
-    /// Workload name (validated against the registry).
-    pub workload: String,
-    /// The tool to run it under.
-    pub tool: ToolSpec,
-    /// Topology preset (default: flat).
-    pub topology: TopologySpec,
-}
-
 /// A parsed, validated scenario.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Scenario name, echoed in every streamed result line.
     pub name: String,
-    /// The campaign knobs, filled through the same validated setters the
-    /// `experiments` flags use and from the same defaults
-    /// ([`CampaignConfig::evaluation`]). `"custom_topology"` — the same JSON
-    /// object a topology file holds — is mutually exclusive with preset
-    /// `"topology"` / `"topologies"` keys and xsocket sweeps: the override is
-    /// campaign-wide, so a preset axis underneath it would only produce
-    /// colliding cell keys.
-    /// The cache is the host's to choose ([`crate::service::ServiceOptions`]).
-    pub config: CampaignConfig,
     /// Aggregate document to append after the per-cell stream, if any.
     pub format: Option<AggregateFormat>,
-    /// Explicit cells.
-    pub cells: Vec<ScenarioCell>,
-    /// Named sweeps.
-    pub sweeps: Vec<Sweep>,
+    /// Every cell the `"cells"` and `"sweeps"` keys name, requested under
+    /// the scenario's knobs.
+    grid: Grid,
 }
 
 impl Scenario {
@@ -191,23 +151,20 @@ impl Scenario {
             Value::Object(pairs) => pairs,
             _ => return err("top level must be an object"),
         };
-        let mut scenario = Scenario {
-            name: String::new(),
-            config: CampaignConfig::evaluation(),
-            format: None,
-            cells: Vec::new(),
-            sweeps: Vec::new(),
-        };
-        let mut named = false;
+        let mut name = None;
+        let mut format = None;
+        let mut config = CampaignConfig::evaluation();
+        // The grid carries the knobs, so cells and sweeps are requested once
+        // every knob is read.
+        let mut requests = Vec::new();
         for (key, field) in pairs {
-            let config = &mut scenario.config;
             match key.as_str() {
                 "name" => {
-                    scenario.name = req_str(field, "name")?.to_string();
-                    if scenario.name.is_empty() {
+                    let named = req_str(field, "name")?;
+                    if named.is_empty() {
                         return err("\"name\" must not be empty");
                     }
-                    named = true;
+                    name = Some(named.to_string());
                 }
                 "scale" => {
                     let scale = match field {
@@ -225,7 +182,7 @@ impl Scenario {
                 },
                 "format" => {
                     let name = req_str(field, "format")?;
-                    scenario.format = Some(name.parse().map_err(|()| {
+                    format = Some(name.parse().map_err(|()| {
                         ScenarioError(format!(
                             "unknown format '{name}' (expected text, json or csv)"
                         ))
@@ -237,30 +194,28 @@ impl Scenario {
                             .map_err(|e| ScenarioError(format!("\"custom_topology\": {e}")))?,
                     ));
                 }
-                "cells" => {
-                    let items = req_array(field, "cells")?;
-                    for item in items {
-                        scenario.cells.push(parse_cell(item)?);
-                    }
-                }
-                "sweeps" => {
-                    let items = req_array(field, "sweeps")?;
-                    for item in items {
-                        scenario.sweeps.push(parse_sweep(item)?);
-                    }
-                }
+                "cells" | "sweeps" => requests.push((key.as_str(), req_array(field, key)?)),
                 other => return err(format!("unknown key \"{other}\"")),
             }
         }
-        if !named {
+        let Some(name) = name else {
             return err("missing required key \"name\"");
+        };
+        let mut grid = Grid::with_config(config);
+        for (key, items) in requests {
+            for item in items {
+                match key {
+                    "cells" => request_cell(&mut grid, item)?,
+                    _ => request_sweep(&mut grid, item)?,
+                }
+            }
         }
-        if scenario.plan().is_empty() {
+        if grid.cells() == 0 {
             return err("scenario plans no cells (give \"cells\" and/or \"sweeps\")");
         }
-        if scenario.config.custom_topology.is_some()
-            && scenario
-                .plan()
+        if grid.config().custom_topology.is_some()
+            && grid
+                .requests()
                 .iter()
                 .any(|(_, _, topo)| *topo != TopologySpec::Flat)
         {
@@ -269,47 +224,26 @@ impl Scenario {
                  \"topologies\" keys and xsocket sweeps",
             );
         }
-        Ok(scenario)
+        Ok(Scenario { name, format, grid })
     }
 
-    /// The resolved `(workload, tool, topology)` cells, deduplicated in
-    /// sorted grid order — the order the campaign aggregates in.
-    pub fn plan(&self) -> Vec<(String, ToolSpec, TopologySpec)> {
-        let mut set: BTreeSet<(String, ToolSpec, TopologySpec)> = BTreeSet::new();
-        for cell in &self.cells {
-            set.insert((cell.workload.clone(), cell.tool, cell.topology));
-        }
-        for sweep in &self.sweeps {
-            match sweep {
-                Sweep::Xsocket { workloads } => {
-                    let names: Vec<&str> = match workloads {
-                        Some(names) => names.iter().map(String::as_str).collect(),
-                        None => XSOCKET_WORKLOADS.to_vec(),
-                    };
-                    for name in names {
-                        for tool in [ToolSpec::Native, ToolSpec::LaserDetect, ToolSpec::Laser] {
-                            for topo in TopologySpec::ALL {
-                                set.insert((name.to_string(), tool, topo));
-                            }
-                        }
-                    }
-                }
-                Sweep::Grid {
-                    workloads,
-                    tools,
-                    topologies,
-                } => {
-                    for name in workloads {
-                        for tool in tools {
-                            for topo in topologies {
-                                set.insert((name.clone(), *tool, *topo));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        set.into_iter().collect()
+    /// The campaign knobs, filled through the same validated setters the
+    /// `experiments` flags use and from the same defaults
+    /// ([`CampaignConfig::evaluation`]). `"custom_topology"` — the same JSON
+    /// object a topology file holds — is mutually exclusive with preset
+    /// `"topology"` / `"topologies"` keys and xsocket sweeps: the override is
+    /// campaign-wide, so a preset axis underneath it would only produce
+    /// colliding cell keys. The cache is the host's to choose
+    /// ([`crate::service::ServiceOptions`]).
+    pub fn config(&self) -> &CampaignConfig {
+        self.grid.config()
+    }
+
+    /// The scenario's cells, requested on a grid under its knobs and
+    /// deduplicated in sorted grid order — the order the campaign aggregates
+    /// in.
+    pub fn grid(&self) -> &Grid {
+        &self.grid
     }
 }
 
@@ -339,14 +273,8 @@ fn req_array<'a>(value: &'a Value, key: &str) -> Result<&'a [Value], ScenarioErr
     }
 }
 
-fn parse_workload(name: &str) -> Result<String, ScenarioError> {
-    if find(name).is_none() {
-        return err(format!(
-            "unknown workload '{name}' (names are case-sensitive; the alternative-input \
-             histogram is \"histogram'\")"
-        ));
-    }
-    Ok(name.to_string())
+fn parse_workload(value: &Value, key: &str) -> Result<WorkloadSpec, ScenarioError> {
+    find_workload(req_str(value, key)?).map_err(ScenarioError)
 }
 
 fn parse_tool(key: &str) -> Result<ToolSpec, ScenarioError> {
@@ -363,7 +291,8 @@ fn parse_topology(key: &str) -> Result<TopologySpec, ScenarioError> {
         .ok_or_else(|| ScenarioError(format!("unknown topology '{key}' (flat, 2s, 4s, 8s)")))
 }
 
-fn parse_cell(value: &Value) -> Result<ScenarioCell, ScenarioError> {
+/// Request one `"cells"` entry on `grid`.
+fn request_cell(grid: &mut Grid, value: &Value) -> Result<(), ScenarioError> {
     let pairs = match value {
         Value::Object(pairs) => pairs,
         _ => return err("each cell must be an object"),
@@ -373,24 +302,28 @@ fn parse_cell(value: &Value) -> Result<ScenarioCell, ScenarioError> {
     let mut topology = TopologySpec::Flat;
     for (key, field) in pairs {
         match key.as_str() {
-            "workload" => workload = Some(parse_workload(req_str(field, "workload")?)?),
+            "workload" => workload = Some(parse_workload(field, "workload")?),
             "tool" => tool = Some(parse_tool(req_str(field, "tool")?)?),
             "topology" => topology = parse_topology(req_str(field, "topology")?)?,
             other => return err(format!("unknown cell key \"{other}\"")),
         }
     }
     match (workload, tool) {
-        (Some(workload), Some(tool)) => Ok(ScenarioCell {
-            workload,
-            tool,
-            topology,
-        }),
+        (Some(workload), Some(tool)) => {
+            grid.request_at(&workload, tool, topology);
+            Ok(())
+        }
         (None, _) => err("cell is missing \"workload\""),
         (_, None) => err("cell is missing \"tool\""),
     }
 }
 
-fn parse_sweep(value: &Value) -> Result<Sweep, ScenarioError> {
+/// Request one `"sweeps"` entry on `grid`. An `xsocket` sweep is the
+/// scenario-file spelling of `experiments xsocket`: its named workloads
+/// (default: the headline false-sharing set) through [`request_xsocket`],
+/// or [`plan_xsocket`] itself. A `grid` sweep is an explicit cross product
+/// of workloads × tools × topologies (default: `[flat]`).
+fn request_sweep(grid: &mut Grid, value: &Value) -> Result<(), ScenarioError> {
     let pairs = match value {
         Value::Object(pairs) => pairs,
         _ => return err("each sweep must be an object"),
@@ -406,19 +339,23 @@ fn parse_sweep(value: &Value) -> Result<Sweep, ScenarioError> {
                 match key.as_str() {
                     "kind" => {}
                     "workloads" => {
-                        let mut names = Vec::new();
+                        let mut specs = Vec::new();
                         for item in req_array(field, "workloads")? {
-                            names.push(parse_workload(req_str(item, "workloads")?)?);
+                            specs.push(parse_workload(item, "workloads")?);
                         }
-                        if names.is_empty() {
+                        if specs.is_empty() {
                             return err("xsocket sweep \"workloads\" must not be empty");
                         }
-                        workloads = Some(names);
+                        workloads = Some(specs);
                     }
                     other => return err(format!("unknown xsocket sweep key \"{other}\"")),
                 }
             }
-            Ok(Sweep::Xsocket { workloads })
+            match workloads {
+                Some(specs) => specs.iter().for_each(|spec| request_xsocket(grid, spec)),
+                None => plan_xsocket(grid),
+            }
+            Ok(())
         }
         "grid" => {
             let mut workloads = Vec::new();
@@ -429,7 +366,7 @@ fn parse_sweep(value: &Value) -> Result<Sweep, ScenarioError> {
                     "kind" => {}
                     "workloads" => {
                         for item in req_array(field, "workloads")? {
-                            workloads.push(parse_workload(req_str(item, "workloads")?)?);
+                            workloads.push(parse_workload(item, "workloads")?);
                         }
                     }
                     "tools" => {
@@ -455,11 +392,14 @@ fn parse_sweep(value: &Value) -> Result<Sweep, ScenarioError> {
             if tools.is_empty() {
                 return err("grid sweep needs a non-empty \"tools\" array");
             }
-            Ok(Sweep::Grid {
-                workloads,
-                tools,
-                topologies,
-            })
+            for workload in &workloads {
+                for &tool in &tools {
+                    for &topology in &topologies {
+                        grid.request_at(workload, tool, topology);
+                    }
+                }
+            }
+            Ok(())
         }
         other => err(format!("unknown sweep kind '{other}' (xsocket or grid)")),
     }
@@ -468,7 +408,14 @@ fn parse_sweep(value: &Value) -> Result<Sweep, ScenarioError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ExperimentScale;
+    use crate::xsocket::XSOCKET_WORKLOADS;
     use laser_core::{CellBudget, PipelineConfig};
+
+    /// The `(workload, tool, topology)` cells `s` plans, in grid order.
+    fn planned(s: &Scenario) -> Vec<(String, ToolSpec, TopologySpec)> {
+        s.grid().requests().iter().cloned().collect()
+    }
 
     #[test]
     fn parses_a_full_scenario() {
@@ -491,16 +438,15 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.name, "nightly");
-        assert_eq!(s.config.opts.scale, 0.25);
-        assert_eq!(s.config.threads, std::num::NonZeroUsize::new(3));
-        assert_eq!(s.config.budget, CellBudget::steps(500000));
-        assert_eq!(s.config.pipeline, PipelineConfig::pipelined());
+        assert_eq!(s.config().opts.scale, 0.25);
+        assert_eq!(s.config().threads, std::num::NonZeroUsize::new(3));
+        assert_eq!(s.config().budget, CellBudget::steps(500000));
+        assert_eq!(s.config().pipeline, PipelineConfig::pipelined());
         assert_eq!(s.format, Some(AggregateFormat::Csv));
-        assert_eq!(s.cells.len(), 2);
-        assert_eq!(s.cells[1].topology, TopologySpec::Flat, "topology defaults");
-        let plan = s.plan();
+        let plan = planned(&s);
         assert_eq!(plan.len(), 4);
-        // Sorted grid order, independent of spelling order in the file.
+        // Sorted grid order, independent of spelling order in the file; a
+        // cell's topology defaults to flat.
         assert_eq!(
             plan,
             vec![
@@ -530,11 +476,11 @@ mod tests {
             r#"{"name": "one", "cells": [{"workload": "swaptions", "tool": "native"}]}"#,
         )
         .unwrap();
-        assert_eq!(s.config, CampaignConfig::evaluation());
-        assert_eq!(s.config.opts.scale, 0.4);
-        assert_eq!(s.config.threads, None);
-        assert_eq!(s.config.budget, CellBudget::default());
-        assert_eq!(s.config.pipeline, PipelineConfig::default());
+        assert_eq!(s.config(), &CampaignConfig::evaluation());
+        assert_eq!(s.config().opts.scale, 0.4);
+        assert_eq!(s.config().threads, None);
+        assert_eq!(s.config().budget, CellBudget::default());
+        assert_eq!(s.config().pipeline, PipelineConfig::default());
         assert_eq!(s.format, None);
     }
 
@@ -555,7 +501,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let custom = s.config.custom_topology.as_ref().unwrap();
+        let custom = s.config().custom_topology.as_ref().unwrap();
         assert_eq!(custom.name(), "fat-thin");
         assert_eq!(custom.num_cores(), 8);
     }
@@ -563,7 +509,7 @@ mod tests {
     #[test]
     fn xsocket_sweep_matches_the_planner_cells() {
         let s = Scenario::parse(r#"{"name": "x", "sweeps": [{"kind": "xsocket"}]}"#).unwrap();
-        let plan = s.plan();
+        let plan = planned(&s);
         // Every headline workload × 3 tools × every preset topology.
         assert_eq!(
             plan.len(),
@@ -579,7 +525,37 @@ mod tests {
             r#"{"name": "x", "sweeps": [{"kind": "xsocket", "workloads": ["reverse_index"]}]}"#,
         )
         .unwrap();
-        assert_eq!(s.plan().len(), 3 * TopologySpec::ALL.len());
+        assert_eq!(planned(&s).len(), 3 * TopologySpec::ALL.len());
+    }
+
+    #[test]
+    fn xsocket_sweep_requests_what_plan_xsocket_requests() {
+        // The default workloads, and a named subset, against `experiments
+        // xsocket` at the same scale restricted to the same workloads.
+        let cases: [(&str, Option<&'static [&'static str]>); 2] = [
+            ("", None),
+            (
+                r#", "workloads": ["reverse_index", "histogram'"]"#,
+                Some(&["histogram'", "reverse_index"]),
+            ),
+        ];
+        for (workloads, only) in cases {
+            let s = Scenario::parse(&format!(
+                r#"{{"name": "x", "scale": 0.5, "sweeps": [{{"kind": "xsocket"{workloads}}}]}}"#
+            ))
+            .unwrap();
+            let mut planner = Grid::new(ExperimentScale {
+                workload_scale: 0.5,
+                only,
+            });
+            plan_xsocket(&mut planner);
+            let scenario = s.grid();
+            assert_eq!(scenario.requests(), planner.requests(), "{workloads}");
+            assert_eq!(
+                scenario.scale().workload_scale,
+                planner.scale().workload_scale
+            );
+        }
     }
 
     #[test]
@@ -597,7 +573,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        assert_eq!(s.plan().len(), 1);
+        assert_eq!(planned(&s).len(), 1);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The campaign service: run a [`Scenario`] and stream its cells as JSON
 //! lines.
 //!
-//! [`run_scenario`] is the engine under the `laser-serve` binary. It resolves
-//! a validated scenario's cell plan onto the parallel
-//! [`Campaign`] runner and writes one JSON object
-//! per line to the caller's writer *as cells land* — a client watching the
-//! stream sees results the moment a worker finishes them, not when the whole
-//! campaign does. Line order therefore depends on scheduling; everything
-//! else is deterministic:
+//! [`run_scenario`] is the engine under the `laser-serve` binary. It requests
+//! a validated scenario's cells on a [`Grid`](crate::grid::Grid)
+//! ([`Scenario::grid`]), runs it on the grid's thread pool and writes one
+//! JSON object per line to the caller's writer *as cells land* — a client
+//! watching the stream sees results the moment a worker finishes them, not
+//! when the whole campaign does. Line order therefore depends on
+//! scheduling; everything else is deterministic:
 //!
 //! - each `{"kind":"cell", ...}` line carries the cell's full outcome
 //!   (status, cycles, whether it was answered from the cell cache), and
@@ -25,11 +25,10 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use laser_workloads::registry;
 use serde::json::Value;
 
 use crate::cache::{CacheStats, CellCache};
-use crate::campaign::{Campaign, CampaignProgress};
+use crate::campaign::CampaignProgress;
 use crate::scenario::Scenario;
 
 /// The service could not run a scenario to completion: the result stream or
@@ -110,30 +109,20 @@ pub fn run_scenario<W: Write + Send>(
     options: &ServiceOptions,
     out: W,
 ) -> Result<ServiceSummary, ServiceError> {
-    let workloads = registry();
-    let requests = scenario
-        .plan()
-        .into_iter()
-        .map(|(name, tool, topology)| {
-            // Scenario validation already vetted every name; a miss here
-            // means the registry changed under us mid-run.
-            let workload = workloads.iter().find(|w| w.name == name);
-            workload
-                .map(|w| (w, tool, topology))
-                .ok_or_else(|| ServiceError(format!("unknown workload '{name}'")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
     // The scenario decides every knob but the host's: a thread count it did
     // not pin, and the cache.
-    let mut config = scenario.config.clone();
-    config.threads = config.threads.or(options.threads);
-    config.cache = options.cache.clone();
-    let campaign = Campaign::from_requests(requests, config);
+    let mut grid = scenario.grid().clone();
+    if let (None, Some(threads)) = (scenario.config().threads, options.threads) {
+        grid = grid.with_threads(threads.get());
+    }
+    if let Some(cache) = &options.cache {
+        grid = grid.with_cache(Arc::clone(cache));
+    }
 
     let writer = Mutex::new(out);
     let write_error: Mutex<Option<String>> = Mutex::new(None);
     let cached_cells = AtomicU64::new(0);
-    let result = campaign.run_with_progress(|p| {
+    let result = grid.run_with_progress(|p| {
         let CampaignProgress::Finished {
             done,
             total,
@@ -179,6 +168,7 @@ pub fn run_scenario<W: Write + Send>(
             }
         }
     });
+    let result = result.into_campaign();
 
     #[expect(
         clippy::unwrap_used,

@@ -5,11 +5,11 @@
 //! The paper's evaluation repeatedly runs the same 35 workloads under
 //! different tools (Figures 10–14, Tables 1–2). [`ToolSpec::run`] is "run
 //! this workload under this tool and tell me what it saw", so the
-//! [`crate::campaign::Campaign`] runner can fan `workload × tool` grids
-//! across a thread pool. A spec is a `Copy` value and every underlying
-//! simulation is deterministic, so a cell's result is independent of which
-//! worker thread computes it, and a spec's key ([`ToolSpec::key`]) names
-//! everything the cell runs.
+//! campaign executor behind a [`Grid`](crate::grid::Grid) can fan
+//! `workload × tool` grids across a thread pool. A spec is a `Copy` value
+//! and every underlying simulation is deterministic, so a cell's result is
+//! independent of which worker thread computes it, and a spec's key
+//! ([`ToolSpec::key`]) names everything the cell runs.
 //!
 //! A [`ToolRun`] carries everything any figure or table derives from a cell —
 //! cycles, structured reported lines, repair activity, the driver/detector

@@ -18,9 +18,11 @@
 //! Like every figure, the sweep is a planner ([`plan_xsocket`]) plus a pure
 //! view ([`xsocket_from_grid`]) over the shared [`Grid`] cell cache, so
 //! `experiments xsocket` shares its native cells with nothing but pays for
-//! each `(workload, tool, topology)` cell exactly once.
+//! each `(workload, tool, topology)` cell exactly once. A scenario's
+//! `xsocket` sweep plans through the same `request_xsocket`.
 
 use laser_core::TopologySpec;
+use laser_workloads::WorkloadSpec;
 
 use crate::emit::{Column, Emit, Prec, View};
 use crate::grid::{ExperimentError, Grid, GridResult};
@@ -135,18 +137,23 @@ impl Emit for XsocketReport {
     }
 }
 
-/// Plan the sweep's cells: every preset topology × every headline
-/// false-sharing workload the scale selects, under native, LASERDETECT and
-/// LASER.
+/// Plan the sweep's cells: every headline false-sharing workload the scale
+/// selects, each through `request_xsocket`.
 pub fn plan_xsocket(grid: &mut Grid) {
+    for spec in grid.scale().workloads() {
+        if XSOCKET_WORKLOADS.contains(&spec.name) {
+            request_xsocket(grid, &spec);
+        }
+    }
+}
+
+/// Request one workload's sweep cells: native, LASERDETECT and LASER on
+/// every preset topology. A scenario's `xsocket` sweep requests its named
+/// workloads through this too.
+pub(crate) fn request_xsocket(grid: &mut Grid, spec: &WorkloadSpec) {
     for topo in TopologySpec::ALL {
-        for spec in grid.scale().workloads() {
-            if !XSOCKET_WORKLOADS.contains(&spec.name) {
-                continue;
-            }
-            grid.request_at(&spec, ToolSpec::Native, topo);
-            grid.request_at(&spec, ToolSpec::LaserDetect, topo);
-            grid.request_at(&spec, ToolSpec::Laser, topo);
+        for tool in [ToolSpec::Native, ToolSpec::LaserDetect, ToolSpec::Laser] {
+            grid.request_at(spec, tool, topo);
         }
     }
 }

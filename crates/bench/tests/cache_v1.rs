@@ -16,7 +16,7 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use laser_bench::{fingerprint, Campaign, CampaignConfig, CellCache, TopologySpec};
+use laser_bench::{fingerprint, plan_campaign, CampaignConfig, CellCache, Grid, TopologySpec};
 
 #[test]
 fn a_store_written_by_the_tree_decoder_build_is_served_in_full() {
@@ -44,11 +44,9 @@ fn a_store_written_by_the_tree_decoder_build_is_served_in_full() {
         config.set_scale(0.06).unwrap();
         config.set_threads(2).unwrap();
         deploy(&mut config);
-        let fresh = Campaign::default()
-            .with_config(config.clone())
-            .with_workload_names(&["histogram'", "swaptions"])
-            .unwrap()
-            .run();
+        let mut grid = Grid::with_config(config.clone());
+        plan_campaign(&mut grid, Some(&["histogram'", "swaptions"])).unwrap();
+        let fresh = grid.run().into_campaign();
         for cell in &fresh.cells {
             let tool = cell.tool.split('@').next().unwrap();
             let cell_config = config.cell(&cell.workload, tool, config.topology);

@@ -1,10 +1,10 @@
-//! Dominator and post-dominator analysis.
+//! Post-dominator analysis.
 //!
 //! LASERREPAIR places software-store-buffer flush operations so that they
 //! *post-dominate* the instrumented basic blocks (Section 5.3), which
 //! minimises the dynamic number of flushes (e.g. one flush at a loop exit
 //! rather than one per iteration). This module implements the classic
-//! iterative data-flow formulation of dominators; programs in this
+//! iterative data-flow formulation of post-dominators; programs in this
 //! reproduction have tens of blocks so the simple algorithm is plenty.
 
 use std::collections::BTreeSet;
@@ -12,8 +12,8 @@ use std::collections::BTreeSet;
 use crate::cfg::Cfg;
 use crate::program::BlockId;
 
-fn intersect_all(sets: &[BTreeSet<usize>], preds: &[usize], universe: usize) -> BTreeSet<usize> {
-    let mut iter = preds.iter();
+fn intersect_all(sets: &[BTreeSet<usize>], members: &[usize], universe: usize) -> BTreeSet<usize> {
+    let mut iter = members.iter();
     let first = match iter.next() {
         Some(&p) => p,
         None => return (0..universe).collect(),
@@ -23,67 +23,6 @@ fn intersect_all(sets: &[BTreeSet<usize>], preds: &[usize], universe: usize) -> 
         acc = acc.intersection(&sets[p]).copied().collect();
     }
     acc
-}
-
-/// Dominator sets computed from a designated entry block.
-///
-/// Block `a` dominates `b` iff every path from the entry to `b` passes through
-/// `a`. Every block dominates itself.
-#[derive(Debug, Clone)]
-pub struct Dominators {
-    dom: Vec<BTreeSet<usize>>,
-    entry: BlockId,
-}
-
-impl Dominators {
-    /// Compute dominators of every block reachable from `entry`.
-    pub fn compute(cfg: &Cfg, entry: BlockId) -> Self {
-        let n = cfg.num_blocks();
-        let universe: BTreeSet<usize> = (0..n).collect();
-        let mut dom: Vec<BTreeSet<usize>> = vec![universe; n];
-        dom[entry.0 as usize] = BTreeSet::from([entry.0 as usize]);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in 0..n {
-                if b == entry.0 as usize {
-                    continue;
-                }
-                let preds: Vec<usize> = cfg
-                    .predecessors(BlockId(b as u32))
-                    .iter()
-                    .map(|p| p.0 as usize)
-                    .collect();
-                let mut new = intersect_all(&dom, &preds, n);
-                new.insert(b);
-                if new != dom[b] {
-                    dom[b] = new;
-                    changed = true;
-                }
-            }
-        }
-        Dominators { dom, entry }
-    }
-
-    /// The entry block used for this analysis.
-    pub fn entry(&self) -> BlockId {
-        self.entry
-    }
-
-    /// True if `a` dominates `b`.
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        self.dom[b.0 as usize].contains(&(a.0 as usize))
-    }
-
-    /// All dominators of `b`.
-    pub fn dominators_of(&self, b: BlockId) -> Vec<BlockId> {
-        let mut v: Vec<BlockId> = self.dom[b.0 as usize]
-            .iter()
-            .map(|&i| BlockId(i as u32))
-            .collect();
-        v.sort();
-        v
-    }
 }
 
 /// Post-dominator sets, computed against a virtual exit node that every
@@ -205,21 +144,6 @@ mod tests {
         b.switch_to(exit);
         b.halt();
         (b.finish(), entry, left, right, join, exit)
-    }
-
-    #[test]
-    fn dominators_of_diamond() {
-        let (p, entry, left, right, join, exit) = diamond();
-        let cfg = Cfg::build(&p);
-        let dom = Dominators::compute(&cfg, entry);
-        assert!(dom.dominates(entry, exit));
-        assert!(dom.dominates(entry, left));
-        assert!(dom.dominates(join, exit));
-        assert!(!dom.dominates(left, join));
-        assert!(!dom.dominates(right, join));
-        assert!(dom.dominates(join, join));
-        assert_eq!(dom.entry(), entry);
-        assert!(dom.dominators_of(exit).contains(&entry));
     }
 
     #[test]

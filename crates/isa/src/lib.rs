@@ -17,7 +17,7 @@
 //! * [`builder`] — an ergonomic [`builder::ProgramBuilder`] used by the
 //!   synthetic workloads.
 //! * [`cfg`](mod@cfg) — control-flow graph construction.
-//! * [`dom`] — dominator and post-dominator trees (used to place SSB flushes).
+//! * [`dom`] — post-dominator sets (used to place SSB flushes).
 //! * [`memsets`] — load/store set extraction ("binary analysis" in the paper).
 //! * [`alias`] — the simplified speculative alias analysis of Section 5.3.
 //!

@@ -14,10 +14,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use laser_bench::{
-    run_scenario, Campaign, CampaignConfig, CellBudget, CellCache, Emit, Scenario, ServiceOptions,
+    run_scenario, CampaignConfig, CellBudget, CellCache, Emit, Grid, Scenario, ServiceOptions,
     ToolSpec, TopologySpec, CACHE_SALT,
 };
-use laser_workloads::{registry, BuildOptions};
+use laser_workloads::{find, BuildOptions};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -27,19 +27,19 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 /// Native and LASERDETECT on `histogram'` and `swaptions`, workload-major,
 /// under `config`.
-fn campaign_under(config: CampaignConfig) -> Campaign {
-    let workloads = registry();
-    let topology = config.topology;
-    let requests = workloads
-        .iter()
-        .filter(|w| ["histogram'", "swaptions"].contains(&w.name))
-        .flat_map(|w| [ToolSpec::Native, ToolSpec::LaserDetect].map(|tool| (w, tool, topology)));
-    Campaign::from_requests(requests, config)
+fn campaign_under(config: CampaignConfig) -> Grid {
+    let mut grid = Grid::with_config(config);
+    for workload in ["histogram'", "swaptions"] {
+        let spec = find(workload).expect("known workload");
+        grid.request(&spec, ToolSpec::Native);
+        grid.request(&spec, ToolSpec::LaserDetect);
+    }
+    grid
 }
 
 /// [`campaign_under`] at scale 0.08 on `threads` workers, with `deploy`
 /// applied to the config.
-fn campaign(threads: usize, deploy: impl FnOnce(&mut CampaignConfig)) -> Campaign {
+fn campaign(threads: usize, deploy: impl FnOnce(&mut CampaignConfig)) -> Grid {
     let mut config = CampaignConfig {
         opts: BuildOptions::scaled(0.08),
         threads: NonZeroUsize::new(threads),
@@ -66,7 +66,7 @@ fn warm_cache_rerun_is_byte_identical_in_every_format_and_simulates_nothing() {
 
     // Cold run: everything simulates, everything is stored.
     let cold_cache = Arc::new(CellCache::open(&dir).expect("cache dir"));
-    let cold = campaign(2, cached(&cold_cache)).run();
+    let cold = campaign(2, cached(&cold_cache)).run().into_campaign();
     let cells = cold.cells.len() as u64;
     assert_eq!(cold_cache.stats().hits, 0);
     assert_eq!(cold_cache.stats().simulated(), cells);
@@ -75,7 +75,7 @@ fn warm_cache_rerun_is_byte_identical_in_every_format_and_simulates_nothing() {
     // Warm run through a fresh handle (a new process over the same
     // directory): zero cells simulate...
     let warm_cache = Arc::new(CellCache::open(&dir).expect("cache dir"));
-    let warm = campaign(2, cached(&warm_cache)).run();
+    let warm = campaign(2, cached(&warm_cache)).run().into_campaign();
     assert_eq!(warm_cache.stats().hits, cells);
     assert_eq!(warm_cache.stats().simulated(), 0);
     assert_eq!(warm_cache.stats().stored, 0);
@@ -83,7 +83,7 @@ fn warm_cache_rerun_is_byte_identical_in_every_format_and_simulates_nothing() {
     // ...and every output format is byte-identical, cold vs warm vs uncached.
     assert_eq!(cold.cells, warm.cells);
     assert_eq!(formats(&cold), formats(&warm));
-    let uncached = campaign(2, |_| {}).run();
+    let uncached = campaign(2, |_| {}).run().into_campaign();
     assert_eq!(formats(&uncached), formats(&warm));
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -101,14 +101,14 @@ fn cache_covers_budgeted_and_multi_socket_cells() {
     };
 
     let cold_cache = Arc::new(CellCache::open(&dir).expect("cache dir"));
-    let cold = shape(&cold_cache).run();
+    let cold = shape(&cold_cache).run().into_campaign();
     // Step-budget trips are deterministic outcomes and cache like successes.
     assert!(cold.cells.iter().any(|c| c.status() == "budget-exceeded"));
     assert!(cold.cells.iter().all(|c| c.tool.ends_with("@8s")));
     assert_eq!(cold_cache.stats().stored, cold.cells.len() as u64);
 
     let warm_cache = Arc::new(CellCache::open(&dir).expect("cache dir"));
-    let warm = shape(&warm_cache).run();
+    let warm = shape(&warm_cache).run().into_campaign();
     assert_eq!(warm_cache.stats().simulated(), 0);
     assert_eq!(formats(&cold), formats(&warm));
 
@@ -119,7 +119,7 @@ fn cache_covers_budgeted_and_multi_socket_cells() {
 fn salt_bump_invalidates_but_never_changes_output() {
     let dir = scratch_dir("salt");
     let first = Arc::new(CellCache::open(&dir).expect("cache dir"));
-    let cold = campaign(2, cached(&first)).run();
+    let cold = campaign(2, cached(&first)).run().into_campaign();
 
     // A bumped salt treats every stored cell as stale: the rerun simulates
     // everything again (counted as invalidated, not missed) — and still
@@ -129,7 +129,7 @@ fn salt_bump_invalidates_but_never_changes_output() {
             .expect("cache dir")
             .with_salt(CACHE_SALT + 1),
     );
-    let rerun = campaign(2, cached(&bumped)).run();
+    let rerun = campaign(2, cached(&bumped)).run().into_campaign();
     assert_eq!(bumped.stats().hits, 0);
     assert_eq!(bumped.stats().invalidated, cold.cells.len() as u64);
     assert_eq!(formats(&cold), formats(&rerun));
@@ -203,7 +203,7 @@ fn a_store_populated_through_the_flag_setters_serves_the_equivalent_scenario() {
     config.pipeline.enabled = true;
     config.set_budget_steps(200_000).expect("budget in range");
     config.cache = Some(Arc::new(CellCache::open(&dir).expect("cache dir")));
-    let cold = campaign_under(config).run();
+    let cold = campaign_under(config).run().into_campaign();
 
     // The same knobs spelled as scenario keys reach the same fingerprints:
     // the service simulates nothing and aggregates the same bytes.

@@ -7,9 +7,9 @@
 
 use std::num::NonZeroUsize;
 
-use laser_bench::{Campaign, CampaignConfig, Emit, PipelineConfig, ToolSpec, TopologySpec};
+use laser_bench::{CampaignConfig, Emit, Grid, PipelineConfig, ToolSpec, TopologySpec};
 use laser_core::{CellBudget, Laser, LaserConfig, LaserOutcome, StopReason};
-use laser_workloads::{find, registry, BuildOptions};
+use laser_workloads::{find, BuildOptions};
 
 const TOOLS: [ToolSpec; 4] = [
     ToolSpec::Native,
@@ -20,23 +20,23 @@ const TOOLS: [ToolSpec; 4] = [
 
 /// Every tool of [`TOOLS`] on three workloads at scale 0.08, workload-major,
 /// on `threads` workers, with `deploy` applied to the config.
-fn campaign_with(threads: usize, deploy: impl FnOnce(&mut CampaignConfig)) -> Campaign {
+fn campaign_with(threads: usize, deploy: impl FnOnce(&mut CampaignConfig)) -> Grid {
     let mut config = CampaignConfig {
         opts: BuildOptions::scaled(0.08),
         threads: NonZeroUsize::new(threads),
         ..CampaignConfig::default()
     };
     deploy(&mut config);
-    let topology = config.topology;
-    let workloads = registry();
-    let requests = workloads
-        .iter()
-        .filter(|w| ["histogram'", "swaptions", "linear_regression"].contains(&w.name))
-        .flat_map(|w| TOOLS.map(|tool| (w, tool, topology)));
-    Campaign::from_requests(requests, config)
+    let mut grid = Grid::with_config(config);
+    for workload in ["histogram'", "swaptions", "linear_regression"] {
+        for tool in TOOLS {
+            grid.request(&find(workload).expect("known workload"), tool);
+        }
+    }
+    grid
 }
 
-fn campaign(threads: usize) -> Campaign {
+fn campaign(threads: usize) -> Grid {
     campaign_with(threads, |_| {})
 }
 
@@ -46,8 +46,8 @@ fn piped(config: &mut CampaignConfig) {
 
 #[test]
 fn single_and_multi_threaded_campaigns_are_byte_identical() {
-    let serial = campaign(1).run();
-    let parallel = campaign(8).run();
+    let serial = campaign(1).run().into_campaign();
+    let parallel = campaign(8).run().into_campaign();
 
     // Structural equality of every cell...
     assert_eq!(serial.cells, parallel.cells);
@@ -60,8 +60,8 @@ fn single_and_multi_threaded_campaigns_are_byte_identical() {
 fn repeated_parallel_runs_are_stable() {
     // Two parallel runs with the same thread count also agree — there is no
     // hidden dependence on scheduling at all.
-    let a = campaign(4).run();
-    let b = campaign(4).run();
+    let a = campaign(4).run().into_campaign();
+    let b = campaign(4).run().into_campaign();
     assert_eq!(a.cells, b.cells);
     assert_eq!(a.render(), b.render());
 }
@@ -106,9 +106,9 @@ fn pipelined_campaigns_are_byte_identical_to_inline_for_any_thread_count() {
     // pipelined campaign must aggregate and render byte-identically to the
     // inline reference — serial or fanned across workers, with the inline
     // serial run as the common baseline.
-    let reference = campaign(1).run();
-    let piped_serial = campaign_with(1, piped).run();
-    let piped_parallel = campaign_with(8, piped).run();
+    let reference = campaign(1).run().into_campaign();
+    let piped_serial = campaign_with(1, piped).run().into_campaign();
+    let piped_parallel = campaign_with(8, piped).run().into_campaign();
 
     assert_eq!(reference.cells, piped_serial.cells);
     assert_eq!(reference.cells, piped_parallel.cells);
@@ -167,13 +167,14 @@ fn topology_campaigns_are_byte_identical_across_thread_counts_and_pipelining() {
     // guarantees: a 2-socket campaign aggregates and renders byte-identically
     // whatever the thread count, pipelined or inline, in all three formats.
     let dual = |config: &mut CampaignConfig| config.topology = TopologySpec::DualSocket;
-    let reference = campaign_with(1, dual).run();
-    let parallel = campaign_with(8, dual).run();
+    let reference = campaign_with(1, dual).run().into_campaign();
+    let parallel = campaign_with(8, dual).run().into_campaign();
     let piped = campaign_with(8, |config| {
         dual(config);
         piped(config);
     })
-    .run();
+    .run()
+    .into_campaign();
 
     assert_eq!(reference.cells, parallel.cells);
     assert_eq!(reference.cells, piped.cells);
@@ -184,7 +185,7 @@ fn topology_campaigns_are_byte_identical_across_thread_counts_and_pipelining() {
     // The axis is real, not a relabel: cells carry the @2s key, and the
     // contended workloads show cross-socket traffic a flat campaign cannot.
     assert!(reference.cells.iter().all(|c| c.tool.ends_with("@2s")));
-    let flat = campaign(1).run();
+    let flat = campaign(1).run().into_campaign();
     let (hot_2s, hot_flat) = (
         reference.cell("histogram'", "native@2s").unwrap(),
         flat.cell("histogram'", "native").unwrap(),
@@ -203,12 +204,15 @@ fn pipelined_budgeted_campaigns_match_inline_budgeted_campaigns() {
     // not move, so the same cells trip the same budgets at the same points
     // whatever the execution mode or thread count.
     let budget = CellBudget::steps(10_000);
-    let inline = campaign_with(1, |config| config.budget = budget).run();
+    let inline = campaign_with(1, |config| config.budget = budget)
+        .run()
+        .into_campaign();
     let piped = campaign_with(8, |config| {
         config.budget = budget;
         piped(config);
     })
-    .run();
+    .run()
+    .into_campaign();
     assert_eq!(inline.cells, piped.cells);
     assert_eq!(inline.render(), piped.render());
     assert_eq!(inline.to_json().render(), piped.to_json().render());
@@ -228,16 +232,22 @@ fn three_stage_campaigns_at_lag_zero_are_byte_identical_to_inline() {
     // reference.
     let budget = CellBudget::steps(10_000);
     for (reference, pipelined) in [
-        (campaign(1).run(), campaign_with(8, piped).run()),
+        (
+            campaign(1).run().into_campaign(),
+            campaign_with(8, piped).run().into_campaign(),
+        ),
         // Budgets read only the machine's step count, so the same cells
         // trip the same budgets at the same points.
         (
-            campaign_with(1, |config| config.budget = budget).run(),
+            campaign_with(1, |config| config.budget = budget)
+                .run()
+                .into_campaign(),
             campaign_with(8, |config| {
                 piped(config);
                 config.budget = budget;
             })
-            .run(),
+            .run()
+            .into_campaign(),
         ),
     ] {
         assert_eq!(reference.cells, pipelined.cells);
@@ -253,8 +263,12 @@ fn budgeted_campaigns_are_byte_identical_for_any_thread_count() {
     // aggregate identically — including the budget-exceeded cells — whatever
     // the thread count, in the text, JSON and CSV emissions alike.
     let budget = CellBudget::steps(10_000);
-    let serial = campaign_with(1, |config| config.budget = budget).run();
-    let parallel = campaign_with(8, |config| config.budget = budget).run();
+    let serial = campaign_with(1, |config| config.budget = budget)
+        .run()
+        .into_campaign();
+    let parallel = campaign_with(8, |config| config.budget = budget)
+        .run()
+        .into_campaign();
 
     assert_eq!(serial.cells, parallel.cells);
     assert_eq!(serial.render(), parallel.render());
@@ -268,7 +282,7 @@ fn budgeted_campaigns_are_byte_identical_for_any_thread_count() {
         serial.render()
     );
     // ...without disturbing the cells that fit inside it.
-    let unbudgeted = campaign(4).run();
+    let unbudgeted = campaign(4).run().into_campaign();
     for (with_budget, without) in serial.cells.iter().zip(&unbudgeted.cells) {
         if with_budget.outcome.is_ok() {
             assert_eq!(with_budget, without);
