@@ -20,6 +20,6 @@ pub mod sheriff;
 pub mod vtune;
 
 pub use sheriff::{
-    Sheriff, SheriffConfig, SheriffFailure, SheriffMode, SheriffNative, SheriffOutcome, SheriffRun,
+    Sheriff, SheriffFailure, SheriffMode, SheriffNative, SheriffOutcome, SheriffRun,
 };
-pub use vtune::{Vtune, VtuneConfig, VtuneOutcome};
+pub use vtune::{Vtune, VtuneOutcome};

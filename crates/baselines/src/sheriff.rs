@@ -53,32 +53,17 @@ pub enum SheriffFailure {
     Incompatible,
 }
 
-/// Cost model of the Sheriff execution environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SheriffConfig {
-    /// Cycles charged per synchronization operation under Sheriff-Protect
-    /// (commit/merge of private pages).
-    pub per_sync_cycles_protect: u64,
-    /// Cycles charged per synchronization operation under Sheriff-Detect
-    /// (adds page write-protection and twin diffing).
-    pub per_sync_cycles_detect: u64,
-    /// Fixed start-up cost (process creation, segregated heap setup).
-    pub startup_cycles: u64,
-    /// Minimum number of multi-thread writes to a heap line before
-    /// Sheriff-Detect reports the object.
-    pub detect_write_threshold: u64,
-}
-
-impl Default for SheriffConfig {
-    fn default() -> Self {
-        SheriffConfig {
-            per_sync_cycles_protect: 2_800,
-            per_sync_cycles_detect: 7_000,
-            startup_cycles: 2_000,
-            detect_write_threshold: 50,
-        }
-    }
-}
+/// Cycles charged per synchronization operation under Sheriff-Protect
+/// (commit/merge of private pages).
+const PER_SYNC_CYCLES_PROTECT: u64 = 2_800;
+/// Cycles charged per synchronization operation under Sheriff-Detect (adds
+/// page write-protection and twin diffing).
+const PER_SYNC_CYCLES_DETECT: u64 = 7_000;
+/// Fixed start-up cost (process creation, segregated heap setup).
+const STARTUP_CYCLES: u64 = 2_000;
+/// Minimum number of multi-thread writes to a heap line before
+/// Sheriff-Detect reports the object.
+const DETECT_WRITE_THRESHOLD: u64 = 50;
 
 /// A completed Sheriff run.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,21 +107,9 @@ impl SheriffOutcome {
 
 /// The Sheriff baseline.
 #[derive(Debug, Clone, Default)]
-pub struct Sheriff {
-    config: SheriffConfig,
-}
+pub struct Sheriff;
 
 impl Sheriff {
-    /// Create the baseline with an explicit cost model.
-    pub fn new(config: SheriffConfig) -> Self {
-        Sheriff { config }
-    }
-
-    /// The cost model in effect.
-    pub fn config(&self) -> &SheriffConfig {
-        &self.config
-    }
-
     /// Run `spec` under the given Sheriff scheme on the default
     /// (single-socket) machine.
     ///
@@ -239,10 +212,10 @@ impl Sheriff {
         // twinning and diffing.
         let sync_ops = stats.atomics + stats.fences;
         let per_sync = match mode {
-            SheriffMode::Protect => self.config.per_sync_cycles_protect,
-            SheriffMode::Detect => self.config.per_sync_cycles_detect,
+            SheriffMode::Protect => PER_SYNC_CYCLES_PROTECT,
+            SheriffMode::Detect => PER_SYNC_CYCLES_DETECT,
         };
-        let overhead = sync_ops * per_sync / native.num_cores.max(1) + self.config.startup_cycles;
+        let overhead = sync_ops * per_sync / native.num_cores.max(1) + STARTUP_CYCLES;
         let cycles = native.run.cycles.saturating_sub(removed_coherence_cycles) + overhead;
 
         // Sheriff-Detect's twin comparison happens at synchronization points,
@@ -253,9 +226,7 @@ impl Sheriff {
                 .writers
                 .iter()
                 .filter(|(_, w)| {
-                    w.cores.len() >= 2
-                        && w.writes >= self.config.detect_write_threshold
-                        && w.words.len() >= 2
+                    w.cores.len() >= 2 && w.writes >= DETECT_WRITE_THRESHOLD && w.words.len() >= 2
                 })
                 .map(|(&line, _)| line)
                 .collect()
@@ -333,7 +304,6 @@ mod tests {
     /// `run_to_completion`, every HITM event of the run held, then both
     /// modes' arithmetic and the writer scan over the held events.
     fn reference_run_on(
-        config: &SheriffConfig,
         spec: &WorkloadSpec,
         opts: &BuildOptions,
         machine_config: MachineConfig,
@@ -349,11 +319,11 @@ mod tests {
             let removed_coherence_cycles = native.stats.hitm_events * (lat.hitm - lat.l1_hit);
             let sync_ops = native.stats.atomics + native.stats.fences;
             let per_sync = match mode {
-                SheriffMode::Protect => config.per_sync_cycles_protect,
-                SheriffMode::Detect => config.per_sync_cycles_detect,
+                SheriffMode::Protect => PER_SYNC_CYCLES_PROTECT,
+                SheriffMode::Detect => PER_SYNC_CYCLES_DETECT,
             };
             let overhead =
-                sync_ops * per_sync / (machine.num_cores() as u64).max(1) + config.startup_cycles;
+                sync_ops * per_sync / (machine.num_cores() as u64).max(1) + STARTUP_CYCLES;
             let cycles = native.cycles.saturating_sub(removed_coherence_cycles) + overhead;
             let mut reported_lines = Vec::new();
             if mode == SheriffMode::Detect && sync_ops > 0 {
@@ -375,9 +345,7 @@ mod tests {
                 reported_lines = writers
                     .into_iter()
                     .filter(|(_, (cores, count, words))| {
-                        cores.len() >= 2
-                            && *count >= config.detect_write_threshold
-                            && words.len() >= 2
+                        cores.len() >= 2 && *count >= DETECT_WRITE_THRESHOLD && words.len() >= 2
                     })
                     .map(|(line, _)| line)
                     .collect();
@@ -399,7 +367,7 @@ mod tests {
     #[test]
     fn sheriff_outcomes_match_the_held_event_reference() {
         use laser_machine::TopologySpec;
-        let sheriff = Sheriff::default();
+        let sheriff = Sheriff;
         let compatible: Vec<_> = laser_workloads::registry()
             .into_iter()
             .filter(|spec| Sheriff::compatibility(spec).is_ok())
@@ -411,8 +379,7 @@ mod tests {
             for spec in &compatible {
                 let what = format!("{} on {topology}", spec.name);
                 let opts = BuildOptions::scaled(0.1).for_topology(topology);
-                let [detect, protect] =
-                    reference_run_on(sheriff.config(), spec, &opts, machine_config.clone());
+                let [detect, protect] = reference_run_on(spec, &opts, machine_config.clone());
                 reported += detect.reported_lines.len();
 
                 let image = spec.build(&opts);
@@ -451,7 +418,7 @@ mod tests {
 
     #[test]
     fn incompatible_and_crashing_workloads_do_not_run() {
-        let sheriff = Sheriff::default();
+        let sheriff = Sheriff;
         let dedup = find("dedup").unwrap();
         let out = sheriff.run(&dedup, &small(), SheriffMode::Detect).unwrap();
         assert_eq!(out.result, Err(SheriffFailure::Incompatible));
@@ -468,7 +435,7 @@ mod tests {
         // linear_regression never synchronizes inside its parallel phase, so
         // Sheriff-Detect reports nothing — yet its isolation removes the
         // false-sharing misses and the program speeds up (paper Section 7.3).
-        let sheriff = Sheriff::default();
+        let sheriff = Sheriff;
         let lreg = find("linear_regression").unwrap();
         let out = sheriff.run(&lreg, &small(), SheriffMode::Detect).unwrap();
         let run = out.result.unwrap();
@@ -485,7 +452,7 @@ mod tests {
 
     #[test]
     fn detects_false_sharing_in_synchronizing_workloads() {
-        let sheriff = Sheriff::default();
+        let sheriff = Sheriff;
         let ri = find("reverse_index").unwrap();
         let out = sheriff.run(&ri, &small(), SheriffMode::Detect).unwrap();
         let run = out.result.unwrap();
@@ -497,7 +464,7 @@ mod tests {
 
     #[test]
     fn sync_heavy_workloads_slow_down_dramatically() {
-        let sheriff = Sheriff::default();
+        let sheriff = Sheriff;
         let opts = BuildOptions::scaled(0.5);
         let water = find("water_nsquared").unwrap();
         let protect = sheriff

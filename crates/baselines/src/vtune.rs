@@ -20,44 +20,23 @@ use laser_pebs::driver::{Driver, DriverConfig};
 use laser_pebs::imprecision::{ImprecisionModel, ImprecisionParams};
 use laser_pebs::pmu::{Pmu, PmuConfig};
 
-/// VTune model configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VtuneConfig {
-    /// Reporting threshold in HITM records per second. The paper applies a
-    /// 2 000/s threshold to VTune's output to give it the benefit of the
-    /// doubt.
-    pub rate_threshold: f64,
-    /// General profiling machinery: one sampling interruption every this many
-    /// instructions, independent of HITM activity.
-    pub sampling_interval_insts: u64,
-    /// Cost of each such interruption, charged to every core.
-    pub sample_cost_cycles: u64,
-    /// Driver overhead parameters (interrupt-per-record mode).
-    pub driver: DriverConfig,
-    /// Record imprecision (same hardware as LASER).
-    pub imprecision: ImprecisionParams,
-    /// Poll interval in instructions.
-    pub poll_interval_steps: u64,
-    /// Seed for the imprecision model.
-    pub seed: u64,
-}
-
-impl Default for VtuneConfig {
-    fn default() -> Self {
-        VtuneConfig {
-            rate_threshold: 2_000.0,
-            sampling_interval_insts: 900,
-            sample_cost_cycles: 420,
-            driver: DriverConfig {
-                interrupt_cycles: 3000,
-                per_record_cycles: 120,
-            },
-            imprecision: ImprecisionParams::default(),
-            poll_interval_steps: 20_000,
-            seed: 0x77AB1E,
-        }
-    }
-}
+/// Reporting threshold in HITM records per second. The paper applies a
+/// 2 000/s threshold to VTune's output to give it the benefit of the doubt.
+const RATE_THRESHOLD: f64 = 2_000.0;
+/// General profiling machinery: one sampling interruption every this many
+/// instructions, independent of HITM activity.
+const SAMPLING_INTERVAL_INSTS: u64 = 900;
+/// Cost of each such interruption, charged to every core.
+const SAMPLE_COST_CYCLES: u64 = 420;
+/// Driver overhead parameters (interrupt-per-record mode).
+const DRIVER: DriverConfig = DriverConfig {
+    interrupt_cycles: 3000,
+    per_record_cycles: 120,
+};
+/// Poll interval in instructions.
+const POLL_INTERVAL_STEPS: u64 = 20_000;
+/// Seed for the imprecision model.
+const SEED: u64 = 0x77AB1E;
 
 /// A source line VTune reports, with its record count and rate.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,21 +70,9 @@ impl VtuneOutcome {
 
 /// The VTune profiler model.
 #[derive(Debug, Clone, Default)]
-pub struct Vtune {
-    config: VtuneConfig,
-}
+pub struct Vtune;
 
 impl Vtune {
-    /// Create a profiler with the given configuration.
-    pub fn new(config: VtuneConfig) -> Self {
-        Vtune { config }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &VtuneConfig {
-        &self.config
-    }
-
     /// Profile `image` on the default (single-socket) machine.
     ///
     /// # Errors
@@ -129,10 +96,11 @@ impl Vtune {
         let mut machine = Machine::new(machine_config, image);
         let program = image.program();
         let model = ImprecisionModel::new(
-            self.config.imprecision,
+            // Record imprecision: the same hardware as LASER.
+            ImprecisionParams::default(),
             image.memory_map(),
             (program.base_pc(), program.end_pc()),
-            self.config.seed,
+            SEED,
         );
         // Interrupt on every sampled record, SAV=1: maximum timeliness,
         // maximum overhead.
@@ -145,21 +113,20 @@ impl Vtune {
             },
             model,
         );
-        let mut driver = Driver::new(pmu, self.config.driver);
+        let mut driver = Driver::new(pmu, DRIVER);
 
         let mut per_line: BTreeMap<SourceLoc, u64> = BTreeMap::new();
         let mut total_records = 0u64;
         let mut last_steps = 0u64;
         loop {
-            let status = machine.run_steps(self.config.poll_interval_steps);
+            let status = machine.run_steps(POLL_INTERVAL_STEPS);
             driver.poll(&mut machine);
             // Always-on profiling machinery, independent of HITM activity.
             let executed = machine.steps() - last_steps;
             last_steps = machine.steps();
-            let samples = executed / self.config.sampling_interval_insts.max(1);
+            let samples = executed / SAMPLING_INTERVAL_INSTS;
             if samples > 0 {
-                machine
-                    .charge_all_cores(samples * self.config.sample_cost_cycles / num_cores as u64);
+                machine.charge_all_cores(samples * SAMPLE_COST_CYCLES / num_cores as u64);
             }
             for r in driver.read_records() {
                 total_records += 1;
@@ -196,7 +163,7 @@ impl Vtune {
                 records,
                 rate_per_sec: records as f64 / elapsed,
             })
-            .filter(|l| l.rate_per_sec >= self.config.rate_threshold)
+            .filter(|l| l.rate_per_sec >= RATE_THRESHOLD)
             .collect();
         reported_lines.sort_by(|a, b| b.records.cmp(&a.records).then(a.location.cmp(&b.location)));
         Ok(VtuneOutcome {
@@ -224,7 +191,7 @@ mod tests {
             .build(&image)
             .run()
             .unwrap();
-        let vtune = Vtune::default().run(&image).unwrap();
+        let vtune = Vtune.run(&image).unwrap();
         let laser_norm = laser.run.cycles as f64 / native.cycles as f64;
         let vtune_norm = vtune.run.cycles as f64 / native.cycles as f64;
         assert!(
@@ -243,7 +210,7 @@ mod tests {
             .unwrap()
             .build(&BuildOptions::scaled(0.2));
         let native = Laser::run_native(&image).unwrap();
-        let vtune = Vtune::default().run(&image).unwrap();
+        let vtune = Vtune.run(&image).unwrap();
         let norm = vtune.run.cycles as f64 / native.cycles as f64;
         assert!(
             norm > 1.2,
@@ -257,7 +224,7 @@ mod tests {
         let image = find("histogram'")
             .unwrap()
             .build(&BuildOptions::scaled(0.3));
-        let vtune = Vtune::default().run(&image).unwrap();
+        let vtune = Vtune.run(&image).unwrap();
         assert!(vtune.total_records > 0);
         assert!(
             vtune

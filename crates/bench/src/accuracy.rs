@@ -453,7 +453,12 @@ mod tests {
         // sampling + imprecision for the type classification to be stable.
         ExperimentScale {
             workload_scale: 0.10,
-            only: Some(&["histogram'", "kmeans", "swaptions", "linear_regression"]),
+            only: Some(vec![
+                "histogram'",
+                "kmeans",
+                "swaptions",
+                "linear_regression",
+            ]),
         }
     }
 

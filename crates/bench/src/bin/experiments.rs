@@ -10,8 +10,8 @@
 //!
 //! `all` and each figure subcommand follow the figure table
 //! ([`laser_bench::FIGURES`]): the binary plans the cells of every selected
-//! figure into one shared [`Grid`], runs each unique cell once on the
-//! parallel campaign runner, and derives each figure from the cached cells.
+//! figure into one shared [`Grid`], runs each unique cell once across the
+//! grid's thread pool, and derives each figure from the cached cells.
 //! `campaign` plans the full `workload × tool` grid on a [`Grid`] instead
 //! ([`plan_campaign`]) and prints every cell. Per-cell progress
 //! and notes go to stderr; stdout carries only the aggregated output, which
@@ -31,8 +31,8 @@ use std::sync::Arc;
 
 use laser_bench::args::{knob, value, CliError};
 use laser_bench::{
-    figure, find_workload, plan_campaign, AggregateFormat, CampaignConfig, CampaignProgress,
-    CellCache, CustomTopology, FigureError, Grid, TopologySpec, FIGURES,
+    figure, plan_campaign, AggregateFormat, CampaignConfig, CampaignProgress, CellCache,
+    CustomTopology, FigureError, Grid, TopologySpec, FIGURES,
 };
 
 const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|\
@@ -122,7 +122,7 @@ fn run(cli: &Cli) -> Result<(), String> {
     // and simulated once.
     let mut grid = Grid::with_config(cli.config.clone());
     if cli.which == "campaign" {
-        plan_campaign(&mut grid, cli.only.as_deref())?;
+        plan_campaign(&mut grid);
     }
     for figure in &selected {
         (figure.plan)(&mut grid);
@@ -173,12 +173,12 @@ fn run(cli: &Cli) -> Result<(), String> {
 #[derive(Debug, PartialEq)]
 struct Cli {
     which: String,
-    only: Option<Vec<String>>,
     format: AggregateFormat,
-    /// Every campaign knob. The scale defaults per subcommand: 0.4 for the
-    /// figures, 1.0 for `xsocket`, whose repair trigger needs full-length
-    /// contended phases to fire early enough to matter. `custom_topology`
-    /// and `cache` are filled by [`Cli::open`] from the two paths below.
+    /// Every campaign knob, and `--only`'s workloads. The scale defaults per
+    /// subcommand: 0.4 for the figures, 1.0 for `xsocket`, whose repair
+    /// trigger needs full-length contended phases to fire early enough to
+    /// matter. `custom_topology` and `cache` are filled by [`Cli::open`]
+    /// from the two paths below.
     config: CampaignConfig,
     /// `--topology-file FILE`: a bespoke `Topology::asymmetric` layout,
     /// loaded and validated before anything is simulated. Campaign-only,
@@ -203,7 +203,6 @@ impl Cli {
     fn parse(args: &[String]) -> Result<Cli, CliError> {
         let mut cli = Cli {
             which: "all".to_string(),
-            only: None,
             format: AggregateFormat::Text,
             config: CampaignConfig::evaluation(),
             topology_file: None,
@@ -212,6 +211,7 @@ impl Cli {
         };
         let mut subcommand_seen = false;
         let mut scale_given = false;
+        let mut only: Option<String> = None;
         let mut args = args.iter();
         while let Some(arg) = args.next() {
             let config = &mut cli.config;
@@ -221,10 +221,7 @@ impl Cli {
                     scale_given = true;
                 }
                 "--threads" => knob(arg, config.set_threads(value(&mut args)?))?,
-                "--only" => {
-                    let names: String = value(&mut args)?;
-                    cli.only = Some(names.split(',').map(str::to_string).collect());
-                }
+                "--only" => only = Some(value(&mut args)?),
                 "--format" => cli.format = value(&mut args)?,
                 "--cell-budget-steps" => knob(arg, config.set_budget_steps(value(&mut args)?))?,
                 "--pipeline" => config.pipeline.enabled = true,
@@ -275,15 +272,15 @@ impl Cli {
                 ));
             }
         }
-        if let Some(names) = &cli.only {
+        if let Some(names) = only {
             if cli.which != "campaign" {
                 return Err(CliError::Invalid(
                     "--only only applies to the campaign subcommand".to_string(),
                 ));
             }
-            for name in names {
-                find_workload(name).map_err(CliError::Invalid)?;
-            }
+            cli.config
+                .set_only(names.split(','))
+                .map_err(CliError::Invalid)?;
         }
         if cli.which != "campaign" && cli.which != "all" && figure(&cli.which).is_none() {
             return Err(CliError::Usage);
@@ -365,7 +362,7 @@ mod tests {
         assert_eq!(cli.config, CampaignConfig::evaluation());
         assert!(!cli.config.pipeline.enabled);
         assert_eq!(cli.config.budget, CellBudget::default());
-        assert_eq!(cli.only, None);
+        assert_eq!(cli.config.only, None);
         assert_eq!(cli.config.topology, TopologySpec::Flat);
         // At most one subcommand: a second positional is named and rejected,
         // never silently run in place of the first...
@@ -488,10 +485,7 @@ mod tests {
     fn only_names_are_validated_before_anything_runs() {
         // The valid list parses...
         let cli = Cli::parse(&args(&["campaign", "--only", "histogram',swaptions"])).unwrap();
-        assert_eq!(
-            cli.only,
-            Some(vec!["histogram'".to_string(), "swaptions".to_string()])
-        );
+        assert_eq!(cli.config.only, Some(vec!["histogram'", "swaptions"]));
         // ...a typo'd name is rejected up front, before anything simulates,
         // with a hint about the apostrophe-carrying `histogram'`...
         let err = Cli::parse(&args(&["campaign", "--only", "histogramm,swaptions"])).unwrap_err();

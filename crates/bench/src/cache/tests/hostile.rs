@@ -68,8 +68,10 @@ fn native_and_detect(workloads: &[&str], config: CampaignConfig) -> Grid {
 fn populate(dir: &Path) -> Vec<Entry> {
     let cache = Arc::new(CellCache::open(dir).unwrap());
     let workloads = ["histogram'", "linear_regression", "bodytrack", "dedup"];
-    let mut full = Grid::with_config(config(CellBudget::default(), &cache));
-    plan_campaign(&mut full, Some(&workloads)).unwrap();
+    let mut only = config(CellBudget::default(), &cache);
+    only.set_only(workloads).unwrap();
+    let mut full = Grid::with_config(only);
+    plan_campaign(&mut full);
     let full = full.run().into_campaign();
     let budget = CellBudget::steps(5_000);
     let tripped = native_and_detect(&["histogram'"], config(budget, &cache))

@@ -16,9 +16,11 @@ use laser_machine::MachineConfig;
 use laser_workloads::BuildOptions;
 
 use crate::cache::CellCache;
+use crate::runner::{find_workload, ExperimentScale};
 use crate::topofile::CustomTopology;
 
-/// Everything a campaign applies to every one of its cells.
+/// Everything a campaign applies to every one of its cells, and the
+/// workloads its planners select.
 ///
 /// The setters return the *predicate* a rejected value failed (`must be at
 /// least 1`); each front end prefixes its own spelling of the knob
@@ -28,6 +30,9 @@ pub struct CampaignConfig {
     /// Build options before topology adaptation (`opts.scale` is the
     /// workload input-scale multiplier).
     pub opts: BuildOptions,
+    /// The workloads planners select ([`ExperimentScale::only`]); `None`
+    /// means the full suite. It picks cells and is part of none.
+    pub only: Option<Vec<&'static str>>,
     /// Campaign worker threads; `None` means one per available core.
     pub threads: Option<NonZeroUsize>,
     /// Per-cell budget (unlimited by default).
@@ -65,7 +70,7 @@ impl CampaignConfig {
     /// default input scale (0.4) rather than the workloads' native 1.0.
     pub fn evaluation() -> Self {
         CampaignConfig {
-            opts: crate::runner::ExperimentScale::default().options(),
+            opts: ExperimentScale::default().options(),
             ..CampaignConfig::default()
         }
     }
@@ -82,6 +87,21 @@ impl CampaignConfig {
             return Err(format!("must be at most {MAX_SCALE}, got {scale:e}"));
         }
         self.opts.scale = scale;
+        Ok(())
+    }
+
+    /// Restrict the planners to the workloads `names`, which may repeat and
+    /// come in any order.
+    ///
+    /// # Errors
+    /// The [`find_workload`] message for the first name that matches no
+    /// workload; the filter is then unchanged.
+    pub fn set_only<'n>(&mut self, names: impl IntoIterator<Item = &'n str>) -> Result<(), String> {
+        let names = names
+            .into_iter()
+            .map(|name| find_workload(name).map(|spec| spec.name))
+            .collect::<Result<_, _>>()?;
+        self.only = Some(names);
         Ok(())
     }
 

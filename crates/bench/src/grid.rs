@@ -1,24 +1,51 @@
-//! The one planner: every cell set a run holds is requested on a [`Grid`],
-//! which runs each unique cell **exactly once** on the parallel campaign
-//! executor ([`crate::campaign`]) and lets every figure derive its rows from
-//! the cached results.
+//! The one planner and executor: every cell set a run holds is requested on
+//! a [`Grid`], which runs each unique cell **exactly once** across a thread
+//! pool and lets every figure derive its rows from the results.
 //!
 //! The figure planners (`plan_fig10`, `plan_table1`, …, in
 //! [`crate::performance`] and [`crate::accuracy`]), the whole-grid
 //! [`plan_campaign`](crate::campaign::plan_campaign) of `experiments
 //! campaign`, and a scenario's cells and sweeps
 //! ([`Scenario::grid`](crate::scenario::Scenario::grid)) all register
-//! requests through [`Grid::request`] / [`Grid::request_at`]. Requests
-//! deduplicate in a sorted set, and one campaign computes the union in
-//! parallel. Figures are pure views: `fig10_from_grid` and friends read
-//! cells out of the [`GridResult`] and never simulate anything.
+//! requests through [`Grid::request`] / [`Grid::request_at`], selecting
+//! workloads through the grid's one filter, [`ExperimentScale::only`].
+//! Requests deduplicate in a sorted set, and [`Grid::run_with_progress`]
+//! computes the union in parallel. Figures are pure views:
+//! `fig10_from_grid` and friends read cells out of the [`GridResult`], which
+//! finds a cell by its typed request, and never simulate anything.
 //!
 //! Cell order (and therefore aggregation order) is the sorted request set, so
 //! a grid's rendered output is byte-identical for any thread count and any
-//! planning order.
+//! planning order: every cell is an independent, deterministic simulation
+//! built from owned `Send` values (see `laser_core::session`), computed by
+//! any worker in any order and stored by its index. `threads = 1` is the
+//! reference serial execution, `threads = N` is just faster.
+//!
+//! Cells that can be derived from one simulation run as one pool task: the
+//! cells of one workload on one deployment are grouped by
+//! `ToolSpec::simulation`. The LASER group (`laser`, `laser-detect`,
+//! `laser-detect-raw`, `laser-detect-sav19`) shares one session, the native
+//! group (`native` and both Sheriff modes) one native run. A worker takes a
+//! whole group, announces and caches its cells one at a time, and drops what
+//! they shared when the group is done; every other cell is a group of one
+//! (each Figure 3 case among them). The scale-2 paper grid's 405 cells take
+//! 284 simulations instead of 387, and every result is the one
+//! [`ToolSpec::run`] alone would have produced (the derivations are listed on
+//! `SharedRuns` in [`crate::tool`]).
+//!
+//! Long runs survive misbehaving cells: a panic inside a cell is caught and
+//! recorded as [`ToolFailure::Panicked`], and a cell that trips the grid's
+//! [`CellBudget`] ([`Grid::with_cell_budget`]) is recorded as
+//! [`ToolFailure::BudgetExceeded`] — one grid entry each, not the whole
+//! run. Step budgets are deterministic, so budgeted grids keep the
+//! byte-identical-across-thread-counts guarantee. Each cell's
+//! [`CellConfig`], lowered once from the grid's [`CampaignConfig`], is what
+//! the cache lookup, the tool and the cache store all see.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use laser_baselines::SheriffFailure;
@@ -26,10 +53,10 @@ use laser_core::{CellBudget, PipelineConfig, TopologySpec};
 use laser_workloads::WorkloadSpec;
 
 use crate::cache::CellCache;
-use crate::campaign::{Campaign, CampaignProgress, CampaignResult, CellResult};
-use crate::config::CampaignConfig;
+use crate::campaign::{CampaignProgress, CampaignResult, CellResult};
+use crate::config::{CampaignConfig, CellConfig};
 use crate::runner::ExperimentScale;
-use crate::tool::{ToolFailure, ToolRun, ToolSpec};
+use crate::tool::{SharedRuns, ToolFailure, ToolRun, ToolSpec};
 
 /// Why an experiment could not be derived from a grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,35 +96,35 @@ impl std::fmt::Display for ExperimentError {
 
 impl std::error::Error for ExperimentError {}
 
-/// A planned set of `(workload, tool, topology)` cells, ready to run as one
-/// campaign.
+/// A planned set of `(workload, tool, topology)` cells, and the executor
+/// that runs them.
 #[derive(Debug, Clone)]
 pub struct Grid {
-    /// The workload subset planners select from (`ExperimentScale::only`).
-    only: Option<&'static [&'static str]>,
     config: CampaignConfig,
-    requests: BTreeSet<(String, ToolSpec, TopologySpec)>,
-    specs: BTreeMap<String, WorkloadSpec>,
+    /// Every requested cell, in grid (aggregation) order.
+    requests: BTreeSet<Request>,
+    specs: BTreeMap<&'static str, WorkloadSpec>,
 }
+
+/// One requested cell: `(workload, tool, topology)`.
+type Request = (&'static str, ToolSpec, TopologySpec);
 
 impl Grid {
     /// An empty grid at `scale`, defaulting to one worker per available core
     /// and the flat (single-socket) topology.
     pub fn new(scale: ExperimentScale) -> Self {
-        let mut grid = Grid::with_config(CampaignConfig {
+        Grid::with_config(CampaignConfig {
             opts: scale.options(),
+            only: scale.only,
             ..CampaignConfig::default()
-        });
-        grid.only = scale.only;
-        grid
+        })
     }
 
-    /// An empty grid over the full suite under `config`: planners select
-    /// workloads at `config.opts.scale` and [`Grid::request`] plans cells on
-    /// `config.topology`.
+    /// An empty grid under `config`: planners select workloads at
+    /// `config.opts.scale` from `config.only` and [`Grid::request`] plans
+    /// cells on `config.topology`.
     pub fn with_config(config: CampaignConfig) -> Self {
         Grid {
-            only: None,
             config,
             requests: BTreeSet::new(),
             specs: BTreeMap::new(),
@@ -152,11 +179,12 @@ impl Grid {
         self
     }
 
-    /// The scale experiments will be planned and derived at.
+    /// The scale and the workload filter experiments are planned and
+    /// derived at.
     pub fn scale(&self) -> ExperimentScale {
         ExperimentScale {
             workload_scale: self.config.opts.scale,
-            only: self.only,
+            only: self.config.only.clone(),
         }
     }
 
@@ -184,10 +212,9 @@ impl Grid {
     /// at every preset into one grid.
     pub fn request_at(&mut self, workload: &WorkloadSpec, tool: ToolSpec, topology: TopologySpec) {
         self.specs
-            .entry(workload.name.to_string())
+            .entry(workload.name)
             .or_insert_with(|| workload.clone());
-        self.requests
-            .insert((workload.name.to_string(), tool, topology));
+        self.requests.insert((workload.name, tool, topology));
     }
 
     /// Number of unique cells planned so far.
@@ -197,7 +224,7 @@ impl Grid {
 
     /// The unique `(workload, tool, topology)` cells planned so far, in grid
     /// order.
-    pub(crate) fn requests(&self) -> &BTreeSet<(String, ToolSpec, TopologySpec)> {
+    pub(crate) fn requests(&self) -> &BTreeSet<Request> {
         &self.requests
     }
 
@@ -212,33 +239,179 @@ impl Grid {
     where
         F: Fn(CampaignProgress) + Sync,
     {
-        let (result, _) = self.campaign().run_counting(progress);
-        let scale = self.scale();
-        let topology = self.config.topology;
-        let index = result
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| ((c.workload.clone(), c.tool.clone()), i))
-            .collect();
+        let (result, _) = self.run_cells(progress, SharedRuns::run);
         GridResult {
-            scale,
-            topology,
+            scale: self.scale(),
+            topology: self.config.topology,
+            requests: self.requests.into_iter().collect(),
             result,
-            index,
         }
     }
 
-    /// The campaign that runs this grid: every planned cell, lowered in the
-    /// sorted request order, so cells of one workload share their
-    /// simulations.
-    pub(crate) fn campaign(&self) -> Campaign {
-        let requests = self
-            .requests
-            .iter()
-            .map(|(name, tool, topo)| (&self.specs[name], *tool, *topo));
-        Campaign::from_requests(requests, self.config.clone())
+    /// The requested cells grouped by the simulation they share, each group
+    /// listed with the cell that may attach repair first (its session can
+    /// serve the group's detection cells), then in grid order; groups are in
+    /// the grid order of their first cell.
+    fn groups(cells: &[&Request]) -> Vec<Vec<usize>> {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut by_simulation: BTreeMap<(&str, ToolSpec, TopologySpec), usize> = BTreeMap::new();
+        for (i, &&(workload, tool, topology)) in cells.iter().enumerate() {
+            match tool.simulation() {
+                Some(simulation) => {
+                    let g = *by_simulation
+                        .entry((workload, simulation, topology))
+                        .or_insert_with(|| {
+                            groups.push(Vec::new());
+                            groups.len() - 1
+                        });
+                    groups[g].push(i);
+                }
+                None => groups.push(vec![i]),
+            }
+        }
+        for group in &mut groups {
+            group.sort_by_key(|&i| cells[i].1 != ToolSpec::Laser);
+        }
+        groups
     }
+
+    /// Run every cell in grid order, one pool task per group of cells that
+    /// share a simulation, streaming [`CampaignProgress`] notifications to
+    /// `progress` as cells start and finish; `run` computes each cell the
+    /// cache does not answer ([`SharedRuns::run`], or a test's stand-in that
+    /// panics). Also return how many simulations the run started.
+    /// Notification order depends on scheduling, the aggregation does not.
+    fn run_cells<F, R>(&self, progress: F, run: R) -> (CampaignResult, usize)
+    where
+        F: Fn(CampaignProgress) + Sync,
+        R: Fn(
+                &mut SharedRuns,
+                ToolSpec,
+                &WorkloadSpec,
+                &CellConfig,
+            ) -> Result<ToolRun, ToolFailure>
+            + Sync,
+    {
+        let cells: Vec<&Request> = self.requests.iter().collect();
+        let total = cells.len();
+        let done = AtomicUsize::new(0);
+        let simulations = AtomicUsize::new(0);
+        let cache = self.config.cache.as_deref();
+        let groups = Grid::groups(&cells);
+        let finished = ordered_parallel(groups.len(), self.config.worker_threads(), |g| {
+            let members = &groups[g];
+            let workload = &self.specs[cells[members[0]].0];
+            let mut shared = SharedRuns::new(workload, members.iter().map(|&i| cells[i].1));
+            let results: Vec<(usize, CellResult)> = members
+                .iter()
+                .map(|&i| {
+                    let (_, spec, topo) = *cells[i];
+                    let key = spec.key();
+                    progress(CampaignProgress::Started {
+                        index: i,
+                        total,
+                        workload: workload.name,
+                        tool: &key,
+                    });
+                    let config: CellConfig = self.config.cell(workload.name, &key, topo);
+                    let (cell, cached) = match cache.and_then(|c| c.load(&config)) {
+                        Some(cell) => (cell, true),
+                        None => {
+                            // A panicking cell must cost one cell, not the
+                            // grid: the pool would otherwise resume the
+                            // panic and end the whole run. A shared
+                            // simulation that panics stays unrun, so the
+                            // next cell that needs it panics on its own.
+                            let compute = || run(&mut shared, spec, workload, &config);
+                            let outcome =
+                                catch_unwind(AssertUnwindSafe(compute)).unwrap_or_else(|payload| {
+                                    Err(ToolFailure::Panicked {
+                                        message: panic_message(payload.as_ref()),
+                                    })
+                                });
+                            let cell = CellResult {
+                                workload: workload.name.to_string(),
+                                tool: config.cell_key(),
+                                outcome,
+                            };
+                            if let Some(cache) = cache {
+                                cache.store(&config, &cell);
+                            }
+                            (cell, false)
+                        }
+                    };
+                    progress(CampaignProgress::Finished {
+                        done: done.fetch_add(1, Ordering::Relaxed) + 1,
+                        total,
+                        cell: &cell,
+                        cached,
+                    });
+                    (i, cell)
+                })
+                .collect();
+            simulations.fetch_add(shared.simulations(), Ordering::Relaxed);
+            results
+        });
+        // Every cell index is in exactly one group: sorted, the pairs are the
+        // grid.
+        let mut cells: Vec<(usize, CellResult)> = finished.into_iter().flatten().collect();
+        cells.sort_unstable_by_key(|&(i, _)| i);
+        let cells = cells.into_iter().map(|(_, cell)| cell).collect();
+        (CampaignResult { cells }, simulations.into_inner())
+    }
+}
+
+/// Extract a human-readable message from a panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Deterministically-ordered parallel map: compute `f(0..n)` on up to
+/// `threads` workers off a shared atomic counter and return the results in
+/// index order. This is the pool under every grid, and the only one: every
+/// simulated figure, Figure 3 included, runs as grid cells. A panic in `f`
+/// resumes on the calling thread once every worker has stopped.
+fn ordered_parallel<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let workers = threads.clamp(1, n.max(1));
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    // Work stealing off a shared counter: each worker claims
+                    // the next unclaimed index until the range is drained.
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break mine;
+                        }
+                        mine.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload))
+            })
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// The cached cells of a finished grid run: every figure derives from this.
@@ -246,14 +419,15 @@ impl Grid {
 pub struct GridResult {
     scale: ExperimentScale,
     topology: TopologySpec,
+    /// The requests in grid order: `result.cells[i]` answers `requests[i]`.
+    requests: Vec<Request>,
     result: CampaignResult,
-    index: BTreeMap<(String, String), usize>,
 }
 
 impl GridResult {
-    /// The scale the grid ran at.
-    pub fn scale(&self) -> ExperimentScale {
-        self.scale
+    /// The scale and workload filter the grid ran at.
+    pub fn scale(&self) -> &ExperimentScale {
+        &self.scale
     }
 
     /// The topology default-planned cells ran on. Figure views look their
@@ -268,7 +442,7 @@ impl GridResult {
         &self.result
     }
 
-    /// The underlying campaign result, in grid order, without the index.
+    /// The underlying campaign result, in grid order, without the requests.
     pub fn into_campaign(self) -> CampaignResult {
         self.result
     }
@@ -286,8 +460,25 @@ impl GridResult {
         tool: ToolSpec,
         topology: TopologySpec,
     ) -> Option<&CellResult> {
-        let key = (workload.to_string(), tool.key_at(topology));
-        self.index.get(&key).map(|&i| &self.result.cells[i])
+        let i = self
+            .requests
+            .binary_search_by(|&(w, t, topo)| (w, t, topo).cmp(&(workload, tool, topology)))
+            .ok()?;
+        Some(&self.result.cells[i])
+    }
+
+    /// The planned cell for `workload` under `tool` on `topology`.
+    fn planned(
+        &self,
+        workload: &str,
+        tool: ToolSpec,
+        topology: TopologySpec,
+    ) -> Result<&CellResult, ExperimentError> {
+        self.cell_at(workload, tool, topology)
+            .ok_or_else(|| ExperimentError::MissingCell {
+                workload: workload.to_string(),
+                tool: tool.key_at(topology),
+            })
     }
 
     /// The successful run of `workload` under `tool` on the grid's default
@@ -313,23 +504,19 @@ impl GridResult {
         tool: ToolSpec,
         topology: TopologySpec,
     ) -> Result<&ToolRun, ExperimentError> {
-        let cell =
-            self.cell_at(workload, tool, topology)
-                .ok_or_else(|| ExperimentError::MissingCell {
-                    workload: workload.to_string(),
-                    tool: tool.key_at(topology),
-                })?;
+        let cell = self.planned(workload, tool, topology)?;
         cell.outcome.as_ref().map_err(|f| ExperimentError::Cell {
             workload: workload.to_string(),
-            tool: tool.key_at(topology),
+            tool: cell.tool.clone(),
             failure: f.clone(),
         })
     }
 
-    /// The run of `workload` under a Sheriff `tool`, with the compatibility
-    /// matrix surfaced as data: `Ok(Err(failure))` is Sheriff declining the
-    /// workload (an expected result the tables print as "x"/"i"), while
-    /// simulator errors and panics remain [`ExperimentError`]s.
+    /// The run of `workload` under a Sheriff `tool` on the grid's default
+    /// topology, with the compatibility matrix surfaced as data:
+    /// `Ok(Err(failure))` is Sheriff declining the workload (an expected
+    /// result the tables print as "x"/"i"), while simulator errors and
+    /// panics remain [`ExperimentError`]s.
     ///
     /// # Errors
     /// [`ExperimentError::MissingCell`] / [`ExperimentError::Cell`] as for
@@ -339,23 +526,17 @@ impl GridResult {
         workload: &str,
         tool: ToolSpec,
     ) -> Result<Result<&ToolRun, SheriffFailure>, ExperimentError> {
-        let cell = self
-            .cell(workload, tool)
-            .ok_or_else(|| ExperimentError::MissingCell {
-                workload: workload.to_string(),
-                tool: tool.key(),
-            })?;
+        let cell = self.planned(workload, tool, self.topology)?;
         match &cell.outcome {
             Ok(run) => Ok(Ok(run)),
             Err(ToolFailure::Unsupported(failure)) => Ok(Err(*failure)),
             Err(f) => Err(ExperimentError::Cell {
                 workload: workload.to_string(),
-                tool: tool.key(),
+                tool: cell.tool.clone(),
                 failure: f.clone(),
             }),
         }
     }
-
     /// Runtime of `workload` under `tool` normalized to the workload's native
     /// cell, both on the grid's default topology.
     ///
@@ -394,7 +575,7 @@ mod tests {
     fn tiny_scale() -> ExperimentScale {
         ExperimentScale {
             workload_scale: 0.06,
-            only: Some(&["histogram'", "swaptions"]),
+            only: Some(vec!["histogram'", "swaptions"]),
         }
     }
 
@@ -441,7 +622,7 @@ mod tests {
     fn sheriff_incompatibility_is_data_not_error() {
         let mut grid = Grid::new(ExperimentScale {
             workload_scale: 0.06,
-            only: Some(&["dedup"]),
+            only: Some(vec!["dedup"]),
         });
         grid.request(&spec("dedup"), ToolSpec::SheriffDetect);
         let result = grid.run();
@@ -474,7 +655,7 @@ mod tests {
         for figure in crate::FIGURES.iter().filter(|f| f.in_all) {
             (figure.plan)(&mut grid);
         }
-        let (result, simulations) = grid.campaign().run_counting(|_| {});
+        let (result, simulations) = grid.run_cells(|_| {}, SharedRuns::run);
         let unsupported = result
             .cells
             .iter()
@@ -499,5 +680,60 @@ mod tests {
         let (ra, rb) = (a.run(), b.run());
         assert_eq!(ra.campaign().cells, rb.campaign().cells);
         assert_eq!(ra.campaign().render(), rb.campaign().render());
+    }
+
+    #[test]
+    fn a_panicking_cell_does_not_destroy_the_campaign() {
+        let mut grid = Grid::new(ExperimentScale {
+            workload_scale: 0.06,
+            only: None,
+        })
+        .with_threads(2);
+        for workload in ["histogram'", "swaptions", "kmeans"] {
+            grid.request(&spec(workload), ToolSpec::Native);
+        }
+        // A `&str` payload on swaptions and a `String` one on kmeans, so
+        // both arms of `panic_message` are taken.
+        let (result, _) = grid.run_cells(
+            |_| {},
+            |shared, spec, workload, cell| match workload.name {
+                "swaptions" => panic!("deliberate test panic"),
+                "kmeans" => panic!("deliberate test panic on {}", workload.name),
+                _ => shared.run(spec, workload, cell),
+            },
+        );
+        assert_eq!(result.cells.len(), 3);
+        for (workload, message) in [
+            ("swaptions", "deliberate test panic"),
+            ("kmeans", "deliberate test panic on kmeans"),
+        ] {
+            let bad = result.cell(workload, "native").unwrap();
+            assert_eq!(
+                bad.outcome,
+                Err(ToolFailure::Panicked {
+                    message: message.to_string()
+                })
+            );
+            assert_eq!(bad.status(), "panicked");
+        }
+        // The other cell completed normally.
+        let fine = result.cell("histogram'", "native").unwrap();
+        assert!(fine.outcome.is_ok());
+        assert_eq!(
+            Some(fine),
+            grid.run().into_campaign().cell("histogram'", "native")
+        );
+    }
+
+    #[test]
+    fn ordered_parallel_preserves_index_order() {
+        let calls = AtomicUsize::new(0);
+        let out = ordered_parallel(100, 8, |i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            i * 2
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 100);
+        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(ordered_parallel(0, 4, |i| i), Vec::<usize>::new());
     }
 }

@@ -21,10 +21,12 @@
 //! Every table and figure is a *view over one campaign result*: a planner
 //! (`plan_fig10`, `plan_table1`, …) registers the `(workload, tool)` cells
 //! the experiment needs on a shared [`Grid`], the grid runs each unique cell
-//! exactly once on its parallel campaign executor, and the figure derives
-//! its report from the cached cells (`fig10_from_grid`, …). The grid is the
-//! one planner: `experiments campaign` ([`plan_campaign`]) and every
-//! scenario ([`Scenario::grid`]) request their cells on it too. Each report
+//! exactly once across its thread pool, and the figure derives its report
+//! from the cached cells (`fig10_from_grid`, …). The grid is the one planner
+//! and executor: `experiments campaign` ([`plan_campaign`]) and every
+//! scenario ([`Scenario::grid`]) request their cells on it too, and every
+//! planner selects workloads through its one filter,
+//! [`ExperimentScale::only`] (what `--only` sets). Each report
 //! is one table, a [`View`], which one renderer spells as text, JSON or CSV
 //! (`--format`, see [`emit`]). The figures themselves are one table too:
 //! [`FIGURES`] pairs each subcommand with its planner and its derivation, and

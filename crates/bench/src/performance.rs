@@ -434,7 +434,7 @@ mod tests {
     fn tiny(names: &'static [&'static str]) -> ExperimentScale {
         ExperimentScale {
             workload_scale: 0.06,
-            only: Some(names),
+            only: Some(names.to_vec()),
         }
     }
 
@@ -507,7 +507,7 @@ mod tests {
         // fig10 and fig12 overlap on every native cell; a shared grid plans
         // the union and both figures derive from the same cached cells.
         let scale = tiny(&["swaptions", "histogram'"]);
-        let mut grid = Grid::new(scale);
+        let mut grid = Grid::new(scale.clone());
         plan_fig10(&mut grid);
         plan_fig12(&mut grid);
         // native, laser, vtune, laser-detect per workload = 8 unique cells,

@@ -7,14 +7,15 @@ use laser_workloads::{find, registry, BuildOptions, WorkloadSpec};
 
 use crate::config::CellConfig;
 
-/// How large an experiment to run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// How large an experiment to run, and on which workloads.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentScale {
     /// Input-scale multiplier applied to every workload.
     pub workload_scale: f64,
-    /// Optional restriction to a subset of workload names; `None` means the
-    /// full suite.
-    pub only: Option<&'static [&'static str]>,
+    /// The one workload filter every planner selects through
+    /// ([`ExperimentScale::workloads`]): `experiments --only` fills it. `None`
+    /// means the full suite; order and repeats do not matter.
+    pub only: Option<Vec<&'static str>>,
 }
 
 impl Default for ExperimentScale {
@@ -41,8 +42,8 @@ impl ExperimentScale {
             .into_iter()
             .filter(|s| {
                 self.only
-                    .map(|names| names.contains(&s.name))
-                    .unwrap_or(true)
+                    .as_ref()
+                    .is_none_or(|names| names.contains(&s.name))
             })
             .collect()
     }

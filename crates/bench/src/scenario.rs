@@ -414,7 +414,11 @@ mod tests {
 
     /// The `(workload, tool, topology)` cells `s` plans, in grid order.
     fn planned(s: &Scenario) -> Vec<(String, ToolSpec, TopologySpec)> {
-        s.grid().requests().iter().cloned().collect()
+        s.grid()
+            .requests()
+            .iter()
+            .map(|&(workload, tool, topology)| (workload.to_string(), tool, topology))
+            .collect()
     }
 
     #[test]
@@ -546,7 +550,7 @@ mod tests {
             .unwrap();
             let mut planner = Grid::new(ExperimentScale {
                 workload_scale: 0.5,
-                only,
+                only: only.map(<[_]>::to_vec),
             });
             plan_xsocket(&mut planner);
             let scenario = s.grid();

@@ -4,9 +4,9 @@
 //!
 //! The paper's evaluation repeatedly runs the same 35 workloads under
 //! different tools (Figures 10–14, Tables 1–2). [`ToolSpec::run`] is "run
-//! this workload under this tool and tell me what it saw", so the
-//! campaign executor behind a [`Grid`](crate::grid::Grid) can fan
-//! `workload × tool` grids across a thread pool. A spec is a `Copy` value
+//! this workload under this tool and tell me what it saw", so a
+//! [`Grid`](crate::grid::Grid) can fan `workload × tool` grids across a
+//! thread pool. A spec is a `Copy` value
 //! and every underlying simulation is deterministic, so a cell's result is
 //! independent of which worker thread computes it, and a spec's key
 //! ([`ToolSpec::key`]) names everything the cell runs.
@@ -218,7 +218,7 @@ fn laser_outcome_to_tool_run(outcome: laser_core::LaserOutcome) -> ToolRun {
 /// budget.
 fn vtune_run(spec: &WorkloadSpec, cell: &CellConfig) -> Result<ToolRun, ToolFailure> {
     let image = build_under_tool(spec, &cell.adapted_opts());
-    let outcome = Vtune::default()
+    let outcome = Vtune
         .run_on(&image, cell.machine_config())
         .map_err(|e| ToolFailure::Error(e.to_string()))?;
     cell.budget.check(outcome.run.steps)?;
@@ -248,7 +248,7 @@ fn sheriff_run(
     cell: &CellConfig,
     mode: SheriffMode,
 ) -> Result<ToolRun, ToolFailure> {
-    let outcome = Sheriff::default()
+    let outcome = Sheriff
         .run_on(spec, &cell.adapted_opts(), mode, cell.machine_config())
         .map_err(|e| ToolFailure::Error(e.to_string()))?;
     sheriff_cell(outcome.result)
@@ -548,7 +548,7 @@ impl SharedRuns {
         };
         Sheriff::compatibility(workload).map_err(ToolFailure::Unsupported)?;
         let native = self.native(workload, cell)?;
-        sheriff_cell(Ok(Sheriff::default().project(native, mode)))
+        sheriff_cell(Ok(Sheriff.project(native, mode)))
     }
 
     /// A LASER cell under `config`: the group's session at threshold 0,

@@ -200,7 +200,7 @@ mod tests {
         // full-length contended phase to fire early enough to matter.
         ExperimentScale {
             workload_scale: 1.0,
-            only: Some(&["histogram'"]),
+            only: Some(vec!["histogram'"]),
         }
     }
 
@@ -256,7 +256,7 @@ mod tests {
     fn sweep_respects_the_scale_selection() {
         let scale = ExperimentScale {
             workload_scale: 0.1,
-            only: Some(&["swaptions"]), // not a sweep workload
+            only: Some(vec!["swaptions"]), // not a sweep workload
         };
         let report = single_figure(scale, plan_xsocket, xsocket_from_grid).unwrap();
         assert!(report.rows.is_empty());

@@ -43,9 +43,10 @@ fn a_store_written_by_the_tree_decoder_build_is_served_in_full() {
         let mut config = CampaignConfig::evaluation();
         config.set_scale(0.06).unwrap();
         config.set_threads(2).unwrap();
+        config.set_only(["histogram'", "swaptions"]).unwrap();
         deploy(&mut config);
         let mut grid = Grid::with_config(config.clone());
-        plan_campaign(&mut grid, Some(&["histogram'", "swaptions"])).unwrap();
+        plan_campaign(&mut grid);
         let fresh = grid.run().into_campaign();
         for cell in &fresh.cells {
             let tool = cell.tool.split('@').next().unwrap();

@@ -5,7 +5,7 @@
 use laser_isa::inst::{CmpOp, Operand, Reg};
 use laser_isa::program::BlockId;
 use laser_isa::ProgramBuilder;
-use laser_machine::{ThreadSpec, WorkloadImage};
+use laser_machine::{Addr, ThreadSpec, WorkloadImage};
 
 use crate::spec::BuildOptions;
 
@@ -31,6 +31,19 @@ pub mod regs {
     pub const SCRATCH_B: Reg = Reg(8);
     /// General value scratch.
     pub const VAL: Reg = Reg(1);
+}
+
+/// Allocate `size` bytes aligned to `align` on `image`'s heap for `what`,
+/// the one way a workload builder takes heap memory.
+///
+/// # Panics
+/// If the heap cannot hold the request, naming `what`.
+pub fn heap_alloc(image: &mut WorkloadImage, size: u64, align: u64, what: &str) -> Addr {
+    #[expect(
+        clippy::expect_used,
+        reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+    )]
+    image.layout_mut().heap_alloc(size, align).expect(what)
 }
 
 /// Scale an iteration count by the build options, with a small floor so the
@@ -197,14 +210,12 @@ pub fn private_compute(
         image.layout_mut().perturb_heap(opts.layout_perturbation);
     }
     for t in 0..opts.threads {
-        #[expect(
-            clippy::expect_used,
-            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-        )]
-        let buf = image
-            .layout_mut()
-            .heap_alloc(8 * private_slots.max(1), 64)
-            .expect("heap space for private buffers");
+        let buf = heap_alloc(
+            &mut image,
+            8 * private_slots.max(1),
+            64,
+            "heap space for private buffers",
+        );
         image.push_thread(
             ThreadSpec::new(format!("worker{t}"), "entry")
                 .with_reg(regs::DATA, buf)
@@ -262,11 +273,7 @@ pub fn barrier_phased(
         .layout_mut()
         .global_alloc(64 * phases.max(1) as u64, 64);
     for t in 0..opts.threads {
-        #[expect(
-            clippy::expect_used,
-            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-        )]
-        let buf = image.layout_mut().heap_alloc(64, 64).expect("heap space");
+        let buf = heap_alloc(&mut image, 64, 64, "heap space");
         image.push_thread(
             ThreadSpec::new(format!("worker{t}"), "entry")
                 .with_reg(regs::DATA, buf)
@@ -332,11 +339,7 @@ pub fn locked_accumulator(
     // Lock on its own line at +0, accumulator on the next line at +64.
     let shared = image.layout_mut().global_alloc(128, 64);
     for t in 0..opts.threads {
-        #[expect(
-            clippy::expect_used,
-            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-        )]
-        let buf = image.layout_mut().heap_alloc(64, 64).expect("heap space");
+        let buf = heap_alloc(&mut image, 64, 64, "heap space");
         image.push_thread(
             ThreadSpec::new(format!("worker{t}"), "entry")
                 .with_reg(regs::DATA, buf)
@@ -364,6 +367,13 @@ mod tests {
         assert_eq!(scaled_iters(1000, &BuildOptions::default()), 1000);
         assert_eq!(scaled_iters(1000, &BuildOptions::scaled(0.5)), 500);
         assert_eq!(scaled_iters(10, &BuildOptions::scaled(0.0001)), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "a buffer past the heap's end")]
+    fn a_heap_allocation_that_does_not_fit_panics_naming_it() {
+        let mut image = private_compute("pc", "pc.c", &opts(), 500, 4, 4);
+        heap_alloc(&mut image, 1 << 40, 64, "a buffer past the heap's end");
     }
 
     #[test]

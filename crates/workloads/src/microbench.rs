@@ -20,7 +20,7 @@ use laser_isa::program::Pc;
 use laser_isa::ProgramBuilder;
 use laser_machine::{Addr, ThreadSpec, WorkloadImage};
 
-use crate::common::{close_loop, open_loop, regs};
+use crate::common::{close_loop, heap_alloc, open_loop, regs};
 use crate::spec::{Build, SheriffCompat, Suite, WorkloadSpec};
 
 /// True sharing (same bytes) or false sharing (distinct bytes, same line).
@@ -143,11 +143,7 @@ impl CharacterizationCase {
         let peer_mem_pc = program.pc_of(p_body, 0);
 
         let mut image = WorkloadImage::new(format!("chara_{}", self.id), program);
-        #[expect(
-            clippy::expect_used,
-            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-        )]
-        let line = image.layout_mut().heap_alloc(64, 64).expect("shared line");
+        let line = heap_alloc(&mut image, 64, 64, "shared line");
         image.push_thread(
             ThreadSpec::new("writer", "writer")
                 .with_reg(regs::DATA, line)

@@ -10,9 +10,9 @@ use laser_isa::ProgramBuilder;
 use laser_machine::{ThreadSpec, WorkloadImage};
 
 use crate::common::{
-    barrier_phased, close_loop, emit_lock_acquire, emit_lock_release, locked_accumulator,
-    open_loop, private_compute, regs, scaled_iters, BENIGN_DILATION, INTENSE_DILATION,
-    MILD_DILATION,
+    barrier_phased, close_loop, emit_lock_acquire, emit_lock_release, heap_alloc,
+    locked_accumulator, open_loop, private_compute, regs, scaled_iters, BENIGN_DILATION,
+    INTENSE_DILATION, MILD_DILATION,
 };
 use crate::spec::{BugKind, Build, BuildOptions, KnownBug, SheriffCompat, Suite, WorkloadSpec};
 
@@ -188,14 +188,7 @@ fn bodytrack(opts: &BuildOptions) -> WorkloadImage {
     }
     let ticket = image.layout_mut().global_alloc(64, 64);
     for t in 0..opts.threads {
-        #[expect(
-            clippy::expect_used,
-            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-        )]
-        let buf = image
-            .layout_mut()
-            .heap_alloc(64, 64)
-            .expect("particle buffer");
+        let buf = heap_alloc(&mut image, 64, 64, "particle buffer");
         image.push_thread(
             ThreadSpec::new(format!("body{t}"), "entry")
                 .with_reg(regs::DATA, buf)
@@ -306,14 +299,7 @@ fn dedup(opts: &BuildOptions) -> WorkloadImage {
     // Queue header: lock at +0, head at +8, tail at +16 (all one line in the
     // buggy variant); the fixed variant's counters live at +64 and +128.
     let queue = image.layout_mut().global_alloc(192, 64);
-    #[expect(
-        clippy::expect_used,
-        reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-    )]
-    let slots = image
-        .layout_mut()
-        .heap_alloc(16 * 8, 64)
-        .expect("queue slots");
+    let slots = heap_alloc(&mut image, 16 * 8, 64, "queue slots");
     for t in 0..opts.threads {
         let entry = if t % 2 == 0 { "producer" } else { "consumer" };
         image.push_thread(
@@ -371,20 +357,14 @@ fn streamcluster(opts: &BuildOptions) -> WorkloadImage {
         image.layout_mut().perturb_heap(opts.layout_perturbation);
     }
     let stride = if opts.fixed { 64 } else { 32 };
-    #[expect(
-        clippy::expect_used,
-        reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-    )]
-    let work_mem = image
-        .layout_mut()
-        .heap_alloc(stride * opts.threads as u64 + 64, 64)
-        .expect("work_mem");
+    let work_mem = heap_alloc(
+        &mut image,
+        stride * opts.threads as u64 + 64,
+        64,
+        "work_mem",
+    );
     for t in 0..opts.threads {
-        #[expect(
-            clippy::expect_used,
-            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-        )]
-        let private = image.layout_mut().heap_alloc(64, 64).expect("private");
+        let private = heap_alloc(&mut image, 64, 64, "private");
         image.push_thread(
             ThreadSpec::new(format!("sc{t}"), "entry")
                 .with_reg(regs::DATA, work_mem + stride * t as u64)
@@ -438,11 +418,7 @@ fn x264(opts: &BuildOptions) -> WorkloadImage {
     }
     let row_counter = image.layout_mut().global_alloc(64, 64);
     for t in 0..opts.threads {
-        #[expect(
-            clippy::expect_used,
-            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-        )]
-        let buf = image.layout_mut().heap_alloc(64, 64).expect("frame buffer");
+        let buf = heap_alloc(&mut image, 64, 64, "frame buffer");
         image.push_thread(
             ThreadSpec::new(format!("frame{t}"), "entry")
                 .with_reg(regs::DATA, buf)

@@ -10,7 +10,7 @@ use laser_isa::ProgramBuilder;
 use laser_machine::{ThreadSpec, WorkloadImage};
 
 use crate::common::{
-    self, close_loop, open_loop, private_compute, regs, scaled_iters, INTENSE_DILATION,
+    self, close_loop, heap_alloc, open_loop, private_compute, regs, scaled_iters, INTENSE_DILATION,
     MILD_DILATION,
 };
 use crate::spec::{BugKind, Build, BuildOptions, KnownBug, SheriffCompat, Suite, WorkloadSpec};
@@ -167,20 +167,14 @@ fn linear_regression(opts: &BuildOptions) -> WorkloadImage {
     // the allocator's chunk header, as in Figure 2.
     let struct_size = 64u64;
     let align = if opts.fixed { 64 } else { 1 };
-    #[expect(
-        clippy::expect_used,
-        reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-    )]
-    let args_array = image
-        .layout_mut()
-        .heap_alloc(struct_size * opts.threads as u64, align)
-        .expect("args array");
+    let args_array = heap_alloc(
+        &mut image,
+        struct_size * opts.threads as u64,
+        align,
+        "args array",
+    );
     for t in 0..opts.threads {
-        #[expect(
-            clippy::expect_used,
-            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-        )]
-        let points = image.layout_mut().heap_alloc(512, 64).expect("points");
+        let points = heap_alloc(&mut image, 512, 64, "points");
         image.push_thread(
             ThreadSpec::new(format!("lreg{t}"), "entry")
                 .with_reg(regs::DATA, args_array + t as u64 * struct_size)
@@ -247,14 +241,12 @@ fn histogram(opts: &BuildOptions, alternative_input: bool) -> WorkloadImage {
     if alternative_input && !opts.fixed {
         // All threads' counters in one packed allocation: 32 bytes per
         // thread, two threads per 64-byte line.
-        #[expect(
-            clippy::expect_used,
-            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-        )]
-        let packed = image
-            .layout_mut()
-            .heap_alloc(per_thread_bytes * opts.threads as u64, 1)
-            .expect("packed counters");
+        let packed = heap_alloc(
+            &mut image,
+            per_thread_bytes * opts.threads as u64,
+            1,
+            "packed counters",
+        );
         for t in 0..opts.threads {
             image.push_thread(
                 ThreadSpec::new(format!("hist{t}"), "entry")
@@ -266,11 +258,7 @@ fn histogram(opts: &BuildOptions, alternative_input: bool) -> WorkloadImage {
         // Default input / fixed variant: each thread's counters on their own
         // cache line.
         for t in 0..opts.threads {
-            #[expect(
-                clippy::expect_used,
-                reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-            )]
-            let buf = image.layout_mut().heap_alloc(64, 64).expect("counters");
+            let buf = heap_alloc(&mut image, 64, 64, "counters");
             image.push_thread(
                 ThreadSpec::new(format!("hist{t}"), "entry")
                     .with_reg(regs::DATA, buf)
@@ -352,20 +340,10 @@ fn kmeans(opts: &BuildOptions) -> WorkloadImage {
         // Each worker gets its own run of sum objects; in the buggy variant
         // they are packed 32-byte heap objects (allocated by the main thread),
         // in the fixed variant they are cache-line-aligned "stack" objects.
-        #[expect(
-            clippy::expect_used,
-            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-        )]
         let sums = if opts.fixed {
-            image
-                .layout_mut()
-                .heap_alloc(clusters * 64, 64)
-                .expect("sums")
+            heap_alloc(&mut image, clusters * 64, 64, "sums")
         } else {
-            image
-                .layout_mut()
-                .heap_alloc(clusters * 32, 1)
-                .expect("sums")
+            heap_alloc(&mut image, clusters * 32, 1, "sums")
         };
         image.push_thread(
             ThreadSpec::new(format!("kmeans{t}"), "entry")
@@ -436,16 +414,8 @@ fn packed_counter_kernel(
     if opts.fixed {
         // Manual fix: pad each counter to its own cache line.
         for t in 0..opts.threads {
-            #[expect(
-                clippy::expect_used,
-                reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-            )]
-            let slot = image.layout_mut().heap_alloc(64, 64).expect("use_len");
-            #[expect(
-                clippy::expect_used,
-                reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-            )]
-            let private = image.layout_mut().heap_alloc(64, 64).expect("private");
+            let slot = heap_alloc(&mut image, 64, 64, "use_len");
+            let private = heap_alloc(&mut image, 64, 64, "private");
             image.push_thread(
                 ThreadSpec::new(format!("{name}{t}"), "entry")
                     .with_reg(regs::DATA, slot)
@@ -455,20 +425,9 @@ fn packed_counter_kernel(
             );
         }
     } else {
-        #[expect(
-            clippy::expect_used,
-            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-        )]
-        let use_len = image
-            .layout_mut()
-            .heap_alloc(8 * opts.threads as u64, 1)
-            .expect("use_len array");
+        let use_len = heap_alloc(&mut image, 8 * opts.threads as u64, 1, "use_len array");
         for t in 0..opts.threads {
-            #[expect(
-                clippy::expect_used,
-                reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-            )]
-            let private = image.layout_mut().heap_alloc(64, 64).expect("private");
+            let private = heap_alloc(&mut image, 64, 64, "private");
             image.push_thread(
                 ThreadSpec::new(format!("{name}{t}"), "entry")
                     .with_reg(regs::DATA, use_len + 8 * t as u64)

@@ -9,8 +9,9 @@ use laser_isa::ProgramBuilder;
 use laser_machine::{ThreadSpec, WorkloadImage};
 
 use crate::common::{
-    barrier_phased, close_loop, emit_lock_acquire, emit_lock_release, locked_accumulator,
-    open_loop, private_compute, regs, scaled_iters, INTENSE_DILATION, MILD_DILATION,
+    barrier_phased, close_loop, emit_lock_acquire, emit_lock_release, heap_alloc,
+    locked_accumulator, open_loop, private_compute, regs, scaled_iters, INTENSE_DILATION,
+    MILD_DILATION,
 };
 use crate::spec::{BugKind, Build, BuildOptions, KnownBug, SheriffCompat, Suite, WorkloadSpec};
 
@@ -186,11 +187,7 @@ fn lu_ncb(opts: &BuildOptions) -> WorkloadImage {
     let block_bytes: u64 = 48; // 6 elements of 8 bytes
     if aligned {
         for t in 0..opts.threads {
-            #[expect(
-                clippy::expect_used,
-                reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-            )]
-            let block = image.layout_mut().heap_alloc(64, 64).expect("a block");
+            let block = heap_alloc(&mut image, 64, 64, "a block");
             image.push_thread(
                 ThreadSpec::new(format!("lu{t}"), "entry")
                     .with_reg(regs::DATA, block)
@@ -198,14 +195,12 @@ fn lu_ncb(opts: &BuildOptions) -> WorkloadImage {
             );
         }
     } else {
-        #[expect(
-            clippy::expect_used,
-            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-        )]
-        let a = image
-            .layout_mut()
-            .heap_alloc(block_bytes * opts.threads as u64 + 64, 1)
-            .expect("a matrix");
+        let a = heap_alloc(
+            &mut image,
+            block_bytes * opts.threads as u64 + 64,
+            1,
+            "a matrix",
+        );
         for t in 0..opts.threads {
             image.push_thread(
                 ThreadSpec::new(format!("lu{t}"), "entry")
@@ -269,11 +264,7 @@ fn volrend(opts: &BuildOptions) -> WorkloadImage {
     }
     let queue = image.layout_mut().global_alloc(128, 64);
     for t in 0..opts.threads {
-        #[expect(
-            clippy::expect_used,
-            reason = "workload images size their heaps to fit; allocation failure is a builder bug"
-        )]
-        let buf = image.layout_mut().heap_alloc(64, 64).expect("ray buffer");
+        let buf = heap_alloc(&mut image, 64, 64, "ray buffer");
         image.push_thread(
             ThreadSpec::new(format!("vol{t}"), "entry")
                 .with_reg(regs::DATA, buf)

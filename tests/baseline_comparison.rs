@@ -28,7 +28,7 @@ fn sheriff_can_run_only_part_of_the_suite() {
         "most of the suite should not run under Sheriff ({broken})"
     );
     // And the ones that do not run really do not produce results.
-    let sheriff = Sheriff::default();
+    let sheriff = Sheriff;
     for spec in specs
         .iter()
         .filter(|s| s.sheriff != SheriffCompat::Works)
@@ -41,7 +41,7 @@ fn sheriff_can_run_only_part_of_the_suite() {
 
 #[test]
 fn laser_is_cheaper_than_vtune_across_a_mixed_subset() {
-    let vtune = Vtune::default();
+    let vtune = Vtune;
     let mut laser_norms = Vec::new();
     let mut vtune_norms = Vec::new();
     for name in ["histogram'", "kmeans", "string_match", "swaptions", "dedup"] {
@@ -77,7 +77,7 @@ fn laser_is_cheaper_than_vtune_across_a_mixed_subset() {
 fn sheriff_protect_fixes_false_sharing_it_cannot_see_while_laser_reports_it() {
     // Section 7.3: Sheriff-Protect speeds histogram'/linear_regression up by
     // isolation alone; LASER both reports and repairs them.
-    let sheriff = Sheriff::default();
+    let sheriff = Sheriff;
     for name in ["histogram'", "linear_regression"] {
         let spec = find(name).unwrap();
         let protect = sheriff
@@ -105,7 +105,7 @@ fn sheriff_protect_fixes_false_sharing_it_cannot_see_while_laser_reports_it() {
 
 #[test]
 fn sheriff_slowdown_tracks_synchronization_not_contention() {
-    let sheriff = Sheriff::default();
+    let sheriff = Sheriff;
     let opts = BuildOptions::scaled(0.5);
     // water_nsquared synchronizes constantly but has no contention bug;
     // linear_regression has intense contention but no synchronization.
@@ -147,7 +147,7 @@ fn vtune_reports_more_locations_than_laser_for_the_same_workload() {
             .build(&image)
             .run()
             .unwrap();
-        let vtune = Vtune::default().run(&image).unwrap();
+        let vtune = Vtune.run(&image).unwrap();
         assert!(
             vtune.reported_lines.len() >= laser.report.lines.len(),
             "{name}: vtune {} < laser {}",

@@ -22,7 +22,12 @@ const THRESHOLDS: &[f64] = &[32.0, 1024.0, 65536.0];
 fn scale() -> ExperimentScale {
     ExperimentScale {
         workload_scale: 0.08,
-        only: Some(&["histogram'", "swaptions", "linear_regression", "dedup"]),
+        only: Some(vec![
+            "histogram'",
+            "swaptions",
+            "linear_regression",
+            "dedup",
+        ]),
     }
 }
 
@@ -166,7 +171,7 @@ fn topology_grids_emit_byte_identically_across_threads_and_pipelining() {
     let build = |threads, pipeline| {
         let mut grid = Grid::new(ExperimentScale {
             workload_scale: 0.08,
-            only: Some(&["histogram'", "swaptions"]),
+            only: Some(vec!["histogram'", "swaptions"]),
         })
         .with_threads(threads)
         .with_pipeline(pipeline)

@@ -45,7 +45,7 @@ fn grouped(
 ) -> Vec<CellResult> {
     let mut grid = Grid::new(ExperimentScale {
         workload_scale: scale,
-        only,
+        only: only.map(<[_]>::to_vec),
     })
     .with_threads(threads)
     .with_pipeline(pipeline)
