@@ -1,11 +1,13 @@
-//! The experiment driver: regenerates every table and figure of the paper.
+//! The experiment driver: regenerates every table and figure of the paper,
+//! and serves scenario files.
 //!
 //! ```text
-//! experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|fig11|fig12|fig13|fig14]
+//! experiments [all|campaign|run|xsocket|fig2|fig3|table1|table2|fig9|fig10|fig11|fig12|fig13|fig14]
 //!             [--scale S] [--threads N] [--only w1,w2,...] [--format text|json|csv]
 //!             [--cell-budget-steps N] [--pipeline]
 //!             [--topology flat|2s|4s|8s] [--topology-file FILE]
 //!             [--cache DIR] [--cache-stats FILE]
+//! experiments run FILE... [-] [--threads N] [--cache DIR] [--cache-stats FILE]
 //! ```
 //!
 //! `all` and each figure subcommand follow the figure table
@@ -19,31 +21,46 @@
 //! temperature. ARCHITECTURE.md ("Figures are views", "Scaling axes")
 //! describes the formats and every axis.
 //!
+//! `run` serves scenario files (`-` reads one document from stdin) through
+//! [`run_scenario`]: one JSON line per cell as it lands, then a
+//! `scenario-summary` line per scenario (see `laser_bench::service`). The
+//! scenario sets every knob but the host's: `--threads` (the default for a
+//! scenario that pins none), `--cache` and `--cache-stats`; any other flag
+//! is refused. Every source is read and validated before the first one
+//! runs.
+//!
 //! Every flag lands in one [`CampaignConfig`] through the validated setters
 //! scenario files use too (see `laser_bench::config`). An out-of-range
-//! value, an unknown `--only` workload or an unknown `--topology` exits 2
-//! before anything is simulated; a figure that fails exits 1.
+//! value, an unknown `--only` workload, an unknown `--topology` or an
+//! invalid scenario exits 2 before anything is simulated; a figure that
+//! fails, an unreadable scenario file or a failed stream exits 1.
 
 use std::env;
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
-use laser_bench::args::{knob, value, CliError};
 use laser_bench::{
-    figure, plan_campaign, AggregateFormat, CampaignConfig, CampaignProgress, CellCache,
-    CustomTopology, FigureError, Grid, TopologySpec, FIGURES,
+    figure, plan_campaign, run_scenario, AggregateFormat, CampaignConfig, CampaignProgress,
+    CellCache, CustomTopology, FigureError, Grid, Scenario, ServiceOptions, TopologySpec, FIGURES,
 };
 
-const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|\
-                     fig11|fig12|fig13|fig14] [--scale S] [--threads N] [--only w1,w2,...] \
+const USAGE: &str = "usage: experiments [all|campaign|run|xsocket|fig2|fig3|table1|table2|fig9|\
+                     fig10|fig11|fig12|fig13|fig14] [--scale S] [--threads N] [--only w1,w2,...] \
                      [--format text|json|csv] [--cell-budget-steps N] [--pipeline] \
                      [--topology flat|2s|4s|8s] [--topology-file FILE] [--cache DIR] \
                      [--cache-stats FILE]\n\
+                     \x20      experiments run FILE... [-] [--threads N] [--cache DIR] \
+                     [--cache-stats FILE]\n\
                      \n\
+                     run FILE... [-]       serve scenario files (- reads one from stdin): one\n\
+                     \x20                     JSON line per cell as it lands, then a summary\n\
+                     \x20                     line; the scenario sets every other flag\n\
                      --scale S             workload input-size multiplier (default 0.4;\n\
                      \x20                     xsocket defaults to 1.0)\n\
-                     --threads N           campaign worker threads (default: all cores)\n\
+                     --threads N           campaign worker threads (default: all cores;\n\
+                     \x20                     with run, for scenarios that pin none)\n\
                      --only w1,w2,...      campaign only: restrict to the named workloads\n\
                      \x20                     (validated up front; unknown names are an error)\n\
                      --format F            stdout format: text (default), json or csv\n\
@@ -169,6 +186,79 @@ fn run(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
+/// `experiments run` reads every source before the first runs: files in
+/// argument order, then stdin (`-`), each parsed as a [`Scenario`]. Each
+/// then streams through [`run_scenario`] to stdout, bracketed by two stderr
+/// lines and followed by the cache report.
+///
+/// Returns `Err((exit_code, message))`: 2 for an invalid scenario, 1 for an
+/// unreadable source or a failed stream, cache or stats write.
+fn serve(cli: &Cli) -> Result<(), (u8, String)> {
+    let mut scenarios = Vec::new();
+    let files = cli.scenarios.iter().map(Some);
+    for file in files.chain(cli.stdin.then_some(None)) {
+        let source = file.map_or("stdin", String::as_str);
+        let text = match file {
+            Some(path) => std::fs::read_to_string(path),
+            None => std::io::read_to_string(std::io::stdin()),
+        }
+        .map_err(|e| (1, format!("failed to read {source}: {e}")))?;
+        let scenario = Scenario::parse(&text).map_err(|e| (2, format!("{source}: {e}")))?;
+        scenarios.push((source, scenario));
+    }
+    let options = ServiceOptions {
+        threads: cli.config.threads,
+        cache: cli.config.cache.clone(),
+    };
+    for (source, scenario) in &scenarios {
+        let cells = scenario.grid().cells();
+        eprintln!(
+            "serving scenario '{}' from {source}: {cells} cells",
+            scenario.name
+        );
+        let summary = run_scenario(scenario, &options, std::io::stdout())
+            .map_err(|e| (1, format!("{source}: {e}")))?;
+        eprintln!(
+            "scenario '{}' done: {} cells, {} ok, {} failed, {} cached, {} simulated",
+            summary.scenario,
+            summary.cells,
+            summary.ok,
+            summary.failed,
+            summary.cached,
+            summary.simulated
+        );
+        finish_cache(cli).map_err(|e| (1, e))?;
+    }
+    Ok(())
+}
+
+/// Why a command line was rejected; either way the exit code is 2.
+#[derive(Debug, PartialEq)]
+enum CliError {
+    /// Malformed flags (or an explicit `--help`): print usage.
+    Usage,
+    /// A well-formed but invalid request (e.g. an unknown `--only` name):
+    /// print the message, then usage.
+    Invalid(String),
+}
+
+/// The value of the flag just taken from `args`: the next argument, parsed
+/// as `T`, or [`CliError::Usage`] when it is missing or malformed.
+fn value<'a, T: FromStr>(args: &mut impl Iterator<Item = &'a String>) -> Result<T, CliError> {
+    args.next()
+        .and_then(|s| s.parse().ok())
+        .ok_or(CliError::Usage)
+}
+
+/// Attach the flag spelling to a value a [`CampaignConfig`] setter rejected.
+fn knob(flag: &str, set: Result<(), String>) -> Result<(), CliError> {
+    set.map_err(|why| CliError::Invalid(format!("{flag} {why}")))
+}
+
+/// The flags a scenario file sets for itself, refused with `run`.
+const SCENARIO_FLAGS: &str =
+    "--scale --only --format --topology --topology-file --cell-budget-steps --pipeline";
+
 /// The parsed command line.
 #[derive(Debug, PartialEq)]
 struct Cli {
@@ -188,6 +278,10 @@ struct Cli {
     cache: Option<String>,
     /// `--cache-stats FILE`: where to write cache statistics as JSON.
     cache_stats: Option<String>,
+    /// `run`'s scenario files, in argument order.
+    scenarios: Vec<String>,
+    /// `run -`: read one more scenario from stdin, after the files.
+    stdin: bool,
 }
 
 impl Cli {
@@ -208,12 +302,25 @@ impl Cli {
             topology_file: None,
             cache: None,
             cache_stats: None,
+            scenarios: Vec::new(),
+            stdin: false,
         };
         let mut subcommand_seen = false;
         let mut scale_given = false;
         let mut only: Option<String> = None;
+        // The first scenario-set flag, refused once the subcommand is `run`
+        // (`run` with no source after it fails as such).
+        let mut scenario_flag = None;
         let mut args = args.iter();
         while let Some(arg) = args.next() {
+            if SCENARIO_FLAGS.split(' ').any(|flag| flag == arg) {
+                scenario_flag = scenario_flag.or(Some(arg));
+            }
+            if let (Some(flag), "run") = (scenario_flag, cli.which.as_str()) {
+                return Err(CliError::Invalid(format!(
+                    "{flag} does not apply to run: the scenario sets it"
+                )));
+            }
             let config = &mut cli.config;
             match arg.as_str() {
                 "--scale" => {
@@ -237,9 +344,16 @@ impl Cli {
                 "--cache" => cli.cache = Some(value(&mut args)?),
                 "--cache-stats" => cli.cache_stats = Some(value(&mut args)?),
                 "--help" | "-h" => return Err(CliError::Usage),
+                "-" if cli.which == "run" && !cli.stdin => cli.stdin = true,
+                "-" if cli.which == "run" => {
+                    return Err(CliError::Invalid(
+                        "- may appear at most once: stdin holds one scenario".to_string(),
+                    ));
+                }
                 flag if flag.starts_with('-') => {
                     return Err(CliError::Invalid(format!("unknown flag '{flag}'")));
                 }
+                file if cli.which == "run" => cli.scenarios.push(file.to_string()),
                 name if subcommand_seen => {
                     return Err(CliError::Invalid(format!("unexpected argument '{name}'")));
                 }
@@ -255,6 +369,11 @@ impl Cli {
             }
         }
 
+        if cli.which == "run" && cli.scenarios.is_empty() && !cli.stdin {
+            return Err(CliError::Invalid(
+                "nothing to run: give scenario files, or - for stdin".to_string(),
+            ));
+        }
         if cli.cache_stats.is_some() && cli.cache.is_none() {
             return Err(CliError::Invalid(
                 "--cache-stats requires --cache".to_string(),
@@ -282,7 +401,8 @@ impl Cli {
                 .set_only(names.split(','))
                 .map_err(CliError::Invalid)?;
         }
-        if cli.which != "campaign" && cli.which != "all" && figure(&cli.which).is_none() {
+        if !["all", "campaign", "run"].contains(&cli.which.as_str()) && figure(&cli.which).is_none()
+        {
             return Err(CliError::Usage);
         }
         Ok(cli)
@@ -327,20 +447,31 @@ fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let mut cli = match Cli::parse(&args) {
         Ok(cli) => cli,
-        Err(e) => return e.report(USAGE),
+        Err(e) => {
+            if let CliError::Invalid(message) = e {
+                eprintln!("{message}");
+            }
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
     };
     if let Err(msg) = cli.open() {
         eprintln!("{msg}");
         return ExitCode::from(2);
     }
-    // A failed campaign is a usage-class exit; a failed figure is a runtime
-    // one.
-    let failure = if cli.which == "campaign" { 2 } else { 1 };
-    match run(&cli).and_then(|()| finish_cache(&cli)) {
+    let outcome = match cli.which.as_str() {
+        "run" => serve(&cli),
+        // A failed campaign is a usage-class exit; a failed figure is a
+        // runtime one.
+        which => run(&cli)
+            .and_then(|()| finish_cache(&cli))
+            .map_err(|msg| (if which == "campaign" { 2 } else { 1 }, msg)),
+    };
+    match outcome {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err((code, msg)) => {
             eprintln!("{msg}");
-            ExitCode::from(failure)
+            ExitCode::from(code)
         }
     }
 }
@@ -577,7 +708,7 @@ mod tests {
     #[test]
     fn usage_header_and_crate_docs_name_exactly_the_figure_table() {
         let mut expected: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
-        expected.extend(["all", "campaign"]);
+        expected.extend(["all", "campaign", "run"]);
         expected.sort_unstable();
         // The `[a|b|...]` list after the first "experiments [".
         let subcommands = |text: &'static str| {
@@ -592,15 +723,120 @@ mod tests {
             expected,
             "header"
         );
-        // The crate docs' artifact table has one row per subcommand but `all`.
+        // The crate docs' artifact table has one row per subcommand but `all`
+        // and `run`, which serves scenario files rather than an artifact.
         let mut documented: Vec<&str> = include_str!("../lib.rs")
             .split("| `experiments ")
             .skip(1)
             .map(|row| &row[..row.find('`').unwrap()])
             .collect();
         documented.sort_unstable();
-        expected.retain(|&name| name != "all");
+        expected.retain(|&name| name != "all" && name != "run");
         assert_eq!(documented, expected, "lib.rs artifact table");
+    }
+
+    #[test]
+    fn run_sources_parse() {
+        let cli = Cli::parse(&args(&["run", "a.json", "b.json"])).unwrap();
+        assert_eq!(cli.which, "run");
+        assert_eq!(cli.scenarios, vec!["a.json", "b.json"]);
+        assert!(!cli.stdin);
+
+        // `-` is stdin wherever it stands; the host flags land as for the
+        // figures.
+        let cli = Cli::parse(&args(&["run", "-", "a.json", "--threads", "2"])).unwrap();
+        assert_eq!(cli.scenarios, vec!["a.json"]);
+        assert!(cli.stdin);
+        assert_eq!(cli.config.threads, std::num::NonZeroUsize::new(2));
+    }
+
+    #[test]
+    fn run_without_a_source_or_with_two_stdins_is_rejected_up_front() {
+        for list in [&["run"][..], &["run", "--cache", "dir"]] {
+            assert_eq!(
+                Cli::parse(&args(list)).unwrap_err(),
+                CliError::Invalid(
+                    "nothing to run: give scenario files, or - for stdin".to_string()
+                ),
+                "{list:?}"
+            );
+        }
+        assert_eq!(
+            Cli::parse(&args(&["run", "-", "a.json", "-"])).unwrap_err(),
+            CliError::Invalid("- may appear at most once: stdin holds one scenario".to_string())
+        );
+    }
+
+    #[test]
+    fn run_refuses_every_flag_the_scenario_sets() {
+        for flag in SCENARIO_FLAGS.split(' ') {
+            let value: &[&str] = if flag == "--pipeline" { &[] } else { &["x"] };
+            let why = CliError::Invalid(format!(
+                "{flag} does not apply to run: the scenario sets it"
+            ));
+            // After the subcommand, before its value is even read...
+            let after = [&["run", "-", flag][..], value].concat();
+            assert_eq!(Cli::parse(&args(&after)).unwrap_err(), why, "{after:?}");
+            // ...and before it, however well-formed the value.
+            let value: &[&str] = match flag {
+                "--pipeline" => &[],
+                "--scale" => &["1"],
+                "--cell-budget-steps" => &["5"],
+                "--format" => &["json"],
+                "--topology" => &["2s"],
+                _ => &["swaptions"],
+            };
+            let before = [&[flag][..], value, &["run", "-"]].concat();
+            assert_eq!(Cli::parse(&args(&before)).unwrap_err(), why, "{before:?}");
+        }
+    }
+
+    #[test]
+    fn run_zero_threads_are_rejected_like_the_scenario_key() {
+        // Refused up front with the setter's words, not quietly raised to 1.
+        assert_eq!(
+            Cli::parse(&args(&["run", "-", "--threads", "0"])).unwrap_err(),
+            CliError::Invalid("--threads must be at least 1".to_string())
+        );
+    }
+
+    #[test]
+    fn run_cache_flags_are_validated() {
+        assert_eq!(
+            Cli::parse(&args(&["run", "a.json", "--cache-stats", "s.json"])).unwrap_err(),
+            CliError::Invalid("--cache-stats requires --cache".to_string())
+        );
+        let cli = Cli::parse(&args(&[
+            "run",
+            "a.json",
+            "--cache",
+            "dir",
+            "--cache-stats",
+            "s.json",
+        ]))
+        .unwrap();
+        assert_eq!(cli.cache, Some("dir".to_string()));
+        assert_eq!(cli.cache_stats, Some("s.json".to_string()));
+    }
+
+    #[test]
+    fn run_malformed_flags_are_usage_errors() {
+        assert_eq!(
+            Cli::parse(&args(&["run", "--help"])).unwrap_err(),
+            CliError::Usage
+        );
+        assert_eq!(
+            Cli::parse(&args(&["run", "-", "--threads", "many"])).unwrap_err(),
+            CliError::Usage
+        );
+        assert_eq!(
+            Cli::parse(&args(&["run", "-", "--cache"])).unwrap_err(),
+            CliError::Usage
+        );
+        assert_eq!(
+            Cli::parse(&args(&["run", "-", "--verbose"])).unwrap_err(),
+            CliError::Invalid("unknown flag '--verbose'".to_string())
+        );
     }
 
     /// A scenario document carrying `keys` next to one placeholder cell.

@@ -194,8 +194,8 @@ impl CacheStats {
 /// fingerprint. Shared across campaign worker threads behind an `Arc`;
 /// loads and stores are lock-free except for the write-error slot. Write
 /// failures never panic: the first failure is recorded and surfaced through
-/// [`CellCache::write_error`], which the binaries turn into a clean nonzero
-/// exit after the run.
+/// [`CellCache::write_error`], which the `experiments` binary turns into a
+/// clean nonzero exit after the run.
 #[derive(Debug)]
 pub struct CellCache {
     dir: PathBuf,

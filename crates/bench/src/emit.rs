@@ -1,7 +1,7 @@
 //! One renderer for every report. A report describes itself once, as a
 //! [`View`] — a titled table of JSON values under [`Column`]s — and the
 //! [`Emit`] trait's provided methods spell that one table in the three
-//! formats `experiments --format` and `laser-serve`'s aggregate select:
+//! formats `experiments --format` and a scenario's aggregate select:
 //!
 //! - **text** ([`Emit::render`]) is the paper-style table. The header line
 //!   starts with the view's title and every row is indented to the title's

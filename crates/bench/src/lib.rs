@@ -32,7 +32,8 @@
 //! [`FIGURES`] pairs each subcommand with its planner and its derivation, and
 //! the `experiments` binary plans every selected figure into one grid,
 //! streams per-cell progress to stderr while the grid is hot, and emits the
-//! results. Flags and scenario keys alike reach a cell through one path —
+//! results; `experiments run` serves scenario files through
+//! [`run_scenario`]. Flags and scenario keys alike reach a cell through one path —
 //! [`CampaignConfig`] → [`CellConfig`] → [`ToolSpec::run`] and
 //! [`fingerprint`] — described in [`config`]. The tools are one closed
 //! [`ToolSpec`], so a cell's key names everything the cell runs.
@@ -43,7 +44,6 @@
 //! repository root records paper-reported versus measured values side by side.
 
 pub mod accuracy;
-pub mod args;
 pub mod cache;
 pub mod campaign;
 pub mod characterization;

@@ -3,9 +3,9 @@
 //! A scenario is a small JSON document naming the cells a campaign should
 //! run — individually, or through named sweeps — plus the knobs the
 //! `experiments` CLI exposes as flags (scale, worker threads, step budget,
-//! pipelining, aggregate output format). `laser-serve` reads scenarios from
-//! files, stdin or a watch directory, requests their cells on a [`Grid`]
-//! and fans them over its thread pool (see [`crate::service`]).
+//! pipelining, aggregate output format). `experiments run` reads scenarios
+//! from files or stdin, requests their cells on a [`Grid`] and fans them
+//! over its thread pool (see [`crate::service`]).
 //!
 //! ```json
 //! {
@@ -30,8 +30,8 @@
 //!
 //! Parsing follows the `Cli::parse` convention: **everything** is validated
 //! fail-fast — unknown keys, unknown workload/tool/topology names, malformed
-//! numbers, an empty cell set — before anything simulates, and the binaries
-//! turn a [`ScenarioError`] into exit code 2. Workload names go through the
+//! numbers, an empty cell set — before anything simulates, and `experiments
+//! run` turns a [`ScenarioError`] into exit code 2. Workload names go through the
 //! same check as `experiments --only` ([`find_workload`]). The planned grid
 //! ([`Scenario::grid`]) deduplicates in sorted grid order, so the aggregated
 //! result of a scenario is byte-identical however its cells were spelled;
@@ -53,7 +53,7 @@ use crate::topofile::CustomTopology;
 use crate::xsocket::{plan_xsocket, request_xsocket};
 
 /// A scenario file could not be parsed or validated. The message names the
-/// offending field; the binaries print it and exit 2 before simulating.
+/// offending field; `experiments run` prints it and exits 2 before simulating.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioError(pub String);
 
@@ -728,7 +728,7 @@ mod tests {
     #[test]
     fn hostile_documents_are_errors_not_crashes() {
         // A 100,000-deep bracket flood used to overflow the stack (an abort
-        // that killed `laser-serve`); lax JSON spellings used to parse.
+        // that killed the service); lax JSON spellings used to parse.
         let flood = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
         let nested_name = format!(r#"{{"name": {}"x"{}}}"#, "[".repeat(200), "]".repeat(200));
         let cases: &[(&str, &str)] = &[

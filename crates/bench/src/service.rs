@@ -1,7 +1,7 @@
 //! The campaign service: run a [`Scenario`] and stream its cells as JSON
 //! lines.
 //!
-//! [`run_scenario`] is the engine under the `laser-serve` binary. It requests
+//! [`run_scenario`] is the engine under `experiments run`. It requests
 //! a validated scenario's cells on a [`Grid`](crate::grid::Grid)
 //! ([`Scenario::grid`]), runs it on the grid's thread pool and writes one
 //! JSON object per line to the caller's writer *as cells land* — a client
@@ -17,8 +17,8 @@
 //!   identical scenarios whatever the thread count or cache temperature.
 //!
 //! Stream and cache write failures never panic: the first error is captured
-//! while the campaign drains and surfaced as a [`ServiceError`], which the
-//! binaries turn into a clean nonzero exit.
+//! while the campaign drains and surfaced as a [`ServiceError`], which
+//! `experiments run` turns into a clean nonzero exit.
 
 use std::io::Write;
 use std::num::NonZeroUsize;
@@ -32,8 +32,8 @@ use crate::campaign::CampaignProgress;
 use crate::scenario::Scenario;
 
 /// The service could not run a scenario to completion: the result stream or
-/// the cell cache stopped accepting writes. The binaries print the message
-/// and exit nonzero — never a panic.
+/// the cell cache stopped accepting writes. `experiments run` prints the
+/// message and exits 1 — never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceError(pub String);
 

@@ -1,4 +1,5 @@
-//! The binaries on hostile JSON: a document nested 100,000 deep is an
+//! The `experiments` binary on hostile JSON, as a `--topology-file` layout
+//! or a scenario on `run -`'s stdin: a document nested 100,000 deep is an
 //! invalid input (exit 2 with the parser's message), not a stack overflow
 //! that aborts the process, and a layout whose core blocks overflow or a
 //! tool that cannot run is an invalid input, not a campaign of failed
@@ -35,14 +36,14 @@ fn campaign_on_topology_file(tag: &str, text: &str) -> Output {
     output
 }
 
-/// `laser-serve --stdin` fed `text`.
+/// `experiments run -` fed `text` on stdin.
 #[expect(
     clippy::unwrap_used,
     reason = "a test helper: a failed spawn or pipe fails the calling test"
 )]
 fn serve_on_stdin(text: &str) -> Output {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_laser-serve"))
-        .arg("--stdin")
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["run", "-"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -61,7 +62,7 @@ fn serve_on_stdin(text: &str) -> Output {
 fn laser_serve_rejects_a_bracket_flood_on_stdin_with_exit_2() {
     assert_rejected(
         &serve_on_stdin(&flood()),
-        "laser-serve --stdin",
+        "experiments run -",
         "nested deeper than 128 levels",
     );
 }
@@ -74,7 +75,7 @@ fn laser_serve_rejects_a_sav_0_tool_with_exit_2() {
         "cells": [{"workload": "swaptions", "tool": "laser-detect-sav0"}]}"#;
     assert_rejected(
         &serve_on_stdin(scenario),
-        "laser-serve --stdin",
+        "experiments run -",
         "unknown tool 'laser-detect-sav0'",
     );
 }
