@@ -12,6 +12,10 @@
 //! Instructions are `Copy`, so a fetch is a single bounds-checked indexed copy
 //! out of a flat slice — no PC arithmetic, no second indirection, and no
 //! borrow held into the program while the instruction executes.
+//!
+//! A block also records, for each instruction, how many consecutive `Nop`s
+//! start there ([`DecodedBlock::nop_run`]), so the simulator can retire a
+//! run of compute filler in one step of its loop instead of one per `Nop`.
 
 use crate::inst::{Inst, Terminator};
 use crate::program::{BlockId, Pc, Program};
@@ -30,6 +34,9 @@ pub struct DecodedInst {
 #[derive(Debug, Clone)]
 pub struct DecodedBlock {
     insts: Box<[DecodedInst]>,
+    /// For each instruction, the number of consecutive `Nop`s starting
+    /// there: 0 for any other instruction.
+    nop_runs: Box<[u32]>,
     term: Terminator,
     term_pc: Pc,
 }
@@ -43,6 +50,17 @@ impl DecodedBlock {
     /// The pre-decoded instructions, in block order.
     pub fn insts(&self) -> &[DecodedInst] {
         &self.insts
+    }
+
+    /// The number of consecutive [`Inst::Nop`]s starting at instruction
+    /// `idx`: 0 if it is not a `Nop`, and at most the instructions left
+    /// before the terminator.
+    ///
+    /// # Panics
+    /// Panics if `idx` is not an instruction index of the block.
+    #[inline]
+    pub fn nop_run(&self, idx: usize) -> u32 {
+        self.nop_runs[idx]
     }
 
     /// The block's terminator.
@@ -82,8 +100,15 @@ impl DecodedProgram {
                         pc: program.pc_of(b.id, i),
                     })
                     .collect();
+                let mut nop_runs = vec![0u32; b.insts.len()];
+                for i in (0..b.insts.len()).rev() {
+                    if b.insts[i] == Inst::Nop {
+                        nop_runs[i] = 1 + nop_runs.get(i + 1).copied().unwrap_or(0);
+                    }
+                }
                 DecodedBlock {
                     insts,
+                    nop_runs: nop_runs.into_boxed_slice(),
                     term: b.term,
                     term_pc: program.pc_of(b.id, b.insts.len()),
                 }
@@ -141,6 +166,31 @@ mod tests {
             assert_eq!(db.term(), block.term);
             assert_eq!(db.term_pc(), p.pc_of(block.id, block.insts.len()));
         }
+    }
+
+    #[test]
+    fn nop_runs_count_the_nops_ahead() {
+        let mut b = ProgramBuilder::new("nop-runs");
+        let entry = b.block("entry");
+        let empty = b.block("empty");
+        b.switch_to(entry);
+        b.nops(3);
+        b.addi(Reg(1), Reg(1), 1);
+        b.nop();
+        b.addi(Reg(1), Reg(1), 1);
+        b.nops(2);
+        b.jump(empty);
+        b.switch_to(empty);
+        b.halt();
+        let d = DecodedProgram::decode(&b.finish());
+        let runs = |id| {
+            let blk = d.block(id);
+            (0..blk.num_insts())
+                .map(|i| blk.nop_run(i))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(runs(entry), [3, 2, 1, 0, 1, 0, 2, 1]);
+        assert_eq!(runs(empty), [0u32; 0]);
     }
 
     #[test]

@@ -165,6 +165,32 @@ impl CoherenceDirectory {
         self.lines.values().filter(|s| s.is_some()).count()
     }
 
+    /// The L1-hit transition for an access by `core` to the line in slot
+    /// `slot` of the table, taken only if the core already holds the line
+    /// for it: Modified by `core`; Shared with `core`'s bit, for a read; or
+    /// Shared by `core` alone, for a write, which leaves it Modified by
+    /// `core`. These are exactly the states [`CoherenceDirectory::access`]
+    /// answers with [`AccessClass::L1Hit`], and the next state is the one it
+    /// would leave. Returns whether the core held the line; if not, nothing
+    /// changed.
+    #[inline]
+    pub(crate) fn hit_held(&mut self, slot: usize, core: usize, is_write: bool) -> bool {
+        let state = self.lines.at_mut(slot);
+        let bit = 1u64 << core;
+        match *state {
+            Some(LineState::Modified(owner)) => owner == core,
+            Some(LineState::Shared(sharers)) if is_write => {
+                let alone = sharers == bit;
+                if alone {
+                    *state = Some(LineState::Modified(core));
+                }
+                alone
+            }
+            Some(LineState::Shared(sharers)) => sharers & bit != 0,
+            None => false,
+        }
+    }
+
     /// Perform a coherence access by `core` to the line containing `line_addr`
     /// (must be line-aligned by the caller) and update the directory.
     ///
@@ -270,6 +296,29 @@ mod tests {
         let o = d.access(0, 0x100, true); // HITM: owner 3's bit
         assert_eq!(o.class, AccessClass::Hitm);
         assert_eq!(o.sharers, 0b1000);
+    }
+
+    /// `hit_held` takes the transition `access` takes, for every state an
+    /// access can meet on four cores, exactly when that is an L1 hit.
+    #[test]
+    fn held_hits_are_the_l1_hit_transitions() {
+        let mut states = vec![None];
+        states.extend((0..4).map(|c| Some(LineState::Modified(c))));
+        states.extend((1..16u64).map(|s| Some(LineState::Shared(s))));
+        for state in states {
+            for core in 0..4 {
+                for is_write in [false, true] {
+                    let (next, outcome) = transition(state, core, is_write);
+                    let mut d = CoherenceDirectory::with_extents(4, &[0x1000..0x1040, 0..0]);
+                    *d.lines.at_mut(0) = state;
+                    let held = d.hit_held(0, core, is_write);
+                    let what = format!("{state:?}, core {core}, write {is_write}");
+                    assert_eq!(held, outcome.class == AccessClass::L1Hit, "{what}");
+                    let want = if held { Some(next) } else { state };
+                    assert_eq!(*d.lines.at(0), want, "{what}: next state");
+                }
+            }
+        }
     }
 
     #[test]

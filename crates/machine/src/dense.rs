@@ -11,6 +11,12 @@
 //! its extents (`every_registry_access_stays_in_the_dense_part` holds them to
 //! it and prints the extents), and those are a few hundred lines at most, so
 //! the load/store path indexes and never searches.
+//!
+//! A machine builds its memory and its directory from the same extents, so a
+//! line has the same slot in both tables; the machine's held-line path rests
+//! on that, looking a slot up once for the line's state and its bytes (see
+//! `MachineInner::access`). `dense_tables_share_every_slot` holds every
+//! registry image to it.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -101,8 +107,9 @@ impl<T: Clone> LineTable<T> {
     }
 
     /// The slot of the line at `line` (line-aligned), if an extent holds it.
+    /// Two tables built from the same ranges give every line the same slot.
     #[inline]
-    fn slot(&self, line: Addr) -> Option<usize> {
+    pub(crate) fn slot(&self, line: Addr) -> Option<usize> {
         for e in self.extents.iter() {
             let off = line.wrapping_sub(e.base);
             if off < e.len {
@@ -110,6 +117,18 @@ impl<T: Clone> LineTable<T> {
             }
         }
         None
+    }
+
+    /// The line in slot `i`, as [`LineTable::slot`] gave it.
+    #[inline]
+    pub(crate) fn at(&self, i: usize) -> &T {
+        &self.slots[i]
+    }
+
+    /// The line in slot `i`, as [`LineTable::slot`] gave it, to write.
+    #[inline]
+    pub(crate) fn at_mut(&mut self, i: usize) -> &mut T {
+        &mut self.slots[i]
     }
 
     /// The line at `line` (line-aligned): `blank` if never written.

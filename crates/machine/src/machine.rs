@@ -28,7 +28,7 @@ use std::fmt;
 
 use laser_isa::decoded::DecodedProgram;
 use laser_isa::inst::NUM_REGS;
-use laser_isa::program::Program;
+use laser_isa::program::{BlockId, Program};
 
 use crate::addr::Addr;
 use crate::coherence::CoherenceDirectory;
@@ -205,7 +205,8 @@ impl Machine {
     ///
     /// # Panics
     /// Panics if a thread's entry label does not exist in the program, if the
-    /// image declares no threads, or if the configuration's latency model or
+    /// image declares no threads, if a memory instruction accesses 0 or more
+    /// than 8 bytes, or if the configuration's latency model or
     /// topology fail validation (zero clock frequency, non-monotone latency
     /// ladder, remote transfers cheaper than local ones) — rejecting nonsense
     /// cost models at construction time instead of producing corrupt rates
@@ -237,6 +238,22 @@ impl Machine {
             panic!("invalid machine configuration: {e}");
         }
         let program = image.program().clone();
+        let decoded = DecodedProgram::decode(&program);
+        for id in 0..decoded.num_blocks() {
+            for fetched in decoded.block(BlockId(id as u32)).insts() {
+                let bad_size = fetched.inst.access_size().filter(|s| !(1..=8).contains(s));
+                #[expect(
+                    clippy::panic,
+                    reason = "an access of no bytes or of more than a word is a workload-definition bug; fail at construction, not at its first execution"
+                )]
+                if let Some(size) = bad_size {
+                    panic!(
+                        "instruction at pc {:#x} accesses {size} bytes; an access is 1..=8 bytes",
+                        fetched.pc
+                    );
+                }
+            }
+        }
         let mut mem = SparseMemory::with_extents(extents);
         for (addr, bytes) in image.layout().initial_contents() {
             mem.write_bytes(*addr, bytes);
@@ -274,6 +291,8 @@ impl Machine {
             latency: config.latency.clone(),
             sockets: config.topology.socket_table(config.num_cores),
             topology: config.topology.clone(),
+            #[cfg(test)]
+            held_hits: 0,
         };
         let thread_cores: Vec<usize> = threads.iter().map(|t| t.core).collect();
         Machine {
@@ -281,7 +300,7 @@ impl Machine {
             map: image.memory_map().clone(),
             time_dilation: image.time_dilation(),
             hot: HotLatency::from(&config.latency),
-            decoded: DecodedProgram::decode(&program),
+            decoded,
             sched: CoreSched::new(&thread_cores, config.num_cores),
             program,
             threads,

@@ -60,6 +60,15 @@
 //!     and retires at most 2^14 ([`MAX_ROUND_STEPS`]) however long the run.
 //!     Rounds repeat until fewer than 8 steps per live core are owed; that
 //!     short tail is plain `step()`.
+//!   - *`Nop` runs retire at once.* Each decoded block records how many
+//!     consecutive `Nop`s start at each instruction
+//!     ([`DecodedBlock::nop_run`](laser_isa::decoded::DecodedBlock::nop_run)).
+//!     The register-only loop retires a run's first `min(run, ⌈(H −
+//!     clock) / alu⌉)` in one iteration: exactly the `Nop`s single steps
+//!     would retire before the clock reaches `H`, at the same cost each, so
+//!     the clock, the step count and the thread's position end where they
+//!     would. `step()` still retires one `Nop` per call, which is what
+//!     `run_steps_reference` holds this to.
 //!   - *Round boundaries drain.* Between two rounds the machine has executed
 //!     a prefix of the per-instruction order, so its HITM queue holds exactly
 //!     the events that prefix generated. [`Machine::run_draining`] hands the
@@ -131,6 +140,8 @@ pub(crate) struct RoundTrace {
     pub(crate) visits: u64,
     /// The most HITM events one round queued.
     pub(crate) most_events: usize,
+    /// Runs of two or more `Nop`s the register-only loop retired at once.
+    pub(crate) nop_runs: u64,
 }
 
 impl Machine {
@@ -393,6 +404,19 @@ impl Machine {
         let mut retired = 0u64;
         while clock < horizon {
             let cost = match blk.insts().get(idx) {
+                Some(fetched) if matches!(fetched.inst, Inst::Nop) => {
+                    // A run of `Nop`s retires at once: as many of them as
+                    // single steps would retire before the horizon.
+                    let run = u64::from(blk.nop_run(idx));
+                    let n = run.min((horizon - clock).div_ceil(lat.alu));
+                    #[cfg(test)]
+                    if n > 1 {
+                        self.round_trace.nop_runs += 1;
+                    }
+                    idx += n as usize;
+                    retired += n - 1;
+                    n * lat.alu
+                }
                 Some(fetched) => {
                     let Some(cost) = Self::exec_register_only(&mut thread.regs, &fetched.inst, lat)
                     else {

@@ -4,10 +4,24 @@
 //! execution and attached hooks operate on; hooks receive it through
 //! [`crate::hook::HookCtx`] so a software-store-buffer flush goes through the
 //! same coherence directory as the application's own accesses.
+//!
+//! [`MachineInner::access`] has two paths that compute the same thing. The
+//! *held-line* path serves an access of 1–8 bytes within one line that has a
+//! slot in the line tables and that the accessing core already holds — the
+//! directory's three L1-hit states, see `CoherenceDirectory::hit_held`. It
+//! looks the slot up once and uses it for the line's state and for its
+//! bytes, which is sound because memory and directory are built from the
+//! same extents and so give every line the same slot (`dense.rs`). It counts
+//! the L1 hit and charges `l1_hit`, as the general path would. Every other
+//! access (a cold line, an LLC hit, a HITM, one straddling two lines, one
+//! outside the extents) takes the general path: the directory's outcome,
+//! resolved on the topology and priced there. A machine built over no
+//! extents (the map-only reference) has no slots, so it never takes the held
+//! path.
 
 use laser_isa::program::Pc;
 
-use crate::addr::{iter_lines_touched, Addr};
+use crate::addr::{iter_lines_touched, line_of, line_offset, Addr, CACHE_LINE_SIZE};
 use crate::coherence::CoherenceDirectory;
 use crate::event::{HitmEvent, MemAccessKind};
 use crate::htm::{fits_in_transaction, HtmOutcome};
@@ -28,6 +42,9 @@ pub(crate) struct MachineInner {
     pub(crate) topology: Topology,
     /// `topology`'s core → socket table for this machine's core count.
     pub(crate) sockets: Vec<u32>,
+    /// Accesses the held-line path served.
+    #[cfg(test)]
+    pub(crate) held_hits: u64,
 }
 
 impl MachineInner {
@@ -45,6 +62,30 @@ impl MachineInner {
         store_value: Option<u64>,
         now: u64,
     ) -> (u64, u64) {
+        let off = line_offset(addr) as usize;
+        // A hook may ask for any size: any other one keeps the general path,
+        // whose memory rejects it.
+        if (1..=8).contains(&size) && off + size as usize <= CACHE_LINE_SIZE as usize {
+            if let Some(slot) = self.coh.lines.slot(line_of(addr)) {
+                if self.coh.hit_held(slot, core, is_write) {
+                    debug_assert_eq!(self.mem.lines.slot(line_of(addr)), Some(slot));
+                    self.stats.l1_hits += 1;
+                    #[cfg(test)]
+                    {
+                        self.held_hits += 1;
+                    }
+                    let value = if is_write {
+                        if let Some(v) = store_value {
+                            self.mem.write_in(slot, off, size, v);
+                        }
+                        0
+                    } else {
+                        self.mem.read_in(slot, off, size)
+                    };
+                    return (value, self.latency.l1_hit);
+                }
+            }
+        }
         let mut worst = 0u64;
         for line in iter_lines_touched(addr, size) {
             let outcome = self.coh.access(core, line, is_write);

@@ -422,3 +422,41 @@ fn threadless_images_are_rejected_at_construction() {
     let image = WorkloadImage::new("idle", b.finish());
     Machine::new(MachineConfig::default(), &image);
 }
+
+/// A one-thread image whose only memory instruction is `inst`.
+fn one_access_image(inst: laser_isa::inst::Inst) -> WorkloadImage {
+    let mut b = ProgramBuilder::new("one_access");
+    let entry = b.block("entry");
+    b.switch_to(entry);
+    b.nop();
+    b.emit(inst);
+    b.halt();
+    let mut image = WorkloadImage::new("one_access", b.finish());
+    let base = image.layout_mut().heap_alloc(64, 64).unwrap();
+    image.push_thread(ThreadSpec::new("t0", "entry").with_reg(Reg(0), base));
+    image
+}
+
+#[test]
+#[should_panic(expected = "instruction at pc 0x400004 accesses 0 bytes")]
+fn zero_byte_loads_are_rejected_at_construction() {
+    use laser_isa::inst::{Inst, MemAddr};
+    let image = one_access_image(Inst::Load {
+        dst: Reg(1),
+        addr: MemAddr::base_offset(Reg(0), 0),
+        size: 0,
+    });
+    Machine::new(MachineConfig::default(), &image);
+}
+
+#[test]
+#[should_panic(expected = "instruction at pc 0x400004 accesses 9 bytes")]
+fn nine_byte_stores_are_rejected_at_construction() {
+    use laser_isa::inst::{Inst, MemAddr};
+    let image = one_access_image(Inst::Store {
+        src: Operand::Imm(7),
+        addr: MemAddr::base_offset(Reg(0), 0),
+        size: 9,
+    });
+    Machine::new(MachineConfig::default(), &image);
+}

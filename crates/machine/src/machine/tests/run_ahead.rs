@@ -10,8 +10,10 @@
 //! thread halting mid-round with a successor behind it, a core losing all its
 //! threads in one round, quanta at the edge of the round threshold, a horizon
 //! landing exactly on an active instruction, charges that reorder parked
-//! cores between quanta, cores levelled to one clock, and accesses that wrap
-//! the address space.
+//! cores between quanta, cores levelled to one clock, accesses that wrap
+//! the address space, and a horizon before, inside, at the end of and one
+//! cycle past a run of `Nop`s (which the register-only loop retires at once;
+//! the generated programs emit runs of 1–24).
 //!
 //! Hooked machines run ahead too, inside what their hook declares (the
 //! run-ahead contract of [`ExecHook`]). [`MiniSsb`] — a software store buffer
@@ -342,7 +344,8 @@ fn emit_register_inst(rng: &mut XorShift, b: &mut ProgramBuilder) {
             b.pause();
         }
         _ => {
-            b.nop();
+            // A run of 1–24 `Nop`s, which run-ahead retires at once.
+            b.nops(1 + rng.below(24) as usize);
         }
     }
 }
@@ -910,44 +913,113 @@ fn seam_a_horizon_on_an_active_pre_clock_leaves_it_for_the_next_round() {
 /// The point of parking: the round loop consults the scheduler once per
 /// active instruction, not twice. On four symmetric threads — the pattern
 /// that used to cost two visits — the visits of a whole run are at most its
-/// active instructions plus one per core and round.
+/// active instructions plus one per core and round. With ten `Nop`s in the
+/// body the bound holds too, and the register-only loop retires runs of
+/// them at once.
 #[test]
 fn run_ahead_visits_the_scheduler_once_per_active_instruction() {
     const TRIPS: u64 = 500;
-    let mut b = ProgramBuilder::new("symmetric");
-    let body = b.block("body");
-    let done = b.block("done");
-    b.switch_to(body);
-    b.load(Reg(4), PRIVATE, 0, 8);
-    b.addi(Reg(4), Reg(4), 3);
-    b.store(Operand::Reg(Reg(4)), PRIVATE, 0, 8);
-    b.addi(COUNTER, COUNTER, 1);
-    b.cmp_lt(COND, COUNTER, Operand::Imm(TRIPS));
-    b.branch(COND, body, done);
-    b.switch_to(done);
-    b.halt();
-    let mut image = WorkloadImage::new("symmetric", b.finish());
-    for t in 0..4 {
-        let slot = image.layout_mut().heap_alloc(64, 64).unwrap();
-        image.push_thread(ThreadSpec::new(format!("t{t}"), "body").with_reg(PRIVATE, slot));
-    }
-    // A load, a store and at the end a halt per thread.
-    let active = 4 * (2 * TRIPS + 1);
-    for quantum in [u64::MAX, 5_000, 300] {
-        let mut m = Machine::new(MachineConfig::default(), &image);
-        while m.run_steps(quantum) == RunStatus::Running {}
-        let trace = m.round_trace;
-        assert!(trace.rounds > 0, "quanta of {quantum}: run-ahead ran");
-        assert!(
-            trace.visits <= active + 4 * trace.rounds,
-            "quanta of {quantum}: {} visits for {active} active instructions in {} rounds",
-            trace.visits,
-            trace.rounds
-        );
-        if quantum == u64::MAX {
+    for nops in [0, 10] {
+        let mut b = ProgramBuilder::new("symmetric");
+        let body = b.block("body");
+        let done = b.block("done");
+        b.switch_to(body);
+        b.load(Reg(4), PRIVATE, 0, 8);
+        b.nops(nops);
+        b.addi(Reg(4), Reg(4), 3);
+        b.store(Operand::Reg(Reg(4)), PRIVATE, 0, 8);
+        b.addi(COUNTER, COUNTER, 1);
+        b.cmp_lt(COND, COUNTER, Operand::Imm(TRIPS));
+        b.branch(COND, body, done);
+        b.switch_to(done);
+        b.halt();
+        let mut image = WorkloadImage::new("symmetric", b.finish());
+        for t in 0..4 {
+            let slot = image.layout_mut().heap_alloc(64, 64).unwrap();
+            image.push_thread(ThreadSpec::new(format!("t{t}"), "body").with_reg(PRIVATE, slot));
+        }
+        // A load, a store and at the end a halt per thread.
+        let active = 4 * (2 * TRIPS + 1);
+        for quantum in [u64::MAX, 5_000, 300] {
+            let what = format!("{nops} nops, quanta of {quantum}");
+            let mut m = Machine::new(MachineConfig::default(), &image);
+            while m.run_steps(quantum) == RunStatus::Running {}
+            let trace = m.round_trace;
+            assert!(trace.rounds > 0, "{what}: run-ahead ran");
             assert!(
-                trace.visits >= active,
-                "every active instruction is a visit"
+                trace.visits <= active + 4 * trace.rounds,
+                "{what}: {} visits for {active} active instructions in {} rounds",
+                trace.visits,
+                trace.rounds
+            );
+            if quantum == u64::MAX {
+                assert!(
+                    trace.visits >= active,
+                    "{what}: every active instruction is a visit"
+                );
+            }
+            assert_eq!(
+                trace.nop_runs > 0,
+                nops > 1,
+                "{what}: {} runs of Nops retired at once",
+                trace.nop_runs
+            );
+        }
+    }
+}
+
+/// A round's horizon against a run of `Nop`s: before the run, at its first
+/// `Nop`, inside it, exactly at its end and one instruction past it. One
+/// core whose instructions up to the run's end all cost the round floor, so
+/// a round over `n` steps has its horizon on the pre-clock of step `n` and
+/// the budget binds: a run retired past the horizon would retire more steps
+/// than the quantum owes. Each budget from a fresh machine, then again from
+/// where the last quantum stopped, against single steps; with `alu` 1 and 2.
+#[test]
+fn seam_run_ahead_horizon_meets_a_nop_run() {
+    const LEAD: u64 = 10;
+    const RUN: u64 = 20;
+    let mut b = ProgramBuilder::new("nop_run");
+    let entry = b.block("entry");
+    b.switch_to(entry);
+    for _ in 0..LEAD {
+        b.addi(Reg(4), Reg(4), 1);
+    }
+    b.nops(RUN as usize);
+    b.store(Operand::Reg(Reg(4)), SHARED, 0, 8);
+    b.nops(RUN as usize);
+    b.halt();
+    let mut image = WorkloadImage::new("nop_run", b.finish());
+    let shared = image.layout_mut().heap_alloc(64, 64).unwrap();
+    image.push_thread(ThreadSpec::new("t0", "entry").with_reg(SHARED, shared));
+    for floor in [1, 2] {
+        let mut config = MachineConfig {
+            num_cores: 1,
+            ..Default::default()
+        };
+        config.latency.alu = floor;
+        config.latency.branch = floor;
+        config.latency.pause = floor;
+        let budgets = [
+            ("before the run", LEAD - 1),
+            ("at the run's first Nop", LEAD),
+            ("inside the run", LEAD + RUN / 2),
+            ("at the run's end", LEAD + RUN),
+            ("one past the run", LEAD + RUN + 1),
+        ];
+        for (what, n) in budgets {
+            let what = format!("alu {floor}, horizon {what}");
+            let mut fast = Machine::new(config.clone(), &image);
+            let mut slow = Machine::new(config.clone(), &image);
+            for quantum in 1..=4 {
+                assert_eq!(fast.run_steps(n), slow.run_steps_reference(n));
+                assert_eq!(fast.take_hitm_events(), slow.take_hitm_events());
+                assert_same_state(&fast, &slow, &what, quantum);
+            }
+            assert!(fast.round_trace.rounds > 0, "{what}: run-ahead ran");
+            assert!(
+                fast.round_trace.nop_runs > 0,
+                "{what}: a run retired at once"
             );
         }
     }

@@ -122,6 +122,23 @@ impl SparseMemory {
         self.write_bytes(addr, &value.to_le_bytes()[..n]);
     }
 
+    /// [`SparseMemory::read`] of `size` bytes (1..=8) that lie in the line
+    /// of slot `slot` (see `LineTable::slot`), `off` bytes into it.
+    #[inline]
+    pub(crate) fn read_in(&self, slot: usize, off: usize, size: u8) -> u64 {
+        load_le(&self.lines.at(slot)[off..off + size as usize])
+    }
+
+    /// [`SparseMemory::write`] of `size` bytes (1..=8) that lie in the line
+    /// of slot `slot` (see `LineTable::slot`), `off` bytes into it.
+    #[inline]
+    pub(crate) fn write_in(&mut self, slot: usize, off: usize, size: u8, value: u64) {
+        store_le(
+            &mut self.lines.at_mut(slot)[off..off + size as usize],
+            value,
+        );
+    }
+
     /// Copy `bytes` into memory starting at `addr`: one slice copy per line
     /// it covers.
     pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) {
